@@ -10,9 +10,12 @@ test:
 # detector: >=3 site crashes and >=1 network partition against an active
 # mixed workload, asserting zero committed-write loss and convergence.
 # TestChaosSimClock replays the same schedule on the simulated clock, so
-# this covers both clock implementations.
+# this covers both clock implementations. TestSnapshotAtomicity checks
+# cross-partition snapshot isolation (an invariant sum read on masters and
+# on lagging replicas) across a failover, an abandoned commit ack and
+# dependency-tracker folds.
 chaos:
-	go test -race -count=1 -v -run TestChaos ./internal/cluster/
+	go test -race -count=1 -v -run 'TestChaos|TestSnapshotAtomicity' ./internal/cluster/
 
 # sim replays the whole scenarios/ corpus on the virtual clock: hours of
 # simulated mixed traffic, diurnal shifts, partitions, overload and crash

@@ -218,7 +218,8 @@ func installedVersion(e *Engine, pid partition.ID) uint64 {
 // TestAbandonedCommitWaitRecordsDeps pins a torn-snapshot fix: when a
 // multi-partition transaction's group-commit wait is abandoned on ctx
 // expiry, the flushers still durably install every partition version, so
-// the co-commit dependency record must still reach the tracker. Without
+// the co-commit dependency must be in the tracker regardless — it is
+// recorded at the commit point, before the groups are enqueued. Without
 // it, a later snapshot could close over one partition's new version
 // without its co-committed sibling — an SI violation visible to every
 // session, not just the cancelled client.
@@ -250,9 +251,9 @@ func TestAbandonedCommitWaitRecordsDeps(t *testing.T) {
 		t.Fatalf("txn blocked on flusher = %v, want context.DeadlineExceeded", err)
 	}
 
-	// Wait for the abandoned flushes to install both versions, then for
-	// the detached finish to record the commit: closing a snapshot that
-	// holds p1's new version must raise p2 to its co-committed version.
+	// Wait for the abandoned flushes to install both versions: closing a
+	// snapshot that holds p1's new version must raise p2 to its
+	// co-committed version.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		v1, v2 := installedVersion(e, p1), installedVersion(e, p2)

@@ -227,6 +227,10 @@ type Engine struct {
 	cntFailovers  *obs.Counter
 	recoveryLat   *obs.Recorder
 
+	// Dependency-tracker instruments, refreshed on the maintenance tick.
+	gaugeDepsEntries *obs.Gauge   // entries retained over all partitions
+	cntDepsFolded    *obs.Counter // entries folded into base entries
+
 	// Morsel-executor instruments.
 	cntMorselsScheduled *obs.Counter // units actually handed to workers
 	cntMorselsPruned    *obs.Counter // units skipped by zone maps at build
@@ -286,6 +290,8 @@ func New(cfg Config) *Engine {
 	e.cntRecoveries = e.Obs.Counter("faults.recoveries")
 	e.cntFailovers = e.Obs.Counter("faults.failovers")
 	e.recoveryLat = e.Obs.Recorder("faults.recovery.replay", 1<<8)
+	e.gaugeDepsEntries = e.Obs.Gauge("txn.deps_entries")
+	e.cntDepsFolded = e.Obs.Counter("txn.deps_folded")
 	e.cntMorselsScheduled = e.Obs.Counter("exec.morsels.scheduled")
 	e.cntMorselsPruned = e.Obs.Counter("exec.morsels.pruned")
 	e.cntMorselRows = e.Obs.Counter("exec.morsels.rows")
@@ -339,14 +345,7 @@ func (e *Engine) startBackground() {
 				case <-e.stop:
 					return
 				case <-t.C:
-					for _, s := range e.Sites {
-						if s.Down() {
-							continue
-						}
-						s.Maintain(e.cfg.DeltaThreshold)
-					}
-					e.drainObservations()
-					e.checkpointAndTruncate()
+					e.maintain()
 				}
 			}
 		}()
@@ -359,6 +358,21 @@ func (e *Engine) startBackground() {
 		// the loop is a no-op until a memory capacity is set.
 		e.startTiering(200 * time.Millisecond)
 	}
+}
+
+// maintain is one maintenance tick: storage maintenance at every live
+// site, cost observations into the model, redo-log checkpoints and
+// truncation, and the dependency-tracker fold.
+func (e *Engine) maintain() {
+	for _, s := range e.Sites {
+		if s.Down() {
+			continue
+		}
+		s.Maintain(e.cfg.DeltaThreshold)
+	}
+	e.drainObservations()
+	e.checkpointAndTruncate()
+	e.foldDeps()
 }
 
 // SetMemCapacityPerSite caps every site's memory tier (0 = unlimited).
@@ -435,6 +449,32 @@ func (e *Engine) checkpointAndTruncate() {
 			e.Broker.Truncate(pid, floor)
 		}
 	}
+}
+
+// foldDeps keeps the dependency tracker flat in run length: per partition,
+// every entry at or below the lowest version installed on a live copy folds
+// into one base entry. snapshotFor starts from a live copy's installed
+// version (raised by the session), so its lookups land at or above the base
+// and close exactly as before; one that does start lower — a copy that
+// appeared after this reading — is moved forward by the base, never torn.
+func (e *Engine) foldDeps() {
+	if e.Deps.Entries() == 0 {
+		e.gaugeDepsEntries.Set(0)
+		return // read-only workloads record nothing
+	}
+	low := make(txn.VersionVector)
+	for _, s := range e.Sites {
+		if s.Down() {
+			continue
+		}
+		for _, p := range s.Partitions() {
+			if cur, seen := low[p.ID]; !seen || p.Version() < cur {
+				low[p.ID] = p.Version()
+			}
+		}
+	}
+	e.cntDepsFolded.Add(int64(e.Deps.Forget(low)))
+	e.gaugeDepsEntries.Set(int64(e.Deps.Entries()))
 }
 
 // maybeCheckpoint refreshes a partition's broker checkpoint once its log

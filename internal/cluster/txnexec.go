@@ -55,11 +55,7 @@ func (e *Engine) snapshotFor(pids []partition.ID, sess *Session) txn.VersionVect
 		}
 	}
 	if sess != nil {
-		for pid, v := range sess.s.Watermark() {
-			if cur, tracked := snap[pid]; tracked && v > cur {
-				snap[pid] = v
-			}
-		}
+		sess.s.Raise(snap)
 	}
 	return e.Deps.Close(snap)
 }
@@ -401,12 +397,12 @@ func buildEntries(sw *siteWrites) {
 }
 
 // applyWrites runs the write/commit phase under the caller-held exclusive
-// locks: group ops by master site, reserve versions, stage via 2PC, and
-// either commit inline (DisableGroupCommit) or enqueue the redo records on
-// the master sites' commit queues. In the latter case it returns a finish
-// function the caller must invoke after releasing the locks; it blocks
-// until every site's flush completes (the durability point), then records
-// the commit dependencies and the session watermark. A cancelled or
+// locks: group ops by master site, reserve versions, stage via 2PC, record
+// the commit's dependencies, and either commit inline (DisableGroupCommit)
+// or enqueue the redo records on the master sites' commit queues. In the
+// latter case it returns a finish function the caller must invoke after
+// releasing the locks; it blocks until every site's flush completes (the
+// durability point), then raises the session watermark. A cancelled or
 // expired ctx unblocks the wait with ctx.Err(): the flush itself still
 // completes (the groups are past the commit point), only the waiter
 // abandons — so the write may be durable without ever being acked.
@@ -472,6 +468,14 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 		return nil, err
 	}
 
+	// The commit point. The dependencies are recorded here, under the locks
+	// the versions were reserved under and before any of them is installed:
+	// each partition's run is append-only by construction, and no snapshot
+	// can observe an installed version whose siblings the tracker does not
+	// know yet — a torn cross-partition snapshot — whatever later happens to
+	// this transaction's waiter.
+	e.Deps.RecordCommit(versions)
+
 	// One redo record per partition, carrying the co-committed dependency
 	// vector, grouped by master site for the commit queues.
 	entriesByPID := make(map[partition.ID][]redolog.Entry, len(tp.WritePIDs))
@@ -490,8 +494,7 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 		return redolog.Record{Partition: pid, Version: versions[pid], Entries: entriesByPID[pid], Deps: deps}
 	}
 
-	finishCommit := func() {
-		e.Deps.RecordCommit(versions)
+	acked := func() {
 		sess.s.Observe(versions)
 		// Commit cost: partitions read/written and sites involved.
 		e.siteOf(coord).Observe(cost.Observation{
@@ -507,7 +510,7 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 			e.Broker.Append(record(pid))
 			masters[pid].SetVersion(versions[pid])
 		}
-		finishCommit()
+		acked()
 		return nil, nil
 	}
 
@@ -543,24 +546,13 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 			case <-flushed:
 			case <-ctx.Done():
 				// The groups are past the commit point: every flusher will
-				// still durably install its versions. The dependency record
-				// must not abandon with the waiter — without it, snapshotFor
-				// could observe one partition's new version without its
-				// co-committed siblings, a torn cross-partition snapshot
-				// visible to every session. Detach: drain the remaining
-				// signals, then record the commit (Session and the tracker
-				// are mutex-guarded, so the late finish is safe).
-				remaining := nGroups - i
-				go func() {
-					for j := 0; j < remaining; j++ {
-						<-flushed
-					}
-					finishCommit()
-				}()
+				// still durably install its versions, and their dependencies
+				// are already recorded, so the write becomes visible
+				// atomically; only the ack is abandoned.
 				return ctx.Err()
 			}
 		}
-		finishCommit()
+		acked()
 		return nil
 	}, nil
 }

@@ -60,7 +60,7 @@ func (c *Coordinator) Commit(txnID uint64, parts []Participant) error {
 	for i, err := range votes {
 		if err != nil {
 			broadcast(func(p Participant) error { return p.Abort(txnID) })
-			return fmt.Errorf("%w: participant %d voted no: %v", ErrAborted, i, err)
+			return fmt.Errorf("%w: participant %d voted no: %w", ErrAborted, i, err)
 		}
 	}
 	// Phase 2: commit. Votes are in; failures here are reported but the

@@ -168,13 +168,47 @@ func TestDependencyClosure(t *testing.T) {
 	}
 }
 
+// TestDependencyForget pins Forget's safe contract: folding never makes a
+// Close return less than the un-forgotten tracker would (no torn snapshot),
+// and a snapshot at or above the watermark closes to the identical vector.
 func TestDependencyForget(t *testing.T) {
-	d := NewDependencyTracker()
-	d.RecordCommit(VersionVector{1: 5, 2: 9})
-	d.Forget(VersionVector{1: 5, 2: 9})
-	snap := d.Close(VersionVector{1: 5, 2: 0})
-	if snap[2] != 0 {
-		t.Errorf("forgotten dependency applied: %v", snap)
+	record := func(d *DependencyTracker) {
+		d.RecordCommit(VersionVector{1: 3, 2: 4})
+		d.RecordCommit(VersionVector{1: 5, 2: 9})
+		d.RecordCommit(VersionVector{1: 8, 3: 2})
+	}
+	whole, folded := NewDependencyTracker(), NewDependencyTracker()
+	record(whole)
+	record(folded)
+	w := VersionVector{1: 5, 2: 9}
+	if n := folded.Forget(w); n != 2 {
+		t.Errorf("Forget folded %d entries, want 2 (1@3 and 2@4)", n)
+	}
+	if got := folded.Entries(); got != whole.Entries()-2 {
+		t.Errorf("entries after fold = %d, want %d", got, whole.Entries()-2)
+	}
+	for _, start := range []VersionVector{
+		{1: 5, 2: 0},        // the forgotten dependency must still apply
+		{1: 3, 2: 0},        // below the base: moved forward, not torn
+		{1: 4, 2: 2, 3: 0},  // below the base on both
+		{1: 5, 2: 9, 3: 0},  // at the watermark
+		{1: 8, 2: 10, 3: 0}, // above it
+		{1: 2, 2: 3},        // below every entry
+	} {
+		atOrAbove := true
+		for pid, ver := range start {
+			if ver < w[pid] {
+				atOrAbove = false
+			}
+		}
+		want := whole.Close(start.Clone())
+		got := folded.Close(start.Clone())
+		for pid, ver := range want {
+			if got[pid] < ver || (atOrAbove && got[pid] != ver) {
+				t.Errorf("Close(%v) after Forget = %v, un-forgotten %v", start, got, want)
+				break
+			}
+		}
 	}
 }
 
@@ -190,10 +224,12 @@ func TestSingleCommitNoDeps(t *testing.T) {
 func TestSessionWatermark(t *testing.T) {
 	s := NewSession()
 	s.Observe(VersionVector{1: 3})
-	s.Observe(VersionVector{1: 2, 2: 4}) // 1 must not regress
-	w := s.Watermark()
-	if w[1] != 3 || w[2] != 4 {
-		t.Errorf("watermark = %v", w)
+	s.Observe(VersionVector{1: 2, 2: 4, 3: 7}) // 1 must not regress
+	// Raise lifts tracked partitions only, and never lowers one.
+	snap := VersionVector{1: 0, 2: 9}
+	s.Raise(snap)
+	if len(snap) != 2 || snap[1] != 3 || snap[2] != 9 {
+		t.Errorf("raised = %v, want {1:3 2:9}", snap)
 	}
 }
 

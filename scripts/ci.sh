@@ -15,6 +15,13 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== bench module (gating)"
+# bench/ is a Go module of its own, so the steps above never compile it,
+# and it reaches into exported engine fields (Engine.Deps, Engine.Net,
+# Engine.Obs, ...): vet it and run its tests against this tree.
+go vet -C bench .
+go test -C bench .
+
 echo "== colstore encoding fuzz corpus (seeds only, -count=1)"
 # Replays the checked-in round-trip corpus (testdata/fuzz/FuzzColRoundTrip)
 # without cached results; `go test -fuzz FuzzColRoundTrip ./internal/colstore/`
