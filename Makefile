@@ -30,8 +30,9 @@ check:
 	./scripts/ci.sh
 
 # bench runs the scan benchmarks, the row-vs-batch kernel benchmarks and
-# the join/group-by A/B benchmarks with allocation stats, archiving the
-# run under results/.
+# the join/group-by A/B benchmarks (BenchmarkJoinTableProbe among them: the
+# pipelined probe per scan batch, which must report 0 allocs/op) with
+# allocation stats, archiving the run under results/.
 bench:
 	mkdir -p results
 	go test -run XXX -bench 'BenchmarkScan' -benchmem . | tee results/bench-$$(date +%Y-%m-%d).txt

@@ -1,19 +1,23 @@
-// Batch-native join execution (§4.3): coordinator joins whose inputs are
-// plain scans (or nested coordinator joins) bypass the row-at-a-time
-// evalJoin path entirely. The smaller input — by planner estimate — is
-// evaluated first and folded into a Bloom/min-max runtime filter; the
-// filter's bounds push into the probe scan's predicate, where the morsel
-// scheduler's zone maps prune whole partitions before a single morsel is
-// scheduled and FilterVec narrows batch selections, and the Bloom filter
-// drops the remaining non-matching probe rows inside the scan workers
-// before they are shipped. Both sides stay columnar end to end:
-// exec.BatchHashJoin joins them with typed keys and late materialization,
-// and an aggregation parent folds the join output straight into a grouped
-// accumulator (ObserveCols) without ever boxing tuples.
+// Batch-native join execution (§4.3): joins whose inputs are plain scans
+// (or nested joins of scans) bypass the row-at-a-time evalJoin path
+// entirely. Each join's smaller input — by planner estimate — is the build
+// side: it is evaluated to the coordinator and hashed into one immutable
+// exec.JoinTable. The other side is never materialized when it bottoms out
+// in a morsel-eligible scan: the tables of the whole left-deep chain are
+// shipped once to every site holding probe morsels, their min-max bounds
+// are pushed into the scan predicate (zone maps prune morsels before
+// scheduling), and the scan workers probe each batch through the chain
+// (exec.Prober) before handing it to the query's sink — per-site partial
+// aggregates for an aggregation parent, column chunks or row batches for a
+// bare join. What still materializes both sides at the coordinator
+// (materializeJoin → exec.BatchHashJoin, same table) is what the pipeline
+// cannot serve: a build side over the spill budget, which grace-partitions
+// through the spill device, and a probe scan the morsel executor cannot run.
 package cluster
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 
@@ -120,12 +124,296 @@ func posIndex(ps []int, p int) int {
 	return -1
 }
 
+// probeChain is a join subtree flattened for pipelined execution: the scan
+// feeding its probe side and, innermost join first, the build sides the
+// scanned rows are probed against.
+type probeChain struct {
+	scan   *plan.PScan
+	builds []chainBuild
+}
+
+type chainBuild struct {
+	node  plan.PNode
+	key   int         // join key position in node's output
+	probe exec.ColRef // where the probe key comes from
+}
+
+// flattenJoin resolves a batch-join-eligible subtree into ch and returns
+// the source of each of its output columns. Every join builds on the side
+// the planner estimates smaller and probes with the other, so the probe
+// side descends through joins to exactly one scan; build sides may be
+// subtrees of any shape. flip reverses the choice for the innermost join —
+// the one probed by the scan itself — when its build side is a scan too.
+func flattenJoin(n plan.PNode, ch *probeChain, flip bool) []exec.ColRef {
+	switch v := n.(type) {
+	case *plan.PScan:
+		ch.scan = v
+		refs := make([]exec.ColRef, len(v.Cols))
+		for i := range refs {
+			refs[i] = exec.ColRef{Stage: -1, Col: i}
+		}
+		return refs
+	case *plan.PJoin:
+		probe, build, pKey, bKey := v.Left, v.Right, v.LeftKey, v.RightKey
+		buildLeft := nodeEstRows(v.Left) < nodeEstRows(v.Right)
+		_, leftScan := v.Left.(*plan.PScan)
+		_, rightScan := v.Right.(*plan.PScan)
+		if flip && leftScan && rightScan {
+			buildLeft = !buildLeft
+		}
+		if buildLeft {
+			probe, build, pKey, bKey = v.Right, v.Left, v.RightKey, v.LeftKey
+		}
+		prefs := flattenJoin(probe, ch, flip)
+		k := len(ch.builds)
+		ch.builds = append(ch.builds, chainBuild{node: build, key: bKey, probe: prefs[pKey]})
+		brefs := make([]exec.ColRef, nodeColWidth(build))
+		for i := range brefs {
+			brefs[i] = exec.ColRef{Stage: k, Col: i}
+		}
+		if buildLeft {
+			return append(brefs, prefs...)
+		}
+		return append(prefs, brefs...)
+	}
+	return nil
+}
+
+// projectScan narrows a scan to the need positions of its output (sorted
+// ascending; nil means all). The plan node is cached, so a narrower scan is
+// a clone: the projection reaches the storage layer, and dropped payload
+// columns are never decoded or shipped.
+func projectScan(ps *plan.PScan, need []int) *plan.PScan {
+	if need == nil || len(need) >= len(ps.Cols) {
+		return ps
+	}
+	clone := *ps
+	clone.Cols = make([]schema.ColID, len(need))
+	for i, p := range need {
+		clone.Cols[i] = ps.Cols[p]
+	}
+	clone.SortedBy = -1
+	if ps.SortedBy >= 0 {
+		clone.SortedBy = posIndex(need, ps.SortedBy)
+	}
+	return &clone
+}
+
+// errRowCap ends a build-side evaluation that was given a row cap and
+// exceeded it.
+var errRowCap = errors.New("cluster: build side over its row cap")
+
+// scanRows is an upper bound on the rows a scan can return: the row count
+// of the partitions it reads (0 when unknown).
+func scanRows(ps *plan.PScan) int {
+	n := 0
+	for _, seg := range ps.Segments {
+		zm := seg.Pieces[0].Meta.ZoneMap
+		if zm == nil {
+			return 0
+		}
+		n += zm.Rows()
+	}
+	return n
+}
+
+// joinJob prepares the pipelined execution of a join subtree: it evaluates
+// every build side to the coordinator, hashes each into a JoinTable, pushes
+// the tables' bounds into the probe scan, ships the tables once to every
+// remote site holding probe morsels, and returns the scan's morsel job with
+// the probe pipeline installed — ready for whichever sink the caller runs.
+// need lists the output positions the sink reads (sorted ascending; nil
+// means all): each input is narrowed to those plus its join keys. A nil job
+// with a nil error means the pipeline cannot apply and the caller
+// materializes instead.
+//
+// Which side builds follows the planner's estimates, and an estimate can
+// be wrong by orders of magnitude (a uniform min-max model over a column
+// with a sentinel value). Where both inputs of the innermost join are
+// scans the mistake is bounded: the build scan is abandoned as soon as it
+// has produced more rows than the probe side's partitions hold — proof
+// that the other side is the smaller one — and the join is redone with the
+// roles swapped, having shipped at most that many rows for nothing.
+func (e *Engine) joinJob(ctx context.Context, pj *plan.PJoin, need []int, snap txn.VersionVector, coord simnet.SiteID) (*morselJob, error) {
+	j, err := e.pipeJoin(ctx, pj, need, snap, coord, false)
+	if errors.Is(err, errRowCap) {
+		j, err = e.pipeJoin(ctx, pj, need, snap, coord, true)
+	}
+	return j, err
+}
+
+// pipeJoin is joinJob for one orientation of the innermost join: the
+// planner's, with the build scan capped (errRowCap when it is exceeded),
+// or, with flip set, the reverse, uncapped.
+func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap txn.VersionVector, coord simnet.SiteID, flip bool) (*morselJob, error) {
+	var ch probeChain
+	refs := flattenJoin(pj, &ch, flip)
+	labels := projectLabels(nodeColLabels(pj), need)
+	out := make([]exec.ColRef, len(labels))
+	for i := range out {
+		if need != nil {
+			out[i] = refs[need[i]]
+		} else {
+			out[i] = refs[i]
+		}
+	}
+
+	// Each input's column footprint: what the sink reads plus every key.
+	scanNeed := []int{}
+	buildNeed := make([][]int, len(ch.builds))
+	use := func(r exec.ColRef) {
+		if r.Stage < 0 {
+			scanNeed = addPos(scanNeed, r.Col)
+		} else {
+			buildNeed[r.Stage] = addPos(buildNeed[r.Stage], r.Col)
+		}
+	}
+	for _, r := range out {
+		use(r)
+	}
+	for k, b := range ch.builds {
+		use(b.probe)
+		buildNeed[k] = addPos(buildNeed[k], b.key)
+	}
+	narrowed := func(r exec.ColRef) exec.ColRef {
+		if r.Stage < 0 {
+			r.Col = posIndex(scanNeed, r.Col)
+		} else {
+			r.Col = posIndex(buildNeed[r.Stage], r.Col)
+		}
+		return r
+	}
+	scan := projectScan(ch.scan, scanNeed)
+	if !e.morselEligible(scan) {
+		return nil, nil
+	}
+
+	spill := e.joinSpill()
+	filter := !e.cfg.DisableRuntimeFilter
+	stages := make([]exec.ProbeStage, 0, len(ch.builds))
+	pred := scan.Pred
+	for k, b := range ch.builds {
+		rowCap := 0
+		if _, isScan := b.node.(*plan.PScan); isScan && k == 0 && !flip {
+			rowCap = scanRows(ch.scan)
+		}
+		c, err := e.evalColInput(ctx, b.node, snap, coord, nil, -1, buildNeed[k], rowCap)
+		if err != nil {
+			return nil, err
+		}
+		if c.NumRows() == 0 {
+			// An inner join against zero rows is empty: no later build is
+			// evaluated and no probe morsel is scheduled.
+			stages = nil
+			break
+		}
+		if spill != nil && c.NumRows() > 1 && c.Bytes() > spill.Budget {
+			return nil, nil
+		}
+		st := exec.ProbeStage{
+			Table: exec.BuildJoinTable(&c, posIndex(buildNeed[k], b.key), filter),
+			Key:   narrowed(b.probe),
+		}
+		stages = append(stages, st)
+		if filter && st.Key.Stage < 0 {
+			if bounds := st.Table.Filter().BoundsPred(scan.Cols[st.Key.Col]); bounds != nil {
+				pred = append(append(storage.Pred{}, pred...), bounds...)
+				exec.RecordRFBoundsPush()
+			}
+		}
+	}
+	if stages == nil || len(pred) != len(scan.Pred) {
+		clone := *scan // plans are cached: never mutate the node itself
+		clone.Pred = pred
+		if stages == nil {
+			clone.Segments = nil
+		}
+		scan = &clone
+	}
+
+	j, err := e.buildMorselJob(ctx, scan, snap, coord)
+	if err != nil {
+		return nil, err
+	}
+	j.cols = labels
+	if stages != nil {
+		for i := range out {
+			out[i] = narrowed(out[i])
+		}
+		if err := j.installPipe(exec.NewJoinPipe(stages, out)); err != nil {
+			j.cancel()
+			return nil, err
+		}
+	}
+	return j, nil
+}
+
+// installPipe puts a probe pipeline in front of the job's sinks and ships
+// each of its stages once to every remote site that holds probe morsels —
+// the coordinator's own workers read them in place — so the modelled
+// network and fault injection see what a site-local probe costs.
+func (j *morselJob) installPipe(p *exec.JoinPipe) error {
+	j.pipe = p
+	for _, s := range j.e.Sites {
+		if _, probes := j.units[s.ID]; !probes || s.ID == j.coord {
+			continue
+		}
+		for k := range p.Stages {
+			bytes := p.Stages[k].WireBytes()
+			if err := j.e.shipBytesTo(j.coord, s.ID, int(bytes)); err != nil {
+				return err
+			}
+			exec.RecordJoinBroadcast(bytes)
+		}
+	}
+	return nil
+}
+
 // evalBatchJoin executes a join subtree on the batch engine, returning the
-// joined columnar relation. need lists the output column positions the
-// parent will read, sorted ascending (nil means all): the projection is
-// pushed down so untouched payload columns are neither scanned, shipped,
-// nor gathered — late materialization across the whole join tree.
+// joined columnar relation: pipelined into column chunks where joinJob
+// applies, materialized otherwise. need lists the output column positions
+// the parent will read, sorted ascending (nil means all).
 func (e *Engine) evalBatchJoin(ctx context.Context, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID, need []int) (exec.ColRel, error) {
+	j, err := e.joinJob(ctx, pj, need, snap, coord)
+	if err != nil {
+		return exec.ColRel{}, err
+	}
+	if j == nil {
+		return e.materializeJoin(ctx, pj, snap, coord, need)
+	}
+	defer j.cancel()
+	return j.gatherCols(ctx, 0)
+}
+
+// evalBatchJoinRows executes a bare join at the plan root into boxed rows,
+// pushing the query's LIMIT (0 = none) into the pipelined scan.
+func (e *Engine) evalBatchJoinRows(ctx context.Context, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
+	j, err := e.joinJob(ctx, pj, nil, snap, coord)
+	if err != nil {
+		return exec.Rel{}, err
+	}
+	if j != nil {
+		defer j.cancel()
+		return j.gatherRows(ctx, limit)
+	}
+	c, err := e.materializeJoin(ctx, pj, snap, coord, nil)
+	if err != nil {
+		return exec.Rel{}, err
+	}
+	rel := c.Rel()
+	if limit > 0 && len(rel.Tuples) > limit {
+		rel.Tuples = rel.Tuples[:limit]
+	}
+	return rel, nil
+}
+
+// materializeJoin joins both inputs as whole columnar relations at the
+// coordinator: the smaller side is evaluated first and folded into a
+// Bloom/min-max runtime filter pushed into the other side's evaluation,
+// and exec.BatchHashJoin joins the two — spilling through the grace path
+// when the build side exceeds the budget. The projection is pushed down so
+// untouched payload columns are neither scanned, shipped, nor gathered.
+func (e *Engine) materializeJoin(ctx context.Context, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID, need []int) (exec.ColRel, error) {
 	// Split the projection across the children; each side's join key must
 	// be present to join, even when the parent never reads it.
 	nL := nodeColWidth(pj.Left)
@@ -160,23 +448,23 @@ func (e *Engine) evalBatchJoin(ctx context.Context, pj *plan.PJoin, snap txn.Ver
 	var err error
 	var rf *exec.RuntimeFilter
 	if rightFirst {
-		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, nil, -1, needR); err != nil {
+		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, nil, -1, needR, 0); err != nil {
 			return exec.ColRel{}, err
 		}
 		if !e.cfg.DisableRuntimeFilter {
 			rf = exec.BuildRuntimeFilter(&right, rKey)
 		}
-		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, rf, lKey, needL); err != nil {
+		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, rf, lKey, needL, 0); err != nil {
 			return exec.ColRel{}, err
 		}
 	} else {
-		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, nil, -1, needL); err != nil {
+		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, nil, -1, needL, 0); err != nil {
 			return exec.ColRel{}, err
 		}
 		if !e.cfg.DisableRuntimeFilter {
 			rf = exec.BuildRuntimeFilter(&left, lKey)
 		}
-		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, rf, rKey, needR); err != nil {
+		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, rf, rKey, needR, 0); err != nil {
 			return exec.ColRel{}, err
 		}
 	}
@@ -218,31 +506,17 @@ func projectCols(c *exec.ColRel, need []int) exec.ColRel {
 // runtime filter rf over (projected) key position rfKey when non-nil and
 // restricting output to the need columns (nil means all). An empty build
 // side short-circuits the probe entirely: an inner join against zero rows
-// is empty, so the scan is never scheduled.
-func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int, need []int) (exec.ColRel, error) {
+// is empty, so the scan is never scheduled. A morsel scan given maxRows > 0
+// stops with errRowCap once it has gathered more rows than that.
+func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int, need []int, maxRows int) (exec.ColRel, error) {
 	if rf != nil && rf.Empty() {
 		return exec.NewColRel(projectLabels(nodeColLabels(n), need)), nil
 	}
 	switch v := n.(type) {
 	case *plan.PScan:
-		scan := v
-		if need != nil && len(need) < len(v.Cols) {
-			// Clone the cached plan node with only the needed columns: the
-			// projection reaches the storage layer, so dropped payload
-			// columns are never decoded or shipped.
-			clone := *v
-			clone.Cols = make([]schema.ColID, len(need))
-			for i, p := range need {
-				clone.Cols[i] = v.Cols[p]
-			}
-			clone.SortedBy = -1
-			if v.SortedBy >= 0 {
-				clone.SortedBy = posIndex(need, v.SortedBy)
-			}
-			scan = &clone
-		}
+		scan := projectScan(v, need)
 		if e.morselEligible(scan) {
-			return e.morselGatherCols(ctx, scan, snap, coord, rf, rfKey)
+			return e.morselGatherCols(ctx, scan, snap, coord, rf, rfKey, maxRows)
 		}
 		rel, err := e.evalScan(ctx, scan, snap, coord)
 		if err != nil {
@@ -279,11 +553,12 @@ func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.Versio
 // result as a ColRel at the coordinator. When a runtime filter is present
 // its min-max bounds are appended to a clone of the scan's predicate
 // (plans are cached — the node itself must never be mutated) so zone maps
-// prune morsels before scheduling, and the Bloom filter narrows each
-// batch's selection inside the scan workers.
-func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int) (exec.ColRel, error) {
+// prune morsels before scheduling, and the filter ships to the scanning
+// sites as a table-less probe stage whose Bloom bits narrow each batch's
+// selection inside the scan workers.
+func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int, maxRows int) (exec.ColRel, error) {
 	scan := ps
-	if rf != nil && rfKey >= 0 {
+	if rf != nil {
 		if bounds := rf.BoundsPred(ps.Cols[rfKey]); bounds != nil {
 			clone := *ps
 			clone.Pred = append(append(storage.Pred{}, ps.Pred...), bounds...)
@@ -296,12 +571,38 @@ func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.
 		return exec.ColRel{}, err
 	}
 	defer j.cancel()
-	out := make(chan exec.ColRel, 2*len(e.Sites)+2)
-	j.runCols(rf, rfKey, out)
+	if rf != nil {
+		out := make([]exec.ColRef, len(j.cols))
+		for i := range out {
+			out[i] = exec.ColRef{Stage: -1, Col: i}
+		}
+		stage := exec.ProbeStage{Filter: rf, Key: exec.ColRef{Stage: -1, Col: rfKey}}
+		if err := j.installPipe(exec.NewJoinPipe([]exec.ProbeStage{stage}, out)); err != nil {
+			return exec.ColRel{}, err
+		}
+	}
+	return j.gatherCols(ctx, maxRows)
+}
+
+// gatherCols materializes the job's output as one ColRel at the
+// coordinator. ctx is the caller's, which the job's own derives from. With
+// maxRows > 0 the job is cancelled, and errRowCap returned, as soon as more
+// rows than that have arrived.
+func (j *morselJob) gatherCols(ctx context.Context, maxRows int) (exec.ColRel, error) {
+	out := make(chan exec.ColRel, 2*len(j.e.Sites)+2)
+	j.runCols(out)
 	res := exec.NewColRel(j.cols)
+	over := false
 	for chunk := range out {
+		if over {
+			continue // draining after the cap
+		}
 		chunk := chunk
 		res.AppendCols(&chunk)
+		if maxRows > 0 && res.NumRows() > maxRows {
+			over = true
+			j.cancel()
+		}
 	}
 	if j.err != nil {
 		return exec.ColRel{}, j.err
@@ -309,20 +610,23 @@ func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.
 	if err := ctx.Err(); err != nil {
 		return exec.ColRel{}, err
 	}
+	if over {
+		return exec.ColRel{}, errRowCap
+	}
 	return res, nil
 }
 
-// runCols streams the scan columnar: workers accumulate decoded column
-// chunks (applying the runtime filter per batch), ship them to the
-// coordinator with network accounting, and hand them over with
-// backpressure — the columnar sibling of runRows.
-func (j *morselJob) runCols(rf *exec.RuntimeFilter, rfKey int, out chan<- exec.ColRel) {
+// runCols streams the job columnar: workers accumulate decoded column
+// chunks, ship them to the coordinator with network accounting, and hand
+// them over with backpressure — the columnar sibling of runRows.
+func (j *morselJob) runCols(out chan<- exec.ColRel) {
 	batchRows := j.e.scanBatchRows()
 	var wg sync.WaitGroup
 	newWorker := func(siteID simnet.SiteID) func(<-chan morselUnit) {
 		return func(feed <-chan morselUnit) {
 			cur := exec.NewColRel(j.cols)
-			var rfScratch []int32
+			pr := j.newProber()
+			defer j.closeProber(siteID, pr)
 			flush := func() bool {
 				if cur.NumRows() == 0 {
 					return true
@@ -350,13 +654,10 @@ func (j *morselJob) runCols(rf *exec.RuntimeFilter, rfKey int, out chan<- exec.C
 						return j.ctx.Err() == nil
 					}
 					// rows feeds the per-partition scan observation; count
-					// pre-filter so scan selectivity stays a scan property.
+					// pre-join so scan selectivity stays a scan property.
 					u.ps.rows.Add(int64(n))
-					if rf != nil {
-						rfScratch = rf.FilterBatch(b, rfKey, rfScratch)
-					}
-					if b.Len() > 0 {
-						cur.AppendBatch(b)
+					if jb := pr.Apply(b); jb != nil {
+						cur.AppendBatch(jb)
 					}
 					if cur.NumRows() >= batchRows {
 						return flush()
@@ -375,17 +676,20 @@ func (j *morselJob) runCols(rf *exec.RuntimeFilter, rfKey int, out chan<- exec.C
 	}
 	go func() {
 		wg.Wait()
-		j.observeScans()
+		j.observe()
 		close(out)
 	}()
 }
 
-// evalBatchJoinAgg fuses an aggregation directly over a batch join's
-// columnar output: group keys and aggregate inputs fold through the typed
-// accumulator paths without materializing join tuples, replacing the
-// legacy join → partial HashAggregate → finalize chain. The aggregation's
-// column footprint (group keys + aggregate inputs) becomes the join tree's
-// projection, so payload columns nobody aggregates are never materialized.
+// evalBatchJoinAgg fuses an aggregation over a batch join. The
+// aggregation's column footprint (group keys + aggregate inputs) becomes
+// the join tree's projection, so payload columns nobody aggregates are
+// never materialized. Pipelined, the join's output never exists at all:
+// every scan worker folds its joined batches into its own accumulator,
+// workers merge per site, and one partial relation per site crosses the
+// network to be finalized exactly as a scan-aggregate's partials are.
+// Otherwise the materialized join output folds through the typed
+// accumulator paths at the coordinator.
 func (e *Engine) evalBatchJoinAgg(ctx context.Context, pa *plan.PAgg, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
 	need := []int{}
 	for _, g := range pa.GroupBy {
@@ -395,10 +699,6 @@ func (e *Engine) evalBatchJoinAgg(ctx context.Context, pa *plan.PAgg, pj *plan.P
 		if a.Func != exec.AggCount {
 			need = addPos(need, a.Col)
 		}
-	}
-	c, err := e.evalBatchJoin(ctx, pj, snap, coord, need)
-	if err != nil {
-		return exec.Rel{}, err
 	}
 	groupBy := make([]int, len(pa.GroupBy))
 	for i, g := range pa.GroupBy {
@@ -410,6 +710,24 @@ func (e *Engine) evalBatchJoinAgg(ctx context.Context, pa *plan.PAgg, pj *plan.P
 		if a.Func != exec.AggCount {
 			specs[i].Col = posIndex(need, a.Col)
 		}
+	}
+	j, err := e.joinJob(ctx, pj, need, snap, coord)
+	if err != nil {
+		return exec.Rel{}, err
+	}
+	if j != nil {
+		defer j.cancel()
+		fin := *pa
+		fin.PartialAggs, fin.FinalAggs, fin.AvgPairs = plan.DecomposeAggs(groupBy, specs)
+		partials, err := j.runAgg(groupBy, fin.PartialAggs)
+		if err != nil {
+			return exec.Rel{}, err
+		}
+		return e.finalizeAgg(&fin, partials, coord), nil
+	}
+	c, err := e.materializeJoin(ctx, pj, snap, coord, need)
+	if err != nil {
+		return exec.Rel{}, err
 	}
 	start := e.clk.Now()
 	agg := exec.NewAggregator(groupBy, specs)

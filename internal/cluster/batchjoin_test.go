@@ -35,36 +35,41 @@ var joinDiffLayouts = []struct {
 	{"col-disk-rle", storage.Layout{Format: storage.ColumnFormat, Tier: storage.DiskTier, SortBy: storage.NoSort, Compressed: true}},
 }
 
-// addGroupsTable creates a replicated dimension table with ngroups rows:
-// gid g, weight g*10, tag "even"/"odd".
-func addGroupsTable(t *testing.T, e *Engine, ngroups int64) *schema.Table {
+// createGroups creates and loads the groups dimension with ngroups rows —
+// gid g, weight g*10, tag "even"/"odd" — as one partition; place adjusts
+// where it lives (replication, pinned site) before the table is created.
+func createGroups(t *testing.T, e *Engine, ngroups int64, place func(*TableSpec)) *schema.Table {
 	t.Helper()
-	dim, err := e.CreateTable(TableSpec{
+	spec := TableSpec{
 		Name: "groups",
 		Cols: []schema.Column{
 			{Name: "gid", Kind: types.KindInt64},
 			{Name: "weight", Kind: types.KindFloat64},
 			{Name: "tag", Kind: types.KindString, AvgSize: 4},
 		},
-		MaxRows: schema.RowID(ngroups), Partitions: 1, ReplicateAll: true,
-	})
+		MaxRows: schema.RowID(ngroups), Partitions: 1,
+	}
+	place(&spec)
+	dim, err := e.CreateTable(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := make([]schema.Row, 0, ngroups)
 	for g := int64(0); g < ngroups; g++ {
-		tag := "even"
-		if g%2 == 1 {
-			tag = "odd"
-		}
 		rows = append(rows, schema.Row{ID: schema.RowID(g), Vals: []types.Value{
-			types.NewInt64(g), types.NewFloat64(float64(g) * 10), types.NewString(tag),
+			types.NewInt64(g), types.NewFloat64(float64(g) * 10), types.NewString([]string{"even", "odd"}[g%2]),
 		}})
 	}
 	if err := e.LoadRows(context.Background(), dim.ID, rows); err != nil {
 		t.Fatal(err)
 	}
 	return dim
+}
+
+// addGroupsTable creates the groups dimension replicated at every site.
+func addGroupsTable(t *testing.T, e *Engine, ngroups int64) *schema.Table {
+	t.Helper()
+	return createGroups(t, e, ngroups, func(s *TableSpec) { s.ReplicateAll = true })
 }
 
 // factDimJoin joins fact(grp, val) with groups(gid, weight, tag) on
@@ -87,6 +92,74 @@ func factDimJoinAgg(fact, dim *schema.Table) *query.Query {
 		GroupBy: []int{4},
 		Aggs:    []exec.AggSpec{{Func: exec.AggCount}, {Func: exec.AggSum, Col: 1}, {Func: exec.AggAvg, Col: 3}},
 	}}
+}
+
+// addBandsTable creates a second replicated dimension with two rows per
+// band id in [0, nbands) — (bid, label) — so joining on it fans out 2x.
+func addBandsTable(t *testing.T, e *Engine, nbands int64) *schema.Table {
+	t.Helper()
+	dim, err := e.CreateTable(TableSpec{
+		Name: "bands",
+		Cols: []schema.Column{
+			{Name: "bid", Kind: types.KindInt64},
+			{Name: "label", Kind: types.KindString, AvgSize: 4},
+		},
+		MaxRows: schema.RowID(2 * nbands), Partitions: 1, ReplicateAll: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []schema.Row
+	for i := int64(0); i < 2*nbands; i++ {
+		rows = append(rows, schema.Row{ID: schema.RowID(i), Vals: []types.Value{
+			types.NewInt64(i / 2), types.NewString([]string{"lo", "hi"}[i%2]),
+		}})
+	}
+	if err := e.LoadRows(context.Background(), dim.ID, rows); err != nil {
+		t.Fatal(err)
+	}
+	return dim
+}
+
+// joinShape is one query over fact(grp,val) ⋈ groups(gid,weight,tag)
+// [⋈ bands(bid,label)], named for the path it exercises.
+type joinShape struct {
+	name string
+	q    *query.Query
+}
+
+// joinShapes builds the shapes the pipelined join must answer like the row
+// engine: the bare join (row sink), aggregation parents that are grouped by
+// a build column (dense output), grouped by a probe column and ungrouped
+// (scan-view output), with AVG (decomposed into per-site SUM and COUNT
+// partials), and a three-way left-deep chain — whose second join is keyed
+// on a column of the first one's build side — bare and aggregated.
+func joinShapes(fact, dim, bands *schema.Table) []joinShape {
+	bare := factDimJoin(fact, dim).Root // [grp, val, gid, weight, tag]
+	threeWay := &query.JoinNode{
+		Left:        bare,
+		Right:       &query.ScanNode{Table: bands.ID, Cols: []schema.ColID{0, 1}},
+		LeftKeyCol:  2,
+		RightKeyCol: 0,
+	} // [grp, val, gid, weight, tag, bid, label]
+	agg := func(child query.Node, groupBy []int, aggs ...exec.AggSpec) *query.Query {
+		return &query.Query{Root: &query.AggNode{Child: child, GroupBy: groupBy, Aggs: aggs}}
+	}
+	return []joinShape{
+		{"bare", &query.Query{Root: bare}},
+		{"grouped-by-build-col", factDimJoinAgg(fact, dim)},
+		{"grouped-by-probe-col", agg(bare, []int{0},
+			exec.AggSpec{Func: exec.AggSum, Col: 1}, exec.AggSpec{Func: exec.AggCount})},
+		{"ungrouped", agg(bare, nil,
+			exec.AggSpec{Func: exec.AggSum, Col: 1}, exec.AggSpec{Func: exec.AggCount},
+			exec.AggSpec{Func: exec.AggMin, Col: 3}, exec.AggSpec{Func: exec.AggMax, Col: 1},
+			exec.AggSpec{Func: exec.AggAvg, Col: 1})},
+		{"count-only", agg(bare, nil, exec.AggSpec{Func: exec.AggCount})},
+		{"three-way", &query.Query{Root: threeWay}},
+		{"three-way-agg", agg(threeWay, []int{6},
+			exec.AggSpec{Func: exec.AggCount}, exec.AggSpec{Func: exec.AggSum, Col: 3},
+			exec.AggSpec{Func: exec.AggAvg, Col: 1})},
+	}
 }
 
 func runSorted(t *testing.T, e *Engine, q *query.Query) exec.Rel {
@@ -114,39 +187,36 @@ func setFactLayouts(t *testing.T, e *Engine, fact *schema.Table, l storage.Layou
 	}
 }
 
-// TestBatchJoinMatchesRowEngineAcrossLayouts runs the join and the fused
-// join-aggregate on two identical engines — batch path on, batch path
-// off — across the full layout matrix, and requires identical answers.
-// The counters double-check routing: the batch engine bumps
-// exec.join.count, the legacy engine never does.
+// TestBatchJoinMatchesRowEngineAcrossLayouts runs every join shape on two
+// identical engines — batch path on, batch path off — across the full
+// layout matrix, and requires identical answers. The counters double-check
+// routing: the batch engine bumps exec.join.count and probes inside the
+// scan workers (exec.join.pipelined), the legacy engine never does.
 func TestBatchJoinMatchesRowEngineAcrossLayouts(t *testing.T) {
 	batch, factB := newMorselEngine(t, ModeColumnStore, 2, 4, 240, nil)
 	row, factR := newMorselEngine(t, ModeColumnStore, 2, 4, 240, func(c *Config) {
 		c.DisableBatchJoin = true
 	})
-	dimB := addGroupsTable(t, batch, 10)
-	dimR := addGroupsTable(t, row, 10)
+	shapesB := joinShapes(factB, addGroupsTable(t, batch, 10), addBandsTable(t, batch, 8))
+	shapesR := joinShapes(factR, addGroupsTable(t, row, 10), addBandsTable(t, row, 8))
 
 	for _, lc := range joinDiffLayouts {
 		t.Run(lc.name, func(t *testing.T) {
 			setFactLayouts(t, batch, factB, lc.l)
 			setFactLayouts(t, row, factR, lc.l)
-
-			before := exec.ReadJoinStats().Joins
-			gotJoin := runSorted(t, batch, factDimJoin(factB, dimB))
-			if exec.ReadJoinStats().Joins == before {
-				t.Fatal("batch engine did not take the batch join path")
+			for i, shape := range shapesB {
+				before := exec.ReadJoinStats()
+				got := runSorted(t, batch, shape.q)
+				if d := exec.ReadJoinStats(); d.Joins == before.Joins || d.Pipelined == before.Pipelined {
+					t.Fatalf("%s: batch engine did not pipeline the join (%+v)", shape.name, d)
+				}
+				before = exec.ReadJoinStats()
+				want := runSorted(t, row, shapesR[i].q)
+				if exec.ReadJoinStats().Joins != before.Joins {
+					t.Fatalf("%s: DisableBatchJoin engine took the batch join path", shape.name)
+				}
+				sameRels(t, shape.name, got, want)
 			}
-			before = exec.ReadJoinStats().Joins
-			wantJoin := runSorted(t, row, factDimJoin(factR, dimR))
-			if exec.ReadJoinStats().Joins != before {
-				t.Fatal("DisableBatchJoin engine took the batch join path")
-			}
-			sameRels(t, "join", gotJoin, wantJoin)
-
-			gotAgg := runSorted(t, batch, factDimJoinAgg(factB, dimB))
-			wantAgg := runSorted(t, row, factDimJoinAgg(factR, dimR))
-			sameRels(t, "join-agg", gotAgg, wantAgg)
 		})
 	}
 }
@@ -159,9 +229,11 @@ func TestBatchJoinUnderConcurrentLayoutChanges(t *testing.T) {
 	e, fact := newMorselEngine(t, ModeColumnStore, 2, 4, 300, func(c *Config) {
 		c.MorselRows = 64
 	})
-	dim := addGroupsTable(t, e, 10)
-	want := runSorted(t, e, factDimJoin(fact, dim))
-	wantAgg := runSorted(t, e, factDimJoinAgg(fact, dim))
+	shapes := joinShapes(fact, addGroupsTable(t, e, 10), addBandsTable(t, e, 8))
+	want := make([]exec.Rel, len(shapes))
+	for i, shape := range shapes {
+		want[i] = runSorted(t, e, shape.q)
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -185,11 +257,10 @@ func TestBatchJoinUnderConcurrentLayoutChanges(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < 15; i++ {
-		got := runSorted(t, e, factDimJoin(fact, dim))
-		sameRels(t, "join under layout churn", got, want)
-		gotAgg := runSorted(t, e, factDimJoinAgg(fact, dim))
-		sameRels(t, "join-agg under layout churn", gotAgg, wantAgg)
+	for round := 0; round < 6; round++ {
+		for i, shape := range shapes {
+			sameRels(t, shape.name+" under layout churn", runSorted(t, e, shape.q), want[i])
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -315,12 +386,15 @@ func TestBatchJoinEngineSpill(t *testing.T) {
 func TestBatchJoinMetricsExported(t *testing.T) {
 	e, fact := newMorselEngine(t, ModeColumnStore, 2, 4, 200, nil)
 	dim := addGroupsTable(t, e, 10)
+	before := exec.ReadJoinStats()
 	runSorted(t, e, factDimJoinAgg(fact, dim))
+	after := exec.ReadJoinStats()
 
 	snap := e.MetricsSnapshot()
 	for _, key := range []string{
 		"exec.join.count", "exec.join.build_rows", "exec.join.probe_rows",
-		"exec.join.out_rows", "exec.groupby.batches",
+		"exec.join.out_rows", "exec.join.build_ns", "exec.join.probe_ns",
+		"exec.join.pipelined", "exec.join.chain_steps", "exec.groupby.batches",
 	} {
 		if snap.Counters[key] == 0 {
 			t.Errorf("%s not exported or zero", key)
@@ -330,6 +404,14 @@ func TestBatchJoinMetricsExported(t *testing.T) {
 		if _, ok := snap.Gauges["exec.join.bloom_pass_pct"]; !ok {
 			t.Error("exec.join.bloom_pass_pct gauge missing")
 		}
+	}
+	if _, ok := snap.Counters["exec.join.broadcast_bytes"]; !ok {
+		t.Error("exec.join.broadcast_bytes not exported")
+	}
+	// Every fact row matches one of ten unique gids at load factor 0.5: a
+	// probe visits its match and, on average, half an entry more.
+	if steps, probes := after.ChainSteps-before.ChainSteps, after.ProbeRows-before.ProbeRows; probes != 200 || steps < probes || steps > 2*probes {
+		t.Errorf("chain_steps = %d over %d probes, want 200 probes at 1 to 2 entries each", steps, probes)
 	}
 	typed := snap.Counters["exec.groupby.rows_typed"] + snap.Counters["exec.groupby.rows_coded"]
 	if typed == 0 {

@@ -826,6 +826,9 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	snap.Counters["exec.join.spill_partitions"] = js.SpillPartitions
 	snap.Counters["exec.join.spill_bytes"] = js.SpillBytes
 	snap.Counters["exec.join.spill_recursions"] = js.SpillRecursions
+	snap.Counters["exec.join.pipelined"] = js.Pipelined
+	snap.Counters["exec.join.broadcast_bytes"] = js.BroadcastBytes
+	snap.Counters["exec.join.chain_steps"] = js.ChainSteps
 	if js.BloomTested > 0 {
 		snap.Gauges["exec.join.bloom_pass_pct"] = 100 * js.BloomPassed / js.BloomTested
 	}

@@ -118,8 +118,11 @@ type morselUnit struct {
 	lo, hi schema.RowID
 }
 
-// morselJob is one built parallel scan, ready to run in either row or
-// partial-aggregation mode.
+// morselJob is one built parallel scan, ready to run into one of three
+// sinks: boxed row batches (runRows), column chunks (runCols) or per-site
+// partial aggregates (runAgg). With a join pipeline installed (joinJob)
+// every scan batch passes through its probe stages inside the worker first,
+// so the sinks see joined batches and cols labels the pipeline's output.
 type morselJob struct {
 	e      *Engine
 	ctx    context.Context
@@ -129,8 +132,42 @@ type morselJob struct {
 	units  map[simnet.SiteID][]morselUnit
 	parts  []*partScan
 
+	pipe      *exec.JoinPipe
+	joinMu    sync.Mutex
+	joinStats map[simnet.SiteID][]exec.StageStats
+
 	errOnce sync.Once
 	err     error
+}
+
+// newProber returns a worker's prober for the job's pipeline; nil — which
+// passes batches through — when the job is a plain scan.
+func (j *morselJob) newProber() *exec.Prober {
+	if j.pipe == nil {
+		return nil
+	}
+	return j.pipe.NewProber()
+}
+
+// closeProber folds a finished worker's probe counters into its site's.
+func (j *morselJob) closeProber(siteID simnet.SiteID, pr *exec.Prober) {
+	if pr == nil {
+		return
+	}
+	stats := pr.Close()
+	j.joinMu.Lock()
+	defer j.joinMu.Unlock()
+	if j.joinStats == nil {
+		j.joinStats = make(map[simnet.SiteID][]exec.StageStats)
+	}
+	acc := j.joinStats[siteID]
+	if acc == nil {
+		acc = make([]exec.StageStats, len(stats))
+		j.joinStats[siteID] = acc
+	}
+	for k := range stats {
+		acc[k].Add(stats[k])
+	}
 }
 
 func (j *morselJob) fail(err error) {
@@ -285,6 +322,8 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 	newWorker := func(siteID simnet.SiteID) func(<-chan morselUnit) {
 		return func(feed <-chan morselUnit) {
 			batch := make([][]types.Value, 0, batchRows)
+			pr := j.newProber()
+			defer j.closeProber(siteID, pr)
 			flush := func() bool {
 				if len(batch) == 0 {
 					return true
@@ -312,7 +351,9 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 						return j.ctx.Err() == nil
 					}
 					u.ps.rows.Add(int64(n))
-					batch = b.AppendTuples(batch)
+					if jb := pr.Apply(b); jb != nil {
+						batch = jb.AppendTuples(batch)
+					}
 					if len(batch) >= batchRows {
 						return flush()
 					}
@@ -330,7 +371,7 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 	}
 	go func() {
 		wg.Wait()
-		j.observeScans()
+		j.observe()
 		close(out)
 	}()
 }
@@ -356,11 +397,15 @@ func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error
 			newWorker := func(simnet.SiteID) func(<-chan morselUnit) {
 				return func(feed <-chan morselUnit) {
 					agg := exec.NewAggregator(groupBy, specs)
+					pr := j.newProber()
+					defer j.closeProber(siteID, pr)
 					for u := range feed {
 						u := u
 						u.scanUnitBatches(batchRows, func(b *storage.Batch) bool {
 							u.ps.rows.Add(int64(b.Len()))
-							agg.ObserveBatch(b)
+							if jb := pr.Apply(b); jb != nil {
+								agg.ObserveBatch(jb)
+							}
 							return j.ctx.Err() == nil
 						})
 						if j.ctx.Err() != nil {
@@ -388,12 +433,18 @@ func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error
 		}()
 	}
 	scatter.Wait()
-	j.observeScans()
+	j.observe()
 	if j.err != nil {
 		return exec.Rel{}, j.err
 	}
 	if err := j.ctx.Err(); err != nil {
 		return exec.Rel{}, err
+	}
+	if len(j.units) == 0 {
+		// Nothing was scanned (every morsel pruned, or an empty join build
+		// side): the partial of zero rows still carries COUNT = 0 for a
+		// global aggregate.
+		partials = exec.NewAggregator(groupBy, specs).Rel(j.cols)
 	}
 	var n int64
 	for _, sc := range j.parts {
@@ -401,6 +452,39 @@ func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error
 	}
 	j.e.cntMorselRows.Add(n)
 	return partials, nil
+}
+
+// observe emits the job's cost observations once every worker has exited.
+func (j *morselJob) observe() {
+	j.observeScans()
+	j.observeJoins()
+}
+
+// observeJoins emits one batch-hash-join observation per pipelined join
+// per probing site — build cardinality, that site's probe and output rows,
+// its workers' summed probe time — so the cost model keeps training on
+// joins that never run at the coordinator.
+func (j *morselJob) observeJoins() {
+	if len(j.joinStats) == 0 {
+		return
+	}
+	probeWidth := 8 * len(j.parts[0].lcols) // every part scans the same columns
+	for siteID, acc := range j.joinStats {
+		for k, st := range acc {
+			t := j.pipe.Stages[k].Table
+			if t == nil || st.ProbeRows == 0 {
+				continue
+			}
+			sel := float64(st.OutRows) / (float64(t.Rows()) * float64(st.ProbeRows))
+			j.e.siteOf(siteID).Observe(cost.Observation{
+				Op:      cost.OpJoin,
+				Variant: cost.JoinHashBatch,
+				Features: cost.JoinFeaturesBatch(t.Rows(), int(st.ProbeRows), int(st.OutRows),
+					t.Cols().RowBytes()+probeWidth, sel, 0),
+				Latency: time.Duration(st.Nanos),
+			})
+		}
+	}
 }
 
 // observeScans emits one scan cost observation per touched partition so
@@ -442,16 +526,22 @@ func (j *morselJob) observeScans() {
 	}
 }
 
-// morselGather materializes a morsel scan at the coordinator, terminating
-// early once limit rows (0 = unlimited) have arrived by cancelling the
-// feeds, then draining the workers.
+// morselGather materializes a morsel scan at the coordinator.
 func (e *Engine) morselGather(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
 	j, err := e.buildMorselJob(ctx, ps, snap, coord)
 	if err != nil {
 		return exec.Rel{}, err
 	}
 	defer j.cancel()
-	out := make(chan exec.Rel, 2*len(e.Sites)+2)
+	return j.gatherRows(ctx, limit)
+}
+
+// gatherRows materializes the job's rows at the coordinator, terminating
+// early once limit rows (0 = unlimited) have arrived by cancelling the
+// feeds, then draining the workers. ctx is the caller's, which the job's
+// own context derives from.
+func (j *morselJob) gatherRows(ctx context.Context, limit int) (exec.Rel, error) {
+	out := make(chan exec.Rel, 2*len(j.e.Sites)+2)
 	j.runRows(out)
 	res := exec.Rel{Cols: j.cols}
 	for batch := range out {

@@ -129,12 +129,19 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 }
 
 // evalRoot evaluates the plan root, applying the query's LIMIT. A
-// morsel-eligible scan root pushes the limit into the executor — morsel
-// scheduling stops once enough rows exist; any other root materializes and
-// truncates.
+// morsel-eligible scan root, or a bare join pipelined over one, pushes the
+// limit into the executor — morsel scheduling stops once enough rows
+// exist; any other root materializes and truncates.
 func (e *Engine) evalRoot(ctx context.Context, pn plan.PNode, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
-	if ps, ok := pn.(*plan.PScan); ok && e.morselEligible(ps) {
-		return e.morselGather(ctx, ps, snap, coord, limit)
+	switch v := pn.(type) {
+	case *plan.PScan:
+		if e.morselEligible(v) {
+			return e.morselGather(ctx, v, snap, coord, limit)
+		}
+	case *plan.PJoin:
+		if e.batchJoinOK(v) {
+			return e.evalBatchJoinRows(ctx, v, snap, coord, limit)
+		}
 	}
 	rel, err := e.evalNode(ctx, pn, snap, coord)
 	if err != nil {
@@ -304,11 +311,7 @@ func (e *Engine) evalNode(ctx context.Context, n plan.PNode, snap txn.VersionVec
 		return e.evalScan(ctx, v, snap, coord)
 	case *plan.PJoin:
 		if e.batchJoinOK(v) {
-			c, err := e.evalBatchJoin(ctx, v, snap, coord, nil)
-			if err != nil {
-				return exec.Rel{}, err
-			}
-			return c.Rel(), nil
+			return e.evalBatchJoinRows(ctx, v, snap, coord, 0)
 		}
 		return e.evalJoin(ctx, v, nil, snap, coord)
 	case *plan.PAgg:
@@ -866,7 +869,8 @@ func (e *Engine) finalizeAgg(pa *plan.PAgg, partials exec.Rel, coord simnet.Site
 }
 
 // ExecuteQueryStream runs an OLAP query and returns a cursor streaming
-// result rows incrementally. A morsel-eligible scan root streams natively:
+// result rows incrementally. A morsel-eligible scan root — and a bare join
+// pipelined over one, once its build sides are hashed — streams natively:
 // rows arrive as bounded batches while the scan is still running, and
 // closing the cursor early (or cancelling ctx, or reaching the query's
 // Limit) closes the morsel feeds so workers stop promptly. Other plan
@@ -936,11 +940,27 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 		}
 	}
 
-	if ps, ok := pn.(*plan.PScan); ok && e.morselEligible(ps) {
-		j, err := e.buildMorselJob(ctx, ps, snap, coord)
-		if err != nil {
-			return nil, err
+	var j *morselJob
+	switch v := pn.(type) {
+	case *plan.PScan:
+		if e.morselEligible(v) {
+			j, err = e.buildMorselJob(ctx, v, snap, coord)
 		}
+	case *plan.PJoin:
+		if e.batchJoinOK(v) {
+			// The build sides are evaluated at the coordinator before the
+			// first row streams; a nil job falls through to materializing.
+			if rerr := e.siteOf(coord).RunOLAP(func() {
+				j, err = e.joinJob(ctx, v, nil, snap, coord)
+			}); rerr != nil {
+				return nil, rerr
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if j != nil {
 		out := make(chan exec.Rel, 2*len(e.Sites)+2)
 		j.runRows(out)
 		return newMorselCursor(j, out, q.Limit, onEOF), nil

@@ -51,12 +51,17 @@ type aggState struct {
 	maxs   []types.Value
 }
 
+// newAggState carves the three value accumulators out of one array: a
+// pipelined join-aggregate holds one state per group per scan worker, so
+// allocations per state are what a many-group query's allocation count is
+// made of.
 func newAggState(n int) *aggState {
+	vals := make([]types.Value, 3*n)
 	return &aggState{
-		sums:   make([]types.Value, n),
+		sums:   vals[:n:n],
 		counts: make([]int64, n),
-		mins:   make([]types.Value, n),
-		maxs:   make([]types.Value, n),
+		mins:   vals[n : 2*n : 2*n],
+		maxs:   vals[2*n:],
 	}
 }
 

@@ -4,24 +4,25 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"proteus/internal/cost"
 	"proteus/internal/disksim"
-	"proteus/internal/storage"
 	"proteus/internal/types"
 )
 
-// Batch-native hash join (§4.3). The row HashJoin boxes every tuple and
-// allocates one concatenated tuple per output row; this engine instead
-// keeps both inputs columnar (ColRel), canonicalizes the single join key
-// into a typed int64 array when the column is null-free int-family (or
-// integral float), builds a chained-index hash table with zero per-bucket
-// allocations, probes to a (left,right) row-index pair list, and
-// late-materializes every payload column with one typed gather per column.
-// Output order matches the row variants exactly: ascending left index,
-// then ascending right index, so differential tests compare row for row.
+// Batch-native hash join (§4.3), materializing form. The row HashJoin boxes
+// every tuple and allocates one concatenated tuple per output row; this
+// engine instead keeps both inputs columnar (ColRel), canonicalizes the
+// single join key into a typed int64 array when the column is null-free
+// int-family (or integral float), builds one JoinTable (jointable.go) over
+// the smaller side, probes it with the whole other side to a (left,right)
+// row-index pair list, and late-materializes every payload column with one
+// typed gather per column. Output order matches the row variants exactly:
+// ascending left index, then ascending right index, so differential tests
+// compare row for row. The cluster executor probes the same table inside
+// its morsel workers instead (joinpipe.go) wherever the probe side is a
+// scan; this form serves what that pipeline cannot.
 //
 // Oversized build sides degrade gracefully: when the build relation
 // exceeds the spill budget both key columns hash-partition (grace hash
@@ -46,80 +47,6 @@ const (
 	maxGraceDepth = 8
 )
 
-// keyCol is a join key column in canonical form: ints is the typed path
-// (null-free int-family values, also used for integral floats — equality
-// and hashing match types.Equal / types.Value.Hash exactly within that
-// domain); vals is the boxed path for everything else, including NULLs.
-type keyCol struct {
-	ints []int64
-	vals []types.Value
-}
-
-func canonKeyCol(v *storage.Vec, n int) keyCol {
-	if n == 0 {
-		return keyCol{}
-	}
-	if v.Null == nil {
-		switch {
-		case v.Enc == storage.EncNone && (v.Kind == types.KindInt64 || v.Kind == types.KindTime || v.Kind == types.KindBool):
-			return keyCol{ints: v.I64[:n]}
-		case v.Enc == storage.EncFoR:
-			ints := make([]int64, n)
-			for i := range ints {
-				ints[i] = v.Base + int64(v.Codes[i])
-			}
-			return keyCol{ints: ints}
-		case v.Enc == storage.EncNone && v.Kind == types.KindFloat64:
-			// Integral floats canonicalize to int64 under the same criterion
-			// types.Value.Hash uses, so typed hashing/equality stay exact.
-			ints := make([]int64, n)
-			for i, f := range v.F64[:n] {
-				if f != math.Trunc(f) || f < math.MinInt64 || f > math.MaxInt64 {
-					ints = nil
-					break
-				}
-				ints[i] = int64(f)
-			}
-			if ints != nil {
-				return keyCol{ints: ints}
-			}
-		}
-	}
-	vals := make([]types.Value, n)
-	for i := range vals {
-		vals[i] = v.Value(i)
-	}
-	return keyCol{vals: vals}
-}
-
-func (k keyCol) n() int {
-	if k.ints != nil {
-		return len(k.ints)
-	}
-	return len(k.vals)
-}
-
-func (k keyCol) hash(i int) uint64 {
-	if k.ints != nil {
-		return hashInt64(k.ints[i])
-	}
-	return k.vals[i].Hash()
-}
-
-func (k keyCol) val(i int) types.Value {
-	if k.ints != nil {
-		return types.NewInt64(k.ints[i])
-	}
-	return k.vals[i]
-}
-
-func (k keyCol) eq(i int, o keyCol, j int) bool {
-	if k.ints != nil && o.ints != nil {
-		return k.ints[i] == o.ints[j]
-	}
-	return types.Equal(k.val(i), o.val(j))
-}
-
 // keySet is one side of a (possibly spilled) join partition: canonical
 // keys plus the original row indexes they came from. idx == nil means
 // identity (row i is original row i).
@@ -137,75 +64,66 @@ func (s keySet) orig(i int) int32 {
 	return s.idx[i]
 }
 
-// pairBuf accumulates matched (left,right) original row index pairs.
+// pairBuf accumulates one join's matched (left,right) original row index
+// pairs, plus the probe scratch and the build time its joinPairs calls add
+// up (one call in memory, one per partition pair when spilled).
 type pairBuf struct {
-	li, ri []int32
+	li, ri     []int32
+	m          matches
+	buildNanos int64
 }
 
-func (p *pairBuf) add(li, ri int32) {
-	p.li = append(p.li, li)
-	p.ri = append(p.ri, ri)
-}
-
-// joinPairs hash-joins two keySets in memory, appending matched original
-// index pairs. buildIsLeft says which side of the output the build keys
-// belong to. Within one call pairs come out left-major (the probe walks in
-// order and chains are built in ascending build order).
+// joinPairs hash-joins two keySets in memory — build one JoinTable, probe
+// it with everything — appending matched original index pairs in probe
+// order. buildIsLeft says which side of the output the build keys belong to.
 func joinPairs(build, probe keySet, buildIsLeft bool, pairs *pairBuf) {
-	nb := build.n()
-	if nb == 0 || probe.n() == 0 {
+	if build.n() == 0 || probe.n() == 0 {
 		return
 	}
-	nbk := uint64(2)
-	for nbk < uint64(nb)*2 {
-		nbk <<= 1
-	}
-	mask := nbk - 1
-	head := make([]int32, nbk)
-	for i := range head {
-		head[i] = -1
-	}
-	next := make([]int32, nb)
-	hashes := make([]uint64, nb)
-	for i := 0; i < nb; i++ {
-		hashes[i] = build.kc.hash(i)
-	}
-	// Reverse insertion makes each chain ascend in build index, preserving
-	// the row HashJoin's emission order.
-	for i := nb - 1; i >= 0; i-- {
-		slot := hashes[i] & mask
-		next[i] = head[slot]
-		head[slot] = int32(i)
-	}
-	np := probe.n()
-	if buildIsLeft {
-		// Probing emits probe-major order; group matches per build row so
-		// output stays left-major (ascending build, then probe) like the
-		// swapped row HashJoin.
-		matches := make([][]int32, nb)
-		for pi := 0; pi < np; pi++ {
-			h := probe.kc.hash(pi)
-			for bi := head[h&mask]; bi >= 0; bi = next[bi] {
-				if hashes[bi] == h && build.kc.eq(int(bi), probe.kc, pi) {
-					matches[bi] = append(matches[bi], int32(pi))
-				}
-			}
+	start := time.Now()
+	t := newJoinTable(build.kc, build.kc.hashes())
+	pairs.buildNanos += time.Since(start).Nanoseconds()
+	m := &pairs.m
+	m.reset()
+	t.probe(probe.kc, m)
+	statJoinChainSteps.Add(m.steps)
+	if probe.idx == nil && build.idx == nil {
+		// In memory, positions are original row indexes already.
+		l, r := m.pos, m.row
+		if buildIsLeft {
+			l, r = r, l
 		}
-		for bi, ps := range matches {
-			for _, pi := range ps {
-				pairs.add(build.orig(bi), probe.orig(int(pi)))
-			}
-		}
+		pairs.li, pairs.ri = append(pairs.li, l...), append(pairs.ri, r...)
 		return
 	}
-	for pi := 0; pi < np; pi++ {
-		h := probe.kc.hash(pi)
-		for bi := head[h&mask]; bi >= 0; bi = next[bi] {
-			if hashes[bi] == h && build.kc.eq(int(bi), probe.kc, pi) {
-				pairs.add(probe.orig(pi), build.orig(int(bi)))
-			}
+	for i, pi := range m.pos {
+		l, r := probe.orig(int(pi)), build.orig(int(m.row[i]))
+		if buildIsLeft {
+			l, r = r, l
 		}
+		pairs.li = append(pairs.li, l)
+		pairs.ri = append(pairs.ri, r)
 	}
+}
+
+// sortByLeft stably reorders pairs by left index (a counting sort over the
+// nLeft left rows). Stability is what restores the row HashJoin's
+// left-major contract: all pairs of one left row come from one joinPairs
+// call, which emitted them in ascending right index.
+func (p *pairBuf) sortByLeft(nLeft int) {
+	offs := make([]int32, nLeft+1)
+	for _, l := range p.li {
+		offs[l+1]++
+	}
+	for i := 1; i <= nLeft; i++ {
+		offs[i] += offs[i-1]
+	}
+	li, ri := make([]int32, len(p.li)), make([]int32, len(p.ri))
+	for i, l := range p.li {
+		li[offs[l]], ri[offs[l]] = l, p.ri[i]
+		offs[l]++
+	}
+	p.li, p.ri = li, ri
 }
 
 // keySetBytes estimates the serialized/working size of a keySet.
@@ -223,10 +141,9 @@ func keySetBytes(s keySet) int64 {
 
 // gracePartition derives a partition index from a key hash, using a
 // different bit range per recursion depth so repartitioning actually
-// splits (the table slot bits are the low bits, untouched here).
+// splits (the table slot comes from the top bits, untouched here).
 func gracePartition(h uint64, depth int) int {
-	h *= 0x9E3779B97F4A7C15
-	return int((h >> (61 - 3*uint(depth))) & (graceFanout - 1))
+	return int(h>>(3*uint(depth))) & (graceFanout - 1)
 }
 
 // serializeKeySet encodes a keySet as one spill block: row count, a typed
@@ -409,6 +326,7 @@ func BatchHashJoin(l, r *ColRel, lKey, rKey int, spill *JoinSpill, projL, projR 
 		bKey, pKey = lKey, rKey
 	}
 	bset := keySet{kc: canonKeyCol(&build.Vecs[bKey], build.NumRows())}
+	canonNanos := time.Since(start).Nanoseconds()
 	pset := keySet{kc: canonKeyCol(&probe.Vecs[pKey], probe.NumRows())}
 
 	var pairs pairBuf
@@ -420,13 +338,14 @@ func BatchHashJoin(l, r *ColRel, lKey, rKey int, spill *JoinSpill, projL, projR 
 		if err := graceJoin(spill, bset, pset, buildIsLeft, &pairs, 0); err != nil {
 			return ColRel{}, cost.Observation{}, err
 		}
-		// Partition order interleaves left indexes; restore the row
-		// HashJoin's left-major contract.
-		sort.Sort(pairSorter{&pairs})
 	} else {
 		joinPairs(bset, pset, buildIsLeft, &pairs)
 	}
-	buildDone := time.Now()
+	if spilled || buildIsLeft {
+		// Pairs arrive probe-major, partition by partition; restore the
+		// row HashJoin's left-major contract.
+		pairs.sortByLeft(l.NumRows())
+	}
 
 	if projL == nil {
 		projL = identityProj(len(l.Vecs))
@@ -451,12 +370,13 @@ func BatchHashJoin(l, r *ColRel, lKey, rKey int, spill *JoinSpill, projL, projR 
 	out.rows = len(pairs.li)
 
 	d := time.Since(start)
+	buildNanos := canonNanos + pairs.buildNanos
 	statJoins.Add(1)
 	statJoinBuildRows.Add(int64(build.NumRows()))
 	statJoinProbeRows.Add(int64(probe.NumRows()))
 	statJoinOutRows.Add(int64(out.rows))
-	statJoinBuildNanos.Add(buildDone.Sub(start).Nanoseconds())
-	statJoinProbeNanos.Add(time.Since(buildDone).Nanoseconds())
+	statJoinBuildNanos.Add(buildNanos)
+	statJoinProbeNanos.Add(d.Nanoseconds() - buildNanos)
 
 	sel := 1.0
 	if denom := float64(l.NumRows()) * float64(r.NumRows()); denom > 0 {
@@ -482,19 +402,4 @@ func identityProj(n int) []int {
 		p[i] = i
 	}
 	return p
-}
-
-// pairSorter orders matched pairs by (left, right) original index.
-type pairSorter struct{ p *pairBuf }
-
-func (s pairSorter) Len() int { return len(s.p.li) }
-func (s pairSorter) Less(i, j int) bool {
-	if s.p.li[i] != s.p.li[j] {
-		return s.p.li[i] < s.p.li[j]
-	}
-	return s.p.ri[i] < s.p.ri[j]
-}
-func (s pairSorter) Swap(i, j int) {
-	s.p.li[i], s.p.li[j] = s.p.li[j], s.p.li[i]
-	s.p.ri[i], s.p.ri[j] = s.p.ri[j], s.p.ri[i]
 }

@@ -180,3 +180,86 @@ func BenchmarkGroupByBatchDict(b *testing.B) {
 		_ = out
 	}
 }
+
+// BenchmarkJoinTableProbe measures the pipelined probe per scan batch (one
+// op = one 256-row batch through the stages and into an aggregator) on the
+// two shapes that dominate the CH join mix. q7: two stages keyed on one
+// scan column — 2 000 unique item ids, then 8 000 stock rows at four per
+// key — summing a scan column, so the output is a view and nothing is
+// gathered. q12: one stage over 67 200 strided order ids carrying a payload
+// column the aggregate groups by, so the output is a dense gather. Steady
+// state allocates nothing: every buffer is the prober's or the
+// aggregator's.
+func BenchmarkJoinTableProbe(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	table := func(n int, key func(i int) int64, payload func(i int) int64) *JoinTable {
+		c := NewColRel([]string{"k", "p"})
+		for i := 0; i < n; i++ {
+			c.Vecs[0].Append(types.NewInt64(key(i)))
+			c.Vecs[1].Append(types.NewInt64(payload(i)))
+		}
+		c.SetRows(n)
+		return BuildJoinTable(&c, 0, true)
+	}
+	batches := func(key func() int64) []*storage.Batch {
+		out := make([]*storage.Batch, 64)
+		for i := range out {
+			bt := &storage.Batch{Vecs: make([]storage.Vec, 2)}
+			ids := make([]schema.RowID, storage.DefaultBatchRows)
+			for range ids {
+				bt.Vecs[0].Append(types.NewInt64(key()))
+				bt.Vecs[1].Append(types.NewFloat64(float64(rng.Intn(4000)) / 4))
+			}
+			bt.SetRowIDsView(ids)
+			out[i] = bt
+		}
+		return out
+	}
+	scanKey := ColRef{Stage: -1, Col: 0}
+	for _, tc := range []struct {
+		name    string
+		pipe    *JoinPipe
+		in      []*storage.Batch
+		groupBy []int
+		specs   []AggSpec
+	}{
+		{
+			name: "q7",
+			pipe: NewJoinPipe([]ProbeStage{
+				{Table: table(2000, func(i int) int64 { return int64(i) }, func(i int) int64 { return int64(i) }), Key: scanKey},
+				{Table: table(8000, func(i int) int64 { return int64(i / 4) }, func(i int) int64 { return int64(i) }), Key: scanKey},
+			}, []ColRef{{Stage: -1, Col: 1}}),
+			in:    batches(func() int64 { return int64(rng.Intn(2000)) }),
+			specs: []AggSpec{{Func: AggSum, Col: 0}, {Func: AggCount}},
+		},
+		{
+			name: "q12",
+			pipe: NewJoinPipe([]ProbeStage{
+				{Table: table(67200, func(i int) int64 { return int64(i/1680)*3520 + int64(i%1680) }, func(i int) int64 { return int64(i % 10) }), Key: scanKey},
+			}, []ColRef{{Stage: -1, Col: 1}, {Stage: 0, Col: 1}}),
+			in:      batches(func() int64 { return int64(rng.Intn(40))*3520 + int64(rng.Intn(2520)) }),
+			groupBy: []int{1},
+			specs:   []AggSpec{{Func: AggCount}, {Func: AggSum, Col: 0}},
+		},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			pr := tc.pipe.NewProber()
+			agg := NewAggregator(tc.groupBy, tc.specs)
+			for _, bt := range tc.in { // warm the scratch buffers and the groups
+				if jb := pr.Apply(bt); jb != nil {
+					agg.ObserveBatch(jb)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if jb := pr.Apply(tc.in[i%len(tc.in)]); jb != nil {
+					agg.ObserveBatch(jb)
+				}
+			}
+			b.StopTimer()
+			st := pr.Close()
+			b.ReportMetric(float64(st[0].ProbeRows)/float64(b.N+len(tc.in)), "probes/op")
+		})
+	}
+}

@@ -11,12 +11,13 @@ import (
 // min-max bounds become ordinary predicate conjuncts that the morsel
 // scheduler's zone maps can prune whole morsels with and FilterVec applies
 // within batches, while the Bloom filter drops non-matching probe rows
-// batch-at-a-time before they are materialized or shipped. The filter
-// hashes through types.Value.Hash, so NULL build keys are representable
-// and NULL==NULL join semantics survive filtering.
+// batch-at-a-time before they are probed, materialized or shipped. It is
+// derived from the same canonical keys and the same hash as the join table
+// (hashKey/hashValue), so NULL build keys are representable and NULL==NULL
+// join semantics survive filtering.
 type RuntimeFilter struct {
 	bits     []uint64
-	mask     uint64 // bit-index mask (bit count - 1); bits may be nil (filter disabled)
+	mask     uint64 // word-index mask (word count - 1); bits may be nil (no Bloom)
 	n        int    // build rows folded in
 	hasNull  bool   // build side contained a NULL key
 	min, max types.Value
@@ -27,47 +28,56 @@ type RuntimeFilter struct {
 // rarely rejects much); min-max bounds are still tracked.
 const maxBloomBuildRows = 4 << 20
 
-// hashInt64 replicates types.Value.Hash for the int-family kinds (Int64,
-// Time, Bool) without boxing; integral floats hash identically.
-func hashInt64(x int64) uint64 {
-	const prime64 = 1099511627776003
-	h := uint64(14695981039346656037)
-	h ^= 2
-	h *= prime64
-	u := uint64(x)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(u >> (8 * i)))
-		h *= prime64
-	}
-	return h
-}
-
 // BuildRuntimeFilter folds the key column of a build-side relation into a
 // new runtime filter.
 func BuildRuntimeFilter(c *ColRel, key int) *RuntimeFilter {
-	f := &RuntimeFilter{}
-	n := c.NumRows()
-	if n > 0 && n <= maxBloomBuildRows {
-		bits := uint64(256)
-		for bits < uint64(n)*10 {
-			bits <<= 1
-		}
-		f.bits = make([]uint64, bits/64)
-		f.mask = bits - 1
-	}
-	v := &c.Vecs[key]
-	for r := 0; r < n; r++ {
-		f.AddValue(v.Value(r))
-	}
-	return f
+	kc := canonKeyCol(&c.Vecs[key], c.NumRows())
+	return newRuntimeFilter(kc, kc.hashes(), c.Vecs[key].Kind, true)
 }
 
-// AddValue folds one build-side key into the filter.
-func (f *RuntimeFilter) AddValue(v types.Value) {
-	f.n++
-	if v.IsNull() {
-		f.hasNull = true
-	} else {
+// newRuntimeFilter folds canonical keys (hashes hs) into a filter. kind is
+// the key column's kind, which typed bounds are boxed back into.
+func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind, bloom bool) *RuntimeFilter {
+	n := len(hs)
+	f := &RuntimeFilter{n: n}
+	if n == 0 {
+		return f
+	}
+	if bloom && n <= maxBloomBuildRows {
+		nbits := uint64(256)
+		for nbits < uint64(n)*10 {
+			nbits <<= 1
+		}
+		f.bits = make([]uint64, nbits/64)
+		f.mask = nbits/64 - 1
+		for _, h := range hs {
+			f.bits[(h>>12)&f.mask] |= bloomMask(h)
+		}
+	}
+	if kc.ints != nil {
+		mn, mx := kc.ints[0], kc.ints[0]
+		for _, x := range kc.ints[1:] {
+			if x < mn {
+				mn = x
+			}
+			if x > mx {
+				mx = x
+			}
+		}
+		box := func(x int64) types.Value {
+			if kind == types.KindFloat64 {
+				return types.NewFloat64(float64(x))
+			}
+			return types.Value{K: kind, I: x}
+		}
+		f.min, f.max = box(mn), box(mx)
+		return f
+	}
+	for _, v := range kc.vals {
+		if v.IsNull() {
+			f.hasNull = true
+			continue
+		}
 		if f.min.IsNull() || types.Compare(v, f.min) < 0 {
 			f.min = v
 		}
@@ -75,41 +85,33 @@ func (f *RuntimeFilter) AddValue(v types.Value) {
 			f.max = v
 		}
 	}
-	f.setHash(v.Hash())
+	return f
 }
 
-func (f *RuntimeFilter) setHash(h uint64) {
-	if f.bits == nil {
-		return
-	}
-	d := h>>32 | 1
-	for k := uint64(0); k < 2; k++ {
-		i := (h + k*d) & f.mask
-		f.bits[i>>6] |= 1 << (i & 63)
-	}
-}
+// bloomMask picks a key's two bits within its 64-bit Bloom word. The word
+// itself is chosen by bits 12.. of the hash, so one load answers a test.
+func bloomMask(h uint64) uint64 { return 1<<(h&63) | 1<<((h>>6)&63) }
 
 func (f *RuntimeFilter) testHash(h uint64) bool {
 	if f.bits == nil {
 		return true
 	}
-	d := h>>32 | 1
-	for k := uint64(0); k < 2; k++ {
-		i := (h + k*d) & f.mask
-		if f.bits[i>>6]&(1<<(i&63)) == 0 {
-			return false
-		}
-	}
-	return true
+	m := bloomMask(h)
+	return f.bits[(h>>12)&f.mask]&m == m
 }
 
 // Empty reports whether the build side had zero rows, in which case an
 // inner join's probe side need not be scanned at all.
 func (f *RuntimeFilter) Empty() bool { return f == nil || f.n == 0 }
 
+// Bytes is the filter's size on the wire: Bloom words, bounds and a header.
+func (f *RuntimeFilter) Bytes() int64 {
+	return int64(8*len(f.bits)) + int64(types.VarWidth(f.min)+types.VarWidth(f.max)) + 64
+}
+
 // TestValue reports whether a probe key may have a build-side match.
 func (f *RuntimeFilter) TestValue(v types.Value) bool {
-	return f.testHash(v.Hash())
+	return f.testHash(hashValue(v))
 }
 
 // BoundsPred returns min-max conjuncts on the probe key column, suitable
@@ -138,13 +140,17 @@ func (f *RuntimeFilter) FilterBatch(b *storage.Batch, key int, scratch []int32) 
 	if n == 0 {
 		return scratch
 	}
+	if scratch == nil {
+		// b.Sel == nil means "every row": an empty result must not be nil.
+		scratch = make([]int32, 0, n)
+	}
 	out := scratch[:0]
 	v := &b.Vecs[key]
 	statBloomTested.Add(int64(n))
 	switch {
 	case v.Enc == storage.EncFoR:
 		b.Selected(func(r int) bool {
-			if f.testHash(hashInt64(v.Base + int64(v.Codes[r]))) {
+			if f.testHash(hashKey(v.Base + int64(v.Codes[r]))) {
 				out = append(out, int32(r))
 			}
 			return true
@@ -167,7 +173,7 @@ func (f *RuntimeFilter) FilterBatch(b *storage.Batch, key int, scratch []int32) 
 		})
 	case v.Enc == storage.EncNone && v.Null == nil && v.Kind != types.KindFloat64 && v.Kind != types.KindString && v.Kind != types.KindNull:
 		b.Selected(func(r int) bool {
-			if f.testHash(hashInt64(v.I64[r])) {
+			if f.testHash(hashKey(v.I64[r])) {
 				out = append(out, int32(r))
 			}
 			return true

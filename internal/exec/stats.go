@@ -20,6 +20,9 @@ var (
 	statSpillPartitions atomic.Int64
 	statSpillBytes      atomic.Int64
 	statSpillRecursions atomic.Int64
+	statJoinPipelined   atomic.Int64
+	statJoinBroadcast   atomic.Int64
+	statJoinChainSteps  atomic.Int64
 
 	statGroupByBatches  atomic.Int64
 	statGroupByIntRows  atomic.Int64
@@ -32,20 +35,27 @@ var (
 // owns the plan-side pushdown).
 func RecordRFBoundsPush() { statRFBoundsPreds.Add(1) }
 
+// RecordJoinBroadcast counts bytes of join tables and runtime filters the
+// cluster executor shipped from a coordinator to a remote probing site.
+func RecordJoinBroadcast(bytes int64) { statJoinBroadcast.Add(bytes) }
+
 // JoinStats is a snapshot of the batch-join counters.
 type JoinStats struct {
 	Joins           int64 // batch hash joins executed
 	BuildRows       int64 // rows hashed into build tables
 	ProbeRows       int64 // rows probed
-	OutRows         int64 // join output rows materialized
-	BuildNanos      int64 // time spent building (incl. runtime filters)
-	ProbeNanos      int64 // time spent probing + materializing
+	OutRows         int64 // matched pairs produced, materialized or not
+	BuildNanos      int64 // time spent canonicalizing keys and building tables and their filters
+	ProbeNanos      int64 // time spent probing and assembling join output
 	BloomTested     int64 // probe rows tested against a runtime filter
 	BloomPassed     int64 // probe rows that passed the runtime filter
 	BoundsPreds     int64 // min-max runtime-filter predicates pushed to scans
 	SpillPartitions int64 // grace-join partitions written to the spill device
 	SpillBytes      int64 // bytes written to the spill device
 	SpillRecursions int64 // partitions that repartitioned recursively
+	Pipelined       int64 // joins probed inside the morsel workers
+	BroadcastBytes  int64 // table/filter bytes shipped to remote probing sites
+	ChainSteps      int64 // bucket entries visited by probes (÷ ProbeRows = per probe)
 }
 
 // ReadJoinStats snapshots the process-wide batch-join counters.
@@ -63,6 +73,9 @@ func ReadJoinStats() JoinStats {
 		SpillPartitions: statSpillPartitions.Load(),
 		SpillBytes:      statSpillBytes.Load(),
 		SpillRecursions: statSpillRecursions.Load(),
+		Pipelined:       statJoinPipelined.Load(),
+		BroadcastBytes:  statJoinBroadcast.Load(),
+		ChainSteps:      statJoinChainSteps.Load(),
 	}
 }
 

@@ -44,7 +44,9 @@ func TestFig3ShapeHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "row faster for updates = true") {
+	// The gating check is the bytes an update writes, which no amount of
+	// host load can move; the wall-clock comparison is printed, not asserted.
+	if !strings.Contains(out, "row cheaper for updates = true") {
 		t.Errorf("update shape broken:\n%s", out)
 	}
 	if strings.Count(out, "column speedup") != 2 {

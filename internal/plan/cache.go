@@ -25,6 +25,12 @@ func (e *Epoch) Bump() { e.v.Add(1) }
 // Current reads the epoch.
 func (e *Epoch) Current() uint64 { return e.v.Load() }
 
+// maxCachedPlans bounds the plan cache. Fingerprints carry predicate
+// constants, so a client sweeping a constant would otherwise grow the map
+// without limit within one epoch; at the cap the cache is dropped whole,
+// exactly as an epoch change drops it.
+const maxCachedPlans = 1024
+
 // PlanCache caches whole physical plans keyed by request fingerprint,
 // valid for a single layout epoch.
 type PlanCache struct {
@@ -62,7 +68,7 @@ func (c *PlanCache) Get(fingerprint string, epoch uint64) (any, bool) {
 func (c *PlanCache) Put(fingerprint string, epoch uint64, plan any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.epoch != epoch {
+	if c.epoch != epoch || len(c.plans) >= maxCachedPlans {
 		c.plans = make(map[string]any)
 		c.epoch = epoch
 	}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"testing"
+	"time"
 
 	"proteus/internal/cost"
 	"proteus/internal/exec"
@@ -87,6 +88,75 @@ func TestPlanCacheReuseAndEpochInvalidation(t *testing.T) {
 	p3, _ := pl.PlanQuery(q)
 	if p1 == p3 {
 		t.Error("plan survived epoch bump")
+	}
+}
+
+// TestPlanCacheKeysOnConstants pins the fingerprint: queries of one shape
+// whose predicates or aggregate inputs differ must not share a cached plan
+// (the cached PScan carries the predicate it was planned with), while an
+// identical query still hits.
+func TestPlanCacheKeysOnConstants(t *testing.T) {
+	pl, dir := testPlanner()
+	register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
+	scan := func(op storage.CmpOp, v types.Value) *query.ScanNode {
+		return &query.ScanNode{Table: 1, Cols: []schema.ColID{0, 1}, Pred: storage.Pred{{Col: 0, Op: op, Val: v}}}
+	}
+	base := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	variants := []query.Node{
+		scan(storage.CmpLt, types.NewInt64(10)),
+		scan(storage.CmpLt, types.NewInt64(20)),
+		scan(storage.CmpLe, types.NewInt64(10)),
+		scan(storage.CmpLt, types.NewFloat64(10)),
+		scan(storage.CmpLt, types.NewString("10")),
+		scan(storage.CmpLt, types.NewTime(base)),
+		scan(storage.CmpLt, types.NewTime(base.Add(time.Microsecond))), // same second
+		&query.AggNode{Child: scan(storage.CmpLt, types.NewInt64(10)), Aggs: []exec.AggSpec{{Func: exec.AggSum, Col: 0}}},
+		&query.AggNode{Child: scan(storage.CmpLt, types.NewInt64(10)), Aggs: []exec.AggSpec{{Func: exec.AggSum, Col: 1}}},
+	}
+	seen := map[string]int{}
+	for i, n := range variants {
+		fp := fingerprint(n)
+		if j, dup := seen[fp]; dup {
+			t.Errorf("variants %d and %d share fingerprint %q", j, i, fp)
+		}
+		seen[fp] = i
+	}
+	for i, n := range variants {
+		node, err := pl.PlanQuery(&query.Query{Root: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := n
+		if a, ok := n.(*query.AggNode); ok {
+			want, node = a.Child, node.(*PAgg).Child
+		}
+		if got := node.(*PScan).Pred[0]; got != want.(*query.ScanNode).Pred[0] {
+			t.Errorf("variant %d planned with predicate %+v, want %+v", i, got, want.(*query.ScanNode).Pred[0])
+		}
+	}
+	_, misses := pl.Plans.Stats()
+	if p1, _ := pl.PlanQuery(&query.Query{Root: variants[1]}); p1 == nil {
+		t.Fatal("no plan")
+	}
+	if _, after := pl.Plans.Stats(); after != misses {
+		t.Error("re-planning an identical query missed the cache")
+	}
+}
+
+// TestPlanCacheBounded sweeps a constant past the entry cap: the cache is
+// dropped whole at the cap instead of growing with the sweep.
+func TestPlanCacheBounded(t *testing.T) {
+	pl, dir := testPlanner()
+	register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
+	for i := 0; i < 2*maxCachedPlans+10; i++ {
+		q := &query.Query{Root: &query.ScanNode{Table: 1, Cols: []schema.ColID{0},
+			Pred: storage.Pred{{Col: 0, Op: storage.CmpLt, Val: types.NewInt64(int64(i))}}}}
+		if _, err := pl.PlanQuery(q); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(pl.Plans.plans); n > maxCachedPlans {
+			t.Fatalf("cache holds %d plans after %d queries, cap %d", n, i+1, maxCachedPlans)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strings"
 
 	"proteus/internal/cost"
 	"proteus/internal/exec"
@@ -475,4 +477,41 @@ func maxI(a, b int) int {
 }
 
 // fingerprint canonically renders a logical tree for plan-cache keying.
-func fingerprint(n query.Node) string { return n.String() }
+// The cached physical plan carries the query's predicates and aggregate
+// inputs, so the key must hold everything that distinguishes them: every
+// conjunct's column, operator and constant (kind included — 1 and 1.0 plan
+// alike but need not scan alike), and every aggregate's input position.
+func fingerprint(n query.Node) string {
+	var sb strings.Builder
+	writeFingerprint(&sb, n)
+	return sb.String()
+}
+
+func writeFingerprint(sb *strings.Builder, n query.Node) {
+	switch v := n.(type) {
+	case *query.ScanNode:
+		fmt.Fprintf(sb, "Scan(t%d cols=%v", v.Table, v.Cols)
+		for _, c := range v.Pred {
+			// Raw payload fields, not Value.String: that rounds timestamps
+			// to the second.
+			fmt.Fprintf(sb, " c%d%s%d:%d:%x:%q", c.Col, c.Op, c.Val.K, c.Val.I, math.Float64bits(c.Val.F), c.Val.S)
+		}
+		sb.WriteByte(')')
+	case *query.JoinNode:
+		sb.WriteString("Join(")
+		writeFingerprint(sb, v.Left)
+		fmt.Fprintf(sb, " [%d=%d] ", v.LeftKeyCol, v.RightKeyCol)
+		writeFingerprint(sb, v.Right)
+		sb.WriteByte(')')
+	case *query.AggNode:
+		sb.WriteString("Agg(")
+		writeFingerprint(sb, v.Child)
+		fmt.Fprintf(sb, " by=%v", v.GroupBy)
+		for _, a := range v.Aggs {
+			fmt.Fprintf(sb, " %s(%d)", a.Func, a.Col)
+		}
+		sb.WriteByte(')')
+	default:
+		sb.WriteString(n.String())
+	}
+}

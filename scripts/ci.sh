@@ -22,6 +22,15 @@ echo "== bench module (gating)"
 go vet -C bench .
 go test -C bench .
 
+echo "== join shapes against plain-loop oracles (gating)"
+# Two seconds' worth of each join-bearing workload, numbers discarded: the
+# benchmark exits non-zero on any operation that fails or whose answer
+# differs from its oracle, so every CH join shape — pipelined probes,
+# partial aggregates, the open-loop mix beside transactions — is checked
+# against plain loops over the tables' rows on each CI run.
+go run -C bench . --workload olap-join --seconds 2 >/dev/null
+go run -C bench . --workload htap-mixed --seconds 2 >/dev/null
+
 echo "== colstore encoding fuzz corpus (seeds only, -count=1)"
 # Replays the checked-in round-trip corpus (testdata/fuzz/FuzzColRoundTrip)
 # without cached results; `go test -fuzz FuzzColRoundTrip ./internal/colstore/`
