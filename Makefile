@@ -29,12 +29,16 @@ sim:
 check:
 	./scripts/ci.sh
 
-# bench runs the scan benchmarks, the row-vs-batch kernel benchmarks and
-# the join/group-by A/B benchmarks (BenchmarkJoinTableProbe among them: the
-# pipelined probe per scan batch, which must report 0 allocs/op) with
-# allocation stats, archiving the run under results/.
+# bench runs the scan benchmarks, the row-vs-batch kernel benchmarks, the
+# join/group-by A/B benchmarks (BenchmarkJoinTableProbe among them: the
+# pipelined probe per scan batch, which must report 0 allocs/op) and
+# BenchmarkCheckpointFold (ns and allocs per folded redo record against
+# checkpoint images of 1e3, 1e4 and 1e5 rows: flat allocations, time that
+# follows the change and not the image) with allocation stats, archiving
+# the run under results/.
 bench:
 	mkdir -p results
 	go test -run XXX -bench 'BenchmarkScan' -benchmem . | tee results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkBatchKernels' -benchmem ./internal/exec/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkJoin|BenchmarkGroupBy' -benchmem ./internal/exec/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
+	go test -run XXX -bench 'BenchmarkCheckpointFold' -benchmem ./internal/redolog/ | tee -a results/bench-$$(date +%Y-%m-%d).txt

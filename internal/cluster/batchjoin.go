@@ -622,8 +622,8 @@ func (j *morselJob) gatherCols(ctx context.Context, maxRows int) (exec.ColRel, e
 func (j *morselJob) runCols(out chan<- exec.ColRel) {
 	batchRows := j.e.scanBatchRows()
 	var wg sync.WaitGroup
-	newWorker := func(siteID simnet.SiteID) func(<-chan morselUnit) {
-		return func(feed <-chan morselUnit) {
+	newWorker := func(siteID simnet.SiteID) func(*morselFeed) {
+		return func(feed *morselFeed) {
 			cur := exec.NewColRel(j.cols)
 			pr := j.newProber()
 			defer j.closeProber(siteID, pr)
@@ -646,8 +646,7 @@ func (j *morselJob) runCols(out chan<- exec.ColRel) {
 					return false
 				}
 			}
-			for u := range feed {
-				u := u
+			for u, ok := feed.next(); ok; u, ok = feed.next() {
 				u.scanUnitBatches(batchRows, func(b *storage.Batch) bool {
 					n := b.Len()
 					if n == 0 {

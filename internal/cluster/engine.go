@@ -227,7 +227,9 @@ type Engine struct {
 	cntFailovers  *obs.Counter
 	recoveryLat   *obs.Recorder
 
-	// Dependency-tracker instruments, refreshed on the maintenance tick.
+	// Maintenance-tick instruments: how long one tick took, and the
+	// dependency tracker's size as the tick left it.
+	recMaintainTick  *obs.Recorder
 	gaugeDepsEntries *obs.Gauge   // entries retained over all partitions
 	cntDepsFolded    *obs.Counter // entries folded into base entries
 
@@ -290,6 +292,7 @@ func New(cfg Config) *Engine {
 	e.cntRecoveries = e.Obs.Counter("faults.recoveries")
 	e.cntFailovers = e.Obs.Counter("faults.failovers")
 	e.recoveryLat = e.Obs.Recorder("faults.recovery.replay", 1<<8)
+	e.recMaintainTick = e.Obs.Recorder("maintain.tick_us", 1<<8)
 	e.gaugeDepsEntries = e.Obs.Gauge("txn.deps_entries")
 	e.cntDepsFolded = e.Obs.Counter("txn.deps_folded")
 	e.cntMorselsScheduled = e.Obs.Counter("exec.morsels.scheduled")
@@ -364,6 +367,8 @@ func (e *Engine) startBackground() {
 // site, cost observations into the model, redo-log checkpoints and
 // truncation, and the dependency-tracker fold.
 func (e *Engine) maintain() {
+	start := e.clk.Now()
+	defer func() { e.recMaintainTick.Record(e.clk.Since(start)) }()
 	for _, s := range e.Sites {
 		if s.Down() {
 			continue
@@ -416,17 +421,17 @@ func (e *Engine) drainObservations() {
 	}
 }
 
-// checkpointAndTruncate maintains each topic's durability floor: it
-// refreshes the broker checkpoint of partitions whose log has grown past
-// the retention window, then trims records no longer needed by either a
-// replica subscription or crash recovery (the paper's Kafka retention plus
-// its snapshot store, §4.3). The truncation floor is the minimum of every
-// subscriber's offset and the checkpoint offset; a topic with no
-// checkpoint is never trimmed, because replay-from-base is then the only
-// copy of bulk-loaded state. A configured retention slack keeps the last
-// RedoRetention records regardless, so a replica install capturing a
-// snapshot offset concurrently with this loop never finds its start
-// already reclaimed.
+// checkpointAndTruncate maintains each topic's durability floor: it has the
+// broker fold the log tail into the checkpoint of every partition whose log
+// has grown RedoRetention records past it (redolog.FoldCheckpoint — no
+// partition is locked, read or asked anything), then trims records no
+// longer needed by either a replica subscription or crash recovery (the
+// paper's Kafka retention plus its snapshot store, §4.3). The truncation
+// floor is the minimum of every subscriber's offset and the checkpoint
+// offset, so a topic is trimmed only below what its image already holds. A
+// configured retention slack keeps the last RedoRetention records
+// regardless, so a replica install capturing a snapshot offset concurrently
+// with this loop never finds its start already reclaimed.
 func (e *Engine) checkpointAndTruncate() {
 	mins := make(map[partition.ID]int64)
 	for _, s := range e.Sites {
@@ -437,9 +442,7 @@ func (e *Engine) checkpointAndTruncate() {
 		}
 	}
 	for _, pid := range e.Broker.Topics() {
-		if m, ok := e.Dir.Get(pid); ok {
-			e.maybeCheckpoint(m)
-		}
+		e.Broker.FoldCheckpoint(pid, e.cfg.RedoRetention)
 		floor := e.Broker.CheckpointOffset(pid)
 		if off, ok := mins[pid]; ok && off < floor {
 			floor = off
@@ -477,56 +480,10 @@ func (e *Engine) foldDeps() {
 	e.gaugeDepsEntries.Set(int64(e.Deps.Entries()))
 }
 
-// maybeCheckpoint refreshes a partition's broker checkpoint once its log
-// tail outgrows the retention window. The snapshot (rows, version, end
-// offset) is captured under the partition's exclusive lock, behind a
-// group-commit barrier: commits stage and enqueue under the lock but
-// append and install from the flusher, so the barrier is what makes the
-// extracted rows, the installed version and the log end offset mutually
-// consistent.
-func (e *Engine) maybeCheckpoint(m *metadata.PartitionMeta) {
-	slack := e.cfg.RedoRetention
-	if slack < 1 {
-		slack = 1
-	}
-	if e.Broker.EndOffset(m.ID)-e.Broker.CheckpointOffset(m.ID) < slack {
-		return
-	}
-	// Pre-drain the (possibly stale) master site's commit queue before
-	// taking the lock: a flush in flight can spend milliseconds on
-	// cross-site acks, and waiting it out under the partition lock would
-	// stall concurrent commits. The authoritative barrier below, under the
-	// lock against the re-resolved master, then returns quickly.
-	e.gc.barrier(m.Master().Site)
-	ls := e.Locks.AcquireAll(nil, []partition.ID{m.ID})
-	defer ls.ReleaseAll()
-	// Resolve the master copy only under the lock: while we waited for it a
-	// failover or master change may have moved the partition, and capturing
-	// a now-stale copy against the current end offset would produce a
-	// checkpoint whose offset covers records its rows lack — silently lost
-	// on the next rebuild.
-	master := m.Master()
-	s := e.siteOf(master.Site)
-	if s.Down() {
-		return
-	}
-	p, ok := s.Partition(m.ID)
-	if !ok {
-		return
-	}
-	e.gc.barrier(master.Site)
-	ck := redolog.Checkpoint{
-		Rows:    p.ExtractAll(storage.Latest),
-		Version: p.Version(),
-		Offset:  e.Broker.EndOffset(m.ID),
-	}
-	e.Broker.SaveCheckpoint(m.ID, ck)
-}
-
 // Close stops background work and the sites. The admission controller
 // closes first so queued waiters shed instead of blocking shutdown; the
 // group-commit flushers are drained after the background loops stop (a
-// maintenance checkpoint may be waiting on a flush barrier) and before
+// background tier change may be waiting on a flush barrier) and before
 // the sites close (waiting transactions still occupy site pool workers
 // until their flush resolves).
 func (e *Engine) Close() {

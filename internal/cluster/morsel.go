@@ -2,11 +2,12 @@
 // idea of Leis et al., adapted to Proteus' per-partition layouts): each
 // site splits its hosted partitions into fixed-size row-range morsels, a
 // per-site worker pool sized to the machine's parallelism and shared by
-// every concurrent query pulls morsels from a feed, evaluates predicate +
-// projection + partial aggregation over them on the layout-native path,
+// every concurrent query claims morsels off a per-query cursor, evaluates
+// predicate + projection + partial aggregation over them on the
+// layout-native path,
 // and results flow to the coordinator as bounded batches over channels
 // with backpressure. LIMIT and context cancellation terminate early by
-// closing the morsel feed. Zone maps prune whole partitions before a
+// ending the morsel feed. Zone maps prune whole partitions before a
 // single morsel is scheduled.
 package cluster
 
@@ -180,7 +181,7 @@ func (j *morselJob) fail(err error) {
 // buildMorselJob resolves every segment's partition copy, prunes whole
 // partitions through their zone maps, and splits the survivors into
 // morsels grouped by hosting site. The returned job owns a ctx derived
-// from the caller's; cancelling it closes the morsel feeds.
+// from the caller's; cancelling it ends the morsel feeds.
 func (e *Engine) buildMorselJob(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID) (*morselJob, error) {
 	jctx, cancel := context.WithCancel(ctx)
 	j := &morselJob{
@@ -267,30 +268,45 @@ func (u morselUnit) scanUnitBatches(maxRows int, fn func(*storage.Batch) bool) {
 	u.ps.nanos.Add(int64(u.ps.clk.Since(start)))
 }
 
-// runSite drains one site's morsel feed through its scan pool: a feeder
-// goroutine doles out units (so a cancelled query stops scheduling and the
-// scheduled counter reflects units workers actually saw), and up to
-// ScanWorkers loops pull from the feed. A crashed site's rejected loops run
-// inline on the scatter goroutine, mirroring the legacy executor's
-// coordinator fallback. newWorker returns a per-worker drain loop.
-func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.WaitGroup, newWorker func(siteID simnet.SiteID) func(<-chan morselUnit)) {
-	feed := make(chan morselUnit)
-	go func() {
-		defer close(feed)
-		for _, u := range units {
-			// OLTP preemption: while a transaction is in flight at this
-			// site, briefly stop feeding the shared scan pool so commits
-			// get the CPU first; the grace is bounded so a steady OLTP
-			// stream cannot starve the scan.
-			j.e.yieldToOLTP(siteID)
-			select {
-			case feed <- u:
-				j.e.cntMorselsScheduled.Inc()
-			case <-j.ctx.Done():
-				return
-			}
-		}
-	}()
+// morselFeed doles one site's units out to that site's workers: a shared
+// cursor, so claiming a unit is one atomic add and a worker that has a unit
+// never waits on another goroutine for its next one.
+type morselFeed struct {
+	j      *morselJob
+	siteID simnet.SiteID
+	units  []morselUnit
+	cursor atomic.Int64
+}
+
+// next claims the following unit; false once the units are exhausted or the
+// job is cancelled, so a cancelled query stops scheduling and the scheduled
+// counter reflects units workers actually saw.
+func (f *morselFeed) next() (morselUnit, bool) {
+	if int(f.cursor.Load()) >= len(f.units) {
+		return morselUnit{}, false
+	}
+	// OLTP preemption: while a transaction is in flight at this site,
+	// briefly stop claiming from the shared scan pool so commits get the
+	// CPU first; the grace is bounded so a steady OLTP stream cannot
+	// starve the scan.
+	f.j.e.yieldToOLTP(f.siteID)
+	if f.j.ctx.Err() != nil {
+		return morselUnit{}, false
+	}
+	i := int(f.cursor.Add(1)) - 1
+	if i >= len(f.units) {
+		return morselUnit{}, false
+	}
+	f.j.e.cntMorselsScheduled.Inc()
+	return f.units[i], true
+}
+
+// runSite drains one site's units through its scan pool: up to ScanWorkers
+// loops claim from one feed. A crashed site's rejected loops run inline on
+// the scatter goroutine, mirroring the legacy executor's coordinator
+// fallback. newWorker returns a per-worker drain loop.
+func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.WaitGroup, newWorker func(siteID simnet.SiteID) func(*morselFeed)) {
+	feed := &morselFeed{j: j, siteID: siteID, units: units}
 	s := j.e.siteOf(siteID)
 	w := s.ScanWorkers()
 	if w > len(units) {
@@ -319,8 +335,8 @@ func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.W
 func (j *morselJob) runRows(out chan<- exec.Rel) {
 	batchRows := j.e.scanBatchRows()
 	var wg sync.WaitGroup
-	newWorker := func(siteID simnet.SiteID) func(<-chan morselUnit) {
-		return func(feed <-chan morselUnit) {
+	newWorker := func(siteID simnet.SiteID) func(*morselFeed) {
+		return func(feed *morselFeed) {
 			batch := make([][]types.Value, 0, batchRows)
 			pr := j.newProber()
 			defer j.closeProber(siteID, pr)
@@ -343,8 +359,7 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 					return false
 				}
 			}
-			for u := range feed {
-				u := u
+			for u, ok := feed.next(); ok; u, ok = feed.next() {
 				u.scanUnitBatches(batchRows, func(b *storage.Batch) bool {
 					n := b.Len()
 					if n == 0 {
@@ -394,13 +409,12 @@ func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error
 			var siteMu sync.Mutex
 			siteAgg := exec.NewAggregator(groupBy, specs)
 			var wg sync.WaitGroup
-			newWorker := func(simnet.SiteID) func(<-chan morselUnit) {
-				return func(feed <-chan morselUnit) {
+			newWorker := func(simnet.SiteID) func(*morselFeed) {
+				return func(feed *morselFeed) {
 					agg := exec.NewAggregator(groupBy, specs)
 					pr := j.newProber()
 					defer j.closeProber(siteID, pr)
-					for u := range feed {
-						u := u
+					for u, ok := feed.next(); ok; u, ok = feed.next() {
 						u.scanUnitBatches(batchRows, func(b *storage.Batch) bool {
 							u.ps.rows.Add(int64(b.Len()))
 							if jb := pr.Apply(b); jb != nil {
@@ -550,7 +564,7 @@ func (j *morselJob) gatherRows(ctx context.Context, limit int) (exec.Rel, error)
 		}
 		res.Tuples = append(res.Tuples, batch.Tuples...)
 		if limit > 0 && len(res.Tuples) >= limit {
-			j.cancel() // close the morsel feeds; workers wind down
+			j.cancel() // end the morsel feeds; workers wind down
 		}
 	}
 	if j.err != nil {

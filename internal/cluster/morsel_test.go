@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -363,5 +365,52 @@ func TestMorselContextCancelAborts(t *testing.T) {
 	q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0}}}
 	if _, err := e.ExecuteQuery(ctx, e.NewSession(), q); err == nil {
 		t.Fatal("cancelled query returned nil error")
+	}
+}
+
+// TestMorselFeedClaimsEachUnitOnce drains one feed from several goroutines
+// at once: every unit is handed out exactly once, and after a cancel no
+// worker is handed another.
+func TestMorselFeedClaimsEachUnitOnce(t *testing.T) {
+	e, _ := newMorselEngine(t, ModeRowStore, 1, 1, 16, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j := &morselJob{e: e, ctx: ctx, cancel: cancel}
+	units := make([]morselUnit, 10000)
+	for i := range units {
+		units[i].lo = schema.RowID(i)
+	}
+	feed := &morselFeed{j: j, units: units}
+	claimed := make([]atomic.Int32, len(units))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for u, ok := feed.next(); ok; u, ok = feed.next() {
+				claimed[u.lo].Add(1)
+				if u.lo == 7000 {
+					cancel()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	total := 0
+	for i := range claimed {
+		n := int(claimed[i].Load())
+		if n > 1 {
+			t.Fatalf("unit %d claimed %d times", i, n)
+		}
+		total += n
+	}
+	// The cursor hands units out in order, so 0..7000 were claimed when the
+	// job was cancelled; each of the other three workers may have been past
+	// its cancellation check already and taken one more.
+	if total < 7001 || total > 7001+3 {
+		t.Errorf("claimed %d units, want 7001 to 7004", total)
+	}
+	if _, ok := feed.next(); ok {
+		t.Error("a cancelled feed handed out a unit")
 	}
 }

@@ -23,6 +23,7 @@ type Linear struct {
 	xtx   [][]float64 // (d+1) x (d+1)
 	xty   []float64
 	w     []float64
+	aug   [][]float64 // (d+1) x (d+2) elimination scratch, rewritten by every fit
 	n     int
 	dirty bool
 }
@@ -36,6 +37,10 @@ func NewLinear(d int, lambda float64) *Linear {
 	}
 	l.xty = make([]float64, d+1)
 	l.w = make([]float64, d+1)
+	l.aug = make([][]float64, d+1)
+	for i := range l.aug {
+		l.aug[i] = make([]float64, d+2)
+	}
 	return l
 }
 
@@ -43,12 +48,19 @@ func NewLinear(d int, lambda float64) *Linear {
 func (l *Linear) Observe(x []float64, y float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	xb := append([]float64{1}, x...)
-	for i := range xb {
-		for j := range xb {
-			l.xtx[i][j] += xb[i] * xb[j]
+	// The design vector is (1, x...): at reads it without building it.
+	at := func(i int) float64 {
+		if i == 0 {
+			return 1
 		}
-		l.xty[i] += xb[i] * y
+		return x[i-1]
+	}
+	for i := 0; i <= len(x); i++ {
+		xi := at(i)
+		for j := 0; j <= len(x); j++ {
+			l.xtx[i][j] += xi * at(j)
+		}
+		l.xty[i] += xi * y
 	}
 	l.n++
 	l.dirty = true
@@ -74,9 +86,8 @@ func (l *Linear) fitLocked() error {
 		return nil
 	}
 	d := l.d + 1
-	a := make([][]float64, d)
+	a := l.aug // pivoting swaps its rows; each fit rewrites every cell
 	for i := range a {
-		a[i] = make([]float64, d+1)
 		copy(a[i], l.xtx[i])
 		a[i][i] += l.ridge
 		a[i][d] = l.xty[i]
@@ -112,14 +123,12 @@ func (l *Linear) fitLocked() error {
 // Predict evaluates the model at x, refitting if new observations arrived.
 func (l *Linear) Predict(x []float64) float64 {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	_ = l.fitLocked()
-	w := append([]float64(nil), l.w...)
-	l.mu.Unlock()
-
-	y := w[0]
+	y := l.w[0]
 	for i, xi := range x {
-		if i+1 < len(w) {
-			y += w[i+1] * xi
+		if i+1 < len(l.w) {
+			y += l.w[i+1] * xi
 		}
 	}
 	return y

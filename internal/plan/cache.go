@@ -7,11 +7,12 @@
 package plan
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"proteus/internal/metadata"
 )
 
 // Epoch is a monotonically increasing storage-layout version. Every layout
@@ -109,18 +110,38 @@ func Bucket(v float64) int {
 }
 
 // Key builds a decision-cache key from a decision kind, discrete tags and
-// bucketed magnitudes.
+// bucketed magnitudes: "kind|tag|...|bucket|...".
 func Key(kind string, tags []string, magnitudes []float64) string {
-	var sb strings.Builder
-	sb.WriteString(kind)
+	key := append(make([]byte, 0, 64), kind...)
 	for _, t := range tags {
-		sb.WriteByte('|')
-		sb.WriteString(t)
+		key = append(key, '|')
+		key = append(key, t...)
 	}
+	return string(appendBuckets(key, magnitudes...))
+}
+
+// appendBuckets appends Key's "|bucket" suffix for each magnitude.
+func appendBuckets(key []byte, magnitudes ...float64) []byte {
 	for _, m := range magnitudes {
-		fmt.Fprintf(&sb, "|%d", Bucket(m))
+		key = append(key, '|')
+		key = strconv.AppendInt(key, int64(Bucket(m)), 10)
 	}
-	return sb.String()
+	return key
+}
+
+// appendCopiesKey starts a Key whose tags are the candidate copies, each
+// rendered "site@layout" — the same bytes Key would produce from formatted
+// tags, built without allocating: copy choices are keyed once per point
+// read and per scanned partition.
+func appendCopiesKey(key []byte, kind string, copies []metadata.Replica) []byte {
+	key = append(key, kind...)
+	for _, c := range copies {
+		key = append(key, '|')
+		key = strconv.AppendInt(key, int64(c.Site), 10)
+		key = append(key, '@')
+		key = c.Layout.AppendTo(key)
+	}
+	return key
 }
 
 // Lookup returns the cached decision.
@@ -128,12 +149,25 @@ func (c *DecisionCache) Lookup(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, ok := c.decisions[key]
-	if ok {
+	return d, c.count(ok)
+}
+
+// lookupBytes is Lookup for a key still in its builder's buffer; indexing
+// with the conversion in place does not copy the bytes.
+func (c *DecisionCache) lookupBytes(key []byte) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d, ok := c.decisions[string(key)]
+	return d, c.count(ok)
+}
+
+func (c *DecisionCache) count(hit bool) bool {
+	if hit {
 		c.hits++
 	} else {
 		c.miss++
 	}
-	return d, ok
+	return hit
 }
 
 // Store records a decision.

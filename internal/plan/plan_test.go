@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -330,6 +331,65 @@ func TestDecisionCacheBuckets(t *testing.T) {
 	h, m := c.Stats()
 	if h != 1 || m != 2 {
 		t.Errorf("stats = %d/%d", h, m)
+	}
+}
+
+// TestCopyKeysMatchFormattedKeysWithoutAllocating pins the copy-choice keys
+// to the bytes the fmt-built keys had ("%d@%s" tags through Key), so cache
+// contents are what they were, and requires that building one and looking
+// it up allocates nothing.
+func TestCopyKeysMatchFormattedKeysWithoutAllocating(t *testing.T) {
+	copies := []metadata.Replica{
+		{Site: 0, Layout: storage.DefaultRowLayout()},
+		{Site: 12, Layout: storage.Layout{Format: storage.ColumnFormat, Tier: storage.DiskTier, SortBy: 3, Compressed: true}},
+		{Site: 1, Layout: storage.DefaultColumnLayout()},
+	}
+	var tags []string
+	for _, c := range copies {
+		tags = append(tags, fmt.Sprintf("%d@%s", c.Site, c.Layout))
+	}
+	want := Key("copy", tags, []float64{5000, 3})
+	if want != "copy|0@row/memory|12@column/disk/sorted(3)/rle|1@column/memory|12|2" {
+		t.Fatalf("formatted key = %q", want)
+	}
+	var buf [128]byte
+	if got := string(appendBuckets(appendCopiesKey(buf[:0], "copy", copies), 5000, 3)); got != want {
+		t.Errorf("appended key = %q, want %q", got, want)
+	}
+
+	c := NewDecisionCache()
+	c.Store(want, copies[1])
+	allocs := testing.AllocsPerRun(100, func() {
+		var buf [128]byte
+		key := appendBuckets(appendCopiesKey(buf[:0], "copy", copies), 5000, 3)
+		if _, ok := c.lookupBytes(key); !ok {
+			t.Fatal("cached decision not found")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("key build + lookup allocates %v times, want 0", allocs)
+	}
+}
+
+// TestChoosePointCopyCachedLookupAllocs: a point read's copy choice that
+// hits the decision cache allocates only the copy list it ranges over, and
+// counts as a hit.
+func TestChoosePointCopyCachedLookupAllocs(t *testing.T) {
+	pl, dir := testPlanner()
+	m := register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
+	m.AddReplica(metadata.Replica{Site: 1, Layout: storage.DefaultColumnLayout()})
+	first := pl.choosePointCopy(m, 2)
+	h0, m0 := pl.Decisions.Stats()
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := pl.choosePointCopy(m, 2); got != first {
+			t.Fatalf("cached choice %v, first %v", got, first)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("cached choosePointCopy allocates %v times, want <= 1 (the copy list)", allocs)
+	}
+	if h1, m1 := pl.Decisions.Stats(); h1 <= h0 || m1 != m0 {
+		t.Errorf("hits %d -> %d, misses %d -> %d: lookups did not hit", h0, h1, m0, m1)
 	}
 }
 

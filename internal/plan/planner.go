@@ -260,12 +260,9 @@ func (pl *Planner) chooseCopy(m *metadata.PartitionMeta, cols []schema.ColID, pr
 	if m.ZoneMap != nil {
 		rows = m.ZoneMap.Rows()
 	}
-	tags := make([]string, 0, len(copies)+1)
-	for _, c := range copies {
-		tags = append(tags, fmt.Sprintf("%d@%s", c.Site, c.Layout))
-	}
-	key := Key("copy", tags, []float64{float64(rows), float64(len(cols))})
-	if d, ok := pl.Decisions.Lookup(key); ok {
+	var buf [128]byte
+	key := appendBuckets(appendCopiesKey(buf[:0], "copy", copies), float64(rows), float64(len(cols)))
+	if d, ok := pl.Decisions.lookupBytes(key); ok {
 		if r, ok := d.(metadata.Replica); ok && m.HasCopyAt(r.Site) {
 			return r
 		}
@@ -304,7 +301,7 @@ func (pl *Planner) chooseCopy(m *metadata.PartitionMeta, cols []schema.ColID, pr
 			bestCost, best = total, c
 		}
 	}
-	pl.Decisions.Store(key, best)
+	pl.Decisions.Store(string(key), best)
 	return best
 }
 

@@ -90,12 +90,9 @@ func (pl *Planner) choosePointCopy(m *metadata.PartitionMeta, ncols int) metadat
 	if len(copies) == 1 {
 		return copies[0]
 	}
-	tags := make([]string, 0, len(copies))
-	for _, c := range copies {
-		tags = append(tags, fmt.Sprintf("%d@%s", c.Site, c.Layout))
-	}
-	key := Key("pointcopy", tags, []float64{float64(ncols)})
-	if d, ok := pl.Decisions.Lookup(key); ok {
+	var buf [128]byte
+	key := appendBuckets(appendCopiesKey(buf[:0], "pointcopy", copies), float64(ncols))
+	if d, ok := pl.Decisions.lookupBytes(key); ok {
 		if r, ok := d.(metadata.Replica); ok && m.HasCopyAt(r.Site) {
 			return r
 		}
@@ -123,7 +120,7 @@ func (pl *Planner) choosePointCopy(m *metadata.PartitionMeta, ncols int) metadat
 			bestCost, best = total, c
 		}
 	}
-	pl.Decisions.Store(key, best)
+	pl.Decisions.Store(string(key), best)
 	return best
 }
 

@@ -48,17 +48,6 @@ type Record struct {
 	Deps map[partition.ID]uint64
 }
 
-// Checkpoint is a durable snapshot of one partition's full state held by
-// the broker alongside the log — the stand-in for the paper's snapshot
-// store that bounds recovery replay (§4.3). Offset is the log position the
-// snapshot covers: recovery loads Rows at Version and replays from Offset.
-// Rows is shared, not copied; treat it as read-only.
-type Checkpoint struct {
-	Rows    []schema.Row
-	Version uint64
-	Offset  int64
-}
-
 // Broker is an in-process log broker: one topic per partition.
 // All methods are safe for concurrent use.
 type Broker struct {
@@ -71,17 +60,30 @@ type Broker struct {
 	obsPolled    *obs.Counter
 	obsTruncated *obs.Counter
 	obsCkpts     *obs.Counter
-	obsBacklog   *obs.Gauge // retained records across all topics
+	obsFolded    *obs.Counter // records folded into checkpoint images
+	obsRejected  *obs.Counter // folded records an image could not accept
+	obsBacklog   *obs.Gauge   // retained records across all topics
+	obsImageRows *obs.Gauge   // rows held by checkpoint images across all topics
 }
 
-// topic is one partition's log. base is the offset of records[0]: offsets
-// are stable across truncation, as with a real log broker's log-start
-// offset.
+// topic is one partition's log and its checkpoint. base is the offset of
+// records[0]: offsets are stable across truncation, as with a real log
+// broker's log-start offset.
+//
+// The log and the checkpoint image have a lock each, so that refreshing the
+// image never stalls a commit: mu guards base and records and is all that
+// Append, AppendBatch, Poll and Truncate take; ckMu guards ckpt, the rows
+// it points at and dead. A fold holds ckMu throughout and takes mu (read)
+// only to copy the tail's record headers out — ckMu before mu, never the
+// reverse.
 type topic struct {
 	mu      sync.RWMutex
 	base    int64
 	records []Record
-	ckpt    *Checkpoint
+
+	ckMu sync.Mutex
+	ckpt *Checkpoint // nil until saved or first folded; Rows ordered by ID
+	dead bool        // topic deleted: a fold still holding it must not revive the image
 }
 
 // NewBroker creates an empty broker.
@@ -90,15 +92,22 @@ func NewBroker() *Broker {
 }
 
 // SetObs installs broker instruments: redolog.appends, redolog.polls,
-// redolog.polled_records, redolog.truncated_records and the
-// redolog.backlog gauge (retained records across topics).
+// redolog.polled_records, redolog.truncated_records, the redolog.backlog
+// gauge (retained records across topics) and the checkpoint instruments —
+// redolog.checkpoints (images installed or advanced),
+// redolog.checkpoint_folded_records, redolog.checkpoint_fold_rejected
+// (records an image could not accept; stays 0 unless log and image
+// diverged) and the redolog.checkpoint_image_rows gauge.
 func (b *Broker) SetObs(reg *obs.Registry) {
 	b.obsAppends = reg.Counter("redolog.appends")
 	b.obsPolls = reg.Counter("redolog.polls")
 	b.obsPolled = reg.Counter("redolog.polled_records")
 	b.obsTruncated = reg.Counter("redolog.truncated_records")
 	b.obsCkpts = reg.Counter("redolog.checkpoints")
+	b.obsFolded = reg.Counter("redolog.checkpoint_folded_records")
+	b.obsRejected = reg.Counter("redolog.checkpoint_fold_rejected")
 	b.obsBacklog = reg.Gauge("redolog.backlog")
+	b.obsImageRows = reg.Gauge("redolog.checkpoint_image_rows")
 }
 
 // CreateTopic ensures a log exists for the partition.
@@ -110,13 +119,21 @@ func (b *Broker) CreateTopic(pid partition.ID) {
 	}
 }
 
-// DeleteTopic removes a partition's log (after the partition is dropped).
+// DeleteTopic removes a partition's log and checkpoint (after the
+// partition is dropped).
 func (b *Broker) DeleteTopic(pid partition.ID) {
 	b.mu.Lock()
 	t := b.topics[pid]
 	delete(b.topics, pid)
 	b.mu.Unlock()
-	if t != nil && b.obsBacklog != nil {
+	if t == nil {
+		return
+	}
+	t.ckMu.Lock()
+	t.setCheckpoint(b, nil)
+	t.dead = true
+	t.ckMu.Unlock()
+	if b.obsBacklog != nil {
 		t.mu.RLock()
 		b.obsBacklog.Add(-int64(len(t.records)))
 		t.mu.RUnlock()
@@ -134,10 +151,17 @@ func (b *Broker) Topics() []partition.ID {
 	return out
 }
 
-func (b *Broker) topic(pid partition.ID) *topic {
+// lookup returns the partition's topic, or nil when it has none.
+func (b *Broker) lookup(pid partition.ID) *topic {
 	b.mu.RLock()
 	t := b.topics[pid]
 	b.mu.RUnlock()
+	return t
+}
+
+// topic returns the partition's topic, creating it on first use.
+func (b *Broker) topic(pid partition.ID) *topic {
+	t := b.lookup(pid)
 	if t != nil {
 		return t
 	}
@@ -262,11 +286,15 @@ func (b *Broker) Truncate(pid partition.ID, before int64) int64 {
 		t.mu.Unlock()
 		return 0
 	}
-	// Copy the tail into a fresh slice so the reclaimed records' backing
-	// array becomes collectable.
-	rest := make([]Record, len(t.records)-int(drop))
-	copy(rest, t.records[drop:])
-	t.records = rest
+	// Reslice: the retained tail stays where it is. The dropped slots are
+	// zeroed so the backing array no longer reaches the reclaimed records'
+	// entries, and the array itself is replaced only once it is mostly
+	// slack (otherwise the next growing append replaces it anyway).
+	clear(t.records[:drop])
+	t.records = t.records[drop:]
+	if cap(t.records) > 2*len(t.records) {
+		t.records = append(make([]Record, 0, len(t.records)), t.records...)
+	}
 	t.base = before
 	t.mu.Unlock()
 	if b.obsTruncated != nil {
@@ -274,43 +302,6 @@ func (b *Broker) Truncate(pid partition.ID, before int64) int64 {
 		b.obsBacklog.Add(-drop)
 	}
 	return drop
-}
-
-// SaveCheckpoint installs a partition snapshot, replacing any prior one.
-// Callers must capture Rows/Version/Offset atomically with respect to
-// commits (the engine holds the partition's exclusive lock).
-func (b *Broker) SaveCheckpoint(pid partition.ID, ck Checkpoint) {
-	t := b.topic(pid)
-	t.mu.Lock()
-	t.ckpt = &ck
-	t.mu.Unlock()
-	if b.obsCkpts != nil {
-		b.obsCkpts.Inc()
-	}
-}
-
-// Checkpoint returns the latest snapshot for the partition, if any.
-func (b *Broker) Checkpoint(pid partition.ID) (Checkpoint, bool) {
-	t := b.topic(pid)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.ckpt == nil {
-		return Checkpoint{}, false
-	}
-	return *t.ckpt, true
-}
-
-// CheckpointOffset reports the offset covered by the latest snapshot
-// (0 when none exists). Truncation must never pass beyond it on topics
-// without one, or recovery would lose the records' effects.
-func (b *Broker) CheckpointOffset(pid partition.ID) int64 {
-	t := b.topic(pid)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.ckpt == nil {
-		return 0
-	}
-	return t.ckpt.Offset
 }
 
 // ReplayInto applies every retained record from offset `from` whose

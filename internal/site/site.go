@@ -33,17 +33,26 @@ type pool struct {
 	wg     sync.WaitGroup
 	busy   atomic.Int64
 	size   int
+	ownCPU atomic.Bool
 }
 
-func newPool(n int) *pool {
+// newPool starts n workers. While ownCPU is set, every task runs on a CPU no
+// other such task holds (runOnOwnCPU), so the pool's parallelism does not
+// hang on where the kernel last left a thread.
+func newPool(n int, ownCPU bool) *pool {
 	p := &pool{tasks: make(chan func(), 4*n), size: n}
+	p.ownCPU.Store(ownCPU)
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
 			defer p.wg.Done()
 			for f := range p.tasks {
 				p.busy.Add(1)
-				f()
+				if p.ownCPU.Load() {
+					runOnOwnCPU(f)
+				} else {
+					f()
+				}
 				p.busy.Add(-1)
 			}
 		}()
@@ -158,9 +167,9 @@ func New(id simnet.SiteID, cfg Config, broker *redolog.Broker, net *simnet.Netwo
 		Locks:   txn.NewLockManager(),
 		Dev:     dev,
 		cfg:     cfg,
-		oltp:    newPool(cfg.OLTPWorkers),
-		olap:    newPool(cfg.OLAPWorkers),
-		scan:    newPool(cfg.ScanWorkers),
+		oltp:    newPool(cfg.OLTPWorkers, false),
+		olap:    newPool(cfg.OLAPWorkers, false),
+		scan:    newPool(cfg.ScanWorkers, true),
 		parts:   make(map[partition.ID]*partition.Partition),
 		masters: make(map[partition.ID]bool),
 	}
@@ -177,10 +186,15 @@ func New(id simnet.SiteID, cfg Config, broker *redolog.Broker, net *simnet.Netwo
 
 // SetClock installs the clock this site's simulated disk charges and
 // replication waits run on. Install before traffic starts (cluster.New
-// does); nil restores the wall clock.
+// does); nil restores the wall clock. Scan tasks get a CPU each on the wall
+// clock only: virtual time has no parallelism to protect, and the simulator
+// waits out every thread hand-off before it can advance (the diurnal
+// scenario's wall time doubled with binding on).
 func (s *Site) SetClock(c vclock.Clock) {
 	s.Dev.SetClock(c)
 	s.Repl.Clk = c
+	_, wall := c.(vclock.Wall)
+	s.scan.ownCPU.Store(c == nil || wall)
 }
 
 // SetObs installs this site's maintenance instruments: siteN.maintain.rows

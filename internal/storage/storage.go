@@ -6,7 +6,7 @@
 package storage
 
 import (
-	"fmt"
+	"strconv"
 
 	"proteus/internal/schema"
 	"proteus/internal/types"
@@ -62,15 +62,23 @@ type Layout struct {
 }
 
 // String renders the layout, e.g. "column/memory/sorted(1)/rle".
-func (l Layout) String() string {
-	s := l.Format.String() + "/" + l.Tier.String()
+func (l Layout) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the String rendering to dst, for callers that build a
+// key in a buffer of their own.
+func (l Layout) AppendTo(dst []byte) []byte {
+	dst = append(dst, l.Format.String()...)
+	dst = append(dst, '/')
+	dst = append(dst, l.Tier.String()...)
 	if l.SortBy != NoSort {
-		s += fmt.Sprintf("/sorted(%d)", l.SortBy)
+		dst = append(dst, "/sorted("...)
+		dst = strconv.AppendInt(dst, int64(l.SortBy), 10)
+		dst = append(dst, ')')
 	}
 	if l.Compressed {
-		s += "/rle"
+		dst = append(dst, "/rle"...)
 	}
-	return s
+	return dst
 }
 
 // DefaultRowLayout is the OLTP-friendly layout: rows in memory.

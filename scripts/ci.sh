@@ -22,14 +22,17 @@ echo "== bench module (gating)"
 go vet -C bench .
 go test -C bench .
 
-echo "== join shapes against plain-loop oracles (gating)"
-# Two seconds' worth of each join-bearing workload, numbers discarded: the
-# benchmark exits non-zero on any operation that fails or whose answer
-# differs from its oracle, so every CH join shape — pipelined probes,
-# partial aggregates, the open-loop mix beside transactions — is checked
-# against plain loops over the tables' rows on each CI run.
+echo "== benchmark workloads against their oracles (gating)"
+# Two seconds' worth of each workload that joins or writes, numbers
+# discarded: the benchmark exits non-zero on any operation that fails or
+# whose answer differs from its oracle, so every CH join shape — pipelined
+# probes, partial aggregates, the open-loop mix beside transactions — is
+# checked against plain loops over the tables' rows on each CI run, and
+# oltp-rmw reads back every cell it wrote and drains its replicas while the
+# maintenance tick folds checkpoints and truncates the log underneath.
 go run -C bench . --workload olap-join --seconds 2 >/dev/null
 go run -C bench . --workload htap-mixed --seconds 2 >/dev/null
+go run -C bench . --workload oltp-rmw --seconds 2 >/dev/null
 
 echo "== colstore encoding fuzz corpus (seeds only, -count=1)"
 # Replays the checked-in round-trip corpus (testdata/fuzz/FuzzColRoundTrip)
