@@ -113,18 +113,16 @@ func BenchmarkFig3cScanRow100(b *testing.B) { benchScan(b, storage.DefaultRowLay
 // BenchmarkFig3cScanColumn100 measures Fig 3c (column, full scan).
 func BenchmarkFig3cScanColumn100(b *testing.B) { benchScan(b, storage.DefaultColumnLayout(), 1) }
 
-// --- Morsel executor vs legacy scan path -----------------------------------
+// --- Morsel executor scans ----------------------------------------------------
 
-// morselBenchEngine loads one multi-partition analytical table; disable
-// forces the legacy per-segment executor for A/B comparison.
-func morselBenchEngine(b *testing.B, disable bool) (*cluster.Engine, *schema.Table) {
+// morselBenchEngine loads one multi-partition analytical table.
+func morselBenchEngine(b *testing.B) (*cluster.Engine, *schema.Table) {
 	b.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.Mode = cluster.ModeColumnStore
 	cfg.NumSites = 2
 	cfg.Net = simnet.Config{}
 	cfg.ReplicationInterval = 50 * time.Millisecond
-	cfg.DisableMorselExec = disable
 	e := cluster.New(cfg)
 	b.Cleanup(e.Close)
 	const rows = 20000
@@ -152,8 +150,8 @@ func morselBenchEngine(b *testing.B, disable bool) (*cluster.Engine, *schema.Tab
 	return e, tbl
 }
 
-func benchScanQuery(b *testing.B, disable bool, mk func(*schema.Table) *query.Query) {
-	e, tbl := morselBenchEngine(b, disable)
+func benchScanQuery(b *testing.B, mk func(*schema.Table) *query.Query) {
+	e, tbl := morselBenchEngine(b)
 	sess := e.NewSession()
 	q := mk(tbl)
 	if _, err := e.ExecuteQuery(context.Background(), sess, q); err != nil {
@@ -186,24 +184,15 @@ func filterQuery(tbl *schema.Table) *query.Query {
 
 // BenchmarkScanSumMorsel measures a full-table SUM on the morsel executor
 // (partial aggregation inside the scan workers, no tuple materialization).
-func BenchmarkScanSumMorsel(b *testing.B) { benchScanQuery(b, false, sumQuery) }
-
-// BenchmarkScanSumLegacy is the same SUM on the legacy per-segment path.
-func BenchmarkScanSumLegacy(b *testing.B) { benchScanQuery(b, true, sumQuery) }
+func BenchmarkScanSumMorsel(b *testing.B) { benchScanQuery(b, sumQuery) }
 
 // BenchmarkScanLimitMorsel measures LIMIT early termination: the feed
 // closes once enough rows arrive, so most morsels are never scheduled.
-func BenchmarkScanLimitMorsel(b *testing.B) { benchScanQuery(b, false, limitQuery) }
-
-// BenchmarkScanLimitLegacy scans everything and truncates at the end.
-func BenchmarkScanLimitLegacy(b *testing.B) { benchScanQuery(b, true, limitQuery) }
+func BenchmarkScanLimitMorsel(b *testing.B) { benchScanQuery(b, limitQuery) }
 
 // BenchmarkScanFilterMorsel measures a 10%-selective row stream in bounded
 // batches.
-func BenchmarkScanFilterMorsel(b *testing.B) { benchScanQuery(b, false, filterQuery) }
-
-// BenchmarkScanFilterLegacy materializes each segment whole.
-func BenchmarkScanFilterLegacy(b *testing.B) { benchScanQuery(b, true, filterQuery) }
+func BenchmarkScanFilterMorsel(b *testing.B) { benchScanQuery(b, filterQuery) }
 
 // --- Engine fixtures ------------------------------------------------------
 

@@ -1,18 +1,17 @@
-// Batch-native join execution (§4.3): joins whose inputs are plain scans
-// (or nested joins of scans) bypass the row-at-a-time evalJoin path
-// entirely. Each join's smaller input — by planner estimate — is the build
-// side: it is evaluated to the coordinator and hashed into one immutable
-// exec.JoinTable. The other side is never materialized when it bottoms out
-// in a morsel-eligible scan: the tables of the whole left-deep chain are
-// shipped once to every site holding probe morsels, their min-max bounds
-// are pushed into the scan predicate (zone maps prune morsels before
-// scheduling), and the scan workers probe each batch through the chain
-// (exec.Prober) before handing it to the query's sink — per-site partial
-// aggregates for an aggregation parent, column chunks or row batches for a
-// bare join. What still materializes both sides at the coordinator
-// (materializeJoin → exec.BatchHashJoin, same table) is what the pipeline
-// cannot serve: a build side over the spill budget, which grace-partitions
-// through the spill device, and a probe scan the morsel executor cannot run.
+// Batch-native join execution (§4.3), the one way every join runs. Each
+// join's smaller input — by estimate — is the build side: it is evaluated
+// to the coordinator and hashed into one immutable exec.JoinTable. The
+// other side is never materialized when it bottoms out in a scan: the
+// tables of the whole left-deep chain are shipped once to every site
+// holding probe morsels, their min-max bounds are pushed into the scan
+// predicate (zone maps prune morsels before scheduling), and the scan
+// workers probe each batch through the chain (exec.Prober) before handing
+// it to the query's sink — per-site partial aggregates for an aggregation
+// parent, column chunks or row batches for a bare join. What still
+// materializes both sides at the coordinator (materializeJoin →
+// exec.BatchHashJoin, same table) is what the pipeline cannot serve: a
+// build side over the spill budget, which grace-partitions through the
+// spill device, and a probe side that is not a scan (an aggregate).
 package cluster
 
 import (
@@ -46,61 +45,42 @@ func (e *Engine) joinSpill() *exec.JoinSpill {
 	return &exec.JoinSpill{Device: e.spill, Budget: budget}
 }
 
-// batchJoinOK reports whether a join subtree runs on the batch engine:
-// equi-join trees whose leaves are plain scans. Both planner strategies
-// qualify — a colocated join's site-local row loops are still slower than
-// scanning both sides columnar and joining typed keys at the coordinator,
-// and the runtime filter usually ships fewer probe bytes than the
-// colocated plan's full left side ships partial results. The legacy
-// strategy split remains reachable via DisableBatchJoin.
-func (e *Engine) batchJoinOK(pj *plan.PJoin) bool {
-	if e.cfg.DisableBatchJoin {
-		return false
-	}
-	return batchJoinShape(pj)
-}
-
-func batchJoinShape(n plan.PNode) bool {
-	switch v := n.(type) {
-	case *plan.PScan:
-		return true
-	case *plan.PJoin:
-		return batchJoinShape(v.Left) && batchJoinShape(v.Right)
-	}
-	return false
-}
-
+// nodeEstRows is a subtree's estimated output rows. A grouped aggregate
+// yields at most its input's rows, an ungrouped one a single row.
 func nodeEstRows(n plan.PNode) int {
 	switch v := n.(type) {
 	case *plan.PScan:
 		return v.EstRows
 	case *plan.PJoin:
 		return v.EstRows
+	case *plan.PAgg:
+		if len(v.GroupBy) == 0 {
+			return 1
+		}
+		return nodeEstRows(v.Child)
 	}
 	return 0
 }
 
-// nodeColLabels mirrors the output labels evalNode would produce for a
-// batch-join-eligible subtree.
+// nodeColLabels mirrors the output labels evalNode produces for a subtree.
 func nodeColLabels(n plan.PNode) []string {
 	switch v := n.(type) {
 	case *plan.PScan:
 		return colNames(v.Cols)
 	case *plan.PJoin:
-		return append(append([]string{}, nodeColLabels(v.Left)...), nodeColLabels(v.Right)...)
+		return append(nodeColLabels(v.Left), nodeColLabels(v.Right)...)
+	case *plan.PAgg:
+		child := nodeColLabels(v.Child)
+		out := make([]string, 0, len(v.GroupBy)+len(v.Aggs))
+		for _, g := range v.GroupBy {
+			out = append(out, child[g])
+		}
+		for _, a := range v.Aggs {
+			out = append(out, a.Func.String())
+		}
+		return out
 	}
 	return nil
-}
-
-// nodeColWidth is the output column count of a batch-join-eligible subtree.
-func nodeColWidth(n plan.PNode) int {
-	switch v := n.(type) {
-	case *plan.PScan:
-		return len(v.Cols)
-	case *plan.PJoin:
-		return nodeColWidth(v.Left) + nodeColWidth(v.Right)
-	}
-	return 0
 }
 
 // addPos inserts p into a sorted unique position list.
@@ -138,12 +118,13 @@ type chainBuild struct {
 	probe exec.ColRef // where the probe key comes from
 }
 
-// flattenJoin resolves a batch-join-eligible subtree into ch and returns
-// the source of each of its output columns. Every join builds on the side
-// the planner estimates smaller and probes with the other, so the probe
-// side descends through joins to exactly one scan; build sides may be
-// subtrees of any shape. flip reverses the choice for the innermost join —
-// the one probed by the scan itself — when its build side is a scan too.
+// flattenJoin resolves a join subtree into ch and returns the source of
+// each of its output columns. Every join builds on the side estimated
+// smaller and probes with the other, so the probe side descends through
+// joins to one leaf; build sides may be subtrees of any shape. When that
+// leaf is not a scan, ch.scan stays nil and flattenJoin returns nil. flip
+// reverses the choice for the innermost join — the one probed by the scan
+// itself — when its build side is a scan too.
 func flattenJoin(n plan.PNode, ch *probeChain, flip bool) []exec.ColRef {
 	switch v := n.(type) {
 	case *plan.PScan:
@@ -165,9 +146,12 @@ func flattenJoin(n plan.PNode, ch *probeChain, flip bool) []exec.ColRef {
 			probe, build, pKey, bKey = v.Right, v.Left, v.RightKey, v.LeftKey
 		}
 		prefs := flattenJoin(probe, ch, flip)
+		if prefs == nil {
+			return nil
+		}
 		k := len(ch.builds)
 		ch.builds = append(ch.builds, chainBuild{node: build, key: bKey, probe: prefs[pKey]})
-		brefs := make([]exec.ColRef, nodeColWidth(build))
+		brefs := make([]exec.ColRef, plan.OutputWidth(build))
 		for i := range brefs {
 			brefs[i] = exec.ColRef{Stage: k, Col: i}
 		}
@@ -191,10 +175,6 @@ func projectScan(ps *plan.PScan, need []int) *plan.PScan {
 	clone.Cols = make([]schema.ColID, len(need))
 	for i, p := range need {
 		clone.Cols[i] = ps.Cols[p]
-	}
-	clone.SortedBy = -1
-	if ps.SortedBy >= 0 {
-		clone.SortedBy = posIndex(need, ps.SortedBy)
 	}
 	return &clone
 }
@@ -224,7 +204,8 @@ func scanRows(ps *plan.PScan) int {
 // the probe pipeline installed — ready for whichever sink the caller runs.
 // need lists the output positions the sink reads (sorted ascending; nil
 // means all): each input is narrowed to those plus its join keys. A nil job
-// with a nil error means the pipeline cannot apply and the caller
+// with a nil error means the pipeline cannot apply — the probe side is not
+// a scan, or a build side is over the spill budget — and the caller
 // materializes instead.
 //
 // Which side builds follows the planner's estimates, and an estimate can
@@ -248,6 +229,9 @@ func (e *Engine) joinJob(ctx context.Context, pj *plan.PJoin, need []int, snap t
 func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap txn.VersionVector, coord simnet.SiteID, flip bool) (*morselJob, error) {
 	var ch probeChain
 	refs := flattenJoin(pj, &ch, flip)
+	if ch.scan == nil {
+		return nil, nil
+	}
 	labels := projectLabels(nodeColLabels(pj), need)
 	out := make([]exec.ColRef, len(labels))
 	for i := range out {
@@ -284,9 +268,6 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 		return r
 	}
 	scan := projectScan(ch.scan, scanNeed)
-	if !e.morselEligible(scan) {
-		return nil, nil
-	}
 
 	spill := e.joinSpill()
 	filter := !e.cfg.DisableRuntimeFilter
@@ -416,7 +397,7 @@ func (e *Engine) evalBatchJoinRows(ctx context.Context, pj *plan.PJoin, snap txn
 func (e *Engine) materializeJoin(ctx context.Context, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID, need []int) (exec.ColRel, error) {
 	// Split the projection across the children; each side's join key must
 	// be present to join, even when the parent never reads it.
-	nL := nodeColWidth(pj.Left)
+	nL := plan.OutputWidth(pj.Left)
 	var needL, needR []int
 	lKey, rKey := pj.LeftKey, pj.RightKey
 	var projL, projR []int
@@ -512,37 +493,23 @@ func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.Versio
 	if rf != nil && rf.Empty() {
 		return exec.NewColRel(projectLabels(nodeColLabels(n), need)), nil
 	}
+	var c exec.ColRel
 	switch v := n.(type) {
 	case *plan.PScan:
-		scan := projectScan(v, need)
-		if e.morselEligible(scan) {
-			return e.morselGatherCols(ctx, scan, snap, coord, rf, rfKey, maxRows)
-		}
-		rel, err := e.evalScan(ctx, scan, snap, coord)
-		if err != nil {
-			return exec.ColRel{}, err
-		}
-		c := exec.ColRelFromRel(rel)
-		if rf != nil {
-			c = rf.FilterCols(&c, rfKey)
-		}
-		return c, nil
+		return e.morselGatherCols(ctx, projectScan(v, need), snap, coord, rf, rfKey, maxRows)
 	case *plan.PJoin:
-		c, err := e.evalBatchJoin(ctx, v, snap, coord, need)
+		var err error
+		if c, err = e.evalBatchJoin(ctx, v, snap, coord, need); err != nil {
+			return exec.ColRel{}, err
+		}
+	default:
+		rel, err := e.evalNode(ctx, n, snap, coord, 0)
 		if err != nil {
 			return exec.ColRel{}, err
 		}
-		if rf != nil {
-			c = rf.FilterCols(&c, rfKey)
-		}
-		return c, nil
+		c = exec.ColRelFromRel(rel)
+		c = projectCols(&c, need)
 	}
-	rel, err := e.evalNode(ctx, n, snap, coord)
-	if err != nil {
-		return exec.ColRel{}, err
-	}
-	c := exec.ColRelFromRel(rel)
-	c = projectCols(&c, need)
 	if rf != nil {
 		c = rf.FilterCols(&c, rfKey)
 	}
@@ -647,7 +614,7 @@ func (j *morselJob) runCols(out chan<- exec.ColRel) {
 				}
 			}
 			for u, ok := feed.next(); ok; u, ok = feed.next() {
-				u.scanUnitBatches(batchRows, func(b *storage.Batch) bool {
+				j.scanUnit(u, batchRows, func(b *storage.Batch) bool {
 					n := b.Len()
 					if n == 0 {
 						return j.ctx.Err() == nil
@@ -703,33 +670,24 @@ func (e *Engine) evalBatchJoinAgg(ctx context.Context, pa *plan.PAgg, pj *plan.P
 	for i, g := range pa.GroupBy {
 		groupBy[i] = posIndex(need, g)
 	}
-	specs := make([]exec.AggSpec, len(pa.Aggs))
-	for i, a := range pa.Aggs {
-		specs[i] = a
-		if a.Func != exec.AggCount {
-			specs[i].Col = posIndex(need, a.Col)
-		}
-	}
 	j, err := e.joinJob(ctx, pj, need, snap, coord)
 	if err != nil {
 		return exec.Rel{}, err
 	}
 	if j != nil {
 		defer j.cancel()
-		fin := *pa
-		fin.PartialAggs, fin.FinalAggs, fin.AvgPairs = plan.DecomposeAggs(groupBy, specs)
-		partials, err := j.runAgg(groupBy, fin.PartialAggs)
+		partials, err := j.runAgg(groupBy, specsOver(pa.PartialAggs, need))
 		if err != nil {
 			return exec.Rel{}, err
 		}
-		return e.finalizeAgg(&fin, partials, coord), nil
+		return e.finalizeAgg(pa, partials, coord), nil
 	}
 	c, err := e.materializeJoin(ctx, pj, snap, coord, need)
 	if err != nil {
 		return exec.Rel{}, err
 	}
 	start := e.clk.Now()
-	agg := exec.NewAggregator(groupBy, specs)
+	agg := exec.NewAggregator(groupBy, specsOver(pa.Aggs, need))
 	agg.ObserveCols(&c)
 	rel := agg.Rel(c.Cols)
 	e.siteOf(coord).Observe(cost.Observation{
@@ -739,4 +697,17 @@ func (e *Engine) evalBatchJoinAgg(ctx context.Context, pa *plan.PAgg, pj *plan.P
 		Latency:  e.clk.Since(start),
 	})
 	return rel, nil
+}
+
+// specsOver rewrites aggregate inputs as positions in the need projection
+// (sorted ascending).
+func specsOver(specs []exec.AggSpec, need []int) []exec.AggSpec {
+	out := make([]exec.AggSpec, len(specs))
+	for i, a := range specs {
+		out[i] = a
+		if a.Func != exec.AggCount {
+			out[i].Col = posIndex(need, a.Col)
+		}
+	}
+	return out
 }

@@ -1,10 +1,11 @@
 package cluster
 
-// Engine-level differential tests for the batch join path: the batch
-// engine must return exactly the rows the legacy row-join engine returns —
-// across every storage layout, under concurrent layout changes, with the
-// runtime filter on and off, and when the build side spills — while the
-// exec.join.* counters prove which path actually ran.
+// Engine-level differential tests for the batch join path: the engine must
+// return exactly the rows the reference evaluator (refEval) returns —
+// across every storage layout and a vertical split, under concurrent
+// layout changes, with the runtime filter on and off, and when the build
+// side spills — while the exec.join.* counters prove which path actually
+// ran.
 
 import (
 	"context"
@@ -20,19 +21,23 @@ import (
 
 // joinDiffLayouts mirrors the partition-level differential layout matrix:
 // row/column × memory/disk, sorted and RLE variants. SortBy is a local
-// column index within the fact partitions.
+// column index within the fact partitions. The last case also splits the
+// fact partitions vertically between the join key and the payload, with
+// the pieces on different sites, so every fact scan runs stitched.
 var joinDiffLayouts = []struct {
-	name string
-	l    storage.Layout
+	name  string
+	l     storage.Layout
+	split bool
 }{
-	{"row-mem", storage.Layout{Format: storage.RowFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort}},
-	{"row-disk", storage.Layout{Format: storage.RowFormat, Tier: storage.DiskTier, SortBy: storage.NoSort}},
-	{"col-mem", storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort}},
-	{"col-mem-sorted", storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 0}},
-	{"col-mem-rle", storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort, Compressed: true}},
-	{"col-mem-rle-sorted", storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 0, Compressed: true}},
-	{"col-disk-sorted", storage.Layout{Format: storage.ColumnFormat, Tier: storage.DiskTier, SortBy: 0}},
-	{"col-disk-rle", storage.Layout{Format: storage.ColumnFormat, Tier: storage.DiskTier, SortBy: storage.NoSort, Compressed: true}},
+	{name: "row-mem", l: storage.Layout{Format: storage.RowFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort}},
+	{name: "row-disk", l: storage.Layout{Format: storage.RowFormat, Tier: storage.DiskTier, SortBy: storage.NoSort}},
+	{name: "col-mem", l: storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort}},
+	{name: "col-mem-sorted", l: storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 0}},
+	{name: "col-mem-rle", l: storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort, Compressed: true}},
+	{name: "col-mem-rle-sorted", l: storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 0, Compressed: true}},
+	{name: "col-disk-sorted", l: storage.Layout{Format: storage.ColumnFormat, Tier: storage.DiskTier, SortBy: 0}},
+	{name: "col-disk-rle", l: storage.Layout{Format: storage.ColumnFormat, Tier: storage.DiskTier, SortBy: storage.NoSort, Compressed: true}},
+	{name: "vertical-split", l: storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort, Compressed: true}, split: true},
 }
 
 // createGroups creates and loads the groups dimension with ngroups rows —
@@ -54,16 +59,20 @@ func createGroups(t *testing.T, e *Engine, ngroups int64, place func(*TableSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := e.LoadRows(context.Background(), dim.ID, groupsRows(ngroups)); err != nil {
+		t.Fatal(err)
+	}
+	return dim
+}
+
+func groupsRows(ngroups int64) []schema.Row {
 	rows := make([]schema.Row, 0, ngroups)
 	for g := int64(0); g < ngroups; g++ {
 		rows = append(rows, schema.Row{ID: schema.RowID(g), Vals: []types.Value{
 			types.NewInt64(g), types.NewFloat64(float64(g) * 10), types.NewString([]string{"even", "odd"}[g%2]),
 		}})
 	}
-	if err := e.LoadRows(context.Background(), dim.ID, rows); err != nil {
-		t.Fatal(err)
-	}
-	return dim
+	return rows
 }
 
 // addGroupsTable creates the groups dimension replicated at every site.
@@ -109,31 +118,39 @@ func addBandsTable(t *testing.T, e *Engine, nbands int64) *schema.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := e.LoadRows(context.Background(), dim.ID, bandsRows(nbands)); err != nil {
+		t.Fatal(err)
+	}
+	return dim
+}
+
+func bandsRows(nbands int64) []schema.Row {
 	var rows []schema.Row
 	for i := int64(0); i < 2*nbands; i++ {
 		rows = append(rows, schema.Row{ID: schema.RowID(i), Vals: []types.Value{
 			types.NewInt64(i / 2), types.NewString([]string{"lo", "hi"}[i%2]),
 		}})
 	}
-	if err := e.LoadRows(context.Background(), dim.ID, rows); err != nil {
-		t.Fatal(err)
-	}
-	return dim
+	return rows
 }
 
 // joinShape is one query over fact(grp,val) ⋈ groups(gid,weight,tag)
-// [⋈ bands(bid,label)], named for the path it exercises.
+// [⋈ bands(bid,label)], named for the path it exercises. materialized marks
+// the shape the probe pipeline cannot serve.
 type joinShape struct {
-	name string
-	q    *query.Query
+	name         string
+	q            *query.Query
+	materialized bool
 }
 
-// joinShapes builds the shapes the pipelined join must answer like the row
-// engine: the bare join (row sink), aggregation parents that are grouped by
-// a build column (dense output), grouped by a probe column and ungrouped
+// joinShapes builds the shapes the join must answer like the reference
+// evaluator: the bare join (row sink), aggregation parents that are grouped
+// by a build column (dense output), grouped by a probe column and ungrouped
 // (scan-view output), with AVG (decomposed into per-site SUM and COUNT
-// partials), and a three-way left-deep chain — whose second join is keyed
-// on a column of the first one's build side — bare and aggregated.
+// partials), a three-way left-deep chain — whose second join is keyed on a
+// column of the first one's build side — bare and aggregated, a join whose
+// few filtered fact rows are the build side, and a join over an aggregate,
+// whose probe side is not a scan and so materializes.
 func joinShapes(fact, dim, bands *schema.Table) []joinShape {
 	bare := factDimJoin(fact, dim).Root // [grp, val, gid, weight, tag]
 	threeWay := &query.JoinNode{
@@ -146,19 +163,33 @@ func joinShapes(fact, dim, bands *schema.Table) []joinShape {
 		return &query.Query{Root: &query.AggNode{Child: child, GroupBy: groupBy, Aggs: aggs}}
 	}
 	return []joinShape{
-		{"bare", &query.Query{Root: bare}},
-		{"grouped-by-build-col", factDimJoinAgg(fact, dim)},
-		{"grouped-by-probe-col", agg(bare, []int{0},
+		{name: "bare", q: &query.Query{Root: bare}},
+		{name: "grouped-by-build-col", q: factDimJoinAgg(fact, dim)},
+		{name: "grouped-by-probe-col", q: agg(bare, []int{0},
 			exec.AggSpec{Func: exec.AggSum, Col: 1}, exec.AggSpec{Func: exec.AggCount})},
-		{"ungrouped", agg(bare, nil,
+		{name: "ungrouped", q: agg(bare, nil,
 			exec.AggSpec{Func: exec.AggSum, Col: 1}, exec.AggSpec{Func: exec.AggCount},
 			exec.AggSpec{Func: exec.AggMin, Col: 3}, exec.AggSpec{Func: exec.AggMax, Col: 1},
 			exec.AggSpec{Func: exec.AggAvg, Col: 1})},
-		{"count-only", agg(bare, nil, exec.AggSpec{Func: exec.AggCount})},
-		{"three-way", &query.Query{Root: threeWay}},
-		{"three-way-agg", agg(threeWay, []int{6},
+		{name: "count-only", q: agg(bare, nil, exec.AggSpec{Func: exec.AggCount})},
+		{name: "three-way", q: &query.Query{Root: threeWay}},
+		{name: "three-way-agg", q: agg(threeWay, []int{6},
 			exec.AggSpec{Func: exec.AggCount}, exec.AggSpec{Func: exec.AggSum, Col: 3},
 			exec.AggSpec{Func: exec.AggAvg, Col: 1})},
+		{name: "fact-builds", q: &query.Query{Root: &query.JoinNode{
+			Left: &query.ScanNode{Table: dim.ID, Cols: []schema.ColID{0, 2}},
+			Right: &query.ScanNode{Table: fact.ID, Cols: []schema.ColID{1, 2},
+				Pred: storage.Pred{{Col: 0, Op: storage.CmpLt, Val: types.NewInt64(5)}}},
+			LeftKeyCol:  0,
+			RightKeyCol: 0,
+		}}},
+		{name: "join-over-agg", materialized: true, q: &query.Query{Root: &query.JoinNode{
+			Left: agg(&query.ScanNode{Table: fact.ID, Cols: []schema.ColID{1, 2}}, []int{0},
+				exec.AggSpec{Func: exec.AggSum, Col: 1}, exec.AggSpec{Func: exec.AggCount}).Root,
+			Right:       &query.ScanNode{Table: dim.ID, Cols: []schema.ColID{0, 1, 2}},
+			LeftKeyCol:  0,
+			RightKeyCol: 0,
+		}}},
 	}
 }
 
@@ -187,35 +218,53 @@ func setFactLayouts(t *testing.T, e *Engine, fact *schema.Table, l storage.Layou
 	}
 }
 
-// TestBatchJoinMatchesRowEngineAcrossLayouts runs every join shape on two
-// identical engines — batch path on, batch path off — across the full
-// layout matrix, and requires identical answers. The counters double-check
-// routing: the batch engine bumps exec.join.count and probes inside the
-// scan workers (exec.join.pipelined), the legacy engine never does.
+// TestBatchJoinMatchesRowEngineAcrossLayouts runs every join shape across
+// the full layout matrix and requires the answers, materialized and
+// streamed, to equal the reference evaluator's (the row operators over the
+// generated rows). The counters double-check routing: every shape runs a
+// batch hash join (exec.join.count), probed inside the scan workers
+// (exec.join.pipelined) unless it is the shape that materializes; under the
+// vertical split every shape whose fact scan spans the cut scans stitched
+// units — on the probe side, and for "fact-builds" on the build side.
 func TestBatchJoinMatchesRowEngineAcrossLayouts(t *testing.T) {
-	batch, factB := newMorselEngine(t, ModeColumnStore, 2, 4, 240, nil)
-	row, factR := newMorselEngine(t, ModeColumnStore, 2, 4, 240, func(c *Config) {
-		c.DisableBatchJoin = true
-	})
-	shapesB := joinShapes(factB, addGroupsTable(t, batch, 10), addBandsTable(t, batch, 8))
-	shapesR := joinShapes(factR, addGroupsTable(t, row, 10), addBandsTable(t, row, 8))
+	const rows, ngroups, nbands = 240, 10, 8
+	e, fact := newMorselEngine(t, ModeColumnStore, 2, 4, rows, nil)
+	dim, bands := addGroupsTable(t, e, ngroups), addBandsTable(t, e, nbands)
+	shapes := joinShapes(fact, dim, bands)
+	tables := refTables{fact.ID: testRows(rows), dim.ID: groupsRows(ngroups), bands.ID: bandsRows(nbands)}
 
 	for _, lc := range joinDiffLayouts {
 		t.Run(lc.name, func(t *testing.T) {
-			setFactLayouts(t, batch, factB, lc.l)
-			setFactLayouts(t, row, factR, lc.l)
-			for i, shape := range shapesB {
+			setFactLayouts(t, e, fact, lc.l)
+			if lc.split {
+				splitVertically(t, e, fact, 2)
+			}
+			for _, shape := range shapes {
+				stitched := e.MetricsSnapshot().Counters["exec.morsels.stitched"]
 				before := exec.ReadJoinStats()
-				got := runSorted(t, batch, shape.q)
-				if d := exec.ReadJoinStats(); d.Joins == before.Joins || d.Pipelined == before.Pipelined {
-					t.Fatalf("%s: batch engine did not pipeline the join (%+v)", shape.name, d)
+				checkRef(t, e, shape.name, shape.q, tables)
+				d := exec.ReadJoinStats()
+				if d.Joins == before.Joins || (d.Pipelined == before.Pipelined) != shape.materialized {
+					t.Fatalf("%s: joins %d -> %d, pipelined %d -> %d; want a batch join, pipelined=%v",
+						shape.name, before.Joins, d.Joins, before.Pipelined, d.Pipelined, !shape.materialized)
 				}
-				before = exec.ReadJoinStats()
-				want := runSorted(t, row, shapesR[i].q)
-				if exec.ReadJoinStats().Joins != before.Joins {
-					t.Fatalf("%s: DisableBatchJoin engine took the batch join path", shape.name)
+				// Under the split, a fact scan that projects or filters on
+				// both pieces stitches them ("count-only" reads the key alone).
+				moved := e.MetricsSnapshot().Counters["exec.morsels.stitched"] - stitched
+				if (moved > 0) != (lc.split && shape.name != "count-only") {
+					t.Errorf("%s: %d stitched units; want some exactly when a fact scan spans the vertical split", shape.name, moved)
 				}
-				sameRels(t, shape.name, got, want)
+				if shape.name == "fact-builds" {
+					pn, err := e.Planner.PlanQuery(shape.q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var ch probeChain
+					flattenJoin(pn, &ch, false)
+					if ch.scan == nil || ch.scan.Table != dim.ID {
+						t.Errorf("fact-builds: the fact scan is not the build side")
+					}
+				}
 			}
 		})
 	}

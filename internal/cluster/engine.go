@@ -120,9 +120,6 @@ type Config struct {
 	// ScanBatchRows bounds one result batch flowing from scan workers to
 	// the coordinator. 0 means exec.DefaultBatchRows.
 	ScanBatchRows int
-	// DisableMorselExec forces analytical scans back onto the legacy
-	// one-goroutine-per-segment executor (A/B comparisons, debugging).
-	DisableMorselExec bool
 	// DisableGroupCommit reverts the write path to appending and
 	// installing each transaction's redo records inline under the
 	// partition locks (A/B comparisons, debugging).
@@ -141,9 +138,6 @@ type Config struct {
 	// background work, no shedding), preserving the pre-admission
 	// behavior for tests and baselines.
 	Admission admission.Config
-	// DisableBatchJoin forces coordinator joins back onto the legacy
-	// row-at-a-time HashJoin/MergeJoin path (A/B comparisons, debugging).
-	DisableBatchJoin bool
 	// DisableRuntimeFilter keeps the batch join but skips building the
 	// Bloom/min-max runtime filter from the build side (ablations).
 	DisableRuntimeFilter bool
@@ -236,6 +230,7 @@ type Engine struct {
 	// Morsel-executor instruments.
 	cntMorselsScheduled *obs.Counter // units actually handed to workers
 	cntMorselsPruned    *obs.Counter // units skipped by zone maps at build
+	cntMorselsStitched  *obs.Counter // units built across vertical pieces
 	cntMorselRows       *obs.Counter // rows produced by morsel scans
 	cntScanBatches      *obs.Counter // result batches shipped coordinator-ward
 	cntScanYields       *obs.Counter // feeder yields to in-flight OLTP work
@@ -297,6 +292,7 @@ func New(cfg Config) *Engine {
 	e.cntDepsFolded = e.Obs.Counter("txn.deps_folded")
 	e.cntMorselsScheduled = e.Obs.Counter("exec.morsels.scheduled")
 	e.cntMorselsPruned = e.Obs.Counter("exec.morsels.pruned")
+	e.cntMorselsStitched = e.Obs.Counter("exec.morsels.stitched")
 	e.cntMorselRows = e.Obs.Counter("exec.morsels.rows")
 	e.cntScanBatches = e.Obs.Counter("exec.scan.batches")
 	e.cntScanYields = e.Obs.Counter("admission.scan.preempt_yields")

@@ -40,7 +40,10 @@ func addLocalGroups(t *testing.T, e *Engine, ngroups int64) (*schema.Table, simn
 // which is what a coordinator join ships. On one site nothing crosses.
 func TestJoinAggNetworkAccounting(t *testing.T) {
 	const rows, ngroups = 2000, 10
-	e, fact := newMorselEngine(t, ModeColumnStore, 2, 4, rows, nil)
+	// The maintenance tick drains site observations into the cost model; an
+	// hour-long interval keeps it from taking the join's before the test does.
+	quiet := func(c *Config) { c.MaintainInterval = time.Hour }
+	e, fact := newMorselEngine(t, ModeColumnStore, 2, 4, rows, quiet)
 	dim, coord := addLocalGroups(t, e, ngroups)
 	remote := simnet.SiteID(1 - int(coord))
 	q := factDimJoinAgg(fact, dim) // GROUP BY tag: COUNT, SUM(val), AVG(weight)
@@ -117,7 +120,7 @@ func TestJoinAggNetworkAccounting(t *testing.T) {
 	}
 
 	// A single site is its own coordinator: only the dispatch is a message.
-	one, fact1 := newMorselEngine(t, ModeColumnStore, 1, 4, rows, nil)
+	one, fact1 := newMorselEngine(t, ModeColumnStore, 1, 4, rows, quiet)
 	dim1, _ := addLocalGroups(t, one, ngroups)
 	msgs0 = one.Net.TotalMessages()
 	runSorted(t, one, factDimJoinAgg(fact1, dim1))

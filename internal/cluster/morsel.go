@@ -8,12 +8,15 @@
 // and results flow to the coordinator as bounded batches over channels
 // with backpressure. LIMIT and context cancellation terminate early by
 // ending the morsel feed. Zone maps prune whole partitions before a
-// single morsel is scheduled.
+// single morsel is scheduled. A vertically split segment that no single
+// piece covers is scanned as stitched units: every needed piece reads the
+// same row range and the rows present in all of them are assembled before
+// the sink sees them, so every scan — whatever the layout — runs here.
 package cluster
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,25 +47,7 @@ func (e *Engine) scanBatchRows() int {
 	return exec.DefaultBatchRows
 }
 
-// morselEligible reports whether the morsel executor can run a scan: every
-// segment must resolve to one vertical piece that alone covers the
-// projection and predicate — either the segment's lone piece, or, for
-// vertically partitioned segments, a piece whose partition holds every
-// needed column. Splits with no covering piece stitch results by row id
-// across pieces and stay on the legacy path.
-func (e *Engine) morselEligible(ps *plan.PScan) bool {
-	if e.cfg.DisableMorselExec || len(ps.Segments) == 0 {
-		return false
-	}
-	for _, seg := range ps.Segments {
-		if _, ok := morselPiece(ps, seg); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// morselPiece selects the vertical piece the morsel executor can scan on
+// morselPiece selects the vertical piece a segment can be scanned from on
 // its own: the segment's lone piece, or the first piece whose partition
 // bounds contain every projected column and every predicate column (the
 // vertical pieces of one segment tile the same row range, so one covering
@@ -95,6 +80,35 @@ func pieceCovers(piece plan.ScanPart, ps *plan.PScan) bool {
 	return true
 }
 
+// stitchPieces lists the pieces a segment with no covering piece must read
+// — every piece holding a projected or a filtered column — and, per piece,
+// the output positions it serves: each projected column comes from the
+// first piece holding it.
+func stitchPieces(ps *plan.PScan, seg plan.RowSegment) ([]plan.ScanPart, [][]int) {
+	var pieces []plan.ScanPart
+	var outs [][]int
+	served := make([]bool, len(ps.Cols))
+	for _, piece := range seg.Pieces {
+		b := piece.Meta.Bounds
+		mine := []int{}
+		for i, c := range ps.Cols {
+			if !served[i] && b.ContainsCol(c) {
+				served[i] = true
+				mine = append(mine, i)
+			}
+		}
+		filters := false
+		for _, cond := range ps.Pred {
+			filters = filters || b.ContainsCol(cond.Col)
+		}
+		if len(mine) > 0 || filters {
+			pieces = append(pieces, piece)
+			outs = append(outs, mine)
+		}
+	}
+	return pieces, outs
+}
+
 // partScan is the per-partition state shared by that partition's morsels:
 // the captured store (stable under concurrent layout swaps — newer versions
 // are invisible at the read snapshot), the pre-translated local predicate
@@ -113,10 +127,44 @@ type partScan struct {
 	nanos atomic.Int64
 }
 
-// morselUnit is one scheduled scan unit: a row-id range of one partition.
+// morselUnit is one scheduled scan unit: a row-id range of one partition,
+// or, with st set, of a stitched segment whose driving piece is ps.
 type morselUnit struct {
 	ps     *partScan
 	lo, hi schema.RowID
+	st     *stitch
+}
+
+// stitch is what the units of one stitched segment share: the scans of the
+// pieces to read, the driving piece first, and where each output column
+// comes from.
+type stitch struct {
+	pieces []*partScan
+	src    []stitchCol // per output position
+}
+
+// stitchCol locates an output column: a piece and a position in that
+// piece's projection.
+type stitchCol struct{ piece, pos int }
+
+// newStitch orders a stitched segment's scans with the driving piece d
+// first and maps every output position onto them; outs[k] lists the output
+// positions scans[k] projects.
+func newStitch(scans []*partScan, outs [][]int, d, width int) *stitch {
+	st := &stitch{src: make([]stitchCol, width)}
+	add := func(k int) {
+		for i, pos := range outs[k] {
+			st.src[pos] = stitchCol{piece: len(st.pieces), pos: i}
+		}
+		st.pieces = append(st.pieces, scans[k])
+	}
+	add(d)
+	for k := range scans {
+		if k != d {
+			add(k)
+		}
+	}
+	return st
 }
 
 // morselJob is one built parallel scan, ready to run into one of three
@@ -130,6 +178,7 @@ type morselJob struct {
 	cancel context.CancelFunc
 	coord  simnet.SiteID
 	cols   []string // output labels
+	width  int      // scan output columns (before any join pipeline)
 	units  map[simnet.SiteID][]morselUnit
 	parts  []*partScan
 
@@ -178,10 +227,14 @@ func (j *morselJob) fail(err error) {
 	})
 }
 
-// buildMorselJob resolves every segment's partition copy, prunes whole
-// partitions through their zone maps, and splits the survivors into
-// morsels grouped by hosting site. The returned job owns a ctx derived
-// from the caller's; cancelling it ends the morsel feeds.
+// buildMorselJob resolves every segment's partition copies, prunes whole
+// segments through their zone maps, and splits the survivors into morsels
+// grouped by hosting site. A segment with a covering piece is scanned from
+// that piece alone; one without becomes stitched units cut along the
+// morsels of its driving piece — the piece with the fewest (a store that
+// cannot address row ranges yields one, so no other piece rescans it per
+// unit). The returned job owns a ctx derived from the caller's; cancelling
+// it ends the morsel feeds.
 func (e *Engine) buildMorselJob(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID) (*morselJob, error) {
 	jctx, cancel := context.WithCancel(ctx)
 	j := &morselJob{
@@ -190,60 +243,55 @@ func (e *Engine) buildMorselJob(ctx context.Context, ps *plan.PScan, snap txn.Ve
 		cancel: cancel,
 		coord:  coord,
 		cols:   colNames(ps.Cols),
+		width:  len(ps.Cols),
 		units:  make(map[simnet.SiteID][]morselUnit),
 	}
 	target := e.morselRows()
 	scheduled := 0
-	byPart := map[*partition.Partition]*partScan{}
 	for _, seg := range ps.Segments {
-		piece, ok := morselPiece(ps, seg)
-		if !ok {
-			cancel()
-			return nil, fmt.Errorf("morsel: no covering piece for segment [%d,%d)", seg.Lo, seg.Hi)
+		piece, covered := morselPiece(ps, seg)
+		pieces, outs := []plan.ScanPart{piece}, [][]int{nil}
+		if !covered {
+			pieces, outs = stitchPieces(ps, seg)
 		}
-		p, err := e.sitePartition(piece.Meta.ID, piece.Copy.Site, snap[piece.Meta.ID])
-		if err != nil {
-			cancel()
-			return nil, err
+		var buf [4]*partScan // the segment's piece scans, kept off the heap
+		scans := buf[:0]
+		var morsels []partition.Morsel
+		d, pruned := 0, false
+		for k, piece := range pieces {
+			p, err := e.sitePartition(piece.Meta.ID, piece.Copy.Site, snap[piece.Meta.ID])
+			if err != nil {
+				cancel()
+				return nil, err
+			}
+			// Any piece's zone map ruling out its share of the predicate
+			// rules out the whole segment.
+			lp, _ := exec.LocalPred(p.Bounds, ps.Pred)
+			if p.ZoneMap().CanSkip(lp) {
+				pruned = true
+			} else {
+				scans = append(scans, j.scanOf(p, piece.Copy.Site, ps, outs[k], lp, snap[piece.Meta.ID]))
+			}
+			if ms := clipMorsels(p.Morsels(target), seg); k == 0 || len(ms) < len(morsels) {
+				d, morsels = k, ms
+			}
 		}
-		lp, _ := exec.LocalPred(p.Bounds, ps.Pred)
-		morsels := p.Morsels(target)
-		// Clip to the segment's row range (segments tile the table).
-		clipped := morsels[:0]
-		for _, m := range morsels {
-			if m.Lo < seg.Lo {
-				m.Lo = seg.Lo
-			}
-			if m.Hi > seg.Hi {
-				m.Hi = seg.Hi
-			}
-			if m.Lo < m.Hi {
-				clipped = append(clipped, m)
-			}
-		}
-		if len(clipped) == 0 {
+		if len(morsels) == 0 {
 			continue
 		}
-		if p.ZoneMap().CanSkip(lp) {
+		if pruned {
 			// Pruned before scheduling: no worker ever sees these units.
-			e.cntMorselsPruned.Add(int64(len(clipped)))
+			e.cntMorselsPruned.Add(int64(len(morsels)))
 			continue
 		}
-		sc := byPart[p]
-		if sc == nil {
-			lcols := make([]schema.ColID, len(ps.Cols))
-			for i, c := range ps.Cols {
-				lcols[i] = p.Bounds.LocalCol(c)
-			}
-			sc = &partScan{
-				p: p, st: p.StoreSnapshot(), siteID: piece.Copy.Site,
-				lcols: lcols, lp: lp, snap: snap[piece.Meta.ID], clk: e.clk,
-			}
-			byPart[p] = sc
-			j.parts = append(j.parts, sc)
+		var st *stitch
+		if len(scans) > 1 {
+			st = newStitch(scans, outs, d, len(ps.Cols))
+			e.cntMorselsStitched.Add(int64(len(morsels)))
 		}
-		for _, m := range clipped {
-			j.units[sc.siteID] = append(j.units[sc.siteID], morselUnit{ps: sc, lo: m.Lo, hi: m.Hi})
+		lead := scans[d]
+		for _, m := range morsels {
+			j.units[lead.siteID] = append(j.units[lead.siteID], morselUnit{ps: lead, lo: m.Lo, hi: m.Hi, st: st})
 			scheduled++
 		}
 	}
@@ -251,20 +299,127 @@ func (e *Engine) buildMorselJob(ctx context.Context, ps *plan.PScan, snap txn.Ve
 	return j, nil
 }
 
-// scanUnit runs one morsel through the layout-native range path, streaming
-// matching rows into fn and charging the work to the unit's partition.
-func (u morselUnit) scanUnit(fn func(schema.Row) bool) {
+// clipMorsels clips a partition's morsels to a segment's row range
+// (segments tile the table), in place.
+func clipMorsels(morsels []partition.Morsel, seg plan.RowSegment) []partition.Morsel {
+	clipped := morsels[:0]
+	for _, m := range morsels {
+		if m.Lo < seg.Lo {
+			m.Lo = seg.Lo
+		}
+		if m.Hi > seg.Hi {
+			m.Hi = seg.Hi
+		}
+		if m.Lo < m.Hi {
+			clipped = append(clipped, m)
+		}
+	}
+	return clipped
+}
+
+// scanOf returns the job's scan state for partition p, creating it on
+// first use: the captured store (stable under concurrent layout swaps —
+// newer versions are invisible at the read snapshot), the local predicate
+// lp, and the local projection of the output positions outs (nil: all).
+func (j *morselJob) scanOf(p *partition.Partition, siteID simnet.SiteID, ps *plan.PScan, outs []int, lp storage.Pred, snap uint64) *partScan {
+	for _, sc := range j.parts {
+		if sc.p == p {
+			return sc
+		}
+	}
+	lcols := make([]schema.ColID, 0, len(ps.Cols))
+	for i, c := range ps.Cols {
+		if outs == nil || slices.Contains(outs, i) {
+			lcols = append(lcols, p.Bounds.LocalCol(c))
+		}
+	}
+	sc := &partScan{p: p, st: p.StoreSnapshot(), siteID: siteID, lcols: lcols, lp: lp, snap: snap, clk: j.e.clk}
+	j.parts = append(j.parts, sc)
+	return sc
+}
+
+// scanUnit runs one unit through the columnar batch path, streaming pooled
+// batches into fn and charging the work to the unit's partition. Batches
+// are only valid inside fn.
+func (j *morselJob) scanUnit(u morselUnit, maxRows int, fn func(*storage.Batch) bool) {
+	if u.st != nil {
+		j.scanStitched(u, maxRows, fn)
+		return
+	}
 	start := u.ps.clk.Now()
-	partition.ScanStoreRange(u.ps.st, u.ps.lcols, u.ps.lp, u.lo, u.hi, u.ps.snap, fn)
+	partition.ScanStoreBatchRange(u.ps.st, u.ps.lcols, u.ps.lp, u.lo, u.hi, u.ps.snap, maxRows, fn)
 	u.ps.nanos.Add(int64(u.ps.clk.Since(start)))
 }
 
-// scanUnitBatches runs one morsel through the columnar batch path,
-// streaming pooled batches into fn and charging the work to the unit's
-// partition. Batches are only valid inside fn.
-func (u morselUnit) scanUnitBatches(maxRows int, fn func(*storage.Batch) bool) {
+// scanStitched runs a stitched unit. Every piece scans [lo, hi) with its
+// share of the predicate, the driving piece first; a row survives only if
+// every piece returned it, so every piece's conditions hold. The survivors
+// reach fn as pooled batches in the driving piece's order. What a piece
+// read on another site is charged as shipped to the unit's site, and each
+// piece's scan to its own partition; the driving piece's observed rows are
+// the stitched rows its sink counts.
+func (j *morselJob) scanStitched(u morselUnit, maxRows int, fn func(*storage.Batch) bool) {
+	st := u.st
+	pos := make(map[schema.RowID]int)
+	var ids []schema.RowID
+	var hits []int // per driving-piece row: the other pieces that returned it
+	vals := make([][][]types.Value, len(st.pieces))
+	for k, sc := range st.pieces {
+		if j.ctx.Err() != nil {
+			return
+		}
+		start := sc.clk.Now()
+		rows := make([][]types.Value, len(ids))
+		read, bytes := 0, 64
+		partition.ScanStoreBatchRange(sc.st, sc.lcols, sc.lp, u.lo, u.hi, sc.snap, maxRows, func(b *storage.Batch) bool {
+			b.Selected(func(r int) bool {
+				row := b.Row(r, nil)
+				read++
+				for _, v := range row {
+					bytes += types.VarWidth(v)
+				}
+				id := b.RowIDs[r]
+				if k == 0 {
+					pos[id] = len(ids)
+					ids = append(ids, id)
+					rows = append(rows, row)
+				} else if i, ok := pos[id]; ok {
+					rows[i] = row
+					hits[i]++
+				}
+				return true
+			})
+			return j.ctx.Err() == nil
+		})
+		sc.nanos.Add(int64(sc.clk.Since(start)))
+		if k == 0 {
+			hits = make([]int, len(ids))
+		} else {
+			sc.rows.Add(int64(read))
+		}
+		vals[k] = rows
+		if read > 0 && sc.siteID != u.ps.siteID {
+			if err := j.e.shipBytesTo(sc.siteID, u.ps.siteID, bytes); err != nil {
+				j.fail(err)
+				return
+			}
+		}
+	}
 	start := u.ps.clk.Now()
-	partition.ScanStoreBatchRange(u.ps.st, u.ps.lcols, u.ps.lp, u.lo, u.hi, u.ps.snap, maxRows, fn)
+	row := make([]types.Value, len(st.src))
+	storage.TransposeRows(len(st.src), maxRows, func(emit func(schema.Row) bool) {
+		for i, id := range ids {
+			if hits[i] != len(st.pieces)-1 {
+				continue
+			}
+			for c, s := range st.src {
+				row[c] = vals[s.piece][i][s.pos]
+			}
+			if !emit(schema.Row{ID: id, Vals: row}) {
+				return
+			}
+		}
+	}, fn)
 	u.ps.nanos.Add(int64(u.ps.clk.Since(start)))
 }
 
@@ -303,8 +458,8 @@ func (f *morselFeed) next() (morselUnit, bool) {
 
 // runSite drains one site's units through its scan pool: up to ScanWorkers
 // loops claim from one feed. A crashed site's rejected loops run inline on
-// the scatter goroutine, mirroring the legacy executor's coordinator
-// fallback. newWorker returns a per-worker drain loop.
+// their own goroutine, so its share is still scanned against live copies.
+// newWorker returns a per-worker drain loop.
 func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.WaitGroup, newWorker func(siteID simnet.SiteID) func(*morselFeed)) {
 	feed := &morselFeed{j: j, siteID: siteID, units: units}
 	s := j.e.siteOf(siteID)
@@ -360,7 +515,7 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 				}
 			}
 			for u, ok := feed.next(); ok; u, ok = feed.next() {
-				u.scanUnitBatches(batchRows, func(b *storage.Batch) bool {
+				j.scanUnit(u, batchRows, func(b *storage.Batch) bool {
 					n := b.Len()
 					if n == 0 {
 						return j.ctx.Err() == nil
@@ -393,9 +548,8 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 
 // runAgg aggregates partially inside the morsel scan: each worker owns an
 // accumulator (no tuple materialization), worker states merge per site,
-// and one partial relation per site ships to the coordinator. The caller
-// finalizes over the concatenated partials exactly as the legacy two-phase
-// path does.
+// and one partial relation per site ships to the coordinator, where the
+// caller finalizes over the concatenated partials (finalizeAgg).
 func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error) {
 	batchRows := j.e.scanBatchRows()
 	var mu sync.Mutex
@@ -415,7 +569,7 @@ func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error
 					pr := j.newProber()
 					defer j.closeProber(siteID, pr)
 					for u, ok := feed.next(); ok; u, ok = feed.next() {
-						u.scanUnitBatches(batchRows, func(b *storage.Batch) bool {
+						j.scanUnit(u, batchRows, func(b *storage.Batch) bool {
 							u.ps.rows.Add(int64(b.Len()))
 							if jb := pr.Apply(b); jb != nil {
 								agg.ObserveBatch(jb)
@@ -482,7 +636,7 @@ func (j *morselJob) observeJoins() {
 	if len(j.joinStats) == 0 {
 		return
 	}
-	probeWidth := 8 * len(j.parts[0].lcols) // every part scans the same columns
+	probeWidth := 8 * j.width
 	for siteID, acc := range j.joinStats {
 		for k, st := range acc {
 			t := j.pipe.Stages[k].Table
@@ -579,30 +733,20 @@ func (j *morselJob) gatherRows(ctx context.Context, limit int) (exec.Rel, error)
 	return res, nil
 }
 
-// morselAgg runs an aggregation-over-scan on the morsel executor: partial
-// aggregation inside the scan workers, one partial per site, finalized at
-// the coordinator. For plans the planner did not decompose (single-site
-// scans), the decomposition happens here so worker-local partials compose
-// identically.
+// morselAgg runs an aggregation-over-scan on the morsel executor: the
+// plan's partial aggregates inside the scan workers, one partial per site,
+// finalized at the coordinator.
 func (e *Engine) morselAgg(ctx context.Context, pa *plan.PAgg, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
-	partialSpecs := pa.PartialAggs
-	finalPA := pa
-	if !pa.TwoPhase {
-		p2 := *pa
-		p2.PartialAggs, p2.FinalAggs, p2.AvgPairs = plan.DecomposeAggs(pa.GroupBy, pa.Aggs)
-		partialSpecs = p2.PartialAggs
-		finalPA = &p2
-	}
 	j, err := e.buildMorselJob(ctx, ps, snap, coord)
 	if err != nil {
 		return exec.Rel{}, err
 	}
 	defer j.cancel()
-	partials, err := j.runAgg(pa.GroupBy, partialSpecs)
+	partials, err := j.runAgg(pa.GroupBy, pa.PartialAggs)
 	if err != nil {
 		return exec.Rel{}, err
 	}
-	return e.finalizeAgg(finalPA, partials, coord), nil
+	return e.finalizeAgg(pa, partials, coord), nil
 }
 
 // RowCursor streams a query's result rows incrementally: Next advances to

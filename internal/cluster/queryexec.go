@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"strconv"
 	"time"
 
 	"proteus/internal/admission"
@@ -13,13 +12,11 @@ import (
 	"proteus/internal/exec"
 	"proteus/internal/faults"
 	"proteus/internal/forecast"
-	"proteus/internal/metadata"
 	"proteus/internal/partition"
 	"proteus/internal/plan"
 	"proteus/internal/query"
 	"proteus/internal/schema"
 	"proteus/internal/simnet"
-	"proteus/internal/storage"
 	"proteus/internal/txn"
 	"proteus/internal/types"
 	"proteus/internal/vclock"
@@ -107,7 +104,7 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 	var execErr error
 	start := e.clk.Now()
 	if err := e.siteOf(coord).RunOLAP(func() {
-		result, execErr = e.evalRoot(ctx, pn, snap, coord, q.Limit)
+		result, execErr = e.evalNode(ctx, pn, snap, coord, q.Limit)
 	}); err != nil {
 		return exec.Rel{}, err
 	}
@@ -126,77 +123,6 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 		e.Advisor.onQueryExecuted(pn, d)
 	}
 	return result, nil
-}
-
-// evalRoot evaluates the plan root, applying the query's LIMIT. A
-// morsel-eligible scan root, or a bare join pipelined over one, pushes the
-// limit into the executor — morsel scheduling stops once enough rows
-// exist; any other root materializes and truncates.
-func (e *Engine) evalRoot(ctx context.Context, pn plan.PNode, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
-	switch v := pn.(type) {
-	case *plan.PScan:
-		if e.morselEligible(v) {
-			return e.morselGather(ctx, v, snap, coord, limit)
-		}
-	case *plan.PJoin:
-		if e.batchJoinOK(v) {
-			return e.evalBatchJoinRows(ctx, v, snap, coord, limit)
-		}
-	}
-	rel, err := e.evalNode(ctx, pn, snap, coord)
-	if err != nil {
-		return rel, err
-	}
-	if limit > 0 && len(rel.Tuples) > limit {
-		rel.Tuples = rel.Tuples[:limit]
-	}
-	return rel, nil
-}
-
-// scatter runs n indexed tasks concurrently with bounded parallelism,
-// cancelling the remainder as soon as any task fails. It waits for every
-// launched task to exit (they may write into caller-owned slots) and
-// returns the first error. Tasks receive a context derived from ctx that
-// is cancelled on the first failure.
-func (e *Engine) scatter(ctx context.Context, n int, task func(ctx context.Context, i int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	limit := 2 * runtime.GOMAXPROCS(0)
-	if n < limit {
-		limit = n
-	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	var once sync.Once
-	var firstErr error
-	for i := 0; i < n; i++ {
-		if sctx.Err() != nil {
-			break // first error already cancelled; stop launching
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if sctx.Err() != nil {
-				return
-			}
-			if err := task(sctx, i); err != nil {
-				once.Do(func() {
-					firstErr = err
-					cancel()
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
 }
 
 // collectPIDs gathers every partition a plan touches.
@@ -298,26 +224,46 @@ func (e *Engine) recordQueryAccesses(n plan.PNode) {
 	}
 }
 
-// evalNode evaluates a physical plan node, materializing its result at the
-// coordinator. Scans over single-piece segments run on the morsel executor
-// (morsel.go); vertically partitioned scans and joins keep the
-// segment-granular path.
-func (e *Engine) evalNode(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
+// evalNode evaluates a physical plan node into rows at the coordinator,
+// stopping after limit rows (0 = all). Scans and joins run on the morsel
+// executor, which pushes the limit into the scan feed; an aggregate
+// finalizes its partials and truncates.
+func (e *Engine) evalNode(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
 	switch v := n.(type) {
 	case *plan.PScan:
-		if e.morselEligible(v) {
-			return e.morselGather(ctx, v, snap, coord, 0)
-		}
-		return e.evalScan(ctx, v, snap, coord)
+		return e.morselGather(ctx, v, snap, coord, limit)
 	case *plan.PJoin:
-		if e.batchJoinOK(v) {
-			return e.evalBatchJoinRows(ctx, v, snap, coord, 0)
-		}
-		return e.evalJoin(ctx, v, nil, snap, coord)
+		return e.evalBatchJoinRows(ctx, v, snap, coord, limit)
 	case *plan.PAgg:
-		return e.evalAgg(ctx, v, snap, coord)
+		rel, err := e.evalAgg(ctx, v, snap, coord)
+		if err != nil {
+			return exec.Rel{}, err
+		}
+		if limit > 0 && len(rel.Tuples) > limit {
+			rel.Tuples = rel.Tuples[:limit]
+		}
+		return rel, nil
 	}
 	return exec.Rel{}, fmt.Errorf("cluster: unknown plan node %T", n)
+}
+
+// evalAgg executes an aggregation. Over a scan or a join, partial
+// aggregation runs inside the scan workers; over another aggregate, the
+// child's result materializes and aggregates at the coordinator.
+func (e *Engine) evalAgg(ctx context.Context, pa *plan.PAgg, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
+	switch child := pa.Child.(type) {
+	case *plan.PScan:
+		return e.morselAgg(ctx, pa, child, snap, coord)
+	case *plan.PJoin:
+		return e.evalBatchJoinAgg(ctx, pa, child, snap, coord)
+	}
+	rel, err := e.evalNode(ctx, pa.Child, snap, coord, 0)
+	if err != nil {
+		return exec.Rel{}, err
+	}
+	out, obs := exec.HashAggregate(rel, pa.GroupBy, pa.Aggs)
+	e.siteOf(coord).Observe(obs)
+	return out, nil
 }
 
 // sitePartition resolves a copy of pid at a site, catching a replica up to
@@ -355,19 +301,6 @@ func (e *Engine) sitePartition(pid partition.ID, siteID simnet.SiteID, snapVer u
 	return p, nil
 }
 
-// scanPieceAt scans one piece (bounded to a row segment) at a given site.
-func (e *Engine) scanPieceAt(piece plan.ScanPart, siteID simnet.SiteID, seg plan.RowSegment,
-	pred storage.Pred, snap txn.VersionVector) (exec.Rel, []schema.RowID, error) {
-
-	p, err := e.sitePartition(piece.Meta.ID, siteID, snap[piece.Meta.ID])
-	if err != nil {
-		return exec.Rel{}, nil, err
-	}
-	rel, ids, obs := exec.ScanRows(p, piece.Cols, pred, seg.Lo, seg.Hi, snap[piece.Meta.ID])
-	e.siteOf(siteID).Observe(obs)
-	return rel, ids, nil
-}
-
 // shipTo moves a relation between sites (retrying dropped messages) and
 // records the network observation. A persistent fault surfaces as the
 // typed error so the query can re-plan around it.
@@ -397,434 +330,26 @@ func (e *Engine) shipBytesTo(from, to simnet.SiteID, bytes int) error {
 	return nil
 }
 
-// evalScan executes a PScan on the legacy segment-granular path (used for
-// vertically partitioned scans the morsel executor does not handle),
-// stitching vertical pieces and shipping results to the coordinator. Work
-// on other sites runs on their OLAP pools concurrently; the first failure
-// cancels the remaining segments.
-func (e *Engine) evalScan(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
-	results := make([]exec.Rel, len(ps.Segments))
-	err := e.scatter(ctx, len(ps.Segments), func(sctx context.Context, i int) error {
-		seg := ps.Segments[i]
-		run := func() error {
-			rel, err := e.evalSegment(sctx, ps, seg, snap, coord)
-			if err != nil {
-				return err
-			}
-			results[i] = rel
-			return nil
-		}
-		// Single-piece remote segments execute on their owning site's
-		// OLAP pool; everything else runs inline. A remote site that
-		// crashed rejects the work; run the segment at the coordinator
-		// instead — evalSegment redirects to a live copy.
-		if len(seg.Pieces) == 1 && seg.Pieces[0].Copy.Site != coord {
-			s := e.siteOf(seg.Pieces[0].Copy.Site)
-			var inner error
-			if err := s.RunOLAP(func() { inner = run() }); err != nil {
-				return run()
-			}
-			return inner
-		}
-		return run()
-	})
-	if err != nil {
-		return exec.Rel{}, err
+// colLabels holds the labels of the low column ids, so labelling a query's
+// output costs one slice rather than one formatted string per column.
+var colLabels = func() (t [64]string) {
+	for i := range t {
+		t[i] = "c" + strconv.Itoa(i)
 	}
-	out := exec.Rel{Cols: colNames(ps.Cols)}
-	for _, r := range results {
-		out.Tuples = append(out.Tuples, r.Tuples...)
-	}
-	return out, nil
-}
+	return t
+}()
 
+// colNames labels columns "c<id>".
 func colNames(cols []schema.ColID) []string {
 	out := make([]string, len(cols))
 	for i, c := range cols {
-		out[i] = fmt.Sprintf("c%d", c)
+		if uint(c) < uint(len(colLabels)) {
+			out[i] = colLabels[c]
+		} else {
+			out[i] = "c" + strconv.Itoa(int(c))
+		}
 	}
 	return out
-}
-
-// evalSegment scans one row segment's pieces and stitches them by row id.
-func (e *Engine) evalSegment(ctx context.Context, ps *plan.PScan, seg plan.RowSegment, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
-	if err := ctx.Err(); err != nil {
-		return exec.Rel{}, err
-	}
-	if len(seg.Pieces) == 1 {
-		piece := seg.Pieces[0]
-		rel, _, err := e.scanPieceAt(piece, piece.Copy.Site, seg, ps.Pred, snap)
-		if err != nil {
-			return exec.Rel{}, err
-		}
-		// Reorder piece columns into the scan's output order.
-		rel = reorderCols(rel, piece.Cols, ps.Cols)
-		if err := e.shipTo(piece.Copy.Site, coord, rel); err != nil {
-			return exec.Rel{}, err
-		}
-		return rel, nil
-	}
-
-	// Multi-piece: scan each piece, intersect by row id (each piece's
-	// pushed-down predicate share filters independently), then stitch.
-	type pieceData struct {
-		cols []schema.ColID
-		vals map[schema.RowID][]types.Value
-		ids  []schema.RowID
-	}
-	pieces := make([]pieceData, len(seg.Pieces))
-	for i, piece := range seg.Pieces {
-		if err := ctx.Err(); err != nil {
-			return exec.Rel{}, err
-		}
-		rel, ids, err := e.scanPieceAt(piece, piece.Copy.Site, seg, ps.Pred, snap)
-		if err != nil {
-			return exec.Rel{}, err
-		}
-		if err := e.shipTo(piece.Copy.Site, coord, rel); err != nil {
-			return exec.Rel{}, err
-		}
-		pd := pieceData{cols: piece.Cols, vals: make(map[schema.RowID][]types.Value, len(ids)), ids: ids}
-		for j, id := range ids {
-			pd.vals[id] = rel.Tuples[j]
-		}
-		pieces[i] = pd
-	}
-	// Intersect ids across pieces, preserving the first piece's order.
-	out := exec.Rel{Cols: colNames(ps.Cols)}
-	colSource := map[schema.ColID][2]int{} // global col -> (piece, offset)
-	for pi, pd := range pieces {
-		for off, c := range pd.cols {
-			if _, ok := colSource[c]; !ok {
-				colSource[c] = [2]int{pi, off}
-			}
-		}
-	}
-	for _, id := range pieces[0].ids {
-		ok := true
-		for pi := 1; pi < len(pieces); pi++ {
-			if _, present := pieces[pi].vals[id]; !present {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		tuple := make([]types.Value, len(ps.Cols))
-		for i, c := range ps.Cols {
-			src, found := colSource[c]
-			if !found {
-				continue
-			}
-			tuple[i] = pieces[src[0]].vals[id][src[1]]
-		}
-		out.Tuples = append(out.Tuples, tuple)
-	}
-	return out, nil
-}
-
-// reorderCols maps a piece's output (ordered by pieceCols) onto outCols.
-func reorderCols(rel exec.Rel, pieceCols, outCols []schema.ColID) exec.Rel {
-	if len(pieceCols) == len(outCols) {
-		same := true
-		for i := range pieceCols {
-			if pieceCols[i] != outCols[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			rel.Cols = colNames(outCols)
-			return rel
-		}
-	}
-	idx := map[schema.ColID]int{}
-	for i, c := range pieceCols {
-		idx[c] = i
-	}
-	out := exec.Rel{Cols: colNames(outCols), Tuples: make([][]types.Value, len(rel.Tuples))}
-	for ti, t := range rel.Tuples {
-		row := make([]types.Value, len(outCols))
-		for i, c := range outCols {
-			if j, ok := idx[c]; ok {
-				row[i] = t[j]
-			}
-		}
-		out.Tuples[ti] = row
-	}
-	return out
-}
-
-// joinRels joins two materialized relations with the chosen algorithm.
-func (e *Engine) joinRels(l, r exec.Rel, lKey, rKey int, alg cost.Variant, at simnet.SiteID,
-	lSorted, rSorted bool) exec.Rel {
-
-	var out exec.Rel
-	var obs cost.Observation
-	switch alg {
-	case cost.JoinMerge:
-		if !lSorted {
-			var so cost.Observation
-			l, so = exec.Sort(l, []int{lKey})
-			e.siteOf(at).Observe(so)
-		}
-		if !rSorted {
-			var so cost.Observation
-			r, so = exec.Sort(r, []int{rKey})
-			e.siteOf(at).Observe(so)
-		}
-		out, obs = exec.MergeJoin(l, r, []int{lKey}, []int{rKey})
-	case cost.JoinNested:
-		out, obs = exec.NestedLoopJoin(l, r, func(lt, rt []types.Value) bool {
-			return types.Equal(lt[lKey], rt[rKey])
-		})
-	default:
-		out, obs = exec.HashJoin(l, r, []int{lKey}, []int{rKey})
-	}
-	e.siteOf(at).Observe(obs)
-	return out
-}
-
-// evalJoin executes a join; partialAgg, when non-nil, is applied to each
-// site-local join result before shipping (aggregation pushdown under a
-// two-phase PAgg).
-func (e *Engine) evalJoin(ctx context.Context, pj *plan.PJoin, partialAgg *plan.PAgg, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
-	if pj.Strategy == plan.JoinColocated {
-		return e.evalColocatedJoin(ctx, pj, partialAgg, snap, coord)
-	}
-	left, err := e.evalNode(ctx, pj.Left, snap, coord)
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	right, err := e.evalNode(ctx, pj.Right, snap, coord)
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	lSorted := sortedAt(pj.Left) == pj.LeftKey
-	rSorted := sortedAt(pj.Right) == pj.RightKey
-	out := e.joinRels(left, right, pj.LeftKey, pj.RightKey, pj.Alg, coord, lSorted, rSorted)
-	if partialAgg != nil {
-		agg, obs := exec.HashAggregate(out, partialAgg.GroupBy, partialAgg.PartialAggs)
-		e.siteOf(coord).Observe(obs)
-		return agg, nil
-	}
-	return out, nil
-}
-
-func sortedAt(n plan.PNode) int {
-	if s, ok := n.(*plan.PScan); ok {
-		return s.SortedBy
-	}
-	return -1
-}
-
-// evalColocatedJoin joins left pieces against local right copies at each
-// storage site, shipping only (optionally partially aggregated) results —
-// Figure 7b's distributed execution. The first site failure cancels the
-// remaining sites' work.
-func (e *Engine) evalColocatedJoin(ctx context.Context, pj *plan.PJoin, partialAgg *plan.PAgg, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
-	ls := pj.Left.(*plan.PScan)
-	rs := pj.Right.(*plan.PScan)
-
-	// Group left segments by executing site.
-	bySite := map[simnet.SiteID][]plan.RowSegment{}
-	var siteIDs []simnet.SiteID
-	for _, seg := range ls.Segments {
-		// A colocated segment has all its pieces on one site by planner
-		// construction; use the first piece's site.
-		sid := seg.Pieces[0].Copy.Site
-		if _, ok := bySite[sid]; !ok {
-			siteIDs = append(siteIDs, sid)
-		}
-		bySite[sid] = append(bySite[sid], seg)
-	}
-
-	outs := make([]exec.Rel, len(siteIDs))
-	err := e.scatter(ctx, len(siteIDs), func(sctx context.Context, i int) error {
-		siteID := siteIDs[i]
-		run := func() error {
-			rel, err := e.siteLocalJoin(sctx, ls, rs, bySite[siteID], pj, partialAgg, snap, siteID)
-			if err != nil {
-				return err
-			}
-			outs[i] = rel
-			return nil
-		}
-		if siteID != coord {
-			// A crashed site rejects the work; evaluate its share at
-			// the coordinator against live copies instead.
-			var inner error
-			if err := e.siteOf(siteID).RunOLAP(func() { inner = run() }); err != nil {
-				return run()
-			}
-			return inner
-		}
-		return run()
-	})
-	if err != nil {
-		return exec.Rel{}, err
-	}
-
-	var final exec.Rel
-	for i, rel := range outs {
-		if err := e.shipTo(siteIDs[i], coord, rel); err != nil {
-			return exec.Rel{}, err
-		}
-		final = exec.Concat(final, rel)
-	}
-	return final, nil
-}
-
-// siteLocalJoin evaluates one site's share of a colocated join.
-func (e *Engine) siteLocalJoin(ctx context.Context, ls, rs *plan.PScan, segs []plan.RowSegment, pj *plan.PJoin,
-	partialAgg *plan.PAgg, snap txn.VersionVector, siteID simnet.SiteID) (exec.Rel, error) {
-
-	// Left input: this site's segments.
-	left := exec.Rel{Cols: colNames(ls.Cols)}
-	for _, seg := range segs {
-		rel, err := e.evalSegmentAt(ctx, ls, seg, snap, siteID)
-		if err != nil {
-			return exec.Rel{}, err
-		}
-		left.Tuples = append(left.Tuples, rel.Tuples...)
-	}
-	// Right input: local copies of every right partition.
-	right := exec.Rel{Cols: colNames(rs.Cols)}
-	for _, seg := range rs.Segments {
-		rel, err := e.evalSegmentAt(ctx, rs, seg, snap, siteID)
-		if err != nil {
-			return exec.Rel{}, err
-		}
-		right.Tuples = append(right.Tuples, rel.Tuples...)
-	}
-	out := e.joinRels(left, right, pj.LeftKey, pj.RightKey, pj.Alg, siteID, false, false)
-	if partialAgg != nil {
-		agg, obs := exec.HashAggregate(out, partialAgg.GroupBy, partialAgg.PartialAggs)
-		e.siteOf(siteID).Observe(obs)
-		return agg, nil
-	}
-	return out, nil
-}
-
-// evalSegmentAt is evalSegment with every piece read from the copy at a
-// specific site (falling back to the planned copy when absent).
-func (e *Engine) evalSegmentAt(ctx context.Context, ps *plan.PScan, seg plan.RowSegment, snap txn.VersionVector, siteID simnet.SiteID) (exec.Rel, error) {
-	local := seg
-	local.Pieces = make([]plan.ScanPart, len(seg.Pieces))
-	for i, piece := range seg.Pieces {
-		if piece.Meta.HasCopyAt(siteID) {
-			piece.Copy = localCopy(piece, siteID)
-		}
-		local.Pieces[i] = piece
-	}
-	// Stitch at this site (pieces' sites now local where copies exist).
-	return e.evalSegment(ctx, ps, local, snap, siteID)
-}
-
-func localCopy(piece plan.ScanPart, siteID simnet.SiteID) metadata.Replica {
-	for _, c := range piece.Meta.AllCopies() {
-		if c.Site == siteID {
-			return c
-		}
-	}
-	return piece.Copy
-}
-
-// evalAgg executes aggregation. An aggregation directly over a
-// morsel-eligible scan fuses partial aggregation into the scan workers;
-// otherwise the legacy two-phase (distributed child) or single-phase path
-// runs.
-func (e *Engine) evalAgg(ctx context.Context, pa *plan.PAgg, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
-	if ps, ok := pa.Child.(*plan.PScan); ok && e.morselEligible(ps) {
-		return e.morselAgg(ctx, pa, ps, snap, coord)
-	}
-	if pj, ok := pa.Child.(*plan.PJoin); ok && e.batchJoinOK(pj) {
-		return e.evalBatchJoinAgg(ctx, pa, pj, snap, coord)
-	}
-	if pa.TwoPhase {
-		switch child := pa.Child.(type) {
-		case *plan.PJoin:
-			partials, err := e.evalJoin(ctx, child, pa, snap, coord)
-			if err != nil {
-				return exec.Rel{}, err
-			}
-			return e.finalizeAgg(pa, partials, coord), nil
-		case *plan.PScan:
-			partials, err := e.evalScanWithPartialAgg(ctx, child, pa, snap, coord)
-			if err != nil {
-				return exec.Rel{}, err
-			}
-			return e.finalizeAgg(pa, partials, coord), nil
-		}
-	}
-	rel, err := e.evalNode(ctx, pa.Child, snap, coord)
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	var out exec.Rel
-	var obs cost.Observation
-	if s, ok := pa.Child.(*plan.PScan); ok && len(pa.GroupBy) == 1 && s.SortedBy == pa.GroupBy[0] {
-		out, obs = exec.SortedAggregate(rel, pa.GroupBy, pa.Aggs)
-	} else {
-		out, obs = exec.HashAggregate(rel, pa.GroupBy, pa.Aggs)
-	}
-	e.siteOf(coord).Observe(obs)
-	return out, nil
-}
-
-// evalScanWithPartialAgg pushes partial aggregation to each scanning site
-// (legacy path for vertically partitioned scans). The first site failure
-// cancels the rest.
-func (e *Engine) evalScanWithPartialAgg(ctx context.Context, ps *plan.PScan, pa *plan.PAgg, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
-	bySite := map[simnet.SiteID][]plan.RowSegment{}
-	var siteIDs []simnet.SiteID
-	for _, seg := range ps.Segments {
-		sid := seg.Pieces[0].Copy.Site
-		if _, ok := bySite[sid]; !ok {
-			siteIDs = append(siteIDs, sid)
-		}
-		bySite[sid] = append(bySite[sid], seg)
-	}
-	outs := make([]exec.Rel, len(siteIDs))
-	err := e.scatter(ctx, len(siteIDs), func(sctx context.Context, i int) error {
-		siteID := siteIDs[i]
-		run := func() error {
-			local := exec.Rel{Cols: colNames(ps.Cols)}
-			for _, seg := range bySite[siteID] {
-				rel, err := e.evalSegmentAt(sctx, ps, seg, snap, siteID)
-				if err != nil {
-					return err
-				}
-				local.Tuples = append(local.Tuples, rel.Tuples...)
-			}
-			out, obs := exec.HashAggregate(local, pa.GroupBy, pa.PartialAggs)
-			e.siteOf(siteID).Observe(obs)
-			outs[i] = out
-			return nil
-		}
-		if siteID != coord {
-			// A crashed site rejects the work; evaluate its share at
-			// the coordinator against live copies instead.
-			var inner error
-			if err := e.siteOf(siteID).RunOLAP(func() { inner = run() }); err != nil {
-				return run()
-			}
-			return inner
-		}
-		return run()
-	})
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	var partials exec.Rel
-	for i, rel := range outs {
-		if err := e.shipTo(siteIDs[i], coord, rel); err != nil {
-			return exec.Rel{}, err
-		}
-		partials = exec.Concat(partials, rel)
-	}
-	return partials, nil
 }
 
 // finalizeAgg combines partial aggregates at the coordinator and
@@ -869,8 +394,8 @@ func (e *Engine) finalizeAgg(pa *plan.PAgg, partials exec.Rel, coord simnet.Site
 }
 
 // ExecuteQueryStream runs an OLAP query and returns a cursor streaming
-// result rows incrementally. A morsel-eligible scan root — and a bare join
-// pipelined over one, once its build sides are hashed — streams natively:
+// result rows incrementally. A scan root — and a bare join pipelined over
+// one, once its build sides are hashed — streams natively:
 // rows arrive as bounded batches while the scan is still running, and
 // closing the cursor early (or cancelling ctx, or reaching the query's
 // Limit) closes the morsel feeds so workers stop promptly. Other plan
@@ -943,18 +468,14 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 	var j *morselJob
 	switch v := pn.(type) {
 	case *plan.PScan:
-		if e.morselEligible(v) {
-			j, err = e.buildMorselJob(ctx, v, snap, coord)
-		}
+		j, err = e.buildMorselJob(ctx, v, snap, coord)
 	case *plan.PJoin:
-		if e.batchJoinOK(v) {
-			// The build sides are evaluated at the coordinator before the
-			// first row streams; a nil job falls through to materializing.
-			if rerr := e.siteOf(coord).RunOLAP(func() {
-				j, err = e.joinJob(ctx, v, nil, snap, coord)
-			}); rerr != nil {
-				return nil, rerr
-			}
+		// The build sides are evaluated at the coordinator before the first
+		// row streams; a nil job falls through to materializing.
+		if rerr := e.siteOf(coord).RunOLAP(func() {
+			j, err = e.joinJob(ctx, v, nil, snap, coord)
+		}); rerr != nil {
+			return nil, rerr
 		}
 	}
 	if err != nil {
@@ -966,11 +487,12 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 		return newMorselCursor(j, out, q.Limit, onEOF), nil
 	}
 
-	// Non-streaming plan shape: materialize, then iterate.
+	// An aggregate, or a join the pipeline cannot serve: materialize, then
+	// iterate.
 	var result exec.Rel
 	var execErr error
 	if err := e.siteOf(coord).RunOLAP(func() {
-		result, execErr = e.evalRoot(ctx, pn, snap, coord, q.Limit)
+		result, execErr = e.evalNode(ctx, pn, snap, coord, q.Limit)
 	}); err != nil {
 		return nil, err
 	}

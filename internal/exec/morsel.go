@@ -2,7 +2,6 @@ package exec
 
 import (
 	"proteus/internal/partition"
-	"proteus/internal/schema"
 	"proteus/internal/storage"
 	"proteus/internal/types"
 )
@@ -31,21 +30,6 @@ func LocalPred(b partition.Bounds, pred storage.Pred) (storage.Pred, bool) {
 		out = append(out, storage.Cond{Col: b.LocalCol(c.Col), Op: c.Op, Val: c.Val})
 	}
 	return out, all
-}
-
-// ScanMorsel streams the rows with lo <= id < hi of one partition copy,
-// projecting the table-global cols in order and applying the table-global
-// pred, at the snapshot version. It operates on a captured store object so
-// workers never contend on partition locks: a store captured at morsel
-// build time stays correct for snapshot reads across concurrent layout
-// swaps (newer versions are simply invisible).
-func ScanMorsel(st storage.Store, b partition.Bounds, cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, fn func(schema.Row) bool) {
-	lp, _ := LocalPred(b, pred)
-	lcols := make([]schema.ColID, len(cols))
-	for i, c := range cols {
-		lcols[i] = b.LocalCol(c)
-	}
-	partition.ScanStoreRange(st, lcols, lp, lo, hi, snap, fn)
 }
 
 // Aggregator accumulates grouped aggregates one tuple at a time. Scan

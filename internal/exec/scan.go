@@ -115,38 +115,6 @@ func ScanWithRowIDs(p *partition.Partition, cols []schema.ColID, pred storage.Pr
 	return rel, ids, obs
 }
 
-// ScanRows is ScanWithRowIDs restricted to row ids in [lo, hi) — used when
-// stitching vertically partitioned pieces whose horizontal splits are not
-// aligned.
-func ScanRows(p *partition.Partition, cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64) (Rel, []schema.RowID, cost.Observation) {
-	start := time.Now()
-	lp, _ := localPred(p, pred)
-	lcols := make([]schema.ColID, len(cols))
-	for i, c := range cols {
-		lcols[i] = p.Bounds.LocalCol(c)
-	}
-	rel := Rel{}
-	var ids []schema.RowID
-	if p.ZoneMap().CanSkip(lp) {
-		return rel, ids, cost.Observation{Op: cost.OpScan, Layout: p.Layout()}
-	}
-	p.ScanBatchesRange(lcols, lp, lo, hi, snap, DefaultBatchRows, func(b *Batch) bool {
-		rel.Tuples = b.AppendTuples(rel.Tuples)
-		ids = b.AppendRowIDs(ids)
-		return true
-	})
-	layout := p.Layout()
-	st := p.Stats()
-	obs := cost.Observation{
-		Op:       cost.OpScan,
-		Variant:  ScanVariant(layout, lp),
-		Layout:   layout,
-		Features: cost.ScanFeaturesEnc(st.Rows, st.Bytes/maxInt(st.Rows, 1), rel.RowBytes(), selOf(len(ids), st.Rows), encFracOf(st)),
-		Latency:  time.Since(start),
-	}
-	return rel, ids, obs
-}
-
 // PointRead fetches one row's projection (table-global cols).
 func PointRead(p *partition.Partition, id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row, bool, cost.Observation) {
 	start := time.Now()

@@ -25,20 +25,19 @@ var chQueryNames = [chbench.NumQueries]string{
 	"q1", "q6", "q14", "q4", "q12", "q3", "q7", "q19",
 }
 
-// chJoinMix indexes the join/group-by queries — the mix the batch engine
-// targets; the remaining queries are single-table scan-aggregates that
-// take the same morsel path under both configurations.
+// chJoinMix indexes the join/group-by queries; the remaining queries are
+// single-table scan-aggregates.
 var chJoinMix = []int{2, 4, 5, 6, 7}
 
 // CHBench runs the full CH-benCHmark analytical matrix at 10x (quick) or
-// 25x (full) the default loaded-order row counts, A/B-comparing the legacy
-// row-at-a-time join path (DisableBatchJoin) against the batch-native
-// join/group-by engine with runtime filter pushdown, verifying answer
-// agreement per query, timing a mixed OLTP+OLAP phase, and forcing a
-// spill pass through the disksim-backed grace join. Writes
+// 25x (full) the default loaded-order row counts on the join/group-by
+// engine with runtime filter pushdown: it times every query, times a mixed
+// OLTP+OLAP phase, and reruns the queries with a build-side budget that
+// forces every batch join through the disksim-backed grace join, requiring
+// the spilled answers to match the in-memory ones. Writes
 // BENCH_chbench.json (override with PROTEUS_CHBENCH_PATH).
 func CHBench(w io.Writer, s Scale) error {
-	header(w, "CH-benCHmark: batch join/group-by engine vs row engine")
+	header(w, "CH-benCHmark: join/group-by engine, in memory and spilled")
 	mult := 10
 	if s.Name == "full" {
 		mult = 25
@@ -48,54 +47,30 @@ func CHBench(w io.Writer, s Scale) error {
 		rounds = 2
 	}
 
-	row, err := newCHRun(s, mult, func(cfg *cluster.Config) {
-		cfg.DisableBatchJoin = true
-	})
+	mem, err := newCHRun(s, mult, nil)
 	if err != nil {
 		return err
 	}
-	defer row.close()
-	batch, err := newCHRun(s, mult, nil)
-	if err != nil {
-		return err
-	}
-	defer batch.close()
+	defer mem.close()
 
 	rep := chbenchReport{
 		Scale:             s.Name,
-		Warehouses:        row.cfg.Warehouses,
-		Districts:         row.cfg.Warehouses * row.cfg.DistrictsPerW,
-		OrdersPerDistrict: row.cfg.LoadedOrdersPerDistrict,
+		Warehouses:        mem.cfg.Warehouses,
+		Districts:         mem.cfg.Warehouses * mem.cfg.DistrictsPerW,
+		OrdersPerDistrict: mem.cfg.LoadedOrdersPerDistrict,
 		Rounds:            rounds,
 	}
 
-	// Warm both engines (plan caches, cost models, layout decisions).
-	if _, err := row.runAll(); err != nil {
-		return err
-	}
-	if _, err := batch.runAll(); err != nil {
-		return err
-	}
-
-	// Answer agreement: every query must produce the same relation (order
-	// and float-tolerance insensitive) on both paths.
-	rowRes, err := row.runAll()
-	if err != nil {
+	// Warm the engine (plan caches, cost models, layout decisions).
+	if _, err := mem.runAll(); err != nil {
 		return err
 	}
 	js0 := exec.ReadJoinStats()
-	batchRes, err := batch.runAll()
+	memRes, err := mem.runAll()
 	if err != nil {
 		return err
 	}
 	js1 := exec.ReadJoinStats()
-	allMatch := true
-	matches := make([]bool, chbench.NumQueries)
-	for i := range rowRes {
-		matches[i] = relsApprox(rowRes[i], batchRes[i])
-		allMatch = allMatch && matches[i]
-	}
-	rep.AnswersMatch = allMatch
 	rep.RuntimeFilter.Tested = js1.BloomTested - js0.BloomTested
 	rep.RuntimeFilter.Passed = js1.BloomPassed - js0.BloomPassed
 	rep.RuntimeFilter.BoundsPreds = js1.BoundsPreds - js0.BoundsPreds
@@ -104,57 +79,20 @@ func CHBench(w io.Writer, s Scale) error {
 	}
 
 	// Timed rounds, per query.
-	rowMean, err := row.timeQueries(rounds)
+	mean, err := mem.timeQueries(rounds)
 	if err != nil {
 		return err
-	}
-	batchMean, err := batch.timeQueries(rounds)
-	if err != nil {
-		return err
-	}
-	var joinRow, joinBatch, allRow, allBatch float64
-	inMix := map[int]bool{}
-	for _, qi := range chJoinMix {
-		inMix[qi] = true
-	}
-	for i := 0; i < chbench.NumQueries; i++ {
-		q := chQueryAB{
-			Name:        chQueryNames[i],
-			JoinMix:     inMix[i],
-			RowMillis:   rowMean[i],
-			BatchMillis: batchMean[i],
-			OutRows:     batchRes[i].NumRows(),
-			Match:       matches[i],
-		}
-		if q.BatchMillis > 0 {
-			q.Speedup = q.RowMillis / q.BatchMillis
-		}
-		rep.Queries = append(rep.Queries, q)
-		allRow += rowMean[i]
-		allBatch += batchMean[i]
-		if inMix[i] {
-			joinRow += rowMean[i]
-			joinBatch += batchMean[i]
-		}
-	}
-	rep.JoinMixRowMillis, rep.JoinMixBatchMillis = joinRow, joinBatch
-	if joinBatch > 0 {
-		rep.JoinMixSpeedup = joinRow / joinBatch
-	}
-	if allBatch > 0 {
-		rep.AllSpeedup = allRow / allBatch
 	}
 
-	// Mixed OLTP+OLAP phase on the batch engine: CH clients interleave
-	// TPC-C transactions with the analytical sequence, as in the paper's
-	// mixed-workload runs.
-	if err := batch.runMixed(&rep.Mixed); err != nil {
+	// Mixed OLTP+OLAP phase: CH clients interleave TPC-C transactions with
+	// the analytical sequence, as in the paper's mixed-workload runs.
+	if err := mem.runMixed(&rep.Mixed); err != nil {
 		return err
 	}
 
 	// Forced spill: a tiny build-side budget pushes every batch join
-	// through disksim-backed grace partitioning; answers must still match
-	// the row engine.
+	// through disksim-backed grace partitioning; every answer must match
+	// the in-memory one.
 	spillRun, err := newCHRun(s, mult, func(cfg *cluster.Config) {
 		cfg.JoinSpillBudget = 4 << 10
 	})
@@ -176,10 +114,24 @@ func CHBench(w io.Writer, s Scale) error {
 	rep.Spill.Partitions = sj1.SpillPartitions - sj0.SpillPartitions
 	rep.Spill.Bytes = sj1.SpillBytes - sj0.SpillBytes
 	rep.Spill.Recursions = sj1.SpillRecursions - sj0.SpillRecursions
-	rep.Spill.Match = true
+
+	inMix := map[int]bool{}
 	for _, qi := range chJoinMix {
-		if !relsApprox(rowRes[qi], spillRes[qi]) {
-			rep.Spill.Match = false
+		inMix[qi] = true
+	}
+	rep.AnswersMatch = true
+	for i := 0; i < chbench.NumQueries; i++ {
+		q := chQuery{
+			Name:    chQueryNames[i],
+			JoinMix: inMix[i],
+			Millis:  mean[i],
+			OutRows: memRes[i].NumRows(),
+			Match:   relsApprox(memRes[i], spillRes[i]),
+		}
+		rep.Queries = append(rep.Queries, q)
+		rep.AnswersMatch = rep.AnswersMatch && q.Match
+		if q.JoinMix {
+			rep.JoinMixMillis += q.Millis
 		}
 	}
 
@@ -202,50 +154,41 @@ func CHBench(w io.Writer, s Scale) error {
 		if q.JoinMix {
 			tag = "*"
 		}
-		fmt.Fprintf(w, "  %s%-4s row %8.2f ms  batch %8.2f ms  (%5.2fx)  match=%v\n",
-			tag, q.Name, q.RowMillis, q.BatchMillis, q.Speedup, q.Match)
+		fmt.Fprintf(w, "  %s%-4s %8.2f ms  %6d rows  spilled answer matches=%v\n",
+			tag, q.Name, q.Millis, q.OutRows, q.Match)
 	}
-	fmt.Fprintf(w, "join/group-by mix (*): %.2f ms -> %.2f ms, speedup %.2fx (all queries %.2fx)\n",
-		rep.JoinMixRowMillis, rep.JoinMixBatchMillis, rep.JoinMixSpeedup, rep.AllSpeedup)
+	fmt.Fprintf(w, "join/group-by mix (*): %.2f ms\n", rep.JoinMixMillis)
 	fmt.Fprintf(w, "runtime filter: %d probed, %d passed (%.1f%%), %d bounds preds pushed\n",
 		rep.RuntimeFilter.Tested, rep.RuntimeFilter.Passed, rep.RuntimeFilter.PassPct,
 		rep.RuntimeFilter.BoundsPreds)
 	fmt.Fprintf(w, "mixed phase: %d txns + %d queries in %.0f ms\n",
 		rep.Mixed.Txns, rep.Mixed.Queries, rep.Mixed.Millis)
-	fmt.Fprintf(w, "forced spill: %d partitions, %d bytes, %d recursions, answers match=%v -> %s\n",
-		rep.Spill.Partitions, rep.Spill.Bytes, rep.Spill.Recursions, rep.Spill.Match, path)
-	if !allMatch {
-		return fmt.Errorf("chbench: batch and row answers diverge")
-	}
-	if !rep.Spill.Match {
-		return fmt.Errorf("chbench: spilled answers diverge")
+	fmt.Fprintf(w, "forced spill: %d partitions, %d bytes, %d recursions in %.0f ms -> %s\n",
+		rep.Spill.Partitions, rep.Spill.Bytes, rep.Spill.Recursions, rep.Spill.Millis, path)
+	if !rep.AnswersMatch {
+		return fmt.Errorf("chbench: spilled answers diverge from in-memory ones")
 	}
 	return nil
 }
 
-type chQueryAB struct {
-	Name        string  `json:"name"`
-	JoinMix     bool    `json:"join_mix"`
-	RowMillis   float64 `json:"row_ms"`
-	BatchMillis float64 `json:"batch_ms"`
-	Speedup     float64 `json:"speedup"`
-	OutRows     int     `json:"out_rows"`
-	Match       bool    `json:"answers_match"`
+type chQuery struct {
+	Name    string  `json:"name"`
+	JoinMix bool    `json:"join_mix"`
+	Millis  float64 `json:"batch_ms"`
+	OutRows int     `json:"out_rows"`
+	Match   bool    `json:"answers_match"`
 }
 
 type chbenchReport struct {
-	Scale              string      `json:"scale"`
-	Warehouses         int         `json:"warehouses"`
-	Districts          int         `json:"districts"`
-	OrdersPerDistrict  int         `json:"orders_per_district"`
-	Rounds             int         `json:"rounds"`
-	Queries            []chQueryAB `json:"queries"`
-	JoinMixRowMillis   float64     `json:"join_mix_row_ms"`
-	JoinMixBatchMillis float64     `json:"join_mix_batch_ms"`
-	JoinMixSpeedup     float64     `json:"join_mix_speedup"`
-	AllSpeedup         float64     `json:"all_speedup"`
-	AnswersMatch       bool        `json:"answers_match"`
-	RuntimeFilter      struct {
+	Scale             string    `json:"scale"`
+	Warehouses        int       `json:"warehouses"`
+	Districts         int       `json:"districts"`
+	OrdersPerDistrict int       `json:"orders_per_district"`
+	Rounds            int       `json:"rounds"`
+	Queries           []chQuery `json:"queries"`
+	JoinMixMillis     float64   `json:"join_mix_batch_ms"`
+	AnswersMatch      bool      `json:"answers_match"`
+	RuntimeFilter     struct {
 		Tested      int64   `json:"probed"`
 		Passed      int64   `json:"passed"`
 		PassPct     float64 `json:"pass_pct"`
@@ -257,7 +200,6 @@ type chbenchReport struct {
 		Bytes      int64   `json:"bytes"`
 		Recursions int64   `json:"recursions"`
 		Millis     float64 `json:"elapsed_ms"`
-		Match      bool    `json:"answers_match"`
 	} `json:"forced_spill"`
 }
 
@@ -276,10 +218,11 @@ type chRun struct {
 	queries []*query.Query
 }
 
-// newCHRun builds a column-store engine (fixed layouts keep the A/B about
-// the join engine, not ASA decisions), loads CH at mult times the scale's
-// order count, and materializes the eight queries with a fixed seed so
-// every run — and both sides of the A/B — parameterizes q19 identically.
+// newCHRun builds a column-store engine (fixed layouts keep the comparison
+// about the join engine, not ASA decisions), loads CH at mult times the
+// scale's order count, and materializes the eight queries with a fixed
+// seed so every run — in memory and spilled — parameterizes q19
+// identically.
 func newCHRun(s Scale, mult int, tweak func(*cluster.Config)) (*chRun, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Mode = cluster.ModeColumnStore
@@ -370,8 +313,7 @@ func (r *chRun) runMixed(out *chMixedResult) error {
 }
 
 // relsApprox compares two relations ignoring row order, with a relative
-// float tolerance (the batch path computes AVG natively rather than
-// reconstructing it from shipped SUM/COUNT pairs).
+// float tolerance (a spilled join sums its partials in another order).
 func relsApprox(a, b exec.Rel) bool {
 	if len(a.Cols) != len(b.Cols) || a.NumRows() != b.NumRows() {
 		return false

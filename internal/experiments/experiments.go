@@ -80,10 +80,10 @@ var All = []Experiment{
 	{"fig15", "Fig 15: cross-warehouse transaction sweep", Fig15},
 	{"tab4", "Table 4: time share per operation class", Tab4},
 	{"tab5", "Table 5: planning and layout-change overheads", Tab5},
-	{"scan", "Scan throughput: morsel executor vs legacy path (BENCH_scan.json)", ScanBench},
+	{"scan", "Scan throughput: morsel executor and encoded kernels (BENCH_scan.json)", ScanBench},
 	{"oltp", "OLTP writes: group commit vs serial commit (BENCH_oltp.json)", OLTPBench},
 	{"overload", "Overload: token-bucket admission vs AlwaysAdmit at 10x capacity (BENCH_overload.json)", OverloadBench},
-	{"chbench", "CH-benCHmark matrix: batch join/group-by engine vs row engine (BENCH_chbench.json)", CHBench},
+	{"chbench", "CH-benCHmark matrix: join/group-by engine, in memory and spilled (BENCH_chbench.json)", CHBench},
 }
 
 // Find locates an experiment by ID.

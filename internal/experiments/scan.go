@@ -21,25 +21,22 @@ import (
 	"proteus/internal/types"
 )
 
-// ScanBench compares the morsel-driven parallel scan executor against the
-// legacy per-segment path on a mixed analytical scan workload — a full
-// aggregation, a zone-map-prunable aggregation, a selective row stream and
-// a LIMIT probe — over one multi-partition table, and writes a
-// machine-readable report to BENCH_scan.json (override the path with
-// PROTEUS_SCAN_BENCH_PATH). rows_per_sec counts logical coverage: each
-// query's input is the whole table, so an executor that prunes partitions
-// or terminates early covers the same logical rows in less time.
+// ScanBench measures the morsel-driven parallel scan executor on a mixed
+// analytical scan workload — a full aggregation, a zone-map-prunable
+// aggregation, a selective row stream and a LIMIT probe — over one
+// multi-partition table, A/B-tests the encoded scan kernels at the store
+// level, and writes a machine-readable report to BENCH_scan.json (override
+// the path with PROTEUS_SCAN_BENCH_PATH). rows_per_sec counts logical
+// coverage: each query's input is the whole table, so an executor that
+// prunes partitions or terminates early covers the same logical rows in
+// less time.
 func ScanBench(w io.Writer, s Scale) error {
-	header(w, "Scan executor: morsel vs legacy path")
+	header(w, "Scan executor: morsel scans and encoded kernels")
 	rows := s.YCSBRows * 4
 	rounds := s.Rounds * 4 * s.Repeats
 	parts := 8
 
-	legacy, err := runScanVariant(s, rows, parts, rounds, true)
-	if err != nil {
-		return err
-	}
-	morsel, err := runScanVariant(s, rows, parts, rounds, false)
+	morsel, err := runScanMix(s, rows, parts, rounds)
 	if err != nil {
 		return err
 	}
@@ -47,11 +44,7 @@ func ScanBench(w io.Writer, s Scale) error {
 	rep := scanReport{
 		Rows: rows, Partitions: parts, Sites: s.Sites,
 		Workload: "sum-full, sum-pruned(1/8), filter-stream(10%), limit-100",
-		Legacy:   legacy, Morsel: morsel,
-		Speedup: legacy.ElapsedMillis / morsel.ElapsedMillis,
-	}
-	if morsel.AllocsPerOp > 0 {
-		rep.AllocRatio = legacy.AllocsPerOp / morsel.AllocsPerOp
+		Morsel:   morsel,
 	}
 	enc, err := runEncodedBench(s)
 	if err != nil {
@@ -71,13 +64,10 @@ func ScanBench(w io.Writer, s Scale) error {
 		return err
 	}
 
-	fmt.Fprintf(w, "table: %d rows, %d partitions, %d sites; %d queries/variant\n",
-		rows, parts, s.Sites, legacy.Queries)
-	fmt.Fprintf(w, "legacy: %10.0f rows/s  p95 %6.2f ms  %8.0f allocs/op\n",
-		legacy.RowsPerSec, legacy.P95Millis, legacy.AllocsPerOp)
-	fmt.Fprintf(w, "morsel: %10.0f rows/s  p95 %6.2f ms  %8.0f allocs/op\n",
-		morsel.RowsPerSec, morsel.P95Millis, morsel.AllocsPerOp)
-	fmt.Fprintf(w, "speedup %.2fx, alloc ratio %.2fx -> %s\n", rep.Speedup, rep.AllocRatio, path)
+	fmt.Fprintf(w, "table: %d rows, %d partitions, %d sites; %d queries\n",
+		rows, parts, s.Sites, morsel.Queries)
+	fmt.Fprintf(w, "morsel: %10.0f rows/s  p95 %6.2f ms  %8.0f allocs/op -> %s\n",
+		morsel.RowsPerSec, morsel.P95Millis, morsel.AllocsPerOp, path)
 	fmt.Fprintf(w, "encoded scans (dict/FoR code kernels vs decode-first):\n")
 	for _, q := range enc.Queries {
 		fmt.Fprintf(w, "  %-16s %10.0f -> %10.0f rows/s  (%.2fx)\n",
@@ -101,10 +91,7 @@ type scanReport struct {
 	Partitions int            `json:"partitions"`
 	Sites      int            `json:"sites"`
 	Workload   string         `json:"workload"`
-	Legacy     scanResult     `json:"legacy"`
 	Morsel     scanResult     `json:"morsel"`
-	Speedup    float64        `json:"speedup"`
-	AllocRatio float64        `json:"alloc_ratio"`
 	Encoded    *encodedReport `json:"encoded_scan,omitempty"`
 }
 
@@ -128,16 +115,15 @@ type encodedQueryAB struct {
 	Speedup           float64 `json:"speedup"`
 }
 
-// runScanVariant loads one engine and times the query mix. Background
+// runScanMix loads one engine and times the query mix. Background
 // intervals are slowed so the allocation delta reflects the query path.
-func runScanVariant(s Scale, rows int64, parts, rounds int, disableMorsel bool) (scanResult, error) {
+func runScanMix(s Scale, rows int64, parts, rounds int) (scanResult, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Mode = cluster.ModeColumnStore
 	cfg.NumSites = s.Sites
 	cfg.Net = simnet.Config{}
 	cfg.ReplicationInterval = 50 * time.Millisecond
 	cfg.MaintainInterval = 100 * time.Millisecond
-	cfg.DisableMorselExec = disableMorsel
 	e := cluster.New(cfg)
 	defer e.Close()
 

@@ -161,100 +161,43 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 }
 
-func TestJoinColocatedWhenReplicated(t *testing.T) {
-	pl, dir := testPlanner()
-	// Fact table partitioned across sites 0 and 1.
-	register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
-	register(dir, 1, 100, 200, 0, 3, 1, storage.DefaultRowLayout(), 100)
-	// Dimension table replicated at both sites.
-	dim := register(dir, 2, 0, 50, 0, 2, 0, storage.DefaultColumnLayout(), 50)
-	dim.AddReplica(metadata.Replica{Site: 1, Layout: storage.DefaultColumnLayout()})
+// TestPlannerDecomposesAggs pins the cached aggregate plan: every
+// aggregate, on one site or many, carries its site-local partial specs and
+// the coordinator's combine, with AVG split into SUM and COUNT.
+func TestPlannerDecomposesAggs(t *testing.T) {
+	for _, sites := range []int{1, 2} {
+		pl, dir := testPlanner()
+		register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
+		register(dir, 1, 100, 200, 0, 3, simnet.SiteID(sites-1), storage.DefaultRowLayout(), 100)
 
-	node, err := pl.PlanQuery(&query.Query{Root: &query.JoinNode{
-		Left:       &query.ScanNode{Table: 1, Cols: []schema.ColID{1}},
-		Right:      &query.ScanNode{Table: 2, Cols: []schema.ColID{0}},
-		LeftKeyCol: 0, RightKeyCol: 0,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj := node.(*PJoin)
-	if pj.Strategy != JoinColocated {
-		t.Errorf("strategy = %v, want colocated", pj.Strategy)
-	}
-	// Without the replica, the join cannot colocate.
-	pl2, dir2 := testPlanner()
-	register(dir2, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
-	register(dir2, 1, 100, 200, 0, 3, 1, storage.DefaultRowLayout(), 100)
-	register(dir2, 2, 0, 50, 0, 2, 0, storage.DefaultColumnLayout(), 50)
-	node2, err := pl2.PlanQuery(&query.Query{Root: &query.JoinNode{
-		Left:       &query.ScanNode{Table: 1, Cols: []schema.ColID{1}},
-		Right:      &query.ScanNode{Table: 2, Cols: []schema.ColID{0}},
-		LeftKeyCol: 0, RightKeyCol: 0,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if node2.(*PJoin).Strategy != JoinAtCoordinator {
-		t.Error("non-replicated join should run at coordinator")
-	}
-}
-
-func TestMergeJoinChosenForSortedScans(t *testing.T) {
-	pl, dir := testPlanner()
-	sorted := storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 1}
-	register(dir, 1, 0, 100, 0, 3, 0, sorted, 100)
-	sortedDim := storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 0}
-	register(dir, 2, 0, 50, 0, 2, 0, sortedDim, 50)
-
-	node, err := pl.PlanQuery(&query.Query{Root: &query.JoinNode{
-		Left:       &query.ScanNode{Table: 1, Cols: []schema.ColID{1}},
-		Right:      &query.ScanNode{Table: 2, Cols: []schema.ColID{0}},
-		LeftKeyCol: 0, RightKeyCol: 0,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alg := node.(*PJoin).Alg; alg != cost.JoinMerge {
-		t.Errorf("alg = %v, want merge", alg)
-	}
-}
-
-func TestTwoPhaseAggDecomposition(t *testing.T) {
-	pl, dir := testPlanner()
-	register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
-	register(dir, 1, 100, 200, 0, 3, 1, storage.DefaultRowLayout(), 100)
-
-	node, err := pl.PlanQuery(&query.Query{Root: &query.AggNode{
-		Child:   &query.ScanNode{Table: 1, Cols: []schema.ColID{0, 1}},
-		GroupBy: []int{0},
-		Aggs: []exec.AggSpec{
-			{Func: exec.AggAvg, Col: 1},
-			{Func: exec.AggCount},
-			{Func: exec.AggMin, Col: 1},
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa := node.(*PAgg)
-	if !pa.TwoPhase {
-		t.Fatal("multi-site scan should aggregate in two phases")
-	}
-	// AVG decomposes into SUM + COUNT.
-	if len(pa.PartialAggs) != 4 || len(pa.FinalAggs) != 4 {
-		t.Errorf("partial=%d final=%d", len(pa.PartialAggs), len(pa.FinalAggs))
-	}
-	if _, ok := pa.AvgPairs[0]; !ok {
-		t.Error("no avg pair recorded")
-	}
-	// COUNT's final combine is a SUM.
-	if pa.FinalAggs[2].Func != exec.AggSum {
-		t.Errorf("count combine = %v", pa.FinalAggs[2].Func)
-	}
-	// MIN combines with MIN.
-	if pa.FinalAggs[3].Func != exec.AggMin {
-		t.Errorf("min combine = %v", pa.FinalAggs[3].Func)
+		node, err := pl.PlanQuery(&query.Query{Root: &query.AggNode{
+			Child:   &query.ScanNode{Table: 1, Cols: []schema.ColID{0, 1}},
+			GroupBy: []int{0},
+			Aggs: []exec.AggSpec{
+				{Func: exec.AggAvg, Col: 1},
+				{Func: exec.AggCount},
+				{Func: exec.AggMin, Col: 1},
+			},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa := node.(*PAgg)
+		// AVG decomposes into SUM + COUNT.
+		if len(pa.PartialAggs) != 4 || len(pa.FinalAggs) != 4 {
+			t.Fatalf("%d sites: partial=%d final=%d", sites, len(pa.PartialAggs), len(pa.FinalAggs))
+		}
+		if pa.PartialAggs[0].Func != exec.AggSum || pa.PartialAggs[1].Func != exec.AggCount {
+			t.Errorf("%d sites: avg partials = %v, %v", sites, pa.PartialAggs[0].Func, pa.PartialAggs[1].Func)
+		}
+		// COUNT's final combine is a SUM.
+		if pa.FinalAggs[2].Func != exec.AggSum {
+			t.Errorf("%d sites: count combine = %v", sites, pa.FinalAggs[2].Func)
+		}
+		// MIN combines with MIN.
+		if pa.FinalAggs[3].Func != exec.AggMin {
+			t.Errorf("%d sites: min combine = %v", sites, pa.FinalAggs[3].Func)
+		}
 	}
 }
 

@@ -42,53 +42,30 @@ type PScan struct {
 	Pred     storage.Pred
 	Segments []RowSegment
 	EstRows  int
-	// Sorted reports the output arrives ordered by the given output
-	// position (single sorted partition covering all rows), or -1.
-	SortedBy int
 }
 
 func (*PScan) isPNode() {}
 
-// JoinStrategy selects the distributed execution shape of a join.
-type JoinStrategy uint8
-
-const (
-	// JoinAtCoordinator evaluates both children fully, then joins where
-	// the coordinator runs.
-	JoinAtCoordinator JoinStrategy = iota
-	// JoinColocated joins each left segment at its storage site against a
-	// local copy of the right side, shipping only partial results —
-	// Figure 7b's local joins with global aggregation.
-	JoinColocated
-)
-
-// PJoin joins two subplans.
+// PJoin equi-joins two subplans. Where each side is built or probed, and
+// at which sites, is the executor's decision, not the plan's.
 type PJoin struct {
 	Left, Right PNode
 	LeftKey     int // position in left output
 	RightKey    int // position in right output
-	Alg         cost.Variant
-	Strategy    JoinStrategy
 	EstRows     int
 }
 
 func (*PJoin) isPNode() {}
 
-// PAgg aggregates a subplan, optionally in two phases (site-local partial
-// aggregation followed by a final combine at the coordinator).
+// PAgg aggregates a subplan in two phases: every scanning site computes
+// PartialAggs, and the coordinator combines the concatenated partials with
+// FinalAggs (AVG travels as a SUM and a COUNT).
 type PAgg struct {
-	Child   PNode
-	GroupBy []int
-	Aggs    []exec.AggSpec
-	// TwoPhase: sites compute PartialAggs; the coordinator combines with
-	// FinalAggs over the concatenated partials (AVG is decomposed into
-	// SUM and COUNT).
-	TwoPhase    bool
+	Child       PNode
+	GroupBy     []int
+	Aggs        []exec.AggSpec
 	PartialAggs []exec.AggSpec
 	FinalAggs   []exec.AggSpec
-	// AvgPairs maps output agg index -> (sum position, count position) in
-	// the partial layout for AVG reconstruction.
-	AvgPairs map[int][2]int
 }
 
 func (*PAgg) isPNode() {}
@@ -187,11 +164,14 @@ func (pl *Planner) planScan(s *query.ScanNode) (PNode, error) {
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
 
-	ps := &PScan{Table: s.Table, Cols: s.Cols, Pred: s.Pred, SortedBy: -1}
+	ps := &PScan{Table: s.Table, Cols: s.Cols, Pred: s.Pred}
 	est := 0
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
 		seg := RowSegment{Lo: lo, Hi: hi}
+		// A segment's row survives only if every vertical piece's share of
+		// the predicate admits it: estimate it by its most selective piece.
+		segEst := -1
 		for _, m := range parts {
 			if !m.Bounds.OverlapsRows(lo, hi) {
 				continue
@@ -213,26 +193,20 @@ func (pl *Planner) planScan(s *query.ScanNode) (PNode, error) {
 			copyChoice := pl.chooseCopy(m, pieceCols, s.Pred)
 			seg.Pieces = append(seg.Pieces, ScanPart{Meta: m, Copy: copyChoice, Cols: pieceCols})
 			if m.ZoneMap != nil {
-				est += int(float64(m.ZoneMap.Rows()) * m.ZoneMap.EstimateSelectivity(globalToLocalPred(m, s.Pred)))
+				pe := int(float64(m.ZoneMap.Rows()) * m.ZoneMap.EstimateSelectivity(globalToLocalPred(m, s.Pred)))
+				if segEst < 0 || pe < segEst {
+					segEst = pe
+				}
 			}
+		}
+		if segEst > 0 {
+			est += segEst
 		}
 		if len(seg.Pieces) > 0 {
 			ps.Segments = append(ps.Segments, seg)
 		}
 	}
 	ps.EstRows = est
-	// Sorted output: a single piece whose layout sorts by an output column.
-	if len(ps.Segments) == 1 && len(ps.Segments[0].Pieces) == 1 {
-		p := ps.Segments[0].Pieces[0]
-		if p.Copy.Layout.SortBy != storage.NoSort {
-			global := p.Meta.Bounds.GlobalCol(p.Copy.Layout.SortBy)
-			for i, c := range s.Cols {
-				if c == global {
-					ps.SortedBy = i
-				}
-			}
-		}
-	}
 	return ps, nil
 }
 
@@ -314,87 +288,8 @@ func (pl *Planner) planJoin(j *query.JoinNode) (PNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	pj := &PJoin{Left: left, Right: right, LeftKey: j.LeftKeyCol, RightKey: j.RightKeyCol}
-
-	// Strategy: colocate when both children are scans and every site
-	// holding a left piece also holds a copy of every right partition
-	// ("at least one side of a join executes over precisely one copy of
-	// each partition", §4.3).
-	ls, lok := left.(*PScan)
-	rs, rok := right.(*PScan)
-	if lok && rok {
-		if colocatable(ls, rs) {
-			pj.Strategy = JoinColocated
-			retargetToLeftSites(ls, rs)
-		}
-	}
-	pj.Alg = pl.chooseJoinAlg(left, right, j.LeftKeyCol, j.RightKeyCol)
-	pj.EstRows = estRows(left) // FK join estimate: one match per left row
-	return pj, nil
-}
-
-// colocatable reports whether every site scanning a left piece has a copy
-// of every right partition.
-func colocatable(l, r *PScan) bool {
-	sites := map[simnet.SiteID]bool{}
-	for _, seg := range l.Segments {
-		for _, p := range seg.Pieces {
-			sites[p.Copy.Site] = true
-		}
-	}
-	if len(sites) == 0 {
-		return false
-	}
-	for _, seg := range r.Segments {
-		for _, p := range seg.Pieces {
-			for s := range sites {
-				if !p.Meta.HasCopyAt(s) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// retargetToLeftSites repoints the right scan's copies to whichever site
-// will execute each local join (resolved per-site at execution; here we
-// just mark preference by leaving metadata intact — the executor resolves
-// local copies).
-func retargetToLeftSites(l, r *PScan) {
-	// No-op beyond strategy selection: the executor looks up the local
-	// copy of each right partition at each joining site.
-	_ = l
-	_ = r
-}
-
-// chooseJoinAlg picks merge join when both inputs arrive sorted on the
-// keys, otherwise cost-compares hash and nested-loop (greedy operator
-// selection, §5.3.1), reusing bucketed decisions.
-func (pl *Planner) chooseJoinAlg(left, right PNode, lKey, rKey int) cost.Variant {
-	if ls, ok := left.(*PScan); ok {
-		if rs, ok := right.(*PScan); ok {
-			if ls.SortedBy == lKey && rs.SortedBy == rKey && ls.SortedBy >= 0 && rs.SortedBy >= 0 {
-				return cost.JoinMerge
-			}
-		}
-	}
-	lRows, rRows := estRows(left), estRows(right)
-	key := Key("joinalg", nil, []float64{float64(lRows), float64(rRows)})
-	if d, ok := pl.Decisions.Lookup(key); ok {
-		if v, ok := d.(cost.Variant); ok {
-			return v
-		}
-	}
-	feat := cost.JoinFeatures(lRows, rRows, maxI(lRows, rRows), 64, 0.001)
-	hash := pl.Model.Predict(cost.OpJoin, cost.JoinHash, storage.Layout{}, feat)
-	nested := pl.Model.Predict(cost.OpJoin, cost.JoinNested, storage.Layout{}, feat)
-	choice := cost.JoinHash
-	if nested < hash {
-		choice = cost.JoinNested
-	}
-	pl.Decisions.Store(key, choice)
-	return choice
+	// FK join estimate: one match per left row.
+	return &PJoin{Left: left, Right: right, LeftKey: j.LeftKeyCol, RightKey: j.RightKeyCol, EstRows: estRows(left)}, nil
 }
 
 func (pl *Planner) planAgg(a *query.AggNode) (PNode, error) {
@@ -403,43 +298,21 @@ func (pl *Planner) planAgg(a *query.AggNode) (PNode, error) {
 		return nil, err
 	}
 	pa := &PAgg{Child: child, GroupBy: a.GroupBy, Aggs: a.Aggs}
-	// Two-phase aggregation when the child executes distributed.
-	switch c := child.(type) {
-	case *PScan:
-		pa.TwoPhase = multiSite(c)
-	case *PJoin:
-		pa.TwoPhase = c.Strategy == JoinColocated
-	}
-	if pa.TwoPhase {
-		pa.PartialAggs, pa.FinalAggs, pa.AvgPairs = DecomposeAggs(a.GroupBy, a.Aggs)
-	}
+	pa.PartialAggs, pa.FinalAggs = decomposeAggs(a.GroupBy, a.Aggs)
 	return pa, nil
 }
 
-func multiSite(s *PScan) bool {
-	sites := map[simnet.SiteID]bool{}
-	for _, seg := range s.Segments {
-		for _, p := range seg.Pieces {
-			sites[p.Copy.Site] = true
-		}
-	}
-	return len(sites) > 1
-}
-
-// DecomposeAggs rewrites aggregates for two-phase execution. The partial
+// decomposeAggs rewrites aggregates for two-phase execution. The partial
 // layout is [groupBy..., partial aggs...]; the final phase re-aggregates
-// over that layout. The morsel executor also uses it for single-site scans
-// so worker-local partial aggregation composes the same way everywhere.
-func DecomposeAggs(groupBy []int, aggs []exec.AggSpec) (partial, final []exec.AggSpec, avgPairs map[int][2]int) {
-	avgPairs = map[int][2]int{}
-	for i, a := range aggs {
+// over that layout.
+func decomposeAggs(groupBy []int, aggs []exec.AggSpec) (partial, final []exec.AggSpec) {
+	for _, a := range aggs {
 		switch a.Func {
 		case exec.AggAvg:
 			sumPos := len(groupBy) + len(partial)
 			partial = append(partial, exec.AggSpec{Func: exec.AggSum, Col: a.Col})
 			countPos := len(groupBy) + len(partial)
 			partial = append(partial, exec.AggSpec{Func: exec.AggCount})
-			avgPairs[i] = [2]int{sumPos, countPos}
 			final = append(final, exec.AggSpec{Func: exec.AggSum, Col: sumPos}, exec.AggSpec{Func: exec.AggSum, Col: countPos})
 		case exec.AggCount:
 			pos := len(groupBy) + len(partial)
@@ -451,7 +324,7 @@ func DecomposeAggs(groupBy []int, aggs []exec.AggSpec) (partial, final []exec.Ag
 			final = append(final, exec.AggSpec{Func: a.Func, Col: pos})
 		}
 	}
-	return partial, final, avgPairs
+	return partial, final
 }
 
 func estRows(n PNode) int {
@@ -464,13 +337,6 @@ func estRows(n PNode) int {
 		return 1
 	}
 	return 0
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // fingerprint canonically renders a logical tree for plan-cache keying.

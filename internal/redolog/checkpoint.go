@@ -70,7 +70,10 @@ func (t *topic) setCheckpoint(b *Broker, ck *Checkpoint) {
 // folds run afterwards. The rows' Vals are shared with the broker and must
 // not be written.
 func (b *Broker) Checkpoint(pid partition.ID) (Checkpoint, bool) {
-	t := b.topic(pid)
+	t := b.lookup(pid)
+	if t == nil {
+		return Checkpoint{}, false
+	}
 	t.ckMu.Lock()
 	defer t.ckMu.Unlock()
 	if t.ckpt == nil {
@@ -85,7 +88,10 @@ func (b *Broker) Checkpoint(pid partition.ID) (Checkpoint, bool) {
 // exists). Truncation must never pass beyond it, or recovery would lose
 // the records' effects.
 func (b *Broker) CheckpointOffset(pid partition.ID) int64 {
-	t := b.topic(pid)
+	t := b.lookup(pid)
+	if t == nil {
+		return 0
+	}
 	t.ckMu.Lock()
 	defer t.ckMu.Unlock()
 	if t.ckpt == nil {

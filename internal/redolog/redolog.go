@@ -159,7 +159,11 @@ func (b *Broker) lookup(pid partition.ID) *topic {
 	return t
 }
 
-// topic returns the partition's topic, creating it on first use.
+// topic returns the partition's topic, creating it on first use. Only the
+// writers — Append, AppendBatch and SaveCheckpoint — create topics; every
+// reader goes through lookup and treats a missing topic as empty, so a
+// read racing a split's or merge's DeleteTopic (or a replica polling a
+// retired partition) cannot resurrect the topic.
 func (b *Broker) topic(pid partition.ID) *topic {
 	t := b.lookup(pid)
 	if t != nil {
@@ -220,7 +224,10 @@ func (b *Broker) AppendBatch(recs []Record) {
 // base resume from the oldest retained record (a log broker's
 // out-of-range reset to the log-start offset).
 func (b *Broker) Poll(pid partition.ID, from int64, max int) ([]Record, int64) {
-	t := b.topic(pid)
+	t := b.lookup(pid)
+	if t == nil {
+		return nil, from
+	}
 	t.mu.RLock()
 	if from < t.base {
 		from = t.base
@@ -248,7 +255,10 @@ func (b *Broker) Poll(pid partition.ID, from int64, max int) ([]Record, int64) {
 
 // EndOffset reports the offset one past the last record.
 func (b *Broker) EndOffset(pid partition.ID) int64 {
-	t := b.topic(pid)
+	t := b.lookup(pid)
+	if t == nil {
+		return 0
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.base + int64(len(t.records))
@@ -256,7 +266,10 @@ func (b *Broker) EndOffset(pid partition.ID) int64 {
 
 // BaseOffset reports the oldest retained offset (the log-start offset).
 func (b *Broker) BaseOffset(pid partition.ID) int64 {
-	t := b.topic(pid)
+	t := b.lookup(pid)
+	if t == nil {
+		return 0
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.base
@@ -264,7 +277,10 @@ func (b *Broker) BaseOffset(pid partition.ID) int64 {
 
 // Retained reports how many records the topic currently holds.
 func (b *Broker) Retained(pid partition.ID) int64 {
-	t := b.topic(pid)
+	t := b.lookup(pid)
+	if t == nil {
+		return 0
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return int64(len(t.records))
@@ -275,7 +291,10 @@ func (b *Broker) Retained(pid partition.ID) int64 {
 // address the same positions as before. The offset is clamped to the
 // retained range; the number of records reclaimed is returned.
 func (b *Broker) Truncate(pid partition.ID, before int64) int64 {
-	t := b.topic(pid)
+	t := b.lookup(pid)
+	if t == nil {
+		return 0
+	}
 	t.mu.Lock()
 	end := t.base + int64(len(t.records))
 	if before > end {

@@ -70,6 +70,53 @@ func TestTopicsIndependent(t *testing.T) {
 	}
 }
 
+// TestReadsDoNotResurrectDeletedTopics: once a split or merge deletes a
+// topic, every reader — the maintenance tick's checkpoint and truncation
+// calls, a replica's poll, recovery's checkpoint read — sees an empty log
+// and leaves no topic behind for Topics to list forever.
+func TestReadsDoNotResurrectDeletedTopics(t *testing.T) {
+	b := NewBroker()
+	for v := uint64(1); v <= 4; v++ {
+		b.Append(rec(1, v, schema.RowID(v)))
+		b.Append(rec(2, v, schema.RowID(v)))
+	}
+	b.SaveCheckpoint(1, Checkpoint{Version: 2, Offset: 2})
+	b.DeleteTopic(1)
+
+	if n := b.CheckpointOffset(1); n != 0 {
+		t.Errorf("CheckpointOffset = %d", n)
+	}
+	if n := b.Truncate(1, 3); n != 0 {
+		t.Errorf("Truncate = %d", n)
+	}
+	if _, ok := b.Checkpoint(1); ok {
+		t.Error("Checkpoint found an image")
+	}
+	if n := b.FoldCheckpoint(1, 1); n != 0 {
+		t.Errorf("FoldCheckpoint = %d", n)
+	}
+	if recs, next := b.Poll(1, 0, 10); len(recs) != 0 || next != 0 {
+		t.Errorf("Poll = %d records, next %d", len(recs), next)
+	}
+	if n := b.EndOffset(1); n != 0 {
+		t.Errorf("EndOffset = %d", n)
+	}
+	if n := b.BaseOffset(1); n != 0 {
+		t.Errorf("BaseOffset = %d", n)
+	}
+	if n := b.Retained(1); n != 0 {
+		t.Errorf("Retained = %d", n)
+	}
+	if topics := b.Topics(); len(topics) != 1 || topics[0] != 2 {
+		t.Errorf("Topics = %v, want only the live topic 2", topics)
+	}
+	// A writer still creates the topic.
+	b.Append(rec(1, 5, 5))
+	if len(b.Topics()) != 2 || b.EndOffset(1) != 1 {
+		t.Errorf("append after delete: topics %v, end %d", b.Topics(), b.EndOffset(1))
+	}
+}
+
 func TestApplyReplaysIntoPartition(t *testing.T) {
 	f := partition.Factory{Dev: disksim.New(disksim.Config{})}
 	kinds := []types.Kind{types.KindInt64, types.KindString}

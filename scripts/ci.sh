@@ -23,13 +23,15 @@ go vet -C bench .
 go test -C bench .
 
 echo "== benchmark workloads against their oracles (gating)"
-# Two seconds' worth of each workload that joins or writes, numbers
-# discarded: the benchmark exits non-zero on any operation that fails or
-# whose answer differs from its oracle, so every CH join shape — pipelined
-# probes, partial aggregates, the open-loop mix beside transactions — is
-# checked against plain loops over the tables' rows on each CI run, and
-# oltp-rmw reads back every cell it wrote and drains its replicas while the
+# Two seconds' worth of each workload, numbers discarded: the benchmark
+# exits non-zero on any operation that fails or whose answer differs from
+# its oracle, so every scan shape — morsel scheduling, zone-map pruning,
+# encoded kernels, LIMIT — and every CH join shape — pipelined probes,
+# partial aggregates, the open-loop mix beside transactions — is checked
+# against plain loops over the tables' rows on each CI run, and oltp-rmw
+# reads back every cell it wrote and drains its replicas while the
 # maintenance tick folds checkpoints and truncates the log underneath.
+go run -C bench . --workload olap-scan --seconds 2 >/dev/null
 go run -C bench . --workload olap-join --seconds 2 >/dev/null
 go run -C bench . --workload htap-mixed --seconds 2 >/dev/null
 go run -C bench . --workload oltp-rmw --seconds 2 >/dev/null
@@ -67,8 +69,9 @@ go test -race -count=1 \
     ./internal/workload/...
 
 echo "== scan benchmark (non-gating)"
-# Regenerates BENCH_scan.json (morsel executor vs legacy path). Numbers are
-# informational on shared CI hardware; a failure here does not gate the run.
+# Regenerates BENCH_scan.json (morsel executor scans and the encoded-kernel
+# A/B). Numbers are informational on shared CI hardware; a failure here does
+# not gate the run.
 go run ./cmd/proteus-bench -exp scan -scale quick || echo "scan benchmark failed (non-gating)"
 
 echo "== oltp commit-pipeline benchmark (non-gating)"
@@ -79,11 +82,11 @@ go run ./cmd/proteus-bench -exp oltp -scale quick || echo "oltp benchmark failed
 go test -run XXX -bench 'BenchmarkTxn(Group|Serial)Commit' -benchtime 0.5s ./internal/cluster/ || echo "txn benchmarks failed (non-gating)"
 
 echo "== CH-benCHmark smoke (non-gating)"
-# Regenerates BENCH_chbench.json (batch join/group-by engine vs the legacy
-# row engine over the CH-benCHmark query mix, plus a forced-spill run).
-# The experiment hard-fails if the two engines' answers ever diverge or if
-# the spilled join returns wrong rows; the speedups themselves are
-# informational on shared CI hardware, so the run does not gate. Set
+# Regenerates BENCH_chbench.json (the join/group-by engine over the
+# CH-benCHmark query mix, plus a forced-spill rerun). The experiment
+# hard-fails if a spilled answer ever differs from the in-memory one; the
+# timings themselves are informational on shared CI hardware, so the run
+# does not gate. Set
 # PROTEUS_CHBENCH_FULL=1 to run the full-scale matrix instead (minutes,
 # not seconds; this is what the committed BENCH_chbench.json comes from).
 if [[ "${PROTEUS_CHBENCH_FULL:-0}" == "1" ]]; then
