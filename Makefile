@@ -34,11 +34,14 @@ check:
 # pipelined probe per scan batch, which must report 0 allocs/op) and
 # BenchmarkCheckpointFold (ns and allocs per folded redo record against
 # checkpoint images of 1e3, 1e4 and 1e5 rows: flat allocations, time that
-# follows the change and not the image) with allocation stats, archiving
-# the run under results/.
+# follows the change and not the image) and BenchmarkScanWithDelta (ns per
+# row and allocations of a 100k-row column store scanned in morsel-sized
+# units with 0, 64 and 1 024 updates pending in its delta) with allocation
+# stats, archiving the run under results/.
 bench:
 	mkdir -p results
 	go test -run XXX -bench 'BenchmarkScan' -benchmem . | tee results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkBatchKernels' -benchmem ./internal/exec/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkJoin|BenchmarkGroupBy' -benchmem ./internal/exec/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkCheckpointFold' -benchmem ./internal/redolog/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
+	go test -run XXX -bench 'BenchmarkScanWithDelta' -benchmem ./internal/colstore/ | tee -a results/bench-$$(date +%Y-%m-%d).txt

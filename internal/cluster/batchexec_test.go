@@ -171,18 +171,31 @@ func TestStreamAbandonedCursorReturnsBatches(t *testing.T) {
 }
 
 // TestBatchMetricsExported checks the engine snapshot carries the batch
-// pipeline counters and derived gauges after a filtered aggregate ran.
+// pipeline counters and derived gauges after a filtered aggregate ran over
+// column stores, one of them with an update pending in its delta.
 func TestBatchMetricsExported(t *testing.T) {
 	e, tbl := newMorselEngine(t, ModeColumnStore, 2, 4, 2000, nil)
+	sess := e.NewSession()
+	before := e.MetricsSnapshot()
+	if _, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{Ops: []query.Op{
+		updateOp(tbl, 3, 2, types.NewFloat64(-3)),
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	q := &query.Query{Root: &query.AggNode{
 		Child: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{2},
 			Pred: storage.Pred{{Col: 1, Op: storage.CmpLt, Val: types.NewInt64(5)}}},
 		Aggs: []exec.AggSpec{{Func: exec.AggSum, Col: 0}},
 	}}
-	if _, err := e.ExecuteQuery(context.Background(), e.NewSession(), q); err != nil {
+	if _, err := e.ExecuteQuery(context.Background(), sess, q); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.MetricsSnapshot()
+	for _, k := range []string{"exec.batches.delta_units", "exec.batches.delta_rows_masked", "exec.batches.delta_rows_emitted"} {
+		if snap.Counters[k] <= before.Counters[k] {
+			t.Errorf("%s did not move over a scan with a pending update", k)
+		}
+	}
 	if snap.Counters["exec.batches.count"] == 0 {
 		t.Error("exec.batches.count not exported")
 	}

@@ -613,23 +613,26 @@ func (j *morselJob) runCols(out chan<- exec.ColRel) {
 					return false
 				}
 			}
-			for u, ok := feed.next(); ok; u, ok = feed.next() {
-				j.scanUnit(u, batchRows, func(b *storage.Batch) bool {
-					n := b.Len()
-					if n == 0 {
-						return j.ctx.Err() == nil
-					}
-					// rows feeds the per-partition scan observation; count
-					// pre-join so scan selectivity stays a scan property.
-					u.ps.rows.Add(int64(n))
-					if jb := pr.Apply(b); jb != nil {
-						cur.AppendBatch(jb)
-					}
-					if cur.NumRows() >= batchRows {
-						return flush()
-					}
+			var ps *partScan // the unit being scanned
+			sink := func(b *storage.Batch) bool {
+				n := b.Len()
+				if n == 0 {
 					return j.ctx.Err() == nil
-				})
+				}
+				// rows feeds the per-partition scan observation; count
+				// pre-join so scan selectivity stays a scan property.
+				ps.rows.Add(int64(n))
+				if jb := pr.Apply(b); jb != nil {
+					cur.AppendBatch(jb)
+				}
+				if cur.NumRows() >= batchRows {
+					return flush()
+				}
+				return j.ctx.Err() == nil
+			}
+			for u, ok := feed.next(); ok; u, ok = feed.next() {
+				ps = u.ps
+				j.scanUnit(u, batchRows, sink)
 				if j.ctx.Err() != nil {
 					return
 				}

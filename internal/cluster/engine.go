@@ -752,6 +752,10 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	if bs.PoolGets > 0 {
 		snap.Gauges["exec.batches.pool_hit_pct"] = 100 * bs.PoolHits / bs.PoolGets
 	}
+	ds := colstore.ReadDeltaScanStats()
+	snap.Counters["exec.batches.delta_units"] = ds.Units
+	snap.Counters["exec.batches.delta_rows_masked"] = ds.RowsMasked
+	snap.Counters["exec.batches.delta_rows_emitted"] = ds.DeltaRows
 	es := storage.ReadEncodedStats()
 	snap.Counters["exec.encoded.vecs"] = es.Vecs
 	snap.Counters["exec.encoded.code_filters"] = es.CodeFilters

@@ -514,21 +514,24 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 					return false
 				}
 			}
-			for u, ok := feed.next(); ok; u, ok = feed.next() {
-				j.scanUnit(u, batchRows, func(b *storage.Batch) bool {
-					n := b.Len()
-					if n == 0 {
-						return j.ctx.Err() == nil
-					}
-					u.ps.rows.Add(int64(n))
-					if jb := pr.Apply(b); jb != nil {
-						batch = jb.AppendTuples(batch)
-					}
-					if len(batch) >= batchRows {
-						return flush()
-					}
+			var ps *partScan // the unit being scanned
+			sink := func(b *storage.Batch) bool {
+				n := b.Len()
+				if n == 0 {
 					return j.ctx.Err() == nil
-				})
+				}
+				ps.rows.Add(int64(n))
+				if jb := pr.Apply(b); jb != nil {
+					batch = jb.AppendTuples(batch)
+				}
+				if len(batch) >= batchRows {
+					return flush()
+				}
+				return j.ctx.Err() == nil
+			}
+			for u, ok := feed.next(); ok; u, ok = feed.next() {
+				ps = u.ps
+				j.scanUnit(u, batchRows, sink)
 				if j.ctx.Err() != nil {
 					return
 				}
@@ -568,14 +571,17 @@ func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error
 					agg := exec.NewAggregator(groupBy, specs)
 					pr := j.newProber()
 					defer j.closeProber(siteID, pr)
+					var ps *partScan // the unit being scanned
+					sink := func(b *storage.Batch) bool {
+						ps.rows.Add(int64(b.Len()))
+						if jb := pr.Apply(b); jb != nil {
+							agg.ObserveBatch(jb)
+						}
+						return j.ctx.Err() == nil
+					}
 					for u, ok := feed.next(); ok; u, ok = feed.next() {
-						j.scanUnit(u, batchRows, func(b *storage.Batch) bool {
-							u.ps.rows.Add(int64(b.Len()))
-							if jb := pr.Apply(b); jb != nil {
-								agg.ObserveBatch(jb)
-							}
-							return j.ctx.Err() == nil
-						})
+						ps = u.ps
+						j.scanUnit(u, batchRows, sink)
 						if j.ctx.Err() != nil {
 							return
 						}

@@ -1,32 +1,55 @@
 package colstore
 
-// Native vectorized scan over the merged column representation. The fast
-// path (no delta rows pending) never materializes rows: predicate
+// Native vectorized scan over the merged column representation — the
+// column stores' only scan loop, with or without a pending delta. Predicate
 // conditions run as typed filter kernels composing a selection vector, RLE
 // columns evaluate each run once and skip failing runs wholesale, and the
 // output batch carries zero-copy views over the column arrays (RLE columns
-// expand only the selected chunk into the batch's pooled buffers). With
-// delta rows pending, the existing ordered merge streams through pooled
-// batches instead — correctness is identical either way because the row
-// Scan is itself a shim over this path.
+// holding NULLs expand only the selected chunk into the batch's pooled
+// buffers). A pending delta changes two things: base rows a visible delta
+// version supersedes leave the selection vector, and the live delta rows go
+// out as small owned batches — after the base chunks on row-id layouts, at
+// their ordered positions on sorted ones.
 
 import (
+	"slices"
+	"sort"
+	"sync/atomic"
+
 	"proteus/internal/schema"
 	"proteus/internal/storage"
 	"proteus/internal/types"
 )
+
+// Package-wide delta-scan counters, surfaced by the engine's metrics
+// snapshot beside exec.batches.*.
+var (
+	statDeltaUnits atomic.Int64 // scans whose range held pending delta rows
+	statRowsMasked atomic.Int64 // predicate-passing base rows a delta version superseded
+	statDeltaRows  atomic.Int64 // live delta rows emitted
+)
+
+// DeltaScanStats snapshots the delta-scan counters.
+type DeltaScanStats struct {
+	Units, RowsMasked, DeltaRows int64
+}
+
+// ReadDeltaScanStats reads the cumulative delta-scan counters.
+func ReadDeltaScanStats() DeltaScanStats {
+	return DeltaScanStats{Units: statDeltaUnits.Load(), RowsMasked: statRowsMasked.Load(), DeltaRows: statDeltaRows.Load()}
+}
 
 // batchScan is one merged-view vectorized scan over base positions
 // [lo, hi) with optional row-id clipping (the morsel range contract on
 // value-sorted layouts, where positions interleave ids arbitrarily).
 type batchScan struct {
 	rowIDs     []schema.RowID
-	col        func(schema.ColID) *colData
+	cols       []*colData // by store column; the touched ones must be set
 	sortBy     schema.ColID
 	lo, hi     int
-	overridden map[schema.RowID]bool
-	live       []deltaRow
-	cols       []schema.ColID
+	over       []schema.RowID // superseded ids, ascending (deltaStore.view)
+	live       []deltaRow     // live delta rows in layout order
+	proj       []schema.ColID
 	pred       storage.Pred
 	clip       bool
 	idLo, idHi schema.RowID
@@ -37,96 +60,203 @@ func (s *batchScan) run(fn func(*storage.Batch) bool) {
 	if s.maxRows <= 0 {
 		s.maxRows = storage.DefaultBatchRows
 	}
-	b := storage.GetBatch(len(s.cols))
+	if len(s.over) > 0 {
+		statDeltaUnits.Add(1)
+	}
+	b := storage.GetBatch(len(s.proj))
 	defer storage.PutBatch(b)
-	if len(s.overridden) == 0 && len(s.live) == 0 {
-		s.fast(b, fn)
-		return
-	}
-	s.slow(b, fn)
-}
-
-// fast vectorizes the delta-free case chunk by chunk.
-func (s *batchScan) fast(b *storage.Batch, fn func(*storage.Batch) bool) {
-	var scratchA, scratchB []int32
-	useA := true
-	nextBuf := func() []int32 {
-		if useA {
-			return scratchA[:0]
-		}
-		return scratchB[:0]
-	}
-	keepBuf := func(dst []int32) {
-		if useA {
-			scratchA = dst
-		} else {
-			scratchB = dst
-		}
-		useA = !useA
-	}
-	for p0 := s.lo; p0 < s.hi; p0 += s.maxRows {
-		p1 := p0 + s.maxRows
-		if p1 > s.hi {
-			p1 = s.hi
-		}
-		n := p1 - p0
-
-		var sel []int32 // nil = all n rows selected
-		pruned := false
-		for _, cond := range s.pred {
-			dst := filterColRange(nextBuf(), sel, s.col(cond.Col), p0, p1, cond.Op, cond.Val)
-			keepBuf(dst)
-			sel = dst
-			if len(sel) == 0 {
-				pruned = true
-				break
+	oi, di := 0, 0 // the next superseded id (row-id layouts), the next live delta row
+	for p0 := s.lo; p0 < s.hi; {
+		p1 := min(p0+s.maxRows, s.hi)
+		if s.sortBy != storage.NoSort && di < len(s.live) {
+			// Delta rows ordered before position p0 go out first; the
+			// chunk then ends where the next one belongs.
+			n := di
+			for n < len(s.live) && !s.baseLess(p0, s.live[n]) {
+				n++
+			}
+			if !s.emitLive(b, s.live[di:n], fn) {
+				return
+			}
+			if di = n; di < len(s.live) {
+				p1 = p0 + sort.Search(p1-p0, func(i int) bool { return !s.baseLess(p0+i, s.live[di]) })
 			}
 		}
-		if !pruned && s.clip {
-			dst := nextBuf()
-			if sel == nil {
-				for p := p0; p < p1; p++ {
-					if id := s.rowIDs[p]; id >= s.idLo && id < s.idHi {
-						dst = append(dst, int32(p-p0))
-					}
-				}
-			} else {
-				for _, si := range sel {
-					if id := s.rowIDs[p0+int(si)]; id >= s.idLo && id < s.idHi {
-						dst = append(dst, si)
-					}
-				}
-			}
-			keepBuf(dst)
-			sel = dst
-			pruned = len(sel) == 0
-		}
-		if pruned {
-			storage.RecordPrunedRows(n)
-			continue
-		}
-
-		b.Reset(len(s.cols))
-		b.SetRowIDsView(s.rowIDs[p0:p1])
-		b.Sel = sel
-		for i, cID := range s.cols {
-			c := s.col(cID)
-			if c.enc != encRLE {
-				// Plain columns are zero-copy views; dictionary and FoR
-				// columns hand out encoded views over the raw codes.
-				b.Vecs[i] = c.viewVec(p0, p1)
-			} else if rv, ok := runsVecEnabled(c, p0, p1); ok {
-				b.Vecs[i] = rv
-			} else {
-				// NULL-bearing runs (or encodings toggled off for A/B
-				// benchmarking): expand into pooled buffers.
-				c.fillVec(&b.Vecs[i], p0, p1)
-			}
-		}
-		if !storage.EmitBatch(b, fn) {
+		if !s.chunk(b, p0, p1, &oi, fn) {
 			return
 		}
+		p0 = p1
 	}
+	s.emitLive(b, s.live[di:], fn)
+}
+
+// chunk filters base positions [p0, p1) into b's selection vector and
+// emits the survivors as one batch of column views.
+func (s *batchScan) chunk(b *storage.Batch, p0, p1 int, oi *int, fn func(*storage.Batch) bool) bool {
+	var sel []int32 // nil = all rows of the chunk selected
+	k, pruned := 0, false
+	keep := func(dst []int32) { // dst was built in b.Scratch[k]
+		b.Scratch[k], k, sel, pruned = dst, k^1, dst, len(dst) == 0
+	}
+	for _, cond := range s.pred {
+		keep(filterColRange(b.Scratch[k][:0], sel, s.cols[cond.Col], p0, p1, cond.Op, cond.Val))
+		if pruned {
+			break
+		}
+	}
+	if !pruned && s.clip {
+		dst := b.Scratch[k][:0]
+		if sel == nil {
+			for p := p0; p < p1; p++ {
+				if id := s.rowIDs[p]; id >= s.idLo && id < s.idHi {
+					dst = append(dst, int32(p-p0))
+				}
+			}
+		} else {
+			for _, si := range sel {
+				if id := s.rowIDs[p0+int(si)]; id >= s.idLo && id < s.idHi {
+					dst = append(dst, si)
+				}
+			}
+		}
+		keep(dst)
+	}
+	if !pruned && len(s.over) > 0 {
+		if dst, hit := s.mask(b.Scratch[k][:0], sel, p0, p1, oi); hit {
+			keep(dst)
+		}
+	}
+	if pruned {
+		storage.RecordPrunedRows(p1 - p0)
+		return true
+	}
+
+	b.Reset(len(s.proj))
+	b.SetRowIDsView(s.rowIDs[p0:p1])
+	b.Sel = sel
+	for i, cID := range s.proj {
+		c := s.cols[cID]
+		if c.enc != encRLE {
+			// Plain columns are zero-copy views; dictionary and FoR
+			// columns hand out encoded views over the raw codes.
+			b.Vecs[i] = c.viewVec(p0, p1)
+		} else if rv, ok := runsVecEnabled(c, p0, p1); ok {
+			b.Vecs[i] = rv
+		} else {
+			// NULL-bearing runs (or encodings toggled off for A/B
+			// benchmarking): expand into pooled buffers.
+			c.fillVec(&b.Vecs[i], p0, p1)
+		}
+	}
+	return storage.EmitBatch(b, fn)
+}
+
+// mask appends to dst the chunk's selected positions (sel, nil = all of
+// [p0, p1)) whose row id no visible delta version supersedes; hit=false
+// means nothing was dropped and sel stands. On row-id layouts ids ascend
+// with position, so the ascending superseded ids are walked beside the
+// chunk (*oi carries the walk across chunks); on value-sorted layouts each
+// selected row's id is looked up by binary search.
+func (s *batchScan) mask(dst, sel []int32, p0, p1 int, oi *int) ([]int32, bool) {
+	ids, over := s.rowIDs[p0:p1], s.over
+	idOrder := s.sortBy == storage.NoSort
+	if idOrder {
+		for *oi < len(over) && over[*oi] < ids[0] {
+			*oi++
+		}
+		if *oi == len(over) || over[*oi] > ids[len(ids)-1] {
+			return sel, false
+		}
+	}
+	n, j := len(ids), *oi
+	if sel != nil {
+		n = len(sel)
+	}
+	for x := 0; x < n; x++ {
+		i := int32(x)
+		if sel != nil {
+			i = sel[x]
+		}
+		var gone bool
+		if id := ids[i]; idOrder {
+			for j < len(over) && over[j] < id {
+				j++
+			}
+			gone = j < len(over) && over[j] == id
+		} else {
+			_, gone = slices.BinarySearch(over, id)
+		}
+		if !gone {
+			dst = append(dst, i)
+		}
+	}
+	*oi = j
+	if len(dst) == n {
+		return sel, false
+	}
+	statRowsMasked.Add(int64(n - len(dst)))
+	return dst, true
+}
+
+// baseLess reports whether base position p orders before delta row dr on a
+// value-sorted layout: by sort value, then by row id.
+func (s *batchScan) baseLess(p int, dr deltaRow) bool {
+	if c := types.Compare(s.cols[s.sortBy].get(p), dr.vals[s.sortBy]); c != 0 {
+		return c < 0
+	}
+	return s.rowIDs[p] < dr.id
+}
+
+// emitLive sends live delta rows as owned batches of at most maxRows rows,
+// filled column by column.
+func (s *batchScan) emitLive(b *storage.Batch, rows []deltaRow, fn func(*storage.Batch) bool) bool {
+	for len(rows) > 0 {
+		n := min(len(rows), s.maxRows)
+		b.Reset(len(s.proj))
+		b.RowIDs = slices.Grow(b.RowIDs, n)
+		for _, dr := range rows[:n] {
+			b.RowIDs = append(b.RowIDs, dr.id)
+		}
+		for i, c := range s.proj {
+			for _, dr := range rows[:n] {
+				b.Vecs[i].Append(dr.vals[c])
+			}
+		}
+		statDeltaRows.Add(int64(n))
+		if !storage.EmitBatch(b, fn) {
+			return false
+		}
+		rows = rows[n:]
+	}
+	return true
+}
+
+// sortedRange narrows the base positions [0, n) of a value-sorted layout
+// by binary search on the predicate's conditions over the sort column,
+// whose value at position i is at(i) (the "sorted scan" operator of
+// Table 1).
+func sortedRange(n int, at func(int) types.Value, sortBy schema.ColID, pred storage.Pred) (int, int) {
+	lo, hi := 0, n
+	for _, c := range pred {
+		if c.Col != sortBy || c.Op == storage.CmpNe {
+			continue
+		}
+		ge := sort.Search(n, func(i int) bool { return types.Compare(at(i), c.Val) >= 0 })
+		gt := sort.Search(n, func(i int) bool { return types.Compare(at(i), c.Val) > 0 })
+		switch c.Op {
+		case storage.CmpEq:
+			lo, hi = max(lo, ge), min(hi, gt)
+		case storage.CmpGe:
+			lo = max(lo, ge)
+		case storage.CmpGt:
+			lo = max(lo, gt)
+		case storage.CmpLe:
+			hi = min(hi, gt)
+		case storage.CmpLt:
+			hi = min(hi, ge)
+		}
+	}
+	return min(lo, hi), hi
 }
 
 // runsVecEnabled hands out a zero-copy run-length view unless encoded
@@ -184,28 +314,4 @@ func filterColRange(dst []int32, sel []int32, c *colData, p0, p1 int, op storage
 		}
 	}
 	return dst
-}
-
-// slow streams the ordered delta merge through pooled batches.
-func (s *batchScan) slow(b *storage.Batch, fn func(*storage.Batch) bool) {
-	b.Reset(len(s.cols))
-	getCol := func(cID schema.ColID) func(int) types.Value { return s.col(cID).iter() }
-	stopped := false
-	mergeScan(s.rowIDs, getCol, s.sortBy, s.lo, s.hi, s.overridden, s.live, s.cols, s.pred, func(r schema.Row) bool {
-		if s.clip && (r.ID < s.idLo || r.ID >= s.idHi) {
-			return true
-		}
-		b.AppendRow(r.ID, r.Vals)
-		if b.NumRows() >= s.maxRows {
-			if !storage.EmitBatch(b, fn) {
-				stopped = true
-				return false
-			}
-			b.Reset(len(s.cols))
-		}
-		return true
-	})
-	if !stopped && b.NumRows() > 0 {
-		storage.EmitBatch(b, fn)
-	}
 }

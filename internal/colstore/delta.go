@@ -1,18 +1,22 @@
 package colstore
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"proteus/internal/schema"
+	"proteus/internal/storage"
 	"proteus/internal/types"
 )
 
 // deltaStore buffers updates to column data as rows in a hash table indexed
 // by row_id (§4.1.2). Each entry is a version chain so snapshot reads can
 // observe older buffered states; a periodic merge folds the delta into the
-// column base.
+// column base. ids keeps the table's keys ascending, so a scan of an id
+// range finds its own delta rows by binary search.
 type deltaStore struct {
 	rows map[schema.RowID]*deltaVersion
+	ids  []schema.RowID
 }
 
 type deltaVersion struct {
@@ -28,7 +32,13 @@ func newDelta() *deltaStore {
 
 // put records a new full-row version (or tombstone).
 func (d *deltaStore) put(id schema.RowID, vals []types.Value, ver uint64, deleted bool) {
-	d.rows[id] = &deltaVersion{vals: vals, ver: ver, prev: d.rows[id], deleted: deleted}
+	prev, ok := d.rows[id]
+	if !ok {
+		// New ids mostly arrive in ascending order: usually an append.
+		i, _ := slices.BinarySearch(d.ids, id)
+		d.ids = slices.Insert(d.ids, i, id)
+	}
+	d.rows[id] = &deltaVersion{vals: vals, ver: ver, prev: prev, deleted: deleted}
 }
 
 // visible returns the buffered state of id at snapshot snap.
@@ -43,65 +53,74 @@ func (d *deltaStore) visible(id schema.RowID, snap uint64) (vals []types.Value, 
 	return nil, false, false
 }
 
-// snapshot returns every row_id with a version visible at snap, with its
-// state, sorted by row_id.
+// deltaRow is one live delta row as a scan emits it.
 type deltaRow struct {
-	id      schema.RowID
-	vals    []types.Value
-	deleted bool
+	id   schema.RowID
+	vals []types.Value
 }
 
-func (d *deltaStore) snapshot(snap uint64) []deltaRow {
-	out := make([]deltaRow, 0, len(d.rows))
-	for id := range d.rows {
-		if vals, del, ok := d.visible(id, snap); ok {
-			out = append(out, deltaRow{id: id, vals: vals, deleted: del})
+// view returns what a scan of ids [lo, hi) at snap needs from the delta, in
+// fresh slices (a caller may release the store's lock and keep them): the
+// ids whose base row a visible version supersedes, deletes included,
+// ascending, and the visible rows that pass pred, ordered by (sortBy value,
+// id) when the layout keeps a sort and by id otherwise. It costs two binary
+// searches plus the range's own delta rows.
+func (d *deltaStore) view(lo, hi schema.RowID, snap uint64, pred storage.Pred, sortBy schema.ColID) (over []schema.RowID, live []deltaRow) {
+	l, _ := slices.BinarySearch(d.ids, lo)
+	h, _ := slices.BinarySearch(d.ids, hi)
+	if l >= h {
+		return nil, nil
+	}
+	over, live = make([]schema.RowID, 0, h-l), make([]deltaRow, 0, h-l)
+	for _, id := range d.ids[l:h] {
+		vals, del, ok := d.visible(id, snap)
+		if !ok {
+			continue
+		}
+		over = append(over, id)
+		if !del && pred.Match(vals) {
+			live = append(live, deltaRow{id: id, vals: vals})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// sortDeltaRows orders delta rows by (sort-column value, row_id).
-func sortDeltaRows(rows []deltaRow, sortBy schema.ColID) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		c := types.Compare(rows[i].vals[sortBy], rows[j].vals[sortBy])
-		if c != 0 {
-			return c < 0
-		}
-		return rows[i].id < rows[j].id
-	})
+	if sortBy != storage.NoSort {
+		slices.SortFunc(live, func(a, b deltaRow) int {
+			if c := types.Compare(a.vals[sortBy], b.vals[sortBy]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+	}
+	return over, live
 }
 
 // size reports the number of buffered row entries.
 func (d *deltaStore) size() int { return len(d.rows) }
 
-// versions reports the total number of chained versions.
-func (d *deltaStore) versions() int {
-	n := 0
-	for _, v := range d.rows {
-		for p := v; p != nil; p = p.prev {
-			n++
+// tally walks the delta once for Stats: how it changes the live row count
+// of a base whose position index is inBase, the versions it chains, and
+// its estimated memory footprint.
+func (d *deltaStore) tally(inBase map[schema.RowID]int) (liveDiff, versions, bytes int) {
+	for id, v := range d.rows {
+		_, in := inBase[id]
+		switch {
+		case v.deleted && in:
+			liveDiff--
+		case !v.deleted && !in:
+			liveDiff++
 		}
-	}
-	return n
-}
-
-// bytes estimates the delta's memory footprint.
-func (d *deltaStore) bytes() int {
-	n := 0
-	for _, v := range d.rows {
 		for p := v; p != nil; p = p.prev {
-			n += 24 // chain bookkeeping
+			versions++
+			bytes += 24 // chain bookkeeping
 			for _, val := range p.vals {
-				n += types.VarWidth(val)
+				bytes += types.VarWidth(val)
 			}
 		}
 	}
-	return n
+	return liveDiff, versions, bytes
 }
 
 // clear drops every buffered version (after a merge).
 func (d *deltaStore) clear() {
 	d.rows = make(map[schema.RowID]*deltaVersion)
+	d.ids = d.ids[:0]
 }

@@ -2,8 +2,10 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"proteus/internal/disksim"
 	"proteus/internal/schema"
@@ -23,10 +25,8 @@ type Disk struct {
 	kinds []types.Kind
 	dev   *disksim.Device
 
-	rowIDs []schema.RowID
-	pos    map[schema.RowID]int
-	meta   []diskColMeta
-	delta  *deltaStore
+	gen   *diskGen
+	delta *deltaStore
 
 	imageBytes   int
 	encodedBytes int // image bytes held in non-plain encodings
@@ -49,13 +49,48 @@ type diskColMeta struct {
 	sortVals []types.Value
 }
 
+// diskGen is one loaded image: the offset array, the position index and
+// each column's block. Scans and point reads pin the generation they start
+// on, so a concurrent Load or MergeDelta frees its blocks only after the
+// last of them has finished reading.
+type diskGen struct {
+	rowIDs []schema.RowID
+	pos    map[schema.RowID]int
+	meta   []diskColMeta
+	refs   atomic.Int32 // the store's own reference plus one per reader
+}
+
+func newDiskGen(rowIDs []schema.RowID, pos map[schema.RowID]int, meta []diskColMeta) *diskGen {
+	g := &diskGen{rowIDs: rowIDs, pos: pos, meta: meta}
+	g.refs.Store(1)
+	return g
+}
+
+// pinLocked takes a reader's reference on the current generation. Requires
+// d.mu held.
+func (d *Disk) pinLocked() *diskGen {
+	d.gen.refs.Add(1)
+	return d.gen
+}
+
+// unpin drops one reference; the last one frees the generation's blocks.
+func (g *diskGen) unpin(dev *disksim.Device) {
+	if g.refs.Add(-1) > 0 {
+		return
+	}
+	for _, m := range g.meta {
+		if m.hasBlock {
+			_ = dev.Free(m.block) // fails only for an unknown block; each is freed once
+		}
+	}
+}
+
 // NewDisk creates an empty on-disk column store backed by dev.
 func NewDisk(kinds []types.Kind, dev *disksim.Device, sortBy schema.ColID, compressed bool) *Disk {
 	return &Disk{
 		kinds: kinds,
 		dev:   dev,
-		pos:   make(map[schema.RowID]int),
-		meta:  make([]diskColMeta, len(kinds)),
+		gen:   newDiskGen(nil, make(map[schema.RowID]int), make([]diskColMeta, len(kinds))),
 		delta: newDelta(),
 		layout: storage.Layout{
 			Format: storage.ColumnFormat, Tier: storage.DiskTier,
@@ -103,34 +138,25 @@ func (d *Disk) Load(rows []schema.Row, ver uint64) error {
 		total += len(img)
 	}
 
+	g := newDiskGen(b.rowIDs, b.pos, meta)
 	d.mu.Lock()
-	old := d.meta
-	d.rowIDs = b.rowIDs
-	d.pos = b.pos
-	d.meta = meta
+	old := d.gen
+	d.gen = g
 	d.delta.clear()
 	d.imageBytes = total
 	d.encodedBytes = encTotal
 	d.writes += len(meta)
 	d.mu.Unlock()
 
-	for _, m := range old {
-		if m.hasBlock {
-			_ = d.dev.Free(m.block)
-		}
-	}
+	old.unpin(d.dev)
 	return nil
 }
 
-// readCell reads one cell from disk through the cached index arrays.
-func (d *Disk) readCell(ci schema.ColID, p int) (types.Value, error) {
-	d.mu.RLock()
-	m := d.meta[ci]
+// readCell reads one cell of a pinned generation from disk through the
+// cached index arrays.
+func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error) {
+	m := g.meta[ci]
 	kind := d.kinds[ci]
-	d.mu.RUnlock()
-	if !m.hasBlock {
-		return types.Null(), fmt.Errorf("colstore: column %d has no disk block", ci)
-	}
 	switch m.enc {
 	case encDict, encFoR:
 		// One ranged read of the packed code; the dictionary (or base) is
@@ -182,22 +208,18 @@ func (d *Disk) readCell(ci schema.ColID, p int) (types.Value, error) {
 	return v, nil
 }
 
-// loadColumn reads and deserializes an entire column block.
-func (d *Disk) loadColumn(ci schema.ColID) (*colData, error) {
-	d.mu.RLock()
-	m := d.meta[ci]
-	d.mu.RUnlock()
-	if !m.hasBlock {
-		return buildCol(d.kinds[ci], nil, false), nil
-	}
-	img, err := d.dev.Read(m.block)
+// loadColumn reads and deserializes an entire column block of a pinned
+// generation. The pin keeps the block allocated, so a failed read is a
+// broken invariant, never a column to scan around.
+func (d *Disk) loadColumn(g *diskGen, ci schema.ColID) *colData {
+	img, err := d.dev.Read(g.meta[ci].block)
 	if err != nil {
-		return nil, err
+		panic(fmt.Sprintf("colstore: column %d of a pinned disk image: %v", ci, err))
 	}
 	d.mu.Lock()
 	d.reads++
 	d.mu.Unlock()
-	return deserializeCol(img), nil
+	return deserializeCol(img)
 }
 
 // existsLocked reports whether id is live at the latest version. Requires
@@ -206,7 +228,7 @@ func (d *Disk) existsLocked(id schema.RowID) bool {
 	if _, del, ok := d.delta.visible(id, storage.Latest); ok {
 		return !del
 	}
-	_, inBase := d.pos[id]
+	_, inBase := d.gen.pos[id]
 	return inBase
 }
 
@@ -262,8 +284,10 @@ func (d *Disk) Delete(id schema.RowID, ver uint64) error {
 func (d *Disk) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row, bool) {
 	d.mu.RLock()
 	vals, del, ok := d.delta.visible(id, snap)
-	p, inBase := d.pos[id]
+	g := d.pinLocked()
+	p, inBase := g.pos[id]
 	d.mu.RUnlock()
+	defer g.unpin(d.dev)
 	if ok {
 		if del {
 			return schema.Row{}, false
@@ -279,49 +303,13 @@ func (d *Disk) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Ro
 	}
 	out := make([]types.Value, len(cols))
 	for i, c := range cols {
-		v, err := d.readCell(c, p)
+		v, err := d.readCell(g, c, p)
 		if err != nil {
 			return schema.Row{}, false
 		}
 		out[i] = v
 	}
 	return schema.Row{ID: id, Vals: out}, true
-}
-
-// sortedRange narrows base positions using the cached sort-column values.
-func (d *Disk) sortedRange(pred storage.Pred) (int, int) {
-	n := len(d.rowIDs)
-	lo, hi := 0, n
-	if d.layout.SortBy == storage.NoSort {
-		return lo, hi
-	}
-	sv := d.meta[d.layout.SortBy].sortVals
-	if sv == nil {
-		return lo, hi
-	}
-	for _, c := range pred {
-		if c.Col != d.layout.SortBy {
-			continue
-		}
-		switch c.Op {
-		case storage.CmpEq:
-			l := sort.Search(n, func(i int) bool { return types.Compare(sv[i], c.Val) >= 0 })
-			h := sort.Search(n, func(i int) bool { return types.Compare(sv[i], c.Val) > 0 })
-			lo, hi = max(lo, l), min(hi, h)
-		case storage.CmpGe:
-			lo = max(lo, sort.Search(n, func(i int) bool { return types.Compare(sv[i], c.Val) >= 0 }))
-		case storage.CmpGt:
-			lo = max(lo, sort.Search(n, func(i int) bool { return types.Compare(sv[i], c.Val) > 0 }))
-		case storage.CmpLe:
-			hi = min(hi, sort.Search(n, func(i int) bool { return types.Compare(sv[i], c.Val) > 0 }))
-		case storage.CmpLt:
-			hi = min(hi, sort.Search(n, func(i int) bool { return types.Compare(sv[i], c.Val) >= 0 }))
-		}
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
 }
 
 // Scan implements storage.Store via the batch shim.
@@ -331,35 +319,41 @@ func (d *Disk) Scan(cols []schema.ColID, pred storage.Pred, snap uint64, fn func
 
 // ScanBatches implements storage.BatchScanner: reads only the column
 // blocks the scan touches, then streams the merged view in layout order as
-// columnar batches. The deserialized blocks are scan-local, so handing out
-// vector views over their typed arrays is safe for the batch lifetime.
+// columnar batches. The offset array, the delta rows and the column blocks
+// all come from one critical section's generation, which stays pinned
+// until the scan ends; the deserialized blocks are scan-local, so handing
+// out vector views over their typed arrays is safe for the batch lifetime.
 func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	d.mu.RLock()
-	rowIDs := d.rowIDs
 	sortBy := d.layout.SortBy
-	drows := d.delta.snapshot(snap)
+	d.mu.RLock()
+	g := d.pinLocked()
+	over, live := d.delta.view(math.MinInt64, math.MaxInt64, snap, pred, sortBy)
 	d.mu.RUnlock()
+	defer g.unpin(d.dev)
 
-	overridden, live := prepareDelta(drows, sortBy, pred)
-	lo, hi := d.sortedRange(pred)
-
-	loaded := map[schema.ColID]*colData{}
-	col := func(c schema.ColID) *colData {
-		cd, ok := loaded[c]
-		if !ok {
-			var err error
-			cd, err = d.loadColumn(c)
-			if err != nil {
-				cd = buildCol(d.kinds[c], make([]types.Value, len(rowIDs)), false)
-			}
-			loaded[c] = cd
-		}
-		return cd
+	s := batchScan{
+		rowIDs: g.rowIDs, cols: make([]*colData, len(d.kinds)), sortBy: sortBy, hi: len(g.rowIDs),
+		over: over, live: live, proj: cols, pred: pred, maxRows: maxRows,
 	}
-	s := &batchScan{
-		rowIDs: rowIDs, col: col, sortBy: sortBy, lo: lo, hi: hi,
-		overridden: overridden, live: live,
-		cols: cols, pred: pred, maxRows: maxRows,
+	if sortBy != storage.NoSort {
+		sv := g.meta[sortBy].sortVals
+		s.lo, s.hi = sortedRange(len(sv), func(i int) types.Value { return sv[i] }, sortBy, pred)
+	}
+	need := func(c schema.ColID) {
+		if s.cols[c] == nil {
+			s.cols[c] = d.loadColumn(g, c)
+		}
+	}
+	if s.lo < s.hi {
+		for _, c := range pred {
+			need(c.Col)
+		}
+		for _, c := range cols {
+			need(c)
+		}
+		if len(live) > 0 && sortBy != storage.NoSort {
+			need(sortBy)
+		}
 	}
 	s.run(fn)
 }
@@ -392,20 +386,11 @@ func (d *Disk) DeltaRows() int {
 func (d *Disk) Stats() storage.Stats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	live := len(d.rowIDs)
-	for _, dr := range d.delta.snapshot(storage.Latest) {
-		_, inBase := d.pos[dr.id]
-		switch {
-		case dr.deleted && inBase:
-			live--
-		case !dr.deleted && !inBase:
-			live++
-		}
-	}
+	liveDiff, versions, _ := d.delta.tally(d.gen.pos)
 	return storage.Stats{
-		Rows:         live,
+		Rows:         len(d.gen.rowIDs) + liveDiff,
 		Bytes:        d.imageBytes,
-		Versions:     len(d.rowIDs) + d.delta.versions(),
+		Versions:     len(d.gen.rowIDs) + versions,
 		DeltaRows:    d.delta.size(),
 		DiskReads:    d.reads,
 		DiskWrites:   d.writes,

@@ -2,6 +2,8 @@ package colstore
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -123,45 +125,6 @@ func (m *Mem) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row
 	return m.base.row(p, cols), true
 }
 
-// sortedRange narrows the base position range [lo, hi) using predicate
-// conditions on the sort column via binary search (the "sorted scan"
-// operator of Table 1).
-func (m *Mem) sortedRange(pred storage.Pred) (int, int) {
-	n := len(m.base.rowIDs)
-	lo, hi := 0, n
-	if m.layout.SortBy == storage.NoSort {
-		return lo, hi
-	}
-	col := m.base.cols[m.layout.SortBy]
-	for _, c := range pred {
-		if c.Col != m.layout.SortBy {
-			continue
-		}
-		switch c.Op {
-		case storage.CmpEq:
-			l := sort.Search(n, func(i int) bool { return types.Compare(col.get(i), c.Val) >= 0 })
-			h := sort.Search(n, func(i int) bool { return types.Compare(col.get(i), c.Val) > 0 })
-			lo, hi = max(lo, l), min(hi, h)
-		case storage.CmpGe:
-			l := sort.Search(n, func(i int) bool { return types.Compare(col.get(i), c.Val) >= 0 })
-			lo = max(lo, l)
-		case storage.CmpGt:
-			l := sort.Search(n, func(i int) bool { return types.Compare(col.get(i), c.Val) > 0 })
-			lo = max(lo, l)
-		case storage.CmpLe:
-			h := sort.Search(n, func(i int) bool { return types.Compare(col.get(i), c.Val) > 0 })
-			hi = min(hi, h)
-		case storage.CmpLt:
-			h := sort.Search(n, func(i int) bool { return types.Compare(col.get(i), c.Val) >= 0 })
-			hi = min(hi, h)
-		}
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
 // Scan implements storage.Store via the batch shim: the vectorized path
 // below is the only scan implementation, and rows are boxed out of its
 // batches one at a time for legacy callers.
@@ -173,25 +136,10 @@ func (m *Mem) Scan(cols []schema.ColID, pred storage.Pred, snap uint64, fn func(
 // named by the predicate and projection are touched (the columnar
 // advantage of Figure 3); when the layout is sorted, predicate conditions
 // on the sort column narrow the scanned range by binary search, and output
-// arrives in sort order with delta rows merged into their ordered
-// positions. With no delta pending, batches carry zero-copy views over the
-// column arrays and RLE runs are filtered without expansion.
+// arrives in sort order with delta rows emitted at their ordered positions.
+// A pending delta never takes the scan off the vectorized loop.
 func (m *Mem) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-
-	sortBy := m.layout.SortBy
-	overridden, live := prepareDelta(m.delta.snapshot(snap), sortBy, pred)
-	lo, hi := m.sortedRange(pred)
-
-	s := &batchScan{
-		rowIDs: m.base.rowIDs,
-		col:    func(c schema.ColID) *colData { return m.base.cols[c] },
-		sortBy: sortBy, lo: lo, hi: hi,
-		overridden: overridden, live: live,
-		cols: cols, pred: pred, maxRows: maxRows,
-	}
-	s.run(fn)
+	m.scan(cols, pred, math.MinInt64, math.MaxInt64, false, snap, maxRows, fn)
 }
 
 // MorselBounds implements storage.RangeScanner. When the layout keeps
@@ -223,44 +171,28 @@ func (m *Mem) ScanRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.Ro
 }
 
 // ScanBatchesRange implements storage.BatchRangeScanner: ScanBatches
-// restricted to lo <= id < hi. Delta rows are pre-filtered to the id
-// range; base positions narrow by binary search when the offset array is
-// id-ordered, and fall back to an id clip on the sorted-layout path.
-// (Delta rows excluded by the pre-filter have base twins outside [lo,hi)
-// too, so the missing overridden entries cannot leak a superseded base
-// row.)
+// restricted to lo <= id < hi. Base positions narrow by binary search when
+// the offset array is id-ordered and are clipped per row on value-sorted
+// layouts; the delta contributes only its rows in the range.
 func (m *Mem) ScanBatchesRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
+	m.scan(cols, pred, lo, hi, true, snap, maxRows, fn)
+}
+
+// scan runs the batch loop over ids [lo, hi); clip asks a value-sorted
+// layout to drop base rows outside the range.
+func (m *Mem) scan(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, clip bool, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-
-	sortBy := m.layout.SortBy
-	drows := m.delta.snapshot(snap)
-	inRange := drows[:0:0]
-	for _, dr := range drows {
-		if dr.id >= lo && dr.id < hi {
-			inRange = append(inRange, dr)
-		}
-	}
-	overridden, live := prepareDelta(inRange, sortBy, pred)
-
-	plo, phi := m.sortedRange(pred)
-	s := &batchScan{
-		rowIDs:     m.base.rowIDs,
-		col:        func(c schema.ColID) *colData { return m.base.cols[c] },
-		sortBy:     sortBy,
-		overridden: overridden, live: live,
-		cols: cols, pred: pred, maxRows: maxRows,
-	}
+	sortBy, ids := m.layout.SortBy, m.base.rowIDs
+	s := batchScan{rowIDs: ids, cols: m.base.cols, sortBy: sortBy, proj: cols, pred: pred, maxRows: maxRows}
 	if sortBy == storage.NoSort {
-		n := len(m.base.rowIDs)
-		l := sort.Search(n, func(i int) bool { return m.base.rowIDs[i] >= lo })
-		h := sort.Search(n, func(i int) bool { return m.base.rowIDs[i] >= hi })
-		s.lo, s.hi = max(plo, l), min(phi, h)
+		s.lo, _ = slices.BinarySearch(ids, lo)
+		s.hi, _ = slices.BinarySearch(ids, hi)
 	} else {
-		// Value-sorted positions interleave ids arbitrarily; clip per row.
-		s.lo, s.hi = plo, phi
-		s.clip, s.idLo, s.idHi = true, lo, hi
+		s.lo, s.hi = sortedRange(len(ids), m.base.cols[sortBy].get, sortBy, pred)
+		s.clip, s.idLo, s.idHi = clip, lo, hi
 	}
+	s.over, s.live = m.delta.view(lo, hi, snap, pred, sortBy)
 	s.run(fn)
 }
 
@@ -309,7 +241,8 @@ func (m *Mem) DeltaRows() int {
 func (m *Mem) Stats() storage.Stats {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	bytes := 8 * len(m.base.rowIDs) // offset array
+	liveDiff, versions, deltaBytes := m.delta.tally(m.base.pos)
+	bytes := 8*len(m.base.rowIDs) + deltaBytes // offset array + delta
 	encoded := 0
 	for _, c := range m.base.cols {
 		cb := c.bytes()
@@ -318,21 +251,10 @@ func (m *Mem) Stats() storage.Stats {
 			encoded += cb
 		}
 	}
-	bytes += m.delta.bytes()
-	live := len(m.base.rowIDs)
-	for _, dr := range m.delta.snapshot(storage.Latest) {
-		_, inBase := m.base.pos[dr.id]
-		switch {
-		case dr.deleted && inBase:
-			live--
-		case !dr.deleted && !inBase:
-			live++
-		}
-	}
 	return storage.Stats{
-		Rows:         live,
+		Rows:         len(m.base.rowIDs) + liveDiff,
 		Bytes:        bytes,
-		Versions:     len(m.base.rowIDs) + m.delta.versions(),
+		Versions:     len(m.base.rowIDs) + versions,
 		DeltaRows:    m.delta.size(),
 		EncodedBytes: encoded,
 	}
@@ -344,18 +266,4 @@ func allCols(n int) []schema.ColID {
 		out[i] = schema.ColID(i)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -122,24 +122,41 @@ func randProj(r *rand.Rand) []schema.ColID {
 	return cols
 }
 
+// collectRows returns the row path's output in emission order.
 func collectRows(p *Partition, cols []schema.ColID, pred storage.Pred, snap uint64) []diffRow {
 	var out []diffRow
 	p.Scan(cols, pred, snap, func(r schema.Row) bool {
 		out = append(out, diffRow{id: r.ID, vals: append([]types.Value(nil), r.Vals...)})
 		return true
 	})
-	sortDiff(out)
 	return out
 }
 
+// collectBatches returns the batch path's output in emission order.
 func collectBatches(p *Partition, cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int) []diffRow {
 	var out []diffRow
 	p.ScanBatches(cols, pred, snap, maxRows, func(b *storage.Batch) bool {
 		appendBatch(&out, b)
 		return true
 	})
-	sortDiff(out)
 	return out
+}
+
+// inOrder checks that a layout keeping a sort emitted rows in (sort value,
+// row id) order — the values as the snapshot sees them, from the oracle —
+// and returns the rows sorted by id for comparison.
+func inOrder(t *testing.T, name string, l storage.Layout, live map[schema.RowID][]types.Value, rows []diffRow) []diffRow {
+	t.Helper()
+	if l.SortBy != storage.NoSort {
+		for i := 1; i < len(rows); i++ {
+			a, b := rows[i-1].id, rows[i].id
+			if c := types.Compare(live[a][l.SortBy], live[b][l.SortBy]); c > 0 || c == 0 && a > b {
+				t.Fatalf("%s: row %d (key %v) emitted before row %d (key %v)", name, a, live[a][l.SortBy], b, live[b][l.SortBy])
+			}
+		}
+	}
+	sortDiff(rows)
+	return rows
 }
 
 func appendBatch(out *[]diffRow, b *storage.Batch) {
@@ -154,9 +171,11 @@ func appendBatch(out *[]diffRow, b *storage.Batch) {
 }
 
 // TestBatchRowDifferential loads every layout with the same randomized
-// data, buffers updates/deletes/inserts at a second version (populating the
-// column stores' delta side), and checks row path, batch path, and ranged
-// batch path against the oracle at both snapshots.
+// data, then buffers two more versions of writes — populating the column
+// stores' delta side with updates that move rows across predicates and the
+// sort key, inserts, deletes of base rows and of rows the delta itself
+// inserted — and checks row path, batch path and ranged batch path against
+// the oracle at all three snapshots, sorted layouts in sort order.
 func TestBatchRowDifferential(t *testing.T) {
 	for _, lc := range diffLayouts {
 		t.Run(lc.name, func(t *testing.T) {
@@ -169,25 +188,43 @@ func TestBatchRowDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Oracles: live rows visible at version 1 and at Latest.
+			// Oracles: the live rows each snapshot sees.
 			v1 := map[schema.RowID][]types.Value{}
 			for _, row := range rows {
 				v1[row.ID] = append([]types.Value(nil), row.Vals...)
 			}
-			v2 := map[schema.RowID][]types.Value{}
-			for id, vals := range v1 {
-				v2[id] = append([]types.Value(nil), vals...)
-			}
-			for i := 0; i < 40; i++ {
-				id := schema.RowID(r.Intn(n))
-				if _, ok := v2[id]; !ok {
-					continue
+			next := func(prev map[schema.RowID][]types.Value) map[schema.RowID][]types.Value {
+				out := map[schema.RowID][]types.Value{}
+				for id, vals := range prev {
+					out[id] = append([]types.Value(nil), vals...)
 				}
-				nv := types.NewInt64(int64(r.Intn(9)))
-				if err := p.Update(id, []schema.ColID{0}, []types.Value{nv}, 2); err != nil {
+				return out
+			}
+			update := func(live map[schema.RowID][]types.Value, id schema.RowID, col schema.ColID, v types.Value, ver uint64) {
+				if _, ok := live[id]; !ok {
+					return
+				}
+				if err := p.Update(id, []schema.ColID{col}, []types.Value{v}, ver); err != nil {
 					t.Fatal(err)
 				}
-				v2[id][0] = nv
+				live[id][col] = v
+			}
+			del := func(live map[schema.RowID][]types.Value, id schema.RowID, ver uint64) {
+				if _, ok := live[id]; !ok {
+					return
+				}
+				if err := p.Delete(id, ver); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, id)
+			}
+
+			v2 := next(v1)
+			var moved []schema.RowID
+			for i := 0; i < 40; i++ {
+				id := schema.RowID(r.Intn(n))
+				moved = append(moved, id)
+				update(v2, id, 0, types.NewInt64(int64(r.Intn(9))), 2)
 			}
 			for i := 0; i < 20; i++ {
 				id := schema.RowID(400 + i)
@@ -195,41 +232,62 @@ func TestBatchRowDifferential(t *testing.T) {
 				if err := p.Insert(schema.Row{ID: id, Vals: vals}, 2); err != nil {
 					t.Fatal(err)
 				}
-				v2[id] = vals
+				v2[id] = append([]types.Value(nil), vals...)
 			}
 			for i := 0; i < 15; i++ {
-				id := schema.RowID(r.Intn(n))
-				if _, ok := v2[id]; !ok {
-					continue
-				}
-				if err := p.Delete(id, 2); err != nil {
-					t.Fatal(err)
-				}
-				delete(v2, id)
+				del(v2, schema.RowID(r.Intn(n)), 2)
 			}
 
+			// Version 3 moves rows version 2 already moved to the other end
+			// of the key range, so they cross every predicate constant and
+			// the sorted layouts' key order twice; it also rewrites and
+			// deletes rows the delta inserted.
+			v3 := next(v2)
+			for _, id := range moved {
+				if vals, ok := v3[id]; ok {
+					update(v3, id, 0, types.NewInt64(8-vals[0].Int()), 3)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				id := schema.RowID(400 + i)
+				if i%4 == 0 {
+					del(v3, id, 3)
+				} else {
+					update(v3, id, 2, types.NewString("bb"), 3)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				del(v3, schema.RowID(r.Intn(n)), 3)
+			}
+
+			// Ranges cutting col0's 50-row runs mid-run, one row wide, and
+			// spanning the base's end into the inserted ids.
+			fixed := [][2]schema.RowID{{25, 75}, {130, 131}, {349, 451}, {0, 1000}}
 			for _, snap := range []struct {
 				name   string
 				ver    uint64
 				oracle map[schema.RowID][]types.Value
-			}{{"v1", 1, v1}, {"latest", storage.Latest, v2}} {
-				for trial := 0; trial < 12; trial++ {
+			}{{"v1", 1, v1}, {"v2", 2, v2}, {"latest", storage.Latest, v3}} {
+				for trial := 0; trial < 16; trial++ {
 					cols := randProj(r)
 					pred := randPred(r)
 					want := oracleScan(snap.oracle, cols, pred, 0, 1000)
-					sameDiff(t, lc.name+"/"+snap.name+"/row", collectRows(p, cols, pred, snap.ver), want)
-					maxRows := []int{0, 7, 64}[trial%3] // odd batch sizes split runs mid-chunk
-					sameDiff(t, lc.name+"/"+snap.name+"/batch", collectBatches(p, cols, pred, snap.ver, maxRows), want)
+					name := lc.name + "/" + snap.name
+					sameDiff(t, name+"/row", inOrder(t, name+"/row", lc.l, snap.oracle, collectRows(p, cols, pred, snap.ver)), want)
+					maxRows := []int{0, 1, 7, 64}[trial%4] // odd batch sizes split runs mid-chunk
+					sameDiff(t, name+"/batch", inOrder(t, name+"/batch", lc.l, snap.oracle, collectBatches(p, cols, pred, snap.ver, maxRows)), want)
 
 					lo := schema.RowID(r.Intn(300))
 					hi := lo + schema.RowID(r.Intn(200))
+					if trial < len(fixed) {
+						lo, hi = fixed[trial][0], fixed[trial][1]
+					}
 					var ranged []diffRow
 					p.ScanBatchesRange(cols, pred, lo, hi, snap.ver, maxRows, func(b *storage.Batch) bool {
 						appendBatch(&ranged, b)
 						return true
 					})
-					sortDiff(ranged)
-					sameDiff(t, lc.name+"/"+snap.name+"/range", ranged, oracleScan(snap.oracle, cols, pred, lo, hi))
+					sameDiff(t, name+"/range", inOrder(t, name+"/range", lc.l, snap.oracle, ranged), oracleScan(snap.oracle, cols, pred, lo, hi))
 				}
 			}
 		})
@@ -277,12 +335,14 @@ func TestBatchScanDuringLayoutSwaps(t *testing.T) {
 		cols := randProj(r)
 		pred := randPred(r)
 		want := oracleScan(live, cols, pred, 0, 1000)
-		sameDiff(t, "swap/batch", collectBatches(p, cols, pred, storage.Latest, 32), want)
+		got := collectBatches(p, cols, pred, storage.Latest, 32)
+		sortDiff(got)
+		sameDiff(t, "swap/batch", got, want)
 
 		// The captured-store path must stay correct even though the
 		// partition may swap its store mid-scan.
 		st := p.StoreSnapshot()
-		var got []diffRow
+		got = got[:0]
 		ScanStoreBatchRange(st, cols, pred, 0, 1000, storage.Latest, 32, func(b *storage.Batch) bool {
 			appendBatch(&got, b)
 			return true

@@ -318,6 +318,10 @@ type Batch struct {
 	// Sel lists the physical row indexes that passed the predicate, in
 	// ascending order. nil means every row passed.
 	Sel []int32
+	// Scratch holds two selection buffers a producer narrows Sel into,
+	// alternating between them. Neither Reset nor recycling drops them, so
+	// a pooled batch filters without allocating; consumers never read them.
+	Scratch [2][]int32
 
 	rowIDsView bool
 }
@@ -361,8 +365,7 @@ func (b *Batch) SetRowIDsView(ids []schema.RowID) {
 	b.rowIDsView = true
 }
 
-// AppendRow transposes one row into the batch (row-store scans and the
-// delta-merge slow path).
+// AppendRow transposes one row into the batch (row-store scans).
 func (b *Batch) AppendRow(id schema.RowID, vals []types.Value) {
 	b.RowIDs = append(b.RowIDs, id)
 	for i := range b.Vecs {

@@ -2,7 +2,8 @@
 # ci.sh — the repository's check pipeline (also `make check`):
 # vet, build, the full test suite, then the race detector over the
 # concurrency-heavy packages (engine, sites, interconnect, log broker,
-# locking, replication, metrics).
+# locking, replication, metrics, stores and partitions under layout swaps
+# and delta merges).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +66,7 @@ go test -race -count=1 \
     ./internal/obs/ \
     ./internal/exec/ \
     ./internal/colstore/ \
+    ./internal/partition/ \
     ./internal/rowstore/ \
     ./internal/workload/...
 
