@@ -9,6 +9,7 @@ import (
 	"proteus/internal/exec"
 	"proteus/internal/query"
 	"proteus/internal/schema"
+	"proteus/internal/simnet"
 	"proteus/internal/storage"
 	"proteus/internal/types"
 )
@@ -100,6 +101,64 @@ func TestQueryAllocBudgets(t *testing.T) {
 		t.Logf("%s: %.0f allocs/query (budget %.0f)", name, got, queryAllocBudgets[name])
 		if got > queryAllocBudgets[name] {
 			t.Errorf("%s: %.0f allocs per query, over its budget of %.0f", name, got, queryAllocBudgets[name])
+		}
+	}
+}
+
+// txnAllocBudgets caps the allocations of one transaction on a warmed
+// two-site row-store engine shaped like the benchmark's oltp-rmw: eight
+// partitions striped over the sites, each with a row replica at the other
+// site, background replication and maintenance slowed to an hour. Budgets
+// are the measured count + 10 %, as for queries.
+var txnAllocBudgets = map[string]float64{
+	"rmw10":      284, // ten keys read and updated over both sites: 258 + 10 % (383 when each read was its own round trip)
+	"point-read": 29,  // one key read at the coordinator's own master: 26 + 10 % (29 then)
+}
+
+// TestTxnAllocBudgets holds a two-site read-modify-write of ten keys and a
+// point read to their allocation budgets.
+func TestTxnAllocBudgets(t *testing.T) {
+	const rows = 4000
+	e := New(func() Config {
+		c := fastConfig(ModeRowStore, 2)
+		c.ReplicationInterval, c.MaintainInterval = time.Hour, time.Hour
+		return c
+	}())
+	t.Cleanup(e.Close)
+	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: rows, Partitions: 8,
+		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p % 2) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := e.LoadRows(ctx, tbl.ID, testRows(rows)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range e.Dir.TablePartitions(tbl.ID) {
+		if err := e.AddReplicaOp(m.ID, 1-m.Master().Site, storage.DefaultRowLayout()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := e.NewSession()
+	rmw := &query.Txn{}
+	for k := int64(0); k < 10; k++ {
+		row := 7 + 401*k // partitions 0, 0, 1, 2, 3, 4, 4, 5, 6, 7
+		rmw.Ops = append(rmw.Ops, readOp(tbl, row, 2), updateOp(tbl, row, 2, types.NewFloat64(float64(k))))
+	}
+	point := &query.Txn{Ops: []query.Op{readOp(tbl, 42, 2)}} // partition 0, mastered at site 0
+	for name, txn := range map[string]*query.Txn{"rmw10": rmw, "point-read": point} {
+		run := func() {
+			if _, err := e.ExecuteTxn(ctx, sess, txn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			run() // warm plans, decisions and pools
+		}
+		got := testing.AllocsPerRun(50, run)
+		t.Logf("%s: %.0f allocs/txn (budget %.0f)", name, got, txnAllocBudgets[name])
+		if got > txnAllocBudgets[name] {
+			t.Errorf("%s: %.0f allocs per transaction, over its budget of %.0f", name, got, txnAllocBudgets[name])
 		}
 	}
 }

@@ -341,7 +341,7 @@ func (j *morselJob) installPipe(p *exec.JoinPipe) error {
 		}
 		for k := range p.Stages {
 			bytes := p.Stages[k].WireBytes()
-			if err := j.e.shipBytesTo(j.coord, s.ID, int(bytes)); err != nil {
+			if err := j.e.shipBytesTo(simnet.KindJoin, j.coord, s.ID, int(bytes)); err != nil {
 				return err
 			}
 			exec.RecordJoinBroadcast(bytes)
@@ -600,7 +600,7 @@ func (j *morselJob) runCols(out chan<- exec.ColRel) {
 				}
 				chunk := cur
 				cur = exec.NewColRel(j.cols)
-				if err := j.e.shipBytesTo(siteID, j.coord, chunk.NumRows()*chunk.RowBytes()+64); err != nil {
+				if err := j.e.shipBytesTo(simnet.KindJoin, siteID, j.coord, chunk.NumRows()*chunk.RowBytes()+64); err != nil {
 					j.fail(err)
 					return false
 				}

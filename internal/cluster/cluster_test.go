@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -426,6 +427,51 @@ func TestSplitHorizontalAndMerge(t *testing.T) {
 	res, err = e.ExecuteQuery(context.Background(), sess, scanSumQuery(tbl))
 	if err != nil || res.Tuples[0][1].Int() != 100 {
 		t.Fatalf("after merge: %v %v", res.Tuples, err)
+	}
+}
+
+// TestPlanTxnDuringSplitMerge plans transactions over every row while the
+// table's one partition is split and merged back again and again: the
+// directory swaps old partitions for new in one step, so no plan may ever
+// find a row without a partition. `go test -race` runs it in CI.
+func TestPlanTxnDuringSplitMerge(t *testing.T) {
+	e, tbl := newTestEngine(t, ModeRowStore, 2, 1, 100)
+	stop := make(chan struct{})
+	var planned, failed atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for row := int64(p); ; row = (row + 13) % 100 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				txn := &query.Txn{Ops: []query.Op{readOp(tbl, row, 2), updateOp(tbl, (row+50)%100, 2, types.NewFloat64(1))}}
+				if _, err := e.Planner.PlanTxn(txn); err != nil {
+					failed.Add(1)
+					t.Errorf("plan rows %d, %d: %v", row, (row+50)%100, err)
+					return
+				}
+				planned.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < 200 && !t.Failed(); i++ {
+		if err := e.SplitH(e.Dir.TablePartitions(tbl.ID)[0].ID, 50); err != nil {
+			t.Fatal(err)
+		}
+		np := e.Dir.TablePartitions(tbl.ID)
+		if err := e.MergeH(np[0].ID, np[1].ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if planned.Load() == 0 || failed.Load() != 0 {
+		t.Fatalf("%d plans, %d failed", planned.Load(), failed.Load())
 	}
 }
 

@@ -267,8 +267,8 @@ func (g *groupCommit) flush(q *siteQueue, batch []flushGroup, counted bool) {
 			}
 			if !seen {
 				acked = append(acked, fg.coord)
-				g.e.Net.Charge(fg.coord, q.site, 128)
-				g.e.Net.Charge(q.site, fg.coord, 32)
+				g.e.Net.ChargeKind(simnet.KindDecision, fg.coord, q.site, 128)
+				g.e.Net.ChargeKind(simnet.KindDecision, q.site, fg.coord, 32)
 			}
 		}
 		fg.done <- struct{}{}

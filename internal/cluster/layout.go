@@ -43,7 +43,7 @@ func (e *Engine) ChangeCopyLayout(pid partition.ID, siteID simnet.SiteID, next s
 		return err
 	}
 	cur := p.Layout()
-	e.Net.Charge(simnet.ASASite, siteID, 256)
+	e.Net.ChargeKind(simnet.KindLayout, simnet.ASASite, siteID, 256)
 
 	ls := e.Locks.AcquireAll(nil, []partition.ID{pid})
 	// Re-resolve the copy under the lock: a concurrent crash or recovery
@@ -78,19 +78,17 @@ func (e *Engine) dropAllReplicas(m *metadata.PartitionMeta) {
 	}
 }
 
-// replaceInDirectory unregisters old partitions and registers new ones
-// mastered at the given site.
+// replaceInDirectory swaps old partitions for new ones mastered at the
+// given site. The new copies stand at the site, with their topics and
+// checkpoints, before one directory step swaps the entries, and the old
+// copies go after it: an operation planned meanwhile binds either the old
+// partitions (and re-plans once they are gone) or the new ones, never none.
 func (e *Engine) replaceInDirectory(siteID simnet.SiteID, old []*metadata.PartitionMeta, parts []*partition.Partition) {
-	for _, m := range old {
-		e.siteOf(m.Master().Site).RemovePartition(m.ID)
-		e.Dir.Unregister(m.ID)
-		e.Broker.DeleteTopic(m.ID)
-	}
-	for _, p := range parts {
+	metas := make([]*metadata.PartitionMeta, len(parts))
+	for i, p := range parts {
 		e.siteOf(siteID).AddPartition(p, true)
 		e.Broker.CreateTopic(p.ID)
-		e.Dir.Register(p.ID, p.Bounds, metadata.Replica{Site: siteID, Layout: p.Layout()}, p.ZoneMap())
-		// The old partitions' topics are gone and the new partitions'
+		// The old partitions' topics are going and the new partitions'
 		// rows predate their (empty) topics, so checkpoint immediately:
 		// without this a crash before the next checkpoint cycle would
 		// lose the repartitioned data.
@@ -99,6 +97,16 @@ func (e *Engine) replaceInDirectory(siteID simnet.SiteID, old []*metadata.Partit
 			Version: p.Version(),
 			Offset:  e.Broker.EndOffset(p.ID),
 		})
+		metas[i] = e.Dir.NewMeta(p.ID, p.Bounds, metadata.Replica{Site: siteID, Layout: p.Layout()}, p.ZoneMap())
+	}
+	oldIDs := make([]partition.ID, len(old))
+	for i, m := range old {
+		oldIDs[i] = m.ID
+	}
+	e.Dir.Replace(oldIDs, metas...)
+	for _, m := range old {
+		e.siteOf(m.Master().Site).RemovePartition(m.ID)
+		e.Broker.DeleteTopic(m.ID)
 	}
 	e.Epoch.Bump()
 }
@@ -116,7 +124,7 @@ func (e *Engine) SplitH(pid partition.ID, at schema.RowID) error {
 	if err != nil {
 		return err
 	}
-	e.Net.Charge(simnet.ASASite, siteID, 256)
+	e.Net.ChargeKind(simnet.KindLayout, simnet.ASASite, siteID, 256)
 	ls := e.Locks.AcquireAll(nil, []partition.ID{pid})
 	defer ls.ReleaseAll()
 	// A failover or master change while we waited for the lock moves the
@@ -156,7 +164,7 @@ func (e *Engine) SplitV(pid partition.ID, at schema.ColID, leftLayout, rightLayo
 	if err != nil {
 		return err
 	}
-	e.Net.Charge(simnet.ASASite, siteID, 256)
+	e.Net.ChargeKind(simnet.KindLayout, simnet.ASASite, siteID, 256)
 	ls := e.Locks.AcquireAll(nil, []partition.ID{pid})
 	defer ls.ReleaseAll()
 	// See SplitH: revalidate mastership and the copy under the lock.
@@ -203,7 +211,7 @@ func (e *Engine) MergeH(a, b partition.ID) error {
 	if err != nil {
 		return err
 	}
-	e.Net.Charge(simnet.ASASite, siteID, 256)
+	e.Net.ChargeKind(simnet.KindLayout, simnet.ASASite, siteID, 256)
 	ls := e.Locks.AcquireAll(nil, []partition.ID{a, b})
 	defer ls.ReleaseAll()
 	// See SplitH: revalidate mastership and the copies under the lock.
@@ -246,7 +254,7 @@ func (e *Engine) AddReplicaOp(pid partition.ID, siteID simnet.SiteID, l storage.
 	if err != nil {
 		return err
 	}
-	e.Net.Charge(m.Master().Site, siteID, 1024)
+	e.Net.ChargeKind(simnet.KindLayout, m.Master().Site, siteID, 1024)
 	e.Epoch.Bump()
 	e.stats.Record(ClassReplicationChange, e.clk.Since(start))
 	return nil
@@ -268,7 +276,7 @@ func (e *Engine) RemoveReplicaOp(pid partition.ID, siteID simnet.SiteID) error {
 	s := e.siteOf(siteID)
 	s.Repl.Unsubscribe(pid)
 	s.RemovePartition(pid)
-	e.Net.Charge(simnet.ASASite, siteID, 128)
+	e.Net.ChargeKind(simnet.KindLayout, simnet.ASASite, siteID, 128)
 	e.Epoch.Bump()
 	e.stats.Record(ClassReplicationChange, e.clk.Since(start))
 	return nil
@@ -351,8 +359,8 @@ func (e *Engine) ChangeMasterOp(pid partition.ID, newSite simnet.SiteID) error {
 	}
 	m.AddReplica(metadata.Replica{Site: oldMaster.Site, Layout: oldMaster.Layout})
 
-	e.Net.Charge(oldMaster.Site, newSite, 512)
-	e.Net.Charge(newSite, oldMaster.Site, 128)
+	e.Net.ChargeKind(simnet.KindLayout, oldMaster.Site, newSite, 512)
+	e.Net.ChargeKind(simnet.KindLayout, newSite, oldMaster.Site, 128)
 	e.Epoch.Bump()
 	e.stats.Record(ClassMasterChange, e.clk.Since(start))
 	return nil

@@ -199,6 +199,15 @@ func (j *morselJob) newProber() *exec.Prober {
 	return j.pipe.NewProber()
 }
 
+// shipKind is the message kind of the job's result batches: joined rows
+// when a probe pipeline runs in the workers, scanned rows otherwise.
+func (j *morselJob) shipKind() simnet.Kind {
+	if j.pipe != nil {
+		return simnet.KindJoin
+	}
+	return simnet.KindScan
+}
+
 // closeProber folds a finished worker's probe counters into its site's.
 func (j *morselJob) closeProber(siteID simnet.SiteID, pr *exec.Prober) {
 	if pr == nil {
@@ -399,7 +408,7 @@ func (j *morselJob) scanStitched(u morselUnit, maxRows int, fn func(*storage.Bat
 		}
 		vals[k] = rows
 		if read > 0 && sc.siteID != u.ps.siteID {
-			if err := j.e.shipBytesTo(sc.siteID, u.ps.siteID, bytes); err != nil {
+			if err := j.e.shipBytesTo(simnet.KindScan, sc.siteID, u.ps.siteID, bytes); err != nil {
 				j.fail(err)
 				return
 			}
@@ -501,7 +510,7 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 				}
 				rel := exec.Rel{Cols: j.cols, Tuples: batch}
 				batch = make([][]types.Value, 0, batchRows)
-				if err := j.e.shipTo(siteID, j.coord, rel); err != nil {
+				if err := j.e.shipTo(j.shipKind(), siteID, j.coord, rel); err != nil {
 					j.fail(err)
 					return false
 				}
@@ -597,7 +606,7 @@ func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error
 				return
 			}
 			rel := siteAgg.Rel(j.cols)
-			if err := j.e.shipTo(siteID, j.coord, rel); err != nil {
+			if err := j.e.shipTo(j.shipKind(), siteID, j.coord, rel); err != nil {
 				j.fail(err)
 				return
 			}

@@ -28,40 +28,16 @@ import (
 var ErrStalePlan = errors.New("cluster: physical plan stale after layout change")
 
 // ExecuteQuery runs an OLAP query tree, producing the final relation at
-// the coordinating site (§4.3, Figure 7b). Retriable failures — a plan
-// invalidated by a concurrent layout change, a crashed site awaiting
-// failover, a dropped message or transient partition — are re-planned and
-// retried with seeded full-jitter backoff until the deadline (the
-// context's, if set, else the configured operation deadline), after which
-// the typed faults.ErrTimeout surfaces. Cancelling ctx aborts the query,
-// closing the morsel feeds of any in-flight parallel scan.
+// the coordinating site (§4.3, Figure 7b), re-planned and retried as
+// withRetries describes. Cancelling ctx aborts the query, closing the
+// morsel feeds of any in-flight parallel scan.
 func (e *Engine) ExecuteQuery(ctx context.Context, sess *Session, q *query.Query) (exec.Rel, error) {
 	var rel exec.Rel
-	var err error
-	// Admission happens once per client-visible operation, before the
-	// retry loop: a shed is terminal (never internally retried) and an
-	// admitted operation's retries ride on the already-granted token.
-	if err = e.admit(ctx, admission.PriorityOLAP); err != nil {
-		return rel, err
-	}
-	deadline := e.queryDeadline(ctx)
-	delay := e.retryBase()
-	for {
+	err := e.withRetries(ctx, admission.PriorityOLAP, func() (err error) {
 		rel, err = e.executeQueryOnce(ctx, sess, q)
-		if err == nil || !e.retriable(err) {
-			return rel, err
-		}
-		if e.clk.Now().After(deadline) {
-			return rel, e.deadlineErr(err)
-		}
-		e.cntRetries.Inc()
-		if serr := e.sleepRetry(ctx, e.Faults.Jitter(delay)); serr != nil {
-			return rel, serr
-		}
-		if delay *= 2; delay > maxRetryDelay {
-			delay = maxRetryDelay
-		}
-	}
+		return err
+	})
+	return rel, err
 }
 
 // queryDeadline is the retry cutoff: the context's deadline when one is
@@ -95,7 +71,7 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 	if err != nil {
 		return exec.Rel{}, err
 	}
-	if _, err := e.Net.Send(simnet.ASASite, coord, 256); err != nil {
+	if _, err := e.Net.SendKind(simnet.KindDispatch, simnet.ASASite, coord, 256); err != nil {
 		return exec.Rel{}, err
 	}
 	e.recordQueryAccesses(pn)
@@ -304,19 +280,32 @@ func (e *Engine) sitePartition(pid partition.ID, siteID simnet.SiteID, snapVer u
 // shipTo moves a relation between sites (retrying dropped messages) and
 // records the network observation. A persistent fault surfaces as the
 // typed error so the query can re-plan around it.
-func (e *Engine) shipTo(from, to simnet.SiteID, rel exec.Rel) error {
-	return e.shipBytesTo(from, to, rel.NumRows()*rel.RowBytes()+64)
+func (e *Engine) shipTo(k simnet.Kind, from, to simnet.SiteID, rel exec.Rel) error {
+	return e.shipBytesTo(k, from, to, rel.NumRows()*rel.RowBytes()+64)
 }
 
 // shipBytesTo is shipTo for callers that already know the payload size
 // (columnar chunks from the batch-join scan path).
-func (e *Engine) shipBytesTo(from, to simnet.SiteID, bytes int) error {
+func (e *Engine) shipBytesTo(k simnet.Kind, from, to simnet.SiteID, bytes int) error {
+	return e.exchange(k, from, to, bytes, -1)
+}
+
+// exchange sends a req-byte message of kind k and, unless reply < 0, the
+// reply-byte answer back, retrying dropped messages (a dropped reply
+// re-sends both), and records one network observation. A persistent fault
+// surfaces as the typed error so the operation can re-plan around it.
+func (e *Engine) exchange(k simnet.Kind, from, to simnet.SiteID, req, reply int) error {
 	if from == to {
 		return nil
 	}
 	var d time.Duration
 	if err := e.Faults.Retry(e.sendBackoff(), func() error {
-		dd, err := e.Net.Send(from, to, bytes)
+		dd, err := e.Net.SendKind(k, from, to, req)
+		d += dd
+		if err != nil || reply < 0 {
+			return err
+		}
+		dd, err = e.Net.SendKind(k, to, from, reply)
 		d += dd
 		return err
 	}); err != nil {
@@ -324,7 +313,7 @@ func (e *Engine) shipBytesTo(from, to simnet.SiteID, bytes int) error {
 	}
 	e.siteOf(from).Observe(cost.Observation{
 		Op:       cost.OpNetwork,
-		Features: cost.NetworkFeatures(e.siteOf(from).CPU(), e.siteOf(to).CPU(), bytes, 0),
+		Features: cost.NetworkFeatures(e.siteOf(from).CPU(), e.siteOf(to).CPU(), req, max(reply, 0)),
 		Latency:  d,
 	})
 	return nil
@@ -404,27 +393,12 @@ func (e *Engine) finalizeAgg(pa *plan.PAgg, partials exec.Rel, coord simnet.Site
 // ExecuteQuery retries them; once streaming has begun, failures surface
 // through the cursor's Err and are not retried.
 func (e *Engine) ExecuteQueryStream(ctx context.Context, sess *Session, q *query.Query) (*RowCursor, error) {
-	if err := e.admit(ctx, admission.PriorityOLAP); err != nil {
-		return nil, err
-	}
-	deadline := e.queryDeadline(ctx)
-	delay := e.retryBase()
-	for {
-		cur, err := e.streamOnce(ctx, sess, q)
-		if err == nil || !e.retriable(err) {
-			return cur, err
-		}
-		if e.clk.Now().After(deadline) {
-			return nil, e.deadlineErr(err)
-		}
-		e.cntRetries.Inc()
-		if serr := e.sleepRetry(ctx, e.Faults.Jitter(delay)); serr != nil {
-			return nil, serr
-		}
-		if delay *= 2; delay > maxRetryDelay {
-			delay = maxRetryDelay
-		}
-	}
+	var cur *RowCursor
+	err := e.withRetries(ctx, admission.PriorityOLAP, func() (err error) {
+		cur, err = e.streamOnce(ctx, sess, q)
+		return err
+	})
+	return cur, err
 }
 
 func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) (*RowCursor, error) {
@@ -444,7 +418,7 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.Net.Send(simnet.ASASite, coord, 256); err != nil {
+	if _, err := e.Net.SendKind(simnet.KindDispatch, simnet.ASASite, coord, 256); err != nil {
 		return nil, err
 	}
 	e.recordQueryAccesses(pn)

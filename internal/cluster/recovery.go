@@ -9,10 +9,12 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
+	"proteus/internal/admission"
 	"proteus/internal/faults"
 	"proteus/internal/metadata"
 	"proteus/internal/partition"
@@ -60,6 +62,40 @@ func (e *Engine) deadlineErr(err error) error {
 		return err
 	}
 	return fmt.Errorf("%w: operation deadline exceeded (last error: %v)", faults.ErrTimeout, err)
+}
+
+// withRetries admits one client-visible operation at priority pri and runs
+// attempt until it succeeds or fails for good. Retriable failures — a plan
+// invalidated by a concurrent layout change, a crashed site awaiting
+// failover, a dropped message or transient partition — re-run after seeded
+// full-jitter backoff, doubling up to maxRetryDelay, until the deadline
+// (the context's, if set, else the configured operation deadline), after
+// which the typed faults.ErrTimeout surfaces. Cancelling ctx aborts
+// between attempts. Admission happens once, before the loop: a shed is
+// terminal (never internally retried) and retries ride on the
+// already-granted token.
+func (e *Engine) withRetries(ctx context.Context, pri admission.Priority, attempt func() error) error {
+	if err := e.admit(ctx, pri); err != nil {
+		return err
+	}
+	deadline := e.queryDeadline(ctx)
+	delay := e.retryBase()
+	for {
+		err := attempt()
+		if err == nil || !e.retriable(err) {
+			return err
+		}
+		if e.clk.Now().After(deadline) {
+			return e.deadlineErr(err)
+		}
+		e.cntRetries.Inc()
+		if serr := e.sleepRetry(ctx, e.Faults.Jitter(delay)); serr != nil {
+			return serr
+		}
+		if delay *= 2; delay > maxRetryDelay {
+			delay = maxRetryDelay
+		}
+	}
 }
 
 // sendBackoff bounds one cross-site message retry loop. It is deliberately

@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
 	"proteus/internal/admission"
@@ -60,121 +60,184 @@ func (e *Engine) snapshotFor(pids []partition.ID, sess *Session) txn.VersionVect
 	return e.Deps.Close(snap)
 }
 
-// readCopy reads one row piece at the snapshot version from the chosen
-// copy, waiting on replication freshness when the copy is a replica.
-func (e *Engine) readCopy(m *metadata.PartitionMeta, copyAt metadata.Replica, coord simnet.SiteID,
-	row schema.RowID, cols []schema.ColID, snapVer uint64) (schema.Row, bool, []cost.Observation, error) {
-
-	var obs []cost.Observation
-	s := e.siteOf(copyAt.Site)
-	if s.Down() {
-		// The planned copy's site crashed: redirect to any live copy.
-		rep, ok := e.liveCopy(m)
-		if !ok {
-			return schema.Row{}, false, obs, fmt.Errorf("%w: partition %d has no live copy", faults.ErrSiteDown, m.ID)
-		}
-		s = e.siteOf(rep.Site)
-	}
-	p, ok := s.Partition(m.ID)
-	if !ok {
-		// Stale plan decision: fall back to the master copy.
-		master := m.Master()
-		s = e.siteOf(master.Site)
-		p, ok = s.Partition(m.ID)
-		if !ok {
-			return schema.Row{}, false, obs, fmt.Errorf("%w: partition %d unreadable", ErrStalePlan, m.ID)
-		}
-	}
-	if !s.IsMaster(m.ID) && p.Version() < snapVer {
-		start := e.clk.Now()
-		if _, err := s.Repl.CatchUp(m.ID, snapVer); err != nil {
-			// The replica cannot reach the snapshot (broker partitioned
-			// away, or catch-up timed out): surface the typed error rather
-			// than silently reading stale data.
-			return schema.Row{}, false, obs, err
-		}
-		obs = append(obs, cost.Observation{
-			Op:       cost.OpWaitUpdates,
-			Features: cost.WaitFeatures(int(snapVer - p.Version() + 1)),
-			Latency:  e.clk.Since(start),
-		})
-	}
-	r, found, o := exec.PointRead(p, row, cols, snapVer)
-	obs = append(obs, o)
-	if s.ID != coord {
-		var d time.Duration
-		err := e.Faults.Retry(e.sendBackoff(), func() error {
-			dd, err := e.Net.Send(coord, s.ID, 64)
-			if err != nil {
-				return err
-			}
-			d += dd
-			dd, err = e.Net.Send(s.ID, coord, 64+32*len(cols))
-			d += dd
-			return err
-		})
-		if err != nil {
-			return schema.Row{}, false, obs, err
-		}
-		obs = append(obs, cost.Observation{
-			Op:       cost.OpNetwork,
-			Features: cost.NetworkFeatures(e.siteOf(coord).CPU(), s.CPU(), 64, 64+32*len(cols)),
-			Latency:  d,
-		})
-	}
-	return r, found, obs, nil
+// siteWork is one site's share of a transaction: the reads it serves and
+// the writes it masters. A remote site gets all of it in one request and
+// answers in one reply: the prepare and its vote when it has writes, a read
+// round trip when it has none (the read-only 2PC optimisation: no prepare,
+// no phase 2).
+type siteWork struct {
+	site  simnet.SiteID
+	reads []pieceOp
+	ops   []pieceOp
+	pids  []partition.ID // the partitions ops write, once each
 }
 
-// coordinatorFor picks the transaction's coordinating site: the first
-// write master, else the first read copy.
-func coordinatorFor(tp *plan.TxnPlan) simnet.SiteID {
+// txnWork is a transaction's reads and writes grouped by site.
+type txnWork struct {
+	e      *Engine
+	coord  simnet.SiteID
+	snap   txn.VersionVector
+	sites  []siteWork
+	tuples [][]types.Value // one per read op, in op order
+}
+
+// groupWork binds every op to a site: a write to its partition's planned
+// master; a read to the planned copy, a live copy when that copy's site is
+// down, the master when the planned copy is gone (a stale plan decision).
+func (e *Engine) groupWork(coord simnet.SiteID, tp *plan.TxnPlan, snap txn.VersionVector) (*txnWork, error) {
+	nVals, nReads, nPieces := 0, 0, 0
 	for _, b := range tp.Bindings {
-		if b.Op.Kind != query.OpRead {
-			return b.Copies[0].Site
+		if nPieces += len(b.Pieces); b.Op.Kind == query.OpRead {
+			nVals, nReads = nVals+len(b.Op.Cols), nReads+1
 		}
 	}
-	if len(tp.Bindings) > 0 {
-		return tp.Bindings[0].Copies[0].Site
+	tw := &txnWork{e: e, coord: coord, snap: snap, tuples: make([][]types.Value, 0, nReads)}
+	vals, pieces := make([]types.Value, nVals), make([]pieceOp, 0, nPieces)
+	for _, b := range tp.Bindings {
+		slot, n := len(tw.tuples), len(b.Op.Cols)
+		if b.Op.Kind == query.OpRead {
+			tw.tuples, vals = append(tw.tuples, vals[:n:n]), vals[n:]
+		}
+		for i, m := range b.Pieces {
+			cols, valIx := plan.PieceCols(b.Op, m)
+			po := pieceOp{op: b.Op, meta: m, cols: cols, valIx: valIx, slot: slot, site: b.Copies[i].Site}
+			switch {
+			case b.Op.Kind != query.OpRead:
+				if len(cols) > 0 || b.Op.Kind != query.OpUpdate {
+					pieces = append(pieces, po)
+				}
+			case len(cols) > 0:
+				s := e.siteOf(po.site)
+				if s.Down() {
+					rep, ok := e.liveCopy(m)
+					if !ok {
+						return nil, fmt.Errorf("%w: partition %d has no live copy", faults.ErrSiteDown, m.ID)
+					}
+					s = e.siteOf(rep.Site)
+				}
+				if _, ok := s.Partition(m.ID); !ok {
+					s = e.siteOf(m.Master().Site)
+				}
+				po.site = s.ID
+				pieces = append(pieces, po)
+			}
+		}
 	}
-	return 0
+	// One run per site, its reads first: the site's share is two subslices.
+	key := func(po pieceOp) int {
+		if po.op.Kind == query.OpRead {
+			return 2 * int(po.site)
+		}
+		return 2*int(po.site) + 1
+	}
+	slices.SortStableFunc(pieces, func(a, b pieceOp) int { return key(a) - key(b) })
+	for i, j := 0, 0; i < len(pieces); i = j {
+		k := i
+		for j = i; j < len(pieces) && pieces[j].site == pieces[i].site; j++ {
+			if pieces[j].op.Kind == query.OpRead {
+				k++
+			}
+		}
+		tw.sites = append(tw.sites, siteWork{site: pieces[i].site, reads: pieces[i:k:k], ops: pieces[k:j:j]})
+	}
+	return tw, nil
+}
+
+// serveUnlocked serves every read that does not ride a prepare: the
+// coordinator's inline, then each read-only site's in one round trip, the
+// sites overlapping.
+func (tw *txnWork) serveUnlocked() error {
+	var remote []*siteWork
+	for i := range tw.sites {
+		sw := &tw.sites[i]
+		if sw.site == tw.coord {
+			if err := tw.serve(sw); err != nil {
+				return err
+			}
+		} else if len(sw.ops) == 0 {
+			remote = append(remote, sw)
+		}
+	}
+	if len(remote) == 0 {
+		return nil
+	}
+	_, err := txn.Fanout(len(remote), func(int) bool { return true }, func(i int) error {
+		req, reply := readBytes(remote[i].reads)
+		if err := tw.e.exchange(simnet.KindRead, tw.coord, remote[i].site, req, reply); err != nil {
+			return err
+		}
+		return tw.serve(remote[i])
+	})
+	return err
+}
+
+// serve reads a site's batch at the snapshot. A replica behind the
+// snapshot catches up first (the SSSI freshness wait, §4.2); a master —
+// where every read of a written partition goes — never waits.
+func (tw *txnWork) serve(sw *siteWork) error {
+	e, s, coordSite := tw.e, tw.e.siteOf(sw.site), tw.e.siteOf(tw.coord)
+	for k := range sw.reads {
+		r := &sw.reads[k]
+		p, ok := s.Partition(r.meta.ID)
+		if !ok {
+			return fmt.Errorf("%w: partition %d unreadable", ErrStalePlan, r.meta.ID)
+		}
+		ver := tw.snap[r.meta.ID]
+		if at := p.Version(); at < ver && !s.IsMaster(r.meta.ID) {
+			start := e.clk.Now()
+			// A replica that cannot reach the snapshot (broker partitioned
+			// away, catch-up timed out) fails typed, never reads stale data.
+			if _, err := s.Repl.CatchUp(r.meta.ID, ver); err != nil {
+				return err
+			}
+			coordSite.Observe(cost.Observation{Op: cost.OpWaitUpdates, Features: cost.WaitFeatures(int(ver - at)), Latency: e.clk.Since(start)})
+		}
+		row, found, o := exec.PointRead(p, r.op.Row, r.cols, ver)
+		coordSite.Observe(o)
+		if r.found = found; found {
+			for j, vi := range r.valIx {
+				tw.tuples[r.slot][vi] = row.Vals[j]
+			}
+		}
+	}
+	return nil
+}
+
+// result is the values read, one tuple per read op (nil when no piece found
+// the row).
+func (tw *txnWork) result() exec.Rel {
+	out := exec.Rel{Tuples: make([][]types.Value, len(tw.tuples))}
+	for _, sw := range tw.sites {
+		for _, r := range sw.reads {
+			if r.found {
+				out.Tuples[r.slot] = tw.tuples[r.slot]
+			}
+		}
+	}
+	return out
+}
+
+// readBytes is a batch's wire size: 64 request bytes per read, and 64 plus
+// 32 per column in the reply.
+func readBytes(batch []pieceOp) (req, reply int) {
+	for _, r := range batch {
+		req, reply = req+64, reply+64+32*len(r.cols)
+	}
+	return req, reply
 }
 
 // ExecuteTxn runs an OLTP transaction under SSSI, returning the values
-// read (one tuple per read op, in op order). Retriable failures — a plan
-// invalidated by a concurrent layout change, a crashed site awaiting
-// failover, a dropped message or transient partition — are re-planned and
-// retried with seeded full-jitter backoff until the deadline (the
-// context's, if set, else the configured operation deadline), after which
-// the typed faults.ErrTimeout surfaces. Cancelling ctx aborts between
-// attempts.
+// read (one tuple per read op, in op order). It is admitted at OLTP
+// priority — queued commits drain ahead of queued scans, and a shed (typed
+// faults.ErrOverload) means the transaction never started, so a shed write
+// is never acknowledged — and retried as withRetries describes.
 func (e *Engine) ExecuteTxn(ctx context.Context, sess *Session, t *query.Txn) (exec.Rel, error) {
 	var rel exec.Rel
-	var err error
-	// Admission happens once per transaction, before the retry loop, at
-	// OLTP priority: queued commits drain ahead of queued scans, and a
-	// shed (typed faults.ErrOverload) means the transaction never started
-	// — a shed write is never acknowledged.
-	if err = e.admit(ctx, admission.PriorityOLTP); err != nil {
-		return rel, err
-	}
-	deadline := e.queryDeadline(ctx)
-	delay := e.retryBase()
-	for {
+	err := e.withRetries(ctx, admission.PriorityOLTP, func() (err error) {
 		rel, err = e.executeTxnOnce(ctx, sess, t)
-		if err == nil || !e.retriable(err) {
-			return rel, err
-		}
-		if e.clk.Now().After(deadline) {
-			return rel, e.deadlineErr(err)
-		}
-		e.cntRetries.Inc()
-		if serr := e.sleepRetry(ctx, e.Faults.Jitter(delay)); serr != nil {
-			return rel, serr
-		}
-		if delay *= 2; delay > maxRetryDelay {
-			delay = maxRetryDelay
-		}
-	}
+		return err
+	})
+	return rel, err
 }
 
 func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn) (exec.Rel, error) {
@@ -190,9 +253,9 @@ func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn
 	e.stats.Record(ClassOLTPPlan, e.clk.Since(planStart))
 	e.recordTxnAccesses(tp)
 
-	coord := coordinatorFor(tp)
+	coord := tp.Coordinator
 	// Dispatch from the ASA to the coordinating site.
-	if _, err := e.Net.Send(simnet.ASASite, coord, 128+32*len(t.Ops)); err != nil {
+	if _, err := e.Net.SendKind(simnet.KindDispatch, simnet.ASASite, coord, 128+32*len(t.Ops)); err != nil {
 		return exec.Rel{}, err
 	}
 
@@ -204,7 +267,7 @@ func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn
 	// is headed its way, not only once a worker picks it up.
 	e.oltpEnter(coord)
 	err = e.siteOf(coord).RunOLTP(func() {
-		result, execErr = e.runTxnAt(ctx, coord, sess, t, tp)
+		result, execErr = e.runTxnAt(ctx, coord, sess, tp)
 	})
 	e.oltpExit(coord)
 	if err != nil {
@@ -222,78 +285,26 @@ func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn
 	return result, nil
 }
 
-func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Session, t *query.Txn, tp *plan.TxnPlan) (exec.Rel, error) {
-	coordSite := e.siteOf(coord)
-
+func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Session, tp *plan.TxnPlan) (exec.Rel, error) {
 	allPids := append(append([]partition.ID{}, tp.ReadPIDs...), tp.WritePIDs...)
 	snap := e.snapshotFor(allPids, sess)
 
-	// Reads run lock-free under snapshot isolation; exclusive partition
-	// locks are taken only for the write/commit phase below, so remote
-	// read latency does not serialize hot partitions. Independent keyed
-	// reads execute in parallel so remote round trips overlap.
-	type readSlot struct {
-		tuple []types.Value
-		found bool
-		err   error
+	// Reads run at the snapshot. Every read not bound for a remote write
+	// site runs now, before any lock, so its latency does not serialize hot
+	// partitions; a remote write site's reads ride its prepare, a round trip
+	// the transaction pays under the locks anyway.
+	tw, err := e.groupWork(coord, tp, snap)
+	if err != nil {
+		return exec.Rel{}, err
 	}
-	var readIdx []int
-	for bi, b := range tp.Bindings {
-		if b.Op.Kind == query.OpRead {
-			readIdx = append(readIdx, bi)
-		}
-	}
-	slots := make([]readSlot, len(readIdx))
-	var rwg sync.WaitGroup
-	for si, bi := range readIdx {
-		si, b := si, tp.Bindings[bi]
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			tuple := make([]types.Value, len(b.Op.Cols))
-			found := false
-			for i, m := range b.Pieces {
-				cols, valIdx := plan.PieceCols(b.Op, m)
-				if len(cols) == 0 {
-					continue
-				}
-				r, ok, obs, err := e.readCopy(m, b.Copies[i], coord, b.Op.Row, cols, snap[m.ID])
-				for _, o := range obs {
-					coordSite.Observe(o)
-				}
-				if err != nil {
-					slots[si].err = err
-					return
-				}
-				if !ok {
-					continue
-				}
-				found = true
-				for j, vi := range valIdx {
-					tuple[vi] = r.Vals[j]
-				}
-			}
-			slots[si].tuple, slots[si].found = tuple, found
-		}()
-	}
-	rwg.Wait()
-	result := exec.Rel{}
-	for _, sl := range slots {
-		if sl.err != nil {
-			return exec.Rel{}, sl.err
-		}
-		if sl.found {
-			result.Tuples = append(result.Tuples, sl.tuple)
-		} else {
-			result.Tuples = append(result.Tuples, nil)
-		}
+	if err := tw.serveUnlocked(); err != nil {
+		return exec.Rel{}, err
 	}
 
-	// Writes: acquire exclusive locks on the write set in global order
-	// (no deadlocks), then group by master site and apply with 2PC when
-	// more than one site is involved. The locks cover only version
-	// reservation and staging; the redo append and version install run in
-	// the group-commit flusher after the locks are released, and the
+	// Writes: exclusive locks on the write set in global order (no
+	// deadlocks), then 2PC across the write sites. The locks cover version
+	// reservation, the prepares and staging; the redo append and version
+	// install run in the group-commit flusher after the locks drop, and the
 	// transaction acks once its flush completes.
 	if len(tp.WritePIDs) > 0 {
 		lockStart := e.clk.Now()
@@ -310,12 +321,12 @@ func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Sessio
 				recent = r
 			}
 		}
-		coordSite.Observe(cost.Observation{
+		e.siteOf(coord).Observe(cost.Observation{
 			Op:       cost.OpLock,
 			Features: cost.LockFeatures(waiters, recent),
 			Latency:  e.clk.Since(lockStart),
 		})
-		finish, err := e.applyWrites(coord, tp, sess)
+		finish, err := e.applyWrites(tw, tp, sess)
 		ls.ReleaseAll()
 		if err != nil {
 			return exec.Rel{}, err
@@ -333,21 +344,20 @@ func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Sessio
 		readVec[pid] = snap[pid]
 	}
 	sess.s.Observe(readVec)
-	return result, nil
+	return tw.result(), nil
 }
 
-// siteWrites groups a transaction's write ops per master site.
-type siteWrites struct {
-	site simnet.SiteID
-	ops  []writeOp
-}
-
-type writeOp struct {
+// pieceOp is one covering piece of an op: the piece's columns, and where
+// their values sit in the op's values (writes) or its result tuple (reads).
+type pieceOp struct {
 	op    query.Op
 	meta  *metadata.PartitionMeta
 	cols  []schema.ColID
 	valIx []int
-	// entry is the op's redo entry, built once up front; its Vals (and
+	site  simnet.SiteID // the site that serves or masters the piece
+	slot  int           // a read's position among the transaction's reads
+	found bool          // the read found the row
+	// entry is a write's redo entry, built once up front; its Vals (and
 	// Cols, converted to partition-local IDs) are shared with the staging
 	// apply in writeParticipant.Commit instead of being re-allocated there.
 	entry redolog.Entry
@@ -356,7 +366,7 @@ type writeOp struct {
 // buildEntries fills each op's redo entry, packing all of a write group's
 // values (and local column IDs) into two shared arenas so a transaction
 // allocates O(1) slices per site rather than O(ops).
-func buildEntries(sw *siteWrites) {
+func buildEntries(sw *siteWork) {
 	nVals, nCols := 0, 0
 	for _, w := range sw.ops {
 		if w.op.Kind != query.OpDelete {
@@ -370,34 +380,30 @@ func buildEntries(sw *siteWrites) {
 	colArena := make([]schema.ColID, 0, nCols)
 	for i := range sw.ops {
 		w := &sw.ops[i]
+		w.entry = redolog.Entry{Op: redolog.OpUpdate, Row: w.op.Row}
 		switch w.op.Kind {
-		case query.OpInsert:
-			base := len(valArena)
-			for _, vi := range w.valIx {
-				valArena = append(valArena, w.op.Vals[vi])
-			}
-			w.entry = redolog.Entry{Op: redolog.OpInsert, Row: w.op.Row,
-				Vals: valArena[base:len(valArena):len(valArena)]}
 		case query.OpDelete:
-			w.entry = redolog.Entry{Op: redolog.OpDelete, Row: w.op.Row}
+			w.entry.Op = redolog.OpDelete
+			continue
+		case query.OpInsert:
+			w.entry.Op = redolog.OpInsert
 		default:
 			cbase := len(colArena)
 			for _, c := range w.cols {
 				colArena = append(colArena, w.meta.Bounds.LocalCol(c))
 			}
-			base := len(valArena)
-			for _, vi := range w.valIx {
-				valArena = append(valArena, w.op.Vals[vi])
-			}
-			w.entry = redolog.Entry{Op: redolog.OpUpdate, Row: w.op.Row,
-				Cols: colArena[cbase:len(colArena):len(colArena)],
-				Vals: valArena[base:len(valArena):len(valArena)]}
+			w.entry.Cols = colArena[cbase:len(colArena):len(colArena)]
 		}
+		base := len(valArena)
+		for _, vi := range w.valIx {
+			valArena = append(valArena, w.op.Vals[vi])
+		}
+		w.entry.Vals = valArena[base:len(valArena):len(valArena)]
 	}
 }
 
 // applyWrites runs the write/commit phase under the caller-held exclusive
-// locks: group ops by master site, reserve versions, stage via 2PC, record
+// locks: check the planned masters, reserve versions, stage via 2PC, record
 // the commit's dependencies, and either commit inline (DisableGroupCommit)
 // or enqueue the redo records on the master sites' commit queues. In the
 // latter case it returns a finish function the caller must invoke after
@@ -406,62 +412,44 @@ func buildEntries(sw *siteWrites) {
 // expired ctx unblocks the wait with ctx.Err(): the flush itself still
 // completes (the groups are past the commit point), only the waiter
 // abandons — so the write may be durable without ever being acked.
-func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Session) (func(context.Context) error, error) {
-	grouped := !e.cfg.DisableGroupCommit
-	bySite := make(map[simnet.SiteID]*siteWrites, 2)
-	for _, b := range tp.Bindings {
-		if b.Op.Kind == query.OpRead {
-			continue
-		}
-		for _, m := range b.Pieces {
-			cols, valIx := plan.PieceCols(b.Op, m)
-			if len(cols) == 0 && b.Op.Kind == query.OpUpdate {
-				continue
-			}
-			st := m.Master().Site
-			sw, ok := bySite[st]
-			if !ok {
-				sw = &siteWrites{site: st}
-				bySite[st] = sw
-			}
-			sw.ops = append(sw.ops, writeOp{op: b.Op, meta: m, cols: cols, valIx: valIx})
-		}
-	}
-
+func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func(context.Context) error, error) {
+	coord, grouped := tw.coord, !e.cfg.DisableGroupCommit
 	// Reserve the new version of every written partition. With group
 	// commit the installed version lags the reservation (the flusher
 	// installs after the locks drop), so reservations come from the
 	// partition's reservation counter; version gaps from aborts are
 	// harmless — every consumer compares versions, none counts them.
+	// Ops were grouped by the masters the plan saw: one that moved while
+	// the locks were awaited (failover, master change) makes the plan stale.
 	versions := make(txn.VersionVector, len(tp.WritePIDs))
 	masters := make(map[partition.ID]*partition.Partition, len(tp.WritePIDs))
-	for _, sw := range bySite {
+	participants := make([]txn.Participant, 0, len(tw.sites))
+	for i := range tw.sites {
+		sw := &tw.sites[i]
+		if len(sw.ops) == 0 {
+			continue
+		}
 		buildEntries(sw)
 		for _, w := range sw.ops {
 			if _, ok := versions[w.meta.ID]; ok {
 				continue
 			}
 			p, ok := e.siteOf(sw.site).Partition(w.meta.ID)
-			if !ok {
+			if !ok || w.meta.Master().Site != sw.site {
 				return nil, fmt.Errorf("%w: write partition %d moved", ErrStalePlan, w.meta.ID)
 			}
-			masters[w.meta.ID] = p
+			masters[w.meta.ID], sw.pids = p, append(sw.pids, w.meta.ID)
 			if grouped {
 				versions[w.meta.ID] = p.ReserveNext()
 			} else {
 				versions[w.meta.ID] = p.Version() + 1
 			}
 		}
+		participants = append(participants, &writeParticipant{tw: tw, sw: sw, versions: versions, masters: masters, inline: !grouped})
 	}
 
-	// Two-phase commit across the write sites (§4.3).
-	participants := make([]txn.Participant, 0, len(bySite))
-	for _, sw := range bySite {
-		participants = append(participants, &writeParticipant{
-			e: e, coord: coord, sw: sw, versions: versions, masters: masters,
-			inline: !grouped,
-		})
-	}
+	// Two-phase commit across the write sites (§4.3). A lone participant is
+	// the coordinator's own site, so one phase skips no carried reads.
 	c := &txn.Coordinator{OnePhase: true}
 	commitStart := e.clk.Now()
 	if err := c.Commit(e.nextTxnID(), participants); err != nil {
@@ -479,7 +467,7 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 	// One redo record per partition, carrying the co-committed dependency
 	// vector, grouped by master site for the commit queues.
 	entriesByPID := make(map[partition.ID][]redolog.Entry, len(tp.WritePIDs))
-	for _, sw := range bySite {
+	for _, sw := range tw.sites {
 		for _, w := range sw.ops {
 			entriesByPID[w.meta.ID] = append(entriesByPID[w.meta.ID], w.entry)
 		}
@@ -499,7 +487,7 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 		// Commit cost: partitions read/written and sites involved.
 		e.siteOf(coord).Observe(cost.Observation{
 			Op:       cost.OpCommit,
-			Features: cost.CommitFeatures(len(tp.ReadPIDs), len(tp.WritePIDs), len(bySite)),
+			Features: cost.CommitFeatures(len(tp.ReadPIDs), len(tp.WritePIDs), len(participants)),
 			Latency:  e.clk.Since(commitStart),
 		})
 	}
@@ -516,22 +504,18 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 
 	// Group commit: one flush group per master site, a shared completion
 	// channel, and the wait deferred until after the locks are released.
-	nGroups := 0
-	flushed := make(chan struct{}, len(bySite))
-	for _, sw := range bySite {
+	flushed := make(chan struct{}, len(participants))
+	for i := range tw.sites {
+		sw := &tw.sites[i]
+		if len(sw.pids) == 0 {
+			continue
+		}
 		fg := flushGroup{coord: coord, done: flushed}
-		seen := make(map[partition.ID]struct{}, len(sw.ops))
-		for _, w := range sw.ops {
-			pid := w.meta.ID
-			if _, ok := seen[pid]; ok {
-				continue
-			}
-			seen[pid] = struct{}{}
+		for _, pid := range sw.pids {
 			fg.recs = append(fg.recs, record(pid))
 			fg.installs = append(fg.installs, versionInstall{p: masters[pid], ver: versions[pid]})
 		}
 		e.gc.enqueue(sw.site, fg)
-		nGroups++
 	}
 	return func(ctx context.Context) error {
 		// The flush that resolves this wait is kicked by arrivals or the
@@ -541,7 +525,7 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 		defer release()
 		// flushed is buffered for every group, so a flusher never blocks
 		// signalling a waiter that already abandoned.
-		for i := 0; i < nGroups; i++ {
+		for range participants {
 			select {
 			case <-flushed:
 			case <-ctx.Done():
@@ -559,9 +543,8 @@ func (e *Engine) applyWrites(coord simnet.SiteID, tp *plan.TxnPlan, sess *Sessio
 
 // writeParticipant adapts one site's write group to the 2PC interface.
 type writeParticipant struct {
-	e        *Engine
-	coord    simnet.SiteID
-	sw       *siteWrites
+	tw       *txnWork
+	sw       *siteWork
 	versions txn.VersionVector
 	masters  map[partition.ID]*partition.Partition
 	// inline marks the legacy path (group commit disabled): the commit
@@ -570,19 +553,21 @@ type writeParticipant struct {
 	inline bool
 }
 
-// Prepare validates the ops (and charges the prepare round trip). A
-// fault on the prepare round trip aborts the transaction before the
-// commit point — no participant has applied anything yet — and the
-// typed error drives the coordinator's retry.
+// Remote reports whether the site is not the coordinator's (txn.Remote).
+func (wp *writeParticipant) Remote() bool { return wp.sw.site != wp.tw.coord }
+
+// Prepare is one round trip to a remote site: the request carries the
+// site's reads, the reply their values and the vote. The site serves the
+// reads at the snapshot and validates the ops. A fault on the round trip
+// aborts the transaction before the commit point — no participant has
+// applied anything yet — and the typed error drives the retry.
 func (wp *writeParticipant) Prepare(txnID uint64) error {
-	if wp.sw.site != wp.coord {
-		if err := wp.e.Faults.Retry(wp.e.sendBackoff(), func() error {
-			if _, err := wp.e.Net.Send(wp.coord, wp.sw.site, 128); err != nil {
-				return err
-			}
-			_, err := wp.e.Net.Send(wp.sw.site, wp.coord, 32)
+	if wp.Remote() {
+		req, reply := readBytes(wp.sw.reads)
+		if err := wp.tw.e.exchange(simnet.KindPrepare, wp.tw.coord, wp.sw.site, 128+req, 32+reply); err != nil {
 			return err
-		}); err != nil {
+		}
+		if err := wp.tw.serve(wp.sw); err != nil {
 			return err
 		}
 	}
@@ -603,15 +588,15 @@ func (wp *writeParticipant) Prepare(txnID uint64) error {
 }
 
 // Commit applies the staged writes at the reserved versions. Past the
-// commit point network faults are absorbed (Charge), not surfaced: every
+// commit point network faults are absorbed (ChargeKind), not surfaced: every
 // prepared participant must apply, or participants would diverge on a
 // decided transaction.
 func (wp *writeParticipant) Commit(txnID uint64) error {
-	if wp.inline && wp.sw.site != wp.coord {
-		wp.e.Net.Charge(wp.coord, wp.sw.site, 128)
-		wp.e.Net.Charge(wp.sw.site, wp.coord, 32)
+	if wp.inline && wp.sw.site != wp.tw.coord {
+		wp.tw.e.Net.ChargeKind(simnet.KindDecision, wp.tw.coord, wp.sw.site, 128)
+		wp.tw.e.Net.ChargeKind(simnet.KindDecision, wp.sw.site, wp.tw.coord, 32)
 	}
-	s := wp.e.siteOf(wp.sw.site)
+	s := wp.tw.e.siteOf(wp.sw.site)
 	for _, w := range wp.sw.ops {
 		p := wp.masters[w.meta.ID]
 		ver := wp.versions[w.meta.ID]
@@ -631,12 +616,12 @@ func (wp *writeParticipant) Commit(txnID uint64) error {
 		s.Observe(obs)
 	}
 	// TiDB mode: synchronous Raft replication to followers per write.
-	if wp.e.cfg.Mode == ModeTiDB {
-		for f := 0; f < wp.e.cfg.RaftFollowers; f++ {
-			follower := simnet.SiteID((int(wp.sw.site) + 1 + f) % len(wp.e.Sites))
+	if wp.tw.e.cfg.Mode == ModeTiDB {
+		for f := 0; f < wp.tw.e.cfg.RaftFollowers; f++ {
+			follower := simnet.SiteID((int(wp.sw.site) + 1 + f) % len(wp.tw.e.Sites))
 			if follower != wp.sw.site {
-				wp.e.Net.Charge(wp.sw.site, follower, 256)
-				wp.e.Net.Charge(follower, wp.sw.site, 32)
+				wp.tw.e.Net.ChargeKind(simnet.KindReplication, wp.sw.site, follower, 256)
+				wp.tw.e.Net.ChargeKind(simnet.KindReplication, follower, wp.sw.site, 32)
 			}
 		}
 	}

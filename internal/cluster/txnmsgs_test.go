@@ -1,0 +1,353 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"proteus/internal/faults"
+	"proteus/internal/partition"
+	"proteus/internal/query"
+	"proteus/internal/schema"
+	"proteus/internal/simnet"
+	"proteus/internal/storage"
+	"proteus/internal/types"
+)
+
+// kindCounts reads the per-kind message counters.
+func kindCounts(e *Engine) [simnet.NumKinds]int64 {
+	var n [simnet.NumKinds]int64
+	for k := simnet.Kind(0); k < simnet.NumKinds; k++ {
+		n[k] = e.Obs.Counter("net.messages." + k.String()).Value()
+	}
+	return n
+}
+
+// newSitedEngine builds a row-store engine whose table "items" has one
+// partition of rowsPer rows per site, partition i mastered at site i, with
+// replication and maintenance slowed to an hour so that only the
+// operations under test send messages.
+func newSitedEngine(t testing.TB, sites int, rowsPer int64, tune func(*Config)) (*Engine, *schema.Table) {
+	t.Helper()
+	cfg := fastConfig(ModeRowStore, sites)
+	cfg.ReplicationInterval = time.Hour
+	cfg.MaintainInterval = time.Hour
+	if tune != nil {
+		tune(&cfg)
+	}
+	e := New(cfg)
+	t.Cleanup(e.Close)
+	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: schema.RowID(rowsPer * int64(sites)),
+		Partitions: sites, PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadRows(context.Background(), tbl.ID, testRows(rowsPer*int64(sites))); err != nil {
+		t.Fatal(err)
+	}
+	return e, tbl
+}
+
+// copyVersion is the installed version of pid's copy at a site.
+func copyVersion(t *testing.T, e *Engine, pid partition.ID, site simnet.SiteID) uint64 {
+	t.Helper()
+	p, ok := e.siteOf(site).Partition(pid)
+	if !ok {
+		t.Fatalf("no copy of partition %d at site %d", pid, site)
+	}
+	return p.Version()
+}
+
+// TestTxnMessageBudget holds each transaction shape to its exact message
+// count, by kind: one dispatch, then one message pair per remote site — a
+// read round trip for a site only read, the prepare (carrying the site's
+// reads) and the batched decision for a site written. Partitions 0 and 1
+// have lagging row replicas at each other's site, so a read of a written
+// partition routed to a replica would show as a catch-up: replication
+// messages and a replica version that moves.
+func TestTxnMessageBudget(t *testing.T) {
+	e, tbl := newSitedEngine(t, 3, 100, nil)
+	parts := e.Dir.TablePartitions(tbl.ID)
+	for i, m := range parts[:2] {
+		if err := e.AddReplicaOp(m.ID, simnet.SiteID(1-i), storage.DefaultRowLayout()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := e.NewSession()
+	ctx := context.Background()
+	for _, row := range []int64{10, 110} { // the replicas fall behind
+		if _, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: []query.Op{updateOp(tbl, row, 2, types.NewFloat64(-1))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep0, rep1 := copyVersion(t, e, parts[0].ID, 1), copyVersion(t, e, parts[1].ID, 0)
+	if rep0 >= copyVersion(t, e, parts[0].ID, 0) || rep1 >= copyVersion(t, e, parts[1].ID, 1) {
+		t.Fatal("replicas are not behind their masters")
+	}
+
+	const (
+		dispatch = simnet.KindDispatch
+		read     = simnet.KindRead
+		prepare  = simnet.KindPrepare
+		decision = simnet.KindDecision
+	)
+	upd := func(row int64) query.Op { return updateOp(tbl, row, 2, types.NewFloat64(float64(-row))) }
+	for _, tc := range []struct {
+		name  string
+		ops   []query.Op
+		want  map[simnet.Kind]int64
+		reads []float64 // the values the read ops return
+	}{
+		{"single-site write", []query.Op{upd(5)}, map[simnet.Kind]int64{dispatch: 1}, nil},
+		{"two-site read-modify-write", []query.Op{readOp(tbl, 20, 2), upd(20), readOp(tbl, 120, 2), upd(120)},
+			map[simnet.Kind]int64{dispatch: 1, prepare: 2, decision: 2}, []float64{20, 120}},
+		{"two-site read-only", []query.Op{readOp(tbl, 30, 2), readOp(tbl, 230, 2)},
+			map[simnet.Kind]int64{dispatch: 1, read: 2}, []float64{30, 230}},
+		{"two sites written, a third only read", []query.Op{upd(40), readOp(tbl, 45, 2), readOp(tbl, 140, 2), upd(140), readOp(tbl, 240, 2)},
+			map[simnet.Kind]int64{dispatch: 1, read: 2, prepare: 2, decision: 2}, []float64{45, 140, 240}},
+	} {
+		before, total := kindCounts(e), e.Net.TotalMessages()
+		toSite2 := e.Net.Stats(0, 2).Messages + e.Net.Stats(2, 0).Messages
+		res, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: tc.ops})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after := kindCounts(e)
+		var sum int64
+		for k := simnet.Kind(0); k < simnet.NumKinds; k++ {
+			if got := after[k] - before[k]; got != tc.want[k] {
+				t.Errorf("%s: %d %s messages, want %d", tc.name, got, k, tc.want[k])
+			}
+			sum += after[k] - before[k]
+		}
+		if got := e.Net.TotalMessages() - total; got != sum {
+			t.Errorf("%s: %d messages in all, %d by kind", tc.name, got, sum)
+		}
+		if len(res.Tuples) != len(tc.reads) {
+			t.Fatalf("%s: %d tuples, want %d", tc.name, len(res.Tuples), len(tc.reads))
+		}
+		for i, v := range tc.reads {
+			if got := res.Tuples[i][0].Float(); got != v {
+				t.Errorf("%s: read %d = %v, want %v", tc.name, i, got, v)
+			}
+		}
+		if tc.want[read] > 0 && tc.want[decision] > 0 {
+			// The read-only site sees its read round trip and nothing else.
+			if got := e.Net.Stats(0, 2).Messages + e.Net.Stats(2, 0).Messages - toSite2; got != 2 {
+				t.Errorf("%s: %d messages to and from the read-only site, want 2", tc.name, got)
+			}
+		}
+	}
+	// No read caught a replica up: the replicas stand where they stood.
+	if copyVersion(t, e, parts[0].ID, 1) != rep0 || copyVersion(t, e, parts[1].ID, 0) != rep1 {
+		t.Error("a replica caught up: a read of a written partition went to a replica")
+	}
+	res, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: []query.Op{readOp(tbl, 20, 2), readOp(tbl, 140, 2)}})
+	if err != nil || res.Tuples[0][0].Float() != -20 || res.Tuples[1][0].Float() != -140 {
+		t.Fatalf("writes read back as %v (%v), want -20 and -140", res.Tuples, err)
+	}
+}
+
+// TestNetKindsPartitionTotals runs every kind of traffic — transactions,
+// scans, a join, a layout change, background replication — and checks the
+// per-kind counters sum exactly to the totals, with nothing untagged.
+func TestNetKindsPartitionTotals(t *testing.T) {
+	e, tbl := newMorselEngine(t, ModeJanus, 3, 3, 300, nil) // partition i at site i, its replica at i+1
+	dim := createGroups(t, e, 10, func(s *TableSpec) { s.PlaceAt = func(int) simnet.SiteID { return 0 } })
+	sess := e.NewSession()
+	ctx := context.Background()
+	for i := int64(0); i < 20; i++ {
+		for _, ops := range [][]query.Op{
+			{readOp(tbl, i, 2), updateOp(tbl, i, 2, types.NewFloat64(1)), readOp(tbl, 150+i, 2), updateOp(tbl, 150+i, 2, types.NewFloat64(1))},
+			{readOp(tbl, i, 2), readOp(tbl, 150+i, 2)},
+		} {
+			if _, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: ops}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, q := range []*query.Query{scanSumQuery(tbl), factDimJoinAgg(tbl, dim)} {
+		if _, err := e.ExecuteQuery(ctx, sess, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := e.Dir.TablePartitions(tbl.ID)[0]
+	if err := e.ChangeCopyLayout(m.ID, m.Master().Site, storage.DefaultColumnLayout()); err != nil {
+		t.Fatal(err)
+	}
+	waitAllConverged(t, e, e.clk, 2*time.Second)
+
+	snap := e.MetricsSnapshot()
+	var msgs, bytes int64
+	for k := simnet.Kind(0); k < simnet.NumKinds; k++ {
+		n := snap.Counters["net.messages."+k.String()]
+		msgs += n
+		bytes += snap.Counters["net.bytes."+k.String()]
+		if (n == 0) != (k == simnet.KindOther) {
+			t.Errorf("%d %s messages", n, k)
+		}
+	}
+	if msgs != snap.Counters["net.messages"] || bytes != snap.Counters["net.bytes"] {
+		t.Errorf("kinds sum to %d messages, %d bytes; totals %d, %d", msgs, bytes, snap.Counters["net.messages"], snap.Counters["net.bytes"])
+	}
+	if msgs != e.Net.TotalMessages() || bytes != e.Net.TotalBytes() {
+		t.Errorf("kinds sum to %d messages, %d bytes; links %d, %d", msgs, bytes, e.Net.TotalMessages(), e.Net.TotalBytes())
+	}
+}
+
+// rmwFixture is a two-site read-modify-write over rows 5 (site 0, the
+// coordinator) and 105 (site 1): the prepare to site 1 carries the read of
+// row 105.
+func rmwFixture(tbl *schema.Table, v float64) *query.Txn {
+	return &query.Txn{Ops: []query.Op{
+		readOp(tbl, 5, 2), updateOp(tbl, 5, 2, types.NewFloat64(v)),
+		readOp(tbl, 105, 2), updateOp(tbl, 105, 2, types.NewFloat64(v)),
+	}}
+}
+
+// offsets is the redo-log end offset of each partition of tbl.
+func offsets(e *Engine, tbl *schema.Table) []int64 {
+	var out []int64
+	for _, m := range e.Dir.TablePartitions(tbl.ID) {
+		out = append(out, e.Broker.EndOffset(m.ID))
+	}
+	return out
+}
+
+// checkRMW runs a read-back and requires both rows at v and each partition
+// to have logged exactly one record since before.
+func checkRMW(t *testing.T, e *Engine, tbl *schema.Table, before []int64, v float64) {
+	t.Helper()
+	for i, off := range offsets(e, tbl) {
+		if off != before[i]+1 {
+			t.Errorf("partition %d logged %d records, want 1", i, off-before[i])
+		}
+	}
+	res, err := e.ExecuteTxn(context.Background(), e.NewSession(), &query.Txn{Ops: []query.Op{readOp(tbl, 5, 2), readOp(tbl, 105, 2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := res.Tuples[0][0].Float(), res.Tuples[1][0].Float(); a != v || b != v {
+		t.Errorf("rows read back %v and %v, want %v", a, b, v)
+	}
+}
+
+// TestMergedPrepareLinkDrops drops the merged reads + prepare on the link to
+// the remote write site. Dropped messages are retried on the link (the
+// request three times, then the reply once), and the transaction commits
+// once. A link that stays down surfaces the typed timeout before the
+// commit point: nothing is logged or installed, and the transaction
+// succeeds once the link heals.
+func TestMergedPrepareLinkDrops(t *testing.T) {
+	e, tbl := newSitedEngine(t, 2, 100, func(c *Config) { c.OpDeadline = 200 * time.Millisecond })
+	ctx := context.Background()
+	const prepareBytes = 128 + 64 // the prepare header and one read
+	var dropped atomic.Int64
+	policy := &dropPolicy{Registry: e.Faults, drop: func(from, to simnet.SiteID, bytes int) bool {
+		n := dropped.Load()
+		hit := (from == 0 && to == 1 && bytes == prepareBytes && n < 3) ||
+			(from == 1 && to == 0 && bytes == 32+64+32 && n == 3) // the vote and one value, once
+		if hit {
+			dropped.Add(1)
+		}
+		return hit
+	}}
+	e.Net.SetFaults(policy)
+	before := offsets(e, tbl)
+	res, err := e.ExecuteTxn(ctx, e.NewSession(), rmwFixture(tbl, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped.Load() != 4 {
+		t.Fatalf("%d messages dropped, want 4", dropped.Load())
+	}
+	if res.Tuples[0][0].Float() != 5 || res.Tuples[1][0].Float() != 105 {
+		t.Errorf("reads returned %v, want 5 and 105", res.Tuples)
+	}
+	e.Net.SetFaults(e.Faults)
+	checkRMW(t, e, tbl, before, -1)
+
+	// The link stays down: the prepare's retries run out before the commit
+	// point.
+	e.Faults.SetLink(0, 1, faults.LinkFault{Drop: 1})
+	before = offsets(e, tbl)
+	if _, err := e.ExecuteTxn(ctx, e.NewSession(), rmwFixture(tbl, -2)); !errors.Is(err, faults.ErrTimeout) {
+		t.Fatalf("prepare over a dead link: err = %v, want ErrTimeout", err)
+	}
+	e.Faults.ClearLinks()
+	for i, off := range offsets(e, tbl) {
+		if off != before[i] {
+			t.Errorf("partition %d logged %d records from the failed attempt", i, off-before[i])
+		}
+	}
+	if _, err := e.ExecuteTxn(ctx, e.NewSession(), rmwFixture(tbl, -2)); err != nil {
+		t.Fatal(err)
+	}
+	checkRMW(t, e, tbl, before, -2)
+}
+
+// dropPolicy drops the messages drop selects with the typed ErrDropped and
+// defers everything else to the engine's registry.
+type dropPolicy struct {
+	*faults.Registry
+	drop func(from, to simnet.SiteID, bytes int) bool
+}
+
+func (p *dropPolicy) Intercept(from, to simnet.SiteID, bytes int) (time.Duration, error) {
+	if p.drop(from, to, bytes) {
+		return 0, faults.ErrDropped
+	}
+	return p.Registry.Intercept(from, to, bytes)
+}
+
+// TestMergedPrepareSiteCrash crashes the remote write site the moment the
+// merged reads + prepare leave for it. The attempt aborts with the typed
+// site-down error before the commit point and retries; failover promotes
+// the coordinator's replica of the site's partition, and the retry commits
+// there. Exactly one record per partition is logged, and the reads and
+// writes read back.
+func TestMergedPrepareSiteCrash(t *testing.T) {
+	e, tbl := newSitedEngine(t, 2, 100, func(c *Config) { c.OpDeadline = 2 * time.Second })
+	remote := e.Dir.TablePartitions(tbl.ID)[1]
+	if err := e.AddReplicaOp(remote.ID, 0, storage.DefaultRowLayout()); err != nil {
+		t.Fatal(err)
+	}
+	crashed := make(chan error, 1)
+	policy := &crashOnSend{
+		Registry: e.Faults,
+		match:    func(from, to simnet.SiteID, bytes int) bool { return from == 0 && to == 1 && bytes == 128+64 },
+		crash: func() {
+			// The sender holds the transaction's partition locks, which
+			// failover needs: mark the site down now, crash it beside.
+			e.Faults.SetSiteDown(1, true)
+			go func() { crashed <- e.CrashSite(1) }()
+		},
+	}
+	policy.armed.Store(true)
+	e.Net.SetFaults(policy)
+	retries := e.Obs.Counter("faults.retries").Value()
+	before := offsets(e, tbl)
+	res, err := e.ExecuteTxn(context.Background(), e.NewSession(), rmwFixture(tbl, -3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-crashed; err != nil {
+		t.Fatal(err)
+	}
+	e.Net.SetFaults(e.Faults)
+	if policy.armed.Load() {
+		t.Fatal("the prepare never left for the remote site")
+	}
+	if e.Obs.Counter("faults.retries").Value() == retries {
+		t.Error("the transaction did not retry")
+	}
+	if got := remote.Master().Site; got != 0 {
+		t.Fatalf("partition %d mastered at site %d after failover, want 0", remote.ID, got)
+	}
+	if res.Tuples[0][0].Float() != 5 || res.Tuples[1][0].Float() != 105 {
+		t.Errorf("reads returned %v, want 5 and 105", res.Tuples)
+	}
+	checkRMW(t, e, tbl, before, -3)
+}

@@ -201,35 +201,46 @@ func (d *Directory) AllocID() partition.ID {
 	return partition.ID(atomic.AddUint64(&d.nextID, 1))
 }
 
-// Register adds a partition's metadata. The zone map may be nil.
-func (d *Directory) Register(id partition.ID, b partition.Bounds, master Replica, zm *zonemap.ZoneMap) *PartitionMeta {
-	m := &PartitionMeta{
+// NewMeta builds a partition's metadata entry without registering it. The
+// zone map may be nil.
+func (d *Directory) NewMeta(id partition.ID, b partition.Bounds, master Replica, zm *zonemap.ZoneMap) *PartitionMeta {
+	return &PartitionMeta{
 		ID: id, Bounds: b, master: master,
 		Tracker: forecast.NewTracker(d.trackerCfg),
 		ZoneMap: zm,
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.parts[id] = m
-	d.byTable[b.Table] = append(d.byTable[b.Table], m)
+}
+
+// Register adds a partition's metadata. The zone map may be nil.
+func (d *Directory) Register(id partition.ID, b partition.Bounds, master Replica, zm *zonemap.ZoneMap) *PartitionMeta {
+	m := d.NewMeta(id, b, master, zm)
+	d.Replace(nil, m)
 	return m
 }
 
-// Unregister removes a partition (after a split or merge supersedes it).
-func (d *Directory) Unregister(id partition.ID) {
+// Replace removes the partitions old and adds the entries add in one step
+// under the directory lock, so a split or merge never shows a reader a row
+// range that no partition covers, or one that two cover.
+func (d *Directory) Replace(old []partition.ID, add ...*PartitionMeta) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	m, ok := d.parts[id]
-	if !ok {
-		return
-	}
-	delete(d.parts, id)
-	tbl := d.byTable[m.Bounds.Table]
-	for i, pm := range tbl {
-		if pm.ID == id {
-			d.byTable[m.Bounds.Table] = append(tbl[:i], tbl[i+1:]...)
-			break
+	for _, id := range old {
+		m, ok := d.parts[id]
+		if !ok {
+			continue
 		}
+		delete(d.parts, id)
+		tbl := d.byTable[m.Bounds.Table]
+		for i, pm := range tbl {
+			if pm.ID == id {
+				d.byTable[m.Bounds.Table] = append(tbl[:i], tbl[i+1:]...)
+				break
+			}
+		}
+	}
+	for _, m := range add {
+		d.parts[m.ID] = m
+		d.byTable[m.Bounds.Table] = append(d.byTable[m.Bounds.Table], m)
 	}
 }
 

@@ -1,6 +1,7 @@
 package metadata
 
 import (
+	"sync"
 	"testing"
 
 	"proteus/internal/forecast"
@@ -31,12 +32,52 @@ func TestRegisterLookup(t *testing.T) {
 	if got.Master().Site != 0 {
 		t.Error("master wrong")
 	}
-	d.Unregister(id)
+	d.Replace([]partition.ID{id})
 	if _, ok := d.Get(id); ok {
 		t.Error("unregistered partition still present")
 	}
 	if len(d.TablePartitions(1)) != 0 {
 		t.Error("table index not cleaned")
+	}
+}
+
+// TestReplaceNeverShowsAGap splits and merges a row range over and over
+// while readers look rows up: every lookup must find exactly the one
+// partition covering the row, never none (the old partitions already gone,
+// the new ones not yet there) and never two. `go test -race` runs it in CI.
+func TestReplaceNeverShowsAGap(t *testing.T) {
+	d := dir()
+	whole := d.Register(d.AllocID(), b(1, 0, 100, 0, 5), repl(0), nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for row := schema.RowID(0); ; row = (row + 7) % 100 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := d.PartitionForRow(1, row, nil); len(got) != 1 {
+					t.Errorf("row %d covered by %d partitions", row, len(got))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000 && !t.Failed(); i++ {
+		lo := d.NewMeta(d.AllocID(), b(1, 0, 50, 0, 5), repl(0), nil)
+		hi := d.NewMeta(d.AllocID(), b(1, 50, 100, 0, 5), repl(0), nil)
+		d.Replace([]partition.ID{whole.ID}, lo, hi)
+		whole = d.NewMeta(d.AllocID(), b(1, 0, 100, 0, 5), repl(0), nil)
+		d.Replace([]partition.ID{lo.ID, hi.ID}, whole)
+	}
+	close(stop)
+	wg.Wait()
+	if err := d.Validate(1, 100, 5); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -201,6 +201,38 @@ func TestPlannerDecomposesAggs(t *testing.T) {
 	}
 }
 
+// TestPlanTxnCoordinator: a transaction runs at the write site holding most
+// of its pieces, the first such site on a tie; a read-only one at its first
+// read's copy.
+func TestPlanTxnCoordinator(t *testing.T) {
+	pl, dir := testPlanner()
+	register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
+	register(dir, 1, 100, 200, 0, 3, 1, storage.DefaultRowLayout(), 100)
+	read := func(row schema.RowID) query.Op {
+		return query.Op{Kind: query.OpRead, Table: 1, Row: row, Cols: []schema.ColID{1}}
+	}
+	upd := func(row schema.RowID) query.Op {
+		return query.Op{Kind: query.OpUpdate, Table: 1, Row: row, Cols: []schema.ColID{1}, Vals: []types.Value{types.NewInt64(1)}}
+	}
+	for _, tc := range []struct {
+		ops  []query.Op
+		want simnet.SiteID
+	}{
+		{[]query.Op{upd(5), read(150), upd(150)}, 1},
+		{[]query.Op{upd(150), upd(5)}, 1},
+		{[]query.Op{upd(5), upd(150)}, 0},
+		{[]query.Op{read(150), read(5)}, 1},
+	} {
+		tp, err := pl.PlanTxn(&query.Txn{Ops: tc.ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Coordinator != tc.want {
+			t.Errorf("%v: coordinator %d, want %d", tc.ops, tp.Coordinator, tc.want)
+		}
+	}
+}
+
 func TestPlanTxnBindings(t *testing.T) {
 	pl, dir := testPlanner()
 	register(dir, 1, 0, 100, 0, 2, 0, storage.DefaultRowLayout(), 100)
@@ -218,12 +250,31 @@ func TestPlanTxnBindings(t *testing.T) {
 		t.Fatalf("bindings = %d", len(tp.Bindings))
 	}
 	// The update touches both vertical pieces -> two write pids, two sites.
-	if len(tp.WritePIDs) != 2 || len(tp.WriteSites) != 2 {
-		t.Errorf("write pids=%v sites=%v", tp.WritePIDs, tp.WriteSites)
+	if c := tp.Bindings[1].Copies; len(tp.WritePIDs) != 2 || len(c) != 2 || c[0].Site == c[1].Site {
+		t.Errorf("write pids=%v copies=%v", tp.WritePIDs, c)
 	}
 	// Read pid overlaps a write pid, so ReadPIDs excludes it.
 	if len(tp.ReadPIDs) != 0 {
 		t.Errorf("read pids = %v", tp.ReadPIDs)
+	}
+	// A replica at the planner's own site draws a read of the partition,
+	// unless the transaction also writes the partition — even in a later op:
+	// then the read binds the master, which the write contacts anyway.
+	m := register(dir, 1, 100, 200, 0, 3, 1, storage.DefaultRowLayout(), 100)
+	m.AddReplica(metadata.Replica{Site: 0, Layout: storage.DefaultRowLayout()})
+	read := query.Op{Kind: query.OpRead, Table: 1, Row: 150, Cols: []schema.ColID{0}}
+	write := query.Op{Kind: query.OpUpdate, Table: 1, Row: 150, Cols: []schema.ColID{1}, Vals: []types.Value{types.NewInt64(3)}}
+	for _, tc := range []struct {
+		ops  []query.Op
+		want simnet.SiteID
+	}{{[]query.Op{read}, 0}, {[]query.Op{read, write}, 1}} {
+		tp, err := pl.PlanTxn(&query.Txn{Ops: tc.ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tp.Bindings[0].Copies[0].Site; got != tc.want {
+			t.Errorf("%d ops: read bound to site %d, want %d", len(tc.ops), got, tc.want)
+		}
 	}
 	// Unknown row fails.
 	if _, err := pl.PlanTxn(&query.Txn{Ops: []query.Op{

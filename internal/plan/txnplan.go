@@ -15,7 +15,10 @@ import (
 )
 
 // OpBinding binds one OLTP operation to the partition copies it touches.
-// Reads bind a chosen copy per covering piece; writes always bind masters.
+// Writes always bind masters, and so do reads of partitions the
+// transaction also writes: the coordinator must contact that master for
+// the write anyway, the read rides the same message, and a master never
+// waits for replication to catch up. Other reads bind the cheapest copy.
 type OpBinding struct {
 	Op query.Op
 	// Pieces are the partitions covering the op's row and columns (more
@@ -31,9 +34,11 @@ type TxnPlan struct {
 	Bindings  []OpBinding
 	ReadPIDs  []partition.ID
 	WritePIDs []partition.ID
-	// WriteSites are the master sites involved in writes; more than one
-	// requires two-phase commit (§4.3).
-	WriteSites []simnet.SiteID
+	// Coordinator is the site that runs the transaction: of the sites
+	// mastering its writes, the one holding most of its pieces (the first
+	// on a tie), so that the most reads and writes need no message. A
+	// read-only transaction runs at its first read's copy.
+	Coordinator simnet.SiteID
 }
 
 // PlanTxn binds every operation of a transaction to partition copies.
@@ -41,8 +46,8 @@ func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
 	tp := &TxnPlan{}
 	readSet := map[partition.ID]bool{}
 	writeSet := map[partition.ID]bool{}
-	writeSites := map[simnet.SiteID]bool{}
 
+	tp.Bindings = make([]OpBinding, 0, len(t.Ops))
 	for _, op := range t.Ops {
 		cols := op.Cols
 		if op.Kind == query.OpInsert || op.Kind == query.OpDelete {
@@ -52,19 +57,30 @@ func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
 		if len(pieces) == 0 {
 			return nil, fmt.Errorf("plan: no partition for table %d row %d", op.Table, op.Row)
 		}
-		b := OpBinding{Op: op, Pieces: pieces}
-		for _, m := range pieces {
-			if op.Kind == query.OpRead {
-				b.Copies = append(b.Copies, pl.choosePointCopy(m, len(cols)))
-				readSet[m.ID] = true
-			} else {
-				master := m.Master()
-				b.Copies = append(b.Copies, master)
+		b := OpBinding{Op: op, Pieces: pieces, Copies: make([]metadata.Replica, 0, len(pieces))}
+		if op.Kind != query.OpRead {
+			for _, m := range pieces {
+				b.Copies = append(b.Copies, m.Master())
 				writeSet[m.ID] = true
-				writeSites[master.Site] = true
 			}
 		}
 		tp.Bindings = append(tp.Bindings, b)
+	}
+	// Reads bind once the write set is known: a read of a written partition
+	// goes to its master whatever the op order.
+	for i := range tp.Bindings {
+		b := &tp.Bindings[i]
+		if b.Op.Kind != query.OpRead {
+			continue
+		}
+		for _, m := range b.Pieces {
+			readSet[m.ID] = true
+			if writeSet[m.ID] {
+				b.Copies = append(b.Copies, m.Master())
+			} else {
+				b.Copies = append(b.Copies, pl.choosePointCopy(m, len(b.Op.Cols)))
+			}
+		}
 	}
 	for id := range readSet {
 		if !writeSet[id] {
@@ -76,11 +92,33 @@ func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
 	}
 	sort.Slice(tp.ReadPIDs, func(i, j int) bool { return tp.ReadPIDs[i] < tp.ReadPIDs[j] })
 	sort.Slice(tp.WritePIDs, func(i, j int) bool { return tp.WritePIDs[i] < tp.WritePIDs[j] })
-	for s := range writeSites {
-		tp.WriteSites = append(tp.WriteSites, s)
+	if len(tp.Bindings) > 0 {
+		tp.Coordinator = tp.Bindings[0].Copies[0].Site
 	}
-	sort.Slice(tp.WriteSites, func(i, j int) bool { return tp.WriteSites[i] < tp.WriteSites[j] })
+	most := -1
+	for _, b := range tp.Bindings {
+		if b.Op.Kind == query.OpRead {
+			continue
+		}
+		for _, c := range b.Copies {
+			if n := tp.piecesAt(c.Site); n > most {
+				tp.Coordinator, most = c.Site, n
+			}
+		}
+	}
 	return tp, nil
+}
+
+// piecesAt counts the op pieces bound to a copy at site.
+func (tp *TxnPlan) piecesAt(site simnet.SiteID) (n int) {
+	for _, b := range tp.Bindings {
+		for _, c := range b.Copies {
+			if c.Site == site {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // choosePointCopy picks the cheapest copy for a point read, preferring the
@@ -124,9 +162,19 @@ func (pl *Planner) choosePointCopy(m *metadata.PartitionMeta, ncols int) metadat
 	return best
 }
 
+// identity backs PieceCols' value positions for a piece that holds every
+// column of its op, so the unsplit case allocates nothing.
+var identity = func() (ix [64]int) {
+	for i := range ix {
+		ix[i] = i
+	}
+	return ix
+}()
+
 // PieceCols returns the columns of op relevant to one covering piece,
 // paired with the value positions in op.Vals. Inserts return every
-// partition-local column.
+// partition-local column. The slices may alias op.Cols and a shared table:
+// callers only read them.
 func PieceCols(op query.Op, m *metadata.PartitionMeta) (cols []schema.ColID, valIdx []int) {
 	if op.Kind == query.OpInsert {
 		for c := m.Bounds.ColStart; c < m.Bounds.ColEnd; c++ {
@@ -134,6 +182,13 @@ func PieceCols(op query.Op, m *metadata.PartitionMeta) (cols []schema.ColID, val
 			valIdx = append(valIdx, int(c))
 		}
 		return cols, valIdx
+	}
+	all := len(op.Cols) <= len(identity)
+	for _, c := range op.Cols {
+		all = all && m.Bounds.ContainsCol(c)
+	}
+	if all {
+		return op.Cols, identity[:len(op.Cols):len(op.Cols)]
 	}
 	for i, c := range op.Cols {
 		if m.Bounds.ContainsCol(c) {

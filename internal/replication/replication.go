@@ -189,7 +189,7 @@ func (r *Replicator) pollInto(pid partition.ID, s *subscription) (int, error) {
 		for _, rec := range recs {
 			n += approxRecordBytes(rec)
 		}
-		if _, err := r.net.Send(r.brokerSite, r.site, n); err != nil {
+		if _, err := r.net.SendKind(simnet.KindReplication, r.brokerSite, r.site, n); err != nil {
 			return 0, err
 		}
 	}

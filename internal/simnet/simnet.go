@@ -21,6 +21,49 @@ type SiteID int32
 // ASASite is the conventional SiteID of the adaptive storage advisor node.
 const ASASite SiteID = -1
 
+// Kind names what a message is for. Every delivered message counts under
+// exactly one kind, so the per-kind counters partition the totals.
+type Kind uint8
+
+const (
+	// KindOther is an untagged Send or Charge (probes and unit tests); the
+	// engine names the kind of everything it sends.
+	KindOther Kind = iota
+	// KindDispatch hands a transaction or query from the ASA to its
+	// coordinating site.
+	KindDispatch
+	// KindRead carries a transaction's batched point reads to a site it
+	// only reads from, and their values back.
+	KindRead
+	// KindPrepare is two-phase commit's first phase, carrying the
+	// participant's batched reads; the reply carries their values and the
+	// vote.
+	KindPrepare
+	// KindDecision is the commit decision and its acknowledgement.
+	KindDecision
+	// KindReplication is redo-log traffic to replicas: broker polls, and
+	// synchronous follower writes in the TiDB baseline.
+	KindReplication
+	// KindScan ships scan results towards a query's coordinator.
+	KindScan
+	// KindJoin ships join build sides and joined results.
+	KindJoin
+	// KindLayout carries the ASA's layout, placement and mastership changes.
+	KindLayout
+	// NumKinds bounds the kinds.
+	NumKinds
+)
+
+var kindNames = [NumKinds]string{"other", "dispatch", "read", "prepare", "decision", "replication", "scan", "join", "layout"}
+
+// String names the kind as the net.messages.<kind> counters do.
+func (k Kind) String() string {
+	if k < NumKinds {
+		return kindNames[k]
+	}
+	return "?"
+}
+
 // Config sets the interconnect's performance envelope.
 type Config struct {
 	// BaseLatency is charged once per message.
@@ -90,9 +133,11 @@ type Network struct {
 	policy atomic.Pointer[policyBox]
 
 	// Optional observability instruments (SetObs).
-	obsMsgs    *obs.Counter
-	obsBytes   *obs.Counter
-	obsDropped *obs.Counter
+	obsMsgs      *obs.Counter
+	obsBytes     *obs.Counter
+	obsDropped   *obs.Counter
+	obsKindMsgs  [NumKinds]*obs.Counter
+	obsKindBytes [NumKinds]*obs.Counter
 }
 
 // New creates a network with the given configuration.
@@ -107,11 +152,16 @@ func (nw *Network) SetClock(c vclock.Clock) {
 }
 
 // SetObs installs interconnect instruments: net.messages and net.bytes
-// count cross-site traffic cluster-wide (per-link detail stays in Stats).
+// count cross-site traffic cluster-wide, and net.messages.<kind> and
+// net.bytes.<kind> split them by Kind (per-link detail stays in Stats).
 func (nw *Network) SetObs(reg *obs.Registry) {
 	nw.obsMsgs = reg.Counter("net.messages")
 	nw.obsBytes = reg.Counter("net.bytes")
 	nw.obsDropped = reg.Counter("net.dropped")
+	for k := Kind(0); k < NumKinds; k++ {
+		nw.obsKindMsgs[k] = reg.Counter("net.messages." + k.String())
+		nw.obsKindBytes[k] = reg.Counter("net.bytes." + k.String())
+	}
 }
 
 // SetFaults installs a fault policy consulted on every cross-site message.
@@ -155,11 +205,17 @@ func (nw *Network) link(from, to SiteID) *linkCounters {
 	return v.(*linkCounters)
 }
 
-// Send models delivering n bytes from one site to another: it consults the
-// fault policy, sleeps for the modelled latency (base + transfer + injected
-// link latency) and returns it. Failed deliveries return the fault's typed
-// error without sleeping. Same-site messages are free.
+// Send is SendKind for untagged messages (KindOther).
 func (nw *Network) Send(from, to SiteID, n int) (time.Duration, error) {
+	return nw.SendKind(KindOther, from, to, n)
+}
+
+// SendKind models delivering an n-byte message of kind k from one site to
+// another: it consults the fault policy, sleeps for the modelled latency
+// (base + transfer + injected link latency) and returns it. Failed
+// deliveries return the fault's typed error without sleeping. Same-site
+// messages are free.
+func (nw *Network) SendKind(k Kind, from, to SiteID, n int) (time.Duration, error) {
 	if from == to {
 		return 0, nil
 	}
@@ -180,6 +236,8 @@ func (nw *Network) Send(from, to SiteID, n int) (time.Duration, error) {
 	if nw.obsMsgs != nil {
 		nw.obsMsgs.Inc()
 		nw.obsBytes.Add(int64(n))
+		nw.obsKindMsgs[k].Inc()
+		nw.obsKindBytes[k].Add(int64(n))
 	}
 
 	delay := nw.cfg.BaseLatency + extra
@@ -192,10 +250,16 @@ func (nw *Network) Send(from, to SiteID, n int) (time.Duration, error) {
 	return delay, nil
 }
 
-// Charge is Send for callers that tolerate loss (best-effort messages):
-// the fault error, if any, is absorbed and the charged latency returned.
+// Charge is ChargeKind for untagged messages (KindOther).
 func (nw *Network) Charge(from, to SiteID, n int) time.Duration {
-	d, _ := nw.Send(from, to, n)
+	return nw.ChargeKind(KindOther, from, to, n)
+}
+
+// ChargeKind is SendKind for callers that tolerate loss (best-effort
+// messages): the fault error, if any, is absorbed and the charged latency
+// returned.
+func (nw *Network) ChargeKind(k Kind, from, to SiteID, n int) time.Duration {
+	d, _ := nw.SendKind(k, from, to, n)
 	return d
 }
 

@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"proteus/internal/obs"
 )
 
 func TestSameSiteFree(t *testing.T) {
@@ -50,5 +52,28 @@ func TestTotalBytes(t *testing.T) {
 	n.Charge(1, 3, 7)
 	if got := n.TotalBytes(); got != 22 {
 		t.Errorf("total = %d", got)
+	}
+}
+
+func TestKindCountersPartitionTotals(t *testing.T) {
+	reg := obs.NewRegistry()
+	n := New(Config{})
+	n.SetObs(reg)
+	n.ChargeKind(KindPrepare, 1, 2, 100)
+	n.ChargeKind(KindPrepare, 2, 1, 30)
+	n.Charge(1, 2, 7)                // untagged
+	n.ChargeKind(KindRead, 3, 3, 50) // same site: free
+	want := map[Kind][2]int64{KindPrepare: {2, 130}, KindOther: {1, 7}}
+	var msgs, bytes int64
+	for k := Kind(0); k < NumKinds; k++ {
+		got := [2]int64{reg.Counter("net.messages." + k.String()).Value(), reg.Counter("net.bytes." + k.String()).Value()}
+		if got != want[k] {
+			t.Errorf("%s: %v, want %v", k, got, want[k])
+		}
+		msgs, bytes = msgs+got[0], bytes+got[1]
+	}
+	if msgs != reg.Counter("net.messages").Value() || bytes != reg.Counter("net.bytes").Value() {
+		t.Errorf("kinds sum to %d messages, %d bytes; totals %d, %d", msgs, bytes,
+			reg.Counter("net.messages").Value(), reg.Counter("net.bytes").Value())
 	}
 }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,6 +280,65 @@ func TestTwoPCOnePhaseFastPath(t *testing.T) {
 	}
 	if a.prepared != 0 || a.committed != 1 {
 		t.Errorf("one-phase: %+v", a)
+	}
+}
+
+// localParticipant is a fakeParticipant at the coordinator's own site.
+type localParticipant struct{ fakeParticipant }
+
+func (*localParticipant) Remote() bool { return false }
+
+// TestFanoutSpawnsOnlyForOverlappingRemotes: local calls and a lone remote
+// call run on the caller — no goroutine — while two remote calls overlap
+// (each waits for the other to start), and the lowest-indexed failure is
+// the one reported.
+func TestFanoutSpawnsOnlyForOverlappingRemotes(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var during []int // appended on the caller only: -race flags any other goroutine
+	if i, err := Fanout(3, func(i int) bool { return i == 1 }, func(int) error {
+		during = append(during, runtime.NumGoroutine())
+		return nil
+	}); i != -1 || err != nil {
+		t.Fatalf("Fanout = %d, %v", i, err)
+	}
+	for _, n := range during {
+		if n > base {
+			t.Errorf("%d goroutines during a call, %d before: a call left the caller", n, base)
+		}
+	}
+	var started sync.WaitGroup
+	started.Add(2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		i, err := Fanout(3, func(i int) bool { return i > 0 }, func(i int) error {
+			if i == 0 {
+				return errors.New("local")
+			}
+			started.Done()
+			started.Wait()
+			return errors.New("remote")
+		})
+		if i != 0 || err == nil || err.Error() != "local" {
+			t.Errorf("Fanout = %d, %v; want the failure at 0", i, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("two remote calls did not overlap")
+	}
+}
+
+// TestTwoPCLocalParticipantInline: a participant at the coordinator's site
+// takes part in both phases like any other.
+func TestTwoPCLocalParticipantInline(t *testing.T) {
+	a, b := &localParticipant{}, &fakeParticipant{}
+	if err := (&Coordinator{OnePhase: true}).Commit(5, []Participant{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	if a.prepared != 1 || a.committed != 1 || b.prepared != 1 || b.committed != 1 {
+		t.Errorf("states: %+v %+v", a.fakeParticipant, *b)
 	}
 }
 

@@ -3,7 +3,7 @@
 # vet, build, the full test suite, then the race detector over the
 # concurrency-heavy packages (engine, sites, interconnect, log broker,
 # locking, replication, metrics, stores and partitions under layout swaps
-# and delta merges).
+# and delta merges, and the partition directory under splits and merges).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,7 +68,8 @@ go test -race -count=1 \
     ./internal/colstore/ \
     ./internal/partition/ \
     ./internal/rowstore/ \
-    ./internal/workload/...
+    ./internal/workload/... \
+    ./internal/metadata/
 
 echo "== scan benchmark (non-gating)"
 # Regenerates BENCH_scan.json (morsel executor scans and the encoded-kernel
