@@ -23,8 +23,8 @@ type Queryable interface {
 //	    Where("amount", proteus.Gt, proteus.Float64Value(10)).
 //	    Sum("amount"))
 //
-// Unknown column names panic, matching the schema-error behavior of the
-// deprecated free-function builders this replaces.
+// Unknown column names panic: a misspelled column is a programming error
+// in the query's construction, not a runtime condition.
 func (t *Table) Scan(cols ...string) *ScanBuilder {
 	ids, err := colIDs(t, cols)
 	if err != nil {

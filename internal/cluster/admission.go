@@ -4,8 +4,8 @@
 // snapshot instead of locking live engine state. OLTP work additionally
 // registers per-site in-flight counters that the morsel feeders consult
 // to cede scan-pool scheduling to commits (two priority classes at the
-// execution layer, not just at the gate). Group-commit flushers never
-// pass through admission: a group enqueued past the 2PC commit point
+// execution layer, not just at the gate). A group-commit flush never
+// passes through admission: a group enqueued past the 2PC commit point
 // must always flush.
 package cluster
 

@@ -161,38 +161,38 @@ func TestAdmissionCancelNoGoroutineLeak(t *testing.T) {
 }
 
 // TestGroupCommitWaitCancel checks satellite context propagation: a
-// transaction whose context expires while it waits on the group-commit
-// flusher unblocks with the context error, while the flush itself still
-// completes (the write becomes durable, just never acked).
+// transaction whose context expires while it follows another
+// transaction's group-commit flush unblocks with the context error, while
+// the flush itself still completes (the write becomes durable, just never
+// acked).
 func TestGroupCommitWaitCancel(t *testing.T) {
-	e, tbl := newMorselEngine(t, ModeRowStore, 2, 2, 100, func(c *Config) {
-		// A long coalescing window holds flushes open so the commit wait
-		// reliably outlives the context deadline.
-		c.GroupCommitInterval = 200 * time.Millisecond
-	})
+	e, tbl := newHeldEngine(t)
+	// A leader held in a slow decision ack keeps site 1's flushes open so
+	// the commit wait reliably outlives the context deadline.
+	holdLeader(t, e, tbl)
 	sess := e.NewSession()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: []query.Op{
-		updateOp(tbl, 5, 2, types.NewFloat64(42)),
+		updateOp(tbl, 70, 2, types.NewFloat64(42)),
 	}})
 	waited := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("txn blocked on flusher = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("txn following a held flush = %v, want context.DeadlineExceeded", err)
 	}
 	if waited >= 150*time.Millisecond {
 		t.Fatalf("waiter held %v despite 20ms deadline", waited)
 	}
 
 	// The abandoned flush still completes: the write is durable and a
-	// fresh read (after the coalescing window) observes it.
+	// fresh read (once the leader's ack returns) observes it.
 	readCtx, cancelRead := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancelRead()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		res, err := e.ExecuteTxn(readCtx, e.NewSession(), &query.Txn{Ops: []query.Op{readOp(tbl, 5, 2)}})
+		res, err := e.ExecuteTxn(readCtx, e.NewSession(), &query.Txn{Ops: []query.Op{readOp(tbl, 70, 2)}})
 		if err == nil && len(res.Tuples) > 0 && res.Tuples[0] != nil && res.Tuples[0][0].Float() == 42 {
 			return
 		}
@@ -217,20 +217,18 @@ func installedVersion(e *Engine, pid partition.ID) uint64 {
 
 // TestAbandonedCommitWaitRecordsDeps pins a torn-snapshot fix: when a
 // multi-partition transaction's group-commit wait is abandoned on ctx
-// expiry, the flushers still durably install every partition version, so
-// the co-commit dependency must be in the tracker regardless — it is
-// recorded at the commit point, before the groups are enqueued. Without
-// it, a later snapshot could close over one partition's new version
-// without its co-committed sibling — an SI violation visible to every
-// session, not just the cancelled client.
+// expiry, the sites' flush leaders still durably install every partition
+// version, so the co-commit dependency must be in the tracker regardless
+// — it is recorded at the commit point, before the groups are enqueued.
+// Without it, a later snapshot could close over one partition's new
+// version without its co-committed sibling — an SI violation visible to
+// every session, not just the cancelled client.
 func TestAbandonedCommitWaitRecordsDeps(t *testing.T) {
-	e, tbl := newMorselEngine(t, ModeRowStore, 2, 2, 100, func(c *Config) {
-		c.GroupCommitInterval = 200 * time.Millisecond
-	})
+	e, tbl := newHeldEngine(t)
 	sess := e.NewSession()
 
 	// Rows 5 and 95 land in different horizontal partitions of the
-	// evenly tiled 100-row table.
+	// evenly tiled 150-row table, mastered at sites 0 and 1.
 	tq := &query.Txn{Ops: []query.Op{
 		updateOp(tbl, 5, 2, types.NewFloat64(-5)),
 		updateOp(tbl, 95, 2, types.NewFloat64(-95)),
@@ -245,10 +243,13 @@ func TestAbandonedCommitWaitRecordsDeps(t *testing.T) {
 	p1, p2 := tp.WritePIDs[0], tp.WritePIDs[1]
 	before1, before2 := installedVersion(e, p1), installedVersion(e, p2)
 
+	// The transaction leads site 0's flush and follows site 1's, whose
+	// leader is held in a slow decision ack past the deadline.
+	holdLeader(t, e, tbl)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := e.ExecuteTxn(ctx, sess, tq); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("txn blocked on flusher = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("txn following a held flush = %v, want context.DeadlineExceeded", err)
 	}
 
 	// Wait for the abandoned flushes to install both versions: closing a

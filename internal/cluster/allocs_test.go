@@ -111,7 +111,7 @@ func TestQueryAllocBudgets(t *testing.T) {
 // site, background replication and maintenance slowed to an hour. Budgets
 // are the measured count + 10 %, as for queries.
 var txnAllocBudgets = map[string]float64{
-	"rmw10":      284, // ten keys read and updated over both sites: 258 + 10 % (383 when each read was its own round trip)
+	"rmw10":      279, // ten keys read and updated over both sites: 253 + 10 % (258 behind a flusher goroutine, 383 when each read was its own round trip)
 	"point-read": 29,  // one key read at the coordinator's own master: 26 + 10 % (29 then)
 }
 

@@ -22,9 +22,9 @@ import (
 // before the broker folded its own log: the master copy's rows, version and
 // log end offset captured under the partition's exclusive lock, behind a
 // group-commit barrier (commits stage and enqueue under the lock but append
-// and install from the flusher, so the barrier is what makes the three
-// mutually consistent). It survives as the oracle folded images are
-// compared against.
+// and install in a flush after the lock drops, so the barrier is what
+// makes the three mutually consistent). It survives as the oracle folded
+// images are compared against.
 func extractCheckpoint(e *Engine, m *metadata.PartitionMeta) (redolog.Checkpoint, bool) {
 	e.gc.barrier(m.Master().Site)
 	ls := e.Locks.AcquireAll(nil, []partition.ID{m.ID})

@@ -120,19 +120,6 @@ type Config struct {
 	// ScanBatchRows bounds one result batch flowing from scan workers to
 	// the coordinator. 0 means exec.DefaultBatchRows.
 	ScanBatchRows int
-	// DisableGroupCommit reverts the write path to appending and
-	// installing each transaction's redo records inline under the
-	// partition locks (A/B comparisons, debugging).
-	DisableGroupCommit bool
-	// GroupCommitMaxBatch bounds how many commit groups one flush cycle
-	// drains. 0 means a 256-group default.
-	GroupCommitMaxBatch int
-	// GroupCommitInterval is how long a flusher lingers for more commits
-	// to coalesce before flushing a non-full batch. 0 (the default)
-	// flushes whatever is pending immediately, so batching emerges only
-	// under concurrent load and an uncontended commit pays no added
-	// latency.
-	GroupCommitInterval time.Duration
 	// Admission configures the multi-tenant QoS front end. The zero value
 	// is policy AlwaysAdmit: every request passes straight through (no
 	// background work, no shedding), preserving the pre-admission
@@ -185,9 +172,8 @@ type Engine struct {
 	Advisor *Advisor // nil unless ModeProteus
 
 	// gc is the group-commit pipeline: per-master-site queues whose
-	// flushers batch redo appends and version installs off the
-	// partition-lock critical path. Always constructed; transactions
-	// bypass it when cfg.DisableGroupCommit is set.
+	// leaders — committing transactions — batch redo appends and version
+	// installs off the partition-lock critical path.
 	gc *groupCommit
 
 	// Faults is the cluster's fault-injection registry, installed as the
@@ -477,16 +463,14 @@ func (e *Engine) foldDeps() {
 }
 
 // Close stops background work and the sites. The admission controller
-// closes first so queued waiters shed instead of blocking shutdown; the
-// group-commit flushers are drained after the background loops stop (a
-// background tier change may be waiting on a flush barrier) and before
-// the sites close (waiting transactions still occupy site pool workers
-// until their flush resolves).
+// closes first so queued waiters shed instead of blocking shutdown. The
+// group-commit queues need no draining: every enqueued group is flushed
+// by its site's leader, a committing transaction that finishes before
+// its site pool worker is released.
 func (e *Engine) Close() {
 	e.Adm.Close()
 	close(e.stop)
 	e.wg.Wait()
-	e.gc.close()
 	for _, s := range e.Sites {
 		s.Close()
 	}

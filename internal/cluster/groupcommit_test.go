@@ -2,26 +2,17 @@ package cluster
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"proteus/internal/faults"
 	"proteus/internal/query"
 	"proteus/internal/schema"
+	"proteus/internal/storage"
 	"proteus/internal/types"
 )
-
-// groupedConfig returns a fast test config with the commit pipeline in the
-// given state and a coalescing window wide enough that concurrent commits
-// actually share flushes.
-func groupedConfig(sites int, disabled bool) Config {
-	cfg := fastConfig(ModeRowStore, sites)
-	cfg.DisableGroupCommit = disabled
-	if !disabled {
-		cfg.GroupCommitInterval = 500 * time.Microsecond
-	}
-	return cfg
-}
 
 // runWriterWorkload runs writers concurrent single-row update streams over
 // disjoint row stripes and returns the expected final value per row.
@@ -71,18 +62,21 @@ func runWriterWorkload(t *testing.T, e *Engine, tbl *schema.Table, writers, rows
 	return want
 }
 
-// TestGroupCommitEquivalence drives the same concurrent write workload
-// through the batched pipeline and the inline legacy path and checks both
-// converge to the exact per-row final state: group commit may reorder
-// flush timing but never acked writes.
+// TestGroupCommitEquivalence drives a concurrent write workload through
+// the leader/follower commit path and checks it converges to the exact
+// per-row final state: group commit may reorder flush timing but never
+// acked writes. The layout-churn case converts every written partition's
+// master copy between row and column layouts in a loop, so each change
+// barriers the queues while writers lead and follow. Every row is written
+// exactly once, so a write a conversion drops shows in the final state.
 func TestGroupCommitEquivalence(t *testing.T) {
-	const writers, rowsPerWriter, iters = 4, 25, 60
+	const writers, rowsPerWriter, iters = 4, 60, 60
 	for _, tc := range []struct {
-		name     string
-		disabled bool
-	}{{"grouped", false}, {"inline", true}} {
+		name  string
+		churn bool
+	}{{"grouped", false}, {"layout-churn", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := New(groupedConfig(2, tc.disabled))
+			e := New(fastConfig(ModeRowStore, 2))
 			defer e.Close()
 			tbl, err := e.CreateTable(TableSpec{
 				Name: "items", Cols: testCols, MaxRows: 100000, Partitions: 4,
@@ -101,7 +95,36 @@ func TestGroupCommitEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// The churn loop converts at least once, and keeps converting
+			// until the writers are done.
+			stop, churned := make(chan struct{}), make(chan struct{})
+			if tc.churn {
+				go func() {
+					defer close(churned)
+					layouts := []storage.Layout{storage.DefaultColumnLayout(), storage.DefaultRowLayout()}
+					for n := 0; ; n++ {
+						for _, m := range e.Dir.TablePartitions(tbl.ID) {
+							if m.Bounds.RowStart >= schema.RowID(rows) {
+								continue
+							}
+							if err := e.ChangeCopyLayout(m.ID, m.Master().Site, layouts[n%2]); err != nil {
+								t.Error(err)
+							}
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			} else {
+				close(churned)
+			}
 			want := runWriterWorkload(t, e, tbl, writers, rowsPerWriter, iters)
+			close(stop)
+			<-churned
+
 			sess := e.NewSession()
 			for row, v := range want {
 				res, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{
@@ -178,30 +201,80 @@ func TestGroupCommitCrossPartitionDeps(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces fires a burst of concurrent single-row commits
-// and checks the pipeline actually batched them: fewer flushes than
-// transactions and a recorded group size above one.
-func TestGroupCommitCoalesces(t *testing.T) {
-	e := New(groupedConfig(1, false))
-	defer e.Close()
-	tbl, err := e.CreateTable(TableSpec{
-		Name: "items", Cols: testCols, MaxRows: 100000, Partitions: 4,
-	})
+// leaderHold is how long holdLeader keeps site 1's flush leader busy.
+const leaderHold = 300 * time.Millisecond
+
+// holdLeader makes a committing transaction hold the leadership of site
+// 1's commit queue for about leaderHold, on newHeldEngine's engine. The
+// holder writes rows 100 and 101 (mastered at site 2, its coordinator) and
+// row 99 (mastered at site 1) with leaderHold of link latency on 2 -> 1,
+// so it leads site 1's flush and then sits in that flush's decision ack
+// while any later commit at site 1 follows. holdLeader returns once the
+// holder is past its own append, so the hold is underway, and registers a
+// cleanup that waits the holder out.
+func holdLeader(t *testing.T, e *Engine, tbl *schema.Table) {
+	t.Helper()
+	holder := &query.Txn{Ops: []query.Op{
+		updateOp(tbl, 100, 2, types.NewFloat64(-1)),
+		updateOp(tbl, 101, 2, types.NewFloat64(-1)),
+		updateOp(tbl, 99, 2, types.NewFloat64(-1)),
+	}}
+	tp, err := e.Planner.PlanTxn(holder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]schema.Row, 0, 256)
-	for i := int64(0); i < 256; i++ {
-		data = append(data, schema.Row{ID: schema.RowID(i), Vals: []types.Value{
-			types.NewInt64(i), types.NewInt64(0), types.NewFloat64(0), types.NewString("r"),
-		}})
+	if held := tp.Bindings[2].Pieces[0]; tp.Coordinator != 2 || held.Master().Site != 1 {
+		t.Fatalf("holder coordinated at site %d writing site %v, want 2 and 1", tp.Coordinator, held.Master().Site)
 	}
-	if err := e.LoadRows(context.Background(), tbl.ID, data); err != nil {
-		t.Fatal(err)
+	q := e.gc.queues[1]
+	q.mu.Lock()
+	done0 := q.done
+	q.mu.Unlock()
+
+	e.Faults.SetLink(2, 1, faults.LinkFault{Latency: leaderHold})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.ExecuteTxn(context.Background(), e.NewSession(), holder)
+		errc <- err
+	}()
+	t.Cleanup(func() {
+		if err := <-errc; err != nil {
+			t.Errorf("holder txn: %v", err)
+		}
+		e.Faults.ClearLinks()
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q.mu.Lock()
+		inAck := q.leading && q.done > done0
+		q.mu.Unlock()
+		if inAck {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("holder never led site 1's flush")
+		}
+		time.Sleep(time.Millisecond)
 	}
+}
+
+// newHeldEngine builds the three-site row-store engine holdLeader expects:
+// 150 rows in three 50-row partitions mastered at sites 0, 1 and 2.
+func newHeldEngine(t *testing.T) (*Engine, *schema.Table) {
+	return newMorselEngine(t, ModeRowStore, 3, 3, 150, nil)
+}
+
+// TestGroupCommitCoalesces fires a burst of concurrent single-row commits
+// at a site whose flush leader is held, and checks the pipeline actually
+// batched them: the burst follows, and the leader drains it in fewer
+// flushes than transactions.
+func TestGroupCommitCoalesces(t *testing.T) {
+	e, tbl := newHeldEngine(t)
+	holdLeader(t, e, tbl)
 
 	const txns = 64
 	flushes0 := e.Obs.Counter("commit.flushes").Value()
+	records0 := e.Obs.Counter("commit.flushed_records").Value()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	errs := make(chan error, txns)
@@ -212,7 +285,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			<-start
 			sess := e.NewSession()
 			_, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{
-				Ops: []query.Op{updateOp(tbl, int64(i%256), 2, types.NewFloat64(float64(i)))},
+				Ops: []query.Op{updateOp(tbl, int64(50+i%49), 2, types.NewFloat64(float64(i)))},
 			})
 			if err != nil {
 				errs <- err
@@ -230,39 +303,43 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if flushes == 0 || flushes >= txns {
 		t.Errorf("flushes = %d for %d concurrent txns, want coalescing", flushes, txns)
 	}
-	if n := e.Obs.Counter("commit.flushed_records").Value(); n < txns {
+	if n := e.Obs.Counter("commit.flushed_records").Value() - records0; n < txns {
 		t.Errorf("flushed records = %d, want >= %d", n, txns)
 	}
 }
 
-// TestGroupCommitDisabledBypassesQueues checks the escape hatch: with the
-// pipeline disabled, commits append and install inline and the flushers
-// never run a flush.
-func TestGroupCommitDisabledBypassesQueues(t *testing.T) {
-	e := New(groupedConfig(1, true))
-	defer e.Close()
-	tbl, err := e.CreateTable(TableSpec{
-		Name: "items", Cols: testCols, MaxRows: 100000, Partitions: 2,
-	})
+// TestGroupCommitStartsNoGoroutine checks that commit flushes run on the
+// committing transactions' own goroutines: an engine that committed
+// cross-site transactions leaves no goroutine behind once closed.
+func TestGroupCommitStartsNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := New(fastConfig(ModeRowStore, 2))
+	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: 100, Partitions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadRows(context.Background(), tbl.ID, []schema.Row{
-		{ID: 1, Vals: []types.Value{types.NewInt64(1), types.NewInt64(0), types.NewFloat64(0), types.NewString("r")}},
-	}); err != nil {
+	if err := e.LoadRows(context.Background(), tbl.ID, testRows(100)); err != nil {
 		t.Fatal(err)
 	}
-	sess := e.NewSession()
-	if _, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{
-		Ops: []query.Op{updateOp(tbl, 1, 2, types.NewFloat64(9))},
-	}); err != nil {
+	runWriterWorkload(t, e, tbl, 4, 25, 20)
+	if _, err := e.ExecuteTxn(context.Background(), e.NewSession(), &query.Txn{Ops: []query.Op{
+		updateOp(tbl, 5, 2, types.NewFloat64(-5)),
+		updateOp(tbl, 95, 2, types.NewFloat64(-95)),
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.Obs.Counter("commit.flushes").Value(); n != 0 {
-		t.Errorf("inline path ran %d flushes", n)
-	}
-	res, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{Ops: []query.Op{readOp(tbl, 1, 2)}})
-	if err != nil || res.Tuples[0][0].Float() != 9 {
-		t.Fatalf("inline commit read: %v %v", res.Tuples, err)
+	e.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= baseline {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("leak: %d goroutines after Close (baseline %d)\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -167,8 +167,7 @@ func (e *Engine) failoverPartition(m *metadata.PartitionMeta, down simnet.SiteID
 	// lock, so once we hold it every committed record is at worst sitting
 	// in the down site's commit queue. Draining that queue through the
 	// flush barrier puts them all in the broker before any candidate is
-	// measured — batched commits survive failover exactly like inline
-	// ones did.
+	// measured.
 	ls := e.Locks.AcquireAll(nil, []partition.ID{m.ID})
 	defer ls.ReleaseAll()
 	if m.Master().Site != down {

@@ -12,14 +12,13 @@ import (
 )
 
 // benchEngine builds a loaded single-site engine for the commit-path
-// benchmarks, with background loops slowed so the measurement reflects the
+// benchmark, with background loops slowed so the measurement reflects the
 // transaction path.
-func benchEngine(b *testing.B, disabled bool) (*Engine, *schema.Table) {
+func benchEngine(b *testing.B) (*Engine, *schema.Table) {
 	b.Helper()
 	cfg := fastConfig(ModeRowStore, 1)
 	cfg.ReplicationInterval = 50 * time.Millisecond
 	cfg.MaintainInterval = 100 * time.Millisecond
-	cfg.DisableGroupCommit = disabled
 	e := New(cfg)
 	b.Cleanup(e.Close)
 	tbl, err := e.CreateTable(TableSpec{
@@ -41,11 +40,11 @@ func benchEngine(b *testing.B, disabled bool) (*Engine, *schema.Table) {
 	return e, tbl
 }
 
-// benchTxnWrites drives concurrent single-row update transactions; each
-// goroutine writes its own row cycle so commits contend on the pipeline,
-// not on row locks.
-func benchTxnWrites(b *testing.B, disabled bool) {
-	e, tbl := benchEngine(b, disabled)
+// BenchmarkTxnGroupCommit measures the leader/follower commit path under
+// concurrent single-row update transactions; each goroutine writes its
+// own row cycle so commits contend on the pipeline, not on row locks.
+func BenchmarkTxnGroupCommit(b *testing.B) {
+	e, tbl := benchEngine(b)
 	var seq atomic.Int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -65,11 +64,3 @@ func benchTxnWrites(b *testing.B, disabled bool) {
 		}
 	})
 }
-
-// BenchmarkTxnGroupCommit measures the batched commit pipeline under
-// parallel single-row writers.
-func BenchmarkTxnGroupCommit(b *testing.B) { benchTxnWrites(b, false) }
-
-// BenchmarkTxnSerialCommit measures the legacy inline append-and-install
-// path under the same load (Config.DisableGroupCommit).
-func BenchmarkTxnSerialCommit(b *testing.B) { benchTxnWrites(b, true) }

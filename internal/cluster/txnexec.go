@@ -304,8 +304,9 @@ func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Sessio
 	// Writes: exclusive locks on the write set in global order (no
 	// deadlocks), then 2PC across the write sites. The locks cover version
 	// reservation, the prepares and staging; the redo append and version
-	// install run in the group-commit flusher after the locks drop, and the
-	// transaction acks once its flush completes.
+	// install run in a group-commit flush after the locks drop, led by this
+	// transaction or a concurrent one, and the transaction acks once its
+	// flush completes.
 	if len(tp.WritePIDs) > 0 {
 		lockStart := e.clk.Now()
 		ls := e.Locks.AcquireAll(nil, tp.WritePIDs)
@@ -331,10 +332,8 @@ func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Sessio
 		if err != nil {
 			return exec.Rel{}, err
 		}
-		if finish != nil {
-			if err := finish(ctx); err != nil {
-				return exec.Rel{}, err
-			}
+		if err := finish(ctx); err != nil {
+			return exec.Rel{}, err
 		}
 	}
 
@@ -404,21 +403,22 @@ func buildEntries(sw *siteWork) {
 
 // applyWrites runs the write/commit phase under the caller-held exclusive
 // locks: check the planned masters, reserve versions, stage via 2PC, record
-// the commit's dependencies, and either commit inline (DisableGroupCommit)
-// or enqueue the redo records on the master sites' commit queues. In the
-// latter case it returns a finish function the caller must invoke after
-// releasing the locks; it blocks until every site's flush completes (the
-// durability point), then raises the session watermark. A cancelled or
+// the commit's dependencies, and enqueue the redo records on the master
+// sites' commit queues. It returns a finish function the caller must
+// invoke after releasing the locks: it leads every site's flush that has
+// no leader, then blocks until every site's flush completes (the
+// durability point) and raises the session watermark. A cancelled or
 // expired ctx unblocks the wait with ctx.Err(): the flush itself still
-// completes (the groups are past the commit point), only the waiter
-// abandons — so the write may be durable without ever being acked.
+// completes (the groups are past the commit point, and a site's leader
+// leaves only with its queue empty), only the waiter abandons — so the
+// write may be durable without ever being acked.
 func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func(context.Context) error, error) {
-	coord, grouped := tw.coord, !e.cfg.DisableGroupCommit
-	// Reserve the new version of every written partition. With group
-	// commit the installed version lags the reservation (the flusher
-	// installs after the locks drop), so reservations come from the
-	// partition's reservation counter; version gaps from aborts are
-	// harmless — every consumer compares versions, none counts them.
+	coord := tw.coord
+	// Reserve the new version of every written partition. The installed
+	// version lags the reservation (the flush installs after the locks
+	// drop), so reservations come from the partition's reservation
+	// counter; version gaps from aborts are harmless — every consumer
+	// compares versions, none counts them.
 	// Ops were grouped by the masters the plan saw: one that moved while
 	// the locks were awaited (failover, master change) makes the plan stale.
 	versions := make(txn.VersionVector, len(tp.WritePIDs))
@@ -439,13 +439,9 @@ func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func
 				return nil, fmt.Errorf("%w: write partition %d moved", ErrStalePlan, w.meta.ID)
 			}
 			masters[w.meta.ID], sw.pids = p, append(sw.pids, w.meta.ID)
-			if grouped {
-				versions[w.meta.ID] = p.ReserveNext()
-			} else {
-				versions[w.meta.ID] = p.Version() + 1
-			}
+			versions[w.meta.ID] = p.ReserveNext()
 		}
-		participants = append(participants, &writeParticipant{tw: tw, sw: sw, versions: versions, masters: masters, inline: !grouped})
+		participants = append(participants, &writeParticipant{tw: tw, sw: sw, versions: versions, masters: masters})
 	}
 
 	// Two-phase commit across the write sites (§4.3). A lone participant is
@@ -482,28 +478,8 @@ func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func
 		return redolog.Record{Partition: pid, Version: versions[pid], Entries: entriesByPID[pid], Deps: deps}
 	}
 
-	acked := func() {
-		sess.s.Observe(versions)
-		// Commit cost: partitions read/written and sites involved.
-		e.siteOf(coord).Observe(cost.Observation{
-			Op:       cost.OpCommit,
-			Features: cost.CommitFeatures(len(tp.ReadPIDs), len(tp.WritePIDs), len(participants)),
-			Latency:  e.clk.Since(commitStart),
-		})
-	}
-
-	if !grouped {
-		// Legacy inline commit: append and install under the locks.
-		for pid := range entriesByPID {
-			e.Broker.Append(record(pid))
-			masters[pid].SetVersion(versions[pid])
-		}
-		acked()
-		return nil, nil
-	}
-
-	// Group commit: one flush group per master site, a shared completion
-	// channel, and the wait deferred until after the locks are released.
+	// One flush group per master site and a shared completion channel;
+	// leading and waiting are deferred until after the locks are released.
 	flushed := make(chan struct{}, len(participants))
 	for i := range tw.sites {
 		sw := &tw.sites[i]
@@ -518,25 +494,39 @@ func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func
 		e.gc.enqueue(sw.site, fg)
 	}
 	return func(ctx context.Context) error {
-		// The flush that resolves this wait is kicked by arrivals or the
-		// linger timer — virtual-time progress — so a simulated clock may
-		// count the waiter as parked.
+		// Lead before looking at ctx: a site whose queue holds this
+		// transaction's group and has no leader would otherwise have no
+		// one to flush it.
+		for i := range tw.sites {
+			if len(tw.sites[i].pids) > 0 {
+				e.gc.lead(tw.sites[i].site)
+			}
+		}
+		// A group still unflushed has a leader that is flushing — modelled
+		// network time — so a simulated clock may count the follower as
+		// parked.
 		release := vclock.Park(e.clk)
 		defer release()
-		// flushed is buffered for every group, so a flusher never blocks
-		// signalling a waiter that already abandoned.
+		// flushed is buffered for every group, so a leader never blocks
+		// signalling a follower that already abandoned.
 		for range participants {
 			select {
 			case <-flushed:
 			case <-ctx.Done():
-				// The groups are past the commit point: every flusher will
-				// still durably install its versions, and their dependencies
-				// are already recorded, so the write becomes visible
-				// atomically; only the ack is abandoned.
+				// The groups are past the commit point: every site's leader
+				// will still durably install its versions, and their
+				// dependencies are already recorded, so the write becomes
+				// visible atomically; only the ack is abandoned.
 				return ctx.Err()
 			}
 		}
-		acked()
+		sess.s.Observe(versions)
+		// Commit cost: partitions read/written and sites involved.
+		e.siteOf(coord).Observe(cost.Observation{
+			Op:       cost.OpCommit,
+			Features: cost.CommitFeatures(len(tp.ReadPIDs), len(tp.WritePIDs), len(participants)),
+			Latency:  e.clk.Since(commitStart),
+		})
 		return nil
 	}, nil
 }
@@ -547,10 +537,6 @@ type writeParticipant struct {
 	sw       *siteWork
 	versions txn.VersionVector
 	masters  map[partition.ID]*partition.Partition
-	// inline marks the legacy path (group commit disabled): the commit
-	// decision's round trip is charged per transaction here instead of
-	// batched onto the flush.
-	inline bool
 }
 
 // Remote reports whether the site is not the coordinator's (txn.Remote).
@@ -592,10 +578,6 @@ func (wp *writeParticipant) Prepare(txnID uint64) error {
 // prepared participant must apply, or participants would diverge on a
 // decided transaction.
 func (wp *writeParticipant) Commit(txnID uint64) error {
-	if wp.inline && wp.sw.site != wp.tw.coord {
-		wp.tw.e.Net.ChargeKind(simnet.KindDecision, wp.tw.coord, wp.sw.site, 128)
-		wp.tw.e.Net.ChargeKind(simnet.KindDecision, wp.sw.site, wp.tw.coord, 32)
-	}
 	s := wp.tw.e.siteOf(wp.sw.site)
 	for _, w := range wp.sw.ops {
 		p := wp.masters[w.meta.ID]

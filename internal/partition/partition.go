@@ -394,7 +394,7 @@ func (p *Partition) ChangeLayout(to storage.Layout, f Factory, snap uint64) erro
 // partition lock is the only thing serializing it against commit
 // staging and replica applies. snap must cover every buffered row —
 // with group commit, staged rows live above the installed version until
-// the flusher installs them, so callers folding live copies pass
+// a commit flush installs them, so callers folding live copies pass
 // storage.Latest rather than p.Version().
 func (p *Partition) Maintain(snap uint64, threshold int) (int, time.Duration, error) {
 	p.mu.Lock()

@@ -233,7 +233,7 @@ func TestAppendBatchMatchesSequentialAppend(t *testing.T) {
 		recs = append(recs, rec(10, i, schema.RowID(i)))
 		recs = append(recs, rec(11, i, schema.RowID(100+i)))
 	}
-	// Stable-sorted by partition, as the group-commit flusher submits it.
+	// Stable-sorted by partition, as a group-commit flush submits it.
 	var byPid []Record
 	for _, pid := range []partition.ID{10, 11} {
 		for _, r := range recs {

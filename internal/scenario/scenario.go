@@ -131,7 +131,6 @@ type Spec struct {
 	ReplicationIntervalUS int64 `json:"replication_interval_us,omitempty"`
 	MaintainIntervalUS    int64 `json:"maintain_interval_us,omitempty"`
 	OpDeadlineMS          int64 `json:"op_deadline_ms,omitempty"`
-	GroupCommitIntervalUS int64 `json:"group_commit_interval_us,omitempty"`
 	// Advisor false forces the ASA off even in proteus mode.
 	Advisor *bool `json:"advisor,omitempty"`
 	// AdvisorPredictiveUS / AdvisorCapacityUS override the advisor's
@@ -282,9 +281,6 @@ func (s Spec) engineConfig() cluster.Config {
 	}
 	if s.OpDeadlineMS > 0 {
 		cfg.OpDeadline = ms(s.OpDeadlineMS)
-	}
-	if s.GroupCommitIntervalUS > 0 {
-		cfg.GroupCommitInterval = us(s.GroupCommitIntervalUS)
 	}
 	if s.Advisor != nil && !*s.Advisor {
 		cfg.Adapt.PredictiveInterval = -1

@@ -418,7 +418,7 @@ func (s *Site) DiskUsage() int64 { return s.Dev.Used() }
 func (s *Site) Maintain(threshold int) {
 	for _, p := range s.Partitions() {
 		// Fold at Latest, not p.Version(): group-committed rows are
-		// staged above the installed version until the commit flusher
+		// staged above the installed version until a commit flush
 		// installs them, and a fold at the installed version would
 		// discard them.
 		merged, d, err := p.Maintain(storage.Latest, threshold)

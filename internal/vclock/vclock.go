@@ -132,7 +132,7 @@ func Enter(c Clock) func() {
 
 // Park marks the calling goroutine as blocked on a signal that only
 // virtual-time progress can produce — an admission grant from a drip
-// ticker, a group-commit flush kicked by a linger timer. On a Sim the
+// ticker, a group-commit flush its leader is still sending. On a Sim the
 // goroutine counts like a clock sleeper for quiescence detection until
 // the returned (idempotent) release runs, keeping the all-parked fast
 // path live while waiters queue; unlike Sleep it schedules no event, so

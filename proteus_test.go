@@ -196,24 +196,6 @@ func TestQueryRowsStreaming(t *testing.T) {
 	}
 }
 
-func TestDeprecatedBuildersMatchChainable(t *testing.T) {
-	db, tbl := openTest(t)
-	s := db.Session()
-	old, err := s.QueryScalar(context.Background(),
-		Sum(WhereCol(Scan(tbl, "amount"), tbl, "amount", Ge, Float64Value(90)), tbl, "amount"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	new_, err := s.QueryScalar(context.Background(),
-		tbl.Scan("amount").Where("amount", Ge, Float64Value(90)).Sum("amount"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Float() != new_.Float() || old.Float() != 945 {
-		t.Fatalf("deprecated %v vs chainable %v, want 945", old, new_)
-	}
-}
-
 func TestSessionReadYourWrites(t *testing.T) {
 	db, tbl := openTest(t)
 	s := db.Session()
