@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,10 +21,10 @@ import (
 // benchmark run. Lower a budget when a change cuts its count; raise one
 // only with a line in CHANGES.md saying why.
 var queryAllocBudgets = map[string]float64{
-	"scan-agg":       644,  // grouped SUM and AVG over a filtered scan: 585 + 10 %
-	"row-stream":     2327, // a filtered two-column scan drained through a cursor: 2115 + 10 %
-	"join-agg":       491,  // pipelined fact ⋈ groups, grouped by a build column: 446 + 10 %
-	"scan-agg-delta": 700,  // scan-agg with 50 updates pending per partition: 636 + 10 %
+	"scan-agg":       639,  // grouped SUM and AVG over a filtered scan: 581 + 10 % (585 while site pools allocated a closure per task)
+	"row-stream":     2323, // a filtered two-column scan drained through a cursor: 2112 + 10 % (2115)
+	"join-agg":       484,  // pipelined fact ⋈ groups, grouped by a build column: 440 + 10 % (446)
+	"scan-agg-delta": 695,  // scan-agg with 50 updates pending per partition: 632 + 10 % (636)
 }
 
 // TestQueryAllocBudgets holds the three query paths the executor serves —
@@ -111,8 +112,8 @@ func TestQueryAllocBudgets(t *testing.T) {
 // site, background replication and maintenance slowed to an hour. Budgets
 // are the measured count + 10 %, as for queries.
 var txnAllocBudgets = map[string]float64{
-	"rmw10":      279, // ten keys read and updated over both sites: 253 + 10 % (258 behind a flusher goroutine, 383 when each read was its own round trip)
-	"point-read": 29,  // one key read at the coordinator's own master: 26 + 10 % (29 then)
+	"rmw10":      277, // ten keys read and updated over both sites: 252 + 10 % (253 while site pools allocated a closure per task, 258 behind a flusher goroutine, 383 when each read was its own round trip)
+	"point-read": 28,  // one key read at the coordinator's own master: 25 + 10 % (26, 29 before that)
 }
 
 // TestTxnAllocBudgets holds a two-site read-modify-write of ten keys and a
@@ -160,6 +161,78 @@ func TestTxnAllocBudgets(t *testing.T) {
 		if got > txnAllocBudgets[name] {
 			t.Errorf("%s: %.0f allocs per transaction, over its budget of %.0f", name, got, txnAllocBudgets[name])
 		}
+	}
+}
+
+// maintainAllocBudget caps the allocations of one maintenance tick on the
+// rmw10 engine of TestTxnAllocBudgets, with a transaction's versions to
+// reclaim before each tick: measured + 10 %, as for transactions.
+const maintainAllocBudget = 30 // 27 + 10 % (21 before the tick reclaimed versions)
+
+// TestMaintainAllocBudget holds one maintenance tick — storage maintenance,
+// checkpoint and truncation, the watermark pass, dependency fold and
+// version GC — to its allocation budget.
+func TestMaintainAllocBudget(t *testing.T) {
+	const rows = 4000
+	e := New(func() Config {
+		c := fastConfig(ModeRowStore, 2)
+		c.ReplicationInterval, c.MaintainInterval = time.Hour, time.Hour
+		return c
+	}())
+	t.Cleanup(e.Close)
+	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: rows, Partitions: 8,
+		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p % 2) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := e.LoadRows(ctx, tbl.ID, testRows(rows)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range e.Dir.TablePartitions(tbl.ID) {
+		if err := e.AddReplicaOp(m.ID, 1-m.Master().Site, storage.DefaultRowLayout()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := e.NewSession()
+	rmw := &query.Txn{}
+	for k := int64(0); k < 10; k++ {
+		row := 7 + 401*k
+		rmw.Ops = append(rmw.Ops, readOp(tbl, row, 2), updateOp(tbl, row, 2, types.NewFloat64(float64(k))))
+	}
+	// A transaction, its records applied at the replicas (the horizon is
+	// the lowest copy's version), then the measured tick.
+	write := func() {
+		if _, err := e.ExecuteTxn(ctx, sess, rmw); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range e.Sites {
+			if _, err := s.Repl.PollOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		write()
+		e.maintain()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 0; i < 20; i++ {
+		write()
+		runtime.ReadMemStats(&before)
+		e.maintain()
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	got := float64(total) / 20
+	if e.Obs.Counter("rowstore.versions_reclaimed").Value() == 0 {
+		t.Fatal("the ticks reclaimed no version")
+	}
+	t.Logf("%.0f allocs/tick (budget %d)", got, maintainAllocBudget)
+	if got > maintainAllocBudget {
+		t.Errorf("%.0f allocs per maintenance tick, over its budget of %d", got, maintainAllocBudget)
 	}
 }
 

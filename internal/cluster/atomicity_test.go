@@ -96,11 +96,14 @@ func TestSnapshotAtomicity(t *testing.T) {
 		commits = 6000
 	}
 	crashAt, recoverAt := commits*2/5, commits*3/5
+	drainAt := (foldAfter + crashAt) / 2 // the early stream's end, before the crash
 
 	cfg := fastConfig(ModeJanus, sites)
 	cfg.ReplicationInterval = 20 * time.Millisecond // replicas lag on purpose
 	cfg.MaintainInterval = 0                        // the test drives the ticks
 	cfg.OpDeadline = 5 * time.Second
+	cfg.ScanBatchRows = 2    // the early stream below stalls mid-scan
+	cfg.Site.ScanWorkers = 4 // and holds two scan workers per site
 	e := New(cfg)
 	t.Cleanup(e.Close)
 	tbl, err := e.CreateTable(TableSpec{Name: "accounts", Cols: testCols, MaxRows: accounts, Partitions: parts})
@@ -116,6 +119,32 @@ func TestSnapshotAtomicity(t *testing.T) {
 	if err := e.LoadRows(context.Background(), tbl.ID, rows); err != nil {
 		t.Fatal(err)
 	}
+
+	// A stream opened before any write and read to its end only after
+	// many ticks, bound to the row masters (column copies fold their
+	// deltas at the newest version and keep no history for it to read).
+	// Two-row batches fill the cursor's channel at once, so its scan
+	// workers stop mid-partition and resume long after GC has run: its
+	// registered snapshot must keep every version they still read.
+	pn, err := e.Planner.PlanQuery(&query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onMasters := *pn.(*plan.PScan)
+	onMasters.Segments = nil
+	for _, seg := range pn.(*plan.PScan).Segments {
+		var pieces []plan.ScanPart
+		for _, piece := range seg.Pieces {
+			piece.Copy = piece.Meta.Master()
+			pieces = append(pieces, piece)
+		}
+		onMasters.Segments = append(onMasters.Segments, plan.RowSegment{Lo: seg.Lo, Hi: seg.Hi, Pieces: pieces})
+	}
+	early, err := e.streamPlan(context.Background(), e.NewSession(), &onMasters, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer early.Close() // a failure before the drain must not strand its workers
 
 	var (
 		committed  atomic.Int64 // acknowledged transfers
@@ -284,10 +313,13 @@ func TestSnapshotAtomicity(t *testing.T) {
 	}()
 
 	// Driver: maintenance ticks (none before foldAfter commits, so reads
-	// run against an unfolded tracker first), the crash and the recovery.
+	// run against an unfolded tracker first), the early stream's end, the
+	// crash and the recovery.
 	entries := e.Obs.Gauge("txn.deps_entries")
-	var maxEntries, unfolded int64
-	crashed, recovered := false, false
+	retained := e.Obs.Gauge("rowstore.versions_retained")
+	reclaimed := e.Obs.Counter("rowstore.versions_reclaimed")
+	var maxEntries, unfolded, pinned int64
+	crashed, recovered, drained := false, false, false
 	for !t.Failed() {
 		n := committed.Load()
 		if n >= commits {
@@ -301,6 +333,21 @@ func TestSnapshotAtomicity(t *testing.T) {
 			e.maintain()
 			if v := entries.Value(); v > maxEntries {
 				maxEntries = v
+			}
+		}
+		if !drained && n >= drainAt {
+			drained = true
+			pinned = retained.Value()
+			sum, rows := 0.0, 0
+			for early.Next() {
+				sum += early.Row()[1].Float()
+				rows++
+			}
+			if err := early.Close(); err != nil {
+				t.Errorf("early stream: %v", err)
+			} else if sum != total || rows != accounts {
+				t.Errorf("early stream read at its snapshot after %d commits saw sum %v over %d rows, want %v over %d",
+					n, sum, rows, total, accounts)
 			}
 		}
 		if !crashed && n >= crashAt {
@@ -338,6 +385,12 @@ func TestSnapshotAtomicity(t *testing.T) {
 	if maxEntries > entryBound {
 		t.Errorf("txn.deps_entries peaked at %d over %d commits, want <= %d", maxEntries, committed.Load(), entryBound)
 	}
+	// While the early stream was open its snapshot pinned every row
+	// master's chains; once it closed, the ticks cut them.
+	if pinned < 2*accounts || reclaimed.Value() == 0 {
+		t.Errorf("%d row versions retained under the early stream, %d reclaimed in all; want chains kept, then cut",
+			pinned, reclaimed.Value())
+	}
 
 	// Quiesced: replicas converge, and the final sum holds on every copy's
 	// own reading of a closed snapshot.
@@ -350,6 +403,9 @@ func TestSnapshotAtomicity(t *testing.T) {
 	if got := int64(e.Deps.Entries()); got > int64(len(pids)) {
 		t.Errorf("quiesced tracker keeps %d entries, want at most one per partition (%d)", got, len(pids))
 	}
+	if got := retained.Value(); got != accounts {
+		t.Errorf("quiesced row masters retain %d versions, want one per account (%d)", got, accounts)
+	}
 	res, err := e.ExecuteQuery(context.Background(), e.NewSession(), scanSumQuery(tbl))
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +414,8 @@ func TestSnapshotAtomicity(t *testing.T) {
 		t.Errorf("final sum %v, want %v", sum, total)
 	}
 	t.Logf("atomicity: %d commits (%d acks abandoned), %d+%d reads before/after the first fold (%d errors tolerated), "+
-		"%d replica-bound scan pieces, deps entries %d unfolded at commit %d, peak %d folded, %d now",
+		"%d replica-bound scan pieces, deps entries %d unfolded at commit %d, peak %d folded, %d now; "+
+		"%d row versions retained under the early stream, %d reclaimed",
 		committed.Load(), abandoned.Load(), readsPre.Load(), readsPost.Load(), readErrs.Load(),
-		replicaHit.Load(), unfolded, firstFold.Load(), maxEntries, e.Deps.Entries())
+		replicaHit.Load(), unfolded, firstFold.Load(), maxEntries, e.Deps.Entries(), pinned, reclaimed.Value())
 }

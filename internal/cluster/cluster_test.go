@@ -430,6 +430,45 @@ func TestSplitHorizontalAndMerge(t *testing.T) {
 	}
 }
 
+// TestSplitMergeDropsRetiredDeps: transactions co-write the partition
+// being split and merged back and another one, so every partition the loop
+// retires has a dependency run. Retiring drops it: once the tick folds the
+// live runs, the tracker keeps at most one entry per live partition.
+func TestSplitMergeDropsRetiredDeps(t *testing.T) {
+	e, tbl := newTestEngine(t, ModeRowStore, 2, 2, 100)
+	sess := e.NewSession()
+	write := func() {
+		t.Helper()
+		txn := &query.Txn{Ops: []query.Op{
+			updateOp(tbl, 10, 2, types.NewFloat64(1)),
+			updateOp(tbl, 30, 2, types.NewFloat64(2)),
+			updateOp(tbl, 70, 2, types.NewFloat64(3)),
+		}}
+		if _, err := e.ExecuteTxn(context.Background(), sess, txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retired := 0
+	for i := 0; i < 10; i++ {
+		write()
+		if err := e.SplitH(e.Dir.TablePartitions(tbl.ID)[0].ID, 25); err != nil {
+			t.Fatal(err)
+		}
+		write()
+		np := e.Dir.TablePartitions(tbl.ID)
+		if err := e.MergeH(np[0].ID, np[1].ID); err != nil {
+			t.Fatal(err)
+		}
+		retired += 3
+	}
+	write()
+	e.maintain()
+	live := len(e.Dir.TablePartitions(tbl.ID))
+	if got := e.Deps.Entries(); got > live {
+		t.Errorf("tracker keeps %d entries after %d partitions retired, want at most one per live partition (%d)", got, retired, live)
+	}
+}
+
 // TestPlanTxnDuringSplitMerge plans transactions over every row while the
 // table's one partition is split and merged back again and again: the
 // directory swaps old partitions for new in one step, so no plan may ever

@@ -207,11 +207,20 @@ type Engine struct {
 	cntFailovers  *obs.Counter
 	recoveryLat   *obs.Recorder
 
-	// Maintenance-tick instruments: how long one tick took, and the
-	// dependency tracker's size as the tick left it.
-	recMaintainTick  *obs.Recorder
-	gaugeDepsEntries *obs.Gauge   // entries retained over all partitions
-	cntDepsFolded    *obs.Counter // entries folded into base entries
+	// snaps registers every snapshot in use; the maintenance tick derives
+	// the version-reclamation horizon from it.
+	snaps *snapRegistry
+	// maintMu serializes maintenance ticks.
+	maintMu sync.Mutex
+
+	// Maintenance-tick instruments: how long one tick took, the dependency
+	// tracker's size as the tick left it, and the row versions it
+	// reclaimed and left standing.
+	recMaintainTick      *obs.Recorder
+	gaugeDepsEntries     *obs.Gauge   // entries retained over all partitions
+	cntDepsFolded        *obs.Counter // entries folded into base entries
+	gaugeVersionsKept    *obs.Gauge   // row versions retained over all row-store copies
+	cntVersionsReclaimed *obs.Counter // row versions reclaimed
 
 	// Morsel-executor instruments.
 	cntMorselsScheduled *obs.Counter // units actually handed to workers
@@ -252,6 +261,7 @@ func New(cfg Config) *Engine {
 		Net:      simnet.New(cfg.Net),
 		Broker:   redolog.NewBroker(),
 		Deps:     txn.NewDependencyTracker(),
+		snaps:    newSnapRegistry(),
 		Locks:    txn.NewLockManager(),
 		Obs:      obs.NewRegistry(),
 		Trace:    obs.NewDecisionTrace(4096),
@@ -276,6 +286,8 @@ func New(cfg Config) *Engine {
 	e.recMaintainTick = e.Obs.Recorder("maintain.tick_us", 1<<8)
 	e.gaugeDepsEntries = e.Obs.Gauge("txn.deps_entries")
 	e.cntDepsFolded = e.Obs.Counter("txn.deps_folded")
+	e.gaugeVersionsKept = e.Obs.Gauge("rowstore.versions_retained")
+	e.cntVersionsReclaimed = e.Obs.Counter("rowstore.versions_reclaimed")
 	e.cntMorselsScheduled = e.Obs.Counter("exec.morsels.scheduled")
 	e.cntMorselsPruned = e.Obs.Counter("exec.morsels.pruned")
 	e.cntMorselsStitched = e.Obs.Counter("exec.morsels.stitched")
@@ -347,8 +359,13 @@ func (e *Engine) startBackground() {
 
 // maintain is one maintenance tick: storage maintenance at every live
 // site, cost observations into the model, redo-log checkpoints and
-// truncation, and the dependency-tracker fold.
+// truncation, then one watermark pass: the lowest version installed on a
+// live copy of each partition, read once, folds the dependency tracker
+// and — lowered to the oldest registered snapshot — is the horizon below
+// which every row-store copy reclaims its versions.
 func (e *Engine) maintain() {
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
 	start := e.clk.Now()
 	defer func() { e.recMaintainTick.Record(e.clk.Since(start)) }()
 	for _, s := range e.Sites {
@@ -359,7 +376,43 @@ func (e *Engine) maintain() {
 	}
 	e.drainObservations()
 	e.checkpointAndTruncate()
-	e.foldDeps()
+	low := e.readLow()
+	e.foldDeps(low)
+	e.collectVersions(e.snaps.horizon(low))
+}
+
+// readLow reads the lowest version installed on a live copy of each
+// partition.
+func (e *Engine) readLow() txn.VersionVector {
+	low := make(txn.VersionVector)
+	for _, s := range e.Sites {
+		if s.Down() {
+			continue
+		}
+		for _, p := range s.Partitions() {
+			if cur, seen := low[p.ID]; !seen || p.Version() < cur {
+				low[p.ID] = p.Version()
+			}
+		}
+	}
+	return low
+}
+
+// collectVersions has every row-store copy on a live site reclaim the
+// versions below its partition's horizon, masters and replicas alike.
+func (e *Engine) collectVersions(h txn.VersionVector) {
+	var reclaimed, retained int
+	for _, s := range e.Sites {
+		if s.Down() {
+			continue
+		}
+		for _, p := range s.Partitions() {
+			n, kept := p.GC(h[p.ID])
+			reclaimed, retained = reclaimed+n, retained+kept
+		}
+	}
+	e.cntVersionsReclaimed.Add(int64(reclaimed))
+	e.gaugeVersionsKept.Set(int64(retained))
 }
 
 // SetMemCapacityPerSite caps every site's memory tier (0 = unlimited).
@@ -437,26 +490,16 @@ func (e *Engine) checkpointAndTruncate() {
 }
 
 // foldDeps keeps the dependency tracker flat in run length: per partition,
-// every entry at or below the lowest version installed on a live copy folds
-// into one base entry. snapshotFor starts from a live copy's installed
-// version (raised by the session), so its lookups land at or above the base
-// and close exactly as before; one that does start lower — a copy that
-// appeared after this reading — is moved forward by the base, never torn.
-func (e *Engine) foldDeps() {
+// every entry at or below the lowest version installed on a live copy
+// (low) folds into one base entry. snapshotFor starts from a live copy's
+// installed version (raised by the session), so its lookups land at or
+// above the base and close exactly as before; one that does start lower — a
+// copy that appeared after this reading — is moved forward by the base,
+// never torn.
+func (e *Engine) foldDeps(low txn.VersionVector) {
 	if e.Deps.Entries() == 0 {
 		e.gaugeDepsEntries.Set(0)
 		return // read-only workloads record nothing
-	}
-	low := make(txn.VersionVector)
-	for _, s := range e.Sites {
-		if s.Down() {
-			continue
-		}
-		for _, p := range s.Partitions() {
-			if cur, seen := low[p.ID]; !seen || p.Version() < cur {
-				low[p.ID] = p.Version()
-			}
-		}
 	}
 	e.cntDepsFolded.Add(int64(e.Deps.Forget(low)))
 	e.gaugeDepsEntries.Set(int64(e.Deps.Entries()))

@@ -107,6 +107,7 @@ func (e *Engine) replaceInDirectory(siteID simnet.SiteID, old []*metadata.Partit
 	for _, m := range old {
 		e.siteOf(m.Master().Site).RemovePartition(m.ID)
 		e.Broker.DeleteTopic(m.ID)
+		e.Deps.Drop(m.ID)
 	}
 	e.Epoch.Bump()
 }

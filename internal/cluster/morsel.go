@@ -768,8 +768,10 @@ func (e *Engine) morselAgg(ctx context.Context, pa *plan.PAgg, ps *plan.PScan, s
 // the next row (pulling bounded batches off the workers' channel), Row
 // returns it, Err reports a terminal error, and Close cancels the scan and
 // waits for every worker to exit, so a cursor abandoned mid-stream leaks
-// no goroutines. Cursors over materialized results iterate a fixed
-// relation with the same interface.
+// no goroutines. A streaming cursor holds its snapshot until EOF or
+// Close: versions it may still read are not reclaimed until then. Cursors
+// over materialized results iterate a fixed relation with the same
+// interface.
 type RowCursor struct {
 	cols  []string
 	ch    <-chan exec.Rel

@@ -66,7 +66,8 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 	e.stats.Record(ClassOLAPPlan, e.clk.Since(planStart))
 
 	pids := collectPIDs(pn)
-	snap := e.snapshotFor(pids, sess)
+	snap, slot := e.snapshotFor(pids, sess)
+	defer e.snaps.release(slot)
 	coord, err := e.pickCoordinator(pn)
 	if err != nil {
 		return exec.Rel{}, err
@@ -411,9 +412,20 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 		return nil, err
 	}
 	e.stats.Record(ClassOLAPPlan, e.clk.Since(planStart))
+	return e.streamPlan(ctx, sess, pn, q.Limit)
+}
 
+// streamPlan runs a planned query as ExecuteQueryStream does; limit > 0
+// ends the stream after that many rows.
+func (e *Engine) streamPlan(ctx context.Context, sess *Session, pn plan.PNode, limit int) (*RowCursor, error) {
 	pids := collectPIDs(pn)
-	snap := e.snapshotFor(pids, sess)
+	snap, slot := e.snapshotFor(pids, sess)
+	streaming := false
+	defer func() {
+		if !streaming {
+			e.snaps.release(slot) // a streaming cursor releases it at EOF or Close
+		}
+	}()
 	coord, err := e.pickCoordinator(pn)
 	if err != nil {
 		return nil, err
@@ -456,9 +468,13 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 		return nil, err
 	}
 	if j != nil {
+		streaming = true
 		out := make(chan exec.Rel, 2*len(e.Sites)+2)
 		j.runRows(out)
-		return newMorselCursor(j, out, q.Limit, onEOF), nil
+		return newMorselCursor(j, out, limit, func(err error) {
+			e.snaps.release(slot)
+			onEOF(err)
+		}), nil
 	}
 
 	// An aggregate, or a join the pipeline cannot serve: materialize, then
@@ -466,7 +482,7 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 	var result exec.Rel
 	var execErr error
 	if err := e.siteOf(coord).RunOLAP(func() {
-		result, execErr = e.evalNode(ctx, pn, snap, coord, q.Limit)
+		result, execErr = e.evalNode(ctx, pn, snap, coord, limit)
 	}); err != nil {
 		return nil, err
 	}

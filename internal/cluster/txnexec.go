@@ -36,8 +36,11 @@ func (e *Engine) NewSession() *Session {
 
 // snapshotFor builds a consistent SI snapshot covering pids: current
 // master versions, raised to the session watermark (SSSI) and closed under
-// commit dependencies (§4.2).
-func (e *Engine) snapshotFor(pids []partition.ID, sess *Session) txn.VersionVector {
+// commit dependencies (§4.2). The snapshot is registered before any version
+// is read, so no maintenance tick reclaims a version it may read; the
+// caller releases the returned slot once the operation reads nothing more.
+func (e *Engine) snapshotFor(pids []partition.ID, sess *Session) (txn.VersionVector, *snapSlot) {
+	slot := e.snaps.acquire()
 	snap := make(txn.VersionVector, len(pids))
 	for _, pid := range pids {
 		m, ok := e.Dir.Get(pid)
@@ -57,7 +60,9 @@ func (e *Engine) snapshotFor(pids []partition.ID, sess *Session) txn.VersionVect
 	if sess != nil {
 		sess.s.Raise(snap)
 	}
-	return e.Deps.Close(snap)
+	snap = e.Deps.Close(snap)
+	e.snaps.publish(slot, snap)
+	return snap, slot
 }
 
 // siteWork is one site's share of a transaction: the reads it serves and
@@ -287,7 +292,8 @@ func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn
 
 func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Session, tp *plan.TxnPlan) (exec.Rel, error) {
 	allPids := append(append([]partition.ID{}, tp.ReadPIDs...), tp.WritePIDs...)
-	snap := e.snapshotFor(allPids, sess)
+	snap, slot := e.snapshotFor(allPids, sess)
+	defer e.snaps.release(slot)
 
 	// Reads run at the snapshot. Every read not bound for a remote write
 	// site runs now, before any lock, so its latency does not serialize hot

@@ -360,6 +360,21 @@ func (p *Partition) Stats() storage.Stats {
 	return p.store.Stats()
 }
 
+// GC reclaims the row versions no snapshot at or above h can observe
+// (rowstore.Mem.GC) and reports how many it reclaimed and how many the
+// store retains. Only the in-memory row store keeps version chains; any
+// other layout reports zeros.
+func (p *Partition) GC(h uint64) (reclaimed, retained int) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	m, ok := p.store.(*rowstore.Mem)
+	if !ok {
+		return 0, 0
+	}
+	reclaimed = m.GC(h)
+	return reclaimed, m.Stats().Versions
+}
+
 // ChangeLayout converts the partition to a new layout by reading a
 // consistent snapshot at version snap and bulk-loading it into a fresh
 // store (§4.4). The write lock is held across the extract, rebuild and

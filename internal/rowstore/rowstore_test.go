@@ -2,6 +2,9 @@ package rowstore
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -334,5 +337,232 @@ func TestLoadExtractRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// recount rebuilds Mem's counters and lists from its chains and checks them
+// against what the store keeps incrementally.
+func recount(t *testing.T, m *Mem) {
+	t.Helper()
+	live, nvers, nbytes := 0, 0, 0
+	var ids, chained []schema.RowID
+	for id, head := range m.rows {
+		ids = append(ids, id)
+		if !head.deleted {
+			live++
+		}
+		if head.prev != nil {
+			chained = append(chained, id)
+		}
+		for v := head; v != nil; v = v.prev {
+			nvers++
+			nbytes += len(v.data)
+		}
+	}
+	slices.Sort(ids)
+	slices.Sort(chained)
+	got := slices.Clone(m.chained)
+	slices.Sort(got)
+	if st := m.Stats(); st.Rows != live || st.Versions != nvers || st.Bytes != nbytes {
+		t.Fatalf("Stats = %+v, chains hold %d live rows, %d versions, %d bytes", st, live, nvers, nbytes)
+	}
+	if !slices.Equal(m.ids, ids) {
+		t.Fatalf("ids = %v, rows hold %v", m.ids, ids)
+	}
+	if !slices.Equal(got, chained) {
+		t.Fatalf("chained = %v, rows with two or more versions are %v", got, chained)
+	}
+}
+
+// readAll is what a snapshot sees: every row through Get, and the full scan
+// through ScanBatches, both rendered for comparison. ExtractAll must agree
+// with the scan.
+func readAll(t *testing.T, m *Mem, snap uint64, maxID int64) (gets, scan []string) {
+	all := allCols(len(m.kinds))
+	for id := int64(0); id < maxID; id++ {
+		if r, ok := m.Get(schema.RowID(id), all, snap); ok {
+			gets = append(gets, fmt.Sprint(r))
+		}
+	}
+	m.ScanBatches(all, nil, snap, 3, func(b *storage.Batch) bool {
+		b.Selected(func(row int) bool {
+			scan = append(scan, fmt.Sprint(b.RowIDs[row], b.Row(row, nil)))
+			return true
+		})
+		return true
+	})
+	var extract []string
+	for _, r := range m.ExtractAll(snap) {
+		extract = append(extract, fmt.Sprint(r.ID, r.Vals))
+	}
+	if !slices.Equal(extract, scan) {
+		t.Fatalf("snapshot %d: ExtractAll %v, ScanBatches %v", snap, extract, scan)
+	}
+	return gets, scan
+}
+
+// TestMemGCDifferential runs random inserts, updates and deletes — strings
+// of up to 8 bytes and longer, updates that grow and shrink them or keep
+// their length (the in-place rewrite) — at
+// rising versions, with a GC at a random horizon every so often. Every
+// snapshot at or above the horizon reads the same rows through Get and
+// ScanBatches before and after the GC, the newest snapshot reads what a
+// plain map of the writes holds, and the O(1) counters, the id slice and the
+// chained list match a recount of the chains.
+func TestMemGCDifferential(t *testing.T) {
+	kinds := []types.Kind{types.KindInt64, types.KindString, types.KindFloat64, types.KindString}
+	str := func(rng *rand.Rand) types.Value {
+		const letters = "abcdefghijklmnopqrstuvwxyz"
+		b := make([]byte, rng.Intn(20))
+		for i := range b {
+			b[i] = letters[rng.Intn(len(letters))]
+		}
+		return types.NewString(string(b))
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMem(kinds)
+		const maxID = 40
+		model := map[schema.RowID][]types.Value{} // the newest values of every live row
+		if seed%2 == 0 {
+			var rows []schema.Row
+			for id := int64(0); id < maxID; id += 2 {
+				rows = append(rows, schema.Row{ID: schema.RowID(id), Vals: []types.Value{
+					types.NewInt64(id), str(rng), types.NewFloat64(0), str(rng)}})
+			}
+			if err := m.Load(rows, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				model[r.ID] = r.Vals
+			}
+			recount(t, m)
+		}
+		ver, h := uint64(1), uint64(0)
+		reclaimed := 0
+		for step := 0; step < 600; step++ {
+			ver += uint64(rng.Intn(3)) // several writes may share a version
+			id := schema.RowID(rng.Intn(maxID))
+			_, exists := m.Get(id, nil, storage.Latest)
+			switch op := rng.Intn(10); {
+			case !exists && op < 7:
+				row := schema.Row{ID: id, Vals: []types.Value{
+					types.NewInt64(int64(step)), str(rng), types.NewFloat64(float64(ver)), str(rng)}}
+				if err := m.Insert(row, ver); err != nil {
+					t.Fatal(err)
+				}
+				model[id] = row.Vals
+			case exists && op < 7:
+				cols := []schema.ColID{schema.ColID(rng.Intn(len(kinds)))}
+				if rng.Intn(2) == 0 {
+					cols = append(cols, 1, 3)
+				}
+				cur, _ := m.Get(id, allCols(len(kinds)), storage.Latest)
+				vals := make([]types.Value, len(cols))
+				for i, c := range cols {
+					if kinds[c] == types.KindString {
+						vals[i] = str(rng)
+						if rng.Intn(2) == 0 { // the same length as the current value
+							vals[i] = types.NewString(strings.Repeat("x", len(cur.Vals[c].Str())))
+						}
+					} else if kinds[c] == types.KindInt64 {
+						vals[i] = types.NewInt64(int64(step))
+					} else {
+						vals[i] = types.NewFloat64(float64(ver))
+					}
+				}
+				if err := m.Update(id, cols, vals, ver); err != nil {
+					t.Fatal(err)
+				}
+				next := slices.Clone(model[id])
+				for i, c := range cols {
+					next[c] = vals[i]
+				}
+				model[id] = next
+			case exists:
+				if err := m.Delete(id, ver); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, id)
+			}
+			if rng.Intn(25) != 0 {
+				continue
+			}
+			h += uint64(rng.Int63n(int64(ver-h) + 1)) // horizons only rise
+			// The horizon, the versions just above it, a spread of later
+			// ones and the newest.
+			var snaps []uint64
+			for s := h; s <= ver+1; s += 1 + (s-h)/4 {
+				snaps = append(snaps, s)
+			}
+			snaps = append(snaps, ver+1)
+			type view struct{ gets, scan []string }
+			before := map[uint64]view{}
+			for _, s := range snaps {
+				g, sc := readAll(t, m, s, maxID)
+				before[s] = view{g, sc}
+			}
+			reclaimed += m.GC(h)
+			for _, s := range snaps {
+				g, sc := readAll(t, m, s, maxID)
+				if !slices.Equal(g, before[s].gets) || !slices.Equal(sc, before[s].scan) {
+					t.Fatalf("seed %d: snapshot %d changed by GC(%d):\nGet  %v\n  -> %v\nScan %v\n  -> %v",
+						seed, s, h, before[s].gets, g, before[s].scan, sc)
+				}
+			}
+			recount(t, m)
+			for id := schema.RowID(0); id < maxID; id++ {
+				r, ok := m.Get(id, allCols(len(kinds)), storage.Latest)
+				if want, live := model[id]; ok != live || ok && fmt.Sprint(r.Vals) != fmt.Sprint(want) {
+					t.Fatalf("seed %d: row %d reads %v (%v), the writes left %v (%v)", seed, id, r.Vals, ok, want, live)
+				}
+			}
+		}
+		if reclaimed == 0 {
+			t.Errorf("seed %d: GC never reclaimed a version", seed)
+		}
+	}
+}
+
+// BenchmarkMemUpdateGC is the row store's share of an oltp-rmw write: a
+// point read and an update of one 16-byte string field of a ten-field row,
+// with a GC pass at the latest version every 1 000 updates, as the
+// maintenance tick would run it.
+func BenchmarkMemUpdateGC(b *testing.B) {
+	kinds := []types.Kind{types.KindInt64}
+	for f := 0; f < 10; f++ {
+		kinds = append(kinds, types.KindString)
+	}
+	const rows = 20000
+	m := NewMem(kinds)
+	data := make([]schema.Row, rows)
+	for i := range data {
+		vals := []types.Value{types.NewInt64(int64(i))}
+		for f := 0; f < 10; f++ {
+			vals = append(vals, types.NewString(fmt.Sprintf("%016d", i*10+f)))
+		}
+		data[i] = schema.Row{ID: schema.RowID(i), Vals: vals}
+	}
+	if err := m.Load(data, 1); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	cols := []schema.ColID{3}
+	vals := []types.Value{types.NewString("abcdefghijklmnop")}
+	ver := uint64(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := schema.RowID(rng.Intn(rows))
+		if _, ok := m.Get(id, cols, ver); !ok {
+			b.Fatal("missing row")
+		}
+		ver++
+		if err := m.Update(id, cols, vals, ver); err != nil {
+			b.Fatal(err)
+		}
+		if i%1000 == 999 {
+			m.GC(ver)
+		}
 	}
 }

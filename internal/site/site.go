@@ -29,42 +29,51 @@ import (
 type pool struct {
 	mu     sync.RWMutex
 	closed bool
-	tasks  chan func()
+	tasks  chan task
 	wg     sync.WaitGroup
 	busy   atomic.Int64
 	size   int
 	ownCPU atomic.Bool
 }
 
+// task is one submitted function and the channel its submitter waits on.
+type task struct {
+	f    func()
+	done chan struct{}
+}
+
 // newPool starts n workers. While ownCPU is set, every task runs on a CPU no
 // other such task holds (runOnOwnCPU), so the pool's parallelism does not
 // hang on where the kernel last left a thread.
 func newPool(n int, ownCPU bool) *pool {
-	p := &pool{tasks: make(chan func(), 4*n), size: n}
+	p := &pool{tasks: make(chan task, 4*n), size: n}
 	p.ownCPU.Store(ownCPU)
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
 			defer p.wg.Done()
-			for f := range p.tasks {
+			for t := range p.tasks {
 				p.busy.Add(1)
 				if p.ownCPU.Load() {
-					runOnOwnCPU(f)
+					runOnOwnCPU(t.f)
 				} else {
-					f()
+					t.f()
 				}
 				p.busy.Add(-1)
+				// Only now is the task over: its CPU token is back and its
+				// thread unbound.
+				close(t.done)
 			}
 		}()
 	}
 	return p
 }
 
-// Do runs f on the pool and waits for it. It reports false without
-// running f if the pool has been stopped (submitting used to panic with a
-// send on the closed channel). The read lock is held across the send so
-// stop cannot close the channel underneath a racing submitter; workers
-// never take the lock, so queued tasks keep draining.
+// Do runs f on the pool and waits until the worker is done with it. It
+// reports false without running f if the pool has been stopped (submitting
+// used to panic with a send on the closed channel). The read lock is held
+// across the send so stop cannot close the channel underneath a racing
+// submitter; workers never take the lock, so queued tasks keep draining.
 func (p *pool) Do(f func()) bool {
 	done := make(chan struct{})
 	p.mu.RLock()
@@ -72,10 +81,7 @@ func (p *pool) Do(f func()) bool {
 		p.mu.RUnlock()
 		return false
 	}
-	p.tasks <- func() {
-		defer close(done)
-		f()
-	}
+	p.tasks <- task{f: f, done: done}
 	p.mu.RUnlock()
 	<-done
 	return true
@@ -300,7 +306,9 @@ func (s *Site) RunOLAP(f func()) error {
 // RunScan executes f on the morsel-scan pool (blocking). The pool is sized
 // to the machine's parallelism and shared by every concurrent query at this
 // site, so total scan compute stays bounded no matter how many queries are
-// in flight. A crashed or stopped site rejects work with faults.ErrSiteDown.
+// in flight. It returns once the worker has given f's CPU token back and
+// unbound its thread. A crashed or stopped site rejects work with
+// faults.ErrSiteDown.
 func (s *Site) RunScan(f func()) error {
 	if s.down.Load() {
 		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, s.ID)

@@ -265,6 +265,15 @@ func (d *DependencyTracker) Forget(watermark VersionVector) (folded int) {
 	return folded
 }
 
+// Drop forgets a retired partition's run. A split or merge retires the
+// partition for good, so no snapshot tracks it again and nothing Forget
+// could fold would ever release the run.
+func (d *DependencyTracker) Drop(pid partition.ID) {
+	d.mu.Lock()
+	delete(d.runs, pid)
+	d.mu.Unlock()
+}
+
 // Entries reports how many entries the tracker retains over all partitions.
 func (d *DependencyTracker) Entries() int {
 	d.mu.RLock()

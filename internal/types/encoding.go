@@ -10,73 +10,86 @@ import (
 // column formats (§4.1). Fixed-width kinds occupy their FixedWidth() bytes in
 // little-endian order. Variable-width kinds (strings) have two encodings:
 //
-//   - the 12-byte row slot (4-byte length + 8 bytes inline-or-arena-offset),
-//     written by PutFixed against a string arena; and
+//   - the 12-byte row slot (4-byte length + 8 bytes holding the string
+//     inline, or the offset of its bytes in the row's tail), written by
+//     PutFixed; and
 //   - the inline disk/column encoding (4-byte length + raw bytes), written
 //     by AppendVar.
+//
+// A row-format byte array is its fixed slots followed by a tail holding the
+// strings longer than 8 bytes. The paper stores an 8-byte pointer in each
+// such slot; raw pointers inside byte arrays are unsafe under Go's GC, so a
+// slot stores an offset into its own array instead, and each array owns its
+// strings: dropping it frees them.
 
-// Arena stores out-of-line string payloads for a row-format partition. The
-// paper stores an 8-byte pointer in each string slot; raw pointers inside
-// byte arrays are unsafe under Go's GC, so the arena holds bytes in a single
-// slab and slots store offsets. Appends are cheap, and the arena is rebuilt
-// on partition compaction.
-type Arena struct {
-	buf []byte
-}
-
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
-
-// Add places s in the arena and returns its offset.
-func (a *Arena) Add(s string) uint64 {
-	off := uint64(len(a.buf))
-	a.buf = append(a.buf, s...)
-	return off
-}
-
-// Get returns the string of length n stored at offset off.
-func (a *Arena) Get(off uint64, n int) string {
-	return string(a.buf[off : off+uint64(n)])
-}
-
-// Bytes reports the arena's current size in bytes.
-func (a *Arena) Bytes() int { return len(a.buf) }
-
-// PutFixed encodes v into dst, which must be at least v.K.FixedWidth() bytes.
-// Strings longer than 8 bytes spill to the arena. It returns the number of
-// bytes written.
-func PutFixed(dst []byte, v Value, arena *Arena) int {
+// PutFixed encodes v into its slot at row[off:], which must hold
+// v.K.FixedWidth() bytes. A string longer than 8 bytes is appended to row
+// and its slot records where; the possibly extended row is returned.
+// Callers that size row's capacity with TailWidth never reallocate.
+func PutFixed(row []byte, off int, v Value) []byte {
+	dst := row[off:]
 	switch v.K {
 	case KindInt64, KindTime:
 		binary.LittleEndian.PutUint64(dst, uint64(v.I))
-		return 8
 	case KindFloat64:
 		binary.LittleEndian.PutUint64(dst, math.Float64bits(v.F))
-		return 8
 	case KindBool:
 		if v.I != 0 {
 			dst[0] = 1
 		} else {
 			dst[0] = 0
 		}
-		return 1
 	case KindString:
 		binary.LittleEndian.PutUint32(dst, uint32(len(v.S)))
 		if len(v.S) <= 8 {
 			copy(dst[4:12], v.S)
-		} else {
-			off := arena.Add(v.S)
-			binary.LittleEndian.PutUint64(dst[4:12], off)
+			return row
 		}
-		return StringSlotWidth
+		binary.LittleEndian.PutUint64(dst[4:12], uint64(len(row)))
+		return append(row, v.S...)
 	case KindNull:
-		return 0
+	default:
+		panic(fmt.Sprintf("PutFixed: unsupported kind %v", v.K))
 	}
-	panic(fmt.Sprintf("PutFixed: unsupported kind %v", v.K))
+	return row
 }
 
-// GetFixed decodes a value of kind k from src, resolving arena references.
-func GetFixed(src []byte, k Kind, arena *Arena) Value {
+// TailWidth reports the bytes PutFixed appends to a row for v: a string's
+// length when it does not fit its slot, else 0.
+func TailWidth(v Value) int {
+	if v.K == KindString && len(v.S) > 8 {
+		return len(v.S)
+	}
+	return 0
+}
+
+// StringTail returns the tail bytes of the string slot at row[off:]: the
+// string itself when it is longer than 8 bytes, else nil.
+func StringTail(row []byte, off int) []byte {
+	n := uint64(binary.LittleEndian.Uint32(row[off:]))
+	if n <= 8 {
+		return nil
+	}
+	at := binary.LittleEndian.Uint64(row[off+4:])
+	return row[at : at+n]
+}
+
+// CopyString rewrites the string slot at dst[off:], already copied from
+// src, to point into dst: a long string's bytes move from src's tail to the
+// end of dst. It returns the extended dst.
+func CopyString(dst, src []byte, off int) []byte {
+	tail := StringTail(src, off)
+	if tail == nil {
+		return dst
+	}
+	binary.LittleEndian.PutUint64(dst[off+4:], uint64(len(dst)))
+	return append(dst, tail...)
+}
+
+// GetFixed decodes the value of kind k whose slot is at row[off:],
+// resolving a long string from the row's tail.
+func GetFixed(row []byte, off int, k Kind) Value {
+	src := row[off:]
 	switch k {
 	case KindInt64:
 		return NewInt64(int64(binary.LittleEndian.Uint64(src)))
@@ -91,8 +104,7 @@ func GetFixed(src []byte, k Kind, arena *Arena) Value {
 		if n <= 8 {
 			return NewString(string(src[4 : 4+n]))
 		}
-		off := binary.LittleEndian.Uint64(src[4:12])
-		return NewString(arena.Get(off, n))
+		return NewString(string(StringTail(row, off)))
 	}
 	return Null()
 }

@@ -52,7 +52,8 @@ func (k Kind) String() string {
 // FixedWidth reports the number of bytes the kind occupies in the in-memory
 // row format. Variable-size kinds (strings) use a 12-byte slot: 4 bytes of
 // length followed by 8 bytes that either inline the data (if it fits) or
-// reference the partition's string arena, mirroring §4.1.1 of the paper.
+// hold the offset of its bytes in the row's own tail, mirroring §4.1.1 of
+// the paper.
 func (k Kind) FixedWidth() int {
 	switch k {
 	case KindInt64, KindFloat64, KindTime:

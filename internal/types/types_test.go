@@ -128,37 +128,42 @@ func TestValueString(t *testing.T) {
 }
 
 func TestFixedRoundTripInt(t *testing.T) {
-	buf := make([]byte, 8)
-	arena := NewArena()
-	PutFixed(buf, NewInt64(-99), arena)
-	got := GetFixed(buf, KindInt64, arena)
+	buf := PutFixed(make([]byte, 8), 0, NewInt64(-99))
+	got := GetFixed(buf, 0, KindInt64)
 	if got.Int() != -99 {
 		t.Errorf("round trip = %v", got)
 	}
 }
 
 func TestFixedRoundTripStringInline(t *testing.T) {
-	buf := make([]byte, StringSlotWidth)
-	arena := NewArena()
-	PutFixed(buf, NewString("short"), arena)
-	if arena.Bytes() != 0 {
-		t.Error("short string should inline, not hit arena")
+	buf := PutFixed(make([]byte, StringSlotWidth), 0, NewString("short"))
+	if len(buf) != StringSlotWidth {
+		t.Error("short string should inline, not grow the row")
 	}
-	if got := GetFixed(buf, KindString, arena); got.Str() != "short" {
+	if got := GetFixed(buf, 0, KindString); got.Str() != "short" {
 		t.Errorf("round trip = %q", got.Str())
 	}
 }
 
-func TestFixedRoundTripStringArena(t *testing.T) {
-	buf := make([]byte, StringSlotWidth)
-	arena := NewArena()
+// A long string lands in the row's tail, and CopyString carries it into a
+// new row whose own tail it then lives in.
+func TestFixedRoundTripStringTail(t *testing.T) {
 	long := "this string exceeds eight bytes"
-	PutFixed(buf, NewString(long), arena)
-	if arena.Bytes() != len(long) {
-		t.Errorf("arena bytes = %d, want %d", arena.Bytes(), len(long))
+	v := NewString(long)
+	buf := make([]byte, 4+StringSlotWidth, 4+StringSlotWidth+TailWidth(v))
+	buf = PutFixed(buf, 4, v)
+	if len(buf) != 4+StringSlotWidth+len(long) || cap(buf) != len(buf) {
+		t.Errorf("row is %d bytes (cap %d), want %d", len(buf), cap(buf), 4+StringSlotWidth+len(long))
 	}
-	if got := GetFixed(buf, KindString, arena); got.Str() != long {
+	if got := GetFixed(buf, 4, KindString); got.Str() != long {
 		t.Errorf("round trip = %q", got.Str())
+	}
+	moved := make([]byte, 8+StringSlotWidth)
+	copy(moved[4:], buf[4:4+StringSlotWidth])
+	moved = CopyString(moved, buf, 4)
+	buf[len(buf)-1] = 'X' // the copy owns its bytes
+	if got := GetFixed(moved, 4, KindString); got.Str() != long {
+		t.Errorf("copied = %q", got.Str())
 	}
 }
 
@@ -204,13 +209,12 @@ func TestCompareAntisymmetric(t *testing.T) {
 	}
 }
 
-// Property: fixed encoding round-trips arbitrary strings through the arena.
+// Property: fixed encoding round-trips arbitrary strings, inline or through
+// the row's tail.
 func TestFixedStringRoundTripProperty(t *testing.T) {
-	arena := NewArena()
-	buf := make([]byte, StringSlotWidth)
 	f := func(s string) bool {
-		PutFixed(buf, NewString(s), arena)
-		return GetFixed(buf, KindString, arena).Str() == s
+		buf := PutFixed(make([]byte, StringSlotWidth), 0, NewString(s))
+		return GetFixed(buf, 0, KindString).Str() == s && len(buf) == StringSlotWidth+TailWidth(NewString(s))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

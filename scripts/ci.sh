@@ -12,10 +12,11 @@ go vet ./...
 
 echo "== no fmt formatting on the transaction path"
 # A transaction's per-operation path (execution, group commit, locks,
-# 2PC, snapshots, the transaction planner) formats no strings: fmt.Sprint*
-# and fmt.Fprint* allocate on every call. fmt.Errorf on error returns is
-# allowed; test files are not checked.
-txn_path=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/plan/txnplan.go)
+# 2PC, snapshots and their registry, the transaction planner, the row
+# store) formats no strings: fmt.Sprint* and fmt.Fprint* allocate on every
+# call. fmt.Errorf on error returns is allowed; test files are not checked.
+txn_path=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
+    internal/plan/txnplan.go internal/rowstore/mem.go)
 for f in internal/txn/*.go; do
     [[ "$f" == *_test.go ]] || txn_path+=("$f")
 done
