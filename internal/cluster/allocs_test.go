@@ -21,17 +21,19 @@ import (
 // benchmark run. Lower a budget when a change cuts its count; raise one
 // only with a line in CHANGES.md saying why.
 var queryAllocBudgets = map[string]float64{
-	"scan-agg":       639,  // grouped SUM and AVG over a filtered scan: 581 + 10 % (585 while site pools allocated a closure per task)
-	"row-stream":     2323, // a filtered two-column scan drained through a cursor: 2112 + 10 % (2115)
-	"join-agg":       484,  // pipelined fact ⋈ groups, grouped by a build column: 440 + 10 % (446)
-	"scan-agg-delta": 695,  // scan-agg with 50 updates pending per partition: 632 + 10 % (636)
+	"scan-agg":       496,  // grouped SUM and AVG over a filtered scan: 451 + 10 % (581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
+	"row-stream":     2323, // a filtered two-column scan drained through a cursor: 2112 + 10 % (2115; 2114 since the streaming driver shares its worker loop with the per-site one)
+	"join-agg":       463,  // pipelined fact ⋈ groups, grouped by a build column: 421 + 10 % (440 with a site aggregator of its own, 446 before)
+	"scan-agg-delta": 552,  // scan-agg with 50 updates pending per partition: 502 + 10 % (632 with a site aggregator of its own, 636 before)
+	"join-gather":    372,  // pipelined fact ⋈ groups, bare, its build side gathered from the remote site: 338 + 10 % (4309 in 256-row chunks, a tuple allocated per row)
 }
 
-// TestQueryAllocBudgets holds the three query paths the executor serves —
-// partial aggregation in the scan workers, the row sink behind a streaming
-// cursor, and the probe pipeline feeding per-site aggregates — to their
-// allocation budgets, and the scan-aggregate again over column stores with
-// updates pending in their deltas. Background replication and maintenance
+// TestQueryAllocBudgets holds the query paths the executor serves — partial
+// aggregation in the scan workers, the row sink behind a streaming cursor,
+// the probe pipeline feeding per-site aggregates, and a bare pipelined join
+// gathered columnar, one message per site — to their allocation budgets,
+// and the scan-aggregate again over column stores with updates pending in
+// their deltas. Background replication and maintenance
 // are slowed to an hour so only the query allocates and no delta merges.
 func TestQueryAllocBudgets(t *testing.T) {
 	quiet := func(c *Config) {
@@ -54,6 +56,11 @@ func TestQueryAllocBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A third engine whose dimension lives at the site that does not
+	// coordinate, so its build side crosses the network.
+	ge, gfact := newSkewedEngine(t, 4000)
+	gsess := ge.NewSession()
+	gatherJoin := factDimJoin(gfact, createGroups(t, ge, 10, atSite(1, "groups")))
 	scanAgg := func(tbl *schema.Table) *query.Query {
 		return &query.Query{Root: &query.AggNode{
 			Child: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{1, 2},
@@ -85,6 +92,11 @@ func TestQueryAllocBudgets(t *testing.T) {
 		},
 		"join-agg": func() {
 			if _, err := e.ExecuteQuery(ctx, sess, joinAgg); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"join-gather": func() {
+			if _, err := ge.ExecuteQuery(ctx, gsess, gatherJoin); err != nil {
 				t.Fatal(err)
 			}
 		},

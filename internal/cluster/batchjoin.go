@@ -2,12 +2,14 @@
 // join's smaller input — by estimate — is the build side: it is evaluated
 // to the coordinator and hashed into one immutable exec.JoinTable. The
 // other side is never materialized when it bottoms out in a scan: the
-// tables of the whole left-deep chain are shipped once to every site
-// holding probe morsels, their min-max bounds are pushed into the scan
-// predicate (zone maps prune morsels before scheduling), and the scan
+// tables of the whole left-deep chain are shipped, as one message, to every
+// site holding probe morsels, their min-max bounds are pushed into the
+// scan predicate (zone maps prune morsels before scheduling), and the scan
 // workers probe each batch through the chain (exec.Prober) before handing
 // it to the query's sink — per-site partial aggregates for an aggregation
-// parent, column chunks or row batches for a bare join. What still
+// parent, one columnar share per site for a bare join gathered whole, row
+// batches for one streamed to a cursor or cut by a LIMIT. A build side
+// scan reaches the coordinator the same way, one message per site. What still
 // materializes both sides at the coordinator (materializeJoin →
 // exec.BatchHashJoin, same table) is what the pipeline cannot serve: a
 // build side over the spill budget, which grace-partitions through the
@@ -18,7 +20,7 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"proteus/internal/cost"
 	"proteus/internal/exec"
@@ -330,29 +332,30 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 }
 
 // installPipe puts a probe pipeline in front of the job's sinks and ships
-// each of its stages once to every remote site that holds probe morsels —
-// the coordinator's own workers read them in place — so the modelled
-// network and fault injection see what a site-local probe costs.
+// all of its stages, as one message, to every remote site that holds probe
+// morsels — the coordinator's own workers read them in place — so the
+// modelled network and fault injection see what a site-local probe costs.
 func (j *morselJob) installPipe(p *exec.JoinPipe) error {
 	j.pipe = p
+	var bytes int64
+	for k := range p.Stages {
+		bytes += p.Stages[k].WireBytes()
+	}
 	for _, s := range j.e.Sites {
 		if _, probes := j.units[s.ID]; !probes || s.ID == j.coord {
 			continue
 		}
-		for k := range p.Stages {
-			bytes := p.Stages[k].WireBytes()
-			if err := j.e.shipBytesTo(simnet.KindJoin, j.coord, s.ID, int(bytes)); err != nil {
-				return err
-			}
-			exec.RecordJoinBroadcast(bytes)
+		if err := j.e.shipBytesTo(simnet.KindJoin, j.coord, s.ID, int(bytes)); err != nil {
+			return err
 		}
+		exec.RecordJoinBroadcast(bytes)
 	}
 	return nil
 }
 
 // evalBatchJoin executes a join subtree on the batch engine, returning the
-// joined columnar relation: pipelined into column chunks where joinJob
-// applies, materialized otherwise. need lists the output column positions
+// joined columnar relation: pipelined and gathered one share per site
+// where joinJob applies, materialized otherwise. need lists the output column positions
 // the parent will read, sorted ascending (nil means all).
 func (e *Engine) evalBatchJoin(ctx context.Context, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID, need []int) (exec.ColRel, error) {
 	j, err := e.joinJob(ctx, pj, need, snap, coord)
@@ -363,21 +366,27 @@ func (e *Engine) evalBatchJoin(ctx context.Context, pj *plan.PJoin, snap txn.Ver
 		return e.materializeJoin(ctx, pj, snap, coord, need)
 	}
 	defer j.cancel()
-	return j.gatherCols(ctx, 0)
+	return j.gatherCols(0)
 }
 
-// evalBatchJoinRows executes a bare join at the plan root into boxed rows,
-// pushing the query's LIMIT (0 = none) into the pipelined scan.
+// evalBatchJoinRows executes a bare join at the plan root into boxed rows.
+// A query LIMIT (0 = none) is pushed into the pipelined scan, streaming;
+// without one, the pipelined join is gathered columnar.
 func (e *Engine) evalBatchJoinRows(ctx context.Context, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
 	j, err := e.joinJob(ctx, pj, nil, snap, coord)
 	if err != nil {
 		return exec.Rel{}, err
 	}
+	var c exec.ColRel
 	if j != nil {
 		defer j.cancel()
-		return j.gatherRows(ctx, limit)
+		if limit > 0 {
+			return j.gatherRows(ctx, limit)
+		}
+		c, err = j.gatherCols(0)
+	} else {
+		c, err = e.materializeJoin(ctx, pj, snap, coord, nil)
 	}
-	c, err := e.materializeJoin(ctx, pj, snap, coord, nil)
 	if err != nil {
 		return exec.Rel{}, err
 	}
@@ -548,107 +557,64 @@ func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.
 			return exec.ColRel{}, err
 		}
 	}
-	return j.gatherCols(ctx, maxRows)
+	return j.gatherCols(maxRows)
 }
 
 // gatherCols materializes the job's output as one ColRel at the
-// coordinator. ctx is the caller's, which the job's own derives from. With
-// maxRows > 0 the job is cancelled, and errRowCap returned, as soon as more
-// rows than that have arrived.
-func (j *morselJob) gatherCols(ctx context.Context, maxRows int) (exec.ColRel, error) {
-	out := make(chan exec.ColRel, 2*len(j.e.Sites)+2)
-	j.runCols(out)
-	res := exec.NewColRel(j.cols)
-	over := false
-	for chunk := range out {
-		if over {
-			continue // draining after the cap
-		}
-		chunk := chunk
-		res.AppendCols(&chunk)
-		if maxRows > 0 && res.NumRows() > maxRows {
-			over = true
-			j.cancel()
-		}
-	}
-	if j.err != nil {
-		return exec.ColRel{}, j.err
-	}
-	if err := ctx.Err(); err != nil {
+// coordinator, each site's share arriving as one message. With maxRows > 0
+// the job fails with errRowCap as soon as more rows than that have been
+// gathered, before any site has shipped.
+func (j *morselJob) gatherCols(maxRows int) (exec.ColRel, error) {
+	var rows atomic.Int64
+	shares, err := runSites(j, simnet.KindJoin, func() *colAcc {
+		return &colAcc{j: j, cols: exec.NewColRel(j.cols), rows: &rows, maxRows: int64(maxRows)}
+	})
+	if err != nil {
 		return exec.ColRel{}, err
 	}
-	if over {
-		return exec.ColRel{}, errRowCap
+	if len(shares) == 0 {
+		return exec.NewColRel(j.cols), nil
 	}
+	all := shares[0]
+	for _, s := range shares[1:] {
+		all.merge(s)
+	}
+	res := all.cols
+	for k := range all.more {
+		res.AppendCols(&all.more[k])
+	}
+	j.e.cntMorselRows.Add(int64(res.NumRows()))
 	return res, nil
 }
 
-// runCols streams the job columnar: workers accumulate decoded column
-// chunks, ship them to the coordinator with network accounting, and hand
-// them over with backpressure — the columnar sibling of runRows.
-func (j *morselJob) runCols(out chan<- exec.ColRel) {
-	batchRows := j.e.scanBatchRows()
-	var wg sync.WaitGroup
-	newWorker := func(siteID simnet.SiteID) func(*morselFeed) {
-		return func(feed *morselFeed) {
-			cur := exec.NewColRel(j.cols)
-			pr := j.newProber()
-			defer j.closeProber(siteID, pr)
-			flush := func() bool {
-				if cur.NumRows() == 0 {
-					return true
-				}
-				chunk := cur
-				cur = exec.NewColRel(j.cols)
-				if err := j.e.shipBytesTo(simnet.KindJoin, siteID, j.coord, chunk.NumRows()*chunk.RowBytes()+64); err != nil {
-					j.fail(err)
-					return false
-				}
-				select {
-				case out <- chunk:
-					j.e.cntScanBatches.Inc()
-					j.e.cntMorselRows.Add(int64(chunk.NumRows()))
-					return true
-				case <-j.ctx.Done():
-					return false
-				}
-			}
-			var ps *partScan // the unit being scanned
-			sink := func(b *storage.Batch) bool {
-				n := b.Len()
-				if n == 0 {
-					return j.ctx.Err() == nil
-				}
-				// rows feeds the per-partition scan observation; count
-				// pre-join so scan selectivity stays a scan property.
-				ps.rows.Add(int64(n))
-				if jb := pr.Apply(b); jb != nil {
-					cur.AppendBatch(jb)
-				}
-				if cur.NumRows() >= batchRows {
-					return flush()
-				}
-				return j.ctx.Err() == nil
-			}
-			for u, ok := feed.next(); ok; u, ok = feed.next() {
-				ps = u.ps
-				j.scanUnit(u, batchRows, sink)
-				if j.ctx.Err() != nil {
-					return
-				}
-			}
-			flush()
-		}
-	}
-	for siteID, units := range j.units {
-		j.runSite(siteID, units, &wg, newWorker)
-	}
-	go func() {
-		wg.Wait()
-		j.observe()
-		close(out)
-	}()
+// colAcc is gatherCols' sink: a worker appends its batches column-wise and
+// sums each batch's byte estimate; a site keeps its other workers' rows as
+// more, for the coordinator to concatenate. rows counts the job's gathered
+// rows against maxRows (0: no cap).
+type colAcc struct {
+	j       *morselJob
+	cols    exec.ColRel
+	more    []exec.ColRel
+	bytes   int
+	rows    *atomic.Int64
+	maxRows int64
 }
+
+func (a *colAcc) fold(b *storage.Batch) {
+	from := a.cols.NumRows()
+	a.cols.AppendBatch(b)
+	a.bytes += a.cols.BytesFrom(from)
+	if a.maxRows > 0 && a.rows.Add(int64(b.Len())) > a.maxRows {
+		a.j.fail(errRowCap)
+	}
+}
+
+func (a *colAcc) merge(w *colAcc) {
+	a.more = append(append(a.more, w.cols), w.more...)
+	a.bytes += w.bytes
+}
+
+func (a *colAcc) seal() int { return a.bytes }
 
 // evalBatchJoinAgg fuses an aggregation over a batch join. The
 // aggregation's column footprint (group keys + aggregate inputs) becomes

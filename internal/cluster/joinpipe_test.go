@@ -317,7 +317,7 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 	if err := e.LoadRows(context.Background(), fact.ID, data); err != nil {
 		t.Fatal(err)
 	}
-	dim, _ := addLocalGroups(t, e, 10)
+	dim, coord := addLocalGroups(t, e, 10)
 	q := &query.Query{Root: &query.AggNode{
 		Child: &query.JoinNode{
 			Left: &query.ScanNode{Table: fact.ID, Cols: []schema.ColID{1, 2},
@@ -336,8 +336,23 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 		t.Fatalf("fixture: the planner estimates fact %d >= dimension %d rows; the sentinels no longer fool it", l, r)
 	}
 
+	// What the swapped run alone ships, computed independently: the
+	// dispatch, the table over the ten dimension rows (gid, weight) to the
+	// remote probing site, and that site's one-row partial [COUNT, SUM].
+	build := exec.NewColRel([]string{"gid", "weight"})
+	for g := int64(0); g < 10; g++ {
+		build.Vecs[0].Append(types.NewInt64(g))
+		build.Vecs[1].Append(types.NewFloat64(float64(g) * 10))
+	}
+	build.SetRows(10)
+	tableBytes := exec.BuildJoinTable(&build, 0, true).Bytes()
+	partial := exec.Rel{Tuples: [][]types.Value{{types.NewInt64(0), types.NewFloat64(0)}}}
+	swapped := 256 + tableBytes + int64(partial.RowBytes()+64)
+	remote := simnet.SiteID(1 - int(coord))
+
 	before := exec.ReadJoinStats()
-	bytes0 := e.Net.TotalBytes()
+	msgs0, bytes0 := e.Net.TotalMessages(), e.Net.TotalBytes()
+	back0 := e.Net.Stats(remote, coord)
 	got := runSorted(t, e, q)
 	d := exec.ReadJoinStats()
 	// The sentinel rows fail the predicate; every other row joins one group.
@@ -355,10 +370,14 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 	if probed := d.ProbeRows - before.ProbeRows; probed != rows-parts {
 		t.Errorf("join probed %d rows, want the %d fact rows that pass the predicate", probed, rows-parts)
 	}
-	// The remote half of the fact side is 320 KB; an abandoned scan ships
-	// the few chunks that were in flight when the cap tripped.
-	if shipped := e.Net.TotalBytes() - bytes0; shipped > rows*16/8 {
-		t.Errorf("query shipped %d bytes: the abandoned build scan was not cut short", shipped)
+	// The remote half of the fact side is 320 KB. The abandoned build scan
+	// tripped its cap before the remote site's share was complete, so it
+	// shipped nothing: the query shipped what the swapped run alone does.
+	if m, b := e.Net.TotalMessages()-msgs0, e.Net.TotalBytes()-bytes0; m != 3 || b != swapped {
+		t.Errorf("query shipped %d messages, %d bytes; want the swapped run's 3 and %d", m, b, swapped)
+	}
+	if back := e.Net.Stats(remote, coord); back.Messages-back0.Messages != 1 {
+		t.Errorf("remote site sent %d messages, want its one partial", back.Messages-back0.Messages)
 	}
 }
 

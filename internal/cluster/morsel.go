@@ -4,10 +4,12 @@
 // per-site worker pool sized to the machine's parallelism and shared by
 // every concurrent query claims morsels off a per-query cursor, evaluates
 // predicate + projection + partial aggregation over them on the
-// layout-native path,
-// and results flow to the coordinator as bounded batches over channels
-// with backpressure. LIMIT and context cancellation terminate early by
-// ending the morsel feed. Zone maps prune whole partitions before a
+// layout-native path. Gathered results — partial aggregates, columnar join
+// inputs and outputs — leave each site as one message once its workers
+// are done (runSites); streamed results, behind cursors and LIMIT, flow to
+// the coordinator as bounded batches over a channel with backpressure
+// (runRows). LIMIT and context cancellation terminate early by ending the
+// morsel feed. Zone maps prune whole partitions before a
 // single morsel is scheduled. A vertically split segment that no single
 // piece covers is scanned as stitched units: every needed piece reads the
 // same row range and the rows present in all of them are assembled before
@@ -167,9 +169,10 @@ func newStitch(scans []*partScan, outs [][]int, d, width int) *stitch {
 	return st
 }
 
-// morselJob is one built parallel scan, ready to run into one of three
-// sinks: boxed row batches (runRows), column chunks (runCols) or per-site
-// partial aggregates (runAgg). With a join pipeline installed (joinJob)
+// morselJob is one built parallel scan, ready to run on one of two
+// drivers: the streaming one (runRows: boxed row batches) or the per-site
+// one (runSites), into per-site partial aggregates (runAgg) or one
+// columnar relation (gatherCols). With a join pipeline installed (joinJob)
 // every scan batch passes through its probe stages inside the worker first,
 // so the sinks see joined batches and cols labels the pipeline's output.
 type morselJob struct {
@@ -466,48 +469,65 @@ func (f *morselFeed) next() (morselUnit, bool) {
 }
 
 // runSite drains one site's units through its scan pool: up to ScanWorkers
-// loops claim from one feed. A crashed site's rejected loops run inline on
-// their own goroutine, so its share is still scanned against live copies.
-// newWorker returns a per-worker drain loop.
-func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.WaitGroup, newWorker func(siteID simnet.SiteID) func(*morselFeed)) {
+// loops run worker over one shared feed. A crashed site's rejected loops
+// run inline on their own goroutine, so its share is still scanned against
+// live copies.
+func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.WaitGroup, worker func(*morselFeed)) {
 	feed := &morselFeed{j: j, siteID: siteID, units: units}
 	s := j.e.siteOf(siteID)
-	w := s.ScanWorkers()
-	if w > len(units) {
-		w = len(units)
-	}
-	if w < 1 {
-		w = 1
-	}
-	for i := 0; i < w; i++ {
+	for i := max(1, min(s.ScanWorkers(), len(units))); i > 0; i-- {
 		wg.Add(1)
-		loop := newWorker(siteID)
 		go func() {
 			defer wg.Done()
-			if err := s.RunScan(func() { loop(feed) }); err != nil {
-				loop(feed)
+			if err := s.RunScan(func() { worker(feed) }); err != nil {
+				worker(feed)
 			}
 		}()
 	}
 }
 
-// runRows streams projected tuples as bounded batches into out, closing it
-// when every worker has finished. Each worker accumulates up to batchRows
-// tuples, ships the batch from its site to the coordinator (network
-// accounting + fault injection), then hands it over with backpressure:
-// a full out channel blocks workers, bounding in-flight memory.
+// drain is one scan worker's loop: it claims units off feed, runs every
+// non-empty scan batch through the job's probe pipeline and hands each
+// surviving batch to fold, which returns false to stop. It reports whether
+// the worker ran out of units, rather than being stopped.
+func (j *morselJob) drain(siteID simnet.SiteID, feed *morselFeed, fold func(*storage.Batch) bool) bool {
+	pr := j.newProber()
+	defer j.closeProber(siteID, pr)
+	var ps *partScan // the unit being scanned
+	sink := func(b *storage.Batch) bool {
+		n := b.Len()
+		if n == 0 {
+			return j.ctx.Err() == nil
+		}
+		// rows feeds the per-partition scan observation; count pre-join so
+		// scan selectivity stays a scan property.
+		ps.rows.Add(int64(n))
+		if jb := pr.Apply(b); jb != nil && !fold(jb) {
+			return false
+		}
+		return j.ctx.Err() == nil
+	}
+	batchRows := j.e.scanBatchRows()
+	for u, ok := feed.next(); ok; u, ok = feed.next() {
+		ps = u.ps
+		j.scanUnit(u, batchRows, sink)
+	}
+	return j.ctx.Err() == nil
+}
+
+// runRows is the streaming driver, behind cursors and LIMIT: it streams
+// projected tuples as bounded batches into out, closing it when every
+// worker has finished. Each worker accumulates up to batchRows tuples,
+// ships the batch from its site to the coordinator (network accounting +
+// fault injection), then hands it over with backpressure: a full out
+// channel blocks workers, bounding in-flight memory.
 func (j *morselJob) runRows(out chan<- exec.Rel) {
 	batchRows := j.e.scanBatchRows()
 	var wg sync.WaitGroup
-	newWorker := func(siteID simnet.SiteID) func(*morselFeed) {
-		return func(feed *morselFeed) {
+	for siteID, units := range j.units {
+		j.runSite(siteID, units, &wg, func(feed *morselFeed) {
 			batch := make([][]types.Value, 0, batchRows)
-			pr := j.newProber()
-			defer j.closeProber(siteID, pr)
 			flush := func() bool {
-				if len(batch) == 0 {
-					return true
-				}
 				rel := exec.Rel{Cols: j.cols, Tuples: batch}
 				batch = make([][]types.Value, 0, batchRows)
 				if err := j.e.shipTo(j.shipKind(), siteID, j.coord, rel); err != nil {
@@ -523,33 +543,13 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 					return false
 				}
 			}
-			var ps *partScan // the unit being scanned
-			sink := func(b *storage.Batch) bool {
-				n := b.Len()
-				if n == 0 {
-					return j.ctx.Err() == nil
-				}
-				ps.rows.Add(int64(n))
-				if jb := pr.Apply(b); jb != nil {
-					batch = jb.AppendTuples(batch)
-				}
-				if len(batch) >= batchRows {
-					return flush()
-				}
-				return j.ctx.Err() == nil
+			if j.drain(siteID, feed, func(b *storage.Batch) bool {
+				batch = b.AppendTuples(batch)
+				return len(batch) < batchRows || flush()
+			}) && len(batch) > 0 {
+				flush()
 			}
-			for u, ok := feed.next(); ok; u, ok = feed.next() {
-				ps = u.ps
-				j.scanUnit(u, batchRows, sink)
-				if j.ctx.Err() != nil {
-					return
-				}
-			}
-			flush()
-		}
-	}
-	for siteID, units := range j.units {
-		j.runSite(siteID, units, &wg, newWorker)
+		})
 	}
 	go func() {
 		wg.Wait()
@@ -558,70 +558,99 @@ func (j *morselJob) runRows(out chan<- exec.Rel) {
 	}()
 }
 
-// runAgg aggregates partially inside the morsel scan: each worker owns an
-// accumulator (no tuple materialization), worker states merge per site,
-// and one partial relation per site ships to the coordinator, where the
-// caller finalizes over the concatenated partials (finalizeAgg).
-func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error) {
-	batchRows := j.e.scanBatchRows()
+// siteAcc is the state of a gathering sink, one per scan worker: fold
+// takes the worker's probed batches, merge folds a finished worker's state
+// into its site's, and seal readies the site's share for its one message,
+// returning the payload bytes.
+type siteAcc[A any] interface {
+	fold(b *storage.Batch)
+	merge(w A)
+	seal() int
+}
+
+// runSites is the per-site driver behind every gathering sink. Each
+// worker folds its batches into an accumulator of its own, and finished
+// workers merge under their site's lock, the first one's state becoming
+// the site's. When a site's last worker has exited, its share is sealed
+// and ships to the coordinator once, as a message of kind k plus a 64-byte
+// header; nothing crosses from the coordinator's own site. It returns
+// every site's share, or the job's error.
+func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, newAcc func() A) ([]A, error) {
 	var mu sync.Mutex
-	var partials exec.Rel
+	var shares []A
 	var scatter sync.WaitGroup
 	for siteID, units := range j.units {
-		siteID, units := siteID, units
 		scatter.Add(1)
 		go func() {
 			defer scatter.Done()
 			var siteMu sync.Mutex
-			siteAgg := exec.NewAggregator(groupBy, specs)
+			var share A
+			merged := false
 			var wg sync.WaitGroup
-			newWorker := func(simnet.SiteID) func(*morselFeed) {
-				return func(feed *morselFeed) {
-					agg := exec.NewAggregator(groupBy, specs)
-					pr := j.newProber()
-					defer j.closeProber(siteID, pr)
-					var ps *partScan // the unit being scanned
-					sink := func(b *storage.Batch) bool {
-						ps.rows.Add(int64(b.Len()))
-						if jb := pr.Apply(b); jb != nil {
-							agg.ObserveBatch(jb)
-						}
-						return j.ctx.Err() == nil
-					}
-					for u, ok := feed.next(); ok; u, ok = feed.next() {
-						ps = u.ps
-						j.scanUnit(u, batchRows, sink)
-						if j.ctx.Err() != nil {
-							return
-						}
-					}
-					siteMu.Lock()
-					siteAgg.MergeFrom(agg)
-					siteMu.Unlock()
+			j.runSite(siteID, units, &wg, func(feed *morselFeed) {
+				w := newAcc()
+				if !j.drain(siteID, feed, func(b *storage.Batch) bool { w.fold(b); return true }) {
+					return
 				}
-			}
-			j.runSite(siteID, units, &wg, newWorker)
+				siteMu.Lock()
+				defer siteMu.Unlock()
+				if merged {
+					share.merge(w)
+				} else {
+					share, merged = w, true
+				}
+			})
 			wg.Wait()
-			if j.ctx.Err() != nil {
+			if j.ctx.Err() != nil || !merged {
 				return
 			}
-			rel := siteAgg.Rel(j.cols)
-			if err := j.e.shipTo(j.shipKind(), siteID, j.coord, rel); err != nil {
+			if err := j.e.shipBytesTo(k, siteID, j.coord, share.seal()+64); err != nil {
 				j.fail(err)
 				return
 			}
+			j.e.cntScanBatches.Inc()
 			mu.Lock()
-			partials = exec.Concat(partials, rel)
+			shares = append(shares, share)
 			mu.Unlock()
 		}()
 	}
 	scatter.Wait()
 	j.observe()
 	if j.err != nil {
-		return exec.Rel{}, j.err
+		return nil, j.err
 	}
-	if err := j.ctx.Err(); err != nil {
+	return shares, j.ctx.Err()
+}
+
+// aggAcc is runAgg's sink: a partial aggregate, sealed into the site's
+// partial relation.
+type aggAcc struct {
+	agg  *exec.Aggregator
+	cols []string
+	rel  exec.Rel
+}
+
+func (a *aggAcc) fold(b *storage.Batch) { a.agg.ObserveBatch(b) }
+func (a *aggAcc) merge(w *aggAcc)       { a.agg.MergeFrom(w.agg) }
+func (a *aggAcc) seal() int {
+	a.rel = a.agg.Rel(a.cols)
+	return a.rel.NumRows() * a.rel.RowBytes()
+}
+
+// runAgg aggregates partially inside the morsel scan: each worker owns an
+// accumulator (no tuple materialization), and one partial relation per
+// site ships to the coordinator, where the caller finalizes over the
+// concatenated partials (finalizeAgg).
+func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error) {
+	shares, err := runSites(j, j.shipKind(), func() *aggAcc {
+		return &aggAcc{agg: exec.NewAggregator(groupBy, specs), cols: j.cols}
+	})
+	if err != nil {
 		return exec.Rel{}, err
+	}
+	var partials exec.Rel
+	for _, s := range shares {
+		partials = exec.Concat(partials, s.rel)
 	}
 	if len(j.units) == 0 {
 		// Nothing was scanned (every morsel pruned, or an empty join build

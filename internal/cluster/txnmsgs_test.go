@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"proteus/internal/exec"
 	"proteus/internal/faults"
 	"proteus/internal/partition"
 	"proteus/internal/query"
@@ -48,6 +49,25 @@ func newSitedEngine(t testing.TB, sites int, rowsPer int64, tune func(*Config)) 
 		t.Fatal(err)
 	}
 	return e, tbl
+}
+
+// expectKinds runs op and requires the messages it sent to be exactly want,
+// by kind, and to sum to the network's total.
+func expectKinds(t *testing.T, e *Engine, name string, want map[simnet.Kind]int64, op func()) {
+	t.Helper()
+	before, total := kindCounts(e), e.Net.TotalMessages()
+	op()
+	after := kindCounts(e)
+	var sum int64
+	for k := simnet.Kind(0); k < simnet.NumKinds; k++ {
+		if got := after[k] - before[k]; got != want[k] {
+			t.Errorf("%s: %d %s messages, want %d", name, got, k, want[k])
+		}
+		sum += after[k] - before[k]
+	}
+	if got := e.Net.TotalMessages() - total; got != sum {
+		t.Errorf("%s: %d messages in all, %d by kind", name, got, sum)
+	}
 }
 
 // copyVersion is the installed version of pid's copy at a site.
@@ -108,22 +128,12 @@ func TestTxnMessageBudget(t *testing.T) {
 		{"two sites written, a third only read", []query.Op{upd(40), readOp(tbl, 45, 2), readOp(tbl, 140, 2), upd(140), readOp(tbl, 240, 2)},
 			map[simnet.Kind]int64{dispatch: 1, read: 2, prepare: 2, decision: 2}, []float64{45, 140, 240}},
 	} {
-		before, total := kindCounts(e), e.Net.TotalMessages()
 		toSite2 := e.Net.Stats(0, 2).Messages + e.Net.Stats(2, 0).Messages
-		res, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: tc.ops})
+		var res exec.Rel
+		var err error
+		expectKinds(t, e, tc.name, tc.want, func() { res, err = e.ExecuteTxn(ctx, sess, &query.Txn{Ops: tc.ops}) })
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
-		}
-		after := kindCounts(e)
-		var sum int64
-		for k := simnet.Kind(0); k < simnet.NumKinds; k++ {
-			if got := after[k] - before[k]; got != tc.want[k] {
-				t.Errorf("%s: %d %s messages, want %d", tc.name, got, k, tc.want[k])
-			}
-			sum += after[k] - before[k]
-		}
-		if got := e.Net.TotalMessages() - total; got != sum {
-			t.Errorf("%s: %d messages in all, %d by kind", tc.name, got, sum)
 		}
 		if len(res.Tuples) != len(tc.reads) {
 			t.Fatalf("%s: %d tuples, want %d", tc.name, len(res.Tuples), len(tc.reads))
@@ -350,4 +360,91 @@ func TestMergedPrepareSiteCrash(t *testing.T) {
 		t.Errorf("reads returned %v, want 5 and 105", res.Tuples)
 	}
 	checkRMW(t, e, tbl, before, -3)
+}
+
+// newSkewedEngine builds a two-site column-store engine whose table "items"
+// has four partitions of rows/4 rows, three at site 0 and one at site 1, so
+// site 0 coordinates a query over it and one more single-partition table
+// at site 1. Replication and maintenance are slowed to an hour so that only
+// the queries under test send messages.
+func newSkewedEngine(t *testing.T, rows int64) (*Engine, *schema.Table) {
+	t.Helper()
+	cfg := fastConfig(ModeColumnStore, 2)
+	cfg.ReplicationInterval, cfg.MaintainInterval = time.Hour, time.Hour
+	e := New(cfg)
+	t.Cleanup(e.Close)
+	fact, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: schema.RowID(rows), Partitions: 4,
+		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p / 3) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadRows(context.Background(), fact.ID, testRows(rows)); err != nil {
+		t.Fatal(err)
+	}
+	return e, fact
+}
+
+// atSite names a table and places all of it at one site.
+func atSite(site simnet.SiteID, name string) func(*TableSpec) {
+	return func(s *TableSpec) { s.Name, s.PlaceAt = name, func(int) simnet.SiteID { return site } }
+}
+
+// TestJoinMessageBudget is the query twin of TestTxnMessageBudget: it holds
+// each join shape to its exact message count, by kind, on two sites. Site 0
+// holds three of the fact's four partitions and coordinates; every
+// dimension lives at site 1. So the ASA's dispatch is followed by one
+// message per build side gathered from site 1, one carrying every probe
+// table to site 1, and one carrying site 1's share of the result back —
+// however many rows each of them holds.
+func TestJoinMessageBudget(t *testing.T) {
+	const factRows = 48000
+	e, fact := newSkewedEngine(t, factRows)
+	ctx := context.Background()
+	small := createGroups(t, e, 10, atSite(1, "groups"))
+	large := createGroups(t, e, 40000, atSite(1, "groups_large")) // still smaller than the fact: it builds
+	bands, err := e.CreateTable(TableSpec{Name: "bands", Cols: []schema.Column{
+		{Name: "bid", Kind: types.KindInt64}, {Name: "label", Kind: types.KindString, AvgSize: 4},
+	}, MaxRows: 16, Partitions: 1, PlaceAt: func(int) simnet.SiteID { return 1 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadRows(ctx, bands.ID, bandsRows(8)); err != nil {
+		t.Fatal(err)
+	}
+	chain := &query.Query{Root: &query.AggNode{
+		Child: &query.JoinNode{
+			Left:       factDimJoin(fact, small).Root,
+			Right:      &query.ScanNode{Table: bands.ID, Cols: []schema.ColID{0, 1}},
+			LeftKeyCol: 2, RightKeyCol: 0,
+		}, // [grp, val, gid, weight, tag, bid, label]: q7's two probe stages
+		GroupBy: []int{6},
+		Aggs:    []exec.AggSpec{{Func: exec.AggCount}},
+	}}
+
+	const (
+		dispatch = simnet.KindDispatch
+		join     = simnet.KindJoin
+	)
+	sess := e.NewSession()
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		rows int // result rows
+		want map[simnet.Kind]int64
+	}{
+		{"join-aggregate, 10 build rows", factDimJoinAgg(fact, small), 2, map[simnet.Kind]int64{dispatch: 1, join: 3}},
+		{"join-aggregate, 40 000 build rows", factDimJoinAgg(fact, large), 2, map[simnet.Kind]int64{dispatch: 1, join: 3}},
+		{"bare join, gathered columnar", factDimJoin(fact, small), factRows, map[simnet.Kind]int64{dispatch: 1, join: 3}},
+		{"two-stage chain", chain, 2, map[simnet.Kind]int64{dispatch: 1, join: 4}},
+	} {
+		var res exec.Rel
+		var err error
+		expectKinds(t, e, tc.name, tc.want, func() { res, err = e.ExecuteQuery(ctx, sess, tc.q) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(res.Tuples) != tc.rows {
+			t.Errorf("%s: %d result rows, want %d", tc.name, len(res.Tuples), tc.rows)
+		}
+	}
 }

@@ -81,11 +81,13 @@ func ColRelFromRel(r Rel) ColRel {
 
 // Rel materializes the columnar relation as boxed tuples, for callers that
 // still speak the row contract (result presentation, the legacy operator
-// fallbacks, differential tests).
+// fallbacks, differential tests). The tuples share one backing array.
 func (c *ColRel) Rel() Rel {
 	out := Rel{Cols: c.Cols, Tuples: make([][]types.Value, c.rows)}
+	w := len(c.Vecs)
+	vals := make([]types.Value, c.rows*w)
 	for r := 0; r < c.rows; r++ {
-		t := make([]types.Value, len(c.Vecs))
+		t := vals[r*w : (r+1)*w : (r+1)*w]
 		for i := range c.Vecs {
 			t[i] = c.Vecs[i].Value(r)
 		}
@@ -96,16 +98,20 @@ func (c *ColRel) Rel() Rel {
 
 // RowBytes estimates the average tuple width, mirroring Rel.RowBytes, for
 // cost features and network-transfer accounting.
-func (c *ColRel) RowBytes() int {
-	if c.rows == 0 {
+func (c *ColRel) RowBytes() int { return c.rowBytes(0) }
+
+// BytesFrom estimates the size of rows [from, NumRows()): their count
+// times the average width of up to 32 of them, sampled as RowBytes does.
+func (c *ColRel) BytesFrom(from int) int { return (c.rows - from) * c.rowBytes(from) }
+
+// rowBytes is the average width of up to 32 rows from row from on.
+func (c *ColRel) rowBytes(from int) int {
+	sample := min(c.rows-from, 32)
+	if sample <= 0 {
 		return 0
 	}
-	sample := c.rows
-	if sample > 32 {
-		sample = 32
-	}
 	n := 0
-	for r := 0; r < sample; r++ {
+	for r := from; r < from+sample; r++ {
 		for i := range c.Vecs {
 			n += types.VarWidth(c.Vecs[i].Value(r))
 		}

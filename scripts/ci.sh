@@ -10,18 +10,22 @@ cd "$(dirname "$0")/.."
 echo "== go vet"
 go vet ./...
 
-echo "== no fmt formatting on the transaction path"
+echo "== no fmt formatting on the transaction and query paths"
 # A transaction's per-operation path (execution, group commit, locks,
 # 2PC, snapshots and their registry, the transaction planner, the row
-# store) formats no strings: fmt.Sprint* and fmt.Fprint* allocate on every
-# call. fmt.Errorf on error returns is allowed; test files are not checked.
-txn_path=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
-    internal/plan/txnplan.go internal/rowstore/mem.go)
+# store) and a query's (morsel drivers, join pipeline and tables, runtime
+# filters, columnar relations, batch kernels, aggregation) format no
+# strings: fmt.Sprint* and fmt.Fprint* allocate on every call. fmt.Errorf
+# on error returns is allowed; test files are not checked.
+hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
+    internal/plan/txnplan.go internal/rowstore/mem.go
+    internal/cluster/{batchjoin,morsel,queryexec}.go
+    internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel}.go)
 for f in internal/txn/*.go; do
-    [[ "$f" == *_test.go ]] || txn_path+=("$f")
+    [[ "$f" == *_test.go ]] || hot_paths+=("$f")
 done
-if grep -nE 'fmt\.(Sprint|Fprint)' "${txn_path[@]}"; then
-    echo "fmt.Sprint*/fmt.Fprint* on the transaction path (see above)" >&2
+if grep -nE 'fmt\.(Sprint|Fprint)' "${hot_paths[@]}"; then
+    echo "fmt.Sprint*/fmt.Fprint* on the transaction or query path (see above)" >&2
     exit 1
 fi
 
