@@ -30,8 +30,10 @@ check:
 	./scripts/ci.sh
 
 # bench runs the scan benchmarks, the row-vs-batch kernel benchmarks, the
-# join/group-by A/B benchmarks (BenchmarkJoinTableProbe among them: the
-# pipelined probe per scan batch, which must report 0 allocs/op) and
+# join and group-by benchmarks (BenchmarkJoinTableProbe among them: the
+# pipelined probe per scan batch, which must report 0 allocs/op; the
+# BenchmarkGroupBy* ones feed the one group-by table tuple by tuple,
+# through ObserveCols and on dictionary keys) and
 # BenchmarkCheckpointFold (ns and allocs per folded redo record against
 # checkpoint images of 1e3, 1e4 and 1e5 rows: flat allocations, time that
 # follows the change and not the image) and BenchmarkScanWithDelta (ns per

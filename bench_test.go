@@ -446,8 +446,7 @@ func BenchmarkHashJoin(b *testing.B) {
 // BenchmarkMergeJoin measures the merge-join operator on sorted inputs.
 func BenchmarkMergeJoin(b *testing.B) {
 	l, r := joinInputs(5000, 500)
-	ls, _ := exec.Sort(l, []int{0})
-	rs, _ := exec.Sort(r, []int{0})
+	ls, rs := exec.SortBy(l, []int{0}), exec.SortBy(r, []int{0})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, _ := exec.MergeJoin(ls, rs, []int{0}, []int{0})

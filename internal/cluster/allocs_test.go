@@ -21,10 +21,10 @@ import (
 // benchmark run. Lower a budget when a change cuts its count; raise one
 // only with a line in CHANGES.md saying why.
 var queryAllocBudgets = map[string]float64{
-	"scan-agg":       496,  // grouped SUM and AVG over a filtered scan: 451 + 10 % (581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
+	"scan-agg":       166,  // grouped SUM and AVG over a filtered scan: 151 + 10 % (451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
 	"row-stream":     2323, // a filtered two-column scan drained through a cursor: 2112 + 10 % (2115; 2114 since the streaming driver shares its worker loop with the per-site one)
-	"join-agg":       463,  // pipelined fact ⋈ groups, grouped by a build column: 421 + 10 % (440 with a site aggregator of its own, 446 before)
-	"scan-agg-delta": 552,  // scan-agg with 50 updates pending per partition: 502 + 10 % (632 with a site aggregator of its own, 636 before)
+	"join-agg":       416,  // pipelined fact ⋈ groups, grouped by a build column: 378 + 10 % (421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
+	"scan-agg-delta": 235,  // scan-agg with 50 updates pending per partition: 214 + 10 % (502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
 	"join-gather":    372,  // pipelined fact ⋈ groups, bare, its build side gathered from the remote site: 338 + 10 % (4309 in 256-row chunks, a tuple allocated per row)
 }
 

@@ -76,7 +76,7 @@ func TestJoinAggNetworkAccounting(t *testing.T) {
 	if remoteRows != rows/2 {
 		t.Fatalf("fixture: %d fact rows on the remote site, want %d", remoteRows, rows/2)
 	}
-	partial, _ := exec.HashAggregate(joined, []int{0}, []exec.AggSpec{
+	partial := refAggregate(joined, []int{0}, []exec.AggSpec{
 		{Func: exec.AggCount}, {Func: exec.AggSum, Col: 1}, {Func: exec.AggSum, Col: 2}, {Func: exec.AggCount}})
 	partialBytes := int64(partial.NumRows()*partial.RowBytes() + 64)
 

@@ -359,9 +359,11 @@ func (e *Engine) finalizeAgg(pa *plan.PAgg, partials exec.Rel, coord simnet.Site
 		out.Cols = append(out.Cols, a.Func.String())
 	}
 	ng := len(pa.GroupBy)
-	for _, t := range combined.Tuples {
-		row := make([]types.Value, 0, ng+len(pa.Aggs))
-		row = append(row, t[:ng]...)
+	w := ng + len(pa.Aggs)
+	back := make([]types.Value, len(combined.Tuples)*w)
+	out.Tuples = make([][]types.Value, len(combined.Tuples))
+	for i, t := range combined.Tuples {
+		row := append(back[i*w:i*w:(i+1)*w], t[:ng]...)
 		fi := ng // cursor into final agg outputs
 		for _, a := range pa.Aggs {
 			if a.Func == exec.AggAvg {
@@ -378,7 +380,7 @@ func (e *Engine) finalizeAgg(pa *plan.PAgg, partials exec.Rel, coord simnet.Site
 				fi++
 			}
 		}
-		out.Tuples = append(out.Tuples, row)
+		out.Tuples[i] = row
 	}
 	return out
 }

@@ -19,8 +19,9 @@ type refTables map[schema.TableID][]schema.Row
 
 // refEval is the reference evaluator the executor's differential suites
 // are held to: the query tree run over the fixture's generated rows with
-// internal/exec's row operators — a predicate filter, exec.HashJoin and
-// exec.HashAggregate — with no partitions, layouts, sites or morsels.
+// a predicate filter, internal/exec's row join (exec.HashJoin) and a row
+// aggregate of its own (refAggregate) — no partitions, layouts, sites or
+// morsels, and no group-by table.
 func refEval(n query.Node, tables refTables) exec.Rel {
 	switch v := n.(type) {
 	case *query.ScanNode:
@@ -40,10 +41,81 @@ func refEval(n query.Node, tables refTables) exec.Rel {
 		out, _ := exec.HashJoin(refEval(v.Left, tables), refEval(v.Right, tables), []int{v.LeftKeyCol}, []int{v.RightKeyCol})
 		return out
 	case *query.AggNode:
-		out, _ := exec.HashAggregate(refEval(v.Child, tables), v.GroupBy, v.Aggs)
-		return out
+		return refAggregate(refEval(v.Child, tables), v.GroupBy, v.Aggs)
 	}
 	panic(fmt.Sprintf("refEval: unknown node %T", n))
+}
+
+// refAggregate groups r by the groupBy positions with a linear scan over
+// the groups so far, keys compared with types.Equal and never hashed, each
+// group labelled by its first row's key. MIN and MAX skip NULL inputs;
+// COUNT, and AVG's denominator, count every row, as the engine does. An
+// ungrouped aggregate has one row even over no input.
+func refAggregate(r exec.Rel, groupBy []int, specs []exec.AggSpec) exec.Rel {
+	type group struct {
+		key  []types.Value
+		acc  []types.Value
+		rows int64
+	}
+	var groups []*group
+	find := func(t []types.Value) *group {
+	next:
+		for _, g := range groups {
+			for k, c := range groupBy {
+				if !types.Equal(g.key[k], t[c]) {
+					continue next
+				}
+			}
+			return g
+		}
+		g := &group{acc: make([]types.Value, len(specs))}
+		for _, c := range groupBy {
+			g.key = append(g.key, t[c])
+		}
+		groups = append(groups, g)
+		return g
+	}
+	if len(groupBy) == 0 {
+		find(nil)
+	}
+	for _, t := range r.Tuples {
+		g := find(t)
+		g.rows++
+		for i, sp := range specs {
+			if sp.Func == exec.AggCount || t[sp.Col].IsNull() {
+				continue
+			}
+			v, cur := t[sp.Col], g.acc[i]
+			switch sp.Func {
+			case exec.AggMin:
+				if cur.IsNull() || types.Compare(v, cur) < 0 {
+					g.acc[i] = v
+				}
+			case exec.AggMax:
+				if cur.IsNull() || types.Compare(v, cur) > 0 {
+					g.acc[i] = v
+				}
+			default:
+				g.acc[i] = types.Add(cur, v)
+			}
+		}
+	}
+	var out exec.Rel
+	for _, g := range groups {
+		row := append([]types.Value(nil), g.key...)
+		for i, sp := range specs {
+			switch {
+			case sp.Func == exec.AggCount:
+				row = append(row, types.NewInt64(g.rows))
+			case sp.Func == exec.AggAvg && g.rows > 0:
+				row = append(row, types.NewFloat64(g.acc[i].Float()/float64(g.rows)))
+			default:
+				row = append(row, g.acc[i])
+			}
+		}
+		out.Tuples = append(out.Tuples, row)
+	}
+	return out
 }
 
 // streamSorted drains q through ExecuteQueryStream and sorts the rows.

@@ -96,11 +96,7 @@ func bootstrap(k modelKey, x []float64) float64 {
 		}
 	case OpAggregate:
 		in, out, rowB := x[0], x[1], x[2]
-		us := in * (usPerCell + rowB*usPerByte*0.3)
-		if k.variant == AggSort {
-			us += out * usPerCell
-		}
-		return us + out*usPerCell
+		return in*(usPerCell+rowB*usPerByte*0.3) + out*usPerCell
 	case OpNetwork:
 		sent, recv := x[2], x[3]
 		return usNetBase + (sent+recv)*usPerNetByte

@@ -71,7 +71,6 @@ const (
 	JoinMerge
 	JoinNested
 	AggHash
-	AggSort
 	// JoinHashBatch is the batch-native hash join (columnar build/probe,
 	// runtime filter, optional spill); it learns its own model per layout
 	// so observations never contaminate the row JoinHash curve.
@@ -80,7 +79,7 @@ const (
 
 // String names the variant.
 func (v Variant) String() string {
-	names := [...]string{"", "seq", "sorted", "index", "hash", "merge", "nested", "agghash", "aggsort", "hashbatch"}
+	names := [...]string{"", "seq", "sorted", "index", "hash", "merge", "nested", "agghash", "hashbatch"}
 	if int(v) < len(names) {
 		return names[v]
 	}

@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"proteus/internal/storage"
-	"proteus/internal/types"
-)
+import "proteus/internal/storage"
 
 // Batch is the columnar execution batch flowing through the scan pipeline.
 // The concrete type lives in internal/storage so stores can produce batches
@@ -13,331 +10,3 @@ type Batch = storage.Batch
 
 // Vec is one typed column vector of a Batch.
 type Vec = storage.Vec
-
-// observeBatch folds every selected row of b into the state. Null-free
-// Int64 and Float64 vectors take a typed fold that accumulates raw machine
-// values and boxes once per batch; encoded vectors fold directly over codes
-// and run lengths without materializing values (FoR sums are exact because
-// sum(base+code) == sum(codes) + n*base modulo 2^64, matching the boxed
-// repeated add; dictionary min/max reduce to min/max code since the dict is
-// sorted). Everything else (Time, Bool, String, or vectors carrying NULLs)
-// falls back to the boxed per-row path so types.Add's kind semantics are
-// preserved exactly.
-func (s *aggState) observeBatch(b *Batch, specs []AggSpec) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	for i, sp := range specs {
-		s.counts[i] += int64(n)
-		if sp.Func == AggCount {
-			continue
-		}
-		v := &b.Vecs[sp.Col]
-		switch {
-		case v.Enc == storage.EncFoR && v.Kind == types.KindInt64:
-			s.foldFoRInt64(i, v, b.Sel)
-			storage.RecordEncodedFold()
-		case v.Enc == storage.EncDict && (sp.Func == AggMin || sp.Func == AggMax):
-			// finish() reads only mins/maxs for Min/Max specs, so the
-			// string-sum accumulator can be skipped.
-			s.foldDictCodes(i, v, b.Sel)
-			storage.RecordEncodedFold()
-		case v.Enc == storage.EncRuns && b.Sel == nil && v.Kind == types.KindInt64:
-			s.foldRunsInt64(i, v)
-			storage.RecordEncodedFold()
-		case v.Enc == storage.EncRuns && b.Sel == nil && v.Kind == types.KindFloat64:
-			s.foldRunsFloat64(i, v)
-			storage.RecordEncodedFold()
-		case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindInt64:
-			s.foldInt64(i, v.I64, b.Sel)
-		case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindFloat64:
-			s.foldFloat64(i, v.F64, b.Sel)
-		default:
-			if b.Sel == nil {
-				for r := 0; r < v.Len(); r++ {
-					s.observeVal(i, v.Value(r))
-				}
-			} else {
-				for _, r := range b.Sel {
-					s.observeVal(i, v.Value(int(r)))
-				}
-			}
-		}
-	}
-}
-
-// foldFoRInt64 folds a frame-of-reference vector without decoding: the sum
-// of stored values is the code sum plus n*base (wrap-identical to adding
-// each decoded value), and min/max follow the min/max code because every
-// stored value is base + code.
-func (s *aggState) foldFoRInt64(i int, v *Vec, sel []int32) {
-	var sumC int64
-	var n int64
-	var mnC, mxC uint32
-	if sel == nil {
-		if len(v.Codes) == 0 {
-			return
-		}
-		mnC, mxC = v.Codes[0], v.Codes[0]
-		for _, c := range v.Codes {
-			sumC += int64(c)
-			if c < mnC {
-				mnC = c
-			}
-			if c > mxC {
-				mxC = c
-			}
-		}
-		n = int64(len(v.Codes))
-	} else {
-		if len(sel) == 0 {
-			return
-		}
-		mnC = v.Codes[sel[0]]
-		mxC = mnC
-		for _, r := range sel {
-			c := v.Codes[r]
-			sumC += int64(c)
-			if c < mnC {
-				mnC = c
-			}
-			if c > mxC {
-				mxC = c
-			}
-		}
-		n = int64(len(sel))
-	}
-	s.sums[i] = types.Add(s.sums[i], types.NewInt64(sumC+n*v.Base))
-	if mv := types.NewInt64(v.Base + int64(mnC)); s.mins[i].IsNull() || types.Compare(mv, s.mins[i]) < 0 {
-		s.mins[i] = mv
-	}
-	if mv := types.NewInt64(v.Base + int64(mxC)); s.maxs[i].IsNull() || types.Compare(mv, s.maxs[i]) > 0 {
-		s.maxs[i] = mv
-	}
-}
-
-// foldDictCodes updates the min/max accumulators of a dictionary vector
-// from its min/max code — the dictionary is sorted, so code order is value
-// order. Only valid for Min/Max specs (the sum accumulator is left alone).
-func (s *aggState) foldDictCodes(i int, v *Vec, sel []int32) {
-	var mnC, mxC uint32
-	if sel == nil {
-		if len(v.Codes) == 0 {
-			return
-		}
-		mnC, mxC = v.Codes[0], v.Codes[0]
-		for _, c := range v.Codes {
-			if c < mnC {
-				mnC = c
-			}
-			if c > mxC {
-				mxC = c
-			}
-		}
-	} else {
-		if len(sel) == 0 {
-			return
-		}
-		mnC = v.Codes[sel[0]]
-		mxC = mnC
-		for _, r := range sel {
-			c := v.Codes[r]
-			if c < mnC {
-				mnC = c
-			}
-			if c > mxC {
-				mxC = c
-			}
-		}
-	}
-	if mv := types.NewString(v.Dict[mnC]); s.mins[i].IsNull() || types.Compare(mv, s.mins[i]) < 0 {
-		s.mins[i] = mv
-	}
-	if mv := types.NewString(v.Dict[mxC]); s.maxs[i].IsNull() || types.Compare(mv, s.maxs[i]) > 0 {
-		s.maxs[i] = mv
-	}
-}
-
-// foldRunsInt64 folds a run-length vector one run at a time. val*runLen is
-// wrap-identical to adding val runLen times, so the sum matches the boxed
-// path exactly.
-func (s *aggState) foldRunsInt64(i int, v *Vec) {
-	if len(v.RunEnds) == 0 {
-		return
-	}
-	var sum int64
-	mn, mx := v.I64[0], v.I64[0]
-	lo := uint32(0)
-	for r, end := range v.RunEnds {
-		x := v.I64[r]
-		sum += x * int64(end-lo)
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-		lo = end
-	}
-	s.sums[i] = types.Add(s.sums[i], types.NewInt64(sum))
-	if mv := types.NewInt64(mn); s.mins[i].IsNull() || types.Compare(mv, s.mins[i]) < 0 {
-		s.mins[i] = mv
-	}
-	if mv := types.NewInt64(mx); s.maxs[i].IsNull() || types.Compare(mv, s.maxs[i]) > 0 {
-		s.maxs[i] = mv
-	}
-}
-
-// foldRunsFloat64 folds a run-length float vector. Each run accumulates by
-// repeated addition — float multiplication by the run length would round
-// differently from the decoded per-row path.
-func (s *aggState) foldRunsFloat64(i int, v *Vec) {
-	if len(v.RunEnds) == 0 {
-		return
-	}
-	var sum float64
-	mn, mx := v.F64[0], v.F64[0]
-	lo := uint32(0)
-	for r, end := range v.RunEnds {
-		x := v.F64[r]
-		for k := lo; k < end; k++ {
-			sum += x
-		}
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-		lo = end
-	}
-	s.sums[i] = types.Add(s.sums[i], types.NewFloat64(sum))
-	if mv := types.NewFloat64(mn); s.mins[i].IsNull() || types.Compare(mv, s.mins[i]) < 0 {
-		s.mins[i] = mv
-	}
-	if mv := types.NewFloat64(mx); s.maxs[i].IsNull() || types.Compare(mv, s.maxs[i]) > 0 {
-		s.maxs[i] = mv
-	}
-}
-
-func (s *aggState) foldInt64(i int, xs []int64, sel []int32) {
-	var sum, mn, mx int64
-	if sel == nil {
-		if len(xs) == 0 {
-			return
-		}
-		mn, mx = xs[0], xs[0]
-		for _, x := range xs {
-			sum += x
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-	} else {
-		if len(sel) == 0 {
-			return
-		}
-		mn = xs[sel[0]]
-		mx = mn
-		for _, r := range sel {
-			x := xs[r]
-			sum += x
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-	}
-	s.sums[i] = types.Add(s.sums[i], types.NewInt64(sum))
-	if v := types.NewInt64(mn); s.mins[i].IsNull() || types.Compare(v, s.mins[i]) < 0 {
-		s.mins[i] = v
-	}
-	if v := types.NewInt64(mx); s.maxs[i].IsNull() || types.Compare(v, s.maxs[i]) > 0 {
-		s.maxs[i] = v
-	}
-}
-
-func (s *aggState) foldFloat64(i int, xs []float64, sel []int32) {
-	var sum, mn, mx float64
-	if sel == nil {
-		if len(xs) == 0 {
-			return
-		}
-		mn, mx = xs[0], xs[0]
-		for _, x := range xs {
-			sum += x
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-	} else {
-		if len(sel) == 0 {
-			return
-		}
-		mn = xs[sel[0]]
-		mx = mn
-		for _, r := range sel {
-			x := xs[r]
-			sum += x
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-	}
-	s.sums[i] = types.Add(s.sums[i], types.NewFloat64(sum))
-	if v := types.NewFloat64(mn); s.mins[i].IsNull() || types.Compare(v, s.mins[i]) < 0 {
-		s.mins[i] = v
-	}
-	if v := types.NewFloat64(mx); s.maxs[i].IsNull() || types.Compare(v, s.maxs[i]) > 0 {
-		s.maxs[i] = v
-	}
-}
-
-// ObserveBatch folds every selected row of a batch into the accumulator.
-// The ungrouped case folds whole vectors per aggregate without boxing each
-// row; grouped aggregation still walks rows to route them to their group,
-// but reuses one key scratch tuple across the batch.
-func (a *Aggregator) ObserveBatch(b *Batch) {
-	if b.Len() == 0 {
-		return
-	}
-	if len(a.groupBy) == 0 {
-		a.entry(nil).state.observeBatch(b, a.specs)
-		return
-	}
-	statGroupByBatches.Add(1)
-	if len(a.groupBy) == 1 && a.observeSingleKey(b) {
-		return
-	}
-	statGroupByBoxRows.Add(int64(b.Len()))
-	if len(a.keyScratch) < len(b.Vecs) {
-		a.keyScratch = make([]types.Value, len(b.Vecs))
-	}
-	key := a.keyScratch[:len(b.Vecs)]
-	b.Selected(func(row int) bool {
-		for _, g := range a.groupBy {
-			key[g] = b.Vecs[g].Value(row)
-		}
-		st := a.entry(key).state
-		for i, sp := range a.specs {
-			st.counts[i]++
-			if sp.Func == AggCount {
-				continue
-			}
-			st.observeVal(i, b.Vecs[sp.Col].Value(row))
-		}
-		return true
-	})
-}

@@ -75,38 +75,38 @@ func BenchmarkBatchKernels(b *testing.B) {
 
 	b.Run("sum-int/boxed", func(b *testing.B) {
 		b.SetBytes(n * 8)
-		st := newAggState(len(specs))
+		a := NewAggregator(nil, specs)
 		tuple := make([]types.Value, 1)
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
 				tuple[0] = types.NewInt64(ints[j])
-				st.observe(tuple, specs)
+				a.Observe(tuple)
 			}
 		}
 	})
 	b.Run("sum-int/vector", func(b *testing.B) {
 		b.SetBytes(n * 8)
-		st := newAggState(len(specs))
+		a := NewAggregator(nil, specs)
 		for i := 0; i < b.N; i++ {
-			st.observeBatch(batch, specs)
+			a.ObserveBatch(batch)
 		}
 	})
 	b.Run("sum-float/boxed", func(b *testing.B) {
 		b.SetBytes(n * 8)
-		st := newAggState(len(specs))
+		a := NewAggregator(nil, specs)
 		tuple := make([]types.Value, 1)
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
 				tuple[0] = types.NewFloat64(floats[j])
-				st.observe(tuple, specs)
+				a.Observe(tuple)
 			}
 		}
 	})
 	b.Run("sum-float/vector", func(b *testing.B) {
 		b.SetBytes(n * 8)
-		st := newAggState(len(specs))
+		a := NewAggregator(nil, specs)
 		for i := 0; i < b.N; i++ {
-			st.observeBatch(fbatch, specs)
+			a.ObserveBatch(fbatch)
 		}
 	})
 }

@@ -5,199 +5,169 @@ import (
 	"proteus/internal/types"
 )
 
-// Single-key grouped aggregation fast paths (the tentpole's group-by half):
-// where PR 6 taught the ungrouped folds to operate on raw dictionary and
-// frame-of-reference codes, these extend the same idea to grouping. A batch
-// whose single group-by column is a null-free typed or encoded vector
-// resolves each row's group entry without boxing a key tuple — dictionary
-// vectors memoize one entry per distinct code, FoR and plain int-family
-// vectors key a typed int64 map — and the aggregate inputs then fold
-// through typed adders that replicate types.Add's kind semantics exactly.
-// Anything else falls back to the boxed per-row path in ObserveBatch.
+// The aggregate kernels over batch vectors. Grouped, an aggregate folds
+// its input column row by row into the rows' groups, through typed adders
+// for null-free int64 and float64 vectors and raw FoR codes. Ungrouped,
+// it reduces the whole vector at once: FoR vectors on their codes
+// (sum(base+code) == sum(codes) + n*base modulo 2^64, which is the boxed
+// repeated add; the extremes sit at the extreme codes), dictionary vectors
+// on their codes for MIN and MAX (the dictionary is sorted), RLE vectors
+// run by run. Anything else folds boxed, value by value, so types.Add's
+// kind rules hold exactly.
 
-// entryInt64 resolves the group entry for a typed int-family key, boxing
-// only on first sight of a key.
-func (a *Aggregator) entryInt64(x int64, kind types.Kind, g int) *groupEntry {
-	if ge, ok := a.intGroups[x]; ok {
-		return ge
+// foldRows folds the input of row rows[j] of b into group gids[j].
+func (c *aggCol) foldRows(b *Batch, rows, gids []int32) {
+	if c.cnts != nil {
+		for _, g := range gids {
+			c.cnts[g]++
+		}
 	}
-	if a.intGroups == nil {
-		a.intGroups = make(map[int64]*groupEntry)
+	if c.vals == nil {
+		return
 	}
-	if len(a.keyScratch) <= g {
-		a.keyScratch = make([]types.Value, g+1)
-	}
-	a.keyScratch[g] = types.Value{K: kind, I: x}
-	ge := a.entry(a.keyScratch)
-	a.intGroups[x] = ge
-	return ge
-}
-
-// entryString resolves the group entry for a string key.
-func (a *Aggregator) entryString(s string, g int) *groupEntry {
-	if ge, ok := a.strGroups[s]; ok {
-		return ge
-	}
-	if a.strGroups == nil {
-		a.strGroups = make(map[string]*groupEntry)
-	}
-	if len(a.keyScratch) <= g {
-		a.keyScratch = make([]types.Value, g+1)
-	}
-	a.keyScratch[g] = types.NewString(s)
-	ge := a.entry(a.keyScratch)
-	a.strGroups[s] = ge
-	return ge
-}
-
-// observeSingleKey handles one batch when the single group-by column
-// supports a typed key path, reporting whether it did.
-func (a *Aggregator) observeSingleKey(b *Batch) bool {
-	g := a.groupBy[0]
-	v := &b.Vecs[g]
-	ents := a.entScratch[:0]
-	rows := a.rowScratch[:0]
+	v := &b.Vecs[c.col]
 	switch {
-	case v.Enc == storage.EncFoR:
-		b.Selected(func(r int) bool {
-			ents = append(ents, a.entryInt64(v.Base+int64(v.Codes[r]), v.Kind, g))
-			rows = append(rows, int32(r))
-			return true
-		})
-		statGroupByCodeRows.Add(int64(len(rows)))
-		storage.RecordEncodedFold()
-	case v.Enc == storage.EncDict:
-		// Group on raw dictionary codes: one entry lookup per distinct
-		// code per batch, every further row is a slice index.
-		de := a.dictEnts
-		if cap(de) < len(v.Dict) {
-			de = make([]*groupEntry, len(v.Dict))
-		} else {
-			de = de[:len(v.Dict)]
-			for i := range de {
-				de[i] = nil
-			}
+	case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindInt64:
+		for j, g := range gids {
+			c.addInt(g, v.I64[rows[j]])
 		}
-		a.dictEnts = de
-		b.Selected(func(r int) bool {
-			c := v.Codes[r]
-			e := de[c]
-			if e == nil {
-				e = a.entryString(v.Dict[c], g)
-				de[c] = e
-			}
-			ents = append(ents, e)
-			rows = append(rows, int32(r))
-			return true
-		})
-		statGroupByCodeRows.Add(int64(len(rows)))
+	case v.Enc == storage.EncFoR && v.Kind == types.KindInt64:
+		for j, g := range gids {
+			c.addInt(g, v.Base+int64(v.Codes[rows[j]]))
+		}
 		storage.RecordEncodedFold()
-	case v.Enc == storage.EncNone && v.Null == nil &&
-		(v.Kind == types.KindInt64 || v.Kind == types.KindTime || v.Kind == types.KindBool):
-		b.Selected(func(r int) bool {
-			ents = append(ents, a.entryInt64(v.I64[r], v.Kind, g))
-			rows = append(rows, int32(r))
-			return true
-		})
-		statGroupByIntRows.Add(int64(len(rows)))
-	case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindString:
-		b.Selected(func(r int) bool {
-			ents = append(ents, a.entryString(v.Str[r], g))
-			rows = append(rows, int32(r))
-			return true
-		})
-		statGroupByIntRows.Add(int64(len(rows)))
+	case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindFloat64:
+		for j, g := range gids {
+			c.addFloat(g, v.F64[rows[j]])
+		}
 	default:
-		return false
-	}
-	a.entScratch = ents
-	a.rowScratch = rows
-	a.foldSpecs(b, rows, ents)
-	return true
-}
-
-// foldSpecs folds each aggregate input column for the resolved entries,
-// using typed adders for null-free Int64/Float64 vectors and raw FoR codes.
-func (a *Aggregator) foldSpecs(b *Batch, rows []int32, ents []*groupEntry) {
-	for i, sp := range a.specs {
-		if sp.Func == AggCount {
-			for _, e := range ents {
-				e.state.counts[i]++
-			}
-			continue
-		}
-		av := &b.Vecs[sp.Col]
-		switch {
-		case av.Enc == storage.EncNone && av.Null == nil && av.Kind == types.KindInt64:
-			for j, e := range ents {
-				e.state.counts[i]++
-				e.state.addInt64(i, av.I64[rows[j]])
-			}
-		case av.Enc == storage.EncNone && av.Null == nil && av.Kind == types.KindFloat64:
-			for j, e := range ents {
-				e.state.counts[i]++
-				e.state.addFloat64(i, av.F64[rows[j]])
-			}
-		case av.Enc == storage.EncFoR && av.Kind == types.KindInt64:
-			for j, e := range ents {
-				e.state.counts[i]++
-				e.state.addInt64(i, av.Base+int64(av.Codes[rows[j]]))
-			}
-			storage.RecordEncodedFold()
-		default:
-			for j, e := range ents {
-				e.state.counts[i]++
-				e.state.observeVal(i, av.Value(int(rows[j])))
-			}
+		for j, g := range gids {
+			c.put(g, v.Value(int(rows[j])))
 		}
 	}
 }
 
-// addInt64 folds one int64 aggregate input. Once the accumulators hold
-// Int64 kinds the updates are raw machine adds/compares; any other kind
-// (first value, float contamination, Time inputs) routes through the boxed
-// observeVal so types.Add semantics are preserved bit for bit.
-func (s *aggState) addInt64(i int, x int64) {
-	if s.sums[i].K == types.KindInt64 && s.mins[i].K == types.KindInt64 && s.maxs[i].K == types.KindInt64 {
-		s.sums[i].I += x
-		if x < s.mins[i].I {
-			s.mins[i].I = x
-		}
-		if x > s.maxs[i].I {
-			s.maxs[i].I = x
-		}
+// foldVec folds the n selected rows of b into group 0.
+func (c *aggCol) foldVec(b *Batch, n int) {
+	if c.cnts != nil {
+		c.cnts[0] += int64(n)
+	}
+	if c.vals == nil {
 		return
 	}
-	s.observeVal(i, types.NewInt64(x))
-}
-
-// addFloat64 folds one float64 aggregate input, mirroring addInt64.
-func (s *aggState) addFloat64(i int, x float64) {
-	if s.sums[i].K == types.KindFloat64 && s.mins[i].K == types.KindFloat64 && s.maxs[i].K == types.KindFloat64 {
-		s.sums[i].F += x
-		if x < s.mins[i].F {
-			s.mins[i].F = x
-		}
-		if x > s.maxs[i].F {
-			s.maxs[i].F = x
-		}
+	v := &b.Vecs[c.col]
+	sum, lo, hi, ok := reduceVec(v, b.Sel, c.fn)
+	if !ok {
+		b.Selected(func(r int) bool {
+			c.put(0, v.Value(r))
+			return true
+		})
 		return
 	}
-	s.observeVal(i, types.NewFloat64(x))
+	switch c.fn {
+	case AggMin:
+		c.put(0, lo)
+	case AggMax:
+		c.put(0, hi)
+	default:
+		c.put(0, sum)
+	}
 }
 
-// ObserveCols folds every row of a columnar relation — the join→aggregate
-// fusion path: a batch join's output feeds grouped aggregation without a
-// row detour.
-func (a *Aggregator) ObserveCols(c *ColRel) {
-	n := c.NumRows()
-	if n == 0 {
+// reduceVec reduces the rows sel of v (every row when sel is nil) to their
+// sum and extremes without boxing a row, all NULL when there are none. ok
+// is false for a vector no kernel covers; a dictionary vector is covered
+// for MIN and MAX only.
+func reduceVec(v *Vec, sel []int32, fn AggFunc) (sum, lo, hi types.Value, ok bool) {
+	switch {
+	case v.Enc == storage.EncFoR && v.Kind == types.KindInt64:
+		s, l, h, n := span[uint32, int64](v.Codes, sel)
+		if n > 0 {
+			sum = types.NewInt64(s + int64(n)*v.Base)
+			lo, hi = types.NewInt64(v.Base+int64(l)), types.NewInt64(v.Base+int64(h))
+		}
+		storage.RecordEncodedFold()
+	case v.Enc == storage.EncDict && (fn == AggMin || fn == AggMax):
+		_, l, h, n := span[uint32, int64](v.Codes, sel)
+		if n > 0 {
+			lo, hi = types.NewString(v.Dict[l]), types.NewString(v.Dict[h])
+		}
+		storage.RecordEncodedFold()
+	case v.Enc == storage.EncRuns && sel == nil && v.Kind == types.KindInt64:
+		// x*runLen is wrap-identical to adding x runLen times.
+		xs := v.I64[:len(v.RunEnds)]
+		var s int64
+		start := uint32(0)
+		for r, end := range v.RunEnds {
+			s += xs[r] * int64(end-start)
+			start = end
+		}
+		if _, l, h, n := span[int64, int64](xs, nil); n > 0 {
+			sum, lo, hi = types.NewInt64(s), types.NewInt64(l), types.NewInt64(h)
+		}
+		storage.RecordEncodedFold()
+	case v.Enc == storage.EncRuns && sel == nil && v.Kind == types.KindFloat64:
+		// Repeated addition: multiplying by the run length would round
+		// differently from the row-by-row sum.
+		xs := v.F64[:len(v.RunEnds)]
+		var s float64
+		start := uint32(0)
+		for r, end := range v.RunEnds {
+			for k := start; k < end; k++ {
+				s += xs[r]
+			}
+			start = end
+		}
+		if _, l, h, n := span[float64, float64](xs, nil); n > 0 {
+			sum, lo, hi = types.NewFloat64(s), types.NewFloat64(l), types.NewFloat64(h)
+		}
+		storage.RecordEncodedFold()
+	case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindInt64:
+		if s, l, h, n := span[int64, int64](v.I64, sel); n > 0 {
+			sum, lo, hi = types.NewInt64(s), types.NewInt64(l), types.NewInt64(h)
+		}
+	case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindFloat64:
+		if s, l, h, n := span[float64, float64](v.F64, sel); n > 0 {
+			sum, lo, hi = types.NewFloat64(s), types.NewFloat64(l), types.NewFloat64(h)
+		}
+	default:
+		return sum, lo, hi, false
+	}
+	return sum, lo, hi, true
+}
+
+// span reduces xs, or its rows sel, to their sum and extremes; n counts
+// the rows.
+func span[T int64 | float64 | uint32, S int64 | float64](xs []T, sel []int32) (sum S, lo, hi T, n int) {
+	if sel == nil {
+		if len(xs) == 0 {
+			return
+		}
+		lo, hi = xs[0], xs[0]
+		for _, x := range xs {
+			sum += S(x)
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+		}
+		return sum, lo, hi, len(xs)
+	}
+	if len(sel) == 0 {
 		return
 	}
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
+	lo, hi = xs[sel[0]], xs[sel[0]]
+	for _, r := range sel {
+		x := xs[r]
+		sum += S(x)
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
 	}
-	b := c.selView(sel)
-	a.ObserveBatch(&b)
+	return sum, lo, hi, len(sel)
 }

@@ -132,6 +132,9 @@ var benchAggSpecs = []AggSpec{
 	{Func: AggCount}, {Func: AggSum, Col: 1}, {Func: AggSum, Col: 2}, {Func: AggMin, Col: 2},
 }
 
+// BenchmarkGroupByRow and BenchmarkGroupByBatch feed the same input to the
+// group-by table tuple by tuple (HashAggregate's Observe loop) and as
+// columns (ObserveCols).
 func BenchmarkGroupByRow(b *testing.B) {
 	r := benchGroupInputs(50000)
 	b.ResetTimer()
@@ -153,9 +156,8 @@ func BenchmarkGroupByBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupByBatchDict groups on raw dictionary codes: the group key
-// is a dict-encoded string vector, so entry resolution is one slice index
-// per row after the first sight of each code.
+// BenchmarkGroupByBatchDict groups on a dictionary-encoded string key,
+// which canonKeys boxes: every row hashes and compares its string.
 func BenchmarkGroupByBatchDict(b *testing.B) {
 	const n = 50000
 	rng := rand.New(rand.NewSource(13))

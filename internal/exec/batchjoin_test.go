@@ -493,7 +493,7 @@ func TestRuntimeFilterBatchPaths(t *testing.T) {
 
 // TestBatchJoinThenAggregate fuses a batch join into the grouped
 // aggregator via ObserveCols and checks the result against the row
-// pipeline (HashJoin + HashAggregate) — the join→group-by fusion path the
+// pipeline (HashJoin + refAggregate) — the join→group-by fusion path the
 // cluster executor uses for aggregates over joins.
 func TestBatchJoinThenAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -516,7 +516,7 @@ func TestBatchJoinThenAggregate(t *testing.T) {
 	specs := []AggSpec{{Func: AggCount}, {Func: AggSum, Col: 2}, {Func: AggMin, Col: 4}, {Func: AggAvg, Col: 2}}
 
 	rowJoin, _ := HashJoin(l, r, []int{0}, []int{0})
-	want, _ := HashAggregate(rowJoin, groupBy, specs)
+	want := refAggregate(rowJoin.Tuples, groupBy, specs)
 
 	lc, rc := ColRelFromRel(l), ColRelFromRel(r)
 	joined, _, err := BatchHashJoin(&lc, &rc, 0, 0, nil, nil, nil)
@@ -525,31 +525,5 @@ func TestBatchJoinThenAggregate(t *testing.T) {
 	}
 	agg := NewAggregator(groupBy, specs)
 	agg.ObserveCols(&joined)
-	got := agg.Rel(joined.Cols)
-
-	if len(got.Tuples) != len(want.Tuples) {
-		t.Fatalf("groups = %d, want %d", len(got.Tuples), len(want.Tuples))
-	}
-	for i := range want.Tuples {
-		for c := range want.Tuples[i] {
-			g, w := got.Tuples[i][c], want.Tuples[i][c]
-			if g.K == types.KindFloat64 && w.K == types.KindFloat64 {
-				d := g.Float() - w.Float()
-				if d < 0 {
-					d = -d
-				}
-				lim := 1e-9 * (1 + w.Float())
-				if lim < 0 {
-					lim = -lim
-				}
-				if d > lim {
-					t.Fatalf("group %d col %d: %v, want %v", i, c, g, w)
-				}
-				continue
-			}
-			if types.Compare(g, w) != 0 {
-				t.Fatalf("group %d col %d: %v, want %v", i, c, g, w)
-			}
-		}
-	}
+	sameTuples(t, "join then aggregate", agg.Rel(joined.Cols).Tuples, want)
 }

@@ -206,32 +206,13 @@ func TestGlobalAggregateEmptyInput(t *testing.T) {
 	if out.NumRows() != 1 || out.Tuples[0][0].Int() != 0 {
 		t.Errorf("empty agg = %v", out.Tuples)
 	}
-	out, _ = SortedAggregate(Rel{}, nil, []AggSpec{{Func: AggSum, Col: 0}})
-	if out.NumRows() != 1 {
-		t.Errorf("empty sorted agg = %v", out.Tuples)
-	}
-}
-
-func TestSortedAggregateMatchesHash(t *testing.T) {
-	r := rel([]string{"g", "v"}, iv(1, 1), iv(1, 2), iv(2, 3), iv(3, 4), iv(3, 5))
-	sa, obs := SortedAggregate(r, []int{0}, []AggSpec{{Func: AggSum, Col: 1}})
-	ha, _ := HashAggregate(r, []int{0}, []AggSpec{{Func: AggSum, Col: 1}})
-	if sa.NumRows() != ha.NumRows() {
-		t.Fatalf("sorted %d != hash %d", sa.NumRows(), ha.NumRows())
-	}
-	if obs.Variant != cost.AggSort {
-		t.Errorf("variant = %v", obs.Variant)
-	}
 }
 
 func TestSortAndProjectAndFilter(t *testing.T) {
 	r := rel([]string{"a", "b"}, iv(3, 30), iv(1, 10), iv(2, 20))
-	s, obs := Sort(r, []int{0})
+	s := SortBy(r, []int{0})
 	if s.Tuples[0][0].Int() != 1 || s.Tuples[2][0].Int() != 3 {
 		t.Errorf("sorted = %v", s.Tuples)
-	}
-	if obs.Op != cost.OpSort {
-		t.Errorf("obs = %v", obs.Op)
 	}
 	p := Project(s, []int{1})
 	if len(p.Cols) != 1 || p.Cols[0] != "b" || p.Tuples[0][0].Int() != 10 {
@@ -257,9 +238,7 @@ func TestJoinAlgorithmsAgreeProperty(t *testing.T) {
 		for _, k := range rk {
 			r.Tuples = append(r.Tuples, iv(int64(k%8)))
 		}
-		ls, _ := Sort(l, []int{0})
-		rs, _ := Sort(r, []int{0})
-		mj, _ := MergeJoin(ls, rs, []int{0}, []int{0})
+		mj, _ := MergeJoin(SortBy(l, []int{0}), SortBy(r, []int{0}), []int{0}, []int{0})
 		hj, _ := HashJoin(l, r, []int{0}, []int{0})
 		return mj.NumRows() == hj.NumRows()
 	}

@@ -1,8 +1,8 @@
 // Package exec implements Proteus' physical operators (§4.3, Table 1):
 // storage-aware scans and point reads over partitions (with predicate and
 // projection pushdown, sorted-range narrowing and zone-map skipping),
-// writes, hash/merge/nested-loop joins, sorting, and hash/sorted
-// aggregation. Every operator measures its own latency and returns a
+// writes, hash/merge/nested-loop joins, sorting, and hash aggregation
+// (one group-by table, on the hash join's key contract). Every operator measures its own latency and returns a
 // cost.Observation so the ASA's cost functions learn continuously from
 // real executions (§5.2.1).
 package exec

@@ -80,13 +80,16 @@ func ReadJoinStats() JoinStats {
 }
 
 // GroupByStats is a snapshot of the grouped-aggregation counters, split by
-// which key path routed each row: typed int64 keys, raw dictionary/FoR
-// codes, or the boxed fallback.
+// the form canonKeys gave a batch's key columns: every column a typed
+// int64 key read from a plain vector, typed with at least one decoded from
+// FoR codes, or at least one boxed (strings, dictionary codes, RLE runs,
+// NULL-bearing or fractional-float columns). Rows grouped tuple by tuple
+// (Observe, MergeFrom) are not counted.
 type GroupByStats struct {
 	Batches  int64 // grouped batches observed
-	IntRows  int64 // rows grouped through the typed int64 key path
-	CodeRows int64 // rows grouped on raw dictionary codes
-	BoxRows  int64 // rows grouped through the boxed fallback
+	IntRows  int64 // rows whose key columns were all typed, none from FoR codes
+	CodeRows int64 // rows whose key columns were all typed, one from FoR codes
+	BoxRows  int64 // rows with a boxed key column
 }
 
 // ReadGroupByStats snapshots the process-wide group-by counters.

@@ -14,13 +14,14 @@ echo "== no fmt formatting on the transaction and query paths"
 # A transaction's per-operation path (execution, group commit, locks,
 # 2PC, snapshots and their registry, the transaction planner, the row
 # store) and a query's (morsel drivers, join pipeline and tables, runtime
-# filters, columnar relations, batch kernels, aggregation) format no
-# strings: fmt.Sprint* and fmt.Fprint* allocate on every call. fmt.Errorf
-# on error returns is allowed; test files are not checked.
+# filters, columnar relations, batch kernels, the group-by table and
+# HashAggregate) format no strings: fmt.Sprint* and fmt.Fprint* allocate
+# on every call. fmt.Errorf on error returns is allowed; test files are
+# not checked.
 hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
     internal/plan/txnplan.go internal/rowstore/mem.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
-    internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel}.go)
+    internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go)
 for f in internal/txn/*.go; do
     [[ "$f" == *_test.go ]] || hot_paths+=("$f")
 done
