@@ -29,8 +29,8 @@ sim:
 check:
 	./scripts/ci.sh
 
-# bench runs the scan benchmarks, the row-vs-batch kernel benchmarks, the
-# join and group-by benchmarks (BenchmarkJoinTableProbe among them: the
+# bench runs the row-vs-batch kernel benchmarks, the join and group-by
+# benchmarks (BenchmarkJoinTableProbe among them: the
 # pipelined probe per scan batch, which must report 0 allocs/op; the
 # BenchmarkGroupBy* ones feed the one group-by table tuple by tuple,
 # through ObserveCols and on dictionary keys) and
@@ -42,8 +42,7 @@ check:
 # stats, archiving the run under results/.
 bench:
 	mkdir -p results
-	go test -run XXX -bench 'BenchmarkScan' -benchmem . | tee results/bench-$$(date +%Y-%m-%d).txt
-	go test -run XXX -bench 'BenchmarkBatchKernels' -benchmem ./internal/exec/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
+	go test -run XXX -bench 'BenchmarkBatchKernels' -benchmem ./internal/exec/ | tee results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkJoin|BenchmarkGroupBy' -benchmem ./internal/exec/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkCheckpointFold' -benchmem ./internal/redolog/ | tee -a results/bench-$$(date +%Y-%m-%d).txt
 	go test -run XXX -bench 'BenchmarkScanWithDelta' -benchmem ./internal/colstore/ | tee -a results/bench-$$(date +%Y-%m-%d).txt

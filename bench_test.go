@@ -113,87 +113,6 @@ func BenchmarkFig3cScanRow100(b *testing.B) { benchScan(b, storage.DefaultRowLay
 // BenchmarkFig3cScanColumn100 measures Fig 3c (column, full scan).
 func BenchmarkFig3cScanColumn100(b *testing.B) { benchScan(b, storage.DefaultColumnLayout(), 1) }
 
-// --- Morsel executor scans ----------------------------------------------------
-
-// morselBenchEngine loads one multi-partition analytical table.
-func morselBenchEngine(b *testing.B) (*cluster.Engine, *schema.Table) {
-	b.Helper()
-	cfg := cluster.DefaultConfig()
-	cfg.Mode = cluster.ModeColumnStore
-	cfg.NumSites = 2
-	cfg.Net = simnet.Config{}
-	cfg.ReplicationInterval = 50 * time.Millisecond
-	e := cluster.New(cfg)
-	b.Cleanup(e.Close)
-	const rows = 20000
-	tbl, err := e.CreateTable(cluster.TableSpec{
-		Name: "scanbench",
-		Cols: []schema.Column{
-			{Name: "id", Kind: types.KindInt64},
-			{Name: "grp", Kind: types.KindInt64},
-			{Name: "val", Kind: types.KindFloat64},
-		},
-		MaxRows: rows, Partitions: 8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]schema.Row, 0, rows)
-	for i := int64(0); i < rows; i++ {
-		data = append(data, schema.Row{ID: schema.RowID(i), Vals: []types.Value{
-			types.NewInt64(i), types.NewInt64(i % 10), types.NewFloat64(float64(i)),
-		}})
-	}
-	if err := e.LoadRows(context.Background(), tbl.ID, data); err != nil {
-		b.Fatal(err)
-	}
-	return e, tbl
-}
-
-func benchScanQuery(b *testing.B, mk func(*schema.Table) *query.Query) {
-	e, tbl := morselBenchEngine(b)
-	sess := e.NewSession()
-	q := mk(tbl)
-	if _, err := e.ExecuteQuery(context.Background(), sess, q); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.ExecuteQuery(context.Background(), sess, q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func sumQuery(tbl *schema.Table) *query.Query {
-	return &query.Query{Root: &query.AggNode{
-		Child: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{2}},
-		Aggs:  []exec.AggSpec{{Func: exec.AggSum, Col: 0}},
-	}}
-}
-
-func limitQuery(tbl *schema.Table) *query.Query {
-	return &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0}}, Limit: 100}
-}
-
-func filterQuery(tbl *schema.Table) *query.Query {
-	return &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 2},
-		Pred: storage.Pred{{Col: 1, Op: storage.CmpEq, Val: types.NewInt64(0)}}}}
-}
-
-// BenchmarkScanSumMorsel measures a full-table SUM on the morsel executor
-// (partial aggregation inside the scan workers, no tuple materialization).
-func BenchmarkScanSumMorsel(b *testing.B) { benchScanQuery(b, sumQuery) }
-
-// BenchmarkScanLimitMorsel measures LIMIT early termination: the feed
-// closes once enough rows arrive, so most morsels are never scheduled.
-func BenchmarkScanLimitMorsel(b *testing.B) { benchScanQuery(b, limitQuery) }
-
-// BenchmarkScanFilterMorsel measures a 10%-selective row stream in bounded
-// batches.
-func BenchmarkScanFilterMorsel(b *testing.B) { benchScanQuery(b, filterQuery) }
-
 // --- Engine fixtures ------------------------------------------------------
 
 func benchEngine(b *testing.B, mode cluster.Mode) *cluster.Engine {
@@ -439,17 +358,6 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, _ := exec.HashJoin(l, r, []int{0}, []int{0})
-		_ = out
-	}
-}
-
-// BenchmarkMergeJoin measures the merge-join operator on sorted inputs.
-func BenchmarkMergeJoin(b *testing.B) {
-	l, r := joinInputs(5000, 500)
-	ls, rs := exec.SortBy(l, []int{0}), exec.SortBy(r, []int{0})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _ := exec.MergeJoin(ls, rs, []int{0}, []int{0})
 		_ = out
 	}
 }

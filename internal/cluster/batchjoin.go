@@ -38,11 +38,8 @@ const defaultJoinSpillBudget = 64 << 20
 // joinSpill returns the engine's spill policy for batch hash joins.
 func (e *Engine) joinSpill() *exec.JoinSpill {
 	budget := e.cfg.JoinSpillBudget
-	if budget == 0 {
+	if budget <= 0 {
 		budget = defaultJoinSpillBudget
-	}
-	if budget < 0 {
-		return nil
 	}
 	return &exec.JoinSpill{Device: e.spill, Budget: budget}
 }
@@ -272,7 +269,6 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 	scan := projectScan(ch.scan, scanNeed)
 
 	spill := e.joinSpill()
-	filter := !e.cfg.DisableRuntimeFilter
 	stages := make([]exec.ProbeStage, 0, len(ch.builds))
 	pred := scan.Pred
 	for k, b := range ch.builds {
@@ -290,15 +286,15 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 			stages = nil
 			break
 		}
-		if spill != nil && c.NumRows() > 1 && c.Bytes() > spill.Budget {
+		if c.NumRows() > 1 && c.Bytes() > spill.Budget {
 			return nil, nil
 		}
 		st := exec.ProbeStage{
-			Table: exec.BuildJoinTable(&c, posIndex(buildNeed[k], b.key), filter),
+			Table: exec.BuildJoinTable(&c, posIndex(buildNeed[k], b.key)),
 			Key:   narrowed(b.probe),
 		}
 		stages = append(stages, st)
-		if filter && st.Key.Stage < 0 {
+		if st.Key.Stage < 0 {
 			if bounds := st.Table.Filter().BoundsPred(scan.Cols[st.Key.Col]); bounds != nil {
 				pred = append(append(storage.Pred{}, pred...), bounds...)
 				exec.RecordRFBoundsPush()
@@ -436,14 +432,11 @@ func (e *Engine) materializeJoin(ctx context.Context, pj *plan.PJoin, snap txn.V
 	rightFirst := nodeEstRows(pj.Right) <= nodeEstRows(pj.Left)
 	var left, right exec.ColRel
 	var err error
-	var rf *exec.RuntimeFilter
 	if rightFirst {
 		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, nil, -1, needR, 0); err != nil {
 			return exec.ColRel{}, err
 		}
-		if !e.cfg.DisableRuntimeFilter {
-			rf = exec.BuildRuntimeFilter(&right, rKey)
-		}
+		rf := exec.BuildRuntimeFilter(&right, rKey)
 		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, rf, lKey, needL, 0); err != nil {
 			return exec.ColRel{}, err
 		}
@@ -451,9 +444,7 @@ func (e *Engine) materializeJoin(ctx context.Context, pj *plan.PJoin, snap txn.V
 		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, nil, -1, needL, 0); err != nil {
 			return exec.ColRel{}, err
 		}
-		if !e.cfg.DisableRuntimeFilter {
-			rf = exec.BuildRuntimeFilter(&left, lKey)
-		}
+		rf := exec.BuildRuntimeFilter(&left, lKey)
 		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, rf, rKey, needR, 0); err != nil {
 			return exec.ColRel{}, err
 		}

@@ -315,9 +315,15 @@ func TestBatchJoinUnderConcurrentLayoutChanges(t *testing.T) {
 	wg.Wait()
 }
 
-// addSparseGroups loads a dimension holding only gids 0 and 9: the
-// min-max bounds [0,9] prune nothing (the fact side has 0-9), so any
-// probe-row rejection is the Bloom filter's doing.
+// sparseGroupRows holds only gids 0 and 9: the min-max bounds [0,9] prune
+// nothing (the fact side has 0-9), so any probe-row rejection is the Bloom
+// filter's doing.
+var sparseGroupRows = []schema.Row{
+	{ID: 0, Vals: []types.Value{types.NewInt64(0), types.NewFloat64(1), types.NewString("lo")}},
+	{ID: 9, Vals: []types.Value{types.NewInt64(9), types.NewFloat64(2), types.NewString("hi")}},
+}
+
+// addSparseGroups loads sparseGroupRows as a replicated dimension.
 func addSparseGroups(t *testing.T, e *Engine) *schema.Table {
 	t.Helper()
 	dim, err := e.CreateTable(TableSpec{
@@ -332,10 +338,7 @@ func addSparseGroups(t *testing.T, e *Engine) *schema.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadRows(context.Background(), dim.ID, []schema.Row{
-		{ID: 0, Vals: []types.Value{types.NewInt64(0), types.NewFloat64(1), types.NewString("lo")}},
-		{ID: 9, Vals: []types.Value{types.NewInt64(9), types.NewFloat64(2), types.NewString("hi")}},
-	}); err != nil {
+	if err := e.LoadRows(context.Background(), dim.ID, sparseGroupRows); err != nil {
 		t.Fatal(err)
 	}
 	return dim
@@ -344,18 +347,14 @@ func addSparseGroups(t *testing.T, e *Engine) *schema.Table {
 // TestBatchJoinRuntimeFilterPruning joins against a dimension holding only
 // gids {0, 9} while the fact side has 0-9: the runtime filter must push
 // bounds predicates into the probe scans and Bloom-reject the probe rows
-// with gids 1-8, and the answers must match a DisableRuntimeFilter engine
-// exactly.
+// with gids 1-8, and the answer must match the reference evaluator's.
 func TestBatchJoinRuntimeFilterPruning(t *testing.T) {
-	rf, factF := newMorselEngine(t, ModeColumnStore, 2, 4, 240, nil)
-	norf, factN := newMorselEngine(t, ModeColumnStore, 2, 4, 240, func(c *Config) {
-		c.DisableRuntimeFilter = true
-	})
-	dimF := addSparseGroups(t, rf)
-	dimN := addSparseGroups(t, norf)
+	e, fact := newMorselEngine(t, ModeColumnStore, 2, 4, 240, nil)
+	dim := addSparseGroups(t, e)
+	q := factDimJoin(fact, dim)
 
 	before := exec.ReadJoinStats()
-	got := runSorted(t, rf, factDimJoin(factF, dimF))
+	got := runSorted(t, e, q)
 	d := exec.ReadJoinStats()
 	if d.BoundsPreds == before.BoundsPreds {
 		t.Error("no min-max bounds predicate was pushed into the probe scan")
@@ -369,11 +368,8 @@ func TestBatchJoinRuntimeFilterPruning(t *testing.T) {
 		t.Errorf("Bloom filter rejected nothing: %d/%d passed", passed, tested)
 	}
 
-	before = exec.ReadJoinStats()
-	want := runSorted(t, norf, factDimJoin(factN, dimN))
-	if after := exec.ReadJoinStats(); after.BloomTested != before.BloomTested {
-		t.Error("DisableRuntimeFilter engine still Bloom-tested probe rows")
-	}
+	want := refEval(q.Root, refTables{fact.ID: testRows(240), dim.ID: sparseGroupRows})
+	sortTuples(want)
 	sameRels(t, "runtime filter", got, want)
 
 	// 48 fact rows have grp in {0, 9} (240 rows, grp = i%10 → 24 each).

@@ -125,12 +125,9 @@ type Config struct {
 	// background work, no shedding), preserving the pre-admission
 	// behavior for tests and baselines.
 	Admission admission.Config
-	// DisableRuntimeFilter keeps the batch join but skips building the
-	// Bloom/min-max runtime filter from the build side (ablations).
-	DisableRuntimeFilter bool
 	// JoinSpillBudget is the in-memory build-side byte budget above which a
 	// batch hash join grace-partitions its keys through the simulated spill
-	// device. 0 means a 64 MiB default; negative disables spilling.
+	// device. 0 (or negative) means a 64 MiB default.
 	JoinSpillBudget int64
 }
 

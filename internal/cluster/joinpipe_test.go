@@ -57,7 +57,7 @@ func TestJoinAggNetworkAccounting(t *testing.T) {
 		build.Vecs[2].Append(types.NewString([]string{"even", "odd"}[g%2]))
 	}
 	build.SetRows(ngroups)
-	tableBytes := exec.BuildJoinTable(&build, 0, true).Bytes()
+	tableBytes := exec.BuildJoinTable(&build, 0).Bytes()
 	// ... and the remote site's partial: its fact rows joined and grouped
 	// by tag into [tag, COUNT, SUM(val), SUM(weight), COUNT].
 	remoteRows := 0
@@ -345,7 +345,7 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 		build.Vecs[1].Append(types.NewFloat64(float64(g) * 10))
 	}
 	build.SetRows(10)
-	tableBytes := exec.BuildJoinTable(&build, 0, true).Bytes()
+	tableBytes := exec.BuildJoinTable(&build, 0).Bytes()
 	partial := exec.Rel{Tuples: [][]types.Value{{types.NewInt64(0), types.NewFloat64(0)}}}
 	swapped := 256 + tableBytes + int64(partial.RowBytes()+64)
 	remote := simnet.SiteID(1 - int(coord))

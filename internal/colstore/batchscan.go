@@ -140,11 +140,10 @@ func (s *batchScan) chunk(b *storage.Batch, p0, p1 int, oi *int, fn func(*storag
 			// Plain columns are zero-copy views; dictionary and FoR
 			// columns hand out encoded views over the raw codes.
 			b.Vecs[i] = c.viewVec(p0, p1)
-		} else if rv, ok := runsVecEnabled(c, p0, p1); ok {
+		} else if rv, ok := c.runsVec(p0, p1); ok {
 			b.Vecs[i] = rv
 		} else {
-			// NULL-bearing runs (or encodings toggled off for A/B
-			// benchmarking): expand into pooled buffers.
+			// NULL-bearing runs: expand into pooled buffers.
 			c.fillVec(&b.Vecs[i], p0, p1)
 		}
 	}
@@ -257,16 +256,6 @@ func sortedRange(n int, at func(int) types.Value, sortBy schema.ColID, pred stor
 		}
 	}
 	return min(lo, hi), hi
-}
-
-// runsVecEnabled hands out a zero-copy run-length view unless encoded
-// execution is toggled off (SetEncodings(false) restores the decode-first
-// behavior end to end, for clean on/off benchmarking).
-func runsVecEnabled(c *colData, p0, p1 int) (storage.Vec, bool) {
-	if encodingsOff.Load() {
-		return storage.Vec{}, false
-	}
-	return c.runsVec(p0, p1)
 }
 
 // filterColRange appends to dst the batch-relative indexes in [p0, p1)

@@ -52,18 +52,6 @@ func (e colEncoding) String() string {
 // the other encodings.
 const maxDictSize = 1 << 16
 
-// encodingsOff disables dictionary/FoR selection so compressed layouts
-// build plain RLE columns — the pre-encoding behavior, kept reachable for
-// A/B benchmarks (experiments/scan.go) and differential tests.
-var encodingsOff atomic.Bool
-
-// SetEncodings toggles dictionary/FoR encoding selection for newly built
-// columns and reports the previous setting. Existing columns are
-// unaffected; callers rebuild (Load/MergeDelta/ChangeLayout) to re-encode.
-func SetEncodings(on bool) bool {
-	return !encodingsOff.Swap(!on)
-}
-
 // Package-wide encoding counters, surfaced by the engine's metrics
 // snapshot as colstore.encoding.*. They count compressed column builds
 // only (compress=false builds are always plain and say nothing about
@@ -296,9 +284,6 @@ func chooseEncoding(kind types.Kind, vals []types.Value) colEncoding {
 		if distinct != nil && !v.IsNull() && len(distinct) <= maxDictSize {
 			distinct[v.S] = struct{}{}
 		}
-	}
-	if encodingsOff.Load() {
-		return encRLE
 	}
 	best := encPlain
 	bestBytes := plainBytes + 4*(n+1)

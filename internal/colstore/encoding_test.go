@@ -76,22 +76,6 @@ func TestChooseEncoding(t *testing.T) {
 	}
 }
 
-func TestSetEncodingsToggle(t *testing.T) {
-	prev := SetEncodings(false)
-	defer SetEncodings(prev)
-	vals := make([]types.Value, 128)
-	for i := range vals {
-		vals[i] = types.NewString(fmt.Sprintf("v%d", i%2))
-	}
-	if c := buildCol(types.KindString, vals, true); c.enc != encRLE {
-		t.Errorf("with encodings off, compressed build should fall back to RLE, got %v", c.enc)
-	}
-	SetEncodings(true)
-	if c := buildCol(types.KindString, vals, true); c.enc != encRLE && c.enc != encDict {
-		t.Errorf("unexpected encoding %v", c.enc)
-	}
-}
-
 // TestEncodedSerializeRoundTrip proves serialize/deserializeCol preserve
 // the encoding and every value for all four encodings.
 func TestEncodedSerializeRoundTrip(t *testing.T) {
@@ -161,10 +145,10 @@ func encTestRows(rng *rand.Rand, n int) []schema.Row {
 	return rows
 }
 
-// TestEncodedScanDifferential loads identical data with encodings on and
-// off and requires every scan — string equality and inequality, int
-// ranges, projections — to return identical rows in identical order, on
-// both the memory and disk stores.
+// TestEncodedScanDifferential loads identical data into compressed
+// (encoded) and uncompressed (plain) stores and requires every scan —
+// string equality and inequality, int ranges, projections — to return
+// identical rows in identical order, on both the memory and disk stores.
 func TestEncodedScanDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	rows := encTestRows(rng, 2000)
@@ -189,30 +173,24 @@ func TestEncodedScanDifferential(t *testing.T) {
 		})
 		return out
 	}
-	mkStores := func() []storage.Store {
-		return []storage.Store{
-			NewMem(testKinds, storage.NoSort, true),
-			NewMem(testKinds, 1, true),
-			NewDisk(testKinds, disksim.New(disksim.Config{}), storage.NoSort, true),
+	mkStores := func(compress bool) []storage.Store {
+		stores := []storage.Store{
+			NewMem(testKinds, storage.NoSort, compress),
+			NewMem(testKinds, 1, compress),
+			NewDisk(testKinds, disksim.New(disksim.Config{}), storage.NoSort, compress),
 		}
-	}
-
-	prev := SetEncodings(false)
-	defer SetEncodings(prev)
-	plainStores := mkStores()
-	for _, s := range plainStores {
-		if err := s.Load(rows, 1); err != nil {
-			t.Fatal(err)
+		for _, s := range stores {
+			if err := s.Load(rows, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return stores
 	}
-	SetEncodings(true)
-	encStores := mkStores()
-	for _, s := range encStores {
-		if err := s.Load(rows, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	plainStores, encStores := mkStores(false), mkStores(true)
 	for si := range encStores {
+		if plainStores[si].Stats().EncodedBytes != 0 {
+			t.Errorf("store %d: uncompressed store reports encoded bytes", si)
+		}
 		if encStores[si].Stats().EncodedBytes == 0 {
 			t.Errorf("store %d: no encoded bytes reported", si)
 		}

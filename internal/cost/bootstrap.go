@@ -81,19 +81,9 @@ func bootstrap(k modelKey, x []float64) float64 {
 	case OpSort:
 		card, rowB := x[0], x[1]
 		return card * (usPerCell + rowB*usPerByte) * log2(card)
-	case OpHashBuild:
-		card, rowB := x[0], x[1]
-		return card * (usPerCell*2 + rowB*usPerByte)
 	case OpJoin:
 		l, r, out, rowB := x[0], x[1], x[2], x[3]
-		switch k.variant {
-		case JoinMerge:
-			return (l + r + out) * (usPerCell + rowB*usPerByte*0.5)
-		case JoinNested:
-			return l*r*usPerCell*0.1 + out*usPerCell
-		default: // hash
-			return (l+r)*usPerCell*2 + out*(usPerCell+rowB*usPerByte)
-		}
+		return (l+r)*usPerCell*2 + out*(usPerCell+rowB*usPerByte)
 	case OpAggregate:
 		in, out, rowB := x[0], x[1], x[2]
 		return in*(usPerCell+rowB*usPerByte*0.3) + out*usPerCell

@@ -28,7 +28,6 @@ const (
 	OpPointRead
 	OpScan
 	OpSort
-	OpHashBuild
 	OpJoin
 	OpAggregate
 	OpNetwork
@@ -41,7 +40,7 @@ const (
 // String names the op.
 func (o Op) String() string {
 	names := [...]string{"bulkload", "write", "pointread", "scan", "sort",
-		"hashbuild", "join", "aggregate", "network", "lock", "wait", "commit"}
+		"join", "aggregate", "network", "lock", "wait", "commit"}
 	if int(o) < len(names) {
 		return names[o]
 	}
@@ -66,10 +65,7 @@ const (
 	VariantDefault Variant = iota
 	ScanSeq
 	ScanSorted
-	ScanIndex
 	JoinHash
-	JoinMerge
-	JoinNested
 	AggHash
 	// JoinHashBatch is the batch-native hash join (columnar build/probe,
 	// runtime filter, optional spill); it learns its own model per layout
@@ -79,7 +75,7 @@ const (
 
 // String names the variant.
 func (v Variant) String() string {
-	names := [...]string{"", "seq", "sorted", "index", "hash", "merge", "nested", "agghash", "hashbatch"}
+	names := [...]string{"", "seq", "sorted", "hash", "agghash", "hashbatch"}
 	if int(v) < len(names) {
 		return names[v]
 	}
@@ -247,7 +243,7 @@ func derive(op Op, x []float64) []float64 {
 	case OpScan:
 		card, inB, outB, sel, enc := x[0], x[1], x[2], x[3], x[4]
 		return []float64{card, card * inB, card * outB, card * inB * sel, card * inB * enc, 0}
-	case OpBulkLoad, OpHashBuild, OpAggregate:
+	case OpBulkLoad, OpAggregate:
 		card, rowB := x[0], x[1]
 		return []float64{card, card * rowB, x[2], 0, 0, 0}
 	case OpSort:

@@ -126,15 +126,15 @@ func TestVariantsSeparate(t *testing.T) {
 	m := NewModel()
 	l := colLayout()
 	for i := 0; i < 200; i++ {
-		m.Observe(Observation{Op: OpJoin, Variant: JoinMerge, Layout: l,
+		m.Observe(Observation{Op: OpJoin, Variant: JoinHashBatch, Layout: l,
 			Features: JoinFeatures(100, 100, 100, 32, 0.5), Latency: 10 * time.Microsecond})
-		m.Observe(Observation{Op: OpJoin, Variant: JoinNested, Layout: l,
+		m.Observe(Observation{Op: OpJoin, Variant: JoinHash, Layout: l,
 			Features: JoinFeatures(100, 100, 100, 32, 0.5), Latency: 5 * time.Millisecond})
 	}
-	merge := m.Predict(OpJoin, JoinMerge, l, JoinFeatures(100, 100, 100, 32, 0.5))
-	nested := m.Predict(OpJoin, JoinNested, l, JoinFeatures(100, 100, 100, 32, 0.5))
-	if merge >= nested {
-		t.Errorf("variants not separate: merge %v nested %v", merge, nested)
+	batch := m.Predict(OpJoin, JoinHashBatch, l, JoinFeatures(100, 100, 100, 32, 0.5))
+	row := m.Predict(OpJoin, JoinHash, l, JoinFeatures(100, 100, 100, 32, 0.5))
+	if batch >= row {
+		t.Errorf("variants not separate: batch %v row %v", batch, row)
 	}
 }
 
@@ -145,8 +145,8 @@ func TestOpStringsAndAwareness(t *testing.T) {
 	if !OpScan.LayoutAware() || OpNetwork.LayoutAware() {
 		t.Error("awareness wrong")
 	}
-	if JoinMerge.String() != "merge" {
-		t.Errorf("variant name = %q", JoinMerge.String())
+	if JoinHashBatch.String() != "hashbatch" {
+		t.Errorf("variant name = %q", JoinHashBatch.String())
 	}
 }
 

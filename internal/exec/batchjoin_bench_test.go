@@ -201,7 +201,7 @@ func BenchmarkJoinTableProbe(b *testing.B) {
 			c.Vecs[1].Append(types.NewInt64(payload(i)))
 		}
 		c.SetRows(n)
-		return BuildJoinTable(&c, 0, true)
+		return BuildJoinTable(&c, 0)
 	}
 	batches := func(key func() int64) []*storage.Batch {
 		out := make([]*storage.Batch, 64)

@@ -4,8 +4,8 @@ package exec
 // produce exactly the rows of the row HashJoin, in the same left-major
 // order, across typed int keys, string keys, NULL keys, empty and
 // duplicate-heavy inputs, encoded key vectors, projection pushdown, and
-// the grace-spill path. The row joins are the oracle: they are simple,
-// heavily tested, and pinned against MergeJoin/NestedLoopJoin already.
+// the grace-spill path. The row HashJoin is the oracle: it is simple,
+// heavily tested, and pinned against a plain nested loop already.
 
 import (
 	"math/rand"
@@ -311,41 +311,6 @@ func TestKeySetSerializationRoundTrip(t *testing.T) {
 	}
 	if _, err := deserializeKeySet([]byte{1, 2}); err == nil {
 		t.Error("truncated block must error")
-	}
-}
-
-// TestMergeJoinSortedContractAssertion enables the debug-build invariant
-// checks and verifies MergeJoin panics on unsorted input instead of
-// silently returning wrong rows (the sorted-input contract regression
-// test; release builds skip the check entirely).
-func TestMergeJoinSortedContractAssertion(t *testing.T) {
-	saved := debugChecks
-	debugChecks = true
-	defer func() { debugChecks = saved }()
-
-	sorted := rel([]string{"k"}, iv(1), iv(2), iv(3))
-	unsorted := rel([]string{"k"}, iv(2), iv(1), iv(3))
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MergeJoin accepted an unsorted left input with debug checks on")
-			}
-		}()
-		MergeJoin(unsorted, sorted, []int{0}, []int{0})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MergeJoin accepted an unsorted right input with debug checks on")
-			}
-		}()
-		MergeJoin(sorted, unsorted, []int{0}, []int{0})
-	}()
-	// Sorted inputs must pass the assertion untouched.
-	out, _ := MergeJoin(sorted, sorted, []int{0}, []int{0})
-	if out.NumRows() != 3 {
-		t.Errorf("sorted merge join rows = %d", out.NumRows())
 	}
 }
 

@@ -1,19 +1,17 @@
 package exec
 
 import (
-	"fmt"
 	"time"
 
 	"proteus/internal/cost"
 	"proteus/internal/types"
 )
 
-// NULL-key semantics: all join variants treat NULL keys the way filter
-// predicates do — CmpEq.Eval compares through types.Compare, which orders
-// NULL equal to NULL, so a NULL key matches a NULL key. joinKey hashes
-// NULLs into the table and keysEqual uses types.Equal (Compare == 0);
-// MergeJoin's compareKeys goes through types.Compare directly. All three
-// variants therefore agree: NULL == NULL joins, NULL != non-NULL doesn't.
+// NULL-key semantics: HashJoin treats NULL keys the way filter predicates
+// do — CmpEq.Eval compares through types.Compare, which orders NULL equal
+// to NULL, so a NULL key matches a NULL key. joinKey hashes NULLs into the
+// table and keysEqual uses types.Equal (Compare == 0): NULL == NULL joins,
+// NULL != non-NULL doesn't.
 
 // joinKey hashes a tuple's key columns (NULLs hash like any other value).
 func joinKey(t []types.Value, keys []int) uint64 {
@@ -39,12 +37,6 @@ func joinCols(l, r Rel) []string {
 	cols := make([]string, 0, len(l.Cols)+len(r.Cols))
 	cols = append(cols, l.Cols...)
 	return append(cols, r.Cols...)
-}
-
-func concatTuple(a, b []types.Value) []types.Value {
-	t := make([]types.Value, 0, len(a)+len(b))
-	t = append(t, a...)
-	return append(t, b...)
 }
 
 // tupleArena hands out concatenated output tuples from chunked slabs, so a
@@ -135,8 +127,8 @@ func joinObs(variant cost.Variant, l, r, out Rel, d time.Duration) cost.Observat
 // HashJoin computes the inner equi-join of l and r on the given key
 // positions, building the hash table on the smaller input. Output rows are
 // left-major regardless of which side builds — ascending left index, then
-// ascending right index — matching MergeJoin and NestedLoopJoin, so callers
-// (and the differential tests) can compare variants row for row.
+// ascending right index — the order of a nested loop over l then r, so
+// callers (and the differential tests) can compare results row for row.
 func HashJoin(l, r Rel, lKeys, rKeys []int) (Rel, cost.Observation) {
 	start := time.Now()
 	build, probe := r, l
@@ -177,96 +169,6 @@ func HashJoin(l, r Rel, lKeys, rKeys []int) (Rel, cost.Observation) {
 				out.Tuples = append(out.Tuples, arena.concat(pt, bt))
 			}
 		})
-	}
-	return out, joinObs(cost.JoinHash, l, r, out, time.Since(start))
-}
-
-// MergeJoin computes the inner equi-join of inputs already sorted by their
-// key columns — the storage-aware fast path when both partitions maintain
-// sort orders on the join attribute (§4.3, Figure 7b).
-//
-// Contract: BOTH inputs must be sorted ascending by their key columns in
-// types.Compare order (NULLs first). The merge walk silently drops or
-// duplicates matches on unsorted input — it does not detect disorder.
-// Callers that cannot guarantee order must sort first (as the cluster
-// executor's joinRels does) or use HashJoin. Builds tagged `proteusdebug`
-// (and the regression tests) enable an O(n+m) ordering assertion that
-// panics on contract violations instead of returning wrong rows.
-func MergeJoin(l, r Rel, lKeys, rKeys []int) (Rel, cost.Observation) {
-	start := time.Now()
-	if debugChecks {
-		assertSorted(l, lKeys, "MergeJoin left input")
-		assertSorted(r, rKeys, "MergeJoin right input")
-	}
-	out := Rel{Cols: joinCols(l, r)}
-	i, j := 0, 0
-	for i < len(l.Tuples) && j < len(r.Tuples) {
-		c := compareKeys(l.Tuples[i], r.Tuples[j], lKeys, rKeys)
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			// Emit the cross product of the equal-key groups.
-			jEnd := j
-			for jEnd < len(r.Tuples) && compareKeys(l.Tuples[i], r.Tuples[jEnd], lKeys, rKeys) == 0 {
-				jEnd++
-			}
-			for ; i < len(l.Tuples) && compareKeys(l.Tuples[i], r.Tuples[j], lKeys, rKeys) == 0; i++ {
-				for jj := j; jj < jEnd; jj++ {
-					out.Tuples = append(out.Tuples, concatTuple(l.Tuples[i], r.Tuples[jj]))
-				}
-			}
-			j = jEnd
-		}
-	}
-	return out, joinObs(cost.JoinMerge, l, r, out, time.Since(start))
-}
-
-// assertSorted panics if r is not ascending by keys — the debug-build
-// enforcement of MergeJoin's sorted-input contract.
-func assertSorted(r Rel, keys []int, what string) {
-	for i := 1; i < len(r.Tuples); i++ {
-		if compareKeys(r.Tuples[i-1], r.Tuples[i], keys, keys) > 0 {
-			panic(fmt.Sprintf("%s violates the sorted-input contract: tuple %d sorts before tuple %d", what, i, i-1))
-		}
-	}
-}
-
-// NestedLoopJoin joins with an arbitrary predicate (non-equi joins).
-func NestedLoopJoin(l, r Rel, pred func(lt, rt []types.Value) bool) (Rel, cost.Observation) {
-	start := time.Now()
-	out := Rel{Cols: joinCols(l, r)}
-	for _, lt := range l.Tuples {
-		for _, rt := range r.Tuples {
-			if pred(lt, rt) {
-				out.Tuples = append(out.Tuples, concatTuple(lt, rt))
-			}
-		}
-	}
-	return out, joinObs(cost.JoinNested, l, r, out, time.Since(start))
-}
-
-// SemiJoinFilter returns the l tuples whose key appears in r — the probe
-// phase of the invisible-join style execution (§4.3): the fact table's
-// foreign-key column is filtered against a hash of the dimension keys
-// before any other fact column is materialized.
-func SemiJoinFilter(l Rel, lKeys []int, r Rel, rKeys []int) (Rel, cost.Observation) {
-	start := time.Now()
-	ht := make(map[uint64][][]types.Value, r.NumRows())
-	for _, t := range r.Tuples {
-		k := joinKey(t, rKeys)
-		ht[k] = append(ht[k], t)
-	}
-	out := Rel{Cols: l.Cols}
-	for _, t := range l.Tuples {
-		for _, rt := range ht[joinKey(t, lKeys)] {
-			if keysEqual(t, rt, lKeys, rKeys) {
-				out.Tuples = append(out.Tuples, t)
-				break
-			}
-		}
 	}
 	return out, joinObs(cost.JoinHash, l, r, out, time.Since(start))
 }

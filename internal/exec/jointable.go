@@ -187,16 +187,16 @@ func (k keyCol) hashes() []uint64 {
 }
 
 // BuildJoinTable hashes key column key of the build relation into a table
-// whose payload is the relation's columns. With bloom set the table's
-// runtime filter carries Bloom bits besides the min-max bounds, and probes
-// consult them before touching a bucket.
-func BuildJoinTable(build *ColRel, key int, bloom bool) *JoinTable {
+// whose payload is the relation's columns. The table's runtime filter
+// carries Bloom bits besides the min-max bounds (up to maxBloomBuildRows
+// build rows), and probes consult them before touching a bucket.
+func BuildJoinTable(build *ColRel, key int) *JoinTable {
 	start := time.Now()
 	kc := canonKeyCol(&build.Vecs[key], build.NumRows())
 	hs := kc.hashes()
 	t := newJoinTable(kc, hs)
 	t.cols = *build
-	t.filter = newRuntimeFilter(kc, hs, build.Vecs[key].Kind, bloom)
+	t.filter = newRuntimeFilter(kc, hs, build.Vecs[key].Kind)
 	t.buildNanos = time.Since(start).Nanoseconds()
 	return t
 }

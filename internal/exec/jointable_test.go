@@ -104,6 +104,17 @@ func allRefs(widths ...int) []ColRef {
 	return out
 }
 
+// buildJoinTable is BuildJoinTable with the Bloom bits optionally dropped,
+// as a build side past maxBloomBuildRows has them: probes then go straight
+// to the buckets.
+func buildJoinTable(build *ColRel, key int, bloom bool) *JoinTable {
+	t := BuildJoinTable(build, key)
+	if !bloom {
+		t.filter.bits = nil
+	}
+	return t
+}
+
 func keptRows(r Rel, keep []bool) Rel {
 	out := Rel{Cols: r.Cols}
 	for i, t := range r.Tuples {
@@ -171,7 +182,7 @@ func TestJoinPipeDifferential(t *testing.T) {
 		tuplesEqual(t, viaBatch.Rel().Tuples, want.Tuples, "BatchHashJoin")
 
 		for _, bloom := range []bool{false, true} {
-			tbl := BuildJoinTable(&bc, 0, bloom)
+			tbl := buildJoinTable(&bc, 0, bloom)
 			pipe := NewJoinPipe([]ProbeStage{{Table: tbl, Key: ColRef{Stage: -1, Col: 0}}}, allRefs(2, 2))
 			got := pipeRows(pipe, probeBatches(rng, probe, keep, 0))
 			tuplesEqual(t, got, want.Tuples, "pipeline")
@@ -205,7 +216,7 @@ func TestJoinPipeProjection(t *testing.T) {
 	}
 	full, _ := HashJoin(probe, build, []int{0}, []int{0})
 	bc := ColRelFromRel(build)
-	tbl := BuildJoinTable(&bc, 0, true)
+	tbl := BuildJoinTable(&bc, 0)
 	for _, out := range [][]ColRef{
 		{{Stage: -1, Col: 1}}, // scan-only view
 		{},                    // no columns at all: COUNT(*)
@@ -259,8 +270,8 @@ func TestJoinPipeChain(t *testing.T) {
 			}
 			want, _ := HashJoin(inner, b1, []int{pos}, []int{0})
 			pipe := NewJoinPipe([]ProbeStage{
-				{Table: BuildJoinTable(&c0, 0, trial%3 == 0), Key: ColRef{Stage: -1, Col: 0}},
-				{Table: BuildJoinTable(&c1, 0, trial%3 == 1), Key: second},
+				{Table: buildJoinTable(&c0, 0, trial%3 == 0), Key: ColRef{Stage: -1, Col: 0}},
+				{Table: buildJoinTable(&c1, 0, trial%3 == 1), Key: second},
 			}, allRefs(3, 3, 2))
 			got := pipeRows(pipe, probeBatches(rng, probe, keep, 0))
 			tuplesEqual(t, got, want.Tuples, "chain")
@@ -287,7 +298,7 @@ func TestJoinTableConcurrentProbers(t *testing.T) {
 	}
 	want, _ := HashJoin(probe, build, []int{0}, []int{0})
 	bc := ColRelFromRel(build)
-	pipe := NewJoinPipe([]ProbeStage{{Table: BuildJoinTable(&bc, 0, true), Key: ColRef{Stage: -1, Col: 0}}}, allRefs(2, 2))
+	pipe := NewJoinPipe([]ProbeStage{{Table: BuildJoinTable(&bc, 0), Key: ColRef{Stage: -1, Col: 0}}}, allRefs(2, 2))
 
 	const workers = 8
 	results := make([][][]types.Value, workers)
@@ -353,7 +364,7 @@ func TestJoinKeysMeetAcrossRepresentations(t *testing.T) {
 			t.Fatalf("%s: oracle gives %d rows, test expects %d", tc.name, len(want.Tuples), tc.want)
 		}
 		for _, bloom := range []bool{false, true} {
-			tbl := BuildJoinTable(&tc.build, 0, bloom)
+			tbl := buildJoinTable(&tc.build, 0, bloom)
 			var m matches
 			tbl.probe(canonKeyCol(&tc.probe.Vecs[0], tc.probe.NumRows()), &m)
 			if len(m.pos) != tc.want {
@@ -390,7 +401,7 @@ func TestJoinTableHashQuality(t *testing.T) {
 			build.Vecs[0].Append(types.NewInt64(key(i)))
 		}
 		build.SetRows(n)
-		tbl := BuildJoinTable(&build, 0, false)
+		tbl := buildJoinTable(&build, 0, false)
 		load := float64(n) / float64(len(tbl.offs)-1)
 
 		probe := make([]int64, 0, 2*n)
@@ -406,7 +417,7 @@ func TestJoinTableHashQuality(t *testing.T) {
 		}
 		// Bloom words are picked by other bits of the same hash: absent
 		// keys must mostly be rejected, present ones always pass.
-		f := BuildJoinTable(&build, 0, true).Filter()
+		f := BuildJoinTable(&build, 0).Filter()
 		passed := 0
 		for i := 0; i < n; i++ {
 			if !f.testHash(hashKey(key(i))) {

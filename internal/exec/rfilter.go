@@ -32,18 +32,18 @@ const maxBloomBuildRows = 4 << 20
 // new runtime filter.
 func BuildRuntimeFilter(c *ColRel, key int) *RuntimeFilter {
 	kc := canonKeyCol(&c.Vecs[key], c.NumRows())
-	return newRuntimeFilter(kc, kc.hashes(), c.Vecs[key].Kind, true)
+	return newRuntimeFilter(kc, kc.hashes(), c.Vecs[key].Kind)
 }
 
 // newRuntimeFilter folds canonical keys (hashes hs) into a filter. kind is
 // the key column's kind, which typed bounds are boxed back into.
-func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind, bloom bool) *RuntimeFilter {
+func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind) *RuntimeFilter {
 	n := len(hs)
 	f := &RuntimeFilter{n: n}
 	if n == 0 {
 		return f
 	}
-	if bloom && n <= maxBloomBuildRows {
+	if n <= maxBloomBuildRows {
 		nbits := uint64(256)
 		for nbits < uint64(n)*10 {
 			nbits <<= 1

@@ -87,34 +87,6 @@ func encFracOf(st storage.Stats) float64 {
 	return float64(st.EncodedBytes) / float64(st.Bytes)
 }
 
-// ScanWithRowIDs is like Scan but also returns each tuple's row id,
-// used by operators that later fetch more columns positionally.
-func ScanWithRowIDs(p *partition.Partition, cols []schema.ColID, pred storage.Pred, snap uint64) (Rel, []schema.RowID, cost.Observation) {
-	start := time.Now()
-	lp, _ := localPred(p, pred)
-	lcols := make([]schema.ColID, len(cols))
-	for i, c := range cols {
-		lcols[i] = p.Bounds.LocalCol(c)
-	}
-	rel := Rel{}
-	var ids []schema.RowID
-	p.ScanBatches(lcols, lp, snap, DefaultBatchRows, func(b *Batch) bool {
-		rel.Tuples = b.AppendTuples(rel.Tuples)
-		ids = b.AppendRowIDs(ids)
-		return true
-	})
-	layout := p.Layout()
-	st := p.Stats()
-	obs := cost.Observation{
-		Op:       cost.OpScan,
-		Variant:  ScanVariant(layout, lp),
-		Layout:   layout,
-		Features: cost.ScanFeaturesEnc(st.Rows, st.Bytes/maxInt(st.Rows, 1), rel.RowBytes(), selOf(len(ids), st.Rows), encFracOf(st)),
-		Latency:  time.Since(start),
-	}
-	return rel, ids, obs
-}
-
 // PointRead fetches one row's projection (table-global cols).
 func PointRead(p *partition.Partition, id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row, bool, cost.Observation) {
 	start := time.Now()
@@ -178,13 +150,6 @@ func approxRowBytes(vals []types.Value) int {
 		n += types.VarWidth(v)
 	}
 	return n
-}
-
-func selOf(out, in int) float64 {
-	if in <= 0 {
-		return 1
-	}
-	return float64(out) / float64(in)
 }
 
 func maxInt(a, b int) int {

@@ -17,7 +17,7 @@ var tiny = Scale{
 }
 
 func TestFindAndRegistry(t *testing.T) {
-	if len(All) != 20 {
+	if len(All) != 18 {
 		t.Errorf("registry has %d experiments", len(All))
 	}
 	seen := map[string]bool{}
@@ -62,9 +62,7 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			// Experiments that emit artifact files write into a scratch dir.
-			t.Setenv("PROTEUS_SCAN_BENCH_PATH", filepath.Join(t.TempDir(), "BENCH_scan.json"))
 			t.Setenv("PROTEUS_OVERLOAD_BENCH_PATH", filepath.Join(t.TempDir(), "BENCH_overload.json"))
-			t.Setenv("PROTEUS_CHBENCH_PATH", filepath.Join(t.TempDir(), "BENCH_chbench.json"))
 			var buf bytes.Buffer
 			if err := e.Run(&buf, tiny); err != nil {
 				t.Fatalf("%s: %v\n%s", e.ID, err, buf.String())

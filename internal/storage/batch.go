@@ -415,15 +415,6 @@ func (b *Batch) AppendTuples(dst [][]types.Value) [][]types.Value {
 	return dst
 }
 
-// AppendRowIDs appends the selected rows' ids onto dst.
-func (b *Batch) AppendRowIDs(dst []schema.RowID) []schema.RowID {
-	b.Selected(func(row int) bool {
-		dst = append(dst, b.RowIDs[row])
-		return true
-	})
-	return dst
-}
-
 // recycle is the stronger reset run before pooling: every vector slot up
 // to capacity is cleared so stale views can't outlive the scan.
 func (b *Batch) recycle() {

@@ -123,7 +123,10 @@ func TestBatchAppendSelectRecycle(t *testing.T) {
 		t.Fatalf("selected len = %d", b.Len())
 	}
 	var ids []schema.RowID
-	ids = b.AppendRowIDs(ids)
+	b.Selected(func(row int) bool {
+		ids = append(ids, b.RowIDs[row])
+		return true
+	})
 	if len(ids) != 2 || ids[0] != 10 || ids[1] != 12 {
 		t.Fatalf("ids = %v", ids)
 	}

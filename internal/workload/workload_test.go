@@ -5,13 +5,18 @@ package workload_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"proteus/internal/cluster"
+	"proteus/internal/exec"
 	"proteus/internal/harness"
 	"proteus/internal/simnet"
+	"proteus/internal/types"
 	"proteus/internal/workload/chbench"
 	"proteus/internal/workload/twitter"
 	"proteus/internal/workload/ycsb"
@@ -123,6 +128,93 @@ func TestCHBenchAllModes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCHForcedSpillMatchesInMemory loads CH identically into two
+// column-store engines, one with a 4 KiB join build budget that pushes
+// the batch joins through the grace-partitioned spill path, and requires
+// all eight analytical queries to answer alike on both: the same rows
+// after sorting, floats within 1e-6 relative (a spilled join sums its
+// partials in another order).
+func TestCHForcedSpillMatchesInMemory(t *testing.T) {
+	run := func(budget int64) ([]exec.Rel, int64) {
+		cfg := cluster.DefaultConfig()
+		cfg.Mode = cluster.ModeColumnStore
+		cfg.NumSites = 2
+		cfg.Net = simnet.Config{}
+		cfg.JoinSpillBudget = budget
+		e := cluster.New(cfg)
+		defer e.Close()
+		ch := chbench.DefaultConfig()
+		ch.LoadedOrdersPerDistrict = 60
+		w, err := chbench.Setup(e, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := e.NewSession()
+		rng := rand.New(rand.NewSource(99))
+		before := exec.ReadJoinStats().SpillPartitions
+		res := make([]exec.Rel, chbench.NumQueries)
+		for i := range res {
+			if res[i], err = e.ExecuteQuery(context.Background(), sess, w.Query(i, rng)); err != nil {
+				t.Fatalf("q%d: %v", i, err)
+			}
+		}
+		return res, exec.ReadJoinStats().SpillPartitions - before
+	}
+	mem, memSpills := run(0)
+	spilled, spills := run(4 << 10)
+	if memSpills != 0 {
+		t.Errorf("default-budget engine spilled %d partitions", memSpills)
+	}
+	if spills == 0 {
+		t.Fatal("no join spilled under a 4 KiB build budget")
+	}
+	for i := range mem {
+		if err := relsApprox(spilled[i], mem[i]); err != nil {
+			t.Errorf("q%d: spilled answer differs from in-memory: %v", i, err)
+		}
+	}
+}
+
+// relsApprox compares two relations ignoring row order: equal after
+// sorting, floats within 1e-6 relative.
+func relsApprox(got, want exec.Rel) error {
+	if len(got.Tuples) != len(want.Tuples) {
+		return fmt.Errorf("%d rows, want %d", len(got.Tuples), len(want.Tuples))
+	}
+	g, w := sortedTuples(got), sortedTuples(want)
+	for i := range w {
+		if len(g[i]) != len(w[i]) {
+			return fmt.Errorf("row %d: width %d, want %d", i, len(g[i]), len(w[i]))
+		}
+		for c := range w[i] {
+			a, b := g[i][c], w[i][c]
+			if a.K == types.KindFloat64 || b.K == types.KindFloat64 {
+				af, bf := a.Float(), b.Float()
+				if af == bf || math.Abs(af-bf) <= 1e-6*math.Max(math.Abs(af), math.Abs(bf)) {
+					continue
+				}
+			} else if types.Equal(a, b) {
+				continue
+			}
+			return fmt.Errorf("row %d col %d: %v, want %v", i, c, a, b)
+		}
+	}
+	return nil
+}
+
+func sortedTuples(r exec.Rel) [][]types.Value {
+	ts := append([][]types.Value(nil), r.Tuples...)
+	sort.Slice(ts, func(i, j int) bool {
+		for c := range ts[i] {
+			if cmp := types.Compare(ts[i][c], ts[j][c]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	return ts
 }
 
 func TestCHQueriesAllShapesExecute(t *testing.T) {
