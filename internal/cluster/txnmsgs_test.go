@@ -160,6 +160,63 @@ func TestTxnMessageBudget(t *testing.T) {
 	}
 }
 
+// TestReplicationMessageBudget holds a replica site's poll to one message
+// from the log broker however many of its partitions have new records: a
+// transaction writes four partitions mastered at site 0 whose column
+// replicas sit at site 1, and one poll at site 1 receives all four records
+// in a single replication message and brings every replica up to its
+// master.
+func TestReplicationMessageBudget(t *testing.T) {
+	const parts = 4
+	cfg := fastConfig(ModeRowStore, 2)
+	cfg.ReplicationInterval, cfg.MaintainInterval = time.Hour, time.Hour
+	e := New(cfg)
+	t.Cleanup(e.Close)
+	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: 100 * parts, Partitions: parts,
+		PlaceAt: func(int) simnet.SiteID { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := e.LoadRows(ctx, tbl.ID, testRows(100*parts)); err != nil {
+		t.Fatal(err)
+	}
+	ms := e.Dir.TablePartitions(tbl.ID)
+	for _, m := range ms {
+		if err := e.AddReplicaOp(m.ID, 1, storage.DefaultColumnLayout()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	txn := &query.Txn{}
+	for p := int64(0); p < parts; p++ {
+		txn.Ops = append(txn.Ops, updateOp(tbl, 100*p+7, 2, types.NewFloat64(-1)))
+	}
+	expectKinds(t, e, "four-partition write", map[simnet.Kind]int64{simnet.KindDispatch: 1}, func() {
+		if _, err := e.ExecuteTxn(ctx, e.NewSession(), txn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, m := range ms {
+		if copyVersion(t, e, m.ID, 1) >= copyVersion(t, e, m.ID, 0) {
+			t.Fatalf("partition %d: the replica is not behind its master", m.ID)
+		}
+	}
+	var applied int
+	expectKinds(t, e, "replica poll", map[simnet.Kind]int64{simnet.KindReplication: 1}, func() {
+		if applied, err = e.siteOf(1).Repl.PollOnce(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if applied != parts {
+		t.Errorf("the poll applied %d records, want %d", applied, parts)
+	}
+	for _, m := range ms {
+		if rep, master := copyVersion(t, e, m.ID, 1), copyVersion(t, e, m.ID, 0); rep != master {
+			t.Errorf("partition %d: replica at version %d, master at %d", m.ID, rep, master)
+		}
+	}
+}
+
 // TestNetKindsPartitionTotals runs every kind of traffic — transactions,
 // scans, a join, a layout change, background replication — and checks the
 // per-kind counters sum exactly to the totals, with nothing untagged.

@@ -224,9 +224,15 @@ func (b *Broker) AppendBatch(recs []Record) {
 // base resume from the oldest retained record (a log broker's
 // out-of-range reset to the log-start offset).
 func (b *Broker) Poll(pid partition.ID, from int64, max int) ([]Record, int64) {
+	return b.PollAppend(nil, pid, from, max)
+}
+
+// PollAppend is Poll appending the records to dst, so a consumer that
+// fetches many partitions at once can gather them in one reused buffer.
+func (b *Broker) PollAppend(dst []Record, pid partition.ID, from int64, max int) ([]Record, int64) {
 	t := b.lookup(pid)
 	if t == nil {
-		return nil, from
+		return dst, from
 	}
 	t.mu.RLock()
 	if from < t.base {
@@ -238,19 +244,18 @@ func (b *Broker) Poll(pid partition.ID, from int64, max int) ([]Record, int64) {
 		if b.obsPolls != nil {
 			b.obsPolls.Inc()
 		}
-		return nil, from
+		return dst, from
 	}
 	if max > 0 && from+int64(max) < end {
 		end = from + int64(max)
 	}
-	out := make([]Record, end-from)
-	copy(out, t.records[from-t.base:end-t.base])
+	dst = append(dst, t.records[from-t.base:end-t.base]...)
 	t.mu.RUnlock()
 	if b.obsPolls != nil {
 		b.obsPolls.Inc()
-		b.obsPolled.Add(int64(len(out)))
+		b.obsPolled.Add(end - from)
 	}
-	return out, end
+	return dst, end
 }
 
 // EndOffset reports the offset one past the last record.

@@ -1,9 +1,11 @@
 // Package replication implements Proteus' lazy per-partition replication
-// (§4.2): replica sites subscribe to a partition's redo log, poll updates
-// into per-partition queues, and apply them either in the background or
-// on demand when a transaction needs a replica caught up to a snapshot
-// version (the SSSI freshness wait, whose duration feeds the "waiting for
-// updates" cost function of Table 1).
+// (§4.2): replica sites subscribe to a partition's redo log, fetch every
+// subscribed partition's new records from the broker in one exchange per
+// poll (as a Kafka consumer fetches all its partitions on a broker in one
+// request) into per-partition queues, and apply them either in the
+// background or on demand when a transaction needs a replica caught up to
+// a snapshot version (the SSSI freshness wait, whose duration feeds the
+// "waiting for updates" cost function of Table 1).
 package replication
 
 import (
@@ -45,8 +47,8 @@ type Replicator struct {
 	// PollBackoff is the yield between catch-up polls while waiting for
 	// the master's commit record (DefaultPollBackoff when 0).
 	PollBackoff time.Duration
-	// Workers bounds the subscriptions polled and applied concurrently by
-	// PollOnce (the per-subscription worker pool). <= 1 polls serially.
+	// Workers bounds the subscriptions PollOnce applies concurrently (the
+	// per-partition apply pool). <= 1 applies serially.
 	Workers int
 	// Clk is the clock the poll ticker and catch-up waits run on; nil
 	// means the wall clock. Set before Run/CatchUp are first used.
@@ -69,14 +71,15 @@ type Replicator struct {
 
 type subscription struct {
 	mu     sync.Mutex
+	pid    partition.ID
 	p      *partition.Partition
 	offset int64
 	queue  []redolog.Record // polled but not yet applied
-	// dead is set under mu when the subscription is removed. A PollOnce
-	// round snapshots subscription pointers before working through them, so
-	// an unsubscribe (failover promotion, master change, replica removal)
-	// can race a worker still holding the pointer: without the flag the
-	// worker could apply a stale record to a copy that has since been
+	// dead is set under mu when the subscription is removed. A fetch or
+	// PollOnce round snapshots subscription pointers before working through
+	// them, so an unsubscribe (failover promotion, master change, replica
+	// removal) can race a round still holding the pointer: without the flag
+	// the round could apply a stale record to a copy that has since been
 	// promoted and taken newer writes, silently regressing committed data.
 	dead bool
 }
@@ -114,7 +117,7 @@ func (r *Replicator) Subscribe(pid partition.ID, p *partition.Partition, offset 
 	if old, ok := r.subs[pid]; ok {
 		kill(old)
 	}
-	r.subs[pid] = &subscription{p: p, offset: offset}
+	r.subs[pid] = &subscription{pid: pid, p: p, offset: offset}
 }
 
 // kill marks a removed subscription so in-flight poll/apply rounds that
@@ -158,49 +161,113 @@ func (r *Replicator) Subscribed(pid partition.ID) bool {
 	return ok
 }
 
+// snapshot lists the current subscriptions.
+func (r *Replicator) snapshot() []*subscription {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	subs := make([]*subscription, 0, len(r.subs))
+	for _, s := range r.subs {
+		subs = append(subs, s)
+	}
+	return subs
+}
+
 func (r *Replicator) sub(pid partition.ID) *subscription {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.subs[pid]
 }
 
-// pollInto fetches new records for one subscription into its queue,
-// charging network for the transfer. A fault between this site and the
-// broker (crash, partition, drop) fails the poll without advancing the
-// offset, so no record is lost.
-func (r *Replicator) pollInto(pid partition.ID, s *subscription) (int, error) {
+// fetched is one subscription's share of a fetch: the records the broker
+// returned from offset from (recs[lo:hi] of the batch) and the offset
+// after them.
+type fetched struct {
+	s      *subscription
+	from   int64
+	next   int64
+	lo, hi int
+}
+
+// fetchBatch is a fetch's scratch: every subscription's records in one
+// buffer, and each subscription's share of it. Batches are pooled, so a
+// tick's fetch allocates nothing once the buffers have grown.
+type fetchBatch struct {
+	recs []redolog.Record
+	got  []fetched
+}
+
+var fetchBatches = sync.Pool{New: func() any { return new(fetchBatch) }}
+
+// release returns the batch to the pool with its records zeroed, so the
+// pool does not keep applied records' entries alive; a buffer grown past
+// queueShedCap by a write burst is dropped instead.
+func (b *fetchBatch) release() {
+	clear(b.recs)
+	clear(b.got)
+	if cap(b.recs) >= queueShedCap {
+		b.recs = nil
+	}
+	b.recs, b.got = b.recs[:0], b.got[:0]
+	fetchBatches.Put(b)
+}
+
+// fetch is the site's one exchange with the log broker: it reads every
+// live subscription's new records from its offset and, if any came back,
+// receives them all as one replication message carrying their summed
+// size. Only a delivered message advances the subscriptions — each queue
+// takes its records and its offset moves past them — so a fault between
+// this site and the broker (crash, partition, drop) fails the fetch with
+// its typed error, advances no offset, and the next fetch reads the same
+// records again: none is lost or applied twice. A subscription removed,
+// or polled by a concurrent fetch, while the message was in flight is
+// skipped; the others still advance. It returns the records queued.
+func (r *Replicator) fetch(subs []*subscription) (int, error) {
 	if r.net != nil {
 		if err := r.net.Reachable(r.brokerSite, r.site); err != nil {
 			return 0, err
 		}
 	}
-	s.mu.Lock()
-	from, dead := s.offset, s.dead
-	s.mu.Unlock()
-	if dead {
-		return 0, nil
+	b := fetchBatches.Get().(*fetchBatch)
+	defer b.release()
+	bytes := 0
+	for _, s := range subs {
+		s.mu.Lock()
+		from, dead := s.offset, s.dead
+		s.mu.Unlock()
+		if dead {
+			continue
+		}
+		lo := len(b.recs)
+		var next int64
+		b.recs, next = r.broker.PollAppend(b.recs, s.pid, from, 0)
+		if len(b.recs) == lo {
+			continue
+		}
+		for _, rec := range b.recs[lo:] {
+			bytes += approxRecordBytes(rec)
+		}
+		b.got = append(b.got, fetched{s: s, from: from, next: next, lo: lo, hi: len(b.recs)})
 	}
-	recs, next := r.broker.Poll(pid, from, 0)
-	if len(recs) == 0 {
+	if len(b.got) == 0 {
 		return 0, nil
 	}
 	if r.net != nil {
-		n := 0
-		for _, rec := range recs {
-			n += approxRecordBytes(rec)
-		}
-		if _, err := r.net.SendKind(simnet.KindReplication, r.brokerSite, r.site, n); err != nil {
+		if _, err := r.net.SendKind(simnet.KindReplication, r.brokerSite, r.site, bytes); err != nil {
 			return 0, err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.offset != from {
-		return 0, nil // unsubscribed or someone else polled concurrently
+	queued := 0
+	for _, f := range b.got {
+		s := f.s
+		s.mu.Lock()
+		if !s.dead && s.offset == f.from {
+			s.queue = append(s.queue, b.recs[f.lo:f.hi]...)
+			s.offset = f.next
+			queued += f.hi - f.lo
+		}
+		s.mu.Unlock()
 	}
-	s.queue = append(s.queue, recs...)
-	s.offset = next
-	return len(recs), nil
+	return queued, nil
 }
 
 // queueShedCap is the backing-array size above which a fully drained
@@ -257,82 +324,69 @@ func (r *Replicator) applyQueued(s *subscription, upTo uint64) (int, error) {
 	return applied, err
 }
 
-// pollAndApply fetches and installs one subscription's pending records,
-// returning how many it applied and the joined poll/apply error.
-func (r *Replicator) pollAndApply(pid partition.ID, s *subscription) (int, error) {
-	var errs []error
-	if _, err := r.pollInto(pid, s); err != nil {
-		errs = append(errs, fmt.Errorf("poll partition %d: %w", pid, err))
-		// Still apply whatever an earlier poll already queued.
-	}
-	n, err := r.applyQueued(s, 0)
-	if err != nil {
-		errs = append(errs, fmt.Errorf("apply partition %d: %w", pid, err))
-	}
-	return n, errors.Join(errs...)
-}
-
-// PollOnce polls every subscription and applies all queued updates,
-// returning the number of records applied. Subscriptions are sharded over
-// up to Workers goroutines, so one lagging partition's poll does not delay
-// every other replica's freshness. One partition's poll or apply error does
-// not abort the remaining subscriptions: every subscription is visited and
-// the errors are joined.
+// PollOnce fetches every subscription's new records in one exchange with
+// the broker, then applies everything queued, returning the number of
+// records applied. The apply is sharded per partition over up to Workers
+// goroutines, the caller's among them, so one lagging partition's apply
+// does not delay every other replica's freshness. A failed fetch still
+// applies what earlier fetches queued, and one partition's apply error
+// does not stop the others: every pending subscription is visited and the
+// errors are joined.
 func (r *Replicator) PollOnce() (int, error) {
-	r.mu.Lock()
-	pids := make([]partition.ID, 0, len(r.subs))
-	subs := make([]*subscription, 0, len(r.subs))
-	for pid, s := range r.subs {
-		pids = append(pids, pid)
-		subs = append(subs, s)
+	a := &applyRound{r: r, pending: r.snapshot()}
+	if _, err := r.fetch(a.pending); err != nil {
+		a.errs = append(a.errs, fmt.Errorf("replication: fetch from broker: %w", err))
 	}
-	r.mu.Unlock()
-
-	workers := r.Workers
-	if workers > len(pids) {
-		workers = len(pids)
-	}
-	if workers <= 1 {
-		total := 0
-		var errs []error
-		for i, pid := range pids {
-			n, err := r.pollAndApply(pid, subs[i])
-			total += n
-			if err != nil {
-				errs = append(errs, err)
-			}
+	// Only subscriptions with queued records have apply work.
+	subs := a.pending
+	a.pending = subs[:0]
+	for _, s := range subs {
+		s.mu.Lock()
+		if len(s.queue) > 0 && !s.dead {
+			a.pending = append(a.pending, s)
 		}
-		return total, errors.Join(errs...)
+		s.mu.Unlock()
 	}
-
-	var (
-		next   atomic.Int64
-		total  atomic.Int64
-		errsMu sync.Mutex
-		errs   []error
-		wg     sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	workers := min(r.Workers, len(a.pending))
+	for w := 1; w < workers; w++ {
+		a.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pids) {
-					return
-				}
-				n, err := r.pollAndApply(pids[i], subs[i])
-				total.Add(int64(n))
-				if err != nil {
-					errsMu.Lock()
-					errs = append(errs, err)
-					errsMu.Unlock()
-				}
-			}
+			defer a.wg.Done()
+			a.work()
 		}()
 	}
-	wg.Wait()
-	return int(total.Load()), errors.Join(errs...)
+	a.work()
+	a.wg.Wait()
+	return int(a.total.Load()), errors.Join(a.errs...)
+}
+
+// applyRound is one PollOnce's apply: its workers claim pending
+// subscriptions in turn until none is left.
+type applyRound struct {
+	r       *Replicator
+	pending []*subscription
+	next    atomic.Int64
+	total   atomic.Int64
+	mu      sync.Mutex // guards errs
+	errs    []error
+	wg      sync.WaitGroup
+}
+
+func (a *applyRound) work() {
+	for {
+		i := int(a.next.Add(1)) - 1
+		if i >= len(a.pending) {
+			return
+		}
+		s := a.pending[i]
+		n, err := a.r.applyQueued(s, 0)
+		a.total.Add(int64(n))
+		if err != nil {
+			a.mu.Lock()
+			a.errs = append(a.errs, fmt.Errorf("apply partition %d: %w", s.pid, err))
+			a.mu.Unlock()
+		}
+	}
 }
 
 // Drain polls and applies until the replica has consumed every record the
@@ -345,8 +399,9 @@ func (r *Replicator) Drain(pid partition.ID) (uint64, error) {
 	if s == nil {
 		return 0, fmt.Errorf("replication: partition %d not subscribed", pid)
 	}
+	one := []*subscription{s}
 	for {
-		n, perr := r.pollInto(pid, s)
+		n, perr := r.fetch(one)
 		if _, err := r.applyQueued(s, 0); err != nil {
 			return s.p.Version(), err
 		}
@@ -384,9 +439,10 @@ func (r *Replicator) CatchUp(pid partition.ID, version uint64) (time.Duration, e
 	}
 	clk := r.clock()
 	start := clk.Now()
+	one := []*subscription{s}
 	for s.p.Version() < version {
 		pollErr := error(nil)
-		if _, err := r.pollInto(pid, s); err != nil {
+		if _, err := r.fetch(one); err != nil {
 			pollErr = err
 			// Keep polling only faults a later poll can outlive (drops,
 			// healing partitions); site-down and other terminal errors
@@ -424,18 +480,11 @@ func (r *Replicator) CatchUp(pid partition.ID, version uint64) (time.Duration, e
 // subscription's offset are already polled into its queue (the queue holds
 // copies), so the broker may safely truncate below the minimum of these.
 func (r *Replicator) Offsets() map[partition.ID]int64 {
-	r.mu.Lock()
-	subs := make([]*subscription, 0, len(r.subs))
-	pids := make([]partition.ID, 0, len(r.subs))
-	for pid, s := range r.subs {
-		pids = append(pids, pid)
-		subs = append(subs, s)
-	}
-	r.mu.Unlock()
+	subs := r.snapshot()
 	out := make(map[partition.ID]int64, len(subs))
-	for i, s := range subs {
+	for _, s := range subs {
 		s.mu.Lock()
-		out[pids[i]] = s.offset
+		out[s.pid] = s.offset
 		s.mu.Unlock()
 	}
 	return out

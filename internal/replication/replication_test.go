@@ -1,11 +1,14 @@
 package replication
 
 import (
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"proteus/internal/disksim"
+	"proteus/internal/faults"
 	"proteus/internal/partition"
 	"proteus/internal/redolog"
 	"proteus/internal/schema"
@@ -160,18 +163,161 @@ func TestBackgroundRun(t *testing.T) {
 	close(stop)
 }
 
-func TestNetworkCharged(t *testing.T) {
+// newFetchFixture subscribes site 2 to partitions 1..parts over a
+// zero-latency network and appends one record to each; it returns the
+// records' summed wire size.
+func newFetchFixture(t *testing.T, parts int) (*redolog.Broker, *simnet.Network, *Replicator, []*partition.Partition, int) {
+	t.Helper()
 	broker := redolog.NewBroker()
 	nw := simnet.New(simnet.Config{BaseLatency: 0})
 	r := New(broker, nw, 2, simnet.ASASite)
-	p := newPart(3)
-	r.Subscribe(3, p, 0)
-	broker.Append(insertRec(3, 1, 1))
+	ps := make([]*partition.Partition, parts)
+	bytes := 0
+	for i := range ps {
+		pid := partition.ID(i + 1)
+		ps[i] = newPart(pid)
+		r.Subscribe(pid, ps[i], 0)
+		rec := insertRec(pid, 1, 1)
+		broker.Append(rec)
+		bytes += approxRecordBytes(rec)
+	}
+	return broker, nw, r, ps, bytes
+}
+
+// TestNetworkCharged holds a poll to one message from the broker however
+// many subscriptions have new records, carrying their summed size, and to
+// none when no record is new.
+func TestNetworkCharged(t *testing.T) {
+	const parts = 5
+	_, nw, r, ps, bytes := newFetchFixture(t, parts)
+	n, err := r.PollOnce()
+	if err != nil || n != parts {
+		t.Fatalf("applied %d, %v; want %d", n, err, parts)
+	}
+	if st := nw.Stats(simnet.ASASite, 2); st.Messages != 1 || st.Bytes != int64(bytes) {
+		t.Errorf("link stats = %+v, want 1 message of %d bytes", st, bytes)
+	}
+	for i, p := range ps {
+		if p.Version() != 1 {
+			t.Errorf("partition %d version = %d", i+1, p.Version())
+		}
+	}
 	if _, err := r.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	if st := nw.Stats(simnet.ASASite, 2); st.Messages != 1 || st.Bytes == 0 {
-		t.Errorf("link stats = %+v", st)
+	if st := nw.Stats(simnet.ASASite, 2); st.Messages != 1 || st.Bytes != int64(bytes) {
+		t.Errorf("a poll with nothing new sent a message: link stats = %+v", st)
+	}
+}
+
+// TestDroppedFetchRefetches drops the poll's one message: no subscription
+// advances, and once the link heals the next poll applies every record
+// exactly once.
+func TestDroppedFetchRefetches(t *testing.T) {
+	const parts = 4
+	broker, nw, r, ps, bytes := newFetchFixture(t, parts)
+	reg := faults.New(1)
+	nw.SetFaults(reg)
+	reg.SetLink(simnet.ASASite, 2, faults.LinkFault{Drop: 1})
+	if _, err := r.PollOnce(); !errors.Is(err, faults.ErrDropped) {
+		t.Fatalf("PollOnce over a dropping link: err = %v, want ErrDropped", err)
+	}
+	for pid, off := range r.Offsets() {
+		if off != 0 {
+			t.Errorf("partition %d offset = %d after a dropped fetch, want 0", pid, off)
+		}
+		if lag := r.Lag(pid); lag != 1 {
+			t.Errorf("partition %d lag = %d after a dropped fetch, want 1", pid, lag)
+		}
+	}
+	reg.SetLink(simnet.ASASite, 2, faults.LinkFault{})
+	for i := range ps {
+		broker.Append(insertRec(partition.ID(i+1), 2, 2))
+	}
+	n, err := r.PollOnce()
+	if err != nil || n != 2*parts {
+		t.Fatalf("applied %d, %v after the link healed; want %d", n, err, 2*parts)
+	}
+	if _, err := r.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Applied() != 2*parts {
+		t.Errorf("Applied = %d, want %d: a record was lost or applied twice", r.Applied(), 2*parts)
+	}
+	for i, p := range ps {
+		if p.Version() != 2 || len(p.ExtractAll(storage.Latest)) != 2 {
+			t.Errorf("partition %d at version %d with %d rows, want 2 and 2", i+1, p.Version(), len(p.ExtractAll(storage.Latest)))
+		}
+	}
+	if st := nw.Stats(simnet.ASASite, 2); st.Messages != 1 || st.Bytes <= int64(bytes) {
+		t.Errorf("link stats = %+v, want the one delivered message", st)
+	}
+}
+
+// unsubscribeOnSend unsubscribes one partition while the fetch's message
+// is in flight.
+type unsubscribeOnSend struct {
+	r   *Replicator
+	pid partition.ID
+}
+
+func (u *unsubscribeOnSend) Check(from, to simnet.SiteID) error { return nil }
+
+func (u *unsubscribeOnSend) Intercept(from, to simnet.SiteID, bytes int) (time.Duration, error) {
+	u.r.Unsubscribe(u.pid)
+	return 0, nil
+}
+
+// TestUnsubscribeDuringFetch removes one subscription while the poll's
+// message is in flight: that partition is skipped, every other one applies.
+func TestUnsubscribeDuringFetch(t *testing.T) {
+	const parts, victim = 4, 3
+	_, nw, r, ps, _ := newFetchFixture(t, parts)
+	nw.SetFaults(&unsubscribeOnSend{r: r, pid: victim})
+	n, err := r.PollOnce()
+	if err != nil || n != parts-1 {
+		t.Fatalf("applied %d, %v; want %d", n, err, parts-1)
+	}
+	for i, p := range ps {
+		want := uint64(1)
+		if partition.ID(i+1) == victim {
+			want = 0
+		}
+		if p.Version() != want {
+			t.Errorf("partition %d version = %d, want %d", i+1, p.Version(), want)
+		}
+	}
+	if r.Subscribed(victim) {
+		t.Error("the victim is still subscribed")
+	}
+}
+
+// TestPartitionedBrokerQueuesNothing cuts the site off from the broker: the
+// poll returns the typed error, sends nothing and queues nothing.
+func TestPartitionedBrokerQueuesNothing(t *testing.T) {
+	_, nw, r, ps, _ := newFetchFixture(t, 4)
+	reg := faults.New(1)
+	nw.SetFaults(reg)
+	reg.Partition([]simnet.SiteID{simnet.ASASite}, []simnet.SiteID{2})
+	if _, err := r.PollOnce(); !errors.Is(err, faults.ErrUnreachable) {
+		t.Fatalf("PollOnce across a partition: err = %v, want ErrUnreachable", err)
+	}
+	if st := nw.Stats(simnet.ASASite, 2); st.Messages != 0 {
+		t.Errorf("link stats = %+v, want no message", st)
+	}
+	for _, s := range r.snapshot() {
+		if s.offset != 0 || len(s.queue) != 0 {
+			t.Errorf("partition %d: offset %d, %d queued; want nothing", s.pid, s.offset, len(s.queue))
+		}
+	}
+	for i, p := range ps {
+		if p.Version() != 0 {
+			t.Errorf("partition %d version = %d", i+1, p.Version())
+		}
+	}
+	reg.Heal()
+	if n, err := r.PollOnce(); err != nil || n != len(ps) {
+		t.Fatalf("applied %d, %v after healing; want %d", n, err, len(ps))
 	}
 }
 
@@ -287,5 +433,111 @@ func TestPollOnceConcurrentWithUnsubscribe(t *testing.T) {
 	wg.Wait()
 	if got := victim.Version(); got != frozen {
 		t.Errorf("unsubscribed partition advanced %d -> %d", frozen, got)
+	}
+}
+
+// TestConcurrentFetchesQueueOnce races background polls against catch-ups
+// on the same subscriptions while the log grows: two fetches that read the
+// same offset must queue its records once, so every record is applied
+// exactly once.
+func TestConcurrentFetchesQueueOnce(t *testing.T) {
+	const parts, versions = 4, 200
+	broker := redolog.NewBroker()
+	r := New(broker, simnet.New(simnet.Config{BaseLatency: 0}), 2, simnet.ASASite)
+	r.Workers = 2
+	ps := make([]*partition.Partition, parts)
+	for i := range ps {
+		ps[i] = newPart(partition.ID(i + 1))
+		r.Subscribe(partition.ID(i+1), ps[i], 0)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := r.PollOnce(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for v := uint64(1); v <= versions; v++ {
+		for i := range ps {
+			broker.Append(insertRec(partition.ID(i+1), v, schema.RowID(v)))
+		}
+		if _, err := r.CatchUp(partition.ID(v%parts+1), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, err := r.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Applied(); got != parts*versions {
+		t.Errorf("Applied = %d, want %d: a record was queued twice or lost", got, parts*versions)
+	}
+	for i, p := range ps {
+		if p.Version() != versions {
+			t.Errorf("partition %d version = %d, want %d", i+1, p.Version(), versions)
+		}
+	}
+}
+
+// pollAllocBudget caps the allocations of one PollOnce over eight
+// subscriptions with one new record each, on a zero-latency network with
+// four apply workers: the count measured when the budget was set plus
+// 10 %. Lower it when a change cuts the count; raise it only with a line
+// in CHANGES.md saying why.
+const pollAllocBudget = 25 // 23 + 10 % (39 while each subscription polled the broker, sent its own message and applied on a worker of its own)
+
+// TestPollOnceAllocBudget holds a replica site's tick — the one fetch from
+// the broker, its message, and the apply sharded over the workers — to its
+// allocation budget.
+func TestPollOnceAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled fetch batches")
+	}
+	const parts, rounds = 8, 50
+	broker := redolog.NewBroker()
+	r := New(broker, simnet.New(simnet.Config{BaseLatency: 0}), 2, simnet.ASASite)
+	r.Workers = 4
+	for i := 0; i < parts; i++ {
+		r.Subscribe(partition.ID(i+1), newPart(partition.ID(i+1)), 0)
+	}
+	recs := make([]redolog.Record, 0, parts)
+	tick := func(v uint64) int {
+		recs = recs[:0]
+		for i := 0; i < parts; i++ {
+			recs = append(recs, insertRec(partition.ID(i+1), v, schema.RowID(v)))
+		}
+		broker.AppendBatch(recs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := r.PollOnce()
+		runtime.ReadMemStats(&after)
+		if err != nil || n != parts {
+			t.Fatalf("applied %d, %v; want %d", n, err, parts)
+		}
+		return int(after.Mallocs - before.Mallocs)
+	}
+	for v := uint64(1); v <= 3; v++ {
+		tick(v) // warm the queues and the fetch scratch
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	total := 0
+	for v := uint64(4); v < 4+rounds; v++ {
+		total += tick(v)
+	}
+	got := float64(total) / rounds
+	t.Logf("%.1f allocs/poll (budget %d)", got, pollAllocBudget)
+	if got > pollAllocBudget {
+		t.Errorf("%.1f allocs per poll, over its budget of %d", got, pollAllocBudget)
 	}
 }

@@ -32,13 +32,11 @@ const (
 	evCancelled
 )
 
-// simEvent is one heap entry: a timer/sleep wakeup, an AfterFunc, or a
-// ticker arm.
+// simEvent is one heap entry: a timer/sleep wakeup or a ticker arm.
 type simEvent struct {
 	at     time.Duration // virtual fire offset
 	seq    uint64        // tiebreaker: schedule order
 	ch     chan time.Time
-	fn     func()
 	period time.Duration // > 0 re-arms (ticker)
 	owner  *simTicker    // ticker handle owning this arm, if any
 	parked bool          // a goroutine is parked in Sleep on ch
@@ -175,7 +173,7 @@ func (s *Sim) park() func() {
 }
 
 // scheduleLocked pushes one event to fire d from now.
-func (s *Sim) scheduleLocked(d time.Duration, ch chan time.Time, fn func(), period time.Duration) *simEvent {
+func (s *Sim) scheduleLocked(d time.Duration, ch chan time.Time, period time.Duration) *simEvent {
 	if d < 0 {
 		d = 0
 	}
@@ -184,7 +182,6 @@ func (s *Sim) scheduleLocked(d time.Duration, ch chan time.Time, fn func(), peri
 		at:     time.Duration(s.offset.Load()) + d,
 		seq:    s.seq,
 		ch:     ch,
-		fn:     fn,
 		period: period,
 	}
 	heap.Push(&s.events, ev)
@@ -217,7 +214,7 @@ func (s *Sim) Sleep(d time.Duration) {
 	}
 	ch := make(chan time.Time, 1)
 	s.mu.Lock()
-	ev := s.scheduleLocked(d, ch, nil, 0)
+	ev := s.scheduleLocked(d, ch, 0)
 	ev.parked = true
 	s.parked++
 	s.mu.Unlock()
@@ -231,7 +228,7 @@ func (s *Sim) sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 	ch := make(chan time.Time, 1)
 	s.mu.Lock()
-	ev := s.scheduleLocked(d, ch, nil, 0)
+	ev := s.scheduleLocked(d, ch, 0)
 	ev.parked = true
 	s.parked++
 	s.mu.Unlock()
@@ -248,25 +245,16 @@ func (s *Sim) sleepCtx(ctx context.Context, d time.Duration) error {
 func (s *Sim) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	s.mu.Lock()
-	s.scheduleLocked(d, ch, nil, 0)
+	s.scheduleLocked(d, ch, 0)
 	s.mu.Unlock()
 	return ch
-}
-
-// AfterFunc implements Clock: f runs in its own goroutine at the virtual
-// fire time.
-func (s *Sim) AfterFunc(d time.Duration, f func()) *Timer {
-	s.mu.Lock()
-	ev := s.scheduleLocked(d, nil, f, 0)
-	s.mu.Unlock()
-	return &Timer{stop: func() bool { return s.cancel(ev) }}
 }
 
 // NewTimer implements Clock.
 func (s *Sim) NewTimer(d time.Duration) *Timer {
 	ch := make(chan time.Time, 1)
 	s.mu.Lock()
-	ev := s.scheduleLocked(d, ch, nil, 0)
+	ev := s.scheduleLocked(d, ch, 0)
 	s.mu.Unlock()
 	return &Timer{C: ch, stop: func() bool { return s.cancel(ev) }}
 }
@@ -282,7 +270,7 @@ func (s *Sim) NewTicker(d time.Duration) *Ticker {
 	// installed under the clock lock before the first arm can fire.
 	tk := &simTicker{s: s}
 	s.mu.Lock()
-	ev := s.scheduleLocked(d, ch, nil, d)
+	ev := s.scheduleLocked(d, ch, d)
 	ev.owner = tk
 	tk.cur = ev
 	s.mu.Unlock()
@@ -327,9 +315,8 @@ func (s *Sim) pendingLocked() bool {
 }
 
 // advanceLocked pops every pending event at the earliest timestamp, sets
-// virtual now to it, and fires them: parked sleepers wake, timer/ticker
-// channels receive, AfterFunc bodies start. Events sharing a timestamp
-// fire in schedule order.
+// virtual now to it, and fires them: parked sleepers wake and timer/ticker
+// channels receive. Events sharing a timestamp fire in schedule order.
 func (s *Sim) advanceLocked() {
 	if !s.pendingLocked() {
 		return
@@ -356,10 +343,8 @@ func (s *Sim) advanceLocked() {
 			if ev.owner == nil || ev.owner.rearmLocked(next) {
 				heap.Push(&s.events, next)
 			}
-		case ev.ch != nil:
+		default:
 			ev.ch <- now // buffered by construction; never blocks
-		case ev.fn != nil:
-			go ev.fn()
 		}
 	}
 	s.gen.Add(1)
@@ -422,7 +407,7 @@ func (s *Sim) quiesce(gen uint64, grace time.Duration) bool {
 }
 
 // Stop halts the advancer and wakes every parked sleeper at the current
-// virtual time (pending AfterFunc bodies and ticker arms are dropped).
+// virtual time (pending timer and ticker arms are dropped).
 // Call it after the engine driving the clock has shut down; the clock
 // remains readable afterwards.
 func (s *Sim) Stop() {

@@ -27,8 +27,6 @@ type Clock interface {
 	// After returns a channel that delivers the clock's time once d has
 	// elapsed.
 	After(d time.Duration) <-chan time.Time
-	// AfterFunc runs f in its own goroutine once d has elapsed.
-	AfterFunc(d time.Duration, f func()) *Timer
 	// NewTimer returns a timer that delivers on C once d has elapsed.
 	NewTimer(d time.Duration) *Timer
 	// NewTicker returns a ticker that delivers on C every d.
@@ -89,11 +87,6 @@ func (Wall) Sleep(d time.Duration) {
 
 // After implements Clock.
 func (Wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// AfterFunc implements Clock.
-func (Wall) AfterFunc(d time.Duration, f func()) *Timer {
-	return &Timer{wall: time.AfterFunc(d, f)}
-}
 
 // NewTimer implements Clock.
 func (Wall) NewTimer(d time.Duration) *Timer {

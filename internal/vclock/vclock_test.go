@@ -110,20 +110,6 @@ func TestSimTimerStop(t *testing.T) {
 	}
 }
 
-func TestSimAfterFunc(t *testing.T) {
-	s := newTestSim(t)
-	done := make(chan time.Time, 1)
-	s.AfterFunc(2*time.Second, func() { done <- s.Now() })
-	select {
-	case at := <-done:
-		if got := at.Sub(s.Now().Add(-s.Elapsed())); got != 2*time.Second {
-			t.Fatalf("AfterFunc fired at +%v, want +2s", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("AfterFunc never ran")
-	}
-}
-
 func TestSimTickerDeliversAndStops(t *testing.T) {
 	s := newTestSim(t)
 	tk := s.NewTicker(100 * time.Millisecond)

@@ -20,18 +20,21 @@ trap 'rm -rf "$tmp"' EXIT
 echo "== go vet"
 go vet ./...
 
-echo "== no fmt formatting on the transaction and query paths"
+echo "== no fmt formatting on the transaction, query and log paths"
 # A transaction's per-operation path (execution, group commit, locks,
 # 2PC, snapshots and their registry, the transaction planner, the row
-# store) and a query's (morsel drivers, join pipeline and tables, runtime
+# store), a query's (morsel drivers, join pipeline and tables, runtime
 # filters, columnar relations, batch kernels, the group-by table and
-# HashAggregate, the column store's scan chunks and column builds) format
-# no strings: fmt.Sprint* and fmt.Fprint* allocate on every call.
+# HashAggregate, the column store's scan chunks and column builds) and
+# the per-tick log paths (the redo-log broker, replication's fetch and
+# apply) format no strings: fmt.Sprint* and fmt.Fprint* allocate on every
+# call.
 # fmt.Errorf on error returns is allowed; test files are not checked.
 hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
     internal/plan/txnplan.go internal/rowstore/mem.go internal/colstore/{batchscan,coldata}.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
-    internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go)
+    internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
+    internal/replication/replication.go internal/redolog/redolog.go)
 for f in internal/txn/*.go; do
     [[ "$f" == *_test.go ]] || hot_paths+=("$f")
 done
