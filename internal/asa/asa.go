@@ -169,7 +169,7 @@ type Evaluator struct {
 }
 
 // microseconds of a model prediction.
-func (ev *Evaluator) us(op cost.Op, v cost.Variant, l storage.Layout, f []float64) float64 {
+func (ev *Evaluator) us(op cost.Op, v cost.Variant, l storage.Layout, f cost.Features) float64 {
 	return float64(ev.Model.Predict(op, v, l, f)) / float64(time.Microsecond)
 }
 
@@ -189,7 +189,7 @@ func (ev *Evaluator) opLatency(view PartitionView, l storage.Layout) (upd, point
 
 // pairUs predicts one op under two layouts from a consistent source
 // (learned vs bootstrap, never mixed — their calibrations differ).
-func (ev *Evaluator) pairUs(op cost.Op, v cost.Variant, a, b storage.Layout, f []float64) (float64, float64) {
+func (ev *Evaluator) pairUs(op cost.Op, v cost.Variant, a, b storage.Layout, f cost.Features) (float64, float64) {
 	da, db := ev.Model.PredictPair(op, v, a, b, f)
 	return float64(da) / float64(time.Microsecond), float64(db) / float64(time.Microsecond)
 }

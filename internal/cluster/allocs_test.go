@@ -21,11 +21,11 @@ import (
 // benchmark run. Lower a budget when a change cuts its count; raise one
 // only with a line in CHANGES.md saying why.
 var queryAllocBudgets = map[string]float64{
-	"scan-agg":       166,  // grouped SUM and AVG over a filtered scan: 151 + 10 % (451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
-	"row-stream":     2323, // a filtered two-column scan drained through a cursor: 2112 + 10 % (2115; 2114 since the streaming driver shares its worker loop with the per-site one)
-	"join-agg":       416,  // pipelined fact ⋈ groups, grouped by a build column: 378 + 10 % (421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
-	"scan-agg-delta": 235,  // scan-agg with 50 updates pending per partition: 214 + 10 % (502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
-	"join-gather":    372,  // pipelined fact ⋈ groups, bare, its build side gathered from the remote site: 338 + 10 % (4309 in 256-row chunks, a tuple allocated per row)
+	"scan-agg":       161,  // grouped SUM and AVG over a filtered scan: 146 + 10 % (151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
+	"row-stream":     2318, // a filtered two-column scan drained through a cursor: 2107 + 10 % (2114 before cost features went by value and partition lookups stopped sorting; 2115; 2114 since the streaming driver shares its worker loop with the per-site one)
+	"join-agg":       405,  // pipelined fact ⋈ groups, grouped by a build column: 368 + 10 % (378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
+	"scan-agg-delta": 230,  // scan-agg with 50 updates pending per partition: 209 + 10 % (214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
+	"join-gather":    361,  // pipelined fact ⋈ groups, bare, its build side gathered from the remote site: 328 + 10 % (338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
 }
 
 // TestQueryAllocBudgets holds the query paths the executor serves — partial
@@ -118,50 +118,96 @@ func TestQueryAllocBudgets(t *testing.T) {
 	}
 }
 
-// txnAllocBudgets caps the allocations of one transaction on a warmed
-// two-site row-store engine shaped like the benchmark's oltp-rmw: eight
-// partitions striped over the sites, each with a row replica at the other
-// site, background replication and maintenance slowed to an hour. Budgets
-// are the measured count + 10 %, as for queries.
+// txnAllocBudgets caps the allocations of one transaction on rmwEngine's
+// warmed two-site row-store engine, shaped like the benchmark's oltp-rmw.
+// Budgets are the measured count + 10 %, as for queries.
 var txnAllocBudgets = map[string]float64{
-	"rmw10":      277, // ten keys read and updated over both sites: 252 + 10 % (253 while site pools allocated a closure per task, 258 behind a flusher goroutine, 383 when each read was its own round trip)
-	"point-read": 28,  // one key read at the coordinator's own master: 25 + 10 % (26, 29 before that)
+	"rmw10":       80, // ten keys read and updated over both sites: 73 + 10 % (252 while routing, plan bindings, redo records and cost features allocated per op; 253 while site pools allocated a closure per task, 258 behind a flusher goroutine, 383 when each read was its own round trip)
+	"point-read":  21, // one key read at the coordinator's own master: 19 + 10 % (25 while routing and cost features allocated per op, 26, 29 before that)
+	"insert-2tbl": 46, // an events insert at site 1 beside an items update at site 0: 42 + 10 % (new; 82 before routing, plan bindings, redo records and cost features stopped allocating per op)
 }
 
-// TestTxnAllocBudgets holds a two-site read-modify-write of ten keys and a
-// point read to their allocation budgets.
-func TestTxnAllocBudgets(t *testing.T) {
+// rmwEngine builds the engine TestTxnAllocBudgets, TestMaintainAllocBudget
+// and BenchmarkExecuteTxn measure on: two sites, an eight-partition items
+// table striped over them with each partition's row replica at the other
+// site, and background replication and maintenance slowed to an hour. It
+// returns the engine, a read-modify-write of ten items keys (partitions 0,
+// 0, 1, 2, 3, 4, 4, 5, 6, 7) and a point read of one key mastered at site
+// 0.
+func rmwEngine(tb testing.TB) (e *Engine, items *schema.Table, rmw, point *query.Txn) {
+	tb.Helper()
 	const rows = 4000
-	e := New(func() Config {
+	e = New(func() Config {
 		c := fastConfig(ModeRowStore, 2)
 		c.ReplicationInterval, c.MaintainInterval = time.Hour, time.Hour
 		return c
 	}())
-	t.Cleanup(e.Close)
-	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: rows, Partitions: 8,
+	tb.Cleanup(e.Close)
+	items, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: rows, Partitions: 8,
 		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p % 2) }})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	ctx := context.Background()
-	if err := e.LoadRows(ctx, tbl.ID, testRows(rows)); err != nil {
-		t.Fatal(err)
+	if err := e.LoadRows(context.Background(), items.ID, testRows(rows)); err != nil {
+		tb.Fatal(err)
 	}
-	for _, m := range e.Dir.TablePartitions(tbl.ID) {
+	for _, m := range e.Dir.TablePartitions(items.ID) {
 		if err := e.AddReplicaOp(m.ID, 1-m.Master().Site, storage.DefaultRowLayout()); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	sess := e.NewSession()
-	rmw := &query.Txn{}
+	rmw = &query.Txn{}
 	for k := int64(0); k < 10; k++ {
-		row := 7 + 401*k // partitions 0, 0, 1, 2, 3, 4, 4, 5, 6, 7
-		rmw.Ops = append(rmw.Ops, readOp(tbl, row, 2), updateOp(tbl, row, 2, types.NewFloat64(float64(k))))
+		row := 7 + 401*k
+		rmw.Ops = append(rmw.Ops, readOp(items, row, 2), updateOp(items, row, 2, types.NewFloat64(float64(k))))
 	}
-	point := &query.Txn{Ops: []query.Op{readOp(tbl, 42, 2)}} // partition 0, mastered at site 0
-	for name, txn := range map[string]*query.Txn{"rmw10": rmw, "point-read": point} {
+	point = &query.Txn{Ops: []query.Op{readOp(items, 42, 2)}}
+	return e, items, rmw, point
+}
+
+// insertTxns adds a two-partition events table to rmwEngine's engine, the
+// second partition mastered at site 1, and builds n transactions that each
+// insert a fresh row there and update an items row mastered at site 0: the
+// insert path, across two tables and both sites.
+func insertTxns(tb testing.TB, e *Engine, items *schema.Table, n int) []*query.Txn {
+	tb.Helper()
+	events, err := e.CreateTable(TableSpec{Name: "events", Cols: testCols, MaxRows: 4000, Partitions: 2,
+		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p % 2) }})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	txns := make([]*query.Txn, n)
+	for i := range txns {
+		row := int64(2000 + i) // events partition 1
+		txns[i] = &query.Txn{Ops: []query.Op{
+			{Kind: query.OpInsert, Table: events.ID, Row: schema.RowID(row), Vals: []types.Value{
+				types.NewInt64(row), types.NewInt64(row % 10), types.NewFloat64(float64(row)), types.NewString("e"),
+			}},
+			updateOp(items, 42, 2, types.NewFloat64(float64(i))), // items partition 0, site 0
+		}}
+	}
+	return txns
+}
+
+// TestTxnAllocBudgets holds a two-site read-modify-write of ten keys, a
+// point read, and a two-table insert-and-update to their allocation
+// budgets.
+func TestTxnAllocBudgets(t *testing.T) {
+	e, items, rmw, point := rmwEngine(t)
+	ctx := context.Background()
+	sess := e.NewSession()
+	inserts, next := insertTxns(t, e, items, 60), 0
+	shapes := map[string]func() *query.Txn{
+		"rmw10":      func() *query.Txn { return rmw },
+		"point-read": func() *query.Txn { return point },
+		"insert-2tbl": func() *query.Txn {
+			next++
+			return inserts[next-1]
+		},
+	}
+	for name, txn := range shapes {
 		run := func() {
-			if _, err := e.ExecuteTxn(ctx, sess, txn); err != nil {
+			if _, err := e.ExecuteTxn(ctx, sess, txn()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,6 +222,34 @@ func TestTxnAllocBudgets(t *testing.T) {
 	}
 }
 
+// txnSink keeps BenchmarkExecuteTxn's results live.
+var txnSink exec.Rel
+
+// BenchmarkExecuteTxn measures ns and allocations per transaction on the
+// CPU plane for TestTxnAllocBudgets' rmw10 and point-read shapes, one
+// goroutine committing after another.
+func BenchmarkExecuteTxn(b *testing.B) {
+	e, _, rmw, point := rmwEngine(b)
+	ctx := context.Background()
+	for _, bc := range []struct {
+		name string
+		txn  *query.Txn
+	}{{"rmw10", rmw}, {"point-read", point}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sess := e.NewSession()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rel, err := e.ExecuteTxn(ctx, sess, bc.txn)
+				if err != nil {
+					b.Fatal(err)
+				}
+				txnSink = rel
+			}
+		})
+	}
+}
+
 // maintainAllocBudget caps the allocations of one maintenance tick on the
 // rmw10 engine of TestTxnAllocBudgets, with a transaction's versions to
 // reclaim before each tick: measured + 10 %, as for transactions.
@@ -185,33 +259,9 @@ const maintainAllocBudget = 30 // 27 + 10 % (21 before the tick reclaimed versio
 // checkpoint and truncation, the watermark pass, dependency fold and
 // version GC — to its allocation budget.
 func TestMaintainAllocBudget(t *testing.T) {
-	const rows = 4000
-	e := New(func() Config {
-		c := fastConfig(ModeRowStore, 2)
-		c.ReplicationInterval, c.MaintainInterval = time.Hour, time.Hour
-		return c
-	}())
-	t.Cleanup(e.Close)
-	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: rows, Partitions: 8,
-		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p % 2) }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e, _, rmw, _ := rmwEngine(t)
 	ctx := context.Background()
-	if err := e.LoadRows(ctx, tbl.ID, testRows(rows)); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range e.Dir.TablePartitions(tbl.ID) {
-		if err := e.AddReplicaOp(m.ID, 1-m.Master().Site, storage.DefaultRowLayout()); err != nil {
-			t.Fatal(err)
-		}
-	}
 	sess := e.NewSession()
-	rmw := &query.Txn{}
-	for k := int64(0); k < 10; k++ {
-		row := 7 + 401*k
-		rmw.Ops = append(rmw.Ops, readOp(tbl, row, 2), updateOp(tbl, row, 2, types.NewFloat64(float64(k))))
-	}
 	// A transaction, its records applied at the replicas (the horizon is
 	// the lowest copy's version), then the measured tick.
 	write := func() {

@@ -687,8 +687,9 @@ func (e *Engine) LoadRows(ctx context.Context, table schema.TableID, rows []sche
 	}
 	byPart := map[partition.ID][]schema.Row{}
 	metas := map[partition.ID]*metadata.PartitionMeta{}
+	var pieces []*metadata.PartitionMeta
 	for _, r := range rows {
-		pieces := e.Dir.PartitionForRow(table, r.ID, nil)
+		pieces = e.Dir.AppendForRow(pieces[:0], table, r.ID, nil)
 		if len(pieces) == 0 {
 			return fmt.Errorf("cluster: no partition for table %d row %d", table, r.ID)
 		}

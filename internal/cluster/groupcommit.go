@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,8 +45,8 @@ type flushGroup struct {
 // siteQueue is one master site's commit queue. enq/done count groups ever
 // enqueued and ever flushed; barrier waits close the gap, which is
 // airtight because groups are only enqueued under the partition locks the
-// barrier's caller holds. leading marks the site's one leader; spare and
-// recs are the leader's reusable buffers.
+// barrier's caller holds. leading marks the site's one leader; spare, recs
+// and acked are the leader's reusable buffers.
 type siteQueue struct {
 	site    simnet.SiteID
 	mu      sync.Mutex
@@ -56,6 +57,7 @@ type siteQueue struct {
 	leading bool
 	spare   []flushGroup
 	recs    []redolog.Record
+	acked   []simnet.SiteID
 }
 
 // groupCommit is the batched commit pipeline. Per-master-site queues
@@ -183,7 +185,7 @@ func (g *groupCommit) flush(q *siteQueue, batch []flushGroup) {
 	}
 	// Stable sort so each topic is locked once per flush while records of
 	// one partition keep their enqueue (version) order.
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Partition < recs[j].Partition })
+	slices.SortStableFunc(recs, func(a, b redolog.Record) int { return cmp.Compare(a.Partition, b.Partition) })
 	g.e.Broker.AppendBatch(recs)
 	for _, fg := range batch {
 		for _, in := range fg.installs {
@@ -200,17 +202,10 @@ func (g *groupCommit) flush(q *siteQueue, batch []flushGroup) {
 	// The 2PC commit-decision round trips to remote coordinators ride on
 	// the flush: one batched ack per distinct coordinator instead of one
 	// per transaction. Past the commit point faults are absorbed (Charge).
-	var acked []simnet.SiteID
+	acked := q.acked[:0]
 	for _, fg := range batch {
 		if fg.coord != q.site {
-			seen := false
-			for _, c := range acked {
-				if c == fg.coord {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if !slices.Contains(acked, fg.coord) {
 				acked = append(acked, fg.coord)
 				g.e.Net.ChargeKind(simnet.KindDecision, fg.coord, q.site, 128)
 				g.e.Net.ChargeKind(simnet.KindDecision, q.site, fg.coord, 32)
@@ -222,5 +217,5 @@ func (g *groupCommit) flush(q *siteQueue, batch []flushGroup) {
 	g.cntRecords.Add(int64(len(recs)))
 	g.recGroupSize.Record(time.Duration(len(batch))) // count, not ns
 	clear(recs)
-	q.recs = recs[:0]
+	q.recs, q.acked = recs[:0], acked[:0]
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"maps"
 	"runtime"
 	"sync"
 	"testing"
@@ -143,8 +144,8 @@ func TestGroupCommitEquivalence(t *testing.T) {
 
 // TestGroupCommitCrossPartitionDeps checks a multi-partition transaction
 // through the batched pipeline: both writes become visible together, and
-// each partition's redo record carries the co-committed sibling versions
-// in its dependency vector.
+// each partition's redo record carries the commit's whole version vector
+// as its dependencies — its own version and its sibling's.
 func TestGroupCommitCrossPartitionDeps(t *testing.T) {
 	e, tbl := newTestEngine(t, ModeRowStore, 2, 4, 100)
 	// Rows 7 and 25007 land in different partitions of the 4-way split.
@@ -193,11 +194,12 @@ func TestGroupCommitCrossPartitionDeps(t *testing.T) {
 	if pa == pb {
 		t.Fatalf("rows 7 and 25007 share partition %d", pa)
 	}
-	if got, ok := da[uint64(pb)]; !ok || got != vb {
-		t.Errorf("record %d deps = %v, want sibling %d@%d", pa, da, pb, vb)
+	want := map[uint64]uint64{uint64(pa): va, uint64(pb): vb}
+	if !maps.Equal(da, want) {
+		t.Errorf("record %d deps = %v, want the commit's vector %v", pa, da, want)
 	}
-	if got, ok := db[uint64(pa)]; !ok || got != va {
-		t.Errorf("record %d deps = %v, want sibling %d@%d", pb, db, pa, va)
+	if !maps.Equal(db, want) {
+		t.Errorf("record %d deps = %v, want the commit's vector %v", pb, db, want)
 	}
 }
 

@@ -66,7 +66,7 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 	e.stats.Record(ClassOLAPPlan, e.clk.Since(planStart))
 
 	pids := collectPIDs(pn)
-	snap, slot := e.snapshotFor(pids, sess)
+	snap, slot := e.snapshotFor(sess, pids)
 	defer e.snaps.release(slot)
 	coord, err := e.pickCoordinator(pn)
 	if err != nil {
@@ -421,7 +421,7 @@ func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) 
 // ends the stream after that many rows.
 func (e *Engine) streamPlan(ctx context.Context, sess *Session, pn plan.PNode, limit int) (*RowCursor, error) {
 	pids := collectPIDs(pn)
-	snap, slot := e.snapshotFor(pids, sess)
+	snap, slot := e.snapshotFor(sess, pids)
 	streaming := false
 	defer func() {
 		if !streaming {

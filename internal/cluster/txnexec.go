@@ -34,27 +34,34 @@ func (e *Engine) NewSession() *Session {
 	return &Session{s: txn.NewSession()}
 }
 
-// snapshotFor builds a consistent SI snapshot covering pids: current
-// master versions, raised to the session watermark (SSSI) and closed under
-// commit dependencies (§4.2). The snapshot is registered before any version
-// is read, so no maintenance tick reclaims a version it may read; the
-// caller releases the returned slot once the operation reads nothing more.
-func (e *Engine) snapshotFor(pids []partition.ID, sess *Session) (txn.VersionVector, *snapSlot) {
+// snapshotFor builds a consistent SI snapshot covering every partition of
+// the pid sets: current master versions, raised to the session watermark
+// (SSSI) and closed under commit dependencies (§4.2). The snapshot is
+// registered before any version is read, so no maintenance tick reclaims a
+// version it may read; the caller releases the returned slot once the
+// operation reads nothing more.
+func (e *Engine) snapshotFor(sess *Session, pidSets ...[]partition.ID) (txn.VersionVector, *snapSlot) {
 	slot := e.snaps.acquire()
-	snap := make(txn.VersionVector, len(pids))
-	for _, pid := range pids {
-		m, ok := e.Dir.Get(pid)
-		if !ok {
-			continue
-		}
-		// Read the version from a live copy: with the master down, a
-		// replica's applied version still defines a serviceable snapshot.
-		rep, ok := e.liveCopy(m)
-		if !ok {
-			continue
-		}
-		if p, ok := e.siteOf(rep.Site).Partition(pid); ok {
-			snap[pid] = p.Version()
+	n := 0
+	for _, pids := range pidSets {
+		n += len(pids)
+	}
+	snap := make(txn.VersionVector, n)
+	for _, pids := range pidSets {
+		for _, pid := range pids {
+			m, ok := e.Dir.Get(pid)
+			if !ok {
+				continue
+			}
+			// Read the version from a live copy: with the master down, a
+			// replica's applied version still defines a serviceable snapshot.
+			rep, ok := e.liveCopy(m)
+			if !ok {
+				continue
+			}
+			if p, ok := e.siteOf(rep.Site).Partition(pid); ok {
+				snap[pid] = p.Version()
+			}
 		}
 	}
 	if sess != nil {
@@ -74,7 +81,15 @@ type siteWork struct {
 	site  simnet.SiteID
 	reads []pieceOp
 	ops   []pieceOp
-	pids  []partition.ID // the partitions ops write, once each
+	// pids are the partitions ops write, once each; masters holds, at the
+	// same index, the site's master copy of each.
+	pids    []partition.ID
+	masters []*partition.Partition
+}
+
+// master returns the site's master copy of a partition its ops write.
+func (sw *siteWork) master(pid partition.ID) *partition.Partition {
+	return sw.masters[slices.Index(sw.pids, pid)]
 }
 
 // txnWork is a transaction's reads and writes grouped by site.
@@ -291,8 +306,7 @@ func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn
 }
 
 func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Session, tp *plan.TxnPlan) (exec.Rel, error) {
-	allPids := append(append([]partition.ID{}, tp.ReadPIDs...), tp.WritePIDs...)
-	snap, slot := e.snapshotFor(allPids, sess)
+	snap, slot := e.snapshotFor(sess, tp.ReadPIDs, tp.WritePIDs)
 	defer e.snaps.release(slot)
 
 	// Reads run at the snapshot. Every read not bound for a remote write
@@ -344,11 +358,7 @@ func (e *Engine) runTxnAt(ctx context.Context, coord simnet.SiteID, sess *Sessio
 	}
 
 	// SSSI: the session must observe everything it read.
-	readVec := make(txn.VersionVector)
-	for _, pid := range tp.ReadPIDs {
-		readVec[pid] = snap[pid]
-	}
-	sess.s.Observe(readVec)
+	sess.s.ObserveOf(snap, tp.ReadPIDs)
 	return tw.result(), nil
 }
 
@@ -427,15 +437,24 @@ func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func
 	// compares versions, none counts them.
 	// Ops were grouped by the masters the plan saw: one that moved while
 	// the locks were awaited (failover, master change) makes the plan stale.
+	nSites, nOps := 0, 0
+	for _, sw := range tw.sites {
+		if len(sw.ops) > 0 {
+			nSites, nOps = nSites+1, nOps+len(sw.ops)
+		}
+	}
 	versions := make(txn.VersionVector, len(tp.WritePIDs))
-	masters := make(map[partition.ID]*partition.Partition, len(tp.WritePIDs))
-	participants := make([]txn.Participant, 0, len(tw.sites))
+	pids := make([]partition.ID, 0, len(tp.WritePIDs))
+	masters := make([]*partition.Partition, 0, len(tp.WritePIDs))
+	wps := make([]writeParticipant, 0, nSites)
+	participants := make([]txn.Participant, 0, nSites)
 	for i := range tw.sites {
 		sw := &tw.sites[i]
 		if len(sw.ops) == 0 {
 			continue
 		}
 		buildEntries(sw)
+		base := len(pids)
 		for _, w := range sw.ops {
 			if _, ok := versions[w.meta.ID]; ok {
 				continue
@@ -444,10 +463,12 @@ func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func
 			if !ok || w.meta.Master().Site != sw.site {
 				return nil, fmt.Errorf("%w: write partition %d moved", ErrStalePlan, w.meta.ID)
 			}
-			masters[w.meta.ID], sw.pids = p, append(sw.pids, w.meta.ID)
+			pids, masters = append(pids, w.meta.ID), append(masters, p)
 			versions[w.meta.ID] = p.ReserveNext()
 		}
-		participants = append(participants, &writeParticipant{tw: tw, sw: sw, versions: versions, masters: masters})
+		sw.pids, sw.masters = pids[base:len(pids):len(pids)], masters[base:len(masters):len(masters)]
+		wps = append(wps, writeParticipant{tw: tw, sw: sw, versions: versions})
+		participants = append(participants, &wps[len(wps)-1])
 	}
 
 	// Two-phase commit across the write sites (§4.3). A lone participant is
@@ -466,38 +487,33 @@ func (e *Engine) applyWrites(tw *txnWork, tp *plan.TxnPlan, sess *Session) (func
 	// this transaction's waiter.
 	e.Deps.RecordCommit(versions)
 
-	// One redo record per partition, carrying the co-committed dependency
-	// vector, grouped by master site for the commit queues.
-	entriesByPID := make(map[partition.ID][]redolog.Entry, len(tp.WritePIDs))
-	for _, sw := range tw.sites {
-		for _, w := range sw.ops {
-			entriesByPID[w.meta.ID] = append(entriesByPID[w.meta.ID], w.entry)
-		}
-	}
-	record := func(pid partition.ID) redolog.Record {
-		deps := make(map[partition.ID]uint64, len(versions)-1)
-		for q, v := range versions {
-			if q != pid {
-				deps[q] = v
-			}
-		}
-		return redolog.Record{Partition: pid, Version: versions[pid], Entries: entriesByPID[pid], Deps: deps}
-	}
-
-	// One flush group per master site and a shared completion channel;
-	// leading and waiting are deferred until after the locks are released.
+	// One redo record per partition, its entries grouped out of one arena,
+	// every record carrying the commit's one version vector as Deps; one
+	// flush group per master site and a shared completion channel. Leading
+	// and waiting are deferred until after the locks are released.
+	entries := make([]redolog.Entry, 0, nOps)
+	recs := make([]redolog.Record, 0, len(pids))
+	installs := make([]versionInstall, 0, len(pids))
 	flushed := make(chan struct{}, len(participants))
 	for i := range tw.sites {
 		sw := &tw.sites[i]
 		if len(sw.pids) == 0 {
 			continue
 		}
-		fg := flushGroup{coord: coord, done: flushed}
-		for _, pid := range sw.pids {
-			fg.recs = append(fg.recs, record(pid))
-			fg.installs = append(fg.installs, versionInstall{p: masters[pid], ver: versions[pid]})
+		first := len(recs)
+		for k, pid := range sw.pids {
+			base := len(entries)
+			for _, w := range sw.ops {
+				if w.meta.ID == pid {
+					entries = append(entries, w.entry)
+				}
+			}
+			recs = append(recs, redolog.Record{Partition: pid, Version: versions[pid],
+				Entries: entries[base:len(entries):len(entries)], Deps: versions})
+			installs = append(installs, versionInstall{p: sw.masters[k], ver: versions[pid]})
 		}
-		e.gc.enqueue(sw.site, fg)
+		e.gc.enqueue(sw.site, flushGroup{coord: coord, done: flushed,
+			recs: recs[first:len(recs):len(recs)], installs: installs[first:len(installs):len(installs)]})
 	}
 	return func(ctx context.Context) error {
 		// Lead before looking at ctx: a site whose queue holds this
@@ -542,7 +558,6 @@ type writeParticipant struct {
 	tw       *txnWork
 	sw       *siteWork
 	versions txn.VersionVector
-	masters  map[partition.ID]*partition.Partition
 }
 
 // Remote reports whether the site is not the coordinator's (txn.Remote).
@@ -564,7 +579,7 @@ func (wp *writeParticipant) Prepare(txnID uint64) error {
 		}
 	}
 	for _, w := range wp.sw.ops {
-		p := wp.masters[w.meta.ID]
+		p := wp.sw.master(w.meta.ID)
 		switch w.op.Kind {
 		case query.OpUpdate, query.OpDelete:
 			if _, ok := p.Get(w.op.Row, nil, storage.Latest); !ok {
@@ -586,7 +601,7 @@ func (wp *writeParticipant) Prepare(txnID uint64) error {
 func (wp *writeParticipant) Commit(txnID uint64) error {
 	s := wp.tw.e.siteOf(wp.sw.site)
 	for _, w := range wp.sw.ops {
-		p := wp.masters[w.meta.ID]
+		p := wp.sw.master(w.meta.ID)
 		ver := wp.versions[w.meta.ID]
 		var obs cost.Observation
 		var err error
@@ -619,30 +634,31 @@ func (wp *writeParticipant) Commit(txnID uint64) error {
 // Abort discards (nothing staged before Commit in this engine).
 func (wp *writeParticipant) Abort(txnID uint64) error { return nil }
 
-// recordTxnAccesses updates trackers, co-access edges and column stats.
+// recordTxnAccesses updates trackers, column stats and co-access edges.
+// Edges join the transaction's distinct partitions pairwise, both ways and
+// never a partition to itself, when there are at most eight of them.
 func (e *Engine) recordTxnAccesses(tp *plan.TxnPlan) {
-	var pids []partition.ID
+	var buf [8]*metadata.PartitionMeta
+	distinct := buf[:0]
+	bounded := len(tp.ReadPIDs)+len(tp.WritePIDs) <= len(buf)
 	for _, b := range tp.Bindings {
+		write := b.Op.Kind != query.OpRead
 		for _, m := range b.Pieces {
-			if b.Op.Kind == query.OpRead {
-				m.Tracker.Record(forecast.PointRead, 1)
-				e.Dir.RecordColumnAccess(m.Bounds.Table, b.Op.Cols, false)
-			} else {
+			if write {
 				m.Tracker.Record(forecast.Update, 1)
-				e.Dir.RecordColumnAccess(m.Bounds.Table, b.Op.Cols, true)
+			} else {
+				m.Tracker.Record(forecast.PointRead, 1)
 			}
-			pids = append(pids, m.ID)
+			e.Dir.RecordColumnAccess(m.Bounds.Table, b.Op.Cols, write)
+			if bounded && !slices.Contains(distinct, m) {
+				distinct = append(distinct, m)
+			}
 		}
 	}
-	// Pairwise co-access (bounded).
-	if len(pids) > 1 && len(pids) <= 8 {
-		for i, a := range pids {
-			if ma, ok := e.Dir.Get(a); ok {
-				for j, bpid := range pids {
-					if i != j {
-						ma.RecordCoAccess(bpid, 1)
-					}
-				}
+	for _, a := range distinct {
+		for _, b := range distinct {
+			if a != b {
+				a.RecordCoAccess(b.ID, 1)
 			}
 		}
 	}

@@ -7,8 +7,10 @@
 package colstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -842,15 +844,14 @@ func buildBase(kinds []types.Kind, rows []schema.Row, sortBy schema.ColID, compr
 	sorted := make([]schema.Row, len(rows))
 	copy(sorted, rows)
 	if sortBy >= 0 && int(sortBy) < len(kinds) {
-		sort.SliceStable(sorted, func(i, j int) bool {
-			c := types.Compare(sorted[i].Vals[sortBy], sorted[j].Vals[sortBy])
-			if c != 0 {
-				return c < 0
+		slices.SortStableFunc(sorted, func(a, b schema.Row) int {
+			if c := types.Compare(a.Vals[sortBy], b.Vals[sortBy]); c != 0 {
+				return c
 			}
-			return sorted[i].ID < sorted[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 	} else {
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+		slices.SortFunc(sorted, func(a, b schema.Row) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	b := &base{
 		rowIDs: make([]schema.RowID, len(sorted)),

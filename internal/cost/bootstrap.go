@@ -22,7 +22,7 @@ const (
 	rleDiscount    = 0.5
 )
 
-func bootstrap(k modelKey, x []float64) float64 {
+func bootstrap(k modelKey, x Features) float64 {
 	switch k.op {
 	case OpScan:
 		card, inB, outB, sel := x[0], x[1], x[2], x[3]

@@ -83,12 +83,16 @@ func (v Variant) String() string {
 }
 
 // featureDim is the fixed feature-vector width for every cost function.
-// Vectors are zero-padded; the feature constructors below document each
-// op's layout (mirroring the Arguments column of Table 1).
 const featureDim = 6
 
+// Features is one cost function's argument vector, held by value so that
+// observing or predicting an operator allocates nothing. Unused slots are
+// zero; the constructors below document each op's layout (mirroring the
+// Arguments column of Table 1).
+type Features [featureDim]float64
+
 // ScanFeatures: cardinality, input bytes/row, output bytes/row, selectivity.
-func ScanFeatures(card int, inBytes, outBytes int, selectivity float64) []float64 {
+func ScanFeatures(card int, inBytes, outBytes int, selectivity float64) Features {
 	return ScanFeaturesEnc(card, inBytes, outBytes, selectivity, 0)
 }
 
@@ -96,34 +100,34 @@ func ScanFeatures(card int, inBytes, outBytes int, selectivity float64) []float6
 // bytes held in encoded column form (RLE/dictionary/FoR), letting the
 // per-layout scan models learn how much code-operating kernels discount a
 // scan — the signal the advisor weighs when choosing compressed layouts.
-func ScanFeaturesEnc(card int, inBytes, outBytes int, selectivity, encodedFrac float64) []float64 {
-	return []float64{float64(card), float64(inBytes), float64(outBytes), selectivity, encodedFrac, 0}
+func ScanFeaturesEnc(card int, inBytes, outBytes int, selectivity, encodedFrac float64) Features {
+	return Features{float64(card), float64(inBytes), float64(outBytes), selectivity, encodedFrac, 0}
 }
 
 // WriteFeatures: cells accessed, bytes per row.
-func WriteFeatures(cells, rowBytes int) []float64 {
-	return []float64{float64(cells), float64(rowBytes), 0, 0, 0, 0}
+func WriteFeatures(cells, rowBytes int) Features {
+	return Features{float64(cells), float64(rowBytes), 0, 0, 0, 0}
 }
 
 // PointReadFeatures: cells read, bytes per row.
-func PointReadFeatures(cells, rowBytes int) []float64 {
-	return []float64{float64(cells), float64(rowBytes), 0, 0, 0, 0}
+func PointReadFeatures(cells, rowBytes int) Features {
+	return Features{float64(cells), float64(rowBytes), 0, 0, 0, 0}
 }
 
 // BulkLoadFeatures: cardinality, bytes per row.
-func BulkLoadFeatures(card, rowBytes int) []float64 {
-	return []float64{float64(card), float64(rowBytes), 0, 0, 0, 0}
+func BulkLoadFeatures(card, rowBytes int) Features {
+	return Features{float64(card), float64(rowBytes), 0, 0, 0, 0}
 }
 
 // SortFeatures: cardinality, bytes per row.
-func SortFeatures(card, rowBytes int) []float64 {
-	return []float64{float64(card), float64(rowBytes), 0, 0, 0, 0}
+func SortFeatures(card, rowBytes int) Features {
+	return Features{float64(card), float64(rowBytes), 0, 0, 0, 0}
 }
 
 // JoinFeatures: left/right/output cardinalities, left+right bytes per row,
 // join selectivity.
-func JoinFeatures(lCard, rCard, outCard, rowBytes int, selectivity float64) []float64 {
-	return []float64{float64(lCard), float64(rCard), float64(outCard), float64(rowBytes), selectivity, 0}
+func JoinFeatures(lCard, rCard, outCard, rowBytes int, selectivity float64) Features {
+	return Features{float64(lCard), float64(rCard), float64(outCard), float64(rowBytes), selectivity, 0}
 }
 
 // JoinFeaturesBatch: the batch hash join's feature layout — build/probe/
@@ -132,33 +136,33 @@ func JoinFeatures(lCard, rCard, outCard, rowBytes int, selectivity float64) []fl
 // JoinFeatures it keys on build (not left/right) cardinality, since the
 // batch join's cost is dominated by the build table and the post-filter
 // probe stream, and it uses the sixth slot for spill volume.
-func JoinFeaturesBatch(buildCard, probeCard, outCard, rowBytes int, probeSel float64, spillBytes int64) []float64 {
-	return []float64{float64(buildCard), float64(probeCard), float64(outCard), float64(rowBytes), probeSel, float64(spillBytes)}
+func JoinFeaturesBatch(buildCard, probeCard, outCard, rowBytes int, probeSel float64, spillBytes int64) Features {
+	return Features{float64(buildCard), float64(probeCard), float64(outCard), float64(rowBytes), probeSel, float64(spillBytes)}
 }
 
 // AggFeatures: input and output cardinality, bytes per row.
-func AggFeatures(inCard, outCard, rowBytes int) []float64 {
-	return []float64{float64(inCard), float64(outCard), float64(rowBytes), 0, 0, 0}
+func AggFeatures(inCard, outCard, rowBytes int) Features {
+	return Features{float64(inCard), float64(outCard), float64(rowBytes), 0, 0, 0}
 }
 
 // NetworkFeatures: source/destination CPU utilization, bytes sent/received.
-func NetworkFeatures(srcCPU, dstCPU float64, sent, recv int) []float64 {
-	return []float64{srcCPU, dstCPU, float64(sent), float64(recv), 0, 0}
+func NetworkFeatures(srcCPU, dstCPU float64, sent, recv int) Features {
+	return Features{srcCPU, dstCPU, float64(sent), float64(recv), 0, 0}
 }
 
 // LockFeatures: partition contention (queued waiters, recent wait in µs).
-func LockFeatures(waiters int, recentWait time.Duration) []float64 {
-	return []float64{float64(waiters), float64(recentWait.Microseconds()), 0, 0, 0, 0}
+func LockFeatures(waiters int, recentWait time.Duration) Features {
+	return Features{float64(waiters), float64(recentWait.Microseconds()), 0, 0, 0, 0}
 }
 
 // WaitFeatures: number of updates that must be applied.
-func WaitFeatures(updates int) []float64 {
-	return []float64{float64(updates), 0, 0, 0, 0, 0}
+func WaitFeatures(updates int) Features {
+	return Features{float64(updates), 0, 0, 0, 0, 0}
 }
 
 // CommitFeatures: partitions read, partitions written, sites involved.
-func CommitFeatures(readParts, writeParts, sites int) []float64 {
-	return []float64{float64(readParts), float64(writeParts), float64(sites), 0, 0, 0}
+func CommitFeatures(readParts, writeParts, sites int) Features {
+	return Features{float64(readParts), float64(writeParts), float64(sites), 0, 0, 0}
 }
 
 // layoutKey collapses a layout into the model key. Layout-aware cost
@@ -181,19 +185,31 @@ type modelKey struct {
 	layout  layoutKey // zero for layout-agnostic ops
 }
 
-// predictor is the common interface over the learners.
+// predictor is the common interface over the learners. It takes feature
+// vectors by value; the adapters below hand the learners a slice of their
+// own copy, which stays on the stack.
 type predictor interface {
-	Observe(x []float64, y float64)
-	Predict(x []float64) float64
+	Observe(x Features, y float64)
+	Predict(x Features) float64
 	N() int
 }
+
+type linear struct{ *learn.Linear }
+
+func (l linear) Observe(x Features, y float64) { l.Linear.Observe(x[:], y) }
+func (l linear) Predict(x Features) float64    { return l.Linear.Predict(x[:]) }
+
+type mlp struct{ *learn.MLP }
+
+func (n mlp) Observe(x Features, y float64) { n.MLP.Observe(x[:], y) }
+func (n mlp) Predict(x Features) float64    { return n.MLP.Predict(x[:]) }
 
 // Observation is one measured operator execution.
 type Observation struct {
 	Op       Op
 	Variant  Variant
 	Layout   storage.Layout // ignored for layout-agnostic ops
-	Features []float64
+	Features Features
 	Latency  time.Duration
 }
 
@@ -229,41 +245,32 @@ func (m *Model) newPredictor(op Op) predictor {
 	switch op {
 	case OpJoin:
 		m.seed++
-		return learn.NewMLP(featureDim, 10, 0.01, m.seed)
+		return mlp{learn.NewMLP(featureDim, 10, 0.01, m.seed)}
 	default:
-		return learn.NewLinear(featureDim, 1e-3)
+		return linear{learn.NewLinear(featureDim, 1e-3)}
 	}
 }
 
 // derive maps raw features onto the regression basis for volume-driven
 // operators; other ops pass through. Applied identically when observing
 // and predicting.
-func derive(op Op, x []float64) []float64 {
+func derive(op Op, x Features) Features {
 	switch op {
 	case OpScan:
 		card, inB, outB, sel, enc := x[0], x[1], x[2], x[3], x[4]
-		return []float64{card, card * inB, card * outB, card * inB * sel, card * inB * enc, 0}
+		return Features{card, card * inB, card * outB, card * inB * sel, card * inB * enc, 0}
 	case OpBulkLoad, OpAggregate:
 		card, rowB := x[0], x[1]
-		return []float64{card, card * rowB, x[2], 0, 0, 0}
+		return Features{card, card * rowB, x[2], 0, 0, 0}
 	case OpSort:
 		card, rowB := x[0], x[1]
 		lg := 1.0
 		for c := card; c >= 2; c /= 2 {
 			lg++
 		}
-		return []float64{card, card * rowB, card * lg, 0, 0, 0}
+		return Features{card, card * rowB, card * lg, 0, 0, 0}
 	}
 	return x
-}
-
-func pad(x []float64) []float64 {
-	if len(x) >= featureDim {
-		return x[:featureDim]
-	}
-	out := make([]float64, featureDim)
-	copy(out, x)
-	return out
 }
 
 func (m *Model) modelFor(k modelKey) predictor {
@@ -290,7 +297,7 @@ func (m *Model) key(op Op, variant Variant, layout storage.Layout) modelKey {
 func (m *Model) Observe(obs Observation) {
 	k := m.key(obs.Op, obs.Variant, obs.Layout)
 	p := m.modelFor(k)
-	x := derive(obs.Op, pad(obs.Features))
+	x := derive(obs.Op, obs.Features)
 	actual := float64(obs.Latency.Microseconds())
 
 	pred := m.predictWith(p, k, x)
@@ -311,7 +318,7 @@ const maxSaneUs = 1e8
 // predictWith returns microseconds, falling back to the bootstrap during
 // warm-up and when the learned model extrapolates outside sane bounds.
 // x is the raw (underived) feature vector.
-func (m *Model) predictWith(p predictor, k modelKey, x []float64) float64 {
+func (m *Model) predictWith(p predictor, k modelKey, x Features) float64 {
 	if p.N() < m.warmup {
 		return bootstrap(k, x)
 	}
@@ -323,10 +330,10 @@ func (m *Model) predictWith(p predictor, k modelKey, x []float64) float64 {
 }
 
 // Predict estimates an operator's latency.
-func (m *Model) Predict(op Op, variant Variant, layout storage.Layout, features []float64) time.Duration {
+func (m *Model) Predict(op Op, variant Variant, layout storage.Layout, features Features) time.Duration {
 	k := m.key(op, variant, layout)
 	p := m.modelFor(k)
-	us := m.predictWith(p, k, pad(features))
+	us := m.predictWith(p, k, features)
 	return time.Duration(us * float64(time.Microsecond))
 }
 
@@ -341,8 +348,8 @@ func (m *Model) Warm(op Op, variant Variant, layout storage.Layout) bool {
 // estimate for one layout with a bootstrap for another (their calibrations
 // differ); callers use this to keep both sides on the bootstrap whenever
 // either side's model is cold.
-func (m *Model) PredictBootstrap(op Op, variant Variant, layout storage.Layout, features []float64) time.Duration {
-	us := bootstrap(m.key(op, variant, layout), pad(features))
+func (m *Model) PredictBootstrap(op Op, variant Variant, layout storage.Layout, features Features) time.Duration {
+	us := bootstrap(m.key(op, variant, layout), features)
 	return time.Duration(us * float64(time.Microsecond))
 }
 
@@ -350,8 +357,7 @@ func (m *Model) PredictBootstrap(op Op, variant Variant, layout storage.Layout, 
 // consistent source: learned models when both are warm AND both produce
 // valid (finite, non-negative) predictions; the bootstrap otherwise. A
 // one-sided fallback would compare incompatible calibrations.
-func (m *Model) PredictPair(op Op, variant Variant, a, b storage.Layout, features []float64) (time.Duration, time.Duration) {
-	x := pad(features)
+func (m *Model) PredictPair(op Op, variant Variant, a, b storage.Layout, x Features) (time.Duration, time.Duration) {
 	ka, kb := m.key(op, variant, a), m.key(op, variant, b)
 	pa, pb := m.modelFor(ka), m.modelFor(kb)
 	if pa.N() >= m.warmup && pb.N() >= m.warmup {

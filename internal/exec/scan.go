@@ -90,11 +90,7 @@ func encFracOf(st storage.Stats) float64 {
 // PointRead fetches one row's projection (table-global cols).
 func PointRead(p *partition.Partition, id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row, bool, cost.Observation) {
 	start := time.Now()
-	lcols := make([]schema.ColID, len(cols))
-	for i, c := range cols {
-		lcols[i] = p.Bounds.LocalCol(c)
-	}
-	r, ok := p.Get(id, lcols, snap)
+	r, ok := p.Get(id, localCols(p, cols), snap)
 	obs := cost.Observation{
 		Op:       cost.OpPointRead,
 		Layout:   p.Layout(),
@@ -119,11 +115,7 @@ func Insert(p *partition.Partition, row schema.Row, ver uint64) (cost.Observatio
 // Update rewrites the given table-global columns of a row.
 func Update(p *partition.Partition, id schema.RowID, cols []schema.ColID, vals []types.Value, ver uint64) (cost.Observation, error) {
 	start := time.Now()
-	lcols := make([]schema.ColID, len(cols))
-	for i, c := range cols {
-		lcols[i] = p.Bounds.LocalCol(c)
-	}
-	err := p.Update(id, lcols, vals, ver)
+	err := p.Update(id, localCols(p, cols), vals, ver)
 	return cost.Observation{
 		Op:       cost.OpWrite,
 		Layout:   p.Layout(),
@@ -142,6 +134,21 @@ func Delete(p *partition.Partition, id schema.RowID, ver uint64) (cost.Observati
 		Features: cost.WriteFeatures(1, 0),
 		Latency:  time.Since(start),
 	}, err
+}
+
+// localCols translates table-global columns to p's local ones. A piece
+// that starts at the table's first column — every piece of a table that
+// is not split vertically — numbers its columns as the table does, so
+// cols serves as is and nothing is allocated.
+func localCols(p *partition.Partition, cols []schema.ColID) []schema.ColID {
+	if p.Bounds.ColStart == 0 {
+		return cols
+	}
+	lcols := make([]schema.ColID, len(cols))
+	for i, c := range cols {
+		lcols[i] = p.Bounds.LocalCol(c)
+	}
+	return lcols
 }
 
 func approxRowBytes(vals []types.Value) int {

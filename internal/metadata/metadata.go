@@ -8,8 +8,9 @@
 package metadata
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -154,7 +155,7 @@ func (m *PartitionMeta) CoAccessed(limit int) []partition.ID {
 	for id, w := range m.coAccess {
 		all = append(all, kv{id, w})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].w > all[j].w })
+	slices.SortFunc(all, func(a, b kv) int { return cmp.Compare(b.w, a.w) })
 	if limit > 0 && len(all) > limit {
 		all = all[:limit]
 	}
@@ -220,27 +221,42 @@ func (d *Directory) Register(id partition.ID, b partition.Bounds, master Replica
 
 // Replace removes the partitions old and adds the entries add in one step
 // under the directory lock, so a split or merge never shows a reader a row
-// range that no partition covers, or one that two cover.
+// range that no partition covers, or one that two cover. Each touched
+// table's pieces are rebuilt into a fresh slice ordered by (RowStart,
+// ColStart): lookups, which far outnumber replacements, then never sort.
 func (d *Directory) Replace(old []partition.ID, add ...*PartitionMeta) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	touched := make(map[schema.TableID]bool, 1)
 	for _, id := range old {
-		m, ok := d.parts[id]
-		if !ok {
-			continue
-		}
-		delete(d.parts, id)
-		tbl := d.byTable[m.Bounds.Table]
-		for i, pm := range tbl {
-			if pm.ID == id {
-				d.byTable[m.Bounds.Table] = append(tbl[:i], tbl[i+1:]...)
-				break
-			}
+		if m, ok := d.parts[id]; ok {
+			delete(d.parts, id)
+			touched[m.Bounds.Table] = true
 		}
 	}
 	for _, m := range add {
 		d.parts[m.ID] = m
-		d.byTable[m.Bounds.Table] = append(d.byTable[m.Bounds.Table], m)
+		touched[m.Bounds.Table] = true
+	}
+	for table := range touched {
+		var next []*PartitionMeta
+		for _, m := range d.byTable[table] {
+			if d.parts[m.ID] == m {
+				next = append(next, m)
+			}
+		}
+		for _, m := range add {
+			if m.Bounds.Table == table {
+				next = append(next, m)
+			}
+		}
+		slices.SortFunc(next, func(a, b *PartitionMeta) int {
+			if c := cmp.Compare(a.Bounds.RowStart, b.Bounds.RowStart); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Bounds.ColStart, b.Bounds.ColStart)
+		})
+		d.byTable[table] = next
 	}
 }
 
@@ -252,44 +268,54 @@ func (d *Directory) Get(id partition.ID) (*PartitionMeta, bool) {
 	return m, ok
 }
 
+// appendFor appends to dst the partitions of a table whose row range
+// overlaps [lo, hi) and that cover at least one of cols (all columns if
+// cols is empty), ordered by (RowStart, ColStart).
+func (d *Directory) appendFor(dst []*PartitionMeta, table schema.TableID, lo, hi schema.RowID, cols []schema.ColID) []*PartitionMeta {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, m := range d.byTable[table] {
+		if m.Bounds.RowStart >= hi {
+			break // sorted by RowStart: no later piece overlaps
+		}
+		if !m.Bounds.OverlapsRows(lo, hi) || !coversAny(m.Bounds, cols) {
+			continue
+		}
+		dst = append(dst, m)
+	}
+	return dst
+}
+
+func coversAny(b partition.Bounds, cols []schema.ColID) bool {
+	if len(cols) == 0 {
+		return true
+	}
+	for _, c := range cols {
+		if b.ContainsCol(c) {
+			return true
+		}
+	}
+	return false
+}
+
 // PartitionsFor returns the partitions of a table whose row range overlaps
 // [lo, hi) and that cover at least one of cols (all columns if cols is
 // empty), ordered by (RowStart, ColStart).
 func (d *Directory) PartitionsFor(table schema.TableID, lo, hi schema.RowID, cols []schema.ColID) []*PartitionMeta {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []*PartitionMeta
-	for _, m := range d.byTable[table] {
-		if !m.Bounds.OverlapsRows(lo, hi) {
-			continue
-		}
-		if len(cols) > 0 {
-			covered := false
-			for _, c := range cols {
-				if m.Bounds.ContainsCol(c) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				continue
-			}
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bounds.RowStart != out[j].Bounds.RowStart {
-			return out[i].Bounds.RowStart < out[j].Bounds.RowStart
-		}
-		return out[i].Bounds.ColStart < out[j].Bounds.ColStart
-	})
-	return out
+	return d.appendFor(nil, table, lo, hi, cols)
 }
 
-// PartitionForRow returns the partitions covering a single row across the
-// given columns (several when the row range is vertically partitioned).
+// AppendForRow appends to dst the partitions covering a single row across
+// the given columns (several when the row range is vertically
+// partitioned), ordered by ColStart. It allocates only when dst is full.
+func (d *Directory) AppendForRow(dst []*PartitionMeta, table schema.TableID, row schema.RowID, cols []schema.ColID) []*PartitionMeta {
+	return d.appendFor(dst, table, row, row+1, cols)
+}
+
+// PartitionForRow is AppendForRow into a new slice, for callers outside
+// the operation path (the benchmark module's workload description).
 func (d *Directory) PartitionForRow(table schema.TableID, row schema.RowID, cols []schema.ColID) []*PartitionMeta {
-	return d.PartitionsFor(table, row, row+1, cols)
+	return d.AppendForRow(nil, table, row, cols)
 }
 
 // TablePartitions returns every partition of a table.
@@ -305,7 +331,7 @@ func (d *Directory) All() []*PartitionMeta {
 	for _, m := range d.parts {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *PartitionMeta) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -391,7 +417,7 @@ func (d *Directory) Validate(table schema.TableID, rowEnd schema.RowID, nCols in
 	for b := range bounds {
 		cuts = append(cuts, b)
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
 	for i := 0; i+1 < len(cuts); i++ {
 		segs = append(segs, seg{cuts[i], cuts[i+1]})
 	}

@@ -1,6 +1,9 @@
 package metadata
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -220,4 +223,185 @@ func TestTrackerAttached(t *testing.T) {
 	if m.Tracker.Total(forecast.Scan) != 3 {
 		t.Error("tracker not recording")
 	}
+}
+
+// filterAndSort is the lookup AppendForRow replaced, kept as its oracle:
+// every registered partition filtered by table, row and columns, then
+// sorted by (RowStart, ColStart).
+func filterAndSort(d *Directory, table schema.TableID, row schema.RowID, cols []schema.ColID) []*PartitionMeta {
+	var out []*PartitionMeta
+	for _, m := range d.All() {
+		if m.Bounds.Table != table || !m.Bounds.OverlapsRows(row, row+1) {
+			continue
+		}
+		covered := len(cols) == 0
+		for _, c := range cols {
+			covered = covered || m.Bounds.ContainsCol(c)
+		}
+		if covered {
+			out = append(out, m)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Bounds.RowStart != out[j].Bounds.RowStart {
+			return out[i].Bounds.RowStart < out[j].Bounds.RowStart
+		}
+		return out[i].Bounds.ColStart < out[j].Bounds.ColStart
+	})
+	return out
+}
+
+const (
+	tileRows = 1000
+	tileCols = 6
+)
+
+// randomTiling registers a table's tiling in random order: random
+// horizontal ranges, each cut into one to three column groups.
+func randomTiling(d *Directory, rng *rand.Rand, table schema.TableID) {
+	var pieces []*PartitionMeta
+	for lo := schema.RowID(0); lo < tileRows; {
+		hi := min(lo+schema.RowID(1+rng.Intn(300)), tileRows)
+		clo := schema.ColID(0)
+		for groups := 1 + rng.Intn(3); groups > 0 && clo < tileCols; groups-- {
+			chi := schema.ColID(tileCols)
+			if groups > 1 {
+				chi = min(clo+schema.ColID(1+rng.Intn(3)), tileCols)
+			}
+			pieces = append(pieces, d.NewMeta(d.AllocID(), b(table, lo, hi, clo, chi), repl(0), nil))
+			clo = chi
+		}
+		lo = hi
+	}
+	rng.Shuffle(len(pieces), func(i, j int) { pieces[i], pieces[j] = pieces[j], pieces[i] })
+	for _, m := range pieces {
+		d.Replace(nil, m)
+	}
+}
+
+// reshape applies one random split or merge to a table's tiling through
+// Replace: a horizontal or vertical split of a piece, or the merge of a
+// piece with the one below it when both cover the same columns.
+func reshape(d *Directory, rng *rand.Rand, table schema.TableID) {
+	parts := d.TablePartitions(table)
+	m := parts[rng.Intn(len(parts))]
+	bd := m.Bounds
+	switch rng.Intn(3) {
+	case 0:
+		if bd.RowEnd-bd.RowStart < 2 {
+			return
+		}
+		cut := bd.RowStart + 1 + schema.RowID(rng.Intn(int(bd.RowEnd-bd.RowStart-1)))
+		d.Replace([]partition.ID{m.ID},
+			d.NewMeta(d.AllocID(), b(table, bd.RowStart, cut, bd.ColStart, bd.ColEnd), repl(0), nil),
+			d.NewMeta(d.AllocID(), b(table, cut, bd.RowEnd, bd.ColStart, bd.ColEnd), repl(0), nil))
+	case 1:
+		if bd.NumCols() < 2 {
+			return
+		}
+		cut := bd.ColStart + 1 + schema.ColID(rng.Intn(bd.NumCols()-1))
+		d.Replace([]partition.ID{m.ID},
+			d.NewMeta(d.AllocID(), b(table, bd.RowStart, bd.RowEnd, bd.ColStart, cut), repl(0), nil),
+			d.NewMeta(d.AllocID(), b(table, bd.RowStart, bd.RowEnd, cut, bd.ColEnd), repl(0), nil))
+	default:
+		for _, o := range parts {
+			ob := o.Bounds
+			if ob.RowStart == bd.RowEnd && ob.ColStart == bd.ColStart && ob.ColEnd == bd.ColEnd {
+				d.Replace([]partition.ID{m.ID, o.ID},
+					d.NewMeta(d.AllocID(), b(table, bd.RowStart, ob.RowEnd, bd.ColStart, bd.ColEnd), repl(0), nil))
+				return
+			}
+		}
+	}
+}
+
+// TestAppendForRowMatchesFilter compares AppendForRow with the
+// filter-and-sort it replaced on seeded random tilings — horizontal and
+// vertical pieces, registered in random order beside a second table —
+// through a sequence of Replace splits and merges, for every row at a
+// piece boundary and random others, under no, one and two columns. The
+// concurrent case runs lookups while Replace reshapes the table: every
+// lookup must see the row's columns tiled exactly once. `go test -race`
+// runs it in CI.
+func TestAppendForRowMatchesFilter(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := dir()
+		randomTiling(d, rng, 1)
+		randomTiling(d, rng, 2)
+		sentinel := d.NewMeta(d.AllocID(), b(9, 0, 1, 0, 1), repl(0), nil)
+		for step := 0; step < 40; step++ {
+			reshape(d, rng, 1)
+			if err := d.Validate(1, tileRows, tileCols); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			var rows []schema.RowID
+			for _, m := range d.TablePartitions(1) {
+				rows = append(rows, m.Bounds.RowStart, m.Bounds.RowEnd-1)
+			}
+			for i := 0; i < 20; i++ {
+				rows = append(rows, schema.RowID(rng.Intn(tileRows)))
+			}
+			for _, row := range rows {
+				c1, c2 := schema.ColID(rng.Intn(tileCols)), schema.ColID(rng.Intn(tileCols))
+				for _, cols := range [][]schema.ColID{nil, {c1}, {c1, c2}} {
+					want := filterAndSort(d, 1, row, cols)
+					got := d.AppendForRow([]*PartitionMeta{sentinel}, 1, row, cols)
+					if got[0] != sentinel || !slices.Equal(got[1:], want) {
+						t.Fatalf("seed %d step %d: row %d cols %v: AppendForRow %v, filter %v",
+							seed, step, row, cols, bounds(got[1:]), bounds(want))
+					}
+				}
+			}
+		}
+	}
+
+	t.Run("concurrent-replace", func(t *testing.T) {
+		d := dir()
+		randomTiling(d, rand.New(rand.NewSource(7)), 1)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []*PartitionMeta
+				for row := schema.RowID(r); ; row = (row + 13) % tileRows {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					buf = d.AppendForRow(buf[:0], 1, row, nil)
+					var covered [tileCols]int
+					for _, m := range buf {
+						for c := m.Bounds.ColStart; c < m.Bounds.ColEnd; c++ {
+							covered[c]++
+						}
+					}
+					if covered != [tileCols]int{1, 1, 1, 1, 1, 1} {
+						t.Errorf("row %d: pieces %v do not tile its columns", row, bounds(buf))
+						return
+					}
+				}
+			}()
+		}
+		rng := rand.New(rand.NewSource(8))
+		for i := 0; i < 2000 && !t.Failed(); i++ {
+			reshape(d, rng, 1)
+		}
+		close(stop)
+		wg.Wait()
+		if err := d.Validate(1, tileRows, tileCols); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+func bounds(ms []*PartitionMeta) []partition.Bounds {
+	out := make([]partition.Bounds, len(ms))
+	for i, m := range ms {
+		out[i] = m.Bounds
+	}
+	return out
 }

@@ -179,11 +179,7 @@ func (p *Partition) Update(id schema.RowID, cols []schema.ColID, vals []types.Va
 	if err := p.store.Update(id, cols, vals, ver); err != nil {
 		return err
 	}
-	wide := make([]types.Value, len(p.kinds))
-	for i, c := range cols {
-		wide[c] = vals[i]
-	}
-	p.zm.Observe(wide)
+	p.zm.ObserveCols(cols, vals)
 	return nil
 }
 

@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"proteus/internal/cost"
 	"proteus/internal/forecast"
@@ -31,7 +31,9 @@ type OpBinding struct {
 
 // TxnPlan is the physical plan of an OLTP transaction.
 type TxnPlan struct {
-	Bindings  []OpBinding
+	Bindings []OpBinding
+	// ReadPIDs are the partitions the transaction only reads and WritePIDs
+	// those it writes: each sorted, each partition once, the two disjoint.
 	ReadPIDs  []partition.ID
 	WritePIDs []partition.ID
 	// Coordinator is the site that runs the transaction: of the sites
@@ -41,57 +43,62 @@ type TxnPlan struct {
 	Coordinator simnet.SiteID
 }
 
-// PlanTxn binds every operation of a transaction to partition copies.
+// PlanTxn binds every operation of a transaction to partition copies. A
+// plan allocates a fixed handful of slices whatever its op count: the
+// bindings, one arena for every op's pieces and one for their copies
+// (each sized from len(t.Ops), growing only when a row is split
+// vertically), and one for the sorted partition sets.
 func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
-	tp := &TxnPlan{}
-	readSet := map[partition.ID]bool{}
-	writeSet := map[partition.ID]bool{}
-
-	tp.Bindings = make([]OpBinding, 0, len(t.Ops))
+	tp := &TxnPlan{Bindings: make([]OpBinding, 0, len(t.Ops))}
+	pieces := make([]*metadata.PartitionMeta, 0, len(t.Ops))
 	for _, op := range t.Ops {
 		cols := op.Cols
 		if op.Kind == query.OpInsert || op.Kind == query.OpDelete {
 			cols = nil // all columns
 		}
-		pieces := pl.Dir.PartitionForRow(op.Table, op.Row, cols)
-		if len(pieces) == 0 {
+		base := len(pieces)
+		if pieces = pl.Dir.AppendForRow(pieces, op.Table, op.Row, cols); len(pieces) == base {
 			return nil, fmt.Errorf("plan: no partition for table %d row %d", op.Table, op.Row)
 		}
-		b := OpBinding{Op: op, Pieces: pieces, Copies: make([]metadata.Replica, 0, len(pieces))}
-		if op.Kind != query.OpRead {
-			for _, m := range pieces {
-				b.Copies = append(b.Copies, m.Master())
-				writeSet[m.ID] = true
-			}
-		}
-		tp.Bindings = append(tp.Bindings, b)
+		tp.Bindings = append(tp.Bindings, OpBinding{Op: op, Pieces: pieces[base:len(pieces):len(pieces)]})
 	}
-	// Reads bind once the write set is known: a read of a written partition
-	// goes to its master whatever the op order.
+	n := 0
+	for _, b := range tp.Bindings {
+		n += len(b.Pieces)
+	}
+	copies := make([]metadata.Replica, n)
+	pids := make([]partition.ID, 0, n)
 	for i := range tp.Bindings {
 		b := &tp.Bindings[i]
+		b.Copies, copies = copies[:len(b.Pieces):len(b.Pieces)], copies[len(b.Pieces):]
+		if b.Op.Kind != query.OpRead {
+			for j, m := range b.Pieces {
+				b.Copies[j] = m.Master()
+				pids = append(pids, m.ID)
+			}
+		}
+	}
+	slices.Sort(pids)
+	pids = slices.Compact(pids)
+	tp.WritePIDs = pids[:len(pids):len(pids)]
+	// Reads bind once the write set is known: a read of a written partition
+	// goes to its master whatever the op order.
+	reads := pids[len(pids):]
+	for _, b := range tp.Bindings {
 		if b.Op.Kind != query.OpRead {
 			continue
 		}
-		for _, m := range b.Pieces {
-			readSet[m.ID] = true
-			if writeSet[m.ID] {
-				b.Copies = append(b.Copies, m.Master())
+		for j, m := range b.Pieces {
+			if _, written := slices.BinarySearch(tp.WritePIDs, m.ID); written {
+				b.Copies[j] = m.Master()
 			} else {
-				b.Copies = append(b.Copies, pl.choosePointCopy(m, len(b.Op.Cols)))
+				b.Copies[j] = pl.choosePointCopy(m, len(b.Op.Cols))
+				reads = append(reads, m.ID)
 			}
 		}
 	}
-	for id := range readSet {
-		if !writeSet[id] {
-			tp.ReadPIDs = append(tp.ReadPIDs, id)
-		}
-	}
-	for id := range writeSet {
-		tp.WritePIDs = append(tp.WritePIDs, id)
-	}
-	sort.Slice(tp.ReadPIDs, func(i, j int) bool { return tp.ReadPIDs[i] < tp.ReadPIDs[j] })
-	sort.Slice(tp.WritePIDs, func(i, j int) bool { return tp.WritePIDs[i] < tp.WritePIDs[j] })
+	slices.Sort(reads)
+	tp.ReadPIDs = slices.Compact(reads)
 	if len(tp.Bindings) > 0 {
 		tp.Coordinator = tp.Bindings[0].Copies[0].Site
 	}
@@ -162,13 +169,14 @@ func (pl *Planner) choosePointCopy(m *metadata.PartitionMeta, ncols int) metadat
 	return best
 }
 
-// identity backs PieceCols' value positions for a piece that holds every
-// column of its op, so the unsplit case allocates nothing.
-var identity = func() (ix [64]int) {
+// identity and identityCols back PieceCols' value positions and insert
+// columns for pieces within the first 64 columns, so those cases
+// allocate nothing.
+var identity, identityCols = func() (ix [64]int, cols [64]schema.ColID) {
 	for i := range ix {
-		ix[i] = i
+		ix[i], cols[i] = i, schema.ColID(i)
 	}
-	return ix
+	return ix, cols
 }()
 
 // PieceCols returns the columns of op relevant to one covering piece,
@@ -177,6 +185,10 @@ var identity = func() (ix [64]int) {
 // callers only read them.
 func PieceCols(op query.Op, m *metadata.PartitionMeta) (cols []schema.ColID, valIdx []int) {
 	if op.Kind == query.OpInsert {
+		lo, hi := int(m.Bounds.ColStart), int(m.Bounds.ColEnd)
+		if hi <= len(identity) {
+			return identityCols[lo:hi:hi], identity[lo:hi:hi]
+		}
 		for c := m.Bounds.ColStart; c < m.Bounds.ColEnd; c++ {
 			cols = append(cols, c)
 			valIdx = append(valIdx, int(c))

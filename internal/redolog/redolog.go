@@ -43,8 +43,11 @@ type Record struct {
 	Partition partition.ID
 	Version   uint64
 	Entries   []Entry
-	// Deps carries the partition versions co-written by the same
-	// transaction, letting subscribers enforce consistent snapshots.
+	// Deps is the commit's whole version vector: the version the
+	// transaction installed in every partition it wrote, this record's own
+	// partition included, letting subscribers enforce consistent
+	// snapshots. Every record of one transaction shares the one map, so it
+	// is read-only once appended.
 	Deps map[partition.ID]uint64
 }
 

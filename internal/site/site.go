@@ -369,12 +369,7 @@ func (s *Site) CPU() float64 {
 }
 
 // Observe buffers an operator latency observation for the ASA to collect.
-// Observations without features (zone-map-skipped scans) are dropped: they
-// carry no signal for the cost models.
 func (s *Site) Observe(o cost.Observation) {
-	if len(o.Features) == 0 {
-		return
-	}
 	s.obsMu.Lock()
 	s.obs = append(s.obs, o)
 	s.obsMu.Unlock()

@@ -88,8 +88,7 @@ func TestPoolsExecuteAndIsolate(t *testing.T) {
 
 func TestObservationBuffer(t *testing.T) {
 	s := newSite(t)
-	s.Observe(cost.Observation{Op: cost.OpScan}) // featureless: dropped
-	s.Observe(cost.Observation{Op: cost.OpScan, Features: []float64{1}, Latency: time.Microsecond})
+	s.Observe(cost.Observation{Op: cost.OpScan, Features: cost.Features{1}, Latency: time.Microsecond})
 	obs := s.DrainObservations()
 	if len(obs) != 1 {
 		t.Fatalf("drained %d observations", len(obs))

@@ -7,7 +7,8 @@
 package txn
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -121,47 +122,50 @@ func (m *LockManager) Release(pid partition.ID, mode LockMode) {
 
 // LockSet is one transaction's held locks.
 type LockSet struct {
-	m     *LockManager
-	pids  []partition.ID
-	modes []LockMode
+	m    *LockManager
+	held []heldLock // in acquisition order
 	// Wait is the total time spent waiting for the set.
 	Wait time.Duration
+}
+
+type heldLock struct {
+	pid  partition.ID
+	mode LockMode
 }
 
 // AcquireAll locks the requested partitions in global partition.ID order —
 // the standard total-order discipline that makes deadlock impossible.
 // Duplicate ids are coalesced, keeping the strongest requested mode.
 func (m *LockManager) AcquireAll(reads, writes []partition.ID) *LockSet {
-	mode := make(map[partition.ID]LockMode, len(reads)+len(writes))
+	held := make([]heldLock, 0, len(reads)+len(writes))
 	for _, p := range reads {
-		if _, ok := mode[p]; !ok {
-			mode[p] = Shared
-		}
+		held = append(held, heldLock{p, Shared})
 	}
 	for _, p := range writes {
-		mode[p] = Exclusive
+		held = append(held, heldLock{p, Exclusive})
 	}
-	order := make([]partition.ID, 0, len(mode))
-	for p := range mode {
-		order = append(order, p)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	// Exclusive sorts first among a partition's requests, so Compact keeps it.
+	slices.SortFunc(held, func(a, b heldLock) int {
+		if c := cmp.Compare(a.pid, b.pid); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.mode, a.mode)
+	})
+	held = slices.CompactFunc(held, func(a, b heldLock) bool { return a.pid == b.pid })
 
-	ls := &LockSet{m: m}
-	for _, p := range order {
-		ls.Wait += m.Acquire(p, mode[p])
-		ls.pids = append(ls.pids, p)
-		ls.modes = append(ls.modes, mode[p])
+	ls := &LockSet{m: m, held: held}
+	for _, h := range held {
+		ls.Wait += m.Acquire(h.pid, h.mode)
 	}
 	return ls
 }
 
 // ReleaseAll unlocks every held lock.
 func (ls *LockSet) ReleaseAll() {
-	for i := len(ls.pids) - 1; i >= 0; i-- {
-		ls.m.Release(ls.pids[i], ls.modes[i])
+	for i := len(ls.held) - 1; i >= 0; i-- {
+		ls.m.Release(ls.held[i].pid, ls.held[i].mode)
 	}
-	ls.pids, ls.modes = nil, nil
+	ls.held = nil
 }
 
 // Contention reports the current contention signal for one partition.

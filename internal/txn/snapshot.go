@@ -317,3 +317,14 @@ func (s *Session) Observe(v VersionVector) {
 	defer s.mu.Unlock()
 	s.watermark.MergeMax(v)
 }
+
+// ObserveOf raises the watermark with v's versions of pids only.
+func (s *Session) ObserveOf(v VersionVector, pids []partition.ID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, pid := range pids {
+		if ver := v[pid]; s.watermark[pid] < ver {
+			s.watermark[pid] = ver
+		}
+	}
+}

@@ -39,15 +39,30 @@ func (z *ZoneMap) Observe(vals []types.Value) {
 	defer z.mu.Unlock()
 	z.n++
 	for i, v := range vals {
-		if i >= len(z.mins) || v.IsNull() {
-			continue
-		}
-		if z.mins[i].IsNull() || types.Compare(v, z.mins[i]) < 0 {
-			z.mins[i] = v
-		}
-		if z.maxs[i].IsNull() || types.Compare(v, z.maxs[i]) > 0 {
-			z.maxs[i] = v
-		}
+		z.widenLocked(i, v)
+	}
+}
+
+// ObserveCols widens the ranges of the columns an update wrote: vals[i] is
+// column cols[i]'s new value. It counts as one observed row, as Observe.
+func (z *ZoneMap) ObserveCols(cols []schema.ColID, vals []types.Value) {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	z.n++
+	for i, c := range cols {
+		z.widenLocked(int(c), vals[i])
+	}
+}
+
+func (z *ZoneMap) widenLocked(i int, v types.Value) {
+	if i >= len(z.mins) || v.IsNull() {
+		return
+	}
+	if z.mins[i].IsNull() || types.Compare(v, z.mins[i]) < 0 {
+		z.mins[i] = v
+	}
+	if z.maxs[i].IsNull() || types.Compare(v, z.maxs[i]) > 0 {
+		z.maxs[i] = v
 	}
 }
 

@@ -3,7 +3,8 @@
 # vet, build, the full test suite, then the race detector over the
 # concurrency-heavy packages (engine, sites, interconnect, log broker,
 # locking, replication, metrics, stores and partitions under layout swaps
-# and delta merges, and the partition directory under splits and merges).
+# and delta merges, and the partition directory's lookups under splits and
+# merges).
 # It leaves the working tree as it found it: artifacts go to a temp dir,
 # and the last step fails if `git status --porcelain` changed.
 set -euo pipefail
@@ -20,17 +21,19 @@ trap 'rm -rf "$tmp"' EXIT
 echo "== go vet"
 go vet ./...
 
-echo "== no fmt formatting on the transaction, query and log paths"
-# A transaction's per-operation path (execution, group commit, locks,
-# 2PC, snapshots and their registry, the transaction planner, the row
-# store), a query's (morsel drivers, join pipeline and tables, runtime
-# filters, columnar relations, batch kernels, the group-by table and
-# HashAggregate, the column store's scan chunks and column builds) and
-# the per-tick log paths (the redo-log broker, replication's fetch and
-# apply) format no strings: fmt.Sprint* and fmt.Fprint* allocate on every
-# call.
+echo "== no fmt formatting or reflective sorts on the transaction, query and log paths"
+# A transaction's per-operation path (routing in the partition directory,
+# execution, group commit, locks, 2PC, snapshots and their registry, the
+# transaction planner, the row store), a query's (morsel drivers, join
+# pipeline and tables, runtime filters, columnar relations, batch kernels,
+# the group-by table and HashAggregate, the column store's scan chunks and
+# column builds) and the per-tick log paths (the redo-log broker,
+# replication's fetch and apply) format no strings and sort through
+# slices.*: fmt.Sprint* and fmt.Fprint* allocate on every call, and
+# sort.Slice / sort.SliceStable allocate a closure and a reflect swapper.
 # fmt.Errorf on error returns is allowed; test files are not checked.
 hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
+    internal/metadata/metadata.go
     internal/plan/txnplan.go internal/rowstore/mem.go internal/colstore/{batchscan,coldata}.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
     internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
@@ -40,6 +43,10 @@ for f in internal/txn/*.go; do
 done
 if grep -nE 'fmt\.(Sprint|Fprint)' "${hot_paths[@]}"; then
     echo "fmt.Sprint*/fmt.Fprint* on the transaction or query path (see above)" >&2
+    exit 1
+fi
+if grep -nE 'sort\.Slice(Stable)?\(' "${hot_paths[@]}"; then
+    echo "sort.Slice/sort.SliceStable on the transaction or query path, use slices.* (see above)" >&2
     exit 1
 fi
 
