@@ -2,20 +2,6 @@ package admission
 
 import "time"
 
-// SiteState is one site's view in the cached cluster snapshot.
-type SiteState struct {
-	ID int
-	// Up is false while the site is crashed.
-	Up bool
-	// MemBytes is the site's resident partition memory.
-	MemBytes int64
-	// CommitBacklog is the depth of the site's group-commit queue
-	// (pending flush groups not yet durable).
-	CommitBacklog int
-	// OLTPInFlight counts transactions currently executing at the site.
-	OLTPInFlight int
-}
-
 // ClusterState is a periodically refreshed snapshot of engine state used
 // for admission decisions. The controller reads it lock-free via an
 // atomic pointer; the engine's refresher goroutine replaces it wholesale.
@@ -25,8 +11,6 @@ type SiteState struct {
 type ClusterState struct {
 	// At stamps when the snapshot was taken.
 	At time.Time
-	// Sites holds per-site state, indexed by site ID.
-	Sites []SiteState
 	// MaxCommitBacklog is the deepest group-commit queue across up sites;
 	// the write-backlog shed guard compares against this.
 	MaxCommitBacklog int
@@ -36,9 +20,4 @@ type ClusterState struct {
 func (c *Controller) UpdateState(st ClusterState) {
 	c.state.Store(&st)
 	c.gaugeBacklog.Set(int64(st.MaxCommitBacklog))
-}
-
-// State returns the most recent snapshot, or nil before the first update.
-func (c *Controller) State() *ClusterState {
-	return c.state.Load()
 }

@@ -26,25 +26,12 @@ func (e *Engine) admit(ctx context.Context, pri admission.Priority) error {
 }
 
 // refreshAdmissionState rebuilds the admission controller's cluster
-// snapshot: per-site up/down, memory footprint, group-commit backlog and
-// OLTP in-flight counts. Reads are all lock-light accessors; the snapshot
+// snapshot: the deepest group-commit backlog across up sites. The snapshot
 // is installed atomically and read lock-free by the admission hot path.
 func (e *Engine) refreshAdmissionState() {
-	st := admission.ClusterState{
-		At:    e.clk.Now(),
-		Sites: make([]admission.SiteState, len(e.Sites)),
-	}
-	for i, s := range e.Sites {
-		depth := e.gc.depth(s.ID)
-		ss := admission.SiteState{
-			ID:            i,
-			Up:            !s.Down(),
-			MemBytes:      s.MemUsage(),
-			CommitBacklog: depth,
-			OLTPInFlight:  int(e.oltpInFlight[i].Load()),
-		}
-		st.Sites[i] = ss
-		if ss.Up && depth > st.MaxCommitBacklog {
+	st := admission.ClusterState{At: e.clk.Now()}
+	for _, s := range e.Sites {
+		if depth := e.gc.depth(s.ID); !s.Down() && depth > st.MaxCommitBacklog {
 			st.MaxCommitBacklog = depth
 		}
 	}

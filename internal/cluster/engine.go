@@ -90,8 +90,6 @@ type Config struct {
 	// MaintainInterval is the background storage-maintenance period
 	// (delta merges, disk flushes).
 	MaintainInterval time.Duration
-	// DeltaThreshold triggers delta merges / buffer flushes.
-	DeltaThreshold int
 	// RedoRetention is how many records each redo-log topic keeps beyond
 	// the minimum subscriber offset when the maintenance loop trims it —
 	// slack that covers replica installs capturing a snapshot offset
@@ -100,9 +98,6 @@ type Config struct {
 	// Adapt holds the ASA feature switches (ablation study, §6.3.7);
 	// ignored outside ModeProteus.
 	Adapt AdaptConfig
-	// RaftFollowers is the number of synchronous Raft followers charged
-	// per write in ModeTiDB.
-	RaftFollowers int
 	// FaultSeed seeds the fault-injection registry: drop rolls, retry
 	// jitter and chaos schedules derive from it, making failure runs
 	// reproducible.
@@ -131,20 +126,25 @@ type Config struct {
 	JoinSpillBudget int64
 }
 
+// deltaThreshold is the count of buffered rows at which maintenance
+// merges a column copy's delta or flushes a disk row copy's buffer.
+const deltaThreshold = 256
+
+// raftFollowers is the number of synchronous Raft followers charged per
+// write in ModeTiDB.
+const raftFollowers = 2
+
 // DefaultConfig returns a small cluster sizing suitable for tests.
 func DefaultConfig() Config {
 	return Config{
 		Mode:                ModeProteus,
 		NumSites:            2,
-		Site:                site.DefaultConfig(),
 		Net:                 simnet.DefaultConfig(),
 		Tracker:             forecast.DefaultConfig(),
 		ReplicationInterval: 5 * time.Millisecond,
 		MaintainInterval:    20 * time.Millisecond,
-		DeltaThreshold:      256,
 		RedoRetention:       256,
 		Adapt:               DefaultAdaptConfig(),
-		RaftFollowers:       2,
 		OpDeadline:          2 * time.Second,
 		RetryBase:           200 * time.Microsecond,
 	}
@@ -244,9 +244,6 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	if cfg.NumSites <= 0 {
 		cfg.NumSites = 1
-	}
-	if cfg.DeltaThreshold <= 0 {
-		cfg.DeltaThreshold = 256
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -369,7 +366,7 @@ func (e *Engine) maintain() {
 		if s.Down() {
 			continue
 		}
-		s.Maintain(e.cfg.DeltaThreshold)
+		s.Maintain(deltaThreshold)
 	}
 	e.drainObservations()
 	e.checkpointAndTruncate()
@@ -417,15 +414,6 @@ func (e *Engine) SetMemCapacityPerSite(c int64) {
 	for _, s := range e.Sites {
 		s.SetMemCapacity(c)
 	}
-}
-
-// TotalMemUsage sums memory-tier bytes across sites.
-func (e *Engine) TotalMemUsage() int64 {
-	var total int64
-	for _, s := range e.Sites {
-		total += s.MemUsage()
-	}
-	return total
 }
 
 // MasterMemUsage sums memory-tier bytes of master copies only — the

@@ -77,7 +77,7 @@ func TestJoinAggNetworkAccounting(t *testing.T) {
 		t.Fatalf("fixture: %d fact rows on the remote site, want %d", remoteRows, rows/2)
 	}
 	partial := refAggregate(joined, []int{0}, []exec.AggSpec{
-		{Func: exec.AggCount}, {Func: exec.AggSum, Col: 1}, {Func: exec.AggSum, Col: 2}, {Func: exec.AggCount}})
+		{Func: exec.AggCount}, {Func: exec.AggSum, Col: 1}, {Func: exec.AggSum, Col: 2}, {Func: exec.AggCountCol, Col: 2}})
 	partialBytes := int64(partial.NumRows()*partial.RowBytes() + 64)
 
 	out0, back0 := e.Net.Stats(coord, remote), e.Net.Stats(remote, coord)

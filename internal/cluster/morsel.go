@@ -359,7 +359,7 @@ func (j *morselJob) scanUnit(u morselUnit, maxRows int, fn func(*storage.Batch) 
 		return
 	}
 	start := u.ps.clk.Now()
-	partition.ScanStoreBatchRange(u.ps.st, u.ps.lcols, u.ps.lp, u.lo, u.hi, u.ps.snap, maxRows, fn)
+	u.ps.st.ScanBatches(u.ps.lcols, u.ps.lp, u.lo, u.hi, u.ps.snap, maxRows, fn)
 	u.ps.nanos.Add(int64(u.ps.clk.Since(start)))
 }
 
@@ -383,7 +383,7 @@ func (j *morselJob) scanStitched(u morselUnit, maxRows int, fn func(*storage.Bat
 		start := sc.clk.Now()
 		rows := make([][]types.Value, len(ids))
 		read, bytes := 0, 64
-		partition.ScanStoreBatchRange(sc.st, sc.lcols, sc.lp, u.lo, u.hi, sc.snap, maxRows, func(b *storage.Batch) bool {
+		sc.st.ScanBatches(sc.lcols, sc.lp, u.lo, u.hi, sc.snap, maxRows, func(b *storage.Batch) bool {
 			b.Selected(func(r int) bool {
 				row := b.Row(r, nil)
 				read++

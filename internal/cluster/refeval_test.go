@@ -48,14 +48,16 @@ func refEval(n query.Node, tables refTables) exec.Rel {
 
 // refAggregate groups r by the groupBy positions with a linear scan over
 // the groups so far, keys compared with types.Equal and never hashed, each
-// group labelled by its first row's key. MIN and MAX skip NULL inputs;
-// COUNT, and AVG's denominator, count every row, as the engine does. An
-// ungrouped aggregate has one row even over no input.
+// group labelled by its first row's key. COUNT counts every row; every
+// other aggregate skips NULL inputs, so COUNT(col) counts, and AVG divides
+// by, the non-NULL ones. An ungrouped aggregate has one row even over no
+// input.
 func refAggregate(r exec.Rel, groupBy []int, specs []exec.AggSpec) exec.Rel {
 	type group struct {
 		key  []types.Value
 		acc  []types.Value
 		rows int64
+		vals []int64 // per spec: non-NULL inputs
 	}
 	var groups []*group
 	find := func(t []types.Value) *group {
@@ -68,7 +70,7 @@ func refAggregate(r exec.Rel, groupBy []int, specs []exec.AggSpec) exec.Rel {
 			}
 			return g
 		}
-		g := &group{acc: make([]types.Value, len(specs))}
+		g := &group{acc: make([]types.Value, len(specs)), vals: make([]int64, len(specs))}
 		for _, c := range groupBy {
 			g.key = append(g.key, t[c])
 		}
@@ -85,8 +87,11 @@ func refAggregate(r exec.Rel, groupBy []int, specs []exec.AggSpec) exec.Rel {
 			if sp.Func == exec.AggCount || t[sp.Col].IsNull() {
 				continue
 			}
+			g.vals[i]++
 			v, cur := t[sp.Col], g.acc[i]
 			switch sp.Func {
+			case exec.AggCountCol:
+				// counted above
 			case exec.AggMin:
 				if cur.IsNull() || types.Compare(v, cur) < 0 {
 					g.acc[i] = v
@@ -107,8 +112,10 @@ func refAggregate(r exec.Rel, groupBy []int, specs []exec.AggSpec) exec.Rel {
 			switch {
 			case sp.Func == exec.AggCount:
 				row = append(row, types.NewInt64(g.rows))
-			case sp.Func == exec.AggAvg && g.rows > 0:
-				row = append(row, types.NewFloat64(g.acc[i].Float()/float64(g.rows)))
+			case sp.Func == exec.AggCountCol:
+				row = append(row, types.NewInt64(g.vals[i]))
+			case sp.Func == exec.AggAvg && g.vals[i] > 0:
+				row = append(row, types.NewFloat64(g.acc[i].Float()/float64(g.vals[i])))
 			default:
 				row = append(row, g.acc[i])
 			}

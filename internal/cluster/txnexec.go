@@ -620,7 +620,7 @@ func (wp *writeParticipant) Commit(txnID uint64) error {
 	}
 	// TiDB mode: synchronous Raft replication to followers per write.
 	if wp.tw.e.cfg.Mode == ModeTiDB {
-		for f := 0; f < wp.tw.e.cfg.RaftFollowers; f++ {
+		for f := 0; f < raftFollowers; f++ {
 			follower := simnet.SiteID((int(wp.sw.site) + 1 + f) % len(wp.tw.e.Sites))
 			if follower != wp.sw.site {
 				wp.tw.e.Net.ChargeKind(simnet.KindReplication, wp.sw.site, follower, 256)

@@ -40,7 +40,7 @@ func ReadDeltaScanStats() DeltaScanStats {
 }
 
 // batchScan is one merged-view vectorized scan over base positions
-// [lo, hi) with optional row-id clipping (the morsel range contract on
+// [lo, hi) with optional row-id clipping (the range contract on
 // value-sorted layouts, where positions interleave ids arbitrarily).
 type batchScan struct {
 	rowIDs     []schema.RowID
@@ -54,6 +54,22 @@ type batchScan struct {
 	clip       bool
 	idLo, idHi schema.RowID
 	maxRows    int
+}
+
+// narrow sets the base positions a scan of ids [lo, hi) visits. Row-id
+// layouts keep the offset array ascending, so two binary searches find
+// them. On a value-sorted layout the predicate's conditions on the sort
+// column, whose value at position i is at(i), narrow them instead, and
+// ids outside [lo, hi) are clipped row by row unless the range is the
+// whole store.
+func (s *batchScan) narrow(lo, hi schema.RowID, at func(int) types.Value) {
+	if s.sortBy == storage.NoSort {
+		s.lo, _ = slices.BinarySearch(s.rowIDs, lo)
+		s.hi, _ = slices.BinarySearch(s.rowIDs, hi)
+		return
+	}
+	s.lo, s.hi = sortedRange(len(s.rowIDs), at, s.sortBy, s.pred)
+	s.clip, s.idLo, s.idHi = lo > storage.MinRow || hi < storage.MaxRow, lo, hi
 }
 
 func (s *batchScan) run(fn func(*storage.Batch) bool) {

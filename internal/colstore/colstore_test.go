@@ -129,9 +129,7 @@ func TestDelete(t *testing.T) {
 			if err := s.Delete(3, 8); err == nil {
 				t.Error("double delete allowed")
 			}
-			var n int
-			s.Scan([]schema.ColID{0}, nil, storage.Latest, func(schema.Row) bool { n++; return true })
-			if n != 4 {
+			if n := len(scanAll(s, []schema.ColID{0}, nil, storage.Latest, 0)); n != 4 {
 				t.Errorf("scan saw %d rows, want 4", n)
 			}
 		})
@@ -146,12 +144,11 @@ func TestScanPredicateProjection(t *testing.T) {
 				{Col: 0, Op: storage.CmpGe, Val: types.NewInt64(100)},
 				{Col: 0, Op: storage.CmpLt, Val: types.NewInt64(200)},
 			}
-			n, sum := 0, int64(0)
-			s.Scan([]schema.ColID{0}, pred, storage.Latest, func(r schema.Row) bool {
-				n++
+			rows := scanAll(s, []schema.ColID{0}, pred, storage.Latest, 0)
+			n, sum := len(rows), int64(0)
+			for _, r := range rows {
 				sum += r.Vals[0].Int()
-				return true
-			})
+			}
 			// Rows 10..19 -> col0 = 100..190.
 			if n != 10 || sum != 1450 {
 				t.Errorf("scan n=%d sum=%d", n, sum)
@@ -174,10 +171,9 @@ func TestScanMergesDelta(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := map[schema.RowID]int64{}
-			s.Scan([]schema.ColID{0}, nil, storage.Latest, func(r schema.Row) bool {
+			for _, r := range scanAll(s, []schema.ColID{0}, nil, storage.Latest, 0) {
 				got[r.ID] = r.Vals[0].Int()
-				return true
-			})
+			}
 			if len(got) != 10 {
 				t.Fatalf("scan saw %d rows: %v", len(got), got)
 			}
@@ -201,15 +197,12 @@ func TestSortedScanOrder(t *testing.T) {
 			if err := s.Insert(mkRow(101), 2); err != nil {
 				t.Fatal(err)
 			}
-			var prev types.Value
-			first := true
-			s.Scan([]schema.ColID{1}, nil, storage.Latest, func(r schema.Row) bool {
-				if !first && types.Compare(prev, r.Vals[0]) > 0 {
-					t.Errorf("out of order: %v after %v", r.Vals[0], prev)
+			rows := scanAll(s, []schema.ColID{1}, nil, storage.Latest, 0)
+			for i := 1; i < len(rows); i++ {
+				if prev := rows[i-1].Vals[0]; types.Compare(prev, rows[i].Vals[0]) > 0 {
+					t.Errorf("out of order: %v after %v", rows[i].Vals[0], prev)
 				}
-				prev, first = r.Vals[0], false
-				return true
-			})
+			}
 		})
 	}
 }
@@ -221,9 +214,7 @@ func TestSortedRangeNarrowing(t *testing.T) {
 		{Col: 0, Op: storage.CmpGe, Val: types.NewInt64(5000)},
 		{Col: 0, Op: storage.CmpLe, Val: types.NewInt64(5050)},
 	}
-	n := 0
-	s.Scan([]schema.ColID{0}, pred, storage.Latest, func(schema.Row) bool { n++; return true })
-	if n != 6 { // 5000,5010,...,5050
+	if n := len(scanAll(s, []schema.ColID{0}, pred, storage.Latest, 0)); n != 6 { // 5000,5010,...,5050
 		t.Errorf("narrowed scan saw %d rows, want 6", n)
 	}
 }
@@ -384,9 +375,7 @@ func TestScanMatchesNaiveProperty(t *testing.T) {
 			if err := s.Load(rows, 1); err != nil {
 				return false
 			}
-			got := 0
-			s.Scan([]schema.ColID{0}, pred, storage.Latest, func(schema.Row) bool { got++; return true })
-			if got != want {
+			if got := len(scanAll(s, []schema.ColID{0}, pred, storage.Latest, 0)); got != want {
 				return false
 			}
 		}

@@ -19,10 +19,10 @@ import (
 	"proteus/internal/types"
 )
 
-// scanAll drains a batch scan into rows in emission order.
-func scanAll(s storage.BatchScanner, cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int) []schema.Row {
+// scanAll drains a whole-store batch scan into rows in emission order.
+func scanAll(s storage.Store, cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int) []schema.Row {
 	var out []schema.Row
-	s.ScanBatches(cols, pred, snap, maxRows, func(b *storage.Batch) bool {
+	s.ScanBatches(cols, pred, storage.MinRow, storage.MaxRow, snap, maxRows, func(b *storage.Batch) bool {
 		b.Selected(func(r int) bool {
 			out = append(out, schema.Row{ID: b.RowIDs[r], Vals: b.Row(r, nil)})
 			return true
@@ -184,7 +184,7 @@ func BenchmarkScanWithDelta(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for lo := schema.RowID(0); lo < n; lo += unit {
-					m.ScanBatchesRange(cols, pred, lo, lo+unit, storage.Latest, 0, sink)
+					m.ScanBatches(cols, pred, lo, lo+unit, storage.Latest, 0, sink)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")

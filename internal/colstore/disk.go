@@ -2,7 +2,7 @@ package colstore
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -312,33 +312,26 @@ func (d *Disk) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Ro
 	return schema.Row{ID: id, Vals: out}, true
 }
 
-// Scan implements storage.Store via the batch shim.
-func (d *Disk) Scan(cols []schema.ColID, pred storage.Pred, snap uint64, fn func(schema.Row) bool) {
-	storage.ScanViaBatches(d, cols, pred, snap, fn)
-}
-
-// ScanBatches implements storage.BatchScanner: reads only the column
-// blocks the scan touches, then streams the merged view in layout order as
-// columnar batches. The offset array, the delta rows and the column blocks
-// all come from one critical section's generation, which stays pinned
-// until the scan ends; the deserialized blocks are scan-local, so handing
-// out vector views over their typed arrays is safe for the batch lifetime.
-func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
+// ScanBatches implements storage.Store: reads only the column blocks the
+// scan touches, then streams the merged view of ids [lo, hi) in layout
+// order as columnar batches. The offset array, the delta rows and the
+// column blocks all come from one critical section's generation, which
+// stays pinned until the scan ends; the deserialized blocks are
+// scan-local, so handing out vector views over their typed arrays is safe
+// for the batch lifetime.
+func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
 	sortBy := d.layout.SortBy
 	d.mu.RLock()
 	g := d.pinLocked()
-	over, live := d.delta.view(math.MinInt64, math.MaxInt64, snap, pred, sortBy)
+	over, live := d.delta.view(lo, hi, snap, pred, sortBy)
 	d.mu.RUnlock()
 	defer g.unpin(d.dev)
 
 	s := batchScan{
-		rowIDs: g.rowIDs, cols: make([]*colData, len(d.kinds)), sortBy: sortBy, hi: len(g.rowIDs),
+		rowIDs: g.rowIDs, cols: make([]*colData, len(d.kinds)), sortBy: sortBy,
 		over: over, live: live, proj: cols, pred: pred, maxRows: maxRows,
 	}
-	if sortBy != storage.NoSort {
-		sv := g.meta[sortBy].sortVals
-		s.lo, s.hi = sortedRange(len(sv), func(i int) types.Value { return sv[i] }, sortBy, pred)
-	}
+	s.narrow(lo, hi, func(i int) types.Value { return g.meta[sortBy].sortVals[i] })
 	need := func(c schema.ColID) {
 		if s.cols[c] == nil {
 			s.cols[c] = d.loadColumn(g, c)
@@ -358,14 +351,14 @@ func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, 
 	s.run(fn)
 }
 
+// MorselBounds implements storage.Store: a scan reads whole column blocks
+// whatever its range, so the store is one morsel.
+func (d *Disk) MorselBounds(int) []schema.RowID { return nil }
+
 // ExtractAll implements storage.Store.
 func (d *Disk) ExtractAll(snap uint64) []schema.Row {
-	var out []schema.Row
-	d.Scan(allCols(len(d.kinds)), nil, snap, func(r schema.Row) bool {
-		out = append(out, r)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := storage.ScanRows(d, allCols(len(d.kinds)), snap)
+	slices.SortFunc(out, byID)
 	return out
 }
 

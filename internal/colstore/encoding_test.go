@@ -166,12 +166,7 @@ func TestEncodedScanDifferential(t *testing.T) {
 			{Col: 1, Op: storage.CmpEq, Val: types.NewString("cat-0")}},
 	}
 	scan := func(s storage.Store, pred storage.Pred) []schema.Row {
-		var out []schema.Row
-		s.Scan([]schema.ColID{0, 1, 2}, pred, storage.Latest, func(r schema.Row) bool {
-			out = append(out, r)
-			return true
-		})
-		return out
+		return scanAll(s, []schema.ColID{0, 1, 2}, pred, storage.Latest, 0)
 	}
 	mkStores := func(compress bool) []storage.Store {
 		stores := []storage.Store{

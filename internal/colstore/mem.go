@@ -1,10 +1,9 @@
 package colstore
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"proteus/internal/schema"
@@ -125,24 +124,23 @@ func (m *Mem) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row
 	return m.base.row(p, cols), true
 }
 
-// Scan implements storage.Store via the batch shim: the vectorized path
-// below is the only scan implementation, and rows are boxed out of its
-// batches one at a time for legacy callers.
-func (m *Mem) Scan(cols []schema.ColID, pred storage.Pred, snap uint64, fn func(schema.Row) bool) {
-	storage.ScanViaBatches(m, cols, pred, snap, fn)
+// ScanBatches implements storage.Store natively. Only the columns named
+// by the predicate and projection are touched (the columnar advantage of
+// Figure 3); when the layout is sorted, predicate conditions on the sort
+// column narrow the scanned range by binary search, and output arrives in
+// sort order with delta rows emitted at their ordered positions. A pending
+// delta never takes the scan off the vectorized loop, and contributes only
+// its rows in [lo, hi).
+func (m *Mem) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	s := batchScan{rowIDs: m.base.rowIDs, cols: m.base.cols, sortBy: m.layout.SortBy, proj: cols, pred: pred, maxRows: maxRows}
+	s.narrow(lo, hi, func(i int) types.Value { return m.base.cols[s.sortBy].get(i) })
+	s.over, s.live = m.delta.view(lo, hi, snap, pred, s.sortBy)
+	s.run(fn)
 }
 
-// ScanBatches implements storage.BatchScanner natively. Only the columns
-// named by the predicate and projection are touched (the columnar
-// advantage of Figure 3); when the layout is sorted, predicate conditions
-// on the sort column narrow the scanned range by binary search, and output
-// arrives in sort order with delta rows emitted at their ordered positions.
-// A pending delta never takes the scan off the vectorized loop.
-func (m *Mem) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	m.scan(cols, pred, math.MinInt64, math.MaxInt64, false, snap, maxRows, fn)
-}
-
-// MorselBounds implements storage.RangeScanner. When the layout keeps
+// MorselBounds implements storage.Store. When the layout keeps
 // row_id order the base offset array is ascending, so cut points are read
 // straight off it; a value-sorted layout scatters ids across positions and
 // returns nil (the whole store is one morsel — cross-partition parallelism
@@ -165,37 +163,6 @@ func (m *Mem) MorselBounds(targetRows int) []schema.RowID {
 	return bounds
 }
 
-// ScanRange implements storage.RangeScanner via the batch shim.
-func (m *Mem) ScanRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, fn func(schema.Row) bool) {
-	storage.ScanRangeViaBatches(m, cols, pred, lo, hi, snap, fn)
-}
-
-// ScanBatchesRange implements storage.BatchRangeScanner: ScanBatches
-// restricted to lo <= id < hi. Base positions narrow by binary search when
-// the offset array is id-ordered and are clipped per row on value-sorted
-// layouts; the delta contributes only its rows in the range.
-func (m *Mem) ScanBatchesRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	m.scan(cols, pred, lo, hi, true, snap, maxRows, fn)
-}
-
-// scan runs the batch loop over ids [lo, hi); clip asks a value-sorted
-// layout to drop base rows outside the range.
-func (m *Mem) scan(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, clip bool, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	sortBy, ids := m.layout.SortBy, m.base.rowIDs
-	s := batchScan{rowIDs: ids, cols: m.base.cols, sortBy: sortBy, proj: cols, pred: pred, maxRows: maxRows}
-	if sortBy == storage.NoSort {
-		s.lo, _ = slices.BinarySearch(ids, lo)
-		s.hi, _ = slices.BinarySearch(ids, hi)
-	} else {
-		s.lo, s.hi = sortedRange(len(ids), m.base.cols[sortBy].get, sortBy, pred)
-		s.clip, s.idLo, s.idHi = clip, lo, hi
-	}
-	s.over, s.live = m.delta.view(lo, hi, snap, pred, sortBy)
-	s.run(fn)
-}
-
 // Load implements storage.Store, bulk loading into fresh column arrays.
 func (m *Mem) Load(rows []schema.Row, ver uint64) error {
 	for _, r := range rows {
@@ -214,12 +181,8 @@ func (m *Mem) Load(rows []schema.Row, ver uint64) error {
 // ExtractAll implements storage.Store (ordered by RowID regardless of the
 // layout's sort order).
 func (m *Mem) ExtractAll(snap uint64) []schema.Row {
-	var out []schema.Row
-	m.Scan(allCols(len(m.kinds)), nil, snap, func(r schema.Row) bool {
-		out = append(out, r)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := storage.ScanRows(m, allCols(len(m.kinds)), snap)
+	slices.SortFunc(out, byID)
 	return out
 }
 
@@ -267,3 +230,6 @@ func allCols(n int) []schema.ColID {
 	}
 	return out
 }
+
+// byID orders rows by row id.
+func byID(a, b schema.Row) int { return cmp.Compare(a.ID, b.ID) }

@@ -337,12 +337,6 @@ func (m *Model) Predict(op Op, variant Variant, layout storage.Layout, features 
 	return time.Duration(us * float64(time.Microsecond))
 }
 
-// Warm reports whether the matching model has enough observations to
-// answer from learned state rather than the bootstrap.
-func (m *Model) Warm(op Op, variant Variant, layout storage.Layout) bool {
-	return m.modelFor(m.key(op, variant, layout)).N() >= m.warmup
-}
-
 // PredictBootstrap returns the analytic cold-start estimate, bypassing any
 // learned model. Comparisons across layouts must not mix a learned
 // estimate for one layout with a bootstrap for another (their calibrations

@@ -17,6 +17,9 @@ const (
 	AggMin
 	AggMax
 	AggAvg
+	// AggCountCol counts the rows whose input column is not NULL. It is
+	// AVG's denominator partial (plan.decomposeAggs).
+	AggCountCol
 )
 
 // String names the function.
@@ -24,7 +27,7 @@ func (f AggFunc) String() string {
 	switch f {
 	case AggSum:
 		return "sum"
-	case AggCount:
+	case AggCount, AggCountCol:
 		return "count"
 	case AggMin:
 		return "min"
@@ -39,7 +42,7 @@ func (f AggFunc) String() string {
 // AggSpec is one aggregate over a tuple position.
 type AggSpec struct {
 	Func AggFunc
-	Col  int // ignored for COUNT
+	Col  int // ignored for AggCount, which counts every row
 }
 
 func aggCols(inputCols []string, groupBy []int, cols []aggCol) []string {

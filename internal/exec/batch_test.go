@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"proteus/internal/colstore"
 	"proteus/internal/schema"
 	"proteus/internal/storage"
 	"proteus/internal/types"
@@ -46,13 +47,14 @@ func vecBatch(n int, sel []int32, vecs ...Vec) *Batch {
 // refAggregate is the row-at-a-time aggregate the group-by table is held
 // to: groups found by a linear scan over the groups so far, keys compared
 // with types.Equal and never hashed, each group labelled by its first
-// row's key. MIN and MAX skip NULL inputs; COUNT, and AVG's denominator,
-// count every row, as the engine does.
+// row's key. COUNT counts every row; every other aggregate skips NULL
+// inputs, so COUNT(col) counts, and AVG divides by, the non-NULL ones.
 func refAggregate(tuples [][]types.Value, groupBy []int, specs []AggSpec) [][]types.Value {
 	type group struct {
 		key  []types.Value
 		acc  []types.Value
 		rows int64
+		vals []int64 // per spec: non-NULL inputs
 	}
 	var groups []*group
 	find := func(t []types.Value) *group {
@@ -65,7 +67,7 @@ func refAggregate(tuples [][]types.Value, groupBy []int, specs []AggSpec) [][]ty
 			}
 			return g
 		}
-		g := &group{acc: make([]types.Value, len(specs))}
+		g := &group{acc: make([]types.Value, len(specs)), vals: make([]int64, len(specs))}
 		for _, c := range groupBy {
 			g.key = append(g.key, t[c])
 		}
@@ -82,8 +84,11 @@ func refAggregate(tuples [][]types.Value, groupBy []int, specs []AggSpec) [][]ty
 			if sp.Func == AggCount || t[sp.Col].IsNull() {
 				continue
 			}
+			g.vals[i]++
 			v, cur := t[sp.Col], g.acc[i]
 			switch sp.Func {
+			case AggCountCol:
+				// counted above
 			case AggMin:
 				if cur.IsNull() || types.Compare(v, cur) < 0 {
 					g.acc[i] = v
@@ -104,8 +109,10 @@ func refAggregate(tuples [][]types.Value, groupBy []int, specs []AggSpec) [][]ty
 			switch {
 			case sp.Func == AggCount:
 				row = append(row, types.NewInt64(g.rows))
-			case sp.Func == AggAvg && g.rows > 0:
-				row = append(row, types.NewFloat64(g.acc[i].Float()/float64(g.rows)))
+			case sp.Func == AggCountCol:
+				row = append(row, types.NewInt64(g.vals[i]))
+			case sp.Func == AggAvg && g.vals[i] > 0:
+				row = append(row, types.NewFloat64(g.acc[i].Float()/float64(g.vals[i])))
 			default:
 				row = append(row, g.acc[i])
 			}
@@ -285,6 +292,79 @@ func TestMinMaxSkipNull(t *testing.T) {
 	other.Observe(seven)
 	merged.MergeFrom(other)
 	check("MergeFrom", merged)
+}
+
+// TestAvgSkipsNull pins that AVG and COUNT(col) count only the non-NULL
+// inputs, and COUNT every row, on every path into the table: tuple by
+// tuple, a plain batch vector carrying NULLs (ungrouped and grouped), an
+// RLE column holding a NULL run as a column store scans it, and a merge
+// whose receiving side saw a NULL.
+func TestAvgSkipsNull(t *testing.T) {
+	specs := []AggSpec{{Func: AggAvg, Col: 0}, {Func: AggCountCol, Col: 0}, {Func: AggCount}}
+	check := func(name string, a *Aggregator, avg float64, nonNull, rows int64) {
+		t.Helper()
+		rel := a.Rel(nil)
+		if len(rel.Tuples) != 1 {
+			t.Fatalf("%s: %d groups, want 1", name, len(rel.Tuples))
+		}
+		row := rel.Tuples[0]
+		got := row[len(row)-3:]
+		if got[0].Float() != avg || got[1].Int() != nonNull || got[2].Int() != rows {
+			t.Errorf("%s: AVG, COUNT(col), COUNT = %v, %v, %v; want %v, %d, %d", name, got[0], got[1], got[2], avg, nonNull, rows)
+		}
+	}
+	// Tuples are [value, key]; the grouped aggregators group by the
+	// constant key.
+	five := []types.Value{types.NewInt64(5), types.NewInt64(1)}
+	null := []types.Value{types.Null(), types.NewInt64(1)}
+	seven := []types.Value{types.NewInt64(7), types.NewInt64(1)}
+	for _, groupBy := range [][]int{nil, {1}} {
+		name := "global"
+		if groupBy != nil {
+			name = "grouped"
+		}
+		obs := NewAggregator(groupBy, specs)
+		obs.Observe(five)
+		obs.Observe(null)
+		obs.Observe(seven)
+		check(name+"/Observe", obs, 6, 2, 3)
+
+		vals := storage.ViewVec(types.KindInt64, []int64{5, 0, 7}, nil, nil, []bool{false, true, false})
+		keys := storage.ViewVec(types.KindInt64, []int64{1, 1, 1}, nil, nil, nil)
+		batch := NewAggregator(groupBy, specs)
+		batch.ObserveBatch(vecBatch(3, nil, vals, keys))
+		check(name+"/ObserveBatch", batch, 6, 2, 3)
+		sel := NewAggregator(groupBy, specs)
+		sel.ObserveBatch(vecBatch(3, []int32{1, 2}, vals, keys))
+		check(name+"/ObserveBatch-sel", sel, 7, 1, 2)
+
+		// An RLE column of runs 5×2, NULL×3, 7×3: the NULL-bearing chunk
+		// reaches the table expanded, its NULL bitmap set.
+		rle := colstore.NewMem([]types.Kind{types.KindInt64, types.KindInt64}, storage.NoSort, true)
+		var rows []schema.Row
+		for i, v := range []types.Value{types.NewInt64(5), types.NewInt64(5), types.Null(), types.Null(), types.Null(), types.NewInt64(7), types.NewInt64(7), types.NewInt64(7)} {
+			rows = append(rows, schema.Row{ID: schema.RowID(i), Vals: []types.Value{v, types.NewInt64(1)}})
+		}
+		if err := rle.Load(rows, 1); err != nil {
+			t.Fatal(err)
+		}
+		if rle.Stats().EncodedBytes == 0 {
+			t.Fatal("fixture column is not encoded")
+		}
+		runs := NewAggregator(groupBy, specs)
+		rle.ScanBatches([]schema.ColID{0, 1}, nil, storage.MinRow, storage.MaxRow, storage.Latest, 0, func(b *Batch) bool {
+			runs.ObserveBatch(b)
+			return true
+		})
+		check(name+"/ObserveBatch-rle", runs, 31.0/5, 5, 8)
+
+		merged, other := NewAggregator(groupBy, specs), NewAggregator(groupBy, specs)
+		merged.Observe(five)
+		merged.Observe(null)
+		other.Observe(seven)
+		merged.MergeFrom(other)
+		check(name+"/MergeFrom", merged, 6, 2, 3)
+	}
 }
 
 // TestGroupByAllocsFlat runs finalizeAgg's pipeline — two scan workers'

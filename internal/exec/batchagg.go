@@ -18,8 +18,11 @@ import (
 // foldRows folds the input of row rows[j] of b into group gids[j].
 func (c *aggCol) foldRows(b *Batch, rows, gids []int32) {
 	if c.cnts != nil {
-		for _, g := range gids {
-			c.cnts[g]++
+		nulls := c.nulls(b)
+		for j, g := range gids {
+			if nulls == nil || !nulls[rows[j]] {
+				c.cnts[g]++
+			}
 		}
 	}
 	if c.vals == nil {
@@ -50,7 +53,16 @@ func (c *aggCol) foldRows(b *Batch, rows, gids []int32) {
 // foldVec folds the n selected rows of b into group 0.
 func (c *aggCol) foldVec(b *Batch, n int) {
 	if c.cnts != nil {
-		c.cnts[0] += int64(n)
+		if nulls := c.nulls(b); nulls == nil {
+			c.cnts[0] += int64(n)
+		} else {
+			b.Selected(func(r int) bool {
+				if !nulls[r] {
+					c.cnts[0]++
+				}
+				return true
+			})
+		}
 	}
 	if c.vals == nil {
 		return

@@ -38,7 +38,7 @@ type aggCol struct {
 	fn   AggFunc
 	col  int           // input position; COUNT reads none
 	vals []types.Value // SUM, AVG: running sum; MIN, MAX: extreme so far
-	cnts []int64       // COUNT, AVG: rows observed
+	cnts []int64       // COUNT: rows observed; COUNT(col), AVG: non-NULL inputs
 }
 
 // NewAggregator creates an accumulator for the groupBy positions and specs,
@@ -68,10 +68,10 @@ func (a *Aggregator) reserve(n int) {
 	}
 	for i := range a.cols {
 		c := &a.cols[i]
-		if c.fn != AggCount {
+		if c.fn != AggCount && c.fn != AggCountCol {
 			c.vals = extend(c.vals, size)
 		}
-		if c.fn == AggCount || c.fn == AggAvg {
+		if c.fn == AggCount || c.fn == AggCountCol || c.fn == AggAvg {
 			c.cnts = extend(c.cnts, size)
 		}
 	}
@@ -185,7 +185,7 @@ func (a *Aggregator) Observe(t []types.Value) {
 	}
 	for i := range a.cols {
 		c := &a.cols[i]
-		if c.cnts != nil {
+		if c.cnts != nil && (c.fn == AggCount || !t[c.col].IsNull()) {
 			c.cnts[g]++
 		}
 		if c.vals != nil {
@@ -301,7 +301,7 @@ func (a *Aggregator) Rel(inputCols []string) Rel {
 // result finishes group g's aggregate.
 func (c *aggCol) result(g int) types.Value {
 	switch c.fn {
-	case AggCount:
+	case AggCount, AggCountCol:
 		return types.NewInt64(c.cnts[g])
 	case AggAvg:
 		if c.cnts[g] == 0 {
@@ -310,6 +310,16 @@ func (c *aggCol) result(g int) types.Value {
 		return types.NewFloat64(c.vals[g].Float() / float64(c.cnts[g]))
 	}
 	return c.vals[g]
+}
+
+// nulls returns the NULL bitmap of the aggregate's input column in b when
+// the aggregate counts only non-NULL inputs (COUNT(col), AVG); nil means
+// every row counts. Only plain vectors carry NULLs.
+func (c *aggCol) nulls(b *Batch) []bool {
+	if c.fn == AggCount {
+		return nil
+	}
+	return b.Vecs[c.col].Null
 }
 
 // put folds one input value into group g: SUM and AVG add it, MIN and MAX

@@ -90,9 +90,6 @@ func Retryable(err error) bool {
 		errors.Is(err, ErrSiteDown)
 }
 
-// IsRetriable is the legacy name of Retryable.
-func IsRetriable(err error) bool { return Retryable(err) }
-
 // LinkFault degrades one directed site pair.
 type LinkFault struct {
 	// Drop is the probability in [0,1] that a message is lost.
@@ -161,13 +158,6 @@ func (r *Registry) SetSiteDown(site simnet.SiteID, down bool) {
 	} else {
 		delete(r.down, site)
 	}
-}
-
-// SiteDown reports whether the site is currently crashed.
-func (r *Registry) SiteDown(site simnet.SiteID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.down[site]
 }
 
 // DownSites lists the currently crashed sites.

@@ -11,12 +11,12 @@ import (
 	"proteus/internal/types"
 )
 
-// The batch pipeline must be observationally identical to the row path on
-// every layout. These tests compare three executions of randomized scans —
-// the legacy row callback (now a shim over batches), the native batch path,
-// and an independent oracle computed from the loaded data in plain Go —
+// Every layout must answer the one scan contract identically. These tests
+// compare whole-store and ranged batch scans of randomized predicates
+// against an independent oracle computed from the loaded data in plain Go,
 // across row/column × memory/disk, sorted and RLE variants, with buffered
-// deltas, and under concurrent layout swaps.
+// deltas, under concurrent layout swaps, when fn stops the scan, and over
+// the morsels a partition splits itself into.
 
 var diffLayouts = []struct {
 	name string
@@ -122,20 +122,20 @@ func randProj(r *rand.Rand) []schema.ColID {
 	return cols
 }
 
-// collectRows returns the row path's output in emission order.
-func collectRows(p *Partition, cols []schema.ColID, pred storage.Pred, snap uint64) []diffRow {
+// collectBatches returns the batch path's output in emission order.
+func collectBatches(p *Partition, cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int) []diffRow {
 	var out []diffRow
-	p.Scan(cols, pred, snap, func(r schema.Row) bool {
-		out = append(out, diffRow{id: r.ID, vals: append([]types.Value(nil), r.Vals...)})
+	p.ScanBatches(cols, pred, snap, maxRows, func(b *storage.Batch) bool {
+		appendBatch(&out, b)
 		return true
 	})
 	return out
 }
 
-// collectBatches returns the batch path's output in emission order.
-func collectBatches(p *Partition, cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int) []diffRow {
+// collectRange returns a store's ranged scan output in emission order.
+func collectRange(st storage.Store, cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int) []diffRow {
 	var out []diffRow
-	p.ScanBatches(cols, pred, snap, maxRows, func(b *storage.Batch) bool {
+	st.ScanBatches(cols, pred, lo, hi, snap, maxRows, func(b *storage.Batch) bool {
 		appendBatch(&out, b)
 		return true
 	})
@@ -170,124 +170,132 @@ func appendBatch(out *[]diffRow, b *storage.Batch) {
 	})
 }
 
-// TestBatchRowDifferential loads every layout with the same randomized
-// data, then buffers two more versions of writes — populating the column
-// stores' delta side with updates that move rows across predicates and the
-// sort key, inserts, deletes of base rows and of rows the delta itself
-// inserted — and checks row path, batch path and ranged batch path against
-// the oracle at all three snapshots, sorted layouts in sort order.
+// deltaPartition loads a partition of layout l with randomized data, then
+// buffers two more versions of writes — populating the column stores'
+// delta side with updates that move rows across predicates and the sort
+// key, inserts, deletes of base rows and of rows the delta itself
+// inserted. It returns the live rows each snapshot sees: versions 1, 2
+// and storage.Latest.
+func deltaPartition(t *testing.T, r *rand.Rand, l storage.Layout) (*Partition, [3]map[schema.RowID][]types.Value) {
+	t.Helper()
+	const n = 400
+	rows := diffData(r, n)
+	b := Bounds{Table: 1, RowStart: 0, RowEnd: 1000, ColStart: 0, ColEnd: 3}
+	p := New(1, b, kinds, l, factory())
+	if err := p.Load(rows, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	v1 := map[schema.RowID][]types.Value{}
+	for _, row := range rows {
+		v1[row.ID] = append([]types.Value(nil), row.Vals...)
+	}
+	next := func(prev map[schema.RowID][]types.Value) map[schema.RowID][]types.Value {
+		out := map[schema.RowID][]types.Value{}
+		for id, vals := range prev {
+			out[id] = append([]types.Value(nil), vals...)
+		}
+		return out
+	}
+	update := func(live map[schema.RowID][]types.Value, id schema.RowID, col schema.ColID, v types.Value, ver uint64) {
+		if _, ok := live[id]; !ok {
+			return
+		}
+		if err := p.Update(id, []schema.ColID{col}, []types.Value{v}, ver); err != nil {
+			t.Fatal(err)
+		}
+		live[id][col] = v
+	}
+	del := func(live map[schema.RowID][]types.Value, id schema.RowID, ver uint64) {
+		if _, ok := live[id]; !ok {
+			return
+		}
+		if err := p.Delete(id, ver); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, id)
+	}
+
+	v2 := next(v1)
+	var moved []schema.RowID
+	for i := 0; i < 40; i++ {
+		id := schema.RowID(r.Intn(n))
+		moved = append(moved, id)
+		update(v2, id, 0, types.NewInt64(int64(r.Intn(9))), 2)
+	}
+	for i := 0; i < 20; i++ {
+		id := schema.RowID(400 + i)
+		vals := []types.Value{types.NewInt64(int64(i % 9)), types.NewFloat64(float64(i)), types.NewString("dd")}
+		if err := p.Insert(schema.Row{ID: id, Vals: vals}, 2); err != nil {
+			t.Fatal(err)
+		}
+		v2[id] = append([]types.Value(nil), vals...)
+	}
+	for i := 0; i < 15; i++ {
+		del(v2, schema.RowID(r.Intn(n)), 2)
+	}
+
+	// Version 3 moves rows version 2 already moved to the other end of the
+	// key range, so they cross every predicate constant and the sorted
+	// layouts' key order twice; it also rewrites and deletes rows the
+	// delta inserted.
+	v3 := next(v2)
+	for _, id := range moved {
+		if vals, ok := v3[id]; ok {
+			update(v3, id, 0, types.NewInt64(8-vals[0].Int()), 3)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		id := schema.RowID(400 + i)
+		if i%4 == 0 {
+			del(v3, id, 3)
+		} else {
+			update(v3, id, 2, types.NewString("bb"), 3)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		del(v3, schema.RowID(r.Intn(n)), 3)
+	}
+	return p, [3]map[schema.RowID][]types.Value{v1, v2, v3}
+}
+
+// diffSnaps names the snapshots deltaPartition's oracles describe.
+var diffSnaps = [3]struct {
+	name string
+	ver  uint64
+}{{"v1", 1}, {"v2", 2}, {"latest", storage.Latest}}
+
+// TestBatchRowDifferential checks, on every layout with a pending delta
+// (deltaPartition), the partition's whole-store scan and the store's own
+// ranged scan against the oracle at all three snapshots, sorted layouts
+// in sort order.
 func TestBatchRowDifferential(t *testing.T) {
 	for _, lc := range diffLayouts {
 		t.Run(lc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(41))
-			const n = 400
-			rows := diffData(r, n)
-			b := Bounds{Table: 1, RowStart: 0, RowEnd: 1000, ColStart: 0, ColEnd: 3}
-			p := New(1, b, kinds, lc.l, factory())
-			if err := p.Load(rows, 1); err != nil {
-				t.Fatal(err)
-			}
-
-			// Oracles: the live rows each snapshot sees.
-			v1 := map[schema.RowID][]types.Value{}
-			for _, row := range rows {
-				v1[row.ID] = append([]types.Value(nil), row.Vals...)
-			}
-			next := func(prev map[schema.RowID][]types.Value) map[schema.RowID][]types.Value {
-				out := map[schema.RowID][]types.Value{}
-				for id, vals := range prev {
-					out[id] = append([]types.Value(nil), vals...)
-				}
-				return out
-			}
-			update := func(live map[schema.RowID][]types.Value, id schema.RowID, col schema.ColID, v types.Value, ver uint64) {
-				if _, ok := live[id]; !ok {
-					return
-				}
-				if err := p.Update(id, []schema.ColID{col}, []types.Value{v}, ver); err != nil {
-					t.Fatal(err)
-				}
-				live[id][col] = v
-			}
-			del := func(live map[schema.RowID][]types.Value, id schema.RowID, ver uint64) {
-				if _, ok := live[id]; !ok {
-					return
-				}
-				if err := p.Delete(id, ver); err != nil {
-					t.Fatal(err)
-				}
-				delete(live, id)
-			}
-
-			v2 := next(v1)
-			var moved []schema.RowID
-			for i := 0; i < 40; i++ {
-				id := schema.RowID(r.Intn(n))
-				moved = append(moved, id)
-				update(v2, id, 0, types.NewInt64(int64(r.Intn(9))), 2)
-			}
-			for i := 0; i < 20; i++ {
-				id := schema.RowID(400 + i)
-				vals := []types.Value{types.NewInt64(int64(i % 9)), types.NewFloat64(float64(i)), types.NewString("dd")}
-				if err := p.Insert(schema.Row{ID: id, Vals: vals}, 2); err != nil {
-					t.Fatal(err)
-				}
-				v2[id] = append([]types.Value(nil), vals...)
-			}
-			for i := 0; i < 15; i++ {
-				del(v2, schema.RowID(r.Intn(n)), 2)
-			}
-
-			// Version 3 moves rows version 2 already moved to the other end
-			// of the key range, so they cross every predicate constant and
-			// the sorted layouts' key order twice; it also rewrites and
-			// deletes rows the delta inserted.
-			v3 := next(v2)
-			for _, id := range moved {
-				if vals, ok := v3[id]; ok {
-					update(v3, id, 0, types.NewInt64(8-vals[0].Int()), 3)
-				}
-			}
-			for i := 0; i < 20; i++ {
-				id := schema.RowID(400 + i)
-				if i%4 == 0 {
-					del(v3, id, 3)
-				} else {
-					update(v3, id, 2, types.NewString("bb"), 3)
-				}
-			}
-			for i := 0; i < 10; i++ {
-				del(v3, schema.RowID(r.Intn(n)), 3)
-			}
+			p, oracles := deltaPartition(t, r, lc.l)
+			st := p.StoreSnapshot()
 
 			// Ranges cutting col0's 50-row runs mid-run, one row wide, and
 			// spanning the base's end into the inserted ids.
 			fixed := [][2]schema.RowID{{25, 75}, {130, 131}, {349, 451}, {0, 1000}}
-			for _, snap := range []struct {
-				name   string
-				ver    uint64
-				oracle map[schema.RowID][]types.Value
-			}{{"v1", 1, v1}, {"v2", 2, v2}, {"latest", storage.Latest, v3}} {
+			for si, snap := range diffSnaps {
+				oracle := oracles[si]
 				for trial := 0; trial < 16; trial++ {
 					cols := randProj(r)
 					pred := randPred(r)
-					want := oracleScan(snap.oracle, cols, pred, 0, 1000)
+					want := oracleScan(oracle, cols, pred, 0, 1000)
 					name := lc.name + "/" + snap.name
-					sameDiff(t, name+"/row", inOrder(t, name+"/row", lc.l, snap.oracle, collectRows(p, cols, pred, snap.ver)), want)
 					maxRows := []int{0, 1, 7, 64}[trial%4] // odd batch sizes split runs mid-chunk
-					sameDiff(t, name+"/batch", inOrder(t, name+"/batch", lc.l, snap.oracle, collectBatches(p, cols, pred, snap.ver, maxRows)), want)
+					sameDiff(t, name+"/batch", inOrder(t, name+"/batch", lc.l, oracle, collectBatches(p, cols, pred, snap.ver, maxRows)), want)
 
 					lo := schema.RowID(r.Intn(300))
 					hi := lo + schema.RowID(r.Intn(200))
 					if trial < len(fixed) {
 						lo, hi = fixed[trial][0], fixed[trial][1]
 					}
-					var ranged []diffRow
-					p.ScanBatchesRange(cols, pred, lo, hi, snap.ver, maxRows, func(b *storage.Batch) bool {
-						appendBatch(&ranged, b)
-						return true
-					})
-					sameDiff(t, name+"/range", inOrder(t, name+"/range", lc.l, snap.oracle, ranged), oracleScan(snap.oracle, cols, pred, lo, hi))
+					ranged := collectRange(st, cols, pred, lo, hi, snap.ver, maxRows)
+					sameDiff(t, name+"/range", inOrder(t, name+"/range", lc.l, oracle, ranged), oracleScan(oracle, cols, pred, lo, hi))
 				}
 			}
 		})
@@ -341,15 +349,83 @@ func TestBatchScanDuringLayoutSwaps(t *testing.T) {
 
 		// The captured-store path must stay correct even though the
 		// partition may swap its store mid-scan.
-		st := p.StoreSnapshot()
-		got = got[:0]
-		ScanStoreBatchRange(st, cols, pred, 0, 1000, storage.Latest, 32, func(b *storage.Batch) bool {
-			appendBatch(&got, b)
-			return true
-		})
+		got = collectRange(p.StoreSnapshot(), cols, pred, 0, 1000, storage.Latest, 32)
 		sortDiff(got)
 		sameDiff(t, "swap/captured", got, want)
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestScanStopsEarly checks on every layout with a pending delta that an fn
+// returning false after the first batch stops the scan, whole-store and
+// ranged, through the store and through the partition.
+func TestScanStopsEarly(t *testing.T) {
+	for _, lc := range diffLayouts {
+		t.Run(lc.name, func(t *testing.T) {
+			p, _ := deltaPartition(t, rand.New(rand.NewSource(47)), lc.l)
+			st := p.StoreSnapshot()
+			cols := []schema.ColID{0, 2}
+			for _, snap := range diffSnaps {
+				for _, r := range [][2]schema.RowID{{storage.MinRow, storage.MaxRow}, {25, 451}} {
+					calls := 0
+					st.ScanBatches(cols, nil, r[0], r[1], snap.ver, 7, func(*storage.Batch) bool {
+						calls++
+						return false
+					})
+					if calls != 1 {
+						t.Errorf("%s [%d, %d): fn called %d times after returning false, want 1", snap.name, r[0], r[1], calls)
+					}
+				}
+				calls := 0
+				p.ScanBatches(cols, nil, snap.ver, 7, func(*storage.Batch) bool {
+					calls++
+					return false
+				})
+				if calls != 1 {
+					t.Errorf("%s partition: fn called %d times after returning false, want 1", snap.name, calls)
+				}
+			}
+		})
+	}
+}
+
+// TestMorselsCoverScan checks on every layout with a pending delta that the
+// scans of a partition's morsels, concatenated, return exactly the rows of
+// the whole-store scan, none twice, for several morsel sizes.
+func TestMorselsCoverScan(t *testing.T) {
+	for _, lc := range diffLayouts {
+		t.Run(lc.name, func(t *testing.T) {
+			p, oracles := deltaPartition(t, rand.New(rand.NewSource(53)), lc.l)
+			st := p.StoreSnapshot()
+			cols := []schema.ColID{0, 1, 2}
+			for si, snap := range diffSnaps {
+				want := oracleScan(oracles[si], cols, nil, storage.MinRow, storage.MaxRow)
+				sameDiff(t, snap.name+"/whole", sortedDiff(collectBatches(p, cols, nil, snap.ver, 0)), want)
+				for _, k := range []int{1, 7, 64, 1000} {
+					ms := p.Morsels(k)
+					if len(ms) == 0 {
+						t.Fatalf("%s k=%d: no morsels", snap.name, k)
+					}
+					var got []diffRow
+					for _, m := range ms {
+						got = append(got, collectRange(st, cols, nil, m.Lo, m.Hi, snap.ver, 0)...)
+					}
+					seen := map[schema.RowID]bool{}
+					for _, row := range got {
+						if seen[row.id] {
+							t.Fatalf("%s k=%d: row %d scanned twice over %d morsels", snap.name, k, row.id, len(ms))
+						}
+						seen[row.id] = true
+					}
+					sameDiff(t, snap.name+"/morsels", sortedDiff(got), want)
+				}
+			}
+		})
+	}
+}
+
+func sortedDiff(rows []diffRow) []diffRow {
+	sortDiff(rows)
+	return rows
 }

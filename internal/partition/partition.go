@@ -197,17 +197,6 @@ func (p *Partition) Get(id schema.RowID, cols []schema.ColID, snap uint64) (sche
 	return p.store.Get(id, cols, snap)
 }
 
-// Scan streams matching rows. The zone map short-circuits scans whose
-// predicate provably matches nothing in this partition (§4.1.3).
-func (p *Partition) Scan(cols []schema.ColID, pred storage.Pred, snap uint64, fn func(schema.Row) bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.zm.CanSkip(pred) {
-		return
-	}
-	p.store.Scan(cols, pred, snap, fn)
-}
-
 // Morsel is one fixed-size scan unit: the rows of this partition with
 // Lo <= id < Hi. Morsels are the scheduling quantum of the parallel scan
 // executor; workers pull them independently.
@@ -243,11 +232,7 @@ func (p *Partition) Morsels(targetRows int) []Morsel {
 		return nil
 	}
 
-	rs, ok := st.(storage.RangeScanner)
-	if !ok {
-		return []Morsel{{Lo: lo, Hi: hi}}
-	}
-	bounds := rs.MorselBounds(targetRows)
+	bounds := st.MorselBounds(targetRows)
 	if len(bounds) < 2 {
 		return []Morsel{{Lo: lo, Hi: hi}}
 	}
@@ -279,55 +264,16 @@ func (p *Partition) StoreSnapshot() storage.Store {
 	return p.store
 }
 
-// ScanRange streams matching rows with lo <= id < hi, using the store's
-// native range path when available.
-func (p *Partition) ScanRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, fn func(schema.Row) bool) {
-	p.mu.RLock()
-	st := p.store
-	p.mu.RUnlock()
-	ScanStoreRange(st, cols, pred, lo, hi, snap, fn)
-}
-
-// ScanStoreRange scans an id range on any store: natively through
-// storage.RangeScanner, or by filtering a full scan otherwise.
-func ScanStoreRange(st storage.Store, cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, fn func(schema.Row) bool) {
-	if rs, ok := st.(storage.RangeScanner); ok {
-		rs.ScanRange(cols, pred, lo, hi, snap, fn)
-		return
-	}
-	st.Scan(cols, pred, snap, func(r schema.Row) bool {
-		if r.ID < lo || r.ID >= hi {
-			return true
-		}
-		return fn(r)
-	})
-}
-
-// ScanBatches streams matching rows as columnar batches, zone-map gated
-// like Scan. Stores without a native batch path are transposed.
+// ScanBatches streams the matching rows of the whole partition as
+// columnar batches. The zone map short-circuits scans whose predicate
+// provably matches nothing in this partition (§4.1.3).
 func (p *Partition) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.zm.CanSkip(pred) {
 		return
 	}
-	storage.ScanBatchesOn(p.store, cols, pred, snap, maxRows, fn)
-}
-
-// ScanBatchesRange streams matching rows with lo <= id < hi as columnar
-// batches over the current store (no zone-map gate, mirroring ScanRange).
-func (p *Partition) ScanBatchesRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	p.mu.RLock()
-	st := p.store
-	p.mu.RUnlock()
-	storage.ScanBatchRangeOn(st, cols, pred, lo, hi, snap, maxRows, fn)
-}
-
-// ScanStoreBatchRange runs the batch contract over an id range on any
-// captured store snapshot — the morsel executor's entry point, safe under
-// concurrent layout swaps for the same reason StoreSnapshot is.
-func ScanStoreBatchRange(st storage.Store, cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	storage.ScanBatchRangeOn(st, cols, pred, lo, hi, snap, maxRows, fn)
+	p.store.ScanBatches(cols, pred, storage.MinRow, storage.MaxRow, snap, maxRows, fn)
 }
 
 // Load bulk-loads rows and rebuilds the zone map.

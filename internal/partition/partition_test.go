@@ -75,9 +75,7 @@ func TestCrudThroughPartition(t *testing.T) {
 	if err := p.Delete(9, 3); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	p.Scan([]schema.ColID{0}, nil, storage.Latest, func(schema.Row) bool { n++; return true })
-	if n != 9 {
+	if n := len(collectBatches(p, []schema.ColID{0}, nil, storage.Latest, 0)); n != 9 {
 		t.Errorf("scan rows = %d", n)
 	}
 }
@@ -85,9 +83,7 @@ func TestCrudThroughPartition(t *testing.T) {
 func TestZoneMapSkip(t *testing.T) {
 	p := loaded(t, storage.DefaultColumnLayout(), 50) // col0 in [0,49]
 	pred := storage.Pred{{Col: 0, Op: storage.CmpGt, Val: types.NewInt64(1000)}}
-	n := 0
-	p.Scan([]schema.ColID{0}, pred, storage.Latest, func(schema.Row) bool { n++; return true })
-	if n != 0 {
+	if n := len(collectBatches(p, []schema.ColID{0}, pred, storage.Latest, 0)); n != 0 {
 		t.Errorf("zone-map skip failed, saw %d rows", n)
 	}
 	if !p.ZoneMap().CanSkip(pred) {

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -163,7 +164,7 @@ func TestPlanCacheBounded(t *testing.T) {
 
 // TestPlannerDecomposesAggs pins the cached aggregate plan: every
 // aggregate, on one site or many, carries its site-local partial specs and
-// the coordinator's combine, with AVG split into SUM and COUNT.
+// the coordinator's combine, with AVG split into SUM(col) and COUNT(col).
 func TestPlannerDecomposesAggs(t *testing.T) {
 	for _, sites := range []int{1, 2} {
 		pl, dir := testPlanner()
@@ -183,12 +184,13 @@ func TestPlannerDecomposesAggs(t *testing.T) {
 			t.Fatal(err)
 		}
 		pa := node.(*PAgg)
-		// AVG decomposes into SUM + COUNT.
+		// AVG decomposes into SUM(col) + COUNT(col): NULL inputs count
+		// toward neither.
 		if len(pa.PartialAggs) != 4 || len(pa.FinalAggs) != 4 {
 			t.Fatalf("%d sites: partial=%d final=%d", sites, len(pa.PartialAggs), len(pa.FinalAggs))
 		}
-		if pa.PartialAggs[0].Func != exec.AggSum || pa.PartialAggs[1].Func != exec.AggCount {
-			t.Errorf("%d sites: avg partials = %v, %v", sites, pa.PartialAggs[0].Func, pa.PartialAggs[1].Func)
+		if want := []exec.AggSpec{{Func: exec.AggSum, Col: 1}, {Func: exec.AggCountCol, Col: 1}}; !slices.Equal(pa.PartialAggs[:2], want) {
+			t.Errorf("%d sites: avg partials = %v, want %v", sites, pa.PartialAggs[:2], want)
 		}
 		// COUNT's final combine is a SUM.
 		if pa.FinalAggs[2].Func != exec.AggSum {

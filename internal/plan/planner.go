@@ -304,7 +304,8 @@ func (pl *Planner) planAgg(a *query.AggNode) (PNode, error) {
 
 // decomposeAggs rewrites aggregates for two-phase execution. The partial
 // layout is [groupBy..., partial aggs...]; the final phase re-aggregates
-// over that layout.
+// over that layout. AVG splits into SUM(col) and COUNT(col), so NULL
+// inputs count toward neither.
 func decomposeAggs(groupBy []int, aggs []exec.AggSpec) (partial, final []exec.AggSpec) {
 	for _, a := range aggs {
 		switch a.Func {
@@ -312,9 +313,9 @@ func decomposeAggs(groupBy []int, aggs []exec.AggSpec) (partial, final []exec.Ag
 			sumPos := len(groupBy) + len(partial)
 			partial = append(partial, exec.AggSpec{Func: exec.AggSum, Col: a.Col})
 			countPos := len(groupBy) + len(partial)
-			partial = append(partial, exec.AggSpec{Func: exec.AggCount})
+			partial = append(partial, exec.AggSpec{Func: exec.AggCountCol, Col: a.Col})
 			final = append(final, exec.AggSpec{Func: exec.AggSum, Col: sumPos}, exec.AggSpec{Func: exec.AggSum, Col: countPos})
-		case exec.AggCount:
+		case exec.AggCount, exec.AggCountCol:
 			pos := len(groupBy) + len(partial)
 			partial = append(partial, a)
 			final = append(final, exec.AggSpec{Func: exec.AggSum, Col: pos})

@@ -24,11 +24,13 @@ import (
 	"proteus/internal/vclock"
 )
 
-// DefaultCatchUpDeadline bounds synchronous catch-up waits.
-const DefaultCatchUpDeadline = 5 * time.Second
+// catchUpDeadline bounds a synchronous CatchUp before it returns the typed
+// faults.ErrTimeout.
+const catchUpDeadline = 5 * time.Second
 
-// DefaultPollBackoff is the yield between catch-up polls.
-const DefaultPollBackoff = 50 * time.Microsecond
+// pollBackoff is the yield between catch-up polls while waiting for the
+// master's commit record.
+const pollBackoff = 50 * time.Microsecond
 
 // Replicator manages one site's replica subscriptions.
 type Replicator struct {
@@ -41,12 +43,6 @@ type Replicator struct {
 	// co-operate with transaction execution threads). Synchronous
 	// CatchUp calls bypass it to avoid self-deadlock from pooled callers.
 	Exec func(func())
-	// CatchUpDeadline bounds a synchronous CatchUp before it returns the
-	// typed faults.ErrTimeout (DefaultCatchUpDeadline when 0).
-	CatchUpDeadline time.Duration
-	// PollBackoff is the yield between catch-up polls while waiting for
-	// the master's commit record (DefaultPollBackoff when 0).
-	PollBackoff time.Duration
 	// Workers bounds the subscriptions PollOnce applies concurrently (the
 	// per-partition apply pool). <= 1 applies serially.
 	Workers int
@@ -422,20 +418,12 @@ func (r *Replicator) Drain(pid partition.ID) (uint64, error) {
 // CatchUp synchronously brings a replica to at least the given version —
 // the cooperation between replication and transaction execution threads the
 // paper describes for SSSI. It returns the time spent waiting. The wait is
-// bounded by CatchUpDeadline, after which the typed faults.ErrTimeout
+// bounded by catchUpDeadline, after which the typed faults.ErrTimeout
 // surfaces; waiting on a crashed site fails fast with the poll's error.
 func (r *Replicator) CatchUp(pid partition.ID, version uint64) (time.Duration, error) {
 	s := r.sub(pid)
 	if s == nil {
 		return 0, fmt.Errorf("replication: partition %d not subscribed", pid)
-	}
-	deadline := r.CatchUpDeadline
-	if deadline <= 0 {
-		deadline = DefaultCatchUpDeadline
-	}
-	backoff := r.PollBackoff
-	if backoff <= 0 {
-		backoff = DefaultPollBackoff
 	}
 	clk := r.clock()
 	start := clk.Now()
@@ -457,7 +445,7 @@ func (r *Replicator) CatchUp(pid partition.ID, version uint64) (time.Duration, e
 		if s.p.Version() >= version {
 			break
 		}
-		if clk.Since(start) > deadline {
+		if clk.Since(start) > catchUpDeadline {
 			err := fmt.Errorf("replication: partition %d below version %d (at %d): %w",
 				pid, version, s.p.Version(), faults.ErrTimeout)
 			if pollErr != nil {
@@ -466,7 +454,7 @@ func (r *Replicator) CatchUp(pid partition.ID, version uint64) (time.Duration, e
 			return clk.Since(start), err
 		}
 		// The master may not have appended the commit record yet; yield.
-		clk.Sleep(backoff)
+		clk.Sleep(pollBackoff)
 	}
 	d := clk.Since(start)
 	r.mu.Lock()

@@ -3,6 +3,7 @@ package rowstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -290,23 +291,17 @@ func project(vals []types.Value, cols []schema.ColID) []types.Value {
 	return out
 }
 
-// Scan implements storage.Store via the batch shim, streamed in RowID
-// order.
-func (d *Disk) Scan(cols []schema.ColID, pred storage.Pred, snap uint64, fn func(schema.Row) bool) {
-	storage.ScanViaBatches(d, cols, pred, snap, fn)
-}
-
-// ScanBatches implements storage.BatchScanner: one sequential image read
-// merged with the update buffer, transposed into pooled batches in RowID
-// order.
-func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
+// ScanBatches implements storage.Store: one sequential image read merged
+// with the update buffer, transposed into pooled batches in RowID order.
+// Only the rows with lo <= id < hi are decoded.
+func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
 	if maxRows <= 0 {
 		maxRows = storage.DefaultBatchRows
 	}
 	d.mu.RLock()
 	blk, has := d.block, d.hasBlock
-	order := d.order
-	bufIDs := append([]schema.RowID(nil), d.bufIDs...)
+	order := idRange(d.order, lo, hi)
+	bufIDs := append([]schema.RowID(nil), idRange(d.bufIDs, lo, hi)...)
 	d.mu.RUnlock()
 
 	diskRows := map[schema.RowID]schema.Row{}
@@ -368,6 +363,13 @@ func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, 
 	}
 }
 
+// idRange returns the ids of the ascending slice ids with lo <= id < hi.
+func idRange(ids []schema.RowID, lo, hi schema.RowID) []schema.RowID {
+	i, _ := slices.BinarySearch(ids, lo)
+	j, _ := slices.BinarySearch(ids, hi)
+	return ids[i:j]
+}
+
 func mergeIDs(a, b []schema.RowID) []schema.RowID {
 	out := make([]schema.RowID, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -391,13 +393,12 @@ func mergeIDs(a, b []schema.RowID) []schema.RowID {
 
 // ExtractAll implements storage.Store.
 func (d *Disk) ExtractAll(snap uint64) []schema.Row {
-	var out []schema.Row
-	d.Scan(allCols(len(d.kinds)), nil, snap, func(r schema.Row) bool {
-		out = append(out, r)
-		return true
-	})
-	return out
+	return storage.ScanRows(d, allCols(len(d.kinds)), snap)
 }
+
+// MorselBounds implements storage.Store: a scan reads the whole image
+// whatever its range, so the store is one morsel.
+func (d *Disk) MorselBounds(int) []schema.RowID { return nil }
 
 // Flush applies the buffered updates to disk as one batch, rewriting the
 // partition image (§4.1.1: in-place for same-size updates is subsumed by

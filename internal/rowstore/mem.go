@@ -234,27 +234,12 @@ func (m *Mem) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row
 	return schema.Row{ID: id, Vals: m.decodeCols(v.data, cols)}, true
 }
 
-// Scan implements storage.Store via the batch shim. Rows stream in RowID
-// order.
-func (m *Mem) Scan(cols []schema.ColID, pred storage.Pred, snap uint64, fn func(schema.Row) bool) {
-	storage.ScanViaBatches(m, cols, pred, snap, fn)
-}
-
-// ScanBatches implements storage.BatchScanner by transposing matching rows
-// into pooled batches. The predicate is still evaluated against the full
-// decoded row (cell-based access is what makes row scans read every
-// attribute — the cost asymmetry of Figure 3), but decode scratch and
-// batch buffers are reused across rows.
-func (m *Mem) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	m.scanBatches(cols, pred, 0, 0, false, snap, maxRows, fn)
-}
-
-// ScanBatchesRange implements storage.BatchRangeScanner.
-func (m *Mem) ScanBatchesRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
-	m.scanBatches(cols, pred, lo, hi, true, snap, maxRows, fn)
-}
-
-func (m *Mem) scanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, bounded bool, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
+// ScanBatches implements storage.Store by transposing matching rows with
+// lo <= id < hi into pooled batches, in RowID order. The predicate is
+// still evaluated against the full decoded row (cell-based access is what
+// makes row scans read every attribute — the cost asymmetry of Figure 3),
+// but decode scratch and batch buffers are reused across rows.
+func (m *Mem) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
 	if maxRows <= 0 {
 		maxRows = storage.DefaultBatchRows
 	}
@@ -262,10 +247,7 @@ func (m *Mem) scanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema.
 	defer storage.PutBatch(b)
 	all := allCols(len(m.kinds))
 	sc := memScan{cols: cols, all: all, full: make([]types.Value, len(all)), out: make([]types.Value, len(cols)),
-		pred: pred, hi: hi, bounded: bounded, snap: snap, maxRows: maxRows}
-	if !bounded {
-		lo = 0
-	}
+		pred: pred, hi: hi, snap: snap, maxRows: maxRows}
 	for more := true; more; {
 		lo, more = m.fill(&sc, b, lo)
 		if b.NumRows() == 0 || !storage.EmitBatch(b, fn) {
@@ -281,14 +263,13 @@ type memScan struct {
 	full, out []types.Value
 	pred      storage.Pred
 	hi        schema.RowID
-	bounded   bool
 	snap      uint64
 	maxRows   int
 }
 
 // fill transposes into b the next rows visible at the scan's snapshot with
-// id >= from (and below hi when bounded), up to maxRows, returning where
-// the following batch resumes and whether more rows may follow. The read
+// from <= id < hi, up to maxRows, returning where the following batch
+// resumes and whether more rows may follow. The read
 // lock covers one batch only: a consumer holding up a batch never holds up
 // the store's writers or GC, and what the scan resumes over is unchanged
 // at its snapshot — rows GC dropped were invisible there, rows inserted
@@ -298,7 +279,7 @@ func (m *Mem) fill(sc *memScan, b *storage.Batch, from schema.RowID) (schema.Row
 	defer m.mu.RUnlock()
 	start := sort.Search(len(m.ids), func(i int) bool { return m.ids[i] >= from })
 	for _, id := range m.ids[start:] {
-		if sc.bounded && id >= sc.hi {
+		if id >= sc.hi {
 			break
 		}
 		v := visible(m.rows[id], sc.snap)
@@ -320,7 +301,7 @@ func (m *Mem) fill(sc *memScan, b *storage.Batch, from schema.RowID) (schema.Row
 	return 0, false
 }
 
-// MorselBounds implements storage.RangeScanner: cut points every targetRows
+// MorselBounds implements storage.Store: cut points every targetRows
 // entries of the sorted id slice.
 func (m *Mem) MorselBounds(targetRows int) []schema.RowID {
 	m.mu.RLock()
@@ -334,12 +315,6 @@ func (m *Mem) MorselBounds(targetRows int) []schema.RowID {
 	}
 	bounds = append(bounds, m.ids[len(m.ids)-1]+1)
 	return bounds
-}
-
-// ScanRange implements storage.RangeScanner via the batch shim: Scan
-// restricted to lo <= id < hi via binary search on the sorted id slice.
-func (m *Mem) ScanRange(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, fn func(schema.Row) bool) {
-	storage.ScanRangeViaBatches(m, cols, pred, lo, hi, snap, fn)
 }
 
 // Load implements storage.Store, bulk loading by allocating a fixed-size

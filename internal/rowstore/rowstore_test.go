@@ -138,6 +138,19 @@ func TestDeleteVisibility(t *testing.T) {
 	}
 }
 
+// scanIDs returns the ids a whole-store scan emits, in emission order.
+func scanIDs(s storage.Store, pred storage.Pred) []schema.RowID {
+	var ids []schema.RowID
+	s.ScanBatches([]schema.ColID{0}, pred, storage.MinRow, storage.MaxRow, storage.Latest, 0, func(b *storage.Batch) bool {
+		b.Selected(func(r int) bool {
+			ids = append(ids, b.RowIDs[r])
+			return true
+		})
+		return true
+	})
+	return ids
+}
+
 func TestScanPredicateAndOrder(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -147,11 +160,7 @@ func TestScanPredicateAndOrder(t *testing.T) {
 				}
 			}
 			pred := storage.Pred{{Col: 0, Op: storage.CmpGe, Val: types.NewInt64(30)}}
-			var got []schema.RowID
-			s.Scan([]schema.ColID{0}, pred, storage.Latest, func(r schema.Row) bool {
-				got = append(got, r.ID)
-				return true
-			})
+			got := scanIDs(s, pred)
 			want := []schema.RowID{3, 4, 5}
 			if len(got) != len(want) {
 				t.Fatalf("scan got %v", got)
@@ -174,8 +183,8 @@ func TestScanEarlyStop(t *testing.T) {
 				}
 			}
 			n := 0
-			s.Scan([]schema.ColID{0}, nil, storage.Latest, func(schema.Row) bool {
-				n++
+			s.ScanBatches([]schema.ColID{0}, nil, storage.MinRow, storage.MaxRow, storage.Latest, 1, func(b *storage.Batch) bool {
+				n += b.Len()
 				return n < 3
 			})
 			if n != 3 {
@@ -384,7 +393,7 @@ func readAll(t *testing.T, m *Mem, snap uint64, maxID int64) (gets, scan []strin
 			gets = append(gets, fmt.Sprint(r))
 		}
 	}
-	m.ScanBatches(all, nil, snap, 3, func(b *storage.Batch) bool {
+	m.ScanBatches(all, nil, storage.MinRow, storage.MaxRow, snap, 3, func(b *storage.Batch) bool {
 		b.Selected(func(row int) bool {
 			scan = append(scan, fmt.Sprint(b.RowIDs[row], b.Row(row, nil)))
 			return true

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"proteus/internal/cost"
 	"proteus/internal/disksim"
@@ -104,11 +103,14 @@ func (p *pool) utilization() float64 {
 	return float64(p.busy.Load()) / float64(p.size)
 }
 
+// oltpWorkers and olapWorkers size a site's two isolated pools.
+const (
+	oltpWorkers = 4
+	olapWorkers = 2
+)
+
 // Config sizes one data site.
 type Config struct {
-	// OLTPWorkers and OLAPWorkers size the two isolated pools.
-	OLTPWorkers int
-	OLAPWorkers int
 	// ScanWorkers sizes the morsel-scan pool shared by every concurrent
 	// analytical query at this site (0 = runtime.GOMAXPROCS).
 	ScanWorkers int
@@ -117,16 +119,6 @@ type Config struct {
 	MemCapacity int64
 	// Disk configures this site's simulated disk.
 	Disk disksim.Config
-	// CatchUpDeadline bounds synchronous replica catch-up before the
-	// typed timeout surfaces (0 = replication default).
-	CatchUpDeadline time.Duration
-	// CatchUpBackoff is the yield between catch-up polls (0 = default).
-	CatchUpBackoff time.Duration
-}
-
-// DefaultConfig returns a modest site sizing.
-func DefaultConfig() Config {
-	return Config{OLTPWorkers: 4, OLAPWorkers: 2}
 }
 
 // Site is one data site.
@@ -157,12 +149,6 @@ type Site struct {
 
 // New creates a site wired to the shared broker and network.
 func New(id simnet.SiteID, cfg Config, broker *redolog.Broker, net *simnet.Network, brokerSite simnet.SiteID) *Site {
-	if cfg.OLTPWorkers <= 0 {
-		cfg.OLTPWorkers = 4
-	}
-	if cfg.OLAPWorkers <= 0 {
-		cfg.OLAPWorkers = 2
-	}
 	if cfg.ScanWorkers <= 0 {
 		cfg.ScanWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -173,19 +159,13 @@ func New(id simnet.SiteID, cfg Config, broker *redolog.Broker, net *simnet.Netwo
 		Locks:   txn.NewLockManager(),
 		Dev:     dev,
 		cfg:     cfg,
-		oltp:    newPool(cfg.OLTPWorkers, false),
-		olap:    newPool(cfg.OLAPWorkers, false),
+		oltp:    newPool(oltpWorkers, false),
+		olap:    newPool(olapWorkers, false),
 		scan:    newPool(cfg.ScanWorkers, true),
 		parts:   make(map[partition.ID]*partition.Partition),
 		masters: make(map[partition.ID]bool),
 	}
 	s.Repl = replication.New(broker, net, id, brokerSite)
-	if cfg.CatchUpDeadline > 0 {
-		s.Repl.CatchUpDeadline = cfg.CatchUpDeadline
-	}
-	if cfg.CatchUpBackoff > 0 {
-		s.Repl.PollBackoff = cfg.CatchUpBackoff
-	}
 	s.Repl.Exec = func(f func()) { _ = s.oltp.Do(f) }
 	return s
 }

@@ -15,7 +15,7 @@ import (
 
 func newSite(t *testing.T) *Site {
 	t.Helper()
-	s := New(0, DefaultConfig(), redolog.NewBroker(), nil, -1)
+	s := New(0, Config{}, redolog.NewBroker(), nil, -1)
 	t.Cleanup(s.Close)
 	return s
 }

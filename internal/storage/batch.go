@@ -1,15 +1,15 @@
 package storage
 
-// Vectorized batch execution (§4.1). The row-at-a-time Scan contract pays
+// Vectorized batch execution (§4.1). A row-at-a-time scan contract pays
 // per-tuple materialization, interface-call overhead and boxed types.Value
 // allocation on every row, which flattens the row-vs-column cost asymmetry
 // the ASA reasons about. This file defines the columnar Batch that flows
 // through the scan pipeline instead: per-column typed vectors, a selection
 // vector naming the rows that passed the predicate, and a row-id vector.
 // Stores produce batches natively (colstore: zero-copy views over its
-// column arrays; rowstore: transposition into pooled buffers) and the
-// legacy row Scan is implemented exactly once as a shim over batches
-// (ScanViaBatches), so external callers and the txn path are unchanged.
+// column arrays; rowstore: transposition into pooled buffers), and
+// Store.ScanBatches over a row-id range is the one way any store is read
+// in bulk.
 //
 // Batches are recycled through a sync.Pool; the exec.batches.* counters
 // (batches emitted, rows scanned/selected, pool gets/hits/puts) are
@@ -543,53 +543,24 @@ func ReadBatchStats() BatchStats {
 // the pool has been returned (the leak detector used by tests).
 func BatchPoolBalance() int64 { return statPoolGets.Load() - statPoolPuts.Load() }
 
-// BatchScanner is the vectorized counterpart of Store.Scan: it streams the
-// exact rows Scan would produce, in the same order, as columnar batches of
-// at most maxRows physical rows (maxRows <= 0 means DefaultBatchRows).
-// Only selected rows (per Batch.Sel) are part of the result. The batch and
-// any views inside it are valid only until fn returns; fn returning false
-// stops the scan.
-type BatchScanner interface {
-	ScanBatches(cols []schema.ColID, pred Pred, version uint64, maxRows int, fn func(*Batch) bool)
-}
-
-// BatchRangeScanner restricts the batch contract to lo <= id < hi, the
-// morsel executor's unit of work.
-type BatchRangeScanner interface {
-	ScanBatchesRange(cols []schema.ColID, pred Pred, lo, hi schema.RowID, version uint64, maxRows int, fn func(*Batch) bool)
-}
-
-// ScanViaBatches implements the legacy row Scan contract over ScanBatches —
-// the single row-at-a-time shim in the system. Stores implement batches
-// natively and delegate Scan here.
-func ScanViaBatches(bs BatchScanner, cols []schema.ColID, pred Pred, version uint64, fn func(schema.Row) bool) {
-	bs.ScanBatches(cols, pred, version, DefaultBatchRows, func(b *Batch) bool {
-		return b.Selected(func(row int) bool {
-			vals := make([]types.Value, len(b.Vecs))
-			for i := range b.Vecs {
-				vals[i] = b.Vecs[i].Value(row)
-			}
-			return fn(schema.Row{ID: b.RowIDs[row], Vals: vals})
+// ScanRows drains a whole-store scan of cols at version into boxed rows,
+// in emission order. Each row's values are sized exactly: layout
+// conversions and checkpoint images retain them.
+func ScanRows(st Store, cols []schema.ColID, version uint64) []schema.Row {
+	var out []schema.Row
+	st.ScanBatches(cols, nil, MinRow, MaxRow, version, DefaultBatchRows, func(b *Batch) bool {
+		b.Selected(func(row int) bool {
+			out = append(out, schema.Row{ID: b.RowIDs[row], Vals: b.Row(row, make([]types.Value, 0, len(b.Vecs)))})
+			return true
 		})
+		return true
 	})
+	return out
 }
 
-// ScanRangeViaBatches is ScanViaBatches over the range contract.
-func ScanRangeViaBatches(bs BatchRangeScanner, cols []schema.ColID, pred Pred, lo, hi schema.RowID, version uint64, fn func(schema.Row) bool) {
-	bs.ScanBatchesRange(cols, pred, lo, hi, version, DefaultBatchRows, func(b *Batch) bool {
-		return b.Selected(func(row int) bool {
-			vals := make([]types.Value, len(b.Vecs))
-			for i := range b.Vecs {
-				vals[i] = b.Vecs[i].Value(row)
-			}
-			return fn(schema.Row{ID: b.RowIDs[row], Vals: vals})
-		})
-	})
-}
-
-// TransposeRows adapts a row-callback scan into the batch contract by
-// filling pooled batches. The fallback for stores without a native
-// columnar representation.
+// TransposeRows adapts a row-callback producer into the batch contract by
+// filling pooled batches: the morsel executor's stitched units, whose rows
+// are assembled from several pieces, leave through it.
 func TransposeRows(ncols, maxRows int, scan func(fn func(schema.Row) bool), fn func(*Batch) bool) {
 	if maxRows <= 0 {
 		maxRows = DefaultBatchRows
@@ -611,61 +582,4 @@ func TransposeRows(ncols, maxRows int, scan func(fn func(schema.Row) bool), fn f
 	if !stopped && b.NumRows() > 0 {
 		EmitBatch(b, fn)
 	}
-}
-
-// ScanBatchesOn runs the batch contract over any store: natively when it
-// implements BatchScanner, else by transposing its row Scan.
-func ScanBatchesOn(st Store, cols []schema.ColID, pred Pred, version uint64, maxRows int, fn func(*Batch) bool) {
-	if bs, ok := st.(BatchScanner); ok {
-		bs.ScanBatches(cols, pred, version, maxRows, fn)
-		return
-	}
-	TransposeRows(len(cols), maxRows, func(emit func(schema.Row) bool) {
-		st.Scan(cols, pred, version, emit)
-	}, fn)
-}
-
-// ScanBatchRangeOn runs the batch contract restricted to lo <= id < hi
-// over any store, preferring the most native path available.
-func ScanBatchRangeOn(st Store, cols []schema.ColID, pred Pred, lo, hi schema.RowID, version uint64, maxRows int, fn func(*Batch) bool) {
-	if brs, ok := st.(BatchRangeScanner); ok {
-		brs.ScanBatchesRange(cols, pred, lo, hi, version, maxRows, fn)
-		return
-	}
-	if bs, ok := st.(BatchScanner); ok {
-		// Narrow each batch's selection to the id range.
-		var scratch []int32
-		bs.ScanBatches(cols, pred, version, maxRows, func(b *Batch) bool {
-			scratch = scratch[:0]
-			b.Selected(func(row int) bool {
-				if id := b.RowIDs[row]; id >= lo && id < hi {
-					scratch = append(scratch, int32(row))
-				}
-				return true
-			})
-			if len(scratch) == 0 {
-				return true
-			}
-			saved := b.Sel
-			b.Sel = scratch
-			ok := fn(b)
-			b.Sel = saved
-			return ok
-		})
-		return
-	}
-	if rs, ok := st.(RangeScanner); ok {
-		TransposeRows(len(cols), maxRows, func(emit func(schema.Row) bool) {
-			rs.ScanRange(cols, pred, lo, hi, version, emit)
-		}, fn)
-		return
-	}
-	TransposeRows(len(cols), maxRows, func(emit func(schema.Row) bool) {
-		st.Scan(cols, pred, version, func(r schema.Row) bool {
-			if r.ID < lo || r.ID >= hi {
-				return true
-			}
-			return emit(r)
-		})
-	}, fn)
 }

@@ -156,43 +156,3 @@ func TestBatchAppendSelectRecycle(t *testing.T) {
 		t.Fatalf("recycled batch not reset: rows=%d sel=%v veclen=%d", b3.NumRows(), b3.Sel, b3.Vecs[0].Len())
 	}
 }
-
-// TestScanViaBatchesStopsEarly pins the shim's early-termination contract:
-// a row callback returning false must stop the whole scan.
-func TestScanViaBatchesStopsEarly(t *testing.T) {
-	bs := fakeBatchScanner{n: 1000}
-	seen := 0
-	ScanViaBatches(bs, []schema.ColID{0}, nil, Latest, func(r schema.Row) bool {
-		seen++
-		return seen < 5
-	})
-	if seen != 5 {
-		t.Fatalf("rows seen = %d, want 5", seen)
-	}
-}
-
-type fakeBatchScanner struct{ n int }
-
-func (f fakeBatchScanner) ScanBatches(cols []schema.ColID, pred Pred, snap uint64, maxRows int, fn func(*Batch) bool) {
-	if maxRows <= 0 {
-		maxRows = DefaultBatchRows
-	}
-	b := GetBatch(len(cols))
-	defer PutBatch(b)
-	vals := make([]types.Value, len(cols))
-	for i := 0; i < f.n; i++ {
-		for j := range vals {
-			vals[j] = types.NewInt64(int64(i))
-		}
-		b.AppendRow(schema.RowID(i), vals)
-		if b.NumRows() >= maxRows {
-			if !EmitBatch(b, fn) {
-				return
-			}
-			b.Reset(len(cols))
-		}
-	}
-	if b.NumRows() > 0 {
-		EmitBatch(b, fn)
-	}
-}

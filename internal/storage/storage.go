@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"math"
 	"strconv"
 
 	"proteus/internal/schema"
@@ -192,6 +193,13 @@ type Stats struct {
 	EncodedBytes int
 }
 
+// MinRow and MaxRow bound every row id: a scan of [MinRow, MaxRow) reads
+// the whole store.
+const (
+	MinRow schema.RowID = math.MinInt64
+	MaxRow schema.RowID = math.MaxInt64
+)
+
 // Store is the uniform interface over every storage layout (§4.3:
 // "storage-agnostic data accesses ... use cell-based operations"). All row
 // identifiers and column positions are store-local: a store covers a
@@ -215,11 +223,21 @@ type Store interface {
 
 	// Get reads the projection cols of one row at the snapshot version.
 	Get(id schema.RowID, cols []schema.ColID, version uint64) (schema.Row, bool)
-	// Scan streams rows at the snapshot version that satisfy pred,
-	// projected to cols, in unspecified order unless the layout maintains a
-	// sort, in which case rows arrive in sort order. fn returning false
-	// stops the scan early.
-	Scan(cols []schema.ColID, pred Pred, version uint64, fn func(schema.Row) bool)
+	// ScanBatches streams the rows with lo <= id < hi that are live at the
+	// snapshot version and satisfy pred, projected to cols, as columnar
+	// batches of at most maxRows physical rows (maxRows <= 0 means
+	// DefaultBatchRows); [MinRow, MaxRow) is the whole store. Rows arrive
+	// in sort order when the layout maintains a sort, in unspecified order
+	// otherwise. Only selected rows (per Batch.Sel) are part of the result.
+	// The batch and any views inside it are valid only until fn returns;
+	// fn returning false stops the scan.
+	ScanBatches(cols []schema.ColID, pred Pred, lo, hi schema.RowID, version uint64, maxRows int, fn func(*Batch) bool)
+	// MorselBounds returns ascending row-id cut points splitting the live
+	// rows into runs of roughly targetRows each, the morsel executor's
+	// units. A nil result means the store cannot split itself cheaply (a
+	// value-sorted layout scatters row ids; a disk store reads whole
+	// images); callers then treat the whole store as one morsel.
+	MorselBounds(targetRows int) []schema.RowID
 
 	// Load bulk-loads rows, replacing current contents (§4.4 bulk load).
 	Load(rows []schema.Row, version uint64) error
@@ -230,19 +248,4 @@ type Store interface {
 
 	// Stats reports the store's physical footprint.
 	Stats() Stats
-}
-
-// RangeScanner is an optional Store capability used by the morsel-driven
-// scan executor. A store that can address contiguous row-id ranges cheaply
-// implements it so a partition can be split into fixed-size morsels that
-// independent workers scan in parallel.
-type RangeScanner interface {
-	// MorselBounds returns ascending row-id cut points splitting the live
-	// rows into runs of roughly targetRows each. A nil result means the
-	// store cannot split itself (e.g. the layout maintains a value sort and
-	// row ids are scattered); callers then treat the whole store as one
-	// morsel.
-	MorselBounds(targetRows int) []schema.RowID
-	// ScanRange behaves like Scan restricted to rows with lo <= id < hi.
-	ScanRange(cols []schema.ColID, pred Pred, lo, hi schema.RowID, version uint64, fn func(schema.Row) bool)
 }

@@ -49,7 +49,3 @@ func (c *Client) OLAP() *query.Query {
 	c.qn++
 	return q
 }
-
-// NextQueryIndex reports which query OLAP will build next (for per-query
-// latency breakdowns, Fig 10b).
-func (c *Client) NextQueryIndex() int { return c.qn % NumQueries }

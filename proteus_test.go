@@ -2,7 +2,10 @@ package proteus
 
 import (
 	"context"
+	"math"
 	"testing"
+
+	"proteus/internal/types"
 )
 
 func openTest(t *testing.T) (*DB, *Table) {
@@ -83,6 +86,38 @@ func TestScalarAggregates(t *testing.T) {
 	avg, err := s.QueryScalar(context.Background(), tbl.Scan("amount").Avg("amount"))
 	if err != nil || avg.Float() != 49.5 {
 		t.Fatalf("avg = %v, %v", avg, err)
+	}
+}
+
+// TestAvgSkipsNull runs AVG through the distributed two-phase plan over 100
+// rows in 4 partitions, amount = id + 100, with row 10's amount NULL: SQL
+// divides by the 99 non-NULL amounts. The table is a column store, because
+// the in-memory row store reads a NULL fixed-width cell back as zero.
+func TestAvgSkipsNull(t *testing.T) {
+	db, err := Open(Options{Sites: 2, Mode: ColumnStore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
+	tbl, err := db.CreateTable("orders", []Column{{Name: "id", Kind: Int64}, {Name: "amount", Kind: Float64}},
+		TableOptions{MaxRows: 100, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	for i := int64(0); i < 100; i++ {
+		amount := Float64Value(float64(i + 100))
+		if i == 10 {
+			amount = types.Null()
+		}
+		rows = append(rows, Row{ID: RowID(i), Values: []Value{Int64Value(i), amount}})
+	}
+	if err := db.Load(context.Background(), tbl, rows); err != nil {
+		t.Fatal(err)
+	}
+	avg, err := db.Session().QueryScalar(context.Background(), tbl.Scan("amount").Avg("amount"))
+	if want := (14950.0 - 110) / 99; err != nil || math.Abs(avg.Float()-want) > 1e-9 {
+		t.Fatalf("avg = %v, %v; want %v", avg, err, want)
 	}
 }
 

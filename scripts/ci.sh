@@ -26,15 +26,17 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # execution, group commit, locks, 2PC, snapshots and their registry, the
 # transaction planner, the row store), a query's (morsel drivers, join
 # pipeline and tables, runtime filters, columnar relations, batch kernels,
-# the group-by table and HashAggregate, the column store's scan chunks and
-# column builds) and the per-tick log paths (the redo-log broker,
+# the group-by table and HashAggregate, the in-memory column store with
+# its delta, scan chunks and column builds, the storage batches and filter
+# kernels, the zone map) and the per-tick log paths (the redo-log broker,
 # replication's fetch and apply) format no strings and sort through
 # slices.*: fmt.Sprint* and fmt.Fprint* allocate on every call, and
 # sort.Slice / sort.SliceStable allocate a closure and a reflect swapper.
 # fmt.Errorf on error returns is allowed; test files are not checked.
 hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
     internal/metadata/metadata.go
-    internal/plan/txnplan.go internal/rowstore/mem.go internal/colstore/{batchscan,coldata}.go
+    internal/plan/txnplan.go internal/rowstore/mem.go internal/colstore/{batchscan,coldata,mem,delta}.go
+    internal/storage/{batch,kernels}.go internal/zonemap/zonemap.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
     internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
     internal/replication/replication.go internal/redolog/redolog.go)
