@@ -25,7 +25,7 @@ import (
 // and install in a flush after the lock drops, so the barrier is what
 // makes the three mutually consistent). It survives as the oracle folded
 // images are compared against.
-func extractCheckpoint(e *Engine, m *metadata.PartitionMeta) (redolog.Checkpoint, bool) {
+func extractCheckpoint(e *Engine, m *metadata.PartitionMeta) (redolog.RowImage, bool) {
 	e.gc.barrier(m.Master().Site)
 	ls := e.Locks.AcquireAll(nil, []partition.ID{m.ID})
 	defer ls.ReleaseAll()
@@ -33,14 +33,14 @@ func extractCheckpoint(e *Engine, m *metadata.PartitionMeta) (redolog.Checkpoint
 	master := m.Master()
 	s := e.siteOf(master.Site)
 	if s.Down() {
-		return redolog.Checkpoint{}, false
+		return redolog.RowImage{}, false
 	}
 	p, ok := s.Partition(m.ID)
 	if !ok {
-		return redolog.Checkpoint{}, false
+		return redolog.RowImage{}, false
 	}
 	e.gc.barrier(master.Site)
-	return redolog.Checkpoint{
+	return redolog.RowImage{
 		Rows:    p.ExtractAll(storage.Latest),
 		Version: p.Version(),
 		Offset:  e.Broker.EndOffset(m.ID),
@@ -320,6 +320,179 @@ func TestMaintainTakesNoPartitionLock(t *testing.T) {
 	for _, pid := range pids {
 		if after := e.Broker.CheckpointOffset(pid); after <= before[pid] || after != e.Broker.EndOffset(pid) {
 			t.Errorf("partition %d: checkpoint offset %d -> %d, log end %d", pid, before[pid], after, e.Broker.EndOffset(pid))
+		}
+	}
+}
+
+// sameCell is types.Equal that also tells NULL from a value and requires
+// the kind to survive.
+func sameCell(a, b types.Value) bool {
+	return a.K == b.K && types.Equal(a, b)
+}
+
+// TestCheckpointImageRoundTripsNulls: column-copy masters whose every kind
+// of column — Int64, Float64, String, Time, Bool — holds NULLs go through a
+// sorted base image, a split's base images and folds of updates that set
+// and clear NULLs (the Time column's only NULL is cleared, the Bool column
+// gets its first), deletes and inserts arriving in descending id order.
+// The folded images must equal the extract-under-lock oracle, and copies
+// rebuilt from them after a crash of each site must read every cell back,
+// NULLs still NULL.
+func TestCheckpointImageRoundTripsNulls(t *testing.T) {
+	cfg := fastConfig(ModeColumnStore, 2)
+	cfg.MaintainInterval = 0 // the test drives the tick itself
+	cfg.RedoRetention = 4
+	e := New(cfg)
+	t.Cleanup(e.Close)
+	ctx := context.Background()
+	cols := []schema.Column{
+		{Name: "id", Kind: types.KindInt64}, {Name: "i", Kind: types.KindInt64},
+		{Name: "f", Kind: types.KindFloat64}, {Name: "s", Kind: types.KindString, AvgSize: 8},
+		{Name: "ts", Kind: types.KindTime}, {Name: "b", Kind: types.KindBool},
+	}
+	const maxRows = 200
+	tbl, err := e.CreateTable(TableSpec{Name: "nulls", Cols: cols, MaxRows: maxRows, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := e.Dir.TablePartitions(tbl.ID)
+	// The second partition's master sorts by column i, so its rows reach
+	// the base image in value order.
+	sorted := storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 1}
+	if err := e.ChangeCopyLayout(parts[1].ID, parts[1].Master().Site, sorted); err != nil {
+		t.Fatal(err)
+	}
+	vals := func(id int64) []types.Value {
+		v := []types.Value{
+			types.NewInt64(id), types.NewInt64((id * 37) % 101), types.NewFloat64(float64(id) / 4),
+			types.NewString(fmt.Sprintf("s%d", id)), types.NewTimeMicros(1_000_000 * id), types.NewBool(id%3 == 0),
+		}
+		for c := 1; c <= 3; c++ { // Int64, Float64 and String hold several NULLs
+			if id%7 == int64(c) {
+				v[c] = types.Null()
+			}
+		}
+		if id == 40 { // the Time column's only NULL; Bool starts with none
+			v[4] = types.Null()
+		}
+		return v
+	}
+	model := map[int64][]types.Value{}
+	var load []schema.Row
+	for id := int64(0); id < maxRows; id += 2 {
+		model[id] = vals(id)
+		load = append(load, schema.Row{ID: schema.RowID(id), Vals: vals(id)})
+	}
+	if err := e.LoadRows(ctx, tbl.ID, load); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SplitH(parts[0].ID, 50); err != nil { // base images from replaceInDirectory
+		t.Fatal(err)
+	}
+
+	sess := e.NewSession()
+	exec := func(ops ...query.Op) {
+		t.Helper()
+		if _, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: ops}); err != nil {
+			t.Fatalf("txn %v: %v", ops, err)
+		}
+		for _, op := range ops {
+			switch op.Kind {
+			case query.OpInsert:
+				model[int64(op.Row)] = op.Vals
+			case query.OpDelete:
+				delete(model, int64(op.Row))
+			case query.OpUpdate:
+				v := append([]types.Value(nil), model[int64(op.Row)]...)
+				for i, c := range op.Cols {
+					v[c] = op.Vals[i]
+				}
+				model[int64(op.Row)] = v
+			}
+		}
+		e.maintain()
+	}
+	set := func(id int64, col schema.ColID, v types.Value) query.Op { return updateOp(tbl, id, col, v) }
+	exec(set(40, 4, types.NewTimeMicros(7))) // clears the Time column's only NULL
+	exec(set(2, 5, types.Null()), set(120, 5, types.Null()))
+	for id := int64(0); id < maxRows; id += 14 {
+		exec(set(id, 1, types.Null()), set(id, 3, types.Null())) // set NULLs
+		exec(set(id+2, 2, types.NewFloat64(-1)))                 // clears f's NULL at id%7 == 2
+	}
+	for id := int64(8); id < maxRows; id += 28 {
+		exec(set(id, 1, types.NewInt64(-id)), set(id, 3, types.NewString("back"))) // clear them again
+	}
+	for id := int64(maxRows - 1); id > 0; id -= 6 { // inserts in descending id order
+		v := vals(id)
+		if id%4 == 1 {
+			v[5] = types.Null()
+		}
+		exec(query.Op{Kind: query.OpInsert, Table: tbl.ID, Row: schema.RowID(id), Vals: v})
+	}
+	for id := int64(4); id < maxRows; id += 18 {
+		exec(query.Op{Kind: query.OpDelete, Table: tbl.ID, Row: schema.RowID(id)})
+	}
+
+	metas := e.Dir.TablePartitions(tbl.ID)
+	nulls := map[int]int{}
+	for _, v := range model {
+		for c := range v {
+			if v[c].IsNull() {
+				nulls[c]++
+			}
+		}
+	}
+	if nulls[1] == 0 || nulls[2] == 0 || nulls[3] == 0 || nulls[4] != 0 || nulls[5] == 0 {
+		t.Fatalf("NULLs per column %v: the history does not cover its cases", nulls)
+	}
+	same := func(ctx string, got []schema.Row, m *metadata.PartitionMeta) {
+		t.Helper()
+		n := 0
+		for _, r := range got {
+			want, ok := model[int64(r.ID)]
+			if !ok || !m.Bounds.ContainsRow(r.ID) {
+				t.Fatalf("%s: row %d should not be there", ctx, r.ID)
+			}
+			for c := range want {
+				if !sameCell(r.Vals[c], want[c]) {
+					t.Fatalf("%s: row %d col %d = %v (kind %v), want %v (kind %v)", ctx, r.ID, c, r.Vals[c], r.Vals[c].K, want[c], want[c].K)
+				}
+			}
+			n++
+		}
+		for id := range model {
+			if m.Bounds.ContainsRow(schema.RowID(id)) {
+				n--
+			}
+		}
+		if n != 0 {
+			t.Fatalf("%s: %d rows missing", ctx, -n)
+		}
+	}
+	for _, m := range metas {
+		e.Broker.FoldCheckpoint(m.ID, 1)
+		img, ok := e.Broker.Checkpoint(m.ID)
+		oracle, ok2 := extractCheckpoint(e, m)
+		ctx := fmt.Sprintf("partition %d", m.ID)
+		if !ok || !ok2 || img.Version != oracle.Version || img.Offset != oracle.Offset {
+			t.Fatalf("%s: image %v at %d/%d, oracle %v at %d/%d", ctx, ok, img.Version, img.Offset, ok2, oracle.Version, oracle.Offset)
+		}
+		same(ctx+": folded image", img.Rows, m)
+		same(ctx+": extract-under-lock oracle", oracle.Rows, m)
+	}
+	for _, site := range []simnet.SiteID{0, 1} {
+		if err := e.CrashSite(site); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RecoverSite(site); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range metas {
+			p, ok := e.siteOf(m.Master().Site).Partition(m.ID)
+			if !ok {
+				t.Fatalf("partition %d has no master copy after recovery", m.ID)
+			}
+			same(fmt.Sprintf("partition %d rebuilt after site %d crashed", m.ID, site), p.ExtractAll(storage.Latest), m)
 		}
 	}
 }

@@ -589,7 +589,7 @@ func (e *Engine) CreateTable(spec TableSpec) (*schema.Table, error) {
 		pid := e.Dir.AllocID()
 		p := partition.New(pid, b, kinds, layout, e.siteOf(siteID).Factory)
 		e.siteOf(siteID).AddPartition(p, true)
-		e.Broker.CreateTopic(pid)
+		e.Broker.CreateTopic(pid, kinds...)
 		meta := e.Dir.Register(pid, b, metadata.Replica{Site: siteID, Layout: layout}, p.ZoneMap())
 		e.installModeReplicas(meta, p, kinds)
 		if spec.ReplicateAll {
@@ -706,11 +706,7 @@ func (e *Engine) LoadRows(ctx context.Context, table schema.TableID, rows []sche
 		// partition now: crash recovery replays checkpoint + log, and
 		// without this the loaded state would be unrecoverable.
 		if mp, ok := e.siteOf(m.Master().Site).Partition(pid); ok {
-			e.Broker.SaveCheckpoint(pid, redolog.Checkpoint{
-				Rows:    mp.ExtractAll(storage.Latest),
-				Version: mp.Version(),
-				Offset:  e.Broker.EndOffset(pid),
-			})
+			e.Broker.SaveCheckpoint(pid, redolog.CheckpointOf(mp, e.Broker.EndOffset(pid)))
 		}
 		m.Tracker.Record(forecast.Update, 0) // touch tracker
 	}

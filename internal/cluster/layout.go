@@ -87,16 +87,12 @@ func (e *Engine) replaceInDirectory(siteID simnet.SiteID, old []*metadata.Partit
 	metas := make([]*metadata.PartitionMeta, len(parts))
 	for i, p := range parts {
 		e.siteOf(siteID).AddPartition(p, true)
-		e.Broker.CreateTopic(p.ID)
+		e.Broker.CreateTopic(p.ID, p.Kinds()...)
 		// The old partitions' topics are going and the new partitions'
 		// rows predate their (empty) topics, so checkpoint immediately:
 		// without this a crash before the next checkpoint cycle would
 		// lose the repartitioned data.
-		e.Broker.SaveCheckpoint(p.ID, redolog.Checkpoint{
-			Rows:    p.ExtractAll(storage.Latest),
-			Version: p.Version(),
-			Offset:  e.Broker.EndOffset(p.ID),
-		})
+		e.Broker.SaveCheckpoint(p.ID, redolog.CheckpointOf(p, e.Broker.EndOffset(p.ID)))
 		metas[i] = e.Dir.NewMeta(p.ID, p.Bounds, metadata.Replica{Site: siteID, Layout: p.Layout()}, p.ZoneMap())
 	}
 	oldIDs := make([]partition.ID, len(old))

@@ -249,9 +249,9 @@ func (e *Engine) RecoverSite(id simnet.SiteID) error {
 // rebuildCopy reconstructs one partition copy at a recovering site from
 // durable state: load the broker's checkpoint (bulk-loaded base data plus
 // the log prefix already folded in), then replay retained redo records
-// above the checkpoint. Broker.Checkpoint hands out a row list of its own
-// that matches the returned version and offset, so the maintenance tick may
-// fold the image further while this copy loads. As master the copy just
+// above the checkpoint. Broker.Checkpoint decodes the image into rows of
+// the caller's own that match the returned version and offset, so the
+// maintenance tick may fold the image further while this copy loads. As master the copy just
 // resumes; as replica it re-subscribes from the replay position.
 func (e *Engine) rebuildCopy(s *site.Site, m *metadata.PartitionMeta, l storage.Layout, master bool) error {
 	kinds, err := e.partitionKinds(m.Bounds)

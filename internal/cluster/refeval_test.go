@@ -19,9 +19,10 @@ type refTables map[schema.TableID][]schema.Row
 
 // refEval is the reference evaluator the executor's differential suites
 // are held to: the query tree run over the fixture's generated rows with
-// a predicate filter, internal/exec's row join (exec.HashJoin) and a row
-// aggregate of its own (refAggregate) — no partitions, layouts, sites or
-// morsels, and no group-by table.
+// a predicate filter (storage.Pred.Match, so a comparison with NULL is
+// false, as in the kernels), internal/exec's row join (exec.HashJoin) and
+// a row aggregate of its own (refAggregate) — no partitions, layouts,
+// sites or morsels, and no group-by table.
 func refEval(n query.Node, tables refTables) exec.Rel {
 	switch v := n.(type) {
 	case *query.ScanNode:

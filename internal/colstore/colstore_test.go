@@ -66,6 +66,36 @@ func TestLoadGet(t *testing.T) {
 	}
 }
 
+// TestGetNullCell: a point read returns a NULL cell as NULL on every
+// variant — on disk too, where a NULL is a zero-length value (plain) or a
+// zero-length run (RLE), the last run included.
+func TestGetNullCell(t *testing.T) {
+	for name, s := range variants(t) {
+		t.Run(name, func(t *testing.T) {
+			var rows []schema.Row
+			for i := int64(1); i <= 20; i++ {
+				r := mkRow(i)
+				if i == 7 || i == 20 {
+					r.Vals = []types.Value{types.Null(), types.Null(), types.Null()}
+				}
+				rows = append(rows, r)
+			}
+			if err := s.Load(rows, 1); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []schema.RowID{7, 20} {
+				r, ok := s.Get(id, []schema.ColID{0, 1, 2}, storage.Latest)
+				if !ok || !r.Vals[0].IsNull() || !r.Vals[1].IsNull() || !r.Vals[2].IsNull() {
+					t.Errorf("row %d: %v, %v; want three NULLs", id, r.Vals, ok)
+				}
+			}
+			if r, _ := s.Get(8, []schema.ColID{0, 1, 2}, storage.Latest); r.Vals[0].Int() != 80 || r.Vals[1].Str() != "str-001" {
+				t.Errorf("row 8 beside the NULLs: %v", r.Vals)
+			}
+		})
+	}
+}
+
 func TestInsertIntoDelta(t *testing.T) {
 	for name, s := range variants(t) {
 		t.Run(name, func(t *testing.T) {

@@ -204,6 +204,9 @@ func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error)
 	d.mu.Lock()
 	d.reads++
 	d.mu.Unlock()
+	if len(buf) == 0 {
+		return types.Null(), nil // a NULL is a zero-length value, as deserializeCol reads it
+	}
 	v, _ := types.DecodeVar(buf, kind)
 	return v, nil
 }

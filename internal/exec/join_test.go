@@ -3,8 +3,8 @@ package exec
 // Regression tests for the join-layer bugfixes: HashJoin's left-major row
 // order must hold regardless of which side builds the hash table, it must
 // agree with a plain nested loop on NULL-key semantics (NULL == NULL
-// matches, like CmpOp.Eval filters), and joinObs selectivity must not
-// overflow.
+// matches, as types.Equal has it; a CmpOp.Eval filter never selects a
+// NULL), and joinObs selectivity must not overflow.
 
 import (
 	"math/rand"
@@ -80,9 +80,10 @@ func TestJoinRowOrderDifferential(t *testing.T) {
 }
 
 // TestJoinNullKeys pins NULL-key semantics: a NULL key matches a NULL key
-// (types.Compare orders NULL equal to NULL, so this is exactly what a
-// CmpEq filter predicate would do) and never matches a non-NULL key — and
-// HashJoin agrees with the nested loop.
+// (join keys compare with types.Equal, which orders NULL equal to NULL)
+// and never matches a non-NULL key — and HashJoin agrees with the nested
+// loop. A filter predicate differs here: a comparison with NULL is false,
+// so CmpEq never selects a NULL.
 func TestJoinNullKeys(t *testing.T) {
 	null := types.Null()
 	l := Rel{Cols: []string{"k", "a"}, Tuples: [][]types.Value{
@@ -94,9 +95,9 @@ func TestJoinNullKeys(t *testing.T) {
 		{types.NewInt64(7), types.NewInt64(20)},
 		{types.NewInt64(8), types.NewInt64(30)},
 	}}
-	// Sanity: this must mirror the filter-predicate behavior.
-	if !storage.CmpEq.Eval(null, null) {
-		t.Fatal("CmpEq.Eval(NULL, NULL) = false; join semantics must match it")
+	// Sanity: the key equality the join mirrors, and the filter's.
+	if !types.Equal(null, null) || storage.CmpEq.Eval(null, null) {
+		t.Fatal("types.Equal(NULL, NULL) must hold and CmpEq.Eval(NULL, NULL) must not")
 	}
 
 	hj, _ := HashJoin(l, r, []int{0}, []int{0})

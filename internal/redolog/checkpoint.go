@@ -6,36 +6,143 @@ import (
 
 	"proteus/internal/partition"
 	"proteus/internal/schema"
+	"proteus/internal/storage"
 	"proteus/internal/types"
 )
 
 // Checkpoint is a durable snapshot of one partition's full state held by
 // the broker alongside the log — the stand-in for the paper's snapshot
 // store that bounds recovery replay (§4.3). Offset is the log position the
-// snapshot covers: recovery loads Rows at Version and replays from Offset.
+// snapshot covers: recovery loads the image at Version and replays from
+// Offset.
+//
+// The image is column-major: IDs lists the live rows in ascending order,
+// and Cols holds one plain vector per partition column whose cell i
+// belongs to row IDs[i]. A vector's payload array is the one its Kind
+// selects, as in a scan batch (I64 for Int64/Time/Bool, F64 for Float64,
+// Str for String); it carries no encoding, and its Null is non-nil only
+// while the column holds a NULL.
 //
 // The broker owns the image. A base image is handed over with
 // SaveCheckpoint where a partition's rows are born outside the log (bulk
 // load, split, merge); from then on FoldCheckpoint advances it by applying
-// the log's own records, so keeping it fresh costs what changed, not what
-// is stored. Rows are ordered by ID. A row's Vals are never written once
-// they are part of an image (an update installs a fresh slice), which is
-// what lets Checkpoint hand out a copy of the row list that stays
-// consistent with its (Version, Offset) pair while later folds proceed.
+// the log's own records to the columns in place, so keeping it fresh costs
+// what changed, not what is stored. Only Broker.Checkpoint boxes an image,
+// for recovery.
 type Checkpoint struct {
+	IDs     []schema.RowID
+	Cols    []storage.Vec
+	Version uint64
+	Offset  int64
+
+	strBytes int64 // bytes of string payload across Cols; kept by the broker
+}
+
+// RowImage is a checkpoint decoded to rows ordered by ID: what recovery
+// loads into a partition before replaying the log from Offset.
+type RowImage struct {
 	Rows    []schema.Row
 	Version uint64
 	Offset  int64
 }
 
+// CheckpointOf captures a partition's live rows at storage.Latest as a
+// base image at the partition's version, covering the log below offset.
+// The caller holds whatever keeps rows, version and offset consistent.
+// Rows arrive in the store's scan order; SaveCheckpoint orders them.
+func CheckpointOf(p *partition.Partition, offset int64) Checkpoint {
+	kinds := p.Kinds()
+	hint := p.Stats().Rows
+	ck := Checkpoint{IDs: make([]schema.RowID, 0, hint), Cols: newColumns(kinds, hint), Offset: offset}
+	cols := make([]schema.ColID, len(kinds))
+	for i := range cols {
+		cols[i] = schema.ColID(i)
+	}
+	p.ScanBatches(cols, nil, storage.Latest, 0, func(b *storage.Batch) bool {
+		if b.Sel == nil {
+			ck.IDs = append(ck.IDs, b.RowIDs...)
+		} else {
+			for _, r := range b.Sel {
+				ck.IDs = append(ck.IDs, b.RowIDs[r])
+			}
+		}
+		for c := range ck.Cols {
+			appendCells(&ck.Cols[c], &b.Vecs[c], b.Sel)
+		}
+		return true
+	})
+	ck.Version = p.Version()
+	return ck
+}
+
+// appendCells appends the selected cells of a batch vector (all of them
+// when sel is nil) to the plain column dst. A plain NULL-free vector whose
+// payload array is dst's is copied whole; anything else — an encoding, a
+// NULL, a selection — goes cell by cell through Value.
+func appendCells(dst, src *storage.Vec, sel []int32) {
+	if sel == nil && src.Enc == storage.EncNone && src.Null == nil && dst.Null == nil && payload(src.Kind) == payload(dst.Kind) {
+		switch payload(dst.Kind) {
+		case types.KindFloat64:
+			dst.F64 = append(dst.F64, src.F64...)
+		case types.KindString:
+			dst.Str = append(dst.Str, src.Str...)
+		default:
+			dst.I64 = append(dst.I64, src.I64...)
+		}
+		return
+	}
+	if sel == nil {
+		for r, n := 0, src.Len(); r < n; r++ {
+			dst.Append(src.Value(r))
+		}
+		return
+	}
+	for _, r := range sel {
+		dst.Append(src.Value(int(r)))
+	}
+}
+
+// payload names the array a vector of kind k keeps its cells in: Float64
+// in F64, String in Str, the int family (Int64, Time, Bool) in I64.
+func payload(k types.Kind) types.Kind {
+	switch k {
+	case types.KindFloat64, types.KindString:
+		return k
+	}
+	return types.KindInt64
+}
+
+// newColumns makes one empty plain vector per kind with room for hint rows.
+func newColumns(kinds []types.Kind, hint int) []storage.Vec {
+	cols := make([]storage.Vec, len(kinds))
+	for i, k := range kinds {
+		cols[i].Kind = k
+		switch k {
+		case types.KindFloat64:
+			cols[i].F64 = make([]float64, 0, hint)
+		case types.KindString:
+			cols[i].Str = make([]string, 0, hint)
+		default:
+			cols[i].I64 = make([]int64, 0, hint)
+		}
+	}
+	return cols
+}
+
 // SaveCheckpoint installs a base image, replacing any prior one. The
-// broker takes ownership of ck.Rows (it orders them by ID and later folds
-// rewrite the slice in place); the caller must not touch the slice again.
-// Rows, Version and Offset must describe one state of the partition: every
-// record below Offset applied, none at or above it.
+// broker takes ownership of ck's slices (it orders the rows by ID, and
+// later folds rewrite the columns in place); the caller must not touch
+// them again. The image, Version and Offset must describe one state of
+// the partition: every record below Offset applied, none at or above it.
 func (b *Broker) SaveCheckpoint(pid partition.ID, ck Checkpoint) {
-	if !slices.IsSortedFunc(ck.Rows, byRowID) {
-		slices.SortFunc(ck.Rows, byRowID)
+	if !slices.IsSorted(ck.IDs) {
+		ck.sortByID()
+	}
+	ck.strBytes = 0
+	for c := range ck.Cols {
+		for _, s := range ck.Cols[c].Str {
+			ck.strBytes += int64(len(s))
+		}
 	}
 	t := b.topic(pid)
 	t.ckMu.Lock()
@@ -46,42 +153,95 @@ func (b *Broker) SaveCheckpoint(pid partition.ID, ck Checkpoint) {
 	}
 }
 
-// byRowID is the order images keep their rows in.
-func byRowID(x, y schema.Row) int { return cmp.Compare(x.ID, y.ID) }
+// sortByID puts the image into row-id order (a sorted column store scans
+// in sort-key order), gathering every column through one permutation.
+func (ck *Checkpoint) sortByID() {
+	perm := make([]int32, len(ck.IDs))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(x, y int32) int { return cmp.Compare(ck.IDs[x], ck.IDs[y]) })
+	ck.IDs = gather(ck.IDs, perm)
+	for c := range ck.Cols {
+		v := &ck.Cols[c]
+		v.I64, v.F64, v.Str, v.Null = gather(v.I64, perm), gather(v.F64, perm), gather(v.Str, perm), gather(v.Null, perm)
+	}
+}
 
-// setCheckpoint swaps the topic's image and keeps the image-rows gauge in
+// gather returns s permuted by perm (nil stays nil).
+func gather[T any](s []T, perm []int32) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(perm))
+	for i, p := range perm {
+		out[i] = s[p]
+	}
+	return out
+}
+
+// bytes is what the image's arrays hold: 8 per row id and per fixed-width
+// cell, a string header per string cell plus its payload, one per NULL flag.
+func (ck *Checkpoint) bytes() int64 {
+	n := 8*int64(len(ck.IDs)) + ck.strBytes
+	for c := range ck.Cols {
+		v := &ck.Cols[c]
+		n += 8*int64(len(v.I64)+len(v.F64)) + 16*int64(len(v.Str)) + int64(len(v.Null))
+	}
+	return n
+}
+
+// setCheckpoint swaps the topic's image and keeps the image gauges in
 // step. Caller holds ckMu.
 func (t *topic) setCheckpoint(b *Broker, ck *Checkpoint) {
 	if b.obsImageRows != nil {
-		var before, after int
+		var rows, bytes int64
 		if t.ckpt != nil {
-			before = len(t.ckpt.Rows)
+			rows, bytes = -int64(len(t.ckpt.IDs)), -t.ckptBytes
 		}
+		t.ckptBytes = 0
 		if ck != nil {
-			after = len(ck.Rows)
+			t.ckptBytes = ck.bytes()
+			rows += int64(len(ck.IDs))
 		}
-		b.obsImageRows.Add(int64(after - before))
+		b.obsImageRows.Add(rows)
+		b.obsImageBytes.Add(bytes + t.ckptBytes)
 	}
 	t.ckpt = ck
 }
 
-// Checkpoint returns the partition's image, if any: a private copy of the
-// row list, consistent with the returned Version and Offset however many
-// folds run afterwards. The rows' Vals are shared with the broker and must
-// not be written.
-func (b *Broker) Checkpoint(pid partition.ID) (Checkpoint, bool) {
+// Checkpoint returns the partition's image, if any, decoded to rows under
+// the image lock: the rows are the caller's own and match the returned
+// Version and Offset however many folds run afterwards.
+func (b *Broker) Checkpoint(pid partition.ID) (RowImage, bool) {
 	t := b.lookup(pid)
 	if t == nil {
-		return Checkpoint{}, false
+		return RowImage{}, false
 	}
 	t.ckMu.Lock()
 	defer t.ckMu.Unlock()
 	if t.ckpt == nil {
-		return Checkpoint{}, false
+		return RowImage{}, false
 	}
-	ck := *t.ckpt
-	ck.Rows = slices.Clone(ck.Rows)
-	return ck, true
+	ck := t.ckpt
+	return RowImage{Rows: ck.decode(), Version: ck.Version, Offset: ck.Offset}, true
+}
+
+// decode boxes the image into rows whose values share one arena.
+func (ck *Checkpoint) decode() []schema.Row {
+	nc := len(ck.Cols)
+	rows := make([]schema.Row, len(ck.IDs))
+	vals := make([]types.Value, len(ck.IDs)*nc)
+	for i, id := range ck.IDs {
+		rows[i] = schema.Row{ID: id, Vals: vals[i*nc : (i+1)*nc : (i+1)*nc]}
+	}
+	for c := range ck.Cols {
+		v := &ck.Cols[c]
+		for i := range rows {
+			rows[i].Vals[c] = v.Value(i)
+		}
+	}
+	return rows
 }
 
 // CheckpointOffset reports the offset covered by the image (0 when none
@@ -104,7 +264,7 @@ func (b *Broker) CheckpointOffset(pid partition.ID) int64 {
 // by applying the retained records at and above the checkpoint offset to
 // the image — log compaction, with exactly the effect ReplayInto would
 // have on a partition loaded from the image (an insert adds a row, an
-// update replaces the touched row's values at the entry's columns, a
+// update overwrites the touched row's cells at the entry's columns, a
 // delete drops the row; records at or below the image's version are
 // skipped). It does nothing unless at least minTail such records exist,
 // and returns how many it folded.
@@ -134,11 +294,14 @@ func (b *Broker) FoldCheckpoint(pid partition.ID, minTail int64) int64 {
 	if tail == nil {
 		return 0
 	}
-	f := folder{rows: ck.Rows, version: ck.Version}
+	if ck.Cols == nil {
+		ck.Cols = newColumns(t.kinds, 0)
+	}
+	f := folder{ck: &ck}
 	for i := range tail {
 		f.apply(&tail[i])
 	}
-	ck.Rows, ck.Version = f.finish(), f.version
+	f.finish()
 	ck.Offset += int64(len(tail))
 	t.setCheckpoint(b, &ck)
 	if b.obsCkpts != nil {
@@ -163,15 +326,17 @@ func (t *topic) tail(from, min int64) []Record {
 
 // folder applies records to a checkpoint image the way Apply applies them
 // to a partition. Updates and deletes of rows the image already lists
-// touch only that row's slot (found by binary search; a nil Vals marks a
-// row deleted during this fold). Rows whose ID the image does not list go
-// to added. finish then closes the holes and merges added in, one pass over
-// the row list per fold however many rows came and went.
+// touch only that row's cells, found by binary search; a row deleted
+// during this fold is marked in dead. Rows whose ID the image does not
+// list go to added, still boxed. finish then closes the holes and merges
+// added in, one pass over the columns per fold however many rows came and
+// went.
 type folder struct {
-	rows     []schema.Row
-	added    map[schema.RowID][]types.Value
+	ck       *Checkpoint
+	dead     []bool // per slot, allocated on the first delete
 	holes    int
-	version  uint64
+	added    map[schema.RowID][]types.Value
+	recheck  bool // a NULL was cleared or a row dropped: Null may be all false
 	rejected int64
 }
 
@@ -181,7 +346,7 @@ type folder struct {
 // record and leaves the version where it was. The log holds only what a
 // master applied successfully, so that path is counted, not expected.
 func (f *folder) apply(rec *Record) {
-	if rec.Version <= f.version {
+	if rec.Version <= f.ck.Version {
 		return
 	}
 	for i := range rec.Entries {
@@ -190,105 +355,216 @@ func (f *folder) apply(rec *Record) {
 			return
 		}
 	}
-	f.version = rec.Version
+	f.ck.Version = rec.Version
 }
 
-// find locates id in the ordered row list. A partition's ids are dense
+// find locates id in the ordered id list. A partition's ids are dense
 // until rows are deleted or inserted out of order, so the slot is guessed
 // from the first id before it is searched for.
 func (f *folder) find(id schema.RowID) (int, bool) {
-	if len(f.rows) > 0 {
-		if g := int64(id - f.rows[0].ID); g >= 0 && g < int64(len(f.rows)) && f.rows[g].ID == id {
+	ids := f.ck.IDs
+	if len(ids) > 0 {
+		if g := int64(id - ids[0]); g >= 0 && g < int64(len(ids)) && ids[g] == id {
 			return int(g), true
 		}
 	}
-	return slices.BinarySearchFunc(f.rows, id, func(r schema.Row, id schema.RowID) int {
-		return cmp.Compare(r.ID, id)
-	})
+	return slices.BinarySearch(ids, id)
 }
 
 func (f *folder) applyEntry(e *Entry) bool {
 	slot, listed := f.find(e.Row)
-	var cur []types.Value
-	if listed {
-		cur = f.rows[slot].Vals
-	} else {
+	live := listed && (f.dead == nil || !f.dead[slot])
+	var cur []types.Value // the row's values when it is only in added
+	if !listed {
 		cur = f.added[e.Row]
 	}
-	var next []types.Value
 	switch e.Op {
 	case OpInsert:
-		if cur != nil {
+		if live || cur != nil {
 			return false
 		}
-		// A private, non-nil copy: the image must not keep the log record's
-		// value arena alive, and nil means "no row".
-		next = append(make([]types.Value, 0, len(e.Vals)), e.Vals...)
+		if len(e.Vals) != len(f.ck.Cols) {
+			return false
+		}
+		if !listed {
+			// Kept boxed until finish, which copies the values out: the
+			// image does not keep the record's value arena alive.
+			if f.added == nil {
+				f.added = make(map[schema.RowID][]types.Value)
+			}
+			f.added[e.Row] = e.Vals
+			return true
+		}
+		for c := range f.ck.Cols {
+			f.set(c, slot, e.Vals[c])
+		}
+		f.dead[slot] = false
+		f.holes--
 	case OpUpdate:
-		if cur == nil || len(e.Vals) < len(e.Cols) {
+		if !live && cur == nil || len(e.Vals) < len(e.Cols) {
 			return false
 		}
 		for _, c := range e.Cols {
-			if int(c) >= len(cur) {
+			if int(c) >= len(f.ck.Cols) {
 				return false
 			}
 		}
-		next = slices.Clone(cur)
+		if !listed {
+			next := slices.Clone(cur)
+			for i, c := range e.Cols {
+				next[c] = e.Vals[i]
+			}
+			f.added[e.Row] = next
+			return true
+		}
 		for i, c := range e.Cols {
-			next[c] = e.Vals[i]
+			f.set(int(c), slot, e.Vals[i])
 		}
 	case OpDelete:
-		if cur == nil {
+		switch {
+		case live:
+			if f.dead == nil {
+				f.dead = make([]bool, len(f.ck.IDs))
+			}
+			f.dead[slot] = true
+			f.holes++
+		case cur != nil:
+			delete(f.added, e.Row)
+		default:
 			return false
 		}
-	default:
-		return true // Apply ignores unknown kinds
 	}
-	switch {
-	case listed:
-		if next == nil {
-			f.holes++
-		} else if cur == nil {
-			f.holes--
-		}
-		f.rows[slot].Vals = next
-	case next == nil:
-		delete(f.added, e.Row)
-	default:
-		if f.added == nil {
-			f.added = make(map[schema.RowID][]types.Value)
-		}
-		f.added[e.Row] = next
-	}
-	return true
+	return true // Apply ignores unknown kinds
 }
 
-// finish returns the image's row list with this fold's deletions closed up
-// and its new rows merged in, still ordered by ID.
-func (f *folder) finish() []schema.Row {
-	rows := f.rows
-	if f.holes > 0 {
-		rows = slices.DeleteFunc(rows, func(r schema.Row) bool { return r.Vals == nil })
+// set overwrites cell i of column c in place.
+func (f *folder) set(c, i int, val types.Value) {
+	v := &f.ck.Cols[c]
+	n := len(f.ck.IDs)
+	if val.IsNull() {
+		if v.Null == nil {
+			v.Null = make([]bool, n)
+		}
+		v.Null[i] = true
+		val = types.Value{K: v.Kind}
+	} else if v.Null != nil && v.Null[i] {
+		v.Null[i] = false
+		f.recheck = true
 	}
-	if len(f.added) == 0 {
-		return rows
-	}
-	ins := make([]schema.Row, 0, len(f.added))
-	for id, vals := range f.added {
-		ins = append(ins, schema.Row{ID: id, Vals: vals})
-	}
-	slices.SortFunc(ins, byRowID)
-	// Merge from the back so only rows above the lowest new ID move.
-	i, j := len(rows)-1, len(ins)-1
-	rows = append(rows, ins...)
-	for w := len(rows) - 1; j >= 0; w-- {
-		if i >= 0 && rows[i].ID > ins[j].ID {
-			rows[w] = rows[i]
-			i--
+	switch v.Kind {
+	case types.KindFloat64:
+		v.F64[i] = val.Float()
+	case types.KindString:
+		f.ck.strBytes += int64(len(val.S) - len(v.Str[i]))
+		v.Str[i] = val.S
+	default:
+		if val.K == types.KindFloat64 {
+			v.I64[i] = int64(val.F)
 		} else {
-			rows[w] = ins[j]
-			j--
+			v.I64[i] = val.I
 		}
 	}
-	return rows
+}
+
+// finish closes this fold's deletions up, merges its new rows in by ID and
+// drops any Null flags the fold left all false.
+func (f *folder) finish() {
+	ck := f.ck
+	if f.holes > 0 {
+		for c := range ck.Cols {
+			for i, s := range ck.Cols[c].Str {
+				if f.dead[i] {
+					ck.strBytes -= int64(len(s))
+				}
+			}
+		}
+		ck.IDs = compact(ck.IDs, f.dead)
+		for c := range ck.Cols {
+			v := &ck.Cols[c]
+			v.I64, v.F64, v.Str, v.Null = compact(v.I64, f.dead), compact(v.F64, f.dead), compact(v.Str, f.dead), compact(v.Null, f.dead)
+		}
+		f.recheck = true
+	}
+	if len(f.added) > 0 {
+		f.merge()
+	}
+	if f.recheck {
+		for c := range ck.Cols {
+			if v := &ck.Cols[c]; !slices.Contains(v.Null, true) {
+				v.Null = nil
+			}
+		}
+	}
+}
+
+// compact drops the slots dead marks, in place (nil stays nil).
+func compact[T any](s []T, dead []bool) []T {
+	w := 0
+	for i := range s {
+		if !dead[i] {
+			s[w] = s[i]
+			w++
+		}
+	}
+	clear(s[w:]) // release dropped strings
+	return s[:w]
+}
+
+// merge inserts the added rows at their places in ID order: every column
+// grows once and only the cells above the lowest new ID move.
+func (f *folder) merge() {
+	ck := f.ck
+	ids := make([]schema.RowID, 0, len(f.added))
+	for id := range f.added {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	pos := make([]int, len(ids))
+	for j, id := range ids {
+		at, _ := slices.BinarySearch(ck.IDs, id)
+		pos[j] = at + j
+	}
+	ck.IDs = spread(ck.IDs, pos)
+	for j, id := range ids {
+		ck.IDs[pos[j]] = id
+	}
+	for c := range ck.Cols {
+		v := &ck.Cols[c]
+		switch v.Kind {
+		case types.KindFloat64:
+			v.F64 = spread(v.F64, pos)
+		case types.KindString:
+			v.Str = spread(v.Str, pos)
+		default:
+			v.I64 = spread(v.I64, pos)
+		}
+		if v.Null != nil {
+			v.Null = spread(v.Null, pos)
+		}
+		for j, id := range ids {
+			if v.Kind == types.KindString {
+				v.Str[pos[j]] = "" // a moved cell's copy, not counted in strBytes
+			}
+			if v.Null != nil {
+				v.Null[pos[j]] = false
+			}
+			f.set(c, pos[j], f.added[id][c]) // makes a Null at the grown length if needed
+		}
+	}
+}
+
+// spread grows s by len(pos) and opens slot pos[j] (ascending final
+// positions) for each new element, moving the elements between them up.
+// The opened slots hold stale copies for the caller to overwrite.
+func spread[T any](s []T, pos []int) []T {
+	n, k := len(s), len(pos)
+	s = slices.Grow(s, k)[:n+k]
+	hi, end := n, n+k
+	for j := k - 1; j >= 0; j-- {
+		moved := end - pos[j] - 1
+		copy(s[pos[j]+1:end], s[hi-moved:hi])
+		hi -= moved
+		end = pos[j]
+	}
+	return s
 }

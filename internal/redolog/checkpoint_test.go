@@ -3,6 +3,7 @@ package redolog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -68,7 +69,23 @@ func randRecord(rng *rand.Rand, pid partition.ID, ver uint64, ids int) Record {
 	return rec
 }
 
-func sameImage(t *testing.T, ctx string, got Checkpoint, p *partition.Partition) {
+// imageOf builds a column-major image from rows, each column taking the
+// kind of its first non-NULL value.
+func imageOf(rows []schema.Row, version uint64, offset int64) Checkpoint {
+	ck := Checkpoint{Version: version, Offset: offset}
+	for _, r := range rows {
+		if ck.Cols == nil {
+			ck.Cols = make([]storage.Vec, len(r.Vals))
+		}
+		ck.IDs = append(ck.IDs, r.ID)
+		for c, v := range r.Vals {
+			ck.Cols[c].Append(v)
+		}
+	}
+	return ck
+}
+
+func sameImage(t *testing.T, ctx string, got RowImage, p *partition.Partition) {
 	t.Helper()
 	want := p.ExtractAll(storage.Latest)
 	if got.Version != p.Version() {
@@ -101,14 +118,12 @@ func TestFoldMatchesReplayedPartition(t *testing.T) {
 		ids := 8 + rng.Intn(120)
 		b := NewBroker()
 		b.SetObs(obs.NewRegistry())
-		b.CreateTopic(pid)
+		b.CreateTopic(pid, foldKinds...)
 		p := oraclePartition(pid, schema.RowID(ids))
 		ver := uint64(0)
 
 		saveBase := func() {
-			b.SaveCheckpoint(pid, Checkpoint{
-				Rows: p.ExtractAll(storage.Latest), Version: p.Version(), Offset: b.EndOffset(pid),
-			})
+			b.SaveCheckpoint(pid, CheckpointOf(p, b.EndOffset(pid)))
 		}
 		if seed%2 == 0 { // otherwise: never checkpointed, folds from empty
 			var base []schema.Row
@@ -168,12 +183,13 @@ func TestFoldMatchesReplayedPartition(t *testing.T) {
 }
 
 // TestFoldCounters: folded records, rejected records and the image-rows
-// gauge are exported, and the gauge follows replacement and deletion.
+// and image-bytes gauges are exported, and the gauges follow a fold,
+// replacement and deletion.
 func TestFoldCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewBroker()
 	b.SetObs(reg)
-	b.CreateTopic(1)
+	b.CreateTopic(1, recKinds...)
 	for i := uint64(1); i <= 5; i++ {
 		b.Append(rec(1, i, schema.RowID(i)))
 	}
@@ -200,13 +216,36 @@ func TestFoldCounters(t *testing.T) {
 	if ck, _ := b.Checkpoint(1); ck.Version != 5 || ck.Offset != 6 {
 		t.Errorf("image at version %d offset %d, want 5 and 6", ck.Version, ck.Offset)
 	}
-	b.SaveCheckpoint(1, Checkpoint{Rows: []schema.Row{{ID: 9, Vals: []types.Value{types.NewInt64(9)}}}, Version: 9, Offset: 6})
+	// Five rows of (Int64, "x"): an id and an int cell of 8 bytes each, a
+	// 16-byte string header and one byte of payload.
+	bytes := func() int64 { return reg.Snapshot().Gauges["redolog.checkpoint_image_bytes"] }
+	if got := bytes(); got != 5*(8+8+16+1) {
+		t.Errorf("image_bytes = %d, want %d", got, 5*(8+8+16+1))
+	}
+	b.Append(Record{Partition: 1, Version: 7, Entries: []Entry{
+		{Op: OpUpdate, Row: 1, Cols: []schema.ColID{1}, Vals: []types.Value{types.NewString("xyz")}}, // +2
+		{Op: OpDelete, Row: 2}, // -33
+		{Op: OpUpdate, Row: 3, Cols: []schema.ColID{0}, Vals: []types.Value{types.Null()}}, // +4 NULL flags
+	}})
+	if n := b.FoldCheckpoint(1, 1); n != 1 {
+		t.Fatalf("folded %d records, want 1", n)
+	}
+	if got, want := bytes(), int64(5*33+2-33+4); got != want {
+		t.Errorf("image_bytes after a fold = %d, want %d", got, want)
+	}
+	b.SaveCheckpoint(1, imageOf([]schema.Row{{ID: 9, Vals: []types.Value{types.NewInt64(9)}}}, 9, 7))
 	if got := reg.Snapshot().Gauges["redolog.checkpoint_image_rows"]; got != 1 {
 		t.Errorf("image_rows after replacement = %d, want 1", got)
+	}
+	if got := bytes(); got != 16 {
+		t.Errorf("image_bytes after replacement = %d, want 16", got)
 	}
 	b.DeleteTopic(1)
 	if got := reg.Snapshot().Gauges["redolog.checkpoint_image_rows"]; got != 0 {
 		t.Errorf("image_rows after delete = %d, want 0", got)
+	}
+	if got := bytes(); got != 0 {
+		t.Errorf("image_bytes after delete = %d, want 0", got)
 	}
 	if n := b.FoldCheckpoint(1, 1); n != 0 {
 		t.Errorf("fold on a deleted topic folded %d records", n)
@@ -218,6 +257,8 @@ func TestFoldCounters(t *testing.T) {
 // skip their effects; it must leave the image alone instead.
 func TestFoldRefusesAcrossTruncatedGap(t *testing.T) {
 	b := NewBroker()
+	b.CreateTopic(1, recKinds...)
+	b.CreateTopic(2, recKinds...)
 	for i := uint64(1); i <= 10; i++ {
 		b.Append(rec(1, i, schema.RowID(i)))
 		b.Append(rec(2, i, schema.RowID(i)))
@@ -246,10 +287,7 @@ func TestFoldRefusesAcrossTruncatedGap(t *testing.T) {
 func TestCheckpointReadersKeepTheirImage(t *testing.T) {
 	b := NewBroker()
 	val := func(v int64) []types.Value { return []types.Value{types.NewInt64(v), types.NewString("x")} }
-	b.SaveCheckpoint(1, Checkpoint{
-		Rows:    []schema.Row{{ID: 30, Vals: val(30)}, {ID: 10, Vals: val(10)}, {ID: 20, Vals: val(20)}},
-		Version: 1,
-	})
+	b.SaveCheckpoint(1, imageOf([]schema.Row{{ID: 30, Vals: val(30)}, {ID: 10, Vals: val(10)}, {ID: 20, Vals: val(20)}}, 1, 0))
 	before, _ := b.Checkpoint(1)
 	if before.Rows[0].ID != 10 || before.Rows[1].ID != 20 || before.Rows[2].ID != 30 {
 		t.Fatalf("base image not ordered by id: %v", before.Rows)
@@ -340,7 +378,7 @@ func TestFoldConcurrentWithLog(t *testing.T) {
 		for i := range img {
 			img[i] = schema.Row{ID: schema.RowID(i), Vals: []types.Value{types.NewInt64(int64(ver))}}
 		}
-		return Checkpoint{Rows: img, Version: ver, Offset: b.EndOffset(pid)}
+		return imageOf(img, ver, b.EndOffset(pid))
 	}
 	b.SaveCheckpoint(pid, base(0))
 
@@ -437,7 +475,7 @@ func benchFold(b *testing.B, rows, stride int) {
 		}
 		img[i] = schema.Row{ID: schema.RowID(i * stride), Vals: vals}
 	}
-	br.SaveCheckpoint(pid, Checkpoint{Rows: img, Version: 1})
+	br.SaveCheckpoint(pid, imageOf(img, 1, 0))
 	rng := rand.New(rand.NewSource(1))
 	update := func() Entry {
 		return Entry{
@@ -462,5 +500,252 @@ func benchFold(b *testing.B, rows, stride int) {
 			b.Fatal("fold did not run")
 		}
 		br.Truncate(pid, br.CheckpointOffset(pid))
+	}
+}
+
+// TestCheckpointFoldAllocBudget: folding 256 records of two fixed-width
+// single-cell updates (the oltp-rmw shape) into a 10⁴-row image writes
+// the cells in place, so a fold allocates a fixed number of times however
+// many records it applies. Each measured round also appends the records
+// (one allocation: the truncated log starts from an empty array) and
+// truncates them again.
+func TestCheckpointFoldAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const (
+		pid  = partition.ID(1)
+		rows = 10_000
+		tail = 256
+		// Measured 3 per round — the log's array, the fold's copy of the
+		// tail's record headers and the advanced image's header — + 10 %.
+		budget = 3.3
+	)
+	kinds := []types.Kind{types.KindInt64, types.KindFloat64, types.KindTime, types.KindInt64}
+	br := NewBroker()
+	br.SetObs(obs.NewRegistry())
+	br.CreateTopic(pid, kinds...)
+	img := make([]schema.Row, rows)
+	for i := range img {
+		img[i] = schema.Row{ID: schema.RowID(i), Vals: []types.Value{
+			types.NewInt64(int64(i)), types.NewFloat64(float64(i)), types.NewTimeMicros(int64(i)), types.NewInt64(0),
+		}}
+	}
+	br.SaveCheckpoint(pid, imageOf(img, 1, 0))
+	rng := rand.New(rand.NewSource(1))
+	recs := make([]Record, tail)
+	for i := range recs {
+		recs[i] = Record{Partition: pid, Entries: []Entry{
+			{Op: OpUpdate, Row: schema.RowID(rng.Intn(rows)), Cols: []schema.ColID{1}, Vals: []types.Value{types.NewFloat64(-1)}},
+			{Op: OpUpdate, Row: schema.RowID(rng.Intn(rows)), Cols: []schema.ColID{3}, Vals: []types.Value{types.NewInt64(7)}},
+		}}
+	}
+	ver := uint64(1)
+	got := testing.AllocsPerRun(20, func() {
+		for i := range recs {
+			ver++
+			recs[i].Version = ver
+		}
+		br.AppendBatch(recs)
+		if br.FoldCheckpoint(pid, tail) != tail {
+			t.Fatal("fold did not run")
+		}
+		br.Truncate(pid, br.CheckpointOffset(pid))
+	})
+	if got > budget {
+		t.Errorf("%.1f allocations per %d-record fold, budget %.1f", got, tail, budget)
+	}
+	if ck, _ := br.Checkpoint(pid); ck.Version != ver || len(ck.Rows) != rows {
+		t.Errorf("image at version %d with %d rows, want %d and %d", ck.Version, len(ck.Rows), ver, rows)
+	}
+}
+
+var nullKinds = []types.Kind{types.KindInt64, types.KindFloat64, types.KindString, types.KindTime, types.KindBool}
+
+// nullVals draws a row over nullKinds with each cell NULL one time in four.
+func nullVals(rng *rand.Rand) []types.Value {
+	v := []types.Value{
+		types.NewInt64(rng.Int63n(100)), types.NewFloat64(float64(rng.Intn(100)) / 4),
+		types.NewString(fmt.Sprintf("s%d", rng.Intn(100))), types.NewTimeMicros(rng.Int63n(1e9)), types.NewBool(rng.Intn(2) == 0),
+	}
+	for c := range v {
+		if rng.Intn(4) == 0 {
+			v[c] = types.Null()
+		}
+	}
+	return v
+}
+
+// checkColumns holds the folded image to its shape: ascending ids, every
+// column of its kind and as long as the id list, Null present exactly when
+// the column holds a NULL, and the bytes gauge equal to a recount.
+func checkColumns(t *testing.T, ctx string, b *Broker, pid partition.ID, kinds []types.Kind, reg *obs.Registry) {
+	t.Helper()
+	tp := b.lookup(pid)
+	tp.ckMu.Lock()
+	defer tp.ckMu.Unlock()
+	ck := tp.ckpt
+	if !slices.IsSorted(ck.IDs) {
+		t.Fatalf("%s: ids out of order: %v", ctx, ck.IDs)
+	}
+	recount := 8 * int64(len(ck.IDs))
+	for c := range ck.Cols {
+		v := &ck.Cols[c]
+		if v.Kind != kinds[c] {
+			t.Fatalf("%s: column %d has kind %v, want %v", ctx, c, v.Kind, kinds[c])
+		}
+		if v.Enc != storage.EncNone || v.Len() != len(ck.IDs) {
+			t.Fatalf("%s: column %d encoded %v with %d cells for %d rows", ctx, c, v.Enc, v.Len(), len(ck.IDs))
+		}
+		if (v.Null != nil) != slices.Contains(v.Null, true) {
+			t.Fatalf("%s: column %d keeps a Null of %d flags and no NULL", ctx, c, len(v.Null))
+		}
+		recount += 8*int64(len(v.I64)+len(v.F64)) + int64(len(v.Null))
+		for _, s := range v.Str {
+			recount += 16 + int64(len(s))
+		}
+	}
+	if got := reg.Snapshot().Gauges["redolog.checkpoint_image_bytes"]; got != recount {
+		t.Fatalf("%s: image_bytes gauge %d, image holds %d", ctx, got, recount)
+	}
+}
+
+// TestFoldKeepsNullsTyped: over seeded random histories whose cells are
+// often NULL, in every kind a column can have, the folded image equals a
+// replayed column-store partition (which keeps NULLs, where a row store
+// reads them back as zero) cell for cell and keeps its typed shape. Base
+// images are taken mid-history too, from plain, value-sorted and
+// run-length-compressed column stores with a pending delta.
+func TestFoldKeepsNullsTyped(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const pid = partition.ID(3)
+		ids := 8 + rng.Intn(60)
+		reg := obs.NewRegistry()
+		b := NewBroker()
+		b.SetObs(reg)
+		b.CreateTopic(pid, nullKinds...)
+		f := partition.Factory{Dev: disksim.New(disksim.Config{})}
+		bounds := partition.Bounds{RowEnd: schema.RowID(ids), ColEnd: schema.ColID(len(nullKinds))}
+		layout := []storage.Layout{
+			storage.DefaultColumnLayout(),
+			{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 0},
+			{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 4, Compressed: true},
+		}[seed%3]
+		p := partition.New(pid, bounds, nullKinds, layout, f)
+		if seed%2 == 0 {
+			var base []schema.Row
+			for id := 0; id < ids; id += 1 + rng.Intn(3) {
+				base = append(base, schema.Row{ID: schema.RowID(id), Vals: nullVals(rng)})
+			}
+			if err := p.Load(base, 1); err != nil {
+				t.Fatal(err)
+			}
+			b.SaveCheckpoint(pid, CheckpointOf(p, 0))
+		}
+		for step := 0; step < 300; step++ {
+			rec := Record{Partition: pid, Version: p.Version() + 1}
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				e := Entry{Row: schema.RowID(rng.Intn(ids))}
+				switch r := rng.Intn(10); {
+				case r < 4:
+					e.Op, e.Vals = OpInsert, nullVals(rng)
+				case r < 8:
+					e.Op = OpUpdate
+					all := nullVals(rng)
+					for _, c := range rng.Perm(len(all))[:1+rng.Intn(2)] {
+						e.Cols = append(e.Cols, schema.ColID(c))
+						e.Vals = append(e.Vals, all[c])
+					}
+				default:
+					e.Op = OpDelete
+				}
+				rec.Entries = append(rec.Entries, e)
+			}
+			b.Append(rec)
+			replay(p, rec)
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
+			switch r := rng.Intn(16); {
+			case r < 2 && b.FoldCheckpoint(pid, 1) > 0:
+			case r == 2:
+				b.SaveCheckpoint(pid, CheckpointOf(p, b.EndOffset(pid)))
+			default:
+				continue
+			}
+			ck, _ := b.Checkpoint(pid)
+			sameImage(t, ctx, ck, p)
+			checkColumns(t, ctx, b, pid, nullKinds, reg)
+		}
+	}
+}
+
+// TestCheckpointOfMatchesExtract: a base image taken from a partition's
+// batch scan decodes to exactly the partition's extract — on row and
+// column stores, in memory and on disk, value-sorted (rows arrive out of
+// id order), run-length, dictionary and frame-of-reference encoded
+// (low-cardinality, NULL-free columns), with NULLs, and with a pending
+// delta of updates, deletes and out-of-order inserts.
+func TestCheckpointOfMatchesExtract(t *testing.T) {
+	layouts := []storage.Layout{
+		storage.DefaultRowLayout(),
+		{Format: storage.RowFormat, Tier: storage.DiskTier, SortBy: storage.NoSort},
+		storage.DefaultColumnLayout(),
+		{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 1},
+		{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: 2, Compressed: true},
+		{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort, Compressed: true},
+		{Format: storage.ColumnFormat, Tier: storage.DiskTier, SortBy: 3, Compressed: true},
+	}
+	const rows = 600
+	for li, l := range layouts {
+		for _, nulls := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(li)))
+			f := partition.Factory{Dev: disksim.New(disksim.Config{})}
+			bounds := partition.Bounds{RowEnd: 2 * rows, ColEnd: schema.ColID(len(nullKinds))}
+			p := partition.New(1, bounds, nullKinds, l, f)
+			lowCard := func(id int) []types.Value {
+				v := []types.Value{
+					types.NewInt64(int64(id / 50)), types.NewFloat64(float64(id % 3)),
+					types.NewString(fmt.Sprintf("k%d", id%5)), types.NewTimeMicros(1e6 + int64(id%7)), types.NewBool(id%2 == 0),
+				}
+				if nulls && id%11 == 0 {
+					v[id%len(v)] = types.Null()
+				}
+				return v
+			}
+			var base []schema.Row
+			for id := 0; id < rows; id++ {
+				base = append(base, schema.Row{ID: schema.RowID(id), Vals: lowCard(id)})
+			}
+			if err := p.Load(base, 1); err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("%v nulls=%v", l, nulls)
+			same := func(stage string) {
+				t.Helper()
+				b := NewBroker()
+				b.SaveCheckpoint(1, CheckpointOf(p, 0))
+				ck, _ := b.Checkpoint(1)
+				sameImage(t, ctx+" "+stage, ck, p)
+			}
+			same("loaded")
+			ver := uint64(1)
+			for i := 0; i < 60; i++ {
+				ver++
+				id := schema.RowID(rng.Intn(rows))
+				var err error
+				switch i % 3 {
+				case 0:
+					err = p.Update(id, []schema.ColID{2}, []types.Value{types.NewString("upd")}, ver)
+				case 1:
+					err = p.Delete(id, ver)
+				default:
+					err = p.Insert(schema.Row{ID: schema.RowID(2*rows - 1 - i), Vals: lowCard(i)}, ver)
+				}
+				if err == nil {
+					p.SetVersion(ver)
+				}
+			}
+			same("with a delta")
+		}
 	}
 }

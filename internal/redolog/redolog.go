@@ -58,15 +58,16 @@ type Broker struct {
 	topics map[partition.ID]*topic
 
 	// Optional observability instruments (SetObs).
-	obsAppends   *obs.Counter
-	obsPolls     *obs.Counter
-	obsPolled    *obs.Counter
-	obsTruncated *obs.Counter
-	obsCkpts     *obs.Counter
-	obsFolded    *obs.Counter // records folded into checkpoint images
-	obsRejected  *obs.Counter // folded records an image could not accept
-	obsBacklog   *obs.Gauge   // retained records across all topics
-	obsImageRows *obs.Gauge   // rows held by checkpoint images across all topics
+	obsAppends    *obs.Counter
+	obsPolls      *obs.Counter
+	obsPolled     *obs.Counter
+	obsTruncated  *obs.Counter
+	obsCkpts      *obs.Counter
+	obsFolded     *obs.Counter // records folded into checkpoint images
+	obsRejected   *obs.Counter // folded records an image could not accept
+	obsBacklog    *obs.Gauge   // retained records across all topics
+	obsImageRows  *obs.Gauge   // rows held by checkpoint images across all topics
+	obsImageBytes *obs.Gauge   // bytes held by checkpoint images' columns
 }
 
 // topic is one partition's log and its checkpoint. base is the offset of
@@ -75,18 +76,20 @@ type Broker struct {
 //
 // The log and the checkpoint image have a lock each, so that refreshing the
 // image never stalls a commit: mu guards base and records and is all that
-// Append, AppendBatch, Poll and Truncate take; ckMu guards ckpt, the rows
-// it points at and dead. A fold holds ckMu throughout and takes mu (read)
-// only to copy the tail's record headers out — ckMu before mu, never the
-// reverse.
+// Append, AppendBatch, Poll and Truncate take; ckMu guards ckpt, the
+// columns it points at, ckptBytes, kinds and dead. A fold holds ckMu
+// throughout and takes mu (read) only to copy the tail's record headers
+// out — ckMu before mu, never the reverse.
 type topic struct {
 	mu      sync.RWMutex
 	base    int64
 	records []Record
 
-	ckMu sync.Mutex
-	ckpt *Checkpoint // nil until saved or first folded; Rows ordered by ID
-	dead bool        // topic deleted: a fold still holding it must not revive the image
+	ckMu      sync.Mutex
+	ckpt      *Checkpoint  // nil until saved or first folded
+	ckptBytes int64        // ckpt.bytes() when it was installed (gauge bookkeeping)
+	kinds     []types.Kind // the partition's column kinds, when CreateTopic named them
+	dead      bool         // topic deleted: a fold still holding it must not revive the image
 }
 
 // NewBroker creates an empty broker.
@@ -100,7 +103,8 @@ func NewBroker() *Broker {
 // redolog.checkpoints (images installed or advanced),
 // redolog.checkpoint_folded_records, redolog.checkpoint_fold_rejected
 // (records an image could not accept; stays 0 unless log and image
-// diverged) and the redolog.checkpoint_image_rows gauge.
+// diverged) and the redolog.checkpoint_image_rows and
+// redolog.checkpoint_image_bytes gauges.
 func (b *Broker) SetObs(reg *obs.Registry) {
 	b.obsAppends = reg.Counter("redolog.appends")
 	b.obsPolls = reg.Counter("redolog.polls")
@@ -111,15 +115,21 @@ func (b *Broker) SetObs(reg *obs.Registry) {
 	b.obsRejected = reg.Counter("redolog.checkpoint_fold_rejected")
 	b.obsBacklog = reg.Gauge("redolog.backlog")
 	b.obsImageRows = reg.Gauge("redolog.checkpoint_image_rows")
+	b.obsImageBytes = reg.Gauge("redolog.checkpoint_image_bytes")
 }
 
-// CreateTopic ensures a log exists for the partition.
-func (b *Broker) CreateTopic(pid partition.ID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.topics[pid]; !ok {
-		b.topics[pid] = &topic{}
+// CreateTopic ensures a log exists for the partition and tells it the
+// partition's column kinds: the columns of a checkpoint image folded up
+// from nothing. The broker keeps kinds (read only). A topic told no kinds
+// and given no image has no columns, so a fold rejects its inserts.
+func (b *Broker) CreateTopic(pid partition.ID, kinds ...types.Kind) {
+	t := b.topic(pid)
+	if len(kinds) == 0 {
+		return
 	}
+	t.ckMu.Lock()
+	t.kinds = kinds
+	t.ckMu.Unlock()
 }
 
 // DeleteTopic removes a partition's log and checkpoint (after the

@@ -10,6 +10,9 @@ import (
 	"proteus/internal/types"
 )
 
+// recKinds are the column kinds of rec's rows.
+var recKinds = []types.Kind{types.KindInt64, types.KindString}
+
 func rec(pid partition.ID, ver uint64, id schema.RowID) Record {
 	return Record{Partition: pid, Version: ver, Entries: []Entry{{
 		Op: OpInsert, Row: id,

@@ -432,6 +432,9 @@ func (p *parser) buildQuery(items []selectItem, left, right *schema.Table,
 			spec := exec.AggSpec{Func: it.agg}
 			if it.col != "" {
 				spec.Col = finalPos[itemPos[i]]
+				if spec.Func == exec.AggCount {
+					spec.Func = exec.AggCountCol // COUNT(col) skips NULLs; COUNT(*) does not
+				}
 			}
 			aggs = append(aggs, spec)
 		}

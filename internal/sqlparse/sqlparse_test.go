@@ -42,6 +42,15 @@ func parseQuery(t *testing.T, sql string) *query.Query {
 	return req.Query
 }
 
+// TestCountColumnIsCountCol: COUNT(col) counts a column's non-NULL
+// inputs (exec.AggCountCol), COUNT(*) every row (exec.AggCount).
+func TestCountColumnIsCountCol(t *testing.T) {
+	agg := parseQuery(t, "SELECT COUNT(amount), COUNT(*) FROM orders").Root.(*query.AggNode)
+	if len(agg.Aggs) != 2 || agg.Aggs[0].Func != exec.AggCountCol || agg.Aggs[1].Func != exec.AggCount {
+		t.Errorf("aggs = %v", agg.Aggs)
+	}
+}
+
 func TestSelectScanAggregate(t *testing.T) {
 	q := parseQuery(t, "SELECT SUM(amount), COUNT(*) FROM orders WHERE amount >= 10 AND note = 'x'")
 	agg, ok := q.Root.(*query.AggNode)

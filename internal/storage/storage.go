@@ -122,8 +122,14 @@ func (o CmpOp) String() string {
 	return "?"
 }
 
-// Eval applies the operator to the comparison result of two values.
+// Eval applies the operator to the comparison result of two values. As in
+// SQL, a comparison with NULL on either side is false for every operator,
+// so a predicate never selects a NULL cell (and zone-map pruning, which
+// ignores NULLs, cannot change an answer).
 func (o CmpOp) Eval(a, b types.Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return false
+	}
 	c := types.Compare(a, b)
 	switch o {
 	case CmpEq:

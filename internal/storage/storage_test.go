@@ -27,6 +27,45 @@ func TestCmpOpEval(t *testing.T) {
 			t.Errorf("%v %v %v = %v, want %v", c.a, c.op, c.b, got, c.want)
 		}
 	}
+	// A comparison with NULL is false whichever side the NULL is on.
+	for _, op := range []CmpOp{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe} {
+		for _, p := range [][2]types.Value{{types.Null(), two}, {two, types.Null()}, {types.Null(), types.Null()}} {
+			if op.Eval(p[0], p[1]) {
+				t.Errorf("%v %v %v = true, want false", p[0], op, p[1])
+			}
+		}
+	}
+}
+
+// TestFilterVecSkipsNull: no kernel selects a NULL cell or matches a NULL
+// constant — the plain vector's NULL-bearing path and every encoding.
+func TestFilterVecSkipsNull(t *testing.T) {
+	ops := []CmpOp{CmpEq, CmpNe, CmpLt, CmpLe, CmpGt, CmpGe}
+	nullable := &Vec{}
+	for _, v := range []types.Value{types.NewInt64(1), types.Null(), types.NewInt64(9)} {
+		nullable.Append(v)
+	}
+	vecs := map[string]*Vec{
+		"plain": {Kind: types.KindInt64, I64: []int64{1, 5, 9}},
+		"dict":  func() *Vec { v := DictVec([]uint32{0, 1, 1}, []string{"a", "b"}); return &v }(),
+		"for":   func() *Vec { v := FoRVec(types.KindInt64, 10, []uint32{0, 3, 7}); return &v }(),
+		"runs":  func() *Vec { v := RunsVec(types.KindInt64, []int64{4, 6}, nil, nil, []uint32{2, 3}); return &v }(),
+	}
+	for _, op := range ops {
+		for name, v := range vecs {
+			if got := FilterVec(nil, nil, v.Len(), v, op, types.Null()); len(got) != 0 {
+				t.Errorf("%s %v NULL kept rows %v", name, op, got)
+			}
+		}
+		for _, sel := range [][]int32{nil, {0, 1, 2}} {
+			got := FilterVec(nil, sel, 3, nullable, op, types.NewInt64(5))
+			for _, i := range got {
+				if i == 1 {
+					t.Errorf("NULL %v 5 kept the NULL row (sel %v)", op, sel)
+				}
+			}
+		}
+	}
 }
 
 func TestPredMatch(t *testing.T) {

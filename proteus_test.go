@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"proteus/internal/sqlparse"
+	"proteus/internal/storage"
 	"proteus/internal/types"
 )
 
@@ -93,7 +95,11 @@ func TestScalarAggregates(t *testing.T) {
 // rows in 4 partitions, amount = id + 100, with row 10's amount NULL: SQL
 // divides by the 99 non-NULL amounts. The table is a column store, because
 // the in-memory row store reads a NULL fixed-width cell back as zero.
-func TestAvgSkipsNull(t *testing.T) {
+// openNullOrders loads 100 rows in 4 partitions on column copies (row
+// copies read a NULL back as zero), amount = id + 100 except row 10's,
+// which is NULL.
+func openNullOrders(t *testing.T) (*DB, *Table) {
+	t.Helper()
 	db, err := Open(Options{Sites: 2, Mode: ColumnStore})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +121,79 @@ func TestAvgSkipsNull(t *testing.T) {
 	if err := db.Load(context.Background(), tbl, rows); err != nil {
 		t.Fatal(err)
 	}
+	return db, tbl
+}
+
+func TestAvgSkipsNull(t *testing.T) {
+	db, tbl := openNullOrders(t)
 	avg, err := db.Session().QueryScalar(context.Background(), tbl.Scan("amount").Avg("amount"))
 	if want := (14950.0 - 110) / 99; err != nil || math.Abs(avg.Float()-want) > 1e-9 {
 		t.Fatalf("avg = %v, %v; want %v", avg, err, want)
+	}
+}
+
+// TestSQLCountColumnSkipsNull: COUNT(col) counts the non-NULL inputs and
+// COUNT(*) every row, through the SQL front end.
+func TestSQLCountColumnSkipsNull(t *testing.T) {
+	db, _ := openNullOrders(t)
+	e := db.Engine()
+	req, err := sqlparse.Parse(e.Catalog, "SELECT COUNT(amount), COUNT(*) FROM orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := e.ExecuteQuery(context.Background(), e.NewSession(), req.Query)
+	if err != nil || len(rel.Tuples) != 1 {
+		t.Fatalf("query: %v rows, %v", len(rel.Tuples), err)
+	}
+	if got := rel.Tuples[0]; got[0].Int() != 99 || got[1].Int() != 100 {
+		t.Errorf("COUNT(amount), COUNT(*) = %v, %v; want 99, 100", got[0], got[1])
+	}
+}
+
+// TestComparisonWithNullIsFalse: no comparison selects the NULL amount,
+// and the answer is the same whether the zone map prunes the NULL row's
+// partition or has to scan it.
+func TestComparisonWithNullIsFalse(t *testing.T) {
+	db, tbl := openNullOrders(t)
+	ctx := context.Background()
+	s := db.Session()
+	count := func(op storage.CmpOp, v float64) int64 {
+		t.Helper()
+		n, err := s.QueryScalar(ctx, tbl.Scan("amount").Where("amount", op, Float64Value(v)).Count())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.Int()
+	}
+	if got := count(Lt, 150); got != 49 {
+		t.Errorf("amount < 150: %d rows, want 49", got)
+	}
+	if got := count(Ne, 150); got != 98 {
+		t.Errorf("amount <> 150: %d rows, want 98", got)
+	}
+	if got := count(Ge, 0); got != 99 {
+		t.Errorf("amount >= 0: %d rows, want 99", got)
+	}
+	first := db.Engine().Dir.TablePartitions(tbl.ID)[0] // rows 0–24, the NULL included
+	below5 := storage.Pred{{Col: 1, Op: Lt, Val: Float64Value(5)}}
+	if !first.ZoneMap.CanSkip(below5) {
+		t.Fatal("the zone map does not prune amount < 5 on rows 0–24")
+	}
+	if got := count(Lt, 5); got != 0 {
+		t.Errorf("amount < 5, NULL row's partition pruned: %d rows, want 0", got)
+	}
+	// Widen the partition's zone map past the constant: it no longer
+	// prunes, and the scan meets the NULL row.
+	for _, v := range []float64{1, 111} {
+		if err := s.Update(ctx, tbl, 11, map[string]Value{"amount": Float64Value(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first.ZoneMap.CanSkip(below5) {
+		t.Fatal("the zone map still prunes amount < 5 after amount 1 was written")
+	}
+	if got := count(Lt, 5); got != 0 {
+		t.Errorf("amount < 5, NULL row's partition scanned: %d rows, want 0", got)
 	}
 }
 

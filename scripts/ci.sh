@@ -28,8 +28,8 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # pipeline and tables, runtime filters, columnar relations, batch kernels,
 # the group-by table and HashAggregate, the in-memory column store with
 # its delta, scan chunks and column builds, the storage batches and filter
-# kernels, the zone map) and the per-tick log paths (the redo-log broker,
-# replication's fetch and apply) format no strings and sort through
+# kernels, the zone map) and the per-tick log paths (the redo-log broker
+# and its checkpoint fold, replication's fetch and apply) format no strings and sort through
 # slices.*: fmt.Sprint* and fmt.Fprint* allocate on every call, and
 # sort.Slice / sort.SliceStable allocate a closure and a reflect swapper.
 # fmt.Errorf on error returns is allowed; test files are not checked.
@@ -39,7 +39,7 @@ hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/
     internal/storage/{batch,kernels}.go internal/zonemap/zonemap.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
     internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
-    internal/replication/replication.go internal/redolog/redolog.go)
+    internal/replication/replication.go internal/redolog/{redolog,checkpoint}.go)
 for f in internal/txn/*.go; do
     [[ "$f" == *_test.go ]] || hot_paths+=("$f")
 done
