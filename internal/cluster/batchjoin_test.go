@@ -463,3 +463,70 @@ func TestBatchJoinMetricsExported(t *testing.T) {
 		t.Error("grouped aggregation never took a typed key path")
 	}
 }
+
+// TestBatchJoinNullKeysMatchNothing joins column copies with NULL join keys
+// on both sides — every seventh fact row's grp and one extra groups row's
+// gid — through the pipelined probe (the bare join) and the materialized
+// batch join (a join over an aggregate, whose NULL group meets the NULL
+// gid): as in SQL no pair has a NULL key, and the answers equal the
+// reference evaluator's.
+func TestBatchJoinNullKeysMatchNothing(t *testing.T) {
+	const rows, ngroups = 240, 10
+	e := New(fastConfig(ModeColumnStore, 2))
+	t.Cleanup(e.Close)
+	fact, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: rows, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factRows := testRows(rows)
+	for i := range factRows {
+		if i%7 == 0 {
+			factRows[i].Vals[1] = types.Null()
+		}
+	}
+	if err := e.LoadRows(context.Background(), fact.ID, factRows); err != nil {
+		t.Fatal(err)
+	}
+	dimRows := append(groupsRows(ngroups), schema.Row{ID: ngroups, Vals: []types.Value{
+		types.Null(), types.NewFloat64(-1), types.NewString("null"),
+	}})
+	dim := createGroups(t, e, 0, func(s *TableSpec) { s.MaxRows, s.ReplicateAll = ngroups+1, true })
+	if err := e.LoadRows(context.Background(), dim.ID, dimRows); err != nil {
+		t.Fatal(err)
+	}
+	tables := refTables{fact.ID: factRows, dim.ID: dimRows}
+	overAgg := &query.Query{Root: &query.JoinNode{
+		Left: (&query.Query{Root: &query.AggNode{
+			Child:   &query.ScanNode{Table: fact.ID, Cols: []schema.ColID{1, 2}},
+			GroupBy: []int{0},
+			Aggs:    []exec.AggSpec{{Func: exec.AggCount}},
+		}}).Root,
+		Right:       &query.ScanNode{Table: dim.ID, Cols: []schema.ColID{0, 2}},
+		LeftKeyCol:  0,
+		RightKeyCol: 0,
+	}}
+	for _, tc := range []struct {
+		name      string
+		q         *query.Query
+		pipelined bool
+		want      int // rows with a non-NULL key
+	}{
+		{"pipelined", factDimJoin(fact, dim), true, rows - (rows+6)/7},
+		{"materialized", overAgg, false, ngroups},
+	} {
+		before := exec.ReadJoinStats()
+		got := runSorted(t, e, tc.q)
+		if d := exec.ReadJoinStats(); d.Joins == before.Joins || (d.Pipelined != before.Pipelined) != tc.pipelined {
+			t.Fatalf("%s: joins %d -> %d, pipelined %d -> %d", tc.name, before.Joins, d.Joins, before.Pipelined, d.Pipelined)
+		}
+		for _, tu := range got.Tuples {
+			if tu[0].IsNull() {
+				t.Fatalf("%s: NULL-keyed pair %v", tc.name, tu)
+			}
+		}
+		if len(got.Tuples) != tc.want {
+			t.Errorf("%s: %d rows, want %d", tc.name, len(got.Tuples), tc.want)
+		}
+		checkRef(t, e, tc.name, tc.q, tables)
+	}
+}

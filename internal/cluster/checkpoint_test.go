@@ -11,7 +11,6 @@ import (
 	"proteus/internal/metadata"
 	"proteus/internal/partition"
 	"proteus/internal/query"
-	"proteus/internal/redolog"
 	"proteus/internal/schema"
 	"proteus/internal/simnet"
 	"proteus/internal/storage"
@@ -25,7 +24,7 @@ import (
 // and install in a flush after the lock drops, so the barrier is what
 // makes the three mutually consistent). It survives as the oracle folded
 // images are compared against.
-func extractCheckpoint(e *Engine, m *metadata.PartitionMeta) (redolog.RowImage, bool) {
+func extractCheckpoint(e *Engine, m *metadata.PartitionMeta) (rowImage, bool) {
 	e.gc.barrier(m.Master().Site)
 	ls := e.Locks.AcquireAll(nil, []partition.ID{m.ID})
 	defer ls.ReleaseAll()
@@ -33,18 +32,31 @@ func extractCheckpoint(e *Engine, m *metadata.PartitionMeta) (redolog.RowImage, 
 	master := m.Master()
 	s := e.siteOf(master.Site)
 	if s.Down() {
-		return redolog.RowImage{}, false
+		return rowImage{}, false
 	}
 	p, ok := s.Partition(m.ID)
 	if !ok {
-		return redolog.RowImage{}, false
+		return rowImage{}, false
 	}
 	e.gc.barrier(master.Site)
-	return redolog.RowImage{
+	return rowImage{
 		Rows:    p.ExtractAll(storage.Latest),
 		Version: p.Version(),
 		Offset:  e.Broker.EndOffset(m.ID),
 	}, true
+}
+
+// rowImage is a checkpoint boxed to rows ordered by id.
+type rowImage struct {
+	Rows    []schema.Row
+	Version uint64
+	Offset  int64
+}
+
+// brokerImage boxes the broker's checkpoint of pid.
+func brokerImage(e *Engine, pid partition.ID) (rowImage, bool) {
+	ck, ok := e.Broker.Checkpoint(pid)
+	return rowImage{Rows: ck.Rows(), Version: ck.Version, Offset: ck.Offset}, ok
 }
 
 // sameRows compares two row sets by id, whatever order each lists them in.
@@ -222,7 +234,7 @@ func recoveryFromFoldedCheckpoints(t *testing.T, mode Mode) {
 			sameRows(t, ctx+": rebuilt copy vs never-crashed copy", copyRows(1, m.ID), copyRows(0, m.ID))
 
 			e.Broker.FoldCheckpoint(m.ID, 1)
-			img, ok := e.Broker.Checkpoint(m.ID)
+			img, ok := brokerImage(e, m.ID)
 			oracle, ok2 := extractCheckpoint(e, m)
 			if !ok || !ok2 {
 				t.Fatalf("%s: image present %v, oracle present %v", ctx, ok, ok2)
@@ -266,7 +278,7 @@ func recoveryFromFoldedCheckpoints(t *testing.T, mode Mode) {
 	}
 	var imageRows int64
 	for _, m := range metas {
-		img, _ := e.Broker.Checkpoint(m.ID)
+		img, _ := brokerImage(e, m.ID)
 		imageRows += int64(len(img.Rows))
 	}
 	if got := snap.Gauges["redolog.checkpoint_image_rows"]; got != imageRows {
@@ -471,7 +483,7 @@ func TestCheckpointImageRoundTripsNulls(t *testing.T) {
 	}
 	for _, m := range metas {
 		e.Broker.FoldCheckpoint(m.ID, 1)
-		img, ok := e.Broker.Checkpoint(m.ID)
+		img, ok := brokerImage(e, m.ID)
 		oracle, ok2 := extractCheckpoint(e, m)
 		ctx := fmt.Sprintf("partition %d", m.ID)
 		if !ok || !ok2 || img.Version != oracle.Version || img.Offset != oracle.Offset {

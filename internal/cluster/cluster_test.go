@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"proteus/internal/exec"
+	"proteus/internal/faults"
 	"proteus/internal/query"
 	"proteus/internal/schema"
 	"proteus/internal/simnet"
@@ -667,5 +669,20 @@ func TestLRUTieringUnderMemoryPressure(t *testing.T) {
 	res, err := e.ExecuteQuery(context.Background(), sess, scanSumQuery(tbl))
 	if err != nil || res.Tuples[0][1].Int() != 800 {
 		t.Fatalf("post-demotion scan: %v %v", res.Tuples, err)
+	}
+}
+
+// TestModeReplicaErrorReachesCreateTable: a Janus table whose mandated
+// column replica cannot be installed — its site is down — fails to create
+// instead of coming up with a copy missing.
+func TestModeReplicaErrorReachesCreateTable(t *testing.T) {
+	e := New(fastConfig(ModeJanus, 2))
+	t.Cleanup(e.Close)
+	if err := e.CrashSite(1); err != nil {
+		t.Fatal(err)
+	}
+	_, err := e.CreateTable(TableSpec{Name: "t", Cols: testCols, MaxRows: 100, Partitions: 1})
+	if !errors.Is(err, faults.ErrSiteDown) {
+		t.Fatalf("CreateTable with the replica site down: %v, want ErrSiteDown", err)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"proteus/internal/site"
 	"proteus/internal/storage"
 	"proteus/internal/txn"
-	"proteus/internal/types"
 	"proteus/internal/vclock"
 )
 
@@ -591,7 +590,9 @@ func (e *Engine) CreateTable(spec TableSpec) (*schema.Table, error) {
 		e.siteOf(siteID).AddPartition(p, true)
 		e.Broker.CreateTopic(pid, kinds...)
 		meta := e.Dir.Register(pid, b, metadata.Replica{Site: siteID, Layout: layout}, p.ZoneMap())
-		e.installModeReplicas(meta, p, kinds)
+		if err := e.installModeReplicas(meta); err != nil {
+			return nil, err
+		}
 		if spec.ReplicateAll {
 			rl := storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort, Compressed: true}
 			if spec.ReplicaLayout != nil {
@@ -615,17 +616,15 @@ func (e *Engine) CreateTable(spec TableSpec) (*schema.Table, error) {
 // site so each site hosts a share of both the row and column stores). The
 // row master serves OLTP; the column replica serves OLAP with lazy update
 // propagation, as in §6.2.
-func (e *Engine) installModeReplicas(meta *metadata.PartitionMeta, master *partition.Partition, kinds []types.Kind) {
+func (e *Engine) installModeReplicas(meta *metadata.PartitionMeta) error {
 	if e.cfg.Mode != ModeJanus && e.cfg.Mode != ModeTiDB {
-		return
+		return nil
 	}
 	if len(e.Sites) < 2 {
-		return // a second full copy needs a second store location
+		return nil // a second full copy needs a second store location
 	}
-	_ = master
-	_ = kinds
 	target := simnet.SiteID((int(meta.Master().Site) + 1) % len(e.Sites))
-	_ = e.installReplica(meta, target, storage.DefaultColumnLayout())
+	return e.installReplica(meta, target, storage.DefaultColumnLayout())
 }
 
 // installReplica snapshots the master and installs a replica copy at a
@@ -652,9 +651,9 @@ func (e *Engine) installReplica(meta *metadata.PartitionMeta, siteID simnet.Site
 	// lock, keeping them that way until the subscription is installed).
 	e.gc.barrier(masterSite.ID)
 	offset := e.Broker.EndOffset(meta.ID)
-	rows := mp.ExtractAll(storage.Latest)
+	img := mp.Image(storage.Latest)
 	rep := partition.New(meta.ID, meta.Bounds, mp.Kinds(), l, dst.Factory)
-	if err := rep.Load(rows, mp.Version()); err != nil {
+	if err := rep.LoadImage(img, mp.Version()); err != nil {
 		return err
 	}
 	dst.AddPartition(rep, false)
@@ -667,8 +666,9 @@ func (e *Engine) installReplica(meta *metadata.PartitionMeta, siteID simnet.Site
 func (e *Engine) siteOf(id simnet.SiteID) *site.Site { return e.Sites[int(id)] }
 
 // LoadRows bulk-loads initial table data through the master partitions
-// (and any already-installed replicas). ctx cancellation aborts between
-// partitions.
+// (and any already-installed replicas): each partition's image is built
+// from its rows, loads every copy and becomes the partition's checkpoint.
+// ctx cancellation aborts between partitions.
 func (e *Engine) LoadRows(ctx context.Context, table schema.TableID, rows []schema.Row) error {
 	if err := e.admit(ctx, admission.PriorityOLTP); err != nil {
 		return err
@@ -692,21 +692,30 @@ func (e *Engine) LoadRows(ctx context.Context, table schema.TableID, rows []sche
 			return err
 		}
 		m := metas[pid]
+		kinds, err := e.partitionKinds(m.Bounds)
+		if err != nil {
+			return err
+		}
+		img, err := storage.ImageOf(kinds, prows)
+		if err != nil {
+			return err
+		}
 		for _, rep := range m.AllCopies() {
 			s := e.siteOf(rep.Site)
 			p, ok := s.Partition(pid)
 			if !ok {
 				continue
 			}
-			if err := p.Load(prows, 1); err != nil {
+			if err := p.LoadImage(img, 1); err != nil {
 				return err
 			}
 		}
 		// Bulk-loaded rows never enter the redo log, so checkpoint each
 		// partition now: crash recovery replays checkpoint + log, and
-		// without this the loaded state would be unrecoverable.
+		// without this the loaded state would be unrecoverable. The
+		// copies keep none of the image's arrays, so the broker takes it.
 		if mp, ok := e.siteOf(m.Master().Site).Partition(pid); ok {
-			e.Broker.SaveCheckpoint(pid, redolog.CheckpointOf(mp, e.Broker.EndOffset(pid)))
+			e.Broker.SaveCheckpoint(pid, redolog.Checkpoint{Image: img, Version: mp.Version(), Offset: e.Broker.EndOffset(pid)})
 		}
 		m.Tracker.Record(forecast.Update, 0) // touch tracker
 	}

@@ -249,10 +249,10 @@ func (e *Engine) RecoverSite(id simnet.SiteID) error {
 // rebuildCopy reconstructs one partition copy at a recovering site from
 // durable state: load the broker's checkpoint (bulk-loaded base data plus
 // the log prefix already folded in), then replay retained redo records
-// above the checkpoint. Broker.Checkpoint decodes the image into rows of
-// the caller's own that match the returned version and offset, so the
-// maintenance tick may fold the image further while this copy loads. As master the copy just
-// resumes; as replica it re-subscribes from the replay position.
+// above the checkpoint. Broker.Checkpoint copies the image, so the copy
+// matches the returned version and offset while the maintenance tick
+// folds the broker's image further. As master the copy just resumes; as
+// replica it re-subscribes from the replay position.
 func (e *Engine) rebuildCopy(s *site.Site, m *metadata.PartitionMeta, l storage.Layout, master bool) error {
 	kinds, err := e.partitionKinds(m.Bounds)
 	if err != nil {
@@ -261,7 +261,7 @@ func (e *Engine) rebuildCopy(s *site.Site, m *metadata.PartitionMeta, l storage.
 	p := partition.New(m.ID, m.Bounds, kinds, l, s.Factory)
 	from := e.Broker.BaseOffset(m.ID)
 	if ck, ok := e.Broker.Checkpoint(m.ID); ok {
-		if err := p.Load(ck.Rows, ck.Version); err != nil {
+		if err := p.LoadImage(ck.Image, ck.Version); err != nil {
 			return err
 		}
 		from = ck.Offset

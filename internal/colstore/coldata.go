@@ -139,11 +139,11 @@ type colData struct {
 	codeW   int
 }
 
-// buildCol encodes vals (already in position order) into a column. With
-// compress set, the cheapest encoding is picked from the observed
-// cardinality, value range and run structure.
-func buildCol(kind types.Kind, vals []types.Value, compress bool) *colData {
-	c := &colData{kind: kind, cnt: len(vals)}
+// buildCol encodes the plain vector vals (already in position order) into
+// a column. With compress set, the cheapest encoding is picked from the
+// observed cardinality, value range and run structure.
+func buildCol(kind types.Kind, vals *storage.Vec, compress bool) *colData {
+	c := &colData{kind: kind, cnt: vals.Len()}
 	if !compress {
 		c.buildPlain(vals)
 		return c
@@ -164,35 +164,37 @@ func buildCol(kind types.Kind, vals []types.Value, compress bool) *colData {
 }
 
 // buildPlain fills the typed position-indexed arrays.
-func (c *colData) buildPlain(vals []types.Value) {
-	c.alloc(len(vals))
-	for p, v := range vals {
+func (c *colData) buildPlain(vals *storage.Vec) {
+	c.alloc(c.cnt)
+	for p := 0; p < c.cnt; p++ {
+		v := vals.Value(p)
 		c.setUncompressed(p, v)
 		c.dataBytes += types.VarWidth(v)
 	}
 }
 
 // buildRLE run-length encodes the values.
-func (c *colData) buildRLE(vals []types.Value) {
+func (c *colData) buildRLE(vals *storage.Vec) {
 	i := 0
-	for i < len(vals) {
+	for i < c.cnt {
+		v := vals.Value(i)
 		j := i + 1
-		for j < len(vals) && types.Equal(vals[j], vals[i]) {
+		for j < c.cnt && types.Equal(vals.Value(j), v) {
 			j++
 		}
 		c.runStart = append(c.runStart, uint32(i))
-		c.appendRun(vals[i])
-		c.runBytes += 4 + types.VarWidth(vals[i])
+		c.appendRun(v)
+		c.runBytes += 4 + types.VarWidth(v)
 		i = j
 	}
-	c.runStart = append(c.runStart, uint32(len(vals)))
+	c.runStart = append(c.runStart, uint32(c.cnt))
 }
 
 // buildDict dictionary-encodes a NULL-free string column.
-func (c *colData) buildDict(vals []types.Value) {
+func (c *colData) buildDict(vals *storage.Vec) {
 	seen := make(map[string]struct{}, 16)
-	for _, v := range vals {
-		seen[v.S] = struct{}{}
+	for _, s := range vals.Str {
+		seen[s] = struct{}{}
 	}
 	c.dict = make([]string, 0, len(seen))
 	for s := range seen {
@@ -204,26 +206,21 @@ func (c *colData) buildDict(vals []types.Value) {
 		codeOf[s] = uint32(i)
 		c.dataBytes += 4 + len(s)
 	}
-	c.codes = make([]uint32, len(vals))
-	for p, v := range vals {
-		c.codes[p] = codeOf[v.S]
+	c.codes = make([]uint32, c.cnt)
+	for p, s := range vals.Str {
+		c.codes[p] = codeOf[s]
 	}
 	c.codeW = codeWidth(uint64(len(c.dict)) - 1)
 }
 
 // buildFoR frame-of-reference encodes a NULL-free int-family column whose
 // value range fits 32-bit codes.
-func (c *colData) buildFoR(vals []types.Value) {
-	c.forBase = vals[0].I
-	for _, v := range vals {
-		if v.I < c.forBase {
-			c.forBase = v.I
-		}
-	}
-	c.codes = make([]uint32, len(vals))
+func (c *colData) buildFoR(vals *storage.Vec) {
+	c.forBase = slices.Min(vals.I64)
+	c.codes = make([]uint32, c.cnt)
 	var maxCode uint64
-	for p, v := range vals {
-		d := uint64(v.I) - uint64(c.forBase)
+	for p, x := range vals.I64 {
+		d := uint64(x) - uint64(c.forBase)
 		c.codes[p] = uint32(d)
 		if d > maxCode {
 			maxCode = d
@@ -249,11 +246,11 @@ func codeWidth(maxCode uint64) int {
 // Dictionary and FoR require NULL-free columns: NULL sorts below every
 // value in types.Compare, so a NULL cannot be given a code without
 // breaking the code-order-is-value-order invariant the kernels rely on.
-func chooseEncoding(kind types.Kind, vals []types.Value) colEncoding {
-	if len(vals) == 0 {
+func chooseEncoding(kind types.Kind, vals *storage.Vec) colEncoding {
+	n := vals.Len()
+	if n == 0 {
 		return encRLE // empty columns keep the legacy compressed form
 	}
-	n := len(vals)
 	intish := kind == types.KindInt64 || kind == types.KindTime
 	hasNull := false
 	plainBytes := 0
@@ -264,13 +261,15 @@ func chooseEncoding(kind types.Kind, vals []types.Value) colEncoding {
 	if kind == types.KindString {
 		distinct = make(map[string]struct{}, 16)
 	}
-	for i, v := range vals {
+	var prev types.Value
+	for i := 0; i < n; i++ {
+		v := vals.Value(i)
 		w := types.VarWidth(v)
 		plainBytes += w
 		if v.IsNull() {
 			hasNull = true
 		}
-		if i == 0 || !types.Equal(v, vals[i-1]) {
+		if i == 0 || !types.Equal(v, prev) {
 			runs++
 			runValueBytes += 4 + w
 		}
@@ -286,6 +285,7 @@ func chooseEncoding(kind types.Kind, vals []types.Value) colEncoding {
 		if distinct != nil && !v.IsNull() && len(distinct) <= maxDictSize {
 			distinct[v.S] = struct{}{}
 		}
+		prev = v
 	}
 	best := encPlain
 	bestBytes := plainBytes + 4*(n+1)
@@ -315,7 +315,7 @@ func chooseEncoding(kind types.Kind, vals []types.Value) colEncoding {
 
 // recordEncoding updates the package encoding counters for one compressed
 // column build.
-func recordEncoding(c *colData, vals []types.Value) {
+func recordEncoding(c *colData, vals *storage.Vec) {
 	switch c.enc {
 	case encRLE:
 		statColsRLE.Add(1)
@@ -326,9 +326,9 @@ func recordEncoding(c *colData, vals []types.Value) {
 	default:
 		statColsPlain.Add(1)
 	}
-	plain := 4 * (len(vals) + 1)
-	for _, v := range vals {
-		plain += types.VarWidth(v)
+	plain := 4 * (c.cnt + 1)
+	for p := 0; p < c.cnt; p++ {
+		plain += types.VarWidth(vals.Value(p))
 	}
 	statBytesPlain.Add(int64(plain))
 	statBytesStored.Add(int64(c.bytes()))
@@ -837,40 +837,43 @@ type base struct {
 	cols   []*colData
 }
 
-// buildBase constructs the merged representation from full rows. If sortBy
+// buildBase constructs the merged representation from an image. If sortBy
 // is a valid column, positions are ordered by that column's value (ties by
-// row_id); otherwise by row_id.
-func buildBase(kinds []types.Kind, rows []schema.Row, sortBy schema.ColID, compress bool) *base {
-	sorted := make([]schema.Row, len(rows))
-	copy(sorted, rows)
-	if sortBy >= 0 && int(sortBy) < len(kinds) {
-		slices.SortStableFunc(sorted, func(a, b schema.Row) int {
-			if c := types.Compare(a.Vals[sortBy], b.Vals[sortBy]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.ID, b.ID)
-		})
-	} else {
-		slices.SortFunc(sorted, func(a, b schema.Row) int { return cmp.Compare(a.ID, b.ID) })
-	}
+// row_id, the image's order); otherwise they are the image's positions.
+func buildBase(kinds []types.Kind, img storage.Image, sortBy schema.ColID, compress bool) *base {
+	n := len(img.IDs)
 	b := &base{
-		rowIDs: make([]schema.RowID, len(sorted)),
-		pos:    make(map[schema.RowID]int, len(sorted)),
+		rowIDs: slices.Clone(img.IDs),
+		pos:    make(map[schema.RowID]int, n),
 		cols:   make([]*colData, len(kinds)),
 	}
-	colVals := make([][]types.Value, len(kinds))
-	for ci := range kinds {
-		colVals[ci] = make([]types.Value, len(sorted))
-	}
-	for p, r := range sorted {
-		b.rowIDs[p] = r.ID
-		b.pos[r.ID] = p
-		for ci := range kinds {
-			colVals[ci][p] = r.Vals[ci]
+	var perm []int32
+	if sortBy >= 0 && int(sortBy) < len(kinds) {
+		perm = make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		key := &img.Cols[sortBy]
+		slices.SortFunc(perm, func(x, y int32) int {
+			if c := types.Compare(key.Value(int(x)), key.Value(int(y))); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+		for p, i := range perm {
+			b.rowIDs[p] = img.IDs[i]
 		}
 	}
+	for p, id := range b.rowIDs {
+		b.pos[id] = p
+	}
 	for ci, k := range kinds {
-		b.cols[ci] = buildCol(k, colVals[ci], compress)
+		vals := &img.Cols[ci]
+		if perm != nil {
+			g := vals.Gather(perm)
+			vals = &g
+		}
+		b.cols[ci] = buildCol(k, vals, compress)
 	}
 	return b
 }

@@ -43,7 +43,7 @@ func loadN(t *testing.T, s storage.Store, n int64) {
 	for i := int64(1); i <= n; i++ {
 		rows = append(rows, mkRow(i))
 	}
-	if err := s.Load(rows, 1); err != nil {
+	if err := load(s, testKinds, rows, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -80,7 +80,7 @@ func TestGetNullCell(t *testing.T) {
 				}
 				rows = append(rows, r)
 			}
-			if err := s.Load(rows, 1); err != nil {
+			if err := load(s, testKinds, rows, 1); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range []schema.RowID{7, 20} {
@@ -260,10 +260,10 @@ func TestRLECompressionShrinks(t *testing.T) {
 	}
 	plain := NewMem(testKinds, storage.NoSort, false)
 	rle := NewMem(testKinds, storage.NoSort, true)
-	if err := plain.Load(rows, 1); err != nil {
+	if err := load(plain, testKinds, rows, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := rle.Load(rows, 1); err != nil {
+	if err := load(rle, testKinds, rows, 1); err != nil {
 		t.Fatal(err)
 	}
 	pb, rb := plain.Stats().Bytes, rle.Stats().Bytes
@@ -313,7 +313,7 @@ func TestMergeDelta(t *testing.T) {
 			if !ok || r.Vals[0].Int() != 555 {
 				t.Errorf("post-merge read: %v %v", r, ok)
 			}
-			if got := s.ExtractAll(storage.Latest); len(got) != 11 {
+			if got := extract(s, testKinds, storage.Latest); len(got) != 11 {
 				t.Errorf("rows after merge = %d", len(got))
 			}
 		})
@@ -324,7 +324,7 @@ func TestExtractAllOrderedByRowID(t *testing.T) {
 	for name, s := range variants(t) {
 		t.Run(name, func(t *testing.T) {
 			loadN(t, s, 15)
-			out := s.ExtractAll(storage.Latest)
+			out := extract(s, testKinds, storage.Latest)
 			if len(out) != 15 {
 				t.Fatalf("extracted %d", len(out))
 			}
@@ -364,7 +364,7 @@ func TestColDataRoundTripSerialize(t *testing.T) {
 		types.NewInt64(3), types.NewInt64(3), types.NewInt64(3),
 	}
 	for _, rle := range []bool{false, true} {
-		c := buildCol(types.KindInt64, vals, rle)
+		c := buildCol(types.KindInt64, vecOf(types.KindInt64, vals), rle)
 		got := deserializeCol(c.serialize())
 		if got.n() != len(vals) {
 			t.Fatalf("rle=%v n=%d", rle, got.n())
@@ -402,7 +402,7 @@ func TestScanMatchesNaiveProperty(t *testing.T) {
 			NewDisk(testKinds, dev, storage.NoSort, true),
 		}
 		for _, s := range layouts {
-			if err := s.Load(rows, 1); err != nil {
+			if err := load(s, testKinds, rows, 1); err != nil {
 				return false
 			}
 			if got := len(scanAll(s, []schema.ColID{0}, pred, storage.Latest, 0)); got != want {
@@ -414,4 +414,27 @@ func TestScanMatchesNaiveProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
+}
+
+// load bulk-loads boxed rows through an image.
+func load(s storage.Store, kinds []types.Kind, rows []schema.Row, ver uint64) error {
+	img, err := storage.ImageOf(kinds, rows)
+	if err != nil {
+		return err
+	}
+	return s.LoadImage(img, ver)
+}
+
+// extract boxes every live row of s at ver, ordered by id.
+func extract(s storage.Store, kinds []types.Kind, ver uint64) []schema.Row {
+	return storage.Capture(s, kinds, ver).Rows()
+}
+
+// vecOf makes a plain vector of kind from boxed values.
+func vecOf(kind types.Kind, vals []types.Value) *storage.Vec {
+	v := storage.Vec{Kind: kind}
+	for _, x := range vals {
+		v.Append(x)
+	}
+	return &v
 }

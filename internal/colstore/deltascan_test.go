@@ -35,7 +35,7 @@ func scanAll(s storage.Store, cols []schema.ColID, pred storage.Pred, snap uint6
 func TestDeltaScanKeepsEncodedViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := NewMem(testKinds, storage.NoSort, true)
-	if err := m.Load(encTestRows(rng, 2000), 1); err != nil {
+	if err := load(m, testKinds, encTestRows(rng, 2000), 1); err != nil {
 		t.Fatal(err)
 	}
 	for id := schema.RowID(0); id < 2000; id += 97 {
@@ -88,7 +88,7 @@ func TestStatsRowsMatchExtract(t *testing.T) {
 					}
 					next++
 				}
-				if got, want := s.Stats().Rows, len(s.ExtractAll(storage.Latest)); got != want {
+				if got, want := s.Stats().Rows, len(extract(s, testKinds, storage.Latest)); got != want {
 					t.Fatalf("version %d: Stats().Rows = %d, ExtractAll has %d", ver, got, want)
 				}
 			}
@@ -108,7 +108,7 @@ func TestDiskScanDuringMerge(t *testing.T) {
 			for i := int64(1); i <= 200; i++ {
 				want = append(want, mkRow(i))
 			}
-			if err := d.Load(want, 1); err != nil {
+			if err := load(d, testKinds, want, 1); err != nil {
 				t.Fatal(err)
 			}
 			stop := make(chan struct{})
@@ -168,7 +168,7 @@ func BenchmarkScanWithDelta(b *testing.B) {
 	for _, pending := range []int{0, 64, 1024} {
 		b.Run(fmt.Sprintf("delta=%d", pending), func(b *testing.B) {
 			m := NewMem(testKinds, storage.NoSort, false)
-			if err := m.Load(rows, 1); err != nil {
+			if err := load(m, testKinds, rows, 1); err != nil {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(1))

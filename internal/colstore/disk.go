@@ -2,7 +2,6 @@ package colstore
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,15 +101,13 @@ func NewDisk(kinds []types.Kind, dev *disksim.Device, sortBy schema.ColID, compr
 // Layout implements storage.Store.
 func (d *Disk) Layout() storage.Layout { return d.layout }
 
-// Load implements storage.Store: builds merged columns and writes one block
-// per column.
-func (d *Disk) Load(rows []schema.Row, ver uint64) error {
-	for _, r := range rows {
-		if len(r.Vals) != len(d.kinds) {
-			return fmt.Errorf("colstore: row %d has %d values for %d columns", r.ID, len(r.Vals), len(d.kinds))
-		}
+// LoadImage implements storage.Store: builds merged columns and writes one
+// block per column.
+func (d *Disk) LoadImage(img storage.Image, ver uint64) error {
+	if err := img.Check(d.kinds); err != nil {
+		return fmt.Errorf("colstore: %w", err)
 	}
-	b := buildBase(d.kinds, rows, d.layout.SortBy, d.layout.Compressed)
+	b := buildBase(d.kinds, img, d.layout.SortBy, d.layout.Compressed)
 
 	meta := make([]diskColMeta, len(d.kinds))
 	total := 0
@@ -358,17 +355,9 @@ func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema
 // whatever its range, so the store is one morsel.
 func (d *Disk) MorselBounds(int) []schema.RowID { return nil }
 
-// ExtractAll implements storage.Store.
-func (d *Disk) ExtractAll(snap uint64) []schema.Row {
-	out := storage.ScanRows(d, allCols(len(d.kinds)), snap)
-	slices.SortFunc(out, byID)
-	return out
-}
-
 // MergeDelta folds the delta store into new on-disk column blocks.
 func (d *Disk) MergeDelta(ver uint64) error {
-	rows := d.ExtractAll(ver)
-	return d.Load(rows, ver)
+	return d.LoadImage(storage.Capture(d, d.kinds, ver), ver)
 }
 
 // DeltaRows reports the number of buffered delta entries.

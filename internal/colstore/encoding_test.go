@@ -50,7 +50,7 @@ func TestChooseEncoding(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := buildCol(tc.kind, tc.vals, true)
+			c := buildCol(tc.kind, vecOf(tc.kind, tc.vals), true)
 			if c.enc != tc.want {
 				t.Errorf("enc = %v, want %v", c.enc, tc.want)
 			}
@@ -67,11 +67,11 @@ func TestChooseEncoding(t *testing.T) {
 	// NULLs disqualify the code encodings: a NULL has no slot in code order.
 	withNull := strs(256, 3)
 	withNull[100] = types.Null()
-	if c := buildCol(types.KindString, withNull, true); c.enc == encDict {
+	if c := buildCol(types.KindString, vecOf(types.KindString, withNull), true); c.enc == encDict {
 		t.Error("NULL-bearing column must not pick dict")
 	}
 	wideInts := []types.Value{types.NewInt64(0), types.NewInt64(1 << 40)}
-	if c := buildCol(types.KindInt64, wideInts, true); c.enc == encFoR {
+	if c := buildCol(types.KindInt64, vecOf(types.KindInt64, wideInts), true); c.enc == encFoR {
 		t.Error("range beyond uint32 must not pick FoR")
 	}
 }
@@ -110,7 +110,7 @@ func TestEncodedSerializeRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			compress := tc.want != encPlain
-			c := buildCol(tc.kind, tc.vals, compress)
+			c := buildCol(tc.kind, vecOf(tc.kind, tc.vals), compress)
 			if c.enc != tc.want {
 				t.Fatalf("built enc = %v, want %v", c.enc, tc.want)
 			}
@@ -175,7 +175,7 @@ func TestEncodedScanDifferential(t *testing.T) {
 			NewDisk(testKinds, disksim.New(disksim.Config{}), storage.NoSort, compress),
 		}
 		for _, s := range stores {
-			if err := s.Load(rows, 1); err != nil {
+			if err := load(s, testKinds, rows, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,7 +238,7 @@ func FuzzColRoundTrip(f *testing.F) {
 					vals[i] = types.NewFloat64(float64(rng.Intn(card)))
 				}
 			}
-			c := buildCol(kind, vals, compress)
+			c := buildCol(kind, vecOf(kind, vals), compress)
 			got := deserializeCol(c.serialize())
 			if got.enc != c.enc || got.n() != n {
 				t.Fatalf("kind %v: enc %v->%v n %d->%d", kind, c.enc, got.enc, n, got.n())

@@ -1,9 +1,7 @@
 package colstore
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 
 	"proteus/internal/schema"
@@ -28,7 +26,7 @@ type Mem struct {
 func NewMem(kinds []types.Kind, sortBy schema.ColID, compressed bool) *Mem {
 	return &Mem{
 		kinds: kinds,
-		base:  buildBase(kinds, nil, sortBy, compressed),
+		base:  buildBase(kinds, storage.NewImage(kinds, 0), sortBy, compressed),
 		delta: newDelta(),
 		layout: storage.Layout{
 			Format: storage.ColumnFormat, Tier: storage.MemoryTier,
@@ -163,14 +161,13 @@ func (m *Mem) MorselBounds(targetRows int) []schema.RowID {
 	return bounds
 }
 
-// Load implements storage.Store, bulk loading into fresh column arrays.
-func (m *Mem) Load(rows []schema.Row, ver uint64) error {
-	for _, r := range rows {
-		if len(r.Vals) != len(m.kinds) {
-			return fmt.Errorf("colstore: row %d has %d values for %d columns", r.ID, len(r.Vals), len(m.kinds))
-		}
+// LoadImage implements storage.Store, bulk loading into fresh column
+// arrays.
+func (m *Mem) LoadImage(img storage.Image, ver uint64) error {
+	if err := img.Check(m.kinds); err != nil {
+		return fmt.Errorf("colstore: %w", err)
 	}
-	nb := buildBase(m.kinds, rows, m.layout.SortBy, m.layout.Compressed)
+	nb := buildBase(m.kinds, img, m.layout.SortBy, m.layout.Compressed)
 	m.mu.Lock()
 	m.base = nb
 	m.delta.clear()
@@ -178,19 +175,10 @@ func (m *Mem) Load(rows []schema.Row, ver uint64) error {
 	return nil
 }
 
-// ExtractAll implements storage.Store (ordered by RowID regardless of the
-// layout's sort order).
-func (m *Mem) ExtractAll(snap uint64) []schema.Row {
-	out := storage.ScanRows(m, allCols(len(m.kinds)), snap)
-	slices.SortFunc(out, byID)
-	return out
-}
-
 // MergeDelta folds buffered delta updates into a new version of the column
 // data (§4.1.2), producing fresh merged arrays and clearing the delta.
 func (m *Mem) MergeDelta(ver uint64) error {
-	rows := m.ExtractAll(ver)
-	return m.Load(rows, ver)
+	return m.LoadImage(storage.Capture(m, m.kinds, ver), ver)
 }
 
 // DeltaRows reports the number of buffered delta entries.
@@ -230,6 +218,3 @@ func allCols(n int) []schema.ColID {
 	}
 	return out
 }
-
-// byID orders rows by row id.
-func byID(a, b schema.Row) int { return cmp.Compare(a.ID, b.ID) }

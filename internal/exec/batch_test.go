@@ -345,7 +345,11 @@ func TestAvgSkipsNull(t *testing.T) {
 		for i, v := range []types.Value{types.NewInt64(5), types.NewInt64(5), types.Null(), types.Null(), types.Null(), types.NewInt64(7), types.NewInt64(7), types.NewInt64(7)} {
 			rows = append(rows, schema.Row{ID: schema.RowID(i), Vals: []types.Value{v, types.NewInt64(1)}})
 		}
-		if err := rle.Load(rows, 1); err != nil {
+		img, err := storage.ImageOf([]types.Kind{types.KindInt64, types.KindInt64}, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rle.LoadImage(img, 1); err != nil {
 			t.Fatal(err)
 		}
 		if rle.Stats().EncodedBytes == 0 {

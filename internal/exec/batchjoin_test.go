@@ -347,18 +347,25 @@ func TestRuntimeFilterSemantics(t *testing.T) {
 		t.Errorf("Bloom filter rejected only %d/100 absent keys", rejected)
 	}
 
-	// A NULL build key suppresses the bounds predicate (Eval would drop
-	// NULL probe rows that the join must keep) but not the Bloom filter.
+	// A NULL build key matches nothing, so it is left out: the bounds
+	// cover the other keys (Eval drops NULL probe rows, as the join does)
+	// and a NULL probe key never passes.
 	withNull := NewColRel([]string{"k"})
 	withNull.Vecs[0].Append(types.NewInt64(1))
 	withNull.Vecs[0].Append(types.Null())
 	withNull.SetRows(2)
 	fn := BuildRuntimeFilter(&withNull, 0)
-	if fn.BoundsPred(0) != nil {
-		t.Error("bounds predicate must be suppressed when the build side has NULL keys")
+	if b := fn.BoundsPred(0); len(b) != 2 || b[0].Val.Int() != 1 || b[1].Val.Int() != 1 {
+		t.Errorf("bounds with a NULL build key = %+v, want [1, 1]", b)
 	}
-	if !fn.TestValue(types.Null()) {
-		t.Error("NULL probe key must pass a filter built from a NULL build key")
+	if fn.TestValue(types.Null()) || !fn.TestValue(types.NewInt64(1)) {
+		t.Error("a NULL probe key must never pass, the build key 1 must")
+	}
+	onlyNull := NewColRel([]string{"k"})
+	onlyNull.Vecs[0].Append(types.Null())
+	onlyNull.SetRows(1)
+	if fo := BuildRuntimeFilter(&onlyNull, 0); !fo.Empty() {
+		t.Error("a build side of NULL keys only must read as empty")
 	}
 
 	empty := NewColRel([]string{"k"})

@@ -7,13 +7,11 @@ import (
 	"proteus/internal/types"
 )
 
-// NULL-key semantics: HashJoin treats NULL keys the way filter predicates
-// do — CmpEq.Eval compares through types.Compare, which orders NULL equal
-// to NULL, so a NULL key matches a NULL key. joinKey hashes NULLs into the
-// table and keysEqual uses types.Equal (Compare == 0): NULL == NULL joins,
-// NULL != non-NULL doesn't.
+// NULL-key semantics: as in SQL, and as CmpEq.Eval filters, a NULL key
+// matches nothing — not even another NULL. joinKey hashes NULLs into the
+// table like any other value; keysEqual rejects them.
 
-// joinKey hashes a tuple's key columns (NULLs hash like any other value).
+// joinKey hashes a tuple's key columns.
 func joinKey(t []types.Value, keys []int) uint64 {
 	h := uint64(1469598103934665603)
 	for _, k := range keys {
@@ -22,11 +20,12 @@ func joinKey(t []types.Value, keys []int) uint64 {
 	return h
 }
 
-// keysEqual matches keys via types.Equal, i.e. types.Compare == 0, so NULL
-// keys compare equal to NULL keys — consistent with CmpOp.Eval filters.
+// keysEqual matches keys via types.Equal, except that a NULL key equals
+// nothing — consistent with CmpOp.Eval filters.
 func keysEqual(a, b []types.Value, aKeys, bKeys []int) bool {
 	for i := range aKeys {
-		if !types.Equal(a[aKeys[i]], b[bKeys[i]]) {
+		x, y := a[aKeys[i]], b[bKeys[i]]
+		if x.IsNull() || y.IsNull() || !types.Equal(x, y) {
 			return false
 		}
 	}

@@ -46,7 +46,7 @@ func nestedLoopJoin(l, r Rel, lKey, rKey int) [][]types.Value {
 	var out [][]types.Value
 	for _, lt := range l.Tuples {
 		for _, rt := range r.Tuples {
-			if types.Equal(lt[lKey], rt[rKey]) {
+			if !lt[lKey].IsNull() && types.Equal(lt[lKey], rt[rKey]) {
 				out = append(out, append(append([]types.Value(nil), lt...), rt...))
 			}
 		}
@@ -79,11 +79,9 @@ func TestJoinRowOrderDifferential(t *testing.T) {
 	}
 }
 
-// TestJoinNullKeys pins NULL-key semantics: a NULL key matches a NULL key
-// (join keys compare with types.Equal, which orders NULL equal to NULL)
-// and never matches a non-NULL key — and HashJoin agrees with the nested
-// loop. A filter predicate differs here: a comparison with NULL is false,
-// so CmpEq never selects a NULL.
+// TestJoinNullKeys pins SQL's NULL-key semantics: a NULL key matches
+// nothing, not even another NULL — as a filter's CmpEq never selects a
+// NULL — and HashJoin agrees with the nested loop.
 func TestJoinNullKeys(t *testing.T) {
 	null := types.Null()
 	l := Rel{Cols: []string{"k", "a"}, Tuples: [][]types.Value{
@@ -95,22 +93,18 @@ func TestJoinNullKeys(t *testing.T) {
 		{types.NewInt64(7), types.NewInt64(20)},
 		{types.NewInt64(8), types.NewInt64(30)},
 	}}
-	// Sanity: the key equality the join mirrors, and the filter's.
-	if !types.Equal(null, null) || storage.CmpEq.Eval(null, null) {
-		t.Fatal("types.Equal(NULL, NULL) must hold and CmpEq.Eval(NULL, NULL) must not")
+	// Sanity: the filter the join agrees with.
+	if storage.CmpEq.Eval(null, null) {
+		t.Fatal("CmpEq.Eval(NULL, NULL) must not hold")
 	}
 
 	hj, _ := HashJoin(l, r, []int{0}, []int{0})
-	// Expect (NULL,1,NULL,10) and (7,2,7,20): NULL==NULL matches, NULL
-	// never matches 7, 8 or anything non-NULL.
-	if hj.NumRows() != 2 {
+	// Expect only (7,2,7,20): the NULL keys meet nothing.
+	if hj.NumRows() != 1 {
 		t.Fatalf("hash join rows = %d: %v", hj.NumRows(), hj.Tuples)
 	}
-	if !hj.Tuples[0][0].IsNull() || !hj.Tuples[0][2].IsNull() || hj.Tuples[0][3].Int() != 10 {
-		t.Errorf("NULL-key row wrong: %v", hj.Tuples[0])
-	}
-	if hj.Tuples[1][1].Int() != 2 || hj.Tuples[1][3].Int() != 20 {
-		t.Errorf("non-NULL row wrong: %v", hj.Tuples[1])
+	if hj.Tuples[0][1].Int() != 2 || hj.Tuples[0][3].Int() != 20 {
+		t.Errorf("non-NULL row wrong: %v", hj.Tuples[0])
 	}
 	if nj := nestedLoopJoin(l, r, 0, 0); !reflect.DeepEqual(hj.Tuples, nj) {
 		t.Errorf("hash join and nested loop disagree on NULL keys:\nhash:   %v\nnested: %v",

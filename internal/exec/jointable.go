@@ -18,12 +18,15 @@ import (
 //
 // Hash contract. Every key hashes through hashKey/hashValue: keys that
 // compare types.Equal under the types.Value.Hash criterion (int-family
-// values and integral floats canonicalize to one int64; NULL == NULL) hash
-// alike, and the hash is a full-avalanche finalizer, so any bit range of it
+// values and integral floats canonicalize to one int64) hash alike, and
+// the hash is a full-avalanche finalizer, so any bit range of it
 // is usable: the table slot is the multiply-high of the hash by the slot
 // count (top bits), the Bloom filter takes bits 0..31, grace partitioning
 // bits 0..23. The slot count is twice the build cardinality (load factor
 // 0.5), so a probe visits its matches plus on average half an entry.
+//
+// A NULL key matches nothing, as in SQL: build rows with a NULL key are
+// left out of the table and probe rows with one are skipped.
 type JoinTable struct {
 	cols   ColRel
 	offs   []int32       // len slots+1
@@ -171,6 +174,9 @@ func (k keyCol) n() int {
 	return len(k.vals)
 }
 
+// null reports whether key i is NULL (only a boxed column holds one).
+func (k keyCol) null(i int) bool { return k.vals != nil && k.vals[i].IsNull() }
+
 func (k keyCol) hash(i int) uint64 {
 	if k.ints != nil {
 		return hashKey(k.ints[i])
@@ -201,9 +207,17 @@ func BuildJoinTable(build *ColRel, key int) *JoinTable {
 	return t
 }
 
-// newJoinTable lays canonical keys (hashes hs) out bucket by bucket.
+// newJoinTable lays canonical keys (hashes hs) out bucket by bucket,
+// leaving NULL keys out.
 func newJoinTable(kc keyCol, hs []uint64) *JoinTable {
 	n := len(hs)
+	if kc.vals != nil {
+		for i := range hs {
+			if kc.null(i) {
+				n--
+			}
+		}
+	}
 	slots := uint64(2 * n)
 	if slots < 2 {
 		slots = 2
@@ -212,7 +226,10 @@ func newJoinTable(kc keyCol, hs []uint64) *JoinTable {
 	// offs[s+2], the prefix sum leaves s's start in offs[s+1], and the
 	// scatter advances it to s's end — the start of s+1.
 	offs := make([]int32, slots+2)
-	for _, h := range hs {
+	for i, h := range hs {
+		if kc.null(i) {
+			continue
+		}
 		s, _ := bits.Mul64(h, slots)
 		offs[s+2]++
 	}
@@ -227,6 +244,9 @@ func newJoinTable(kc keyCol, hs []uint64) *JoinTable {
 		t.hashes = make([]uint64, n)
 	}
 	for i, h := range hs {
+		if kc.null(i) {
+			continue
+		}
 		s, _ := bits.Mul64(h, slots)
 		e := offs[s+1]
 		offs[s+1]++
@@ -311,7 +331,8 @@ func (t *JoinTable) probe(kc keyCol, m *matches) {
 
 // probeBoxed is the probe for every key-shape pairing but typed × typed. A
 // boxed probe key with a canonical int64 meets typed entries through it;
-// one without (NULL, string, fractional float) cannot equal any typed key.
+// one without (string, fractional float) cannot equal any typed key, and a
+// NULL one equals no key at all.
 func (t *JoinTable) probeBoxed(kc keyCol, bloom bool, m *matches) {
 	offs := t.offs
 	slots := uint64(len(offs) - 1)
@@ -325,6 +346,9 @@ func (t *JoinTable) probeBoxed(kc keyCol, bloom bool, m *matches) {
 			v = types.NewInt64(x)
 		} else {
 			v = kc.vals[i]
+			if v.IsNull() {
+				continue
+			}
 			x, typed = canonInt(v)
 		}
 		var h uint64

@@ -13,13 +13,12 @@ import (
 // within batches, while the Bloom filter drops non-matching probe rows
 // batch-at-a-time before they are probed, materialized or shipped. It is
 // derived from the same canonical keys and the same hash as the join table
-// (hashKey/hashValue), so NULL build keys are representable and NULL==NULL
-// join semantics survive filtering.
+// (hashKey/hashValue). A NULL key matches nothing, so NULL build keys are
+// left out and NULL probe keys never pass.
 type RuntimeFilter struct {
 	bits     []uint64
 	mask     uint64 // word-index mask (word count - 1); bits may be nil (no Bloom)
-	n        int    // build rows folded in
-	hasNull  bool   // build side contained a NULL key
+	n        int    // non-NULL build keys folded in
 	min, max types.Value
 }
 
@@ -39,6 +38,11 @@ func BuildRuntimeFilter(c *ColRel, key int) *RuntimeFilter {
 // the key column's kind, which typed bounds are boxed back into.
 func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind) *RuntimeFilter {
 	n := len(hs)
+	for i := range hs {
+		if kc.null(i) {
+			n--
+		}
+	}
 	f := &RuntimeFilter{n: n}
 	if n == 0 {
 		return f
@@ -50,8 +54,10 @@ func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind) *RuntimeFilter {
 		}
 		f.bits = make([]uint64, nbits/64)
 		f.mask = nbits/64 - 1
-		for _, h := range hs {
-			f.bits[(h>>12)&f.mask] |= bloomMask(h)
+		for i, h := range hs {
+			if !kc.null(i) {
+				f.bits[(h>>12)&f.mask] |= bloomMask(h)
+			}
 		}
 	}
 	if kc.ints != nil {
@@ -75,7 +81,6 @@ func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind) *RuntimeFilter {
 	}
 	for _, v := range kc.vals {
 		if v.IsNull() {
-			f.hasNull = true
 			continue
 		}
 		if f.min.IsNull() || types.Compare(v, f.min) < 0 {
@@ -100,8 +105,8 @@ func (f *RuntimeFilter) testHash(h uint64) bool {
 	return f.bits[(h>>12)&f.mask]&m == m
 }
 
-// Empty reports whether the build side had zero rows, in which case an
-// inner join's probe side need not be scanned at all.
+// Empty reports whether the build side had no non-NULL key, in which case
+// an inner join's probe side need not be scanned at all.
 func (f *RuntimeFilter) Empty() bool { return f == nil || f.n == 0 }
 
 // Bytes is the filter's size on the wire: Bloom words, bounds and a header.
@@ -109,18 +114,18 @@ func (f *RuntimeFilter) Bytes() int64 {
 	return int64(8*len(f.bits)) + int64(types.VarWidth(f.min)+types.VarWidth(f.max)) + 64
 }
 
-// TestValue reports whether a probe key may have a build-side match.
+// TestValue reports whether a probe key may have a build-side match (a
+// NULL one never has).
 func (f *RuntimeFilter) TestValue(v types.Value) bool {
-	return f.testHash(hashValue(v))
+	return !v.IsNull() && f.testHash(hashValue(v))
 }
 
 // BoundsPred returns min-max conjuncts on the probe key column, suitable
 // for appending to a scan predicate (zone-map morsel pruning + FilterVec).
-// Nil when the filter saw no rows or a NULL build key: predicate Eval
-// drops NULL probe rows, which is only equivalent to the join when the
-// build side holds no NULL keys.
+// Predicate Eval drops NULL probe rows, which the join would drop too. Nil
+// when the filter saw no key.
 func (f *RuntimeFilter) BoundsPred(col schema.ColID) storage.Pred {
-	if f == nil || f.n == 0 || f.hasNull {
+	if f == nil || f.n == 0 {
 		return nil
 	}
 	return storage.Pred{

@@ -80,7 +80,6 @@ var All = []Experiment{
 	{"fig15", "Fig 15: cross-warehouse transaction sweep", Fig15},
 	{"tab4", "Table 4: time share per operation class", Tab4},
 	{"tab5", "Table 5: planning and layout-change overheads", Tab5},
-	{"overload", "Overload: token-bucket admission vs AlwaysAdmit at 10x capacity (BENCH_overload.json)", OverloadBench},
 }
 
 // Find locates an experiment by ID.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +16,7 @@ var tiny = Scale{
 }
 
 func TestFindAndRegistry(t *testing.T) {
-	if len(All) != 18 {
+	if len(All) != 17 {
 		t.Errorf("registry has %d experiments", len(All))
 	}
 	seen := map[string]bool{}
@@ -61,8 +60,6 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	for _, e := range All {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			// Experiments that emit artifact files write into a scratch dir.
-			t.Setenv("PROTEUS_OVERLOAD_BENCH_PATH", filepath.Join(t.TempDir(), "BENCH_overload.json"))
 			var buf bytes.Buffer
 			if err := e.Run(&buf, tiny); err != nil {
 				t.Fatalf("%s: %v\n%s", e.ID, err, buf.String())

@@ -148,11 +148,9 @@ func Run(e *cluster.Engine, factory ClientFactory, cfg Config) Result {
 
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.Clients; c++ {
-		c := c
 		wg.Add(1)
-		go func() {
+		vclock.Go(clk, func() {
 			defer wg.Done()
-			defer vclock.Enter(clk)()
 			r := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
 			client := factory(c, r)
 			sess := e.NewSession()
@@ -196,7 +194,7 @@ func Run(e *cluster.Engine, factory ClientFactory, cfg Config) Result {
 			mu.Lock()
 			samples = append(samples, local...)
 			mu.Unlock()
-		}()
+		})
 	}
 	wg.Wait()
 	wall := clk.Since(start)

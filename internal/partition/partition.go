@@ -276,24 +276,40 @@ func (p *Partition) ScanBatches(cols []schema.ColID, pred storage.Pred, snap uin
 	p.store.ScanBatches(cols, pred, storage.MinRow, storage.MaxRow, snap, maxRows, fn)
 }
 
-// Load bulk-loads rows and rebuilds the zone map.
-func (p *Partition) Load(rows []schema.Row, ver uint64) error {
+// LoadImage bulk-loads an image (replacing the partition's contents) and
+// rebuilds the zone map. The image stays the caller's.
+func (p *Partition) LoadImage(img storage.Image, ver uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.store.Load(rows, ver); err != nil {
+	if err := p.store.LoadImage(img, ver); err != nil {
 		return err
 	}
-	p.zm.Rebuild(rows)
+	p.zm.Rebuild(img)
 	p.SetVersion(ver)
 	return nil
 }
 
-// ExtractAll snapshots every live row at the given version.
-func (p *Partition) ExtractAll(snap uint64) []schema.Row {
+// Image captures every live row at the given version. The caller keeps
+// the state still across the scan: a fixed snapshot version, or the
+// engine's partition lock plus a commit barrier at storage.Latest.
+func (p *Partition) Image(snap uint64) storage.Image {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.store.ExtractAll(snap)
+	return storage.Capture(p.store, p.kinds, snap)
 }
+
+// Load bulk-loads boxed rows, for callers that hold rows rather than an
+// image.
+func (p *Partition) Load(rows []schema.Row, ver uint64) error {
+	img, err := storage.ImageOf(p.kinds, rows)
+	if err != nil {
+		return err
+	}
+	return p.LoadImage(img, ver)
+}
+
+// ExtractAll boxes every live row at the given version, ordered by id.
+func (p *Partition) ExtractAll(snap uint64) []schema.Row { return p.Image(snap).Rows() }
 
 // Stats reports the underlying store's footprint.
 func (p *Partition) Stats() storage.Stats {
@@ -317,10 +333,10 @@ func (p *Partition) GC(h uint64) (reclaimed, retained int) {
 	return reclaimed, m.Stats().Versions
 }
 
-// ChangeLayout converts the partition to a new layout by reading a
-// consistent snapshot at version snap and bulk-loading it into a fresh
-// store (§4.4). The write lock is held across the extract, rebuild and
-// swap: a mutation that slipped between a released extract and the swap
+// ChangeLayout converts the partition to a new layout by capturing an
+// image at version snap and bulk-loading it into a fresh store (§4.4).
+// The write lock is held across the capture, rebuild and swap: a mutation
+// that slipped between a released capture and the swap
 // (e.g. a replica applying a redo record, which does not hold the
 // engine's partition lock) would land in the discarded store and be lost
 // even though the copy's version advanced past it. Readers holding a
@@ -328,13 +344,13 @@ func (p *Partition) GC(h uint64) (reclaimed, retained int) {
 func (p *Partition) ChangeLayout(to storage.Layout, f Factory, snap uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rows := p.store.ExtractAll(snap)
+	img := storage.Capture(p.store, p.kinds, snap)
 	ns := f.NewStore(p.kinds, to)
-	if err := ns.Load(rows, snap); err != nil {
+	if err := ns.LoadImage(img, snap); err != nil {
 		return err
 	}
 	p.store = ns
-	p.zm.Rebuild(rows)
+	p.zm.Rebuild(img)
 	return nil
 }
 
@@ -345,8 +361,8 @@ func (p *Partition) ChangeLayout(to storage.Layout, f Factory, snap uint64) erro
 // attributed to the layout's write cost model.
 //
 // The write lock is held across the fold: MergeDelta/Flush rebuild the
-// store from an extract and clear the buffered delta, so a write that
-// landed between the extract and the clear would vanish. Background
+// store from a captured image and clear the buffered delta, so a write
+// that landed between the capture and the clear would vanish. Background
 // maintenance runs without the engine's partition locks, so the
 // partition lock is the only thing serializing it against commit
 // staging and replica applies. snap must cover every buffered row —

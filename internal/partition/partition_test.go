@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"testing"
 
 	"proteus/internal/disksim"
@@ -119,6 +120,22 @@ func TestChangeLayoutAllCombinations(t *testing.T) {
 			}
 		}
 	}
+	// The fixture, pending writes and NULLs included, converts between
+	// every pair of layouts cell for cell.
+	for _, from := range fixtureLayouts {
+		for _, to := range fixtureLayouts {
+			p := fixture(t, from)
+			want := cellsOf(p)
+			if err := p.ChangeLayout(to, f, storage.Latest); err != nil {
+				t.Fatalf("fixture %v -> %v: %v", from, to, err)
+			}
+			ctx := fmt.Sprintf("fixture %v -> %v", from, to)
+			sameCells(t, ctx, cellsOf(p), asStored(to, want, 0, len(fixtureKinds)), storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
+			if st := p.Stats(); st.DeltaRows != 0 || st.Rows != len(want) {
+				t.Errorf("%s: %d rows, %d delta rows", ctx, st.Rows, st.DeltaRows)
+			}
+		}
+	}
 }
 
 func TestVersionMonotone(t *testing.T) {
@@ -151,6 +168,16 @@ func TestSplitHorizontal(t *testing.T) {
 	if _, _, err := SplitHorizontal(p, 0, [2]ID{4, 5}, storage.DefaultRowLayout(), factory(), storage.Latest); err == nil {
 		t.Error("split at boundary allowed")
 	}
+	for _, l := range fixtureLayouts {
+		fp := fixture(t, l)
+		want := cellsOf(fp)
+		lo, hi, err := SplitHorizontal(fp, 20, [2]ID{2, 3}, l, factory(), storage.Latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCells(t, fmt.Sprintf("fixture %v lower", l), cellsOf(lo), want, 0, 20, 0, len(fixtureKinds))
+		sameCells(t, fmt.Sprintf("fixture %v upper", l), cellsOf(hi), want, 20, 100, 0, len(fixtureKinds))
+	}
 }
 
 func TestSplitVerticalAndMergeVertical(t *testing.T) {
@@ -179,6 +206,41 @@ func TestSplitVerticalAndMergeVertical(t *testing.T) {
 	if !ok || row4.Vals[0].Int() != 4 || row4.Vals[2].Str() != "v" {
 		t.Errorf("merged read: %v", row4)
 	}
+	for i, l := range fixtureLayouts {
+		fp := fixture(t, l)
+		want := cellsOf(fp)
+		other := fixtureLayouts[(i+3)%len(fixtureLayouts)]
+		ll, lr := l, other
+		if ll.SortBy >= 2 {
+			ll.SortBy = storage.NoSort // the left child has two columns
+		}
+		if lr.SortBy != storage.NoSort {
+			lr.SortBy-- // child-local
+		}
+		left, right, err := SplitVertical(fp, 2, [2]ID{2, 3}, ll, lr, f, storage.Latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := fmt.Sprintf("fixture %v split into %v | %v", l, ll, lr)
+		want = asStored(lr, asStored(ll, want, 0, 2), 2, len(fixtureKinds))
+		sameCells(t, ctx+" left", cellsOf(left), want, storage.MinRow, storage.MaxRow, 0, 2)
+		sameCells(t, ctx+" right", cellsOf(right), want, storage.MinRow, storage.MaxRow, 2, 3)
+		m, err := MergeVertical(right, left, 9, other, f, storage.Latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = asStored(other, want, 0, len(fixtureKinds))
+		sameCells(t, ctx+" merged", cellsOf(m), want, storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
+	}
+	// Children that hold different rows do not merge.
+	a := New(10, Bounds{Table: 1, RowEnd: 100, ColEnd: 1}, kinds[:1], storage.DefaultRowLayout(), f)
+	b := New(11, Bounds{Table: 1, RowEnd: 100, ColStart: 1, ColEnd: 3}, kinds[1:], storage.DefaultRowLayout(), f)
+	if err := a.Load([]schema.Row{{ID: 1, Vals: []types.Value{types.NewInt64(1)}}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeVertical(a, b, 12, storage.DefaultRowLayout(), f, storage.Latest); err == nil {
+		t.Error("merge of children with different rows allowed")
+	}
 }
 
 func TestMergeHorizontal(t *testing.T) {
@@ -205,6 +267,21 @@ func TestMergeHorizontal(t *testing.T) {
 	if _, err := MergeHorizontal(a, b, 12, storage.DefaultRowLayout(), f, storage.Latest); err == nil {
 		t.Error("non-adjacent merge allowed")
 	}
+	for i, l := range fixtureLayouts {
+		fp := fixture(t, l)
+		want := cellsOf(fp)
+		lo, hi, err := SplitHorizontal(fp, 20, [2]ID{2, 3}, l, f, storage.Latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to := fixtureLayouts[(i+3)%len(fixtureLayouts)]
+		m, err := MergeHorizontal(hi, lo, 4, to, f, storage.Latest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = asStored(to, want, 0, len(fixtureKinds))
+		sameCells(t, fmt.Sprintf("fixture %v merged into %v", l, to), cellsOf(m), want, storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
+	}
 }
 
 func TestMaintainMergesDelta(t *testing.T) {
@@ -226,5 +303,18 @@ func TestMaintainMergesDelta(t *testing.T) {
 	}
 	if p.Stats().DeltaRows != 0 {
 		t.Errorf("delta rows after maintain = %d", p.Stats().DeltaRows)
+	}
+	for _, l := range fixtureLayouts[1:] { // every layout that buffers writes
+		fp := fixture(t, l)
+		want := cellsOf(fp)
+		pending := fp.Stats().DeltaRows
+		merged, _, err := fp.Maintain(storage.Latest, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pending == 0 || merged != pending || fp.Stats().DeltaRows != 0 {
+			t.Errorf("fixture %v: %d pending, maintain folded %d, %d left", l, pending, merged, fp.Stats().DeltaRows)
+		}
+		sameCells(t, fmt.Sprintf("fixture %v maintained", l), cellsOf(fp), want, storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
 	}
 }

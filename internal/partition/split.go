@@ -2,7 +2,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"proteus/internal/schema"
 	"proteus/internal/storage"
@@ -14,8 +14,10 @@ import (
 // (column-wise). The paper notes that horizontal splits of row-format data
 // and vertical splits of column-format data only reassign pointers, while
 // the remaining combinations bulk-reload; this implementation always
-// snapshots and reloads, and the cost model (internal/cost, Table 2)
-// charges the cheap combinations accordingly.
+// captures an image and reloads pieces of it — a split cuts the image by
+// row id or by column, a merge concatenates two images or their columns —
+// and the cost model (internal/cost, Table 2) charges the cheap
+// combinations accordingly.
 
 // SplitHorizontal divides p at row `at`, producing [RowStart, at) and
 // [at, RowEnd). Both children adopt layout l.
@@ -23,23 +25,16 @@ func SplitHorizontal(p *Partition, at schema.RowID, ids [2]ID, l storage.Layout,
 	if at <= p.Bounds.RowStart || at >= p.Bounds.RowEnd {
 		return nil, nil, fmt.Errorf("split row %d outside (%d, %d)", at, p.Bounds.RowStart, p.Bounds.RowEnd)
 	}
-	rows := p.ExtractAll(snap)
-	var lo, hi []schema.Row
-	for _, r := range rows {
-		if r.ID < at {
-			lo = append(lo, r)
-		} else {
-			hi = append(hi, r)
-		}
-	}
+	img := p.Image(snap)
+	cut, _ := slices.BinarySearch(img.IDs, at)
 	bl, bh := p.Bounds, p.Bounds
 	bl.RowEnd, bh.RowStart = at, at
 	pl := New(ids[0], bl, p.kinds, l, f)
 	ph := New(ids[1], bh, p.kinds, l, f)
-	if err := pl.Load(lo, snap); err != nil {
+	if err := pl.LoadImage(img.Slice(0, cut), snap); err != nil {
 		return nil, nil, err
 	}
-	if err := ph.Load(hi, snap); err != nil {
+	if err := ph.LoadImage(img.Slice(cut, len(img.IDs)), snap); err != nil {
 		return nil, nil, err
 	}
 	pl.SetVersion(p.Version())
@@ -54,22 +49,16 @@ func SplitVertical(p *Partition, at schema.ColID, ids [2]ID, ll, lr storage.Layo
 	if at <= p.Bounds.ColStart || at >= p.Bounds.ColEnd {
 		return nil, nil, fmt.Errorf("split col %d outside (%d, %d)", at, p.Bounds.ColStart, p.Bounds.ColEnd)
 	}
-	rows := p.ExtractAll(snap)
+	img := p.Image(snap)
 	cut := int(at - p.Bounds.ColStart)
-	lrows := make([]schema.Row, len(rows))
-	rrows := make([]schema.Row, len(rows))
-	for i, r := range rows {
-		lrows[i] = schema.Row{ID: r.ID, Vals: append([]types.Value(nil), r.Vals[:cut]...)}
-		rrows[i] = schema.Row{ID: r.ID, Vals: append([]types.Value(nil), r.Vals[cut:]...)}
-	}
 	bl, br := p.Bounds, p.Bounds
 	bl.ColEnd, br.ColStart = at, at
 	pl := New(ids[0], bl, p.kinds[:cut], ll, f)
 	pr := New(ids[1], br, p.kinds[cut:], lr, f)
-	if err := pl.Load(lrows, snap); err != nil {
+	if err := pl.LoadImage(storage.Image{IDs: img.IDs, Cols: img.Cols[:cut]}, snap); err != nil {
 		return nil, nil, err
 	}
-	if err := pr.Load(rrows, snap); err != nil {
+	if err := pr.LoadImage(storage.Image{IDs: img.IDs, Cols: img.Cols[cut:]}, snap); err != nil {
 		return nil, nil, err
 	}
 	pl.SetVersion(p.Version())
@@ -89,11 +78,15 @@ func MergeHorizontal(a, b *Partition, id ID, l storage.Layout, f Factory, snap u
 	if a.Bounds.RowEnd != b.Bounds.RowStart {
 		return nil, fmt.Errorf("merge: row ranges not adjacent: %v vs %v", a.Bounds, b.Bounds)
 	}
-	rows := append(a.ExtractAll(snap), b.ExtractAll(snap)...)
+	img, tail := a.Image(snap), b.Image(snap)
+	img.IDs = append(img.IDs, tail.IDs...)
+	for c := range img.Cols {
+		img.Cols[c].AppendVec(&tail.Cols[c], nil)
+	}
 	nb := a.Bounds
 	nb.RowEnd = b.Bounds.RowEnd
 	p := New(id, nb, a.kinds, l, f)
-	if err := p.Load(rows, snap); err != nil {
+	if err := p.LoadImage(img, snap); err != nil {
 		return nil, err
 	}
 	p.SetVersion(maxU64(a.Version(), b.Version()))
@@ -113,31 +106,17 @@ func MergeVertical(a, b *Partition, id ID, l storage.Layout, f Factory, snap uin
 	if a.Bounds.ColEnd != b.Bounds.ColStart {
 		return nil, fmt.Errorf("merge: column ranges not adjacent: %v vs %v", a.Bounds, b.Bounds)
 	}
-	la := a.ExtractAll(snap)
-	lb := b.ExtractAll(snap)
-	byID := make(map[schema.RowID][]types.Value, len(lb))
-	for _, r := range lb {
-		byID[r.ID] = r.Vals
+	ia, ib := a.Image(snap), b.Image(snap)
+	if !slices.Equal(ia.IDs, ib.IDs) {
+		return nil, fmt.Errorf("merge: %v and %v hold different rows", a.Bounds, b.Bounds)
 	}
-	rows := make([]schema.Row, 0, len(la))
-	for _, r := range la {
-		right, ok := byID[r.ID]
-		if !ok {
-			return nil, fmt.Errorf("merge: row %d present in %v but not %v", r.ID, a.Bounds, b.Bounds)
-		}
-		vals := make([]types.Value, 0, len(r.Vals)+len(right))
-		vals = append(vals, r.Vals...)
-		vals = append(vals, right...)
-		rows = append(rows, schema.Row{ID: r.ID, Vals: vals})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 	nb := a.Bounds
 	nb.ColEnd = b.Bounds.ColEnd
 	kinds := make([]types.Kind, 0, len(a.kinds)+len(b.kinds))
 	kinds = append(kinds, a.kinds...)
 	kinds = append(kinds, b.kinds...)
 	p := New(id, nb, kinds, l, f)
-	if err := p.Load(rows, snap); err != nil {
+	if err := p.LoadImage(storage.Image{IDs: ia.IDs, Cols: append(ia.Cols, ib.Cols...)}, snap); err != nil {
 		return nil, err
 	}
 	p.SetVersion(maxU64(a.Version(), b.Version()))

@@ -1,7 +1,6 @@
 package redolog
 
 import (
-	"cmp"
 	"slices"
 
 	"proteus/internal/partition"
@@ -14,119 +13,27 @@ import (
 // the broker alongside the log — the stand-in for the paper's snapshot
 // store that bounds recovery replay (§4.3). Offset is the log position the
 // snapshot covers: recovery loads the image at Version and replays from
-// Offset.
-//
-// The image is column-major: IDs lists the live rows in ascending order,
-// and Cols holds one plain vector per partition column whose cell i
-// belongs to row IDs[i]. A vector's payload array is the one its Kind
-// selects, as in a scan batch (I64 for Int64/Time/Bool, F64 for Float64,
-// Str for String); it carries no encoding, and its Null is non-nil only
-// while the column holds a NULL.
+// Offset. The image is the partition's storage.Image: ascending ids and
+// one plain vector per column.
 //
 // The broker owns the image. A base image is handed over with
 // SaveCheckpoint where a partition's rows are born outside the log (bulk
 // load, split, merge); from then on FoldCheckpoint advances it by applying
 // the log's own records to the columns in place, so keeping it fresh costs
-// what changed, not what is stored. Only Broker.Checkpoint boxes an image,
-// for recovery.
+// what changed, not what is stored.
 type Checkpoint struct {
-	IDs     []schema.RowID
-	Cols    []storage.Vec
+	storage.Image
 	Version uint64
 	Offset  int64
 
 	strBytes int64 // bytes of string payload across Cols; kept by the broker
 }
 
-// RowImage is a checkpoint decoded to rows ordered by ID: what recovery
-// loads into a partition before replaying the log from Offset.
-type RowImage struct {
-	Rows    []schema.Row
-	Version uint64
-	Offset  int64
-}
-
 // CheckpointOf captures a partition's live rows at storage.Latest as a
 // base image at the partition's version, covering the log below offset.
 // The caller holds whatever keeps rows, version and offset consistent.
-// Rows arrive in the store's scan order; SaveCheckpoint orders them.
 func CheckpointOf(p *partition.Partition, offset int64) Checkpoint {
-	kinds := p.Kinds()
-	hint := p.Stats().Rows
-	ck := Checkpoint{IDs: make([]schema.RowID, 0, hint), Cols: newColumns(kinds, hint), Offset: offset}
-	cols := make([]schema.ColID, len(kinds))
-	for i := range cols {
-		cols[i] = schema.ColID(i)
-	}
-	p.ScanBatches(cols, nil, storage.Latest, 0, func(b *storage.Batch) bool {
-		if b.Sel == nil {
-			ck.IDs = append(ck.IDs, b.RowIDs...)
-		} else {
-			for _, r := range b.Sel {
-				ck.IDs = append(ck.IDs, b.RowIDs[r])
-			}
-		}
-		for c := range ck.Cols {
-			appendCells(&ck.Cols[c], &b.Vecs[c], b.Sel)
-		}
-		return true
-	})
-	ck.Version = p.Version()
-	return ck
-}
-
-// appendCells appends the selected cells of a batch vector (all of them
-// when sel is nil) to the plain column dst. A plain NULL-free vector whose
-// payload array is dst's is copied whole; anything else — an encoding, a
-// NULL, a selection — goes cell by cell through Value.
-func appendCells(dst, src *storage.Vec, sel []int32) {
-	if sel == nil && src.Enc == storage.EncNone && src.Null == nil && dst.Null == nil && payload(src.Kind) == payload(dst.Kind) {
-		switch payload(dst.Kind) {
-		case types.KindFloat64:
-			dst.F64 = append(dst.F64, src.F64...)
-		case types.KindString:
-			dst.Str = append(dst.Str, src.Str...)
-		default:
-			dst.I64 = append(dst.I64, src.I64...)
-		}
-		return
-	}
-	if sel == nil {
-		for r, n := 0, src.Len(); r < n; r++ {
-			dst.Append(src.Value(r))
-		}
-		return
-	}
-	for _, r := range sel {
-		dst.Append(src.Value(int(r)))
-	}
-}
-
-// payload names the array a vector of kind k keeps its cells in: Float64
-// in F64, String in Str, the int family (Int64, Time, Bool) in I64.
-func payload(k types.Kind) types.Kind {
-	switch k {
-	case types.KindFloat64, types.KindString:
-		return k
-	}
-	return types.KindInt64
-}
-
-// newColumns makes one empty plain vector per kind with room for hint rows.
-func newColumns(kinds []types.Kind, hint int) []storage.Vec {
-	cols := make([]storage.Vec, len(kinds))
-	for i, k := range kinds {
-		cols[i].Kind = k
-		switch k {
-		case types.KindFloat64:
-			cols[i].F64 = make([]float64, 0, hint)
-		case types.KindString:
-			cols[i].Str = make([]string, 0, hint)
-		default:
-			cols[i].I64 = make([]int64, 0, hint)
-		}
-	}
-	return cols
+	return Checkpoint{Image: p.Image(storage.Latest), Version: p.Version(), Offset: offset}
 }
 
 // SaveCheckpoint installs a base image, replacing any prior one. The
@@ -135,9 +42,7 @@ func newColumns(kinds []types.Kind, hint int) []storage.Vec {
 // them again. The image, Version and Offset must describe one state of
 // the partition: every record below Offset applied, none at or above it.
 func (b *Broker) SaveCheckpoint(pid partition.ID, ck Checkpoint) {
-	if !slices.IsSorted(ck.IDs) {
-		ck.sortByID()
-	}
+	ck.SortByID()
 	ck.strBytes = 0
 	for c := range ck.Cols {
 		for _, s := range ck.Cols[c].Str {
@@ -151,33 +56,6 @@ func (b *Broker) SaveCheckpoint(pid partition.ID, ck Checkpoint) {
 	if b.obsCkpts != nil {
 		b.obsCkpts.Inc()
 	}
-}
-
-// sortByID puts the image into row-id order (a sorted column store scans
-// in sort-key order), gathering every column through one permutation.
-func (ck *Checkpoint) sortByID() {
-	perm := make([]int32, len(ck.IDs))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(x, y int32) int { return cmp.Compare(ck.IDs[x], ck.IDs[y]) })
-	ck.IDs = gather(ck.IDs, perm)
-	for c := range ck.Cols {
-		v := &ck.Cols[c]
-		v.I64, v.F64, v.Str, v.Null = gather(v.I64, perm), gather(v.F64, perm), gather(v.Str, perm), gather(v.Null, perm)
-	}
-}
-
-// gather returns s permuted by perm (nil stays nil).
-func gather[T any](s []T, perm []int32) []T {
-	if s == nil {
-		return nil
-	}
-	out := make([]T, len(perm))
-	for i, p := range perm {
-		out[i] = s[p]
-	}
-	return out
 }
 
 // bytes is what the image's arrays hold: 8 per row id and per fixed-width
@@ -210,38 +88,22 @@ func (t *topic) setCheckpoint(b *Broker, ck *Checkpoint) {
 	t.ckpt = ck
 }
 
-// Checkpoint returns the partition's image, if any, decoded to rows under
-// the image lock: the rows are the caller's own and match the returned
+// Checkpoint returns a copy of the partition's image, if any, taken under
+// the image lock: the copy is the caller's own and matches the returned
 // Version and Offset however many folds run afterwards.
-func (b *Broker) Checkpoint(pid partition.ID) (RowImage, bool) {
+func (b *Broker) Checkpoint(pid partition.ID) (Checkpoint, bool) {
 	t := b.lookup(pid)
 	if t == nil {
-		return RowImage{}, false
+		return Checkpoint{}, false
 	}
 	t.ckMu.Lock()
 	defer t.ckMu.Unlock()
 	if t.ckpt == nil {
-		return RowImage{}, false
+		return Checkpoint{}, false
 	}
-	ck := t.ckpt
-	return RowImage{Rows: ck.decode(), Version: ck.Version, Offset: ck.Offset}, true
-}
-
-// decode boxes the image into rows whose values share one arena.
-func (ck *Checkpoint) decode() []schema.Row {
-	nc := len(ck.Cols)
-	rows := make([]schema.Row, len(ck.IDs))
-	vals := make([]types.Value, len(ck.IDs)*nc)
-	for i, id := range ck.IDs {
-		rows[i] = schema.Row{ID: id, Vals: vals[i*nc : (i+1)*nc : (i+1)*nc]}
-	}
-	for c := range ck.Cols {
-		v := &ck.Cols[c]
-		for i := range rows {
-			rows[i].Vals[c] = v.Value(i)
-		}
-	}
-	return rows
+	ck := *t.ckpt
+	ck.Image = ck.Image.Clone()
+	return ck, true
 }
 
 // CheckpointOffset reports the offset covered by the image (0 when none
@@ -295,7 +157,7 @@ func (b *Broker) FoldCheckpoint(pid partition.ID, minTail int64) int64 {
 		return 0
 	}
 	if ck.Cols == nil {
-		ck.Cols = newColumns(t.kinds, 0)
+		ck.Image = storage.NewImage(t.kinds, 0)
 	}
 	f := folder{ck: &ck}
 	for i := range tail {

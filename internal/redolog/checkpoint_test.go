@@ -1,6 +1,7 @@
 package redolog
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -85,9 +86,41 @@ func imageOf(rows []schema.Row, version uint64, offset int64) Checkpoint {
 	return ck
 }
 
-func sameImage(t *testing.T, ctx string, got RowImage, p *partition.Partition) {
+// rowImage is a checkpoint boxed to rows ordered by id.
+type rowImage struct {
+	Rows    []schema.Row
+	Version uint64
+	Offset  int64
+}
+
+// checkpointRows boxes the broker's checkpoint of pid.
+func checkpointRows(b *Broker, pid partition.ID) (rowImage, bool) {
+	ck, ok := b.Checkpoint(pid)
+	return rowImage{Rows: ck.Rows(), Version: ck.Version, Offset: ck.Offset}, ok
+}
+
+// extractRows is the oracle images are held to: every live row of p, boxed
+// cell by cell from its batch scan and ordered by id.
+func extractRows(p *partition.Partition) []schema.Row {
+	cols := make([]schema.ColID, len(p.Kinds()))
+	for i := range cols {
+		cols[i] = schema.ColID(i)
+	}
+	var out []schema.Row
+	p.ScanBatches(cols, nil, storage.Latest, 0, func(b *storage.Batch) bool {
+		b.Selected(func(row int) bool {
+			out = append(out, schema.Row{ID: b.RowIDs[row], Vals: b.Row(row, nil)})
+			return true
+		})
+		return true
+	})
+	slices.SortFunc(out, func(a, b schema.Row) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+func sameImage(t *testing.T, ctx string, got rowImage, p *partition.Partition) {
 	t.Helper()
-	want := p.ExtractAll(storage.Latest)
+	want := extractRows(p)
 	if got.Version != p.Version() {
 		t.Errorf("%s: image version %d, partition %d", ctx, got.Version, p.Version())
 	}
@@ -154,7 +187,7 @@ func TestFoldMatchesReplayedPartition(t *testing.T) {
 			case r < 10:
 				if b.FoldCheckpoint(pid, int64(1+rng.Intn(8))) > 0 {
 					folds++
-					ck, _ := b.Checkpoint(pid)
+					ck, _ := checkpointRows(b, pid)
 					if ck.Offset != b.EndOffset(pid) {
 						t.Fatalf("seed %d: folded to offset %d, log ends at %d", seed, ck.Offset, b.EndOffset(pid))
 					}
@@ -167,7 +200,7 @@ func TestFoldMatchesReplayedPartition(t *testing.T) {
 			}
 		}
 		b.FoldCheckpoint(pid, 1)
-		ck, ok := b.Checkpoint(pid)
+		ck, ok := checkpointRows(b, pid)
 		if !ok || folds == 0 {
 			t.Fatalf("seed %d: checkpoint present %v after %d folds", seed, ok, folds)
 		}
@@ -213,7 +246,7 @@ func TestFoldCounters(t *testing.T) {
 	if got := snap.Gauges["redolog.checkpoint_image_rows"]; got != 5 {
 		t.Errorf("image_rows = %d, want 5", got)
 	}
-	if ck, _ := b.Checkpoint(1); ck.Version != 5 || ck.Offset != 6 {
+	if ck, _ := checkpointRows(b, 1); ck.Version != 5 || ck.Offset != 6 {
 		t.Errorf("image at version %d offset %d, want 5 and 6", ck.Version, ck.Offset)
 	}
 	// Five rows of (Int64, "x"): an id and an int cell of 8 bytes each, a
@@ -267,7 +300,7 @@ func TestFoldRefusesAcrossTruncatedGap(t *testing.T) {
 	if n := b.FoldCheckpoint(1, 1); n != 0 {
 		t.Errorf("topic without image, base 4: folded %d records", n)
 	}
-	if _, ok := b.Checkpoint(1); ok {
+	if _, ok := checkpointRows(b, 1); ok {
 		t.Error("fold across a gap created an image")
 	}
 	b.FoldCheckpoint(2, 1)
@@ -276,7 +309,7 @@ func TestFoldRefusesAcrossTruncatedGap(t *testing.T) {
 	if n := b.FoldCheckpoint(2, 1); n != 0 {
 		t.Errorf("image at offset 2, base 5: folded %d records", n)
 	}
-	if ck, _ := b.Checkpoint(2); ck.Offset != 2 || len(ck.Rows) != 0 {
+	if ck, _ := checkpointRows(b, 2); ck.Offset != 2 || len(ck.Rows) != 0 {
 		t.Errorf("image moved to offset %d with %d rows", ck.Offset, len(ck.Rows))
 	}
 }
@@ -288,7 +321,7 @@ func TestCheckpointReadersKeepTheirImage(t *testing.T) {
 	b := NewBroker()
 	val := func(v int64) []types.Value { return []types.Value{types.NewInt64(v), types.NewString("x")} }
 	b.SaveCheckpoint(1, imageOf([]schema.Row{{ID: 30, Vals: val(30)}, {ID: 10, Vals: val(10)}, {ID: 20, Vals: val(20)}}, 1, 0))
-	before, _ := b.Checkpoint(1)
+	before, _ := checkpointRows(b, 1)
 	if before.Rows[0].ID != 10 || before.Rows[1].ID != 20 || before.Rows[2].ID != 30 {
 		t.Fatalf("base image not ordered by id: %v", before.Rows)
 	}
@@ -305,7 +338,7 @@ func TestCheckpointReadersKeepTheirImage(t *testing.T) {
 		before.Rows[0].ID != 10 || before.Rows[1].Vals[0].Int() != 20 {
 		t.Errorf("reader's image changed under it: %+v", before)
 	}
-	after, _ := b.Checkpoint(1)
+	after, _ := checkpointRows(b, 1)
 	var ids []schema.RowID
 	for _, r := range after.Rows {
 		ids = append(ids, r.ID)
@@ -402,7 +435,7 @@ func TestFoldConcurrentWithLog(t *testing.T) {
 	background(func() { b.Poll(pid, b.BaseOffset(pid), 16) })
 	background(func() { b.Truncate(pid, b.CheckpointOffset(pid)-2) })
 	background(func() {
-		ck, ok := b.Checkpoint(pid)
+		ck, ok := checkpointRows(b, pid)
 		if !ok {
 			t.Error("image disappeared")
 			return
@@ -440,7 +473,7 @@ func TestFoldConcurrentWithLog(t *testing.T) {
 	wg.Wait()
 
 	b.FoldCheckpoint(pid, 1)
-	ck, _ := b.Checkpoint(pid)
+	ck, _ := checkpointRows(b, pid)
 	if ck.Version != ver || ck.Offset != b.EndOffset(pid) {
 		t.Errorf("final image at version %d offset %d, log at %d / %d", ck.Version, ck.Offset, ver, b.EndOffset(pid))
 	}
@@ -555,7 +588,7 @@ func TestCheckpointFoldAllocBudget(t *testing.T) {
 	if got > budget {
 		t.Errorf("%.1f allocations per %d-record fold, budget %.1f", got, tail, budget)
 	}
-	if ck, _ := br.Checkpoint(pid); ck.Version != ver || len(ck.Rows) != rows {
+	if ck, _ := checkpointRows(br, pid); ck.Version != ver || len(ck.Rows) != rows {
 		t.Errorf("image at version %d with %d rows, want %d and %d", ck.Version, len(ck.Rows), ver, rows)
 	}
 }
@@ -672,7 +705,7 @@ func TestFoldKeepsNullsTyped(t *testing.T) {
 			default:
 				continue
 			}
-			ck, _ := b.Checkpoint(pid)
+			ck, _ := checkpointRows(b, pid)
 			sameImage(t, ctx, ck, p)
 			checkColumns(t, ctx, b, pid, nullKinds, reg)
 		}
@@ -724,7 +757,7 @@ func TestCheckpointOfMatchesExtract(t *testing.T) {
 				t.Helper()
 				b := NewBroker()
 				b.SaveCheckpoint(1, CheckpointOf(p, 0))
-				ck, _ := b.Checkpoint(1)
+				ck, _ := checkpointRows(b, 1)
 				sameImage(t, ctx+" "+stage, ck, p)
 			}
 			same("loaded")

@@ -64,24 +64,23 @@ func NewDisk(kinds []types.Kind, dev *disksim.Device) *Disk {
 // Layout implements storage.Store.
 func (d *Disk) Layout() storage.Layout { return d.layout }
 
-// serialize produces the disk image and index for rows (sorted by RowID).
-func (d *Disk) serialize(rows []schema.Row) ([]byte, map[schema.RowID]idxEntry, []schema.RowID) {
+// serialize produces the disk image and index for an image's rows.
+func (d *Disk) serialize(img storage.Image) ([]byte, map[schema.RowID]idxEntry) {
 	var buf []byte
-	index := make(map[schema.RowID]idxEntry, len(rows))
-	order := make([]schema.RowID, 0, len(rows))
-	var hdr [12]byte
-	for _, r := range rows {
+	index := make(map[schema.RowID]idxEntry, len(img.IDs))
+	var hdr [8]byte
+	for i, id := range img.IDs {
 		start := len(buf)
-		binary.LittleEndian.PutUint64(hdr[:8], uint64(r.ID))
-		buf = append(buf, hdr[:8]...)
-		for _, v := range r.Vals {
+		binary.LittleEndian.PutUint64(hdr[:], uint64(id))
+		buf = append(buf, hdr[:]...)
+		for c := range img.Cols {
+			v := img.Cols[c].Value(i)
 			buf = append(buf, byte(v.K))
 			buf = types.AppendVar(buf, v)
 		}
-		index[r.ID] = idxEntry{off: start, n: len(buf) - start}
-		order = append(order, r.ID)
+		index[id] = idxEntry{off: start, n: len(buf) - start}
 	}
-	return buf, index, order
+	return buf, index
 }
 
 // decodeRow decodes one serialized row image.
@@ -112,13 +111,14 @@ func (d *Disk) decodeRow(data []byte) (schema.Row, error) {
 	return schema.Row{ID: id, Vals: vals}, nil
 }
 
-// Load implements storage.Store: rows are dynamically sized and written to
-// disk sequentially (§4.4).
-func (d *Disk) Load(rows []schema.Row, ver uint64) error {
-	sorted := make([]schema.Row, len(rows))
-	copy(sorted, rows)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	img, index, order := d.serialize(sorted)
+// LoadImage implements storage.Store: rows are dynamically sized and
+// written to disk sequentially (§4.4).
+func (d *Disk) LoadImage(image storage.Image, ver uint64) error {
+	if err := image.Check(d.kinds); err != nil {
+		return fmt.Errorf("rowstore: %w", err)
+	}
+	img, index := d.serialize(image)
+	order := slices.Clone(image.IDs)
 
 	d.mu.Lock()
 	oldBlock, had := d.block, d.hasBlock
@@ -391,11 +391,6 @@ func mergeIDs(a, b []schema.RowID) []schema.RowID {
 	return append(out, b[j:]...)
 }
 
-// ExtractAll implements storage.Store.
-func (d *Disk) ExtractAll(snap uint64) []schema.Row {
-	return storage.ScanRows(d, allCols(len(d.kinds)), snap)
-}
-
 // MorselBounds implements storage.Store: a scan reads the whole image
 // whatever its range, so the store is one morsel.
 func (d *Disk) MorselBounds(int) []schema.RowID { return nil }
@@ -404,8 +399,7 @@ func (d *Disk) MorselBounds(int) []schema.RowID { return nil }
 // partition image (§4.1.1: in-place for same-size updates is subsumed by
 // the batch rewrite in this implementation).
 func (d *Disk) Flush(ver uint64) error {
-	rows := d.ExtractAll(ver)
-	return d.Load(rows, ver)
+	return d.LoadImage(storage.Capture(d, d.kinds, ver), ver)
 }
 
 // BufferedRows reports how many rows have pending buffered updates.

@@ -317,36 +317,28 @@ func (m *Mem) MorselBounds(targetRows int) []schema.RowID {
 	return bounds
 }
 
-// Load implements storage.Store, bulk loading by allocating a fixed-size
-// buffer for every row (§4.4).
-func (m *Mem) Load(rows []schema.Row, ver uint64) error {
+// LoadImage implements storage.Store, bulk loading by allocating a
+// fixed-size buffer for every row (§4.4).
+func (m *Mem) LoadImage(img storage.Image, ver uint64) error {
+	if err := img.Check(m.kinds); err != nil {
+		return fmt.Errorf("rowstore: %w", err)
+	}
+	rows := make(map[schema.RowID]*version, len(img.IDs))
+	vals := make([]types.Value, len(m.kinds))
+	nbytes := 0
+	for i, id := range img.IDs {
+		for c := range vals {
+			vals[c] = img.Cols[c].Value(i)
+		}
+		data, _ := m.encode(vals)
+		rows[id] = &version{data: data, ver: ver} // one each: GC frees them one by one
+		nbytes += len(data)
+	}
 	m.mu.Lock()
-	m.rows = make(map[schema.RowID]*version, len(rows))
-	m.ids, m.chained = m.ids[:0], m.chained[:0]
-	m.live, m.nvers, m.nbytes = 0, 0, 0
-	m.mu.Unlock()
-	for _, r := range rows {
-		if err := m.Insert(r, ver); err != nil {
-			return err
-		}
-	}
+	defer m.mu.Unlock()
+	m.rows, m.ids, m.chained = rows, slices.Clone(img.IDs), m.chained[:0]
+	m.live, m.nvers, m.nbytes = len(img.IDs), len(img.IDs), nbytes
 	return nil
-}
-
-// ExtractAll implements storage.Store under one read lock, so even at
-// storage.Latest the rows are one state of the store (a batch scan holds
-// the lock a batch at a time).
-func (m *Mem) ExtractAll(snap uint64) []schema.Row {
-	all := allCols(len(m.kinds))
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]schema.Row, 0, m.live)
-	for _, id := range m.ids {
-		if v := visible(m.rows[id], snap); v != nil && !v.deleted {
-			out = append(out, schema.Row{ID: id, Vals: m.decodeCols(v.data, all)})
-		}
-	}
-	return out
 }
 
 // Stats implements storage.Store from counters every mutation and GC keep

@@ -198,10 +198,10 @@ func TestLoadAndExtract(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			rows := []schema.Row{mkRow(3), mkRow(1), mkRow(2)}
-			if err := s.Load(rows, 1); err != nil {
+			if err := load(s, testKinds, rows, 1); err != nil {
 				t.Fatal(err)
 			}
-			out := s.ExtractAll(storage.Latest)
+			out := extract(s, testKinds, storage.Latest)
 			if len(out) != 3 {
 				t.Fatalf("extracted %d rows", len(out))
 			}
@@ -253,7 +253,7 @@ func TestLayouts(t *testing.T) {
 func TestDiskFlushAndReRead(t *testing.T) {
 	dev := disksim.New(disksim.Config{})
 	d := NewDisk(testKinds, dev)
-	if err := d.Load([]schema.Row{mkRow(1), mkRow(2)}, 1); err != nil {
+	if err := load(d, testKinds, []schema.Row{mkRow(1), mkRow(2)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Update(1, []schema.ColID{0}, []types.Value{types.NewInt64(-7)}, 2); err != nil {
@@ -275,7 +275,7 @@ func TestDiskFlushAndReRead(t *testing.T) {
 	if !ok || r.Vals[0].Int() != -7 {
 		t.Errorf("post-flush read: %v %v", r, ok)
 	}
-	if got := d.ExtractAll(storage.Latest); len(got) != 3 {
+	if got := extract(d, testKinds, storage.Latest); len(got) != 3 {
 		t.Errorf("post-flush rows = %d", len(got))
 	}
 }
@@ -322,10 +322,10 @@ func TestLoadExtractRoundTripProperty(t *testing.T) {
 			rows = append(rows, mkRow(id))
 		}
 		for _, s := range []storage.Store{NewMem(testKinds), NewDisk(testKinds, dev)} {
-			if err := s.Load(rows, 1); err != nil {
+			if err := load(s, testKinds, rows, 1); err != nil {
 				return false
 			}
-			out := s.ExtractAll(storage.Latest)
+			out := extract(s, testKinds, storage.Latest)
 			if len(out) != len(rows) {
 				return false
 			}
@@ -384,8 +384,8 @@ func recount(t *testing.T, m *Mem) {
 }
 
 // readAll is what a snapshot sees: every row through Get, and the full scan
-// through ScanBatches, both rendered for comparison. ExtractAll must agree
-// with the scan.
+// through ScanBatches, both rendered for comparison. A captured image must
+// agree with the scan.
 func readAll(t *testing.T, m *Mem, snap uint64, maxID int64) (gets, scan []string) {
 	all := allCols(len(m.kinds))
 	for id := int64(0); id < maxID; id++ {
@@ -400,12 +400,12 @@ func readAll(t *testing.T, m *Mem, snap uint64, maxID int64) (gets, scan []strin
 		})
 		return true
 	})
-	var extract []string
-	for _, r := range m.ExtractAll(snap) {
-		extract = append(extract, fmt.Sprint(r.ID, r.Vals))
+	var captured []string
+	for _, r := range extract(m, m.kinds, snap) {
+		captured = append(captured, fmt.Sprint(r.ID, r.Vals))
 	}
-	if !slices.Equal(extract, scan) {
-		t.Fatalf("snapshot %d: ExtractAll %v, ScanBatches %v", snap, extract, scan)
+	if !slices.Equal(captured, scan) {
+		t.Fatalf("snapshot %d: captured image %v, ScanBatches %v", snap, captured, scan)
 	}
 	return gets, scan
 }
@@ -439,7 +439,7 @@ func TestMemGCDifferential(t *testing.T) {
 				rows = append(rows, schema.Row{ID: schema.RowID(id), Vals: []types.Value{
 					types.NewInt64(id), str(rng), types.NewFloat64(0), str(rng)}})
 			}
-			if err := m.Load(rows, 1); err != nil {
+			if err := load(m, kinds, rows, 1); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range rows {
@@ -552,7 +552,7 @@ func BenchmarkMemUpdateGC(b *testing.B) {
 		}
 		data[i] = schema.Row{ID: schema.RowID(i), Vals: vals}
 	}
-	if err := m.Load(data, 1); err != nil {
+	if err := load(m, kinds, data, 1); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -574,4 +574,18 @@ func BenchmarkMemUpdateGC(b *testing.B) {
 			m.GC(ver)
 		}
 	}
+}
+
+// load bulk-loads boxed rows through an image.
+func load(s storage.Store, kinds []types.Kind, rows []schema.Row, ver uint64) error {
+	img, err := storage.ImageOf(kinds, rows)
+	if err != nil {
+		return err
+	}
+	return s.LoadImage(img, ver)
+}
+
+// extract boxes every live row of s at ver, ordered by id.
+func extract(s storage.Store, kinds []types.Kind, ver uint64) []schema.Row {
+	return storage.Capture(s, kinds, ver).Rows()
 }

@@ -39,7 +39,19 @@ type clientState struct {
 	oltpAttempted, oltpAcked int64
 	olapAttempted, olapAcked int64
 	shed, errs               int64
+	unhinted                 int64 // sheds without a RetryAfter hint
 	acked                    map[schema.RowID]float64
+}
+
+// countShed tallies one overload error and whether it broke the shed
+// contract: every shed is a faults.OverloadError, which tells the client
+// when to retry.
+func (st *clientState) countShed(err error) {
+	st.shed++
+	var oe *faults.OverloadError
+	if !errors.As(err, &oe) {
+		st.unhinted++
+	}
 }
 
 var testCols = []schema.Column{
@@ -112,9 +124,8 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		events := spec.schedule()
 		logf("fault schedule: %d events over %v", len(events), ms(spec.DurationMS))
 		faultWG.Add(1)
-		go func() {
+		vclock.Go(clk, func() {
 			defer faultWG.Done()
-			defer vclock.Enter(clk)()
 			for _, ev := range events {
 				if vclock.SleepCtx(runCtx, clk, ev.At-clk.Since(virtStart)) != nil {
 					return
@@ -124,7 +135,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 					logf("t=%v fault: %v", clk.Since(virtStart).Round(time.Millisecond), ev.Kind)
 				}
 			}
-		}()
+		})
 	}
 
 	// Closed-loop clients over disjoint row stripes.
@@ -138,9 +149,8 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		st := &clientState{acked: make(map[schema.RowID]float64)}
 		stats[c] = st
 		wg.Add(1)
-		go func(c int) {
+		vclock.Go(clk, func() {
 			defer wg.Done()
-			defer vclock.Enter(clk)()
 			rng := rand.New(rand.NewSource(spec.Seed<<16 + int64(c)))
 			sess := e.NewSession()
 			// Ops run on an uncancellable context: cancelling a commit wait
@@ -186,7 +196,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 						st.oltpAcked++
 						st.acked[schema.RowID(row)] = val
 					case errors.Is(err, faults.ErrOverload):
-						st.shed++
+						st.countShed(err)
 					default:
 						st.errs++
 					}
@@ -198,22 +208,21 @@ func Run(spec Spec, opt Options) (*Report, error) {
 					case err == nil:
 						st.olapAcked++
 					case errors.Is(err, faults.ErrOverload):
-						st.shed++
+						st.countShed(err)
 					default:
 						st.errs++
 					}
 				}
 			}
-		}(c)
+		})
 	}
 
 	// Timed mode: one registered sleeper closes the run window.
 	if spec.DurationMS > 0 {
-		go func() {
-			defer vclock.Enter(clk)()
+		vclock.Go(clk, func() {
 			clk.Sleep(ms(spec.DurationMS))
 			stopRun()
-		}()
+		})
 	}
 	wg.Wait()
 	stopRun()
@@ -238,8 +247,10 @@ func Run(spec Spec, opt Options) (*Report, error) {
 
 	// Read back every acknowledged write.
 	var counts Counts
+	var unhinted int64
 	verifySess := e.NewSession()
 	for c, st := range stats {
+		unhinted += st.unhinted
 		counts.OLTPAttempted += st.oltpAttempted
 		counts.OLTPAcked += st.oltpAcked
 		counts.OLAPAttempted += st.olapAttempted
@@ -289,6 +300,9 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		rep.SimAdvances, rep.SimIdleAdvances = sim.Advances()
 	}
 	rep.Violations = spec.Assert.check(rep)
+	if unhinted > 0 {
+		rep.Violations = append(rep.Violations, fmt.Sprintf("%d of %d sheds carried no RetryAfter hint", unhinted, counts.Shed))
+	}
 	return rep, nil
 }
 

@@ -2,7 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
+
+	"proteus/internal/faults"
 
 	"proteus/internal/vclock"
 )
@@ -122,5 +126,18 @@ func TestParseRejectsMalformedJSON(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"name":"p","sites":2,"rounds_per_client":3,"seed":4}`)); err != nil {
 		t.Errorf("minimal valid doc rejected: %v", err)
+	}
+}
+
+// TestShedWithoutHintIsCounted: the runner holds every shed to the
+// admission contract — a faults.OverloadError with its RetryAfter hint; a
+// bare ErrOverload counts as a shed that broke it.
+func TestShedWithoutHintIsCounted(t *testing.T) {
+	var st clientState
+	st.countShed(&faults.OverloadError{Tenant: "t", RetryAfter: time.Millisecond})
+	st.countShed(fmt.Errorf("wrapped: %w", &faults.OverloadError{RetryAfter: time.Millisecond}))
+	st.countShed(fmt.Errorf("%w: closed", faults.ErrOverload))
+	if st.shed != 3 || st.unhinted != 1 {
+		t.Fatalf("shed %d, unhinted %d; want 3 and 1", st.shed, st.unhinted)
 	}
 }

@@ -543,21 +543,6 @@ func ReadBatchStats() BatchStats {
 // the pool has been returned (the leak detector used by tests).
 func BatchPoolBalance() int64 { return statPoolGets.Load() - statPoolPuts.Load() }
 
-// ScanRows drains a whole-store scan of cols at version into boxed rows,
-// in emission order. Each row's values are sized exactly: layout
-// conversions and checkpoint images retain them.
-func ScanRows(st Store, cols []schema.ColID, version uint64) []schema.Row {
-	var out []schema.Row
-	st.ScanBatches(cols, nil, MinRow, MaxRow, version, DefaultBatchRows, func(b *Batch) bool {
-		b.Selected(func(row int) bool {
-			out = append(out, schema.Row{ID: b.RowIDs[row], Vals: b.Row(row, make([]types.Value, 0, len(b.Vecs)))})
-			return true
-		})
-		return true
-	})
-	return out
-}
-
 // TransposeRows adapts a row-callback producer into the batch contract by
 // filling pooled batches: the morsel executor's stitched units, whose rows
 // are assembled from several pieces, leave through it.

@@ -245,12 +245,9 @@ type Store interface {
 	// images); callers then treat the whole store as one morsel.
 	MorselBounds(targetRows int) []schema.RowID
 
-	// Load bulk-loads rows, replacing current contents (§4.4 bulk load).
-	Load(rows []schema.Row, version uint64) error
-	// ExtractAll returns a consistent snapshot of every live row at the
-	// given version, with all columns, ordered by RowID. Used for layout
-	// conversions and replica installation.
-	ExtractAll(version uint64) []schema.Row
+	// LoadImage bulk-loads an image, replacing current contents (§4.4 bulk
+	// load). The store copies what it keeps; img stays the caller's.
+	LoadImage(img Image, version uint64) error
 
 	// Stats reports the store's physical footprint.
 	Stats() Stats

@@ -82,13 +82,16 @@ type Sim struct {
 	offset atomic.Int64  // virtual nanoseconds since base (lock-free reads)
 	gen    atomic.Uint64 // bumped on every clock mutation (quiescence probe)
 
-	mu      sync.Mutex
-	cv      *sync.Cond // advancer waits here for pending events
-	events  eventHeap
-	seq     uint64
-	active  int // registered driver goroutines
-	parked  int // goroutines parked in clock waits
-	stopped bool
+	mu     sync.Mutex
+	cv     *sync.Cond // advancer waits here for pending events
+	events eventHeap
+	seq    uint64
+	active int // registered driver goroutines
+	parked int // goroutines parked in clock waits
+	// starting counts the tasks Go has spawned that have not begun to
+	// run: runnable by construction, so time never advances past them.
+	starting int
+	stopped  bool
 
 	advances     atomic.Uint64 // total time advances
 	idleAdvances atomic.Uint64 // advances taken via the fallback grace
@@ -134,7 +137,7 @@ func (s *Sim) Advances() (total, idleFallback uint64) {
 
 // Register marks the calling goroutine as a clock-driven task: the clock
 // may advance as soon as every registered task is parked in a clock
-// wait. Pair with Unregister (vclock.Enter does both).
+// wait. Pair with Unregister (vclock.Go does both).
 func (s *Sim) Register() {
 	s.mu.Lock()
 	s.active++
@@ -149,6 +152,26 @@ func (s *Sim) Unregister() {
 	s.gen.Add(1)
 	s.cv.Signal()
 	s.mu.Unlock()
+}
+
+// spawn runs f on a new goroutine registered as a driver task before the
+// go statement (vclock.Go). Until the goroutine begins, the advancer holds
+// virtual time still.
+func (s *Sim) spawn(f func()) {
+	s.mu.Lock()
+	s.active++
+	s.starting++
+	s.gen.Add(1)
+	s.mu.Unlock()
+	go func() {
+		s.mu.Lock()
+		s.starting--
+		s.gen.Add(1)
+		s.cv.Signal()
+		s.mu.Unlock()
+		defer s.Unregister()
+		f()
+	}()
 }
 
 // park marks the calling goroutine as blocked on a signal only
@@ -357,7 +380,7 @@ func (s *Sim) advanceLocked() {
 func (s *Sim) run() {
 	for {
 		s.mu.Lock()
-		for !s.stopped && !s.pendingLocked() {
+		for !s.stopped && (s.starting > 0 || !s.pendingLocked()) {
 			s.cv.Wait()
 		}
 		if s.stopped {

@@ -109,10 +109,26 @@ func OrWall(c Clock) Clock {
 	return c
 }
 
+// Go runs f on a new goroutine that, when c is a Sim, is a clock-driven
+// task (the registration is what lets the Sim advance as soon as every
+// driver is parked, instead of waiting out the idle-detection grace). The
+// task is counted before the go statement and uncounted when f returns,
+// and the Sim holds time still until the goroutine has begun, so it never
+// advances past a task that has yet to start. On other clocks it is a
+// plain go statement.
+func Go(c Clock, f func()) {
+	if s, ok := c.(*Sim); ok {
+		s.spawn(f)
+		return
+	}
+	go f()
+}
+
 // Enter registers the calling goroutine as a clock-driven task when c is
-// a Sim (the registration is what lets the Sim advance as soon as every
-// driver is parked, instead of waiting out the idle-detection grace). It
-// returns the matching leave function; on a Wall clock both are no-ops.
+// a Sim, from inside the goroutine — which leaves a window between its go
+// statement and the registration in which the clock can advance past it;
+// Go has none. It returns the matching leave function; on a Wall clock
+// both are no-ops.
 //
 //	defer vclock.Enter(clk)()
 func Enter(c Clock) func() {

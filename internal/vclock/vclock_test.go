@@ -16,6 +16,16 @@ func newTestSim(t *testing.T) *Sim {
 	return s
 }
 
+// onClock runs f as a clock-driven task (Go) and waits for it to return.
+func onClock(c Clock, f func()) {
+	done := make(chan struct{})
+	Go(c, func() {
+		defer close(done)
+		f()
+	})
+	<-done
+}
+
 func TestWallImplementsClock(t *testing.T) {
 	var c Clock = Wall{}
 	start := c.Now()
@@ -33,10 +43,9 @@ func TestWallImplementsClock(t *testing.T) {
 
 func TestSimSleepAdvancesVirtualTime(t *testing.T) {
 	s := newTestSim(t)
-	defer Enter(s)()
 	start := s.Now()
 	wall := time.Now()
-	s.Sleep(10 * time.Minute)
+	onClock(s, func() { s.Sleep(10 * time.Minute) })
 	if got := s.Since(start); got != 10*time.Minute {
 		t.Fatalf("virtual elapsed = %v, want 10m", got)
 	}
@@ -52,14 +61,13 @@ func TestSimSleepOrdering(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
 		wg.Add(1)
-		go func(i int, d time.Duration) {
+		Go(s, func() {
 			defer wg.Done()
-			defer Enter(s)()
 			s.Sleep(d)
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
-		}(i, d)
+		})
 	}
 	wg.Wait()
 	want := []int{1, 2, 0}
@@ -103,8 +111,7 @@ func TestSimTimerStop(t *testing.T) {
 		t.Fatalf("second Stop = true")
 	}
 	// A stopped hour-long timer must not block a short sleep behind it.
-	defer Enter(s)()
-	s.Sleep(time.Millisecond)
+	onClock(s, func() { s.Sleep(time.Millisecond) })
 	if s.Elapsed() != time.Millisecond {
 		t.Fatalf("elapsed = %v, want 1ms (stopped timer advanced the clock?)", s.Elapsed())
 	}
@@ -113,25 +120,31 @@ func TestSimTimerStop(t *testing.T) {
 func TestSimTickerDeliversAndStops(t *testing.T) {
 	s := newTestSim(t)
 	tk := s.NewTicker(100 * time.Millisecond)
-	defer Enter(s)()
 	var ticks int
-	for ticks < 5 {
-		select {
-		case <-tk.C:
-			ticks++
-		case <-time.After(5 * time.Second):
-			t.Fatalf("ticker stalled after %d ticks", ticks)
+	var before, after time.Duration
+	onClock(s, func() {
+		for ticks < 5 {
+			select {
+			case <-tk.C:
+				ticks++
+			case <-time.After(5 * time.Second):
+				return
+			}
 		}
+		tk.Stop()
+		// After Stop the ticker must not keep the event queue busy: a
+		// plain sleep should advance exactly its own duration from here.
+		before = s.Elapsed()
+		s.Sleep(time.Millisecond)
+		after = s.Elapsed()
+	})
+	if ticks < 5 {
+		t.Fatalf("ticker stalled after %d ticks", ticks)
 	}
-	if s.Elapsed() < 500*time.Millisecond {
-		t.Fatalf("elapsed = %v after 5 ticks of 100ms", s.Elapsed())
+	if before < 500*time.Millisecond {
+		t.Fatalf("elapsed = %v after 5 ticks of 100ms", before)
 	}
-	tk.Stop()
-	// After Stop the ticker must not keep the event queue busy: a plain
-	// sleep should advance exactly its own duration from here.
-	before := s.Elapsed()
-	s.Sleep(time.Millisecond)
-	if got := s.Elapsed() - before; got != time.Millisecond {
+	if got := after - before; got != time.Millisecond {
 		t.Fatalf("post-Stop sleep advanced %v, want 1ms", got)
 	}
 }
@@ -145,10 +158,7 @@ func TestSleepCtxCancel(t *testing.T) {
 	defer tk.Stop()
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
-	go func() {
-		defer Enter(s)()
-		errc <- SleepCtx(ctx, s, time.Hour)
-	}()
+	Go(s, func() { errc <- SleepCtx(ctx, s, time.Hour) })
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
@@ -175,8 +185,9 @@ func TestSleepCtxPreCancelled(t *testing.T) {
 
 func TestSleepCtxCompletes(t *testing.T) {
 	s := newTestSim(t)
-	defer Enter(s)()
-	if err := SleepCtx(context.Background(), s, 3*time.Second); err != nil {
+	var err error
+	onClock(s, func() { err = SleepCtx(context.Background(), s, 3*time.Second) })
+	if err != nil {
 		t.Fatalf("SleepCtx = %v", err)
 	}
 	if s.Elapsed() != 3*time.Second {
@@ -196,11 +207,10 @@ func TestSimIdleFallback(t *testing.T) {
 		close(ch)
 	}()
 	done := make(chan struct{})
-	go func() {
+	Go(s, func() {
 		defer close(done)
-		defer Enter(s)()
 		<-ch // parked outside the clock's view
-	}()
+	})
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -220,14 +230,13 @@ func TestSimDeterministicWakeTimes(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := 0; i < 6; i++ {
 			wg.Add(1)
-			go func(i int) {
+			Go(s, func() {
 				defer wg.Done()
-				defer Enter(s)()
 				for r := 0; r < 4; r++ {
 					s.Sleep(time.Duration(1+(i*7+r*3)%11) * time.Millisecond)
 					wakes[i][r] = s.Elapsed()
 				}
-			}(i)
+			})
 		}
 		wg.Wait()
 		return wakes, s.Elapsed()
@@ -276,6 +285,11 @@ func TestOrWallAndEnterOnWall(t *testing.T) {
 		t.Fatalf("OrWall(sim) did not pass through")
 	}
 	Enter(Wall{})() // must be a no-op, not a panic
+	ran := false
+	onClock(Wall{}, func() { ran = true }) // a plain go statement
+	if !ran {
+		t.Fatalf("Go on a Wall clock did not run f")
+	}
 }
 
 // TestSimManyGoroutinesThroughput sanity-checks that a few thousand
@@ -286,13 +300,12 @@ func TestSimManyGoroutinesThroughput(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
-		go func(i int) {
+		Go(s, func() {
 			defer wg.Done()
-			defer Enter(s)()
 			for r := 0; r < 100; r++ {
 				s.Sleep(time.Duration(1+(i+r)%13) * time.Millisecond)
 			}
-		}(i)
+		})
 	}
 	wg.Wait()
 	if el := time.Since(start); el > 30*time.Second {

@@ -95,12 +95,17 @@ func (z *ZoneMap) IDSpan() (lo, hi schema.RowID, ok bool) {
 	return z.idLo, z.idHi, z.hasID
 }
 
-// Rebuild replaces the ranges from a full set of rows.
-func (z *ZoneMap) Rebuild(rows []schema.Row) {
+// Rebuild replaces the ranges from a partition's whole image.
+func (z *ZoneMap) Rebuild(img storage.Image) {
 	nz := New(len(z.mins))
-	for _, r := range rows {
-		nz.Observe(r.Vals)
-		nz.observeIDLocked(r.ID)
+	nz.n = len(img.IDs)
+	if n := len(img.IDs); n > 0 {
+		nz.idLo, nz.idHi, nz.hasID = img.IDs[0], img.IDs[n-1], true
+	}
+	for c := range img.Cols {
+		for i := range img.IDs {
+			nz.widenLocked(c, img.Cols[c].Value(i))
+		}
 	}
 	z.mu.Lock()
 	z.mins, z.maxs, z.n = nz.mins, nz.maxs, nz.n

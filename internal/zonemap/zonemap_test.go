@@ -87,10 +87,14 @@ func TestEstimateSelectivity(t *testing.T) {
 
 func TestRebuild(t *testing.T) {
 	z := observed()
-	z.Rebuild([]schema.Row{
+	img, err := storage.ImageOf([]types.Kind{types.KindInt64, types.KindString}, []schema.Row{
 		{ID: 1, Vals: []types.Value{types.NewInt64(100), types.NewString("a")}},
 		{ID: 2, Vals: []types.Value{types.NewInt64(200), types.NewString("b")}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z.Rebuild(img)
 	lo, hi, ok := z.Range(0)
 	if !ok || lo.Int() != 100 || hi.Int() != 200 {
 		t.Errorf("post-rebuild range = [%v, %v]", lo, hi)
