@@ -15,7 +15,6 @@ package admission
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -511,7 +510,7 @@ func (c *Controller) Close() {
 			c.live[pri]--
 			w.b.waiting--
 			c.gaugeQueue[pri].Add(-1)
-			w.ready <- fmt.Errorf("%w: tenant %q (closed)", faults.ErrOverload, w.b.tenant)
+			w.ready <- c.shedLocked(w.b, "closed")
 		}
 		c.queues[pri] = nil
 	}

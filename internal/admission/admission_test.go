@@ -384,8 +384,13 @@ func TestCloseShedsWaiters(t *testing.T) {
 	res := admitAsync(c, context.Background(), "a", PriorityOLTP)
 	waitDepth(t, c, PriorityOLTP, 1)
 	c.Close()
-	if err := <-res; !errors.Is(err, faults.ErrOverload) {
-		t.Fatalf("waiter at close got %v, want ErrOverload", err)
+	err := <-res
+	var oe *faults.OverloadError
+	if !errors.As(err, &oe) || oe.Reason != "closed" {
+		t.Fatalf("waiter at close got %v, want OverloadError(closed)", err)
+	}
+	if d, ok := faults.RetryAfterHint(err); !ok || d != oe.RetryAfter {
+		t.Fatalf("RetryAfterHint = (%v,%v), want (%v,true)", d, ok, oe.RetryAfter)
 	}
 	c.Close() // idempotent
 }

@@ -23,9 +23,9 @@ import (
 var queryAllocBudgets = map[string]float64{
 	"scan-agg":       161,  // grouped SUM and AVG over a filtered scan: 146 + 10 % (151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
 	"row-stream":     2318, // a filtered two-column scan drained through a cursor: 2107 + 10 % (2114 before cost features went by value and partition lookups stopped sorting; 2115; 2114 since the streaming driver shares its worker loop with the per-site one)
-	"join-agg":       405,  // pipelined fact ⋈ groups, grouped by a build column: 368 + 10 % (378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
+	"join-agg":       403,  // pipelined fact ⋈ groups, grouped by a build column, each probing site building its own table: 366 + 10 % (368 while the coordinator built the one table; 378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
 	"scan-agg-delta": 230,  // scan-agg with 50 updates pending per partition: 209 + 10 % (214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
-	"join-gather":    361,  // pipelined fact ⋈ groups, bare, its build side gathered from the remote site: 328 + 10 % (338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
+	"join-gather":    359,  // pipelined fact ⋈ groups, bare, its build side routed from the remote site: 326 + 10 % (328 while it was gathered to the coordinator and its table broadcast; 338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
 }
 
 // TestQueryAllocBudgets holds the query paths the executor serves — partial
@@ -57,7 +57,8 @@ func TestQueryAllocBudgets(t *testing.T) {
 		}
 	}
 	// A third engine whose dimension lives at the site that does not
-	// coordinate, so its build side crosses the network.
+	// coordinate, so its build rows cross the network to the coordinator's
+	// probing site.
 	ge, gfact := newSkewedEngine(t, 4000)
 	gsess := ge.NewSession()
 	gatherJoin := factDimJoin(gfact, createGroups(t, ge, 10, atSite(1, "groups")))

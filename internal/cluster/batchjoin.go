@@ -1,26 +1,28 @@
 // Batch-native join execution (§4.3), the one way every join runs. Each
-// join's smaller input — by estimate — is the build side: it is evaluated
-// to the coordinator and hashed into one immutable exec.JoinTable. The
-// other side is never materialized when it bottoms out in a scan: the
-// tables of the whole left-deep chain are shipped, as one message, to every
-// site holding probe morsels, their min-max bounds are pushed into the
-// scan predicate (zone maps prune morsels before scheduling), and the scan
-// workers probe each batch through the chain (exec.Prober) before handing
-// it to the query's sink — per-site partial aggregates for an aggregation
+// join's smaller input — by estimate — is the build side, and it is built
+// where its probe runs. A build side stays where it was evaluated: a scan
+// as one share per scanning site, anything else as one share at the
+// coordinator. The union of the shares' key bounds is pushed into the
+// probe scan's predicate (zone maps prune morsels before scheduling); then
+// every site holding probe morsels builds its own exec.JoinTable per stage
+// of the left-deep chain, over the rows it holds plus, from every other
+// site, the rows whose key falls in the zone-map range of its probe key
+// column — sent straight from site to site, one message per ordered pair
+// with rows to send, never through the coordinator. The scan workers probe
+// each batch through their site's chain (exec.Prober) before handing it to
+// the query's sink — per-site partial aggregates for an aggregation
 // parent, one columnar share per site for a bare join gathered whole, row
-// batches for one streamed to a cursor or cut by a LIMIT. A build side
-// scan reaches the coordinator the same way, one message per site. What still
+// batches for one streamed to a cursor or cut by a LIMIT. What still
 // materializes both sides at the coordinator (materializeJoin →
-// exec.BatchHashJoin, same table) is what the pipeline cannot serve: a
-// build side over the spill budget, which grace-partitions through the
-// spill device, and a probe side that is not a scan (an aggregate).
+// exec.BatchHashJoin) is what the pipeline cannot serve: a build side over
+// the spill budget, which grace-partitions through the spill device, and a
+// probe side that is not a scan (an aggregate).
 package cluster
 
 import (
 	"context"
 	"errors"
 	"sort"
-	"sync/atomic"
 
 	"proteus/internal/cost"
 	"proteus/internal/exec"
@@ -61,25 +63,40 @@ func nodeEstRows(n plan.PNode) int {
 	return 0
 }
 
-// nodeColLabels mirrors the output labels evalNode produces for a subtree.
-func nodeColLabels(n plan.PNode) []string {
-	switch v := n.(type) {
-	case *plan.PScan:
-		return colNames(v.Cols)
-	case *plan.PJoin:
-		return append(nodeColLabels(v.Left), nodeColLabels(v.Right)...)
-	case *plan.PAgg:
-		child := nodeColLabels(v.Child)
-		out := make([]string, 0, len(v.GroupBy)+len(v.Aggs))
-		for _, g := range v.GroupBy {
-			out = append(out, child[g])
-		}
-		for _, a := range v.Aggs {
-			out = append(out, a.Func.String())
+// nodeLabels mirrors the output labels evalNode produces for a subtree, at
+// the need positions (nil means all).
+func nodeLabels(n plan.PNode, need []int) []string {
+	if need == nil {
+		out := make([]string, plan.OutputWidth(n))
+		for i := range out {
+			out[i] = nodeLabel(n, i)
 		}
 		return out
 	}
-	return nil
+	out := make([]string, len(need))
+	for i, p := range need {
+		out[i] = nodeLabel(n, p)
+	}
+	return out
+}
+
+// nodeLabel is the label of a subtree's output column i.
+func nodeLabel(n plan.PNode, i int) string {
+	switch v := n.(type) {
+	case *plan.PScan:
+		return colName(v.Cols[i])
+	case *plan.PJoin:
+		if w := plan.OutputWidth(v.Left); i >= w {
+			return nodeLabel(v.Right, i-w)
+		}
+		return nodeLabel(v.Left, i)
+	case *plan.PAgg:
+		if i < len(v.GroupBy) {
+			return nodeLabel(v.Child, v.GroupBy[i])
+		}
+		return v.Aggs[i-len(v.GroupBy)].Func.String()
+	}
+	return ""
 }
 
 // addPos inserts p into a sorted unique position list.
@@ -117,22 +134,22 @@ type chainBuild struct {
 	probe exec.ColRef // where the probe key comes from
 }
 
-// flattenJoin resolves a join subtree into ch and returns the source of
-// each of its output columns. Every join builds on the side estimated
-// smaller and probes with the other, so the probe side descends through
-// joins to one leaf; build sides may be subtrees of any shape. When that
-// leaf is not a scan, ch.scan stays nil and flattenJoin returns nil. flip
-// reverses the choice for the innermost join — the one probed by the scan
-// itself — when its build side is a scan too.
-func flattenJoin(n plan.PNode, ch *probeChain, flip bool) []exec.ColRef {
+// flattenJoin resolves a join subtree into ch and fills refs, as long as
+// the subtree's output, with the source of each of its output columns.
+// Every join builds on the side estimated smaller and probes with the
+// other, so the probe side descends through joins to one leaf; build sides
+// may be subtrees of any shape. When that leaf is not a scan, ch.scan stays
+// nil and flattenJoin returns false. flip reverses the choice for the
+// innermost join — the one probed by the scan itself — when its build side
+// is a scan too.
+func flattenJoin(n plan.PNode, ch *probeChain, flip bool, refs []exec.ColRef) bool {
 	switch v := n.(type) {
 	case *plan.PScan:
 		ch.scan = v
-		refs := make([]exec.ColRef, len(v.Cols))
 		for i := range refs {
 			refs[i] = exec.ColRef{Stage: -1, Col: i}
 		}
-		return refs
+		return true
 	case *plan.PJoin:
 		probe, build, pKey, bKey := v.Left, v.Right, v.LeftKey, v.RightKey
 		buildLeft := nodeEstRows(v.Left) < nodeEstRows(v.Right)
@@ -144,22 +161,23 @@ func flattenJoin(n plan.PNode, ch *probeChain, flip bool) []exec.ColRef {
 		if buildLeft {
 			probe, build, pKey, bKey = v.Right, v.Left, v.RightKey, v.LeftKey
 		}
-		prefs := flattenJoin(probe, ch, flip)
-		if prefs == nil {
-			return nil
+		// The output is the left input's columns, then the right's.
+		pw := plan.OutputWidth(probe)
+		prefs, brefs := refs[:pw], refs[pw:]
+		if buildLeft {
+			brefs, prefs = refs[:len(refs)-pw], refs[len(refs)-pw:]
+		}
+		if !flattenJoin(probe, ch, flip, prefs) {
+			return false
 		}
 		k := len(ch.builds)
 		ch.builds = append(ch.builds, chainBuild{node: build, key: bKey, probe: prefs[pKey]})
-		brefs := make([]exec.ColRef, plan.OutputWidth(build))
 		for i := range brefs {
 			brefs[i] = exec.ColRef{Stage: k, Col: i}
 		}
-		if buildLeft {
-			return append(brefs, prefs...)
-		}
-		return append(prefs, brefs...)
+		return true
 	}
-	return nil
+	return false
 }
 
 // projectScan narrows a scan to the need positions of its output (sorted
@@ -197,10 +215,10 @@ func scanRows(ps *plan.PScan) int {
 }
 
 // joinJob prepares the pipelined execution of a join subtree: it evaluates
-// every build side to the coordinator, hashes each into a JoinTable, pushes
-// the tables' bounds into the probe scan, ships the tables once to every
-// remote site holding probe morsels, and returns the scan's morsel job with
-// the probe pipeline installed — ready for whichever sink the caller runs.
+// every build side where its rows lie (buildShares), pushes the build keys'
+// bounds into the probe scan, schedules the scan's morsels, and gives each
+// site holding probe morsels its own tables over the build rows its probe
+// rows can meet (routeBuilds) — ready for whichever sink the caller runs.
 // need lists the output positions the sink reads (sorted ascending; nil
 // means all): each input is narrowed to those plus its join keys. A nil job
 // with a nil error means the pipeline cannot apply — the probe side is not
@@ -213,7 +231,7 @@ func scanRows(ps *plan.PScan) int {
 // scans the mistake is bounded: the build scan is abandoned as soon as it
 // has produced more rows than the probe side's partitions hold — proof
 // that the other side is the smaller one — and the join is redone with the
-// roles swapped, having shipped at most that many rows for nothing.
+// roles swapped, having shipped nothing for it.
 func (e *Engine) joinJob(ctx context.Context, pj *plan.PJoin, need []int, snap txn.VersionVector, coord simnet.SiteID) (*morselJob, error) {
 	j, err := e.pipeJoin(ctx, pj, need, snap, coord, false)
 	if errors.Is(err, errRowCap) {
@@ -222,16 +240,30 @@ func (e *Engine) joinJob(ctx context.Context, pj *plan.PJoin, need []int, snap t
 	return j, err
 }
 
+// buildShare is the part of a build side one site holds.
+type buildShare struct {
+	site simnet.SiteID
+	rel  exec.ColRel
+}
+
+// routedStage is one probe stage before routing: its build side's shares,
+// the join key's position in them, and where the probe key comes from.
+type routedStage struct {
+	shares []buildShare
+	key    int
+	probe  exec.ColRef
+}
+
 // pipeJoin is joinJob for one orientation of the innermost join: the
 // planner's, with the build scan capped (errRowCap when it is exceeded),
 // or, with flip set, the reverse, uncapped.
 func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap txn.VersionVector, coord simnet.SiteID, flip bool) (*morselJob, error) {
 	var ch probeChain
-	refs := flattenJoin(pj, &ch, flip)
-	if ch.scan == nil {
+	refs := make([]exec.ColRef, plan.OutputWidth(pj))
+	if !flattenJoin(pj, &ch, flip, refs) {
 		return nil, nil
 	}
-	labels := projectLabels(nodeColLabels(pj), need)
+	labels := nodeLabels(pj, need)
 	out := make([]exec.ColRef, len(labels))
 	for i := range out {
 		if need != nil {
@@ -242,8 +274,15 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 	}
 
 	// Each input's column footprint: what the sink reads plus every key.
-	scanNeed := []int{}
+	// No list holds more than c positions, so all of them are carved from
+	// one array.
+	c := len(out) + len(ch.builds) + 1
+	lists := make([]int, (len(ch.builds)+1)*c)
+	scanNeed := lists[:0:c]
 	buildNeed := make([][]int, len(ch.builds))
+	for k := range buildNeed {
+		buildNeed[k] = lists[(k+1)*c : (k+1)*c : (k+2)*c]
+	}
 	use := func(r exec.ColRef) {
 		if r.Stage < 0 {
 			scanNeed = addPos(scanNeed, r.Col)
@@ -269,34 +308,39 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 	scan := projectScan(ch.scan, scanNeed)
 
 	spill := e.joinSpill()
-	stages := make([]exec.ProbeStage, 0, len(ch.builds))
+	stages := make([]routedStage, 0, len(ch.builds))
 	pred := scan.Pred
 	for k, b := range ch.builds {
 		rowCap := 0
 		if _, isScan := b.node.(*plan.PScan); isScan && k == 0 && !flip {
 			rowCap = scanRows(ch.scan)
 		}
-		c, err := e.evalColInput(ctx, b.node, snap, coord, nil, -1, buildNeed[k], rowCap)
+		shares, err := e.buildShares(ctx, b.node, snap, coord, buildNeed[k], rowCap)
 		if err != nil {
 			return nil, err
 		}
-		if c.NumRows() == 0 {
+		var bounds exec.RuntimeFilter // the union of the shares' key bounds
+		key := posIndex(buildNeed[k], b.key)
+		rows, bytes := 0, int64(0)
+		for i := range shares {
+			rows += shares[i].rel.NumRows()
+			bytes += shares[i].rel.Bytes()
+			bounds.Widen(&shares[i].rel, key)
+		}
+		if rows == 0 {
 			// An inner join against zero rows is empty: no later build is
 			// evaluated and no probe morsel is scheduled.
 			stages = nil
 			break
 		}
-		if c.NumRows() > 1 && c.Bytes() > spill.Budget {
+		if rows > 1 && bytes > spill.Budget {
 			return nil, nil
 		}
-		st := exec.ProbeStage{
-			Table: exec.BuildJoinTable(&c, posIndex(buildNeed[k], b.key)),
-			Key:   narrowed(b.probe),
-		}
+		st := routedStage{shares: shares, key: key, probe: narrowed(b.probe)}
 		stages = append(stages, st)
-		if st.Key.Stage < 0 {
-			if bounds := st.Table.Filter().BoundsPred(scan.Cols[st.Key.Col]); bounds != nil {
-				pred = append(append(storage.Pred{}, pred...), bounds...)
+		if st.probe.Stage < 0 {
+			if bp := bounds.BoundsPred(scan.Cols[st.probe.Col]); bp != nil {
+				pred = append(append(storage.Pred{}, pred...), bp...)
 				exec.RecordRFBoundsPush()
 			}
 		}
@@ -319,7 +363,7 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 		for i := range out {
 			out[i] = narrowed(out[i])
 		}
-		if err := j.installPipe(exec.NewJoinPipe(stages, out)); err != nil {
+		if err := j.routeBuilds(stages, out); err != nil {
 			j.cancel()
 			return nil, err
 		}
@@ -327,18 +371,213 @@ func (e *Engine) pipeJoin(ctx context.Context, pj *plan.PJoin, need []int, snap 
 	return j, nil
 }
 
-// installPipe puts a probe pipeline in front of the job's sinks and ships
-// all of its stages, as one message, to every remote site that holds probe
-// morsels — the coordinator's own workers read them in place — so the
-// modelled network and fault injection see what a site-local probe costs.
-func (j *morselJob) installPipe(p *exec.JoinPipe) error {
-	j.pipe = p
-	var bytes int64
-	for k := range p.Stages {
-		bytes += p.Stages[k].WireBytes()
+// buildShares evaluates a build side where its rows lie. A scan leaves
+// each scanning site's rows there as that site's share — runSites' per-site
+// columnar accumulators, never shipped — and, given maxRows > 0, fails with
+// errRowCap once more rows than that have been scanned. Any other subtree
+// is evaluated to the coordinator, its one share.
+func (e *Engine) buildShares(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, need []int, maxRows int) ([]buildShare, error) {
+	ps, isScan := n.(*plan.PScan)
+	if !isScan {
+		c, err := e.evalColInput(ctx, n, snap, coord, nil, -1, need)
+		if err != nil {
+			return nil, err
+		}
+		return []buildShare{{site: coord, rel: c}}, nil
 	}
+	j, err := e.buildMorselJob(ctx, projectScan(ps, need), snap, coord)
+	if err != nil {
+		return nil, err
+	}
+	defer j.cancel()
+	accs, err := runSites(j, simnet.KindJoin, false, func(site simnet.SiteID) *colAcc {
+		return &colAcc{j: j, site: site, cols: exec.NewColRel(j.cols), maxRows: int64(maxRows)}
+	})
+	if err != nil {
+		return nil, err
+	}
+	shares := make([]buildShare, len(accs))
+	for i, a := range accs {
+		shares[i] = buildShare{site: a.site, rel: a.all()}
+		j.e.cntMorselRows.Add(int64(shares[i].rel.NumRows()))
+	}
+	return shares, nil
+}
+
+// routeBuilds gives every site holding probe morsels a pipeline of its own.
+// Its table for a stage holds the build rows the site has and, from every
+// other site, only the rows whose key may equal one of its probe keys: a
+// key inside the probe key column's range in the zone map of one of the
+// partitions its morsels read — the zone maps the scheduler pruned those
+// partitions with, so routing is exactly as safe as pruning. A stage whose
+// probe key comes from an earlier build, or whose probe column has no
+// range on some partition of the site, routes every row there. Rows go
+// from the site holding them straight to the probing site: each ordered
+// pair with rows to send is one message carrying every stage's rows for
+// it, charged their bytes plus a 64-byte header. A site left with an empty
+// table drops its morsels, and is sent nothing: an inner join with no
+// build rows is empty. The sites route, ship and build concurrently.
+func (j *morselJob) routeBuilds(stages []routedStage, out []exec.ColRef) error {
+	j.pipes = make([]*exec.JoinPipe, len(j.e.Sites))
+	probes := make([]exec.ProbeStage, len(stages)*len(j.units))
+	build := func(siteID simnet.SiteID, units []morselUnit, probes []exec.ProbeStage) {
+		p, err := j.siteTables(siteID, units, stages, probes, out)
+		if err != nil {
+			j.fail(err)
+		}
+		j.pipes[siteID] = p
+	}
+	n := 0
+	for siteID, units := range j.units {
+		mine := probes[n*len(stages) : (n+1)*len(stages)]
+		if n++; n == len(j.units) { // the last site builds on this goroutine
+			build(siteID, units, mine)
+			break
+		}
+		j.routing.Add(1)
+		go func() {
+			defer j.routing.Done()
+			build(siteID, units, mine)
+		}()
+	}
+	j.routing.Wait()
+	if j.err != nil {
+		return j.err
+	}
+	for siteID := range j.units {
+		if j.pipes[siteID] == nil {
+			delete(j.units, siteID)
+		}
+	}
+	return nil
+}
+
+// siteTables routes every stage's build rows to one probing site, ships
+// them there, and builds the site's pipeline over probes; nil, with
+// nothing shipped, when one of its tables would be empty.
+func (j *morselJob) siteTables(siteID simnet.SiteID, units []morselUnit, stages []routedStage, probes []exec.ProbeStage, out []exec.ColRef) (*exec.JoinPipe, error) {
+	var sentBuf [8]int64
+	sent := sentBuf[:0] // bytes routed from each site; -1: nothing
+	for range j.e.Sites {
+		sent = append(sent, -1)
+	}
+	var inBuf [4]exec.ColRel
+	inputs := inBuf[:0] // per stage: the site's table input
+	for range stages {
+		inputs = append(inputs, exec.ColRel{})
+	}
+	var rangeBuf [8]exec.KeyRange
+	var selBuf [256]int32
+	for k, st := range stages {
+		var ranges []exec.KeyRange
+		all := st.probe.Stage >= 0
+		if !all {
+			ranges, all = keyRanges(rangeBuf[:0], units, st.probe.Col)
+		}
+		parts := 0
+		for i := range st.shares {
+			sh := &st.shares[i]
+			part := &sh.rel
+			if sh.site != siteID && !all && part.NumRows() > 0 {
+				sel := exec.RouteRows(part, st.key, ranges, selBuf[:0])
+				if len(sel) == 0 {
+					continue
+				}
+				if len(sel) < part.NumRows() {
+					routed := exec.NewColRel(part.Cols)
+					routed.Gather(part, sel)
+					part = &routed
+				}
+			} else if part.NumRows() == 0 {
+				continue
+			}
+			if sh.site != siteID {
+				sent[sh.site] = max(sent[sh.site], 0) + part.Bytes()
+			}
+			appendShare(&inputs[k], parts, part)
+			parts++
+		}
+		if parts == 0 {
+			return nil, nil
+		}
+	}
+	for from, bytes := range sent {
+		if bytes < 0 {
+			continue
+		}
+		if err := j.e.shipBytesTo(simnet.KindJoin, simnet.SiteID(from), siteID, int(bytes+64)); err != nil {
+			return nil, err
+		}
+		exec.RecordJoinBroadcast(bytes + 64)
+	}
+	for k, st := range stages {
+		probes[k] = exec.ProbeStage{Table: exec.BuildJoinTable(&inputs[k], st.key), Key: st.probe}
+	}
+	return exec.NewJoinPipe(probes, out), nil
+}
+
+// appendShare adds a non-empty part to a site's table input, which has
+// taken parts of them so far: the first is taken as it is, read-only, and
+// a second copies both onto a relation of the input's own.
+func appendShare(in *exec.ColRel, parts int, part *exec.ColRel) {
+	switch parts {
+	case 0:
+		*in = *part
+	case 1:
+		first := *in
+		*in = exec.NewColRel(first.Cols)
+		in.AppendCols(&first)
+		in.AppendCols(part)
+	default:
+		in.AppendCols(part)
+	}
+}
+
+// keyRanges appends to ranges, and merges, the ranges of scan output
+// column col over the partitions a site's units read, each from the zone
+// map of the partition that serves the column (a stitched unit's piece
+// holding it); all is set when one of them records no range for it.
+func keyRanges(ranges []exec.KeyRange, units []morselUnit, col int) (_ []exec.KeyRange, all bool) {
+	var last *partScan
+	for _, u := range units {
+		ps, pos := u.ps, col
+		if u.st != nil {
+			src := u.st.src[col]
+			ps, pos = u.st.pieces[src.piece], src.pos
+		}
+		if ps == last {
+			continue
+		}
+		last = ps
+		lo, hi, ok := ps.p.ZoneMap().Range(ps.lcols[pos])
+		if !ok {
+			return nil, true
+		}
+		ranges = append(ranges, exec.KeyRange{Lo: lo, Hi: hi})
+	}
+	return exec.MergeRanges(ranges), false
+}
+
+// installPipe puts a materializing join's runtime filter in front of the
+// job's sinks, as a table-less probe stage on scan column key that narrows
+// every scan batch inside the workers, and ships the filter from the
+// coordinator to every remote site that holds probe morsels — the
+// coordinator's own workers read it in place — so the modelled network
+// and fault injection see what the semi-join reduction costs.
+func (j *morselJob) installPipe(rf *exec.RuntimeFilter, key int) error {
+	out := make([]exec.ColRef, j.width)
+	for i := range out {
+		out[i] = exec.ColRef{Stage: -1, Col: i}
+	}
+	p := exec.NewJoinPipe([]exec.ProbeStage{{Filter: rf, Key: exec.ColRef{Stage: -1, Col: key}}}, out)
+	j.pipes = make([]*exec.JoinPipe, len(j.e.Sites))
+	bytes := rf.Bytes()
 	for _, s := range j.e.Sites {
-		if _, probes := j.units[s.ID]; !probes || s.ID == j.coord {
+		if _, probes := j.units[s.ID]; !probes {
+			continue
+		}
+		j.pipes[s.ID] = p
+		if s.ID == j.coord {
 			continue
 		}
 		if err := j.e.shipBytesTo(simnet.KindJoin, j.coord, s.ID, int(bytes)); err != nil {
@@ -362,7 +601,7 @@ func (e *Engine) evalBatchJoin(ctx context.Context, pj *plan.PJoin, snap txn.Ver
 		return e.materializeJoin(ctx, pj, snap, coord, need)
 	}
 	defer j.cancel()
-	return j.gatherCols(0)
+	return j.gatherCols()
 }
 
 // evalBatchJoinRows executes a bare join at the plan root into boxed rows.
@@ -379,7 +618,7 @@ func (e *Engine) evalBatchJoinRows(ctx context.Context, pj *plan.PJoin, snap txn
 		if limit > 0 {
 			return j.gatherRows(ctx, limit)
 		}
-		c, err = j.gatherCols(0)
+		c, err = j.gatherCols()
 	} else {
 		c, err = e.materializeJoin(ctx, pj, snap, coord, nil)
 	}
@@ -433,19 +672,19 @@ func (e *Engine) materializeJoin(ctx context.Context, pj *plan.PJoin, snap txn.V
 	var left, right exec.ColRel
 	var err error
 	if rightFirst {
-		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, nil, -1, needR, 0); err != nil {
+		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, nil, -1, needR); err != nil {
 			return exec.ColRel{}, err
 		}
 		rf := exec.BuildRuntimeFilter(&right, rKey)
-		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, rf, lKey, needL, 0); err != nil {
+		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, rf, lKey, needL); err != nil {
 			return exec.ColRel{}, err
 		}
 	} else {
-		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, nil, -1, needL, 0); err != nil {
+		if left, err = e.evalColInput(ctx, pj.Left, snap, coord, nil, -1, needL); err != nil {
 			return exec.ColRel{}, err
 		}
 		rf := exec.BuildRuntimeFilter(&left, lKey)
-		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, rf, rKey, needR, 0); err != nil {
+		if right, err = e.evalColInput(ctx, pj.Right, snap, coord, rf, rKey, needR); err != nil {
 			return exec.ColRel{}, err
 		}
 	}
@@ -487,16 +726,15 @@ func projectCols(c *exec.ColRel, need []int) exec.ColRel {
 // runtime filter rf over (projected) key position rfKey when non-nil and
 // restricting output to the need columns (nil means all). An empty build
 // side short-circuits the probe entirely: an inner join against zero rows
-// is empty, so the scan is never scheduled. A morsel scan given maxRows > 0
-// stops with errRowCap once it has gathered more rows than that.
-func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int, need []int, maxRows int) (exec.ColRel, error) {
+// is empty, so the scan is never scheduled.
+func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int, need []int) (exec.ColRel, error) {
 	if rf != nil && rf.Empty() {
-		return exec.NewColRel(projectLabels(nodeColLabels(n), need)), nil
+		return exec.NewColRel(nodeLabels(n, need)), nil
 	}
 	var c exec.ColRel
 	switch v := n.(type) {
 	case *plan.PScan:
-		return e.morselGatherCols(ctx, projectScan(v, need), snap, coord, rf, rfKey, maxRows)
+		return e.morselGatherCols(ctx, projectScan(v, need), snap, coord, rf, rfKey)
 	case *plan.PJoin:
 		var err error
 		if c, err = e.evalBatchJoin(ctx, v, snap, coord, need); err != nil {
@@ -523,7 +761,7 @@ func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.Versio
 // prune morsels before scheduling, and the filter ships to the scanning
 // sites as a table-less probe stage whose Bloom bits narrow each batch's
 // selection inside the scan workers.
-func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int, maxRows int) (exec.ColRel, error) {
+func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID, rf *exec.RuntimeFilter, rfKey int) (exec.ColRel, error) {
 	scan := ps
 	if rf != nil {
 		if bounds := rf.BoundsPred(ps.Cols[rfKey]); bounds != nil {
@@ -539,26 +777,18 @@ func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.
 	}
 	defer j.cancel()
 	if rf != nil {
-		out := make([]exec.ColRef, len(j.cols))
-		for i := range out {
-			out[i] = exec.ColRef{Stage: -1, Col: i}
-		}
-		stage := exec.ProbeStage{Filter: rf, Key: exec.ColRef{Stage: -1, Col: rfKey}}
-		if err := j.installPipe(exec.NewJoinPipe([]exec.ProbeStage{stage}, out)); err != nil {
+		if err := j.installPipe(rf, rfKey); err != nil {
 			return exec.ColRel{}, err
 		}
 	}
-	return j.gatherCols(maxRows)
+	return j.gatherCols()
 }
 
 // gatherCols materializes the job's output as one ColRel at the
-// coordinator, each site's share arriving as one message. With maxRows > 0
-// the job fails with errRowCap as soon as more rows than that have been
-// gathered, before any site has shipped.
-func (j *morselJob) gatherCols(maxRows int) (exec.ColRel, error) {
-	var rows atomic.Int64
-	shares, err := runSites(j, simnet.KindJoin, func() *colAcc {
-		return &colAcc{j: j, cols: exec.NewColRel(j.cols), rows: &rows, maxRows: int64(maxRows)}
+// coordinator, each site's share arriving as one message.
+func (j *morselJob) gatherCols() (exec.ColRel, error) {
+	shares, err := runSites(j, simnet.KindJoin, true, func(simnet.SiteID) *colAcc {
+		return &colAcc{j: j, cols: exec.NewColRel(j.cols)}
 	})
 	if err != nil {
 		return exec.ColRel{}, err
@@ -570,24 +800,22 @@ func (j *morselJob) gatherCols(maxRows int) (exec.ColRel, error) {
 	for _, s := range shares[1:] {
 		all.merge(s)
 	}
-	res := all.cols
-	for k := range all.more {
-		res.AppendCols(&all.more[k])
-	}
+	res := all.all()
 	j.e.cntMorselRows.Add(int64(res.NumRows()))
 	return res, nil
 }
 
-// colAcc is gatherCols' sink: a worker appends its batches column-wise and
+// colAcc is the columnar sink: a worker appends its batches column-wise and
 // sums each batch's byte estimate; a site keeps its other workers' rows as
-// more, for the coordinator to concatenate. rows counts the job's gathered
-// rows against maxRows (0: no cap).
+// more, to be concatenated where the share is used. The job fails with
+// errRowCap once its sinks have taken more than maxRows rows (0: no cap);
+// site is where the rows lie.
 type colAcc struct {
 	j       *morselJob
+	site    simnet.SiteID
 	cols    exec.ColRel
 	more    []exec.ColRel
 	bytes   int
-	rows    *atomic.Int64
 	maxRows int64
 }
 
@@ -595,7 +823,7 @@ func (a *colAcc) fold(b *storage.Batch) {
 	from := a.cols.NumRows()
 	a.cols.AppendBatch(b)
 	a.bytes += a.cols.BytesFrom(from)
-	if a.maxRows > 0 && a.rows.Add(int64(b.Len())) > a.maxRows {
+	if a.maxRows > 0 && a.j.gathered.Add(int64(b.Len())) > a.maxRows {
 		a.j.fail(errRowCap)
 	}
 }
@@ -606,6 +834,15 @@ func (a *colAcc) merge(w *colAcc) {
 }
 
 func (a *colAcc) seal() int { return a.bytes }
+
+// all concatenates the accumulated rows into one relation.
+func (a *colAcc) all() exec.ColRel {
+	res := a.cols
+	for k := range a.more {
+		res.AppendCols(&a.more[k])
+	}
+	return res
+}
 
 // evalBatchJoinAgg fuses an aggregation over a batch join. The
 // aggregation's column footprint (group keys + aggregate inputs) becomes

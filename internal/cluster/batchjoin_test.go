@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"proteus/internal/exec"
+	"proteus/internal/plan"
 	"proteus/internal/query"
 	"proteus/internal/schema"
 	"proteus/internal/storage"
@@ -260,7 +261,7 @@ func TestBatchJoinMatchesRowEngineAcrossLayouts(t *testing.T) {
 						t.Fatal(err)
 					}
 					var ch probeChain
-					flattenJoin(pn, &ch, false)
+					flattenJoin(pn, &ch, false, make([]exec.ColRef, plan.OutputWidth(pn)))
 					if ch.scan == nil || ch.scan.Table != dim.ID {
 						t.Errorf("fact-builds: the fact scan is not the build side")
 					}

@@ -34,10 +34,12 @@ func addLocalGroups(t *testing.T, e *Engine, ngroups int64) (*schema.Table, simn
 // TestJoinAggNetworkAccounting counts the modelled network for one
 // two-site join-aggregate. The dimension's site coordinates (it holds the
 // most scanned pieces), so exactly three messages cross: the ASA's
-// dispatch, the join table to the one remote probing site, and that site's
-// partial aggregate back. The bytes are the table's wire size plus the
-// partial relation — far fewer than the remote half of the probe side,
-// which is what a coordinator join ships. On one site nothing crosses.
+// dispatch, the build rows the remote probing site's keys can meet — every
+// one of them, since each fact partition holds every group — straight from
+// the dimension's site, once, and that site's partial aggregate back. The
+// bytes are the build rows' size plus the partial relation — far fewer than
+// the remote half of the probe side, which is what a coordinator join
+// ships. On one site nothing crosses.
 func TestJoinAggNetworkAccounting(t *testing.T) {
 	const rows, ngroups = 2000, 10
 	// The maintenance tick drains site observations into the cost model; an
@@ -48,8 +50,9 @@ func TestJoinAggNetworkAccounting(t *testing.T) {
 	remote := simnet.SiteID(1 - int(coord))
 	q := factDimJoinAgg(fact, dim) // GROUP BY tag: COUNT, SUM(val), AVG(weight)
 
-	// What the test expects to cross, computed independently: the table
-	// over the build columns the query needs (gid, weight, tag) ...
+	// What the test expects to cross, computed independently: the build
+	// rows narrowed to the columns the query needs (gid, weight, tag),
+	// under a 64-byte header ...
 	build := exec.NewColRel([]string{"gid", "weight", "tag"})
 	for g := int64(0); g < ngroups; g++ {
 		build.Vecs[0].Append(types.NewInt64(g))
@@ -57,7 +60,7 @@ func TestJoinAggNetworkAccounting(t *testing.T) {
 		build.Vecs[2].Append(types.NewString([]string{"even", "odd"}[g%2]))
 	}
 	build.SetRows(ngroups)
-	tableBytes := exec.BuildJoinTable(&build, 0).Bytes()
+	buildBytes := build.Bytes() + 64
 	// ... and the remote site's partial: its fact rows joined and grouped
 	// by tag into [tag, COUNT, SUM(val), SUM(weight), COUNT].
 	remoteRows := 0
@@ -87,20 +90,20 @@ func TestJoinAggNetworkAccounting(t *testing.T) {
 	out, back := e.Net.Stats(coord, remote), e.Net.Stats(remote, coord)
 	js := exec.ReadJoinStats()
 
-	if m, b := out.Messages-out0.Messages, out.Bytes-out0.Bytes; m != 1 || b != tableBytes {
-		t.Errorf("coordinator -> probing site: %d messages, %d bytes; want the table once, %d bytes", m, b, tableBytes)
+	if m, b := out.Messages-out0.Messages, out.Bytes-out0.Bytes; m != 1 || b != buildBytes {
+		t.Errorf("dimension's site -> probing site: %d messages, %d bytes; want the build rows once, %d bytes", m, b, buildBytes)
 	}
 	if m, b := back.Messages-back0.Messages, back.Bytes-back0.Bytes; m != 1 || b != partialBytes {
 		t.Errorf("probing site -> coordinator: %d messages, %d bytes; want one partial, %d bytes", m, b, partialBytes)
 	}
-	if m, b := e.Net.TotalMessages()-msgs0, e.Net.TotalBytes()-bytes0; m != 3 || b != 256+tableBytes+partialBytes {
-		t.Errorf("query total: %d messages, %d bytes; want 3 and %d", m, b, 256+tableBytes+partialBytes)
+	if m, b := e.Net.TotalMessages()-msgs0, e.Net.TotalBytes()-bytes0; m != 3 || b != 256+buildBytes+partialBytes {
+		t.Errorf("query total: %d messages, %d bytes; want 3 and %d", m, b, 256+buildBytes+partialBytes)
 	}
-	if d := js.BroadcastBytes - js0.BroadcastBytes; d != tableBytes {
-		t.Errorf("exec.join.broadcast_bytes moved by %d, want %d", d, tableBytes)
+	if d := js.BroadcastBytes - js0.BroadcastBytes; d != buildBytes {
+		t.Errorf("exec.join.broadcast_bytes moved by %d, want %d", d, buildBytes)
 	}
-	if probeSide := int64(remoteRows * 16); tableBytes+partialBytes >= probeSide {
-		t.Errorf("pipelined join shipped %d bytes, no fewer than the %d of the remote probe rows", tableBytes+partialBytes, probeSide)
+	if probeSide := int64(remoteRows * 16); buildBytes+partialBytes >= probeSide {
+		t.Errorf("pipelined join shipped %d bytes, no fewer than the %d of the remote probe rows", buildBytes+partialBytes, probeSide)
 	}
 
 	// Both probing sites report the join to the cost model.
@@ -214,7 +217,8 @@ func (c *crashOnSend) Intercept(from, to simnet.SiteID, bytes int) (time.Duratio
 }
 
 // TestJoinPipeSiteCrashAfterBroadcast kills a remote probing site exactly
-// between the table broadcast and the probe: the broadcast is the first
+// between receiving its build rows and the probe: the dimension lives at
+// the coordinator, so the rows routed to the remote site are the first
 // coordinator -> site message of a join, and the policy crashes the site
 // as it is sent. Its workers' share then runs on the coordinator fallback,
 // but its partial cannot leave a dead site, so the attempt fails as a whole
@@ -275,12 +279,12 @@ func TestJoinPipeSiteCrashAfterBroadcast(t *testing.T) {
 		got, err := e.ExecuteQuery(context.Background(), e.NewSession(), shape)
 		e.Net.SetFaults(e.Faults)
 		if policy.armed.Load() {
-			t.Fatalf("replicated=%v bare=%v: no table was broadcast to the remote site: the crash never fired", replicated, bare)
+			t.Fatalf("replicated=%v bare=%v: no build rows were sent to the remote site: the crash never fired", replicated, bare)
 		}
 		switch {
 		case err == nil:
 			sortTuples(got)
-			sameRels(t, "join across a crash after the broadcast", got, want)
+			sameRels(t, "join across a crash after the build rows were sent", got, want)
 			if !replicated {
 				t.Error("query succeeded although the crashed site held the only copy of half the fact table")
 			}
@@ -289,7 +293,7 @@ func TestJoinPipeSiteCrashAfterBroadcast(t *testing.T) {
 				t.Errorf("bare=%v: query failed with %v although every partition has a live copy", bare, err)
 			}
 		default:
-			t.Errorf("replicated=%v bare=%v: crash after broadcast surfaced an untyped error: %v", replicated, bare, err)
+			t.Errorf("replicated=%v bare=%v: crash after the build rows were sent surfaced an untyped error: %v", replicated, bare, err)
 		}
 	}
 }
@@ -337,7 +341,7 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 	}
 
 	// What the swapped run alone ships, computed independently: the
-	// dispatch, the table over the ten dimension rows (gid, weight) to the
+	// dispatch, the ten dimension rows (gid, weight) from their site to the
 	// remote probing site, and that site's one-row partial [COUNT, SUM].
 	build := exec.NewColRel([]string{"gid", "weight"})
 	for g := int64(0); g < 10; g++ {
@@ -345,9 +349,9 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 		build.Vecs[1].Append(types.NewFloat64(float64(g) * 10))
 	}
 	build.SetRows(10)
-	tableBytes := exec.BuildJoinTable(&build, 0).Bytes()
+	buildBytes := build.Bytes() + 64
 	partial := exec.Rel{Tuples: [][]types.Value{{types.NewInt64(0), types.NewFloat64(0)}}}
-	swapped := 256 + tableBytes + int64(partial.RowBytes()+64)
+	swapped := 256 + buildBytes + int64(partial.RowBytes()+64)
 	remote := simnet.SiteID(1 - int(coord))
 
 	before := exec.ReadJoinStats()
@@ -364,8 +368,8 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 	}
 	want := exec.Rel{Tuples: [][]types.Value{{types.NewInt64(rows - parts), types.NewFloat64(weight)}}}
 	sameRels(t, "swapped join", got, want)
-	if built := d.BuildRows - before.BuildRows; built != 10 {
-		t.Errorf("join built on %d rows, want the 10 dimension rows", built)
+	if built := d.BuildRows - before.BuildRows; built != 2*10 {
+		t.Errorf("join built on %d rows, want the 10 dimension rows at each of the 2 probing sites", built)
 	}
 	if probed := d.ProbeRows - before.ProbeRows; probed != rows-parts {
 		t.Errorf("join probed %d rows, want the %d fact rows that pass the predicate", probed, rows-parts)

@@ -172,9 +172,10 @@ func newStitch(scans []*partScan, outs [][]int, d, width int) *stitch {
 // morselJob is one built parallel scan, ready to run on one of two
 // drivers: the streaming one (runRows: boxed row batches) or the per-site
 // one (runSites), into per-site partial aggregates (runAgg) or one
-// columnar relation (gatherCols). With a join pipeline installed (joinJob)
-// every scan batch passes through its probe stages inside the worker first,
-// so the sinks see joined batches and cols labels the pipeline's output.
+// columnar relation (gatherCols). With join pipelines installed (joinJob:
+// one per probing site, over that site's own tables) every scan batch
+// passes through its site's probe stages inside the worker first, so the
+// sinks see joined batches and cols labels the pipelines' output.
 type morselJob struct {
 	e      *Engine
 	ctx    context.Context
@@ -185,27 +186,29 @@ type morselJob struct {
 	units  map[simnet.SiteID][]morselUnit
 	parts  []*partScan
 
-	pipe      *exec.JoinPipe
+	pipes     []*exec.JoinPipe // by site id; nil for a plain scan
+	routing   sync.WaitGroup   // routeBuilds' per-site builders
 	joinMu    sync.Mutex
 	joinStats map[simnet.SiteID][]exec.StageStats
+	gathered  atomic.Int64 // rows the column sinks took, against their cap
 
 	errOnce sync.Once
 	err     error
 }
 
-// newProber returns a worker's prober for the job's pipeline; nil — which
+// newProber returns a worker's prober for its site's pipeline; nil — which
 // passes batches through — when the job is a plain scan.
-func (j *morselJob) newProber() *exec.Prober {
-	if j.pipe == nil {
+func (j *morselJob) newProber(siteID simnet.SiteID) *exec.Prober {
+	if j.pipes == nil {
 		return nil
 	}
-	return j.pipe.NewProber()
+	return j.pipes[siteID].NewProber()
 }
 
 // shipKind is the message kind of the job's result batches: joined rows
 // when a probe pipeline runs in the workers, scanned rows otherwise.
 func (j *morselJob) shipKind() simnet.Kind {
-	if j.pipe != nil {
+	if len(j.pipes) > 0 {
 		return simnet.KindJoin
 	}
 	return simnet.KindScan
@@ -491,7 +494,7 @@ func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.W
 // surviving batch to fold, which returns false to stop. It reports whether
 // the worker ran out of units, rather than being stopped.
 func (j *morselJob) drain(siteID simnet.SiteID, feed *morselFeed, fold func(*storage.Batch) bool) bool {
-	pr := j.newProber()
+	pr := j.newProber(siteID)
 	defer j.closeProber(siteID, pr)
 	var ps *partScan // the unit being scanned
 	sink := func(b *storage.Batch) bool {
@@ -569,13 +572,14 @@ type siteAcc[A any] interface {
 }
 
 // runSites is the per-site driver behind every gathering sink. Each
-// worker folds its batches into an accumulator of its own, and finished
-// workers merge under their site's lock, the first one's state becoming
-// the site's. When a site's last worker has exited, its share is sealed
-// and ships to the coordinator once, as a message of kind k plus a 64-byte
-// header; nothing crosses from the coordinator's own site. It returns
-// every site's share, or the job's error.
-func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, newAcc func() A) ([]A, error) {
+// worker folds its batches into an accumulator of its own (newAcc is told
+// the worker's site), and finished workers merge under their site's lock,
+// the first one's state becoming the site's. When a site's last worker has
+// exited and ship is set, its share is sealed and ships to the coordinator
+// once, as a message of kind k plus a 64-byte header; nothing crosses from
+// the coordinator's own site. Without ship every share stays where it was
+// scanned. It returns every site's share, or the job's error.
+func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, ship bool, newAcc func(simnet.SiteID) A) ([]A, error) {
 	var mu sync.Mutex
 	var shares []A
 	var scatter sync.WaitGroup
@@ -588,7 +592,7 @@ func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, newAcc func() A) ([]A, 
 			merged := false
 			var wg sync.WaitGroup
 			j.runSite(siteID, units, &wg, func(feed *morselFeed) {
-				w := newAcc()
+				w := newAcc(siteID)
 				if !j.drain(siteID, feed, func(b *storage.Batch) bool { w.fold(b); return true }) {
 					return
 				}
@@ -604,11 +608,13 @@ func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, newAcc func() A) ([]A, 
 			if j.ctx.Err() != nil || !merged {
 				return
 			}
-			if err := j.e.shipBytesTo(k, siteID, j.coord, share.seal()+64); err != nil {
-				j.fail(err)
-				return
+			if ship {
+				if err := j.e.shipBytesTo(k, siteID, j.coord, share.seal()+64); err != nil {
+					j.fail(err)
+					return
+				}
+				j.e.cntScanBatches.Inc()
 			}
-			j.e.cntScanBatches.Inc()
 			mu.Lock()
 			shares = append(shares, share)
 			mu.Unlock()
@@ -642,7 +648,7 @@ func (a *aggAcc) seal() int {
 // site ships to the coordinator, where the caller finalizes over the
 // concatenated partials (finalizeAgg).
 func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error) {
-	shares, err := runSites(j, j.shipKind(), func() *aggAcc {
+	shares, err := runSites(j, j.shipKind(), true, func(simnet.SiteID) *aggAcc {
 		return &aggAcc{agg: exec.NewAggregator(groupBy, specs), cols: j.cols}
 	})
 	if err != nil {
@@ -683,7 +689,7 @@ func (j *morselJob) observeJoins() {
 	probeWidth := 8 * j.width
 	for siteID, acc := range j.joinStats {
 		for k, st := range acc {
-			t := j.pipe.Stages[k].Table
+			t := j.pipes[siteID].Stages[k].Table
 			if t == nil || st.ProbeRows == 0 {
 				continue
 			}

@@ -333,13 +333,17 @@ var colLabels = func() (t [64]string) {
 func colNames(cols []schema.ColID) []string {
 	out := make([]string, len(cols))
 	for i, c := range cols {
-		if uint(c) < uint(len(colLabels)) {
-			out[i] = colLabels[c]
-		} else {
-			out[i] = "c" + strconv.Itoa(int(c))
-		}
+		out[i] = colName(c)
 	}
 	return out
+}
+
+// colName labels column c "c<id>".
+func colName(c schema.ColID) string {
+	if uint(c) < uint(len(colLabels)) {
+		return colLabels[c]
+	}
+	return "c" + strconv.Itoa(int(c))
 }
 
 // finalizeAgg combines partial aggregates at the coordinator and

@@ -159,8 +159,14 @@ func checkRef(t *testing.T, e *Engine, name string, q *query.Query, tables refTa
 // so a scan spanning the cut stitches pieces read on two sites.
 func splitVertically(t *testing.T, e *Engine, tbl *schema.Table, at schema.ColID) {
 	t.Helper()
+	splitVerticallyAs(t, e, tbl, at, storage.DefaultRowLayout())
+}
+
+// splitVerticallyAs is splitVertically with the left pieces in layout left.
+func splitVerticallyAs(t *testing.T, e *Engine, tbl *schema.Table, at schema.ColID, left storage.Layout) {
+	t.Helper()
 	for _, m := range e.Dir.TablePartitions(tbl.ID) {
-		if err := e.SplitV(m.ID, at, storage.DefaultRowLayout(), storage.DefaultColumnLayout()); err != nil {
+		if err := e.SplitV(m.ID, at, left, storage.DefaultColumnLayout()); err != nil {
 			t.Fatal(err)
 		}
 	}

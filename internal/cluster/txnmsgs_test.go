@@ -447,12 +447,16 @@ func atSite(site simnet.SiteID, name string) func(*TableSpec) {
 }
 
 // TestJoinMessageBudget is the query twin of TestTxnMessageBudget: it holds
-// each join shape to its exact message count, by kind, on two sites. Site 0
+// each join shape to its exact message count, by kind. On two sites, site 0
 // holds three of the fact's four partitions and coordinates; every
-// dimension lives at site 1. So the ASA's dispatch is followed by one
-// message per build side gathered from site 1, one carrying every probe
-// table to site 1, and one carrying site 1's share of the result back —
-// however many rows each of them holds.
+// dimension lives at site 1, and every fact partition's key range covers
+// every dimension key. So the ASA's dispatch is followed by one message
+// carrying every build side's rows from site 1 straight to site 0 — the one
+// ordered (build site, probe site) pair with rows to send — and one
+// carrying site 1's share of the result back, however many rows each of
+// them holds. Where the dimension is partitioned with the fact, no build
+// row crosses at all; on three sites, only the pairs whose keys can meet
+// exchange rows.
 func TestJoinMessageBudget(t *testing.T) {
 	const factRows = 48000
 	e, fact := newSkewedEngine(t, factRows)
@@ -477,6 +481,52 @@ func TestJoinMessageBudget(t *testing.T) {
 		GroupBy: []int{6},
 		Aggs:    []exec.AggSpec{{Func: exec.AggCount}},
 	}}
+	// The chain's routed message, computed independently: both stages'
+	// build rows narrowed to what the probe reads — groups' gid (the first
+	// join's key; the second join is keyed on it, so every row routes
+	// everywhere) and bands' (bid, label) — under one 64-byte header.
+	gids := exec.NewColRel([]string{"gid"})
+	for g := int64(0); g < 10; g++ {
+		gids.Vecs[0].Append(types.NewInt64(g))
+	}
+	gids.SetRows(10)
+	labels := exec.ColRelFromRel(exec.Rel{Cols: []string{"bid", "label"}, Tuples: rowVals(bandsRows(8))})
+	chainRouted := gids.Bytes() + labels.Bytes() + 64
+
+	// A co-partitioned pair: the fact "orders" keyed by id, two partitions
+	// per site, and the dimension "shipments" — one row per fourth order,
+	// keyed by that order's id — partitioned with it, so each site's
+	// shipments can meet only its own orders.
+	const orderRows = 16000
+	orders, err := e.CreateTable(TableSpec{Name: "orders", Cols: testCols, MaxRows: orderRows, Partitions: 4,
+		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p / 2) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.LoadRows(ctx, orders.ID, testRows(orderRows)); err != nil {
+		t.Fatal(err)
+	}
+	shipments, err := e.CreateTable(TableSpec{Name: "shipments", Cols: []schema.Column{
+		{Name: "oid", Kind: types.KindInt64}, {Name: "fee", Kind: types.KindFloat64},
+	}, MaxRows: orderRows / 4, Partitions: 2, PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ships []schema.Row
+	for i := int64(0); i < orderRows/4; i++ {
+		ships = append(ships, schema.Row{ID: schema.RowID(i), Vals: []types.Value{types.NewInt64(4 * i), types.NewFloat64(1)}})
+	}
+	if err := e.LoadRows(ctx, shipments.ID, ships); err != nil {
+		t.Fatal(err)
+	}
+	coPartitioned := &query.Query{Root: &query.AggNode{
+		Child: &query.JoinNode{
+			Left:       &query.ScanNode{Table: orders.ID, Cols: []schema.ColID{0, 2}},
+			Right:      &query.ScanNode{Table: shipments.ID, Cols: []schema.ColID{0, 1}},
+			LeftKeyCol: 0, RightKeyCol: 0,
+		},
+		Aggs: []exec.AggSpec{{Func: exec.AggCount}, {Func: exec.AggSum, Col: 3}},
+	}}
 
 	const (
 		dispatch = simnet.KindDispatch
@@ -484,18 +534,21 @@ func TestJoinMessageBudget(t *testing.T) {
 	)
 	sess := e.NewSession()
 	for _, tc := range []struct {
-		name string
-		q    *query.Query
-		rows int // result rows
-		want map[simnet.Kind]int64
+		name   string
+		q      *query.Query
+		rows   int // result rows
+		want   map[simnet.Kind]int64
+		routed int64 // build bytes shipped site to site, -1: not pinned
 	}{
-		{"join-aggregate, 10 build rows", factDimJoinAgg(fact, small), 2, map[simnet.Kind]int64{dispatch: 1, join: 3}},
-		{"join-aggregate, 40 000 build rows", factDimJoinAgg(fact, large), 2, map[simnet.Kind]int64{dispatch: 1, join: 3}},
-		{"bare join, gathered columnar", factDimJoin(fact, small), factRows, map[simnet.Kind]int64{dispatch: 1, join: 3}},
-		{"two-stage chain", chain, 2, map[simnet.Kind]int64{dispatch: 1, join: 4}},
+		{"join-aggregate, 10 build rows", factDimJoinAgg(fact, small), 2, map[simnet.Kind]int64{dispatch: 1, join: 2}, -1},
+		{"join-aggregate, 40 000 build rows", factDimJoinAgg(fact, large), 2, map[simnet.Kind]int64{dispatch: 1, join: 2}, -1},
+		{"bare join, gathered columnar", factDimJoin(fact, small), factRows, map[simnet.Kind]int64{dispatch: 1, join: 2}, -1},
+		{"two-stage chain, both stages routed everywhere", chain, 2, map[simnet.Kind]int64{dispatch: 1, join: 2}, chainRouted},
+		{"co-partitioned, no build row crosses", coPartitioned, 1, map[simnet.Kind]int64{dispatch: 1, join: 1}, 0},
 	} {
 		var res exec.Rel
 		var err error
+		before := exec.ReadJoinStats().BroadcastBytes
 		expectKinds(t, e, tc.name, tc.want, func() { res, err = e.ExecuteQuery(ctx, sess, tc.q) })
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -503,5 +556,66 @@ func TestJoinMessageBudget(t *testing.T) {
 		if len(res.Tuples) != tc.rows {
 			t.Errorf("%s: %d result rows, want %d", tc.name, len(res.Tuples), tc.rows)
 		}
+		if d := exec.ReadJoinStats().BroadcastBytes - before; tc.routed >= 0 && d != tc.routed {
+			t.Errorf("%s: %d build bytes crossed sites, want %d", tc.name, d, tc.routed)
+		}
+		if tc.name == "co-partitioned, no build row crosses" && (res.Tuples[0][0].Int() != orderRows/4 || res.Tuples[0][1].Float() != orderRows/4) {
+			t.Errorf("%s: %v, want every shipment joined once", tc.name, res.Tuples[0])
+		}
 	}
+
+	// Three sites, fact partitions on each, and the 30-row groups dimension
+	// one partition per site: gid 0-9 at site 0, 10-19 at site 1, 20-29 at
+	// site 2. Every fact key is in 0-9, so only site 0's rows route, to the
+	// other two probing sites: two of the six pairs send, and the other two
+	// sites' partials come back.
+	cfg := fastConfig(ModeColumnStore, 3)
+	cfg.ReplicationInterval, cfg.MaintainInterval = time.Hour, time.Hour
+	three := New(cfg)
+	t.Cleanup(three.Close)
+	fact3, err := three.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: 6000, Partitions: 6,
+		PlaceAt: func(p int) simnet.SiteID { return simnet.SiteID(p % 3) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := three.LoadRows(ctx, fact3.ID, testRows(6000)); err != nil {
+		t.Fatal(err)
+	}
+	dim3 := createGroups(t, three, 30, func(s *TableSpec) {
+		s.Partitions, s.PlaceAt = 3, func(p int) simnet.SiteID { return simnet.SiteID(p) }
+	})
+	sent0 := [3][3]int64{}
+	for from := range sent0 {
+		for to := range sent0 {
+			sent0[from][to] = three.Net.Stats(simnet.SiteID(from), simnet.SiteID(to)).Messages
+		}
+	}
+	var res exec.Rel
+	expectKinds(t, three, "three sites", map[simnet.Kind]int64{dispatch: 1, join: 4}, func() {
+		res, err = three.ExecuteQuery(ctx, three.NewSession(), factDimJoinAgg(fact3, dim3))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != 2 {
+		t.Errorf("three sites: %d result rows, want 2", len(res.Tuples))
+	}
+	for _, pair := range [][2]simnet.SiteID{{0, 1}, {0, 2}, {1, 2}, {2, 1}} {
+		want := int64(0)
+		if pair[0] == 0 {
+			want = 1 // site 0's gid 0-9
+		}
+		if got := three.Net.Stats(pair[0], pair[1]).Messages - sent0[pair[0]][pair[1]]; got != want {
+			t.Errorf("three sites: site %d -> site %d sent %d messages, want %d", pair[0], pair[1], got, want)
+		}
+	}
+}
+
+// rowVals is the value lists of rows.
+func rowVals(rows []schema.Row) [][]types.Value {
+	out := make([][]types.Value, len(rows))
+	for i, r := range rows {
+		out[i] = r.Vals
+	}
+	return out
 }

@@ -42,10 +42,11 @@ type diskColMeta struct {
 	block    disksim.BlockID
 	hasBlock bool
 	encBytes int // serialized bytes for non-plain encodings, 0 for plain
-	// Sort-column values are additionally cached for binary search; nil for
-	// other columns. (Zone-map-scale metadata, kept per §4.1.3's precedent
-	// of memory-resident per-partition metadata.)
-	sortVals []types.Value
+	// The sort column stays memory-resident as its built column, typed and
+	// encoded as written, so narrowing a scan binary-searches it without a
+	// disk read; nil for other columns. (Zone-map-scale metadata, kept per
+	// §4.1.3's precedent of memory-resident per-partition metadata.)
+	sortCol *colData
 }
 
 // diskGen is one loaded image: the offset array, the position index and
@@ -124,12 +125,7 @@ func (d *Disk) LoadImage(img storage.Image, ver uint64) error {
 			encTotal += len(img)
 		}
 		if schema.ColID(ci) == d.layout.SortBy {
-			n := c.n()
-			m.sortVals = make([]types.Value, n)
-			it := c.iter()
-			for p := 0; p < n; p++ {
-				m.sortVals[p] = it(p)
-			}
+			m.sortCol = c
 		}
 		meta[ci] = m
 		total += len(img)
@@ -331,7 +327,7 @@ func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema
 		rowIDs: g.rowIDs, cols: make([]*colData, len(d.kinds)), sortBy: sortBy,
 		over: over, live: live, proj: cols, pred: pred, maxRows: maxRows,
 	}
-	s.narrow(lo, hi, func(i int) types.Value { return g.meta[sortBy].sortVals[i] })
+	s.narrow(lo, hi, func(i int) types.Value { return g.meta[sortBy].sortCol.get(i) })
 	need := func(c schema.ColID) {
 		if s.cols[c] == nil {
 			s.cols[c] = d.loadColumn(g, c)

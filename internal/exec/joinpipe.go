@@ -28,14 +28,8 @@ type ProbeStage struct {
 	Table  *JoinTable
 	Filter *RuntimeFilter
 	Key    ColRef
-}
 
-// WireBytes is what shipping the stage to a probing site costs.
-func (s *ProbeStage) WireBytes() int64 {
-	if s.Table != nil {
-		return s.Table.Bytes()
-	}
-	return s.Filter.Bytes()
+	keep bool // its build rows are read by a later key or by the output
 }
 
 // JoinPipe is an immutable description of a probe chain: its stages in
@@ -45,17 +39,17 @@ type JoinPipe struct {
 	Stages []ProbeStage
 	Out    []ColRef
 
-	keepRows []bool // stage k's build rows are read by a later key or by Out
-	scanOnly bool   // every Out column comes from the scan batch
+	scanOnly bool // every Out column comes from the scan batch
 }
 
-// NewJoinPipe assembles a pipeline and counts its table stages as executed
-// joins (exec.join.count, build_rows, build_ns, pipelined).
+// NewJoinPipe assembles a pipeline, which takes stages over, and counts its
+// table stages as executed joins (exec.join.count, build_rows, build_ns,
+// pipelined).
 func NewJoinPipe(stages []ProbeStage, out []ColRef) *JoinPipe {
-	p := &JoinPipe{Stages: stages, Out: out, keepRows: make([]bool, len(stages)), scanOnly: true}
+	p := &JoinPipe{Stages: stages, Out: out, scanOnly: true}
 	for _, st := range stages {
 		if st.Key.Stage >= 0 {
-			p.keepRows[st.Key.Stage] = true
+			stages[st.Key.Stage].keep = true
 		}
 		if st.Table != nil {
 			statJoins.Add(1)
@@ -66,7 +60,7 @@ func NewJoinPipe(stages []ProbeStage, out []ColRef) *JoinPipe {
 	}
 	for _, ref := range out {
 		if ref.Stage >= 0 {
-			p.keepRows[ref.Stage] = true
+			stages[ref.Stage].keep = true
 			p.scanOnly = false
 		}
 	}
@@ -148,9 +142,12 @@ func (pr *Prober) Apply(b *storage.Batch) *storage.Batch {
 			continue
 		}
 		start := time.Now()
-		kv, idx := &b.Vecs[st.Key.Col], sel
+		var kv *storage.Vec
+		idx := sel
 		if st.Key.Stage >= 0 {
 			kv, idx = &pr.p.Stages[st.Key.Stage].Table.cols.Vecs[st.Key.Col], pr.rows[st.Key.Stage]
+		} else {
+			kv = &b.Vecs[st.Key.Col]
 		}
 		m := &pr.m
 		m.reset()
@@ -168,12 +165,12 @@ func (pr *Prober) Apply(b *storage.Batch) *storage.Batch {
 		}
 		sel = pr.sel
 		for j := 0; j < k; j++ {
-			if pr.p.keepRows[j] && pr.p.Stages[j].Table != nil {
+			if pr.p.Stages[j].keep && pr.p.Stages[j].Table != nil {
 				pr.spare = gather(pr.spare, pr.rows[j], m.pos)
 				pr.rows[j], pr.spare = pr.spare, pr.rows[j]
 			}
 		}
-		if pr.p.keepRows[k] {
+		if st.keep {
 			pr.rows[k], m.row = m.row, pr.rows[k]
 		}
 		stat := &pr.stats[k]

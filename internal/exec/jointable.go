@@ -34,7 +34,7 @@ type JoinTable struct {
 	ints   []int64       // entry -> typed key (typed tables)
 	vals   []types.Value // entry -> boxed key (boxed tables)
 	hashes []uint64      // entry -> key hash (boxed tables only)
-	filter *RuntimeFilter
+	filter RuntimeFilter
 
 	buildNanos int64
 }
@@ -202,7 +202,7 @@ func BuildJoinTable(build *ColRel, key int) *JoinTable {
 	hs := kc.hashes()
 	t := newJoinTable(kc, hs)
 	t.cols = *build
-	t.filter = newRuntimeFilter(kc, hs, build.Vecs[key].Kind)
+	t.filter.fill(kc, hs, build.Vecs[key].Kind)
 	t.buildNanos = time.Since(start).Nanoseconds()
 	return t
 }
@@ -225,7 +225,8 @@ func newJoinTable(kc keyCol, hs []uint64) *JoinTable {
 	// Counting sort by slot, stable in build row. Slot s counts into
 	// offs[s+2], the prefix sum leaves s's start in offs[s+1], and the
 	// scatter advances it to s's end — the start of s+1.
-	offs := make([]int32, slots+2)
+	buf := make([]int32, slots+2+uint64(n)) // offs, then rows: one allocation
+	offs := buf[: slots+2 : slots+2]
 	for i, h := range hs {
 		if kc.null(i) {
 			continue
@@ -236,7 +237,7 @@ func newJoinTable(kc keyCol, hs []uint64) *JoinTable {
 	for s := uint64(2); s < slots+2; s++ {
 		offs[s] += offs[s-1]
 	}
-	t := &JoinTable{offs: offs[:slots+1], rows: make([]int32, n)}
+	t := &JoinTable{offs: offs[:slots+1], rows: buf[slots+2:]}
 	if kc.ints != nil {
 		t.ints = make([]int64, n)
 	} else {
@@ -268,14 +269,7 @@ func (t *JoinTable) Rows() int { return len(t.rows) }
 func (t *JoinTable) Cols() *ColRel { return &t.cols }
 
 // Filter returns the runtime filter derived from the build keys.
-func (t *JoinTable) Filter() *RuntimeFilter { return t.filter }
-
-// Bytes is the table's size on the wire: the build relation — keys and
-// payload columns — plus a header. Bucket offsets, the slot-ordered key
-// copy and the Bloom bits are all derivable from the key column in one
-// sequential pass, so a receiving site rebuilds them instead of paying
-// network for them.
-func (t *JoinTable) Bytes() int64 { return t.cols.Bytes() + 64 }
+func (t *JoinTable) Filter() *RuntimeFilter { return &t.filter }
 
 // matches accumulates one probe call's output: for every match the position
 // of the probing row in the probed list and the matching build row.
@@ -297,7 +291,7 @@ func (t *JoinTable) probe(kc keyCol, m *matches) {
 	if n == 0 || len(t.rows) == 0 {
 		return
 	}
-	bloom := t.filter != nil && t.filter.bits != nil
+	bloom := t.filter.bits != nil
 	if bloom {
 		m.bloomTested += int64(n)
 	}

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"slices"
+	"sort"
+
 	"proteus/internal/schema"
 	"proteus/internal/storage"
 	"proteus/internal/types"
@@ -31,44 +34,48 @@ const maxBloomBuildRows = 4 << 20
 // new runtime filter.
 func BuildRuntimeFilter(c *ColRel, key int) *RuntimeFilter {
 	kc := canonKeyCol(&c.Vecs[key], c.NumRows())
-	return newRuntimeFilter(kc, kc.hashes(), c.Vecs[key].Kind)
+	f := &RuntimeFilter{}
+	f.fill(kc, kc.hashes(), c.Vecs[key].Kind)
+	return f
 }
 
-// newRuntimeFilter folds canonical keys (hashes hs) into a filter. kind is
-// the key column's kind, which typed bounds are boxed back into.
-func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind) *RuntimeFilter {
-	n := len(hs)
-	for i := range hs {
-		if kc.null(i) {
-			n--
+// fill folds canonical keys (hashes hs) into an empty filter. kind is the
+// key column's kind, which typed bounds are boxed back into.
+func (f *RuntimeFilter) fill(kc keyCol, hs []uint64, kind types.Kind) {
+	f.widen(kc, kind)
+	if f.n == 0 || f.n > maxBloomBuildRows {
+		return
+	}
+	nbits := uint64(256)
+	for nbits < uint64(f.n)*10 {
+		nbits <<= 1
+	}
+	f.bits = make([]uint64, nbits/64)
+	f.mask = nbits/64 - 1
+	for i, h := range hs {
+		if !kc.null(i) {
+			f.bits[(h>>12)&f.mask] |= bloomMask(h)
 		}
 	}
-	f := &RuntimeFilter{n: n}
-	if n == 0 {
-		return f
+}
+
+// Widen folds the min-max bounds of key column key of c into f, with no
+// Bloom bits: the zero RuntimeFilter widened by every share of a build
+// side spread over sites holds the bounds that side pushes into its probe
+// scan before any site has built its table.
+func (f *RuntimeFilter) Widen(c *ColRel, key int) {
+	if c.NumRows() > 0 {
+		f.widen(canonKeyCol(&c.Vecs[key], c.NumRows()), c.Vecs[key].Kind)
 	}
-	if n <= maxBloomBuildRows {
-		nbits := uint64(256)
-		for nbits < uint64(n)*10 {
-			nbits <<= 1
-		}
-		f.bits = make([]uint64, nbits/64)
-		f.mask = nbits/64 - 1
-		for i, h := range hs {
-			if !kc.null(i) {
-				f.bits[(h>>12)&f.mask] |= bloomMask(h)
-			}
-		}
-	}
+}
+
+// widen folds canonical keys into the filter's count and min-max bounds.
+// kind is the key column's kind, which typed bounds are boxed back into.
+func (f *RuntimeFilter) widen(kc keyCol, kind types.Kind) {
 	if kc.ints != nil {
 		mn, mx := kc.ints[0], kc.ints[0]
 		for _, x := range kc.ints[1:] {
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
+			mn, mx = min(mn, x), max(mx, x)
 		}
 		box := func(x int64) types.Value {
 			if kind == types.KindFloat64 {
@@ -76,21 +83,27 @@ func newRuntimeFilter(kc keyCol, hs []uint64, kind types.Kind) *RuntimeFilter {
 			}
 			return types.Value{K: kind, I: x}
 		}
-		f.min, f.max = box(mn), box(mx)
-		return f
+		f.n += len(kc.ints)
+		f.include(box(mn))
+		f.include(box(mx))
+		return
 	}
 	for _, v := range kc.vals {
-		if v.IsNull() {
-			continue
-		}
-		if f.min.IsNull() || types.Compare(v, f.min) < 0 {
-			f.min = v
-		}
-		if f.max.IsNull() || types.Compare(v, f.max) > 0 {
-			f.max = v
+		if !v.IsNull() {
+			f.n++
+			f.include(v)
 		}
 	}
-	return f
+}
+
+// include widens the bounds to cover v.
+func (f *RuntimeFilter) include(v types.Value) {
+	if f.min.IsNull() || types.Compare(v, f.min) < 0 {
+		f.min = v
+	}
+	if f.max.IsNull() || types.Compare(v, f.max) > 0 {
+		f.max = v
+	}
 }
 
 // bloomMask picks a key's two bits within its 64-bit Bloom word. The word
@@ -216,4 +229,45 @@ func (f *RuntimeFilter) FilterCols(c *ColRel, key int) ColRel {
 	out := NewColRel(c.Cols)
 	out.Gather(c, sel)
 	return out
+}
+
+// KeyRange is an inclusive range [Lo, Hi] of probe key values, as a zone
+// map records a column's.
+type KeyRange struct{ Lo, Hi types.Value }
+
+// MergeRanges sorts ranges by Lo and merges the ones that overlap, in
+// place, leaving what RouteRows searches.
+func MergeRanges(rs []KeyRange) []KeyRange {
+	slices.SortFunc(rs, func(a, b KeyRange) int { return types.Compare(a.Lo, b.Lo) })
+	out := rs[:0]
+	for _, r := range rs {
+		if n := len(out); n > 0 && types.Compare(r.Lo, out[n-1].Hi) <= 0 {
+			if types.Compare(r.Hi, out[n-1].Hi) > 0 {
+				out[n-1].Hi = r.Hi
+			}
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// RouteRows appends to sel the rows of c whose key in column key may equal
+// a probe key inside one of ranges (sorted and disjoint, as MergeRanges
+// leaves them) and returns it. Keys compare as zone maps compare them —
+// types.Compare, across numeric kinds by value, so 1 and 1.0 route alike
+// as the join matches them — and a NULL key routes nowhere.
+func RouteRows(c *ColRel, key int, ranges []KeyRange, sel []int32) []int32 {
+	v := &c.Vecs[key]
+	for r := 0; r < c.NumRows(); r++ {
+		x := v.Value(r)
+		if x.IsNull() {
+			continue
+		}
+		i := sort.Search(len(ranges), func(i int) bool { return types.Compare(x, ranges[i].Hi) <= 0 })
+		if i < len(ranges) && types.Compare(x, ranges[i].Lo) >= 0 {
+			sel = append(sel, int32(r))
+		}
+	}
+	return sel
 }

@@ -35,14 +35,14 @@ var (
 // owns the plan-side pushdown).
 func RecordRFBoundsPush() { statRFBoundsPreds.Add(1) }
 
-// RecordJoinBroadcast counts bytes of join tables and runtime filters the
-// cluster executor shipped from a coordinator to a remote probing site.
+// RecordJoinBroadcast counts bytes of build rows and runtime filters the
+// cluster executor shipped to a probing site from another site.
 func RecordJoinBroadcast(bytes int64) { statJoinBroadcast.Add(bytes) }
 
 // JoinStats is a snapshot of the batch-join counters.
 type JoinStats struct {
-	Joins           int64 // batch hash joins executed
-	BuildRows       int64 // rows hashed into build tables
+	Joins           int64 // batch hash joins executed (a pipelined one once per probing site)
+	BuildRows       int64 // rows hashed into build tables, at every probing site
 	ProbeRows       int64 // rows probed
 	OutRows         int64 // matched pairs produced, materialized or not
 	BuildNanos      int64 // time spent canonicalizing keys and building tables and their filters
@@ -54,7 +54,7 @@ type JoinStats struct {
 	SpillBytes      int64 // bytes written to the spill device
 	SpillRecursions int64 // partitions that repartitioned recursively
 	Pipelined       int64 // joins probed inside the morsel workers
-	BroadcastBytes  int64 // table/filter bytes shipped to remote probing sites
+	BroadcastBytes  int64 // build-row/filter bytes shipped to probing sites from other sites
 	ChainSteps      int64 // bucket entries visited by probes (÷ ProbeRows = per probe)
 }
 

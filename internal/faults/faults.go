@@ -62,15 +62,13 @@ func (e *OverloadError) Error() string {
 // Unwrap makes errors.Is(err, ErrOverload) match.
 func (e *OverloadError) Unwrap() error { return ErrOverload }
 
-// RetryAfterHint extracts the retry-after hint from a shed response
-// (0, false for anything that is not an overload shed).
+// RetryAfterHint extracts the retry-after hint from a shed response: ok
+// only for an *OverloadError, so a bare ErrOverload, which carries no
+// hint, reports (0, false) like anything else.
 func RetryAfterHint(err error) (time.Duration, bool) {
 	var oe *OverloadError
 	if errors.As(err, &oe) {
 		return oe.RetryAfter, true
-	}
-	if errors.Is(err, ErrOverload) {
-		return 0, true
 	}
 	return 0, false
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -155,6 +156,20 @@ func TestScheduleGeneration(t *testing.T) {
 	for i := range evs {
 		if evs[i].At != evs2[i].At || evs[i].Kind != evs2[i].Kind || evs[i].Site != evs2[i].Site {
 			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, evs[i], evs2[i])
+		}
+	}
+}
+
+// TestRetryAfterHintOnlyForTypedSheds: only an *OverloadError carries a
+// retry hint; a bare ErrOverload reports none, as any other error does.
+func TestRetryAfterHintOnlyForTypedSheds(t *testing.T) {
+	typed := fmt.Errorf("wrapped: %w", &OverloadError{Tenant: "a", RetryAfter: time.Second, Reason: "queue"})
+	if d, ok := RetryAfterHint(typed); !ok || d != time.Second {
+		t.Errorf("typed shed: RetryAfterHint = (%v, %v), want (1s, true)", d, ok)
+	}
+	for _, err := range []error{ErrOverload, fmt.Errorf("%w: tenant %q", ErrOverload, "a"), ErrTimeout, nil} {
+		if d, ok := RetryAfterHint(err); ok || d != 0 {
+			t.Errorf("RetryAfterHint(%v) = (%v, %v), want (0, false)", err, d, ok)
 		}
 	}
 }

@@ -74,7 +74,21 @@ echo "== benchmark workloads against their oracles (gating)"
 # reads back every cell it wrote and drains its replicas while the
 # maintenance tick folds checkpoints and truncates the log underneath.
 go run -C bench . --workload olap-scan --seconds 2 >/dev/null
-go run -C bench . --workload olap-join --seconds 2 >/dev/null
+# The join run also gates its traffic. Its operation count is fixed
+# (calibrated rate × seconds) and a join's bytes are counted, not timed,
+# so net_bytes_per_op is exact for the seed: each probing site builds its
+# own tables from the build rows routed to it, and a change that ships
+# build rows its probes cannot meet (or back through the coordinator)
+# fails here. The ceiling is the value measured when routed builds landed
+# (21 562.5 bytes) plus 10 %.
+join_bytes_ceiling=23718
+join_line=$(go run -C bench . --workload olap-join --seconds 2 | grep '^{')
+echo "$join_line"
+join_bytes=$(echo "$join_line" | grep -o '"net_bytes_per_op":{"value":[^,}]*' | awk -F: '{print $3}')
+if awk -v b="$join_bytes" -v c="$join_bytes_ceiling" 'BEGIN { exit !(b == "" || b + 0 > c + 0) }'; then
+    echo "olap-join net_bytes_per_op ${join_bytes:-missing} over its ceiling of $join_bytes_ceiling" >&2
+    exit 1
+fi
 go run -C bench . --workload htap-mixed --seconds 2 >/dev/null
 go run -C bench . --workload oltp-rmw --seconds 2 >/dev/null
 
