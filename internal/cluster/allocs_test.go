@@ -21,27 +21,33 @@ import (
 // benchmark run. Lower a budget when a change cuts its count; raise one
 // only with a line in CHANGES.md saying why.
 var queryAllocBudgets = map[string]float64{
-	"scan-agg":       161,  // grouped SUM and AVG over a filtered scan: 146 + 10 % (151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
-	"row-stream":     2318, // a filtered two-column scan drained through a cursor: 2107 + 10 % (2114 before cost features went by value and partition lookups stopped sorting; 2115; 2114 since the streaming driver shares its worker loop with the per-site one)
-	"join-agg":       403,  // pipelined fact ⋈ groups, grouped by a build column, each probing site building its own table: 366 + 10 % (368 while the coordinator built the one table; 378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
-	"scan-agg-delta": 230,  // scan-agg with 50 updates pending per partition: 209 + 10 % (214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
-	"join-gather":    359,  // pipelined fact ⋈ groups, bare, its build side routed from the remote site: 326 + 10 % (328 while it was gathered to the coordinator and its table broadcast; 338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
+	"scan-agg":        161,  // grouped SUM and AVG over a filtered scan: 146 + 10 % (151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
+	"row-stream":      2318, // a filtered two-column scan drained through a cursor: 2107 + 10 % (2114 before cost features went by value and partition lookups stopped sorting; 2115; 2114 since the streaming driver shares its worker loop with the per-site one)
+	"join-agg":        403,  // pipelined fact ⋈ groups, grouped by a build column, each probing site building its own table, groups held at one site and routed to the other: 366 + 10 % (a replicated groups until it got a budget of its own; 368 while the coordinator built the one table; 378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
+	"join-replicated": 433,  // join-agg over a replicated groups: each probing site scans its own copy, nothing routed: 394 + 10 % (the second site's scan job costs more allocations than the routed rows did)
+	"scan-agg-delta":  230,  // scan-agg with 50 updates pending per partition: 209 + 10 % (214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
+	"join-gather":     359,  // pipelined fact ⋈ groups, bare, its build side routed from the remote site: 326 + 10 % (328 while it was gathered to the coordinator and its table broadcast; 338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
 }
 
 // TestQueryAllocBudgets holds the query paths the executor serves — partial
 // aggregation in the scan workers, the row sink behind a streaming cursor,
-// the probe pipeline feeding per-site aggregates, and a bare pipelined join
-// gathered columnar, one message per site — to their allocation budgets,
+// the probe pipeline feeding per-site aggregates over routed and over
+// replicated build sides, and a bare pipelined join gathered columnar, one
+// message per site — to their allocation budgets,
 // and the scan-aggregate again over column stores with updates pending in
 // their deltas. Background replication and maintenance
 // are slowed to an hour so only the query allocates and no delta merges.
 func TestQueryAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not held under -race")
+	}
 	quiet := func(c *Config) {
 		c.ReplicationInterval = time.Hour
 		c.MaintainInterval = time.Hour
 	}
 	e, fact := newMorselEngine(t, ModeColumnStore, 2, 4, 4000, quiet)
-	dim := addGroupsTable(t, e, 10)
+	dim := createGroups(t, e, 10, func(s *TableSpec) { s.Name = "groups_at_0" })
+	replicated := addGroupsTable(t, e, 10)
 	sess := e.NewSession()
 	ctx := context.Background()
 	// A second engine whose four partitions each hold 50 pending updates.
@@ -73,7 +79,7 @@ func TestQueryAllocBudgets(t *testing.T) {
 	factAgg, deltaAgg := scanAgg(fact), scanAgg(dfact)
 	stream := &query.Query{Root: &query.ScanNode{Table: fact.ID, Cols: []schema.ColID{0, 2},
 		Pred: storage.Pred{{Col: 1, Op: storage.CmpLt, Val: types.NewInt64(5)}}}}
-	joinAgg := factDimJoinAgg(fact, dim)
+	joinAgg, joinReplicated := factDimJoinAgg(fact, dim), factDimJoinAgg(fact, replicated)
 	shapes := map[string]func(){
 		"scan-agg": func() {
 			if _, err := e.ExecuteQuery(ctx, sess, factAgg); err != nil {
@@ -93,6 +99,11 @@ func TestQueryAllocBudgets(t *testing.T) {
 		},
 		"join-agg": func() {
 			if _, err := e.ExecuteQuery(ctx, sess, joinAgg); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"join-replicated": func() {
+			if _, err := e.ExecuteQuery(ctx, sess, joinReplicated); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -194,6 +205,9 @@ func insertTxns(tb testing.TB, e *Engine, items *schema.Table, n int) []*query.T
 // point read, and a two-table insert-and-update to their allocation
 // budgets.
 func TestTxnAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not held under -race")
+	}
 	e, items, rmw, point := rmwEngine(t)
 	ctx := context.Background()
 	sess := e.NewSession()
@@ -260,6 +274,9 @@ const maintainAllocBudget = 30 // 27 + 10 % (21 before the tick reclaimed versio
 // checkpoint and truncation, the watermark pass, dependency fold and
 // version GC — to its allocation budget.
 func TestMaintainAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not held under -race")
+	}
 	e, _, rmw, _ := rmwEngine(t)
 	ctx := context.Background()
 	sess := e.NewSession()

@@ -385,6 +385,80 @@ func TestJoinPipeSwapsMisestimatedBuildSide(t *testing.T) {
 	}
 }
 
+// TestJoinPipeCapJudgesOneCopy is TestJoinPipeSwapsMisestimatedBuildSide
+// with the badly underestimated fact side replicated and the dimension
+// split over both sites: each probing site then reads a whole copy of the
+// build side, and the row cap that catches the mistake must judge one
+// copy, not the sum over the sites. A copy over the probe side's rows
+// swaps the roles; copies each under them, though together over, do not.
+func TestJoinPipeCapJudgesOneCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		factRows, dimRows int64
+		swapped           bool
+	}{
+		{"one copy over the cap", 4000, 10, true},
+		{"each copy under the cap, both over it", 400, 600, false},
+	} {
+		cfg := fastConfig(ModeColumnStore, 2)
+		cfg.ReplicationInterval, cfg.MaintainInterval = time.Hour, time.Hour
+		e := New(cfg)
+		t.Cleanup(e.Close)
+		const parts = 4
+		fact, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: schema.RowID(tc.factRows), Partitions: parts, ReplicateAll: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := testRows(tc.factRows)
+		per := int(tc.factRows) / parts
+		for p := 0; p < parts; p++ {
+			data[p*per].Vals[2] = types.NewFloat64(-1e15)
+		}
+		if err := e.LoadRows(context.Background(), fact.ID, data); err != nil {
+			t.Fatal(err)
+		}
+		dim := createGroups(t, e, tc.dimRows, func(s *TableSpec) { s.Partitions = 2 }) // one per site
+		q := &query.Query{Root: &query.AggNode{
+			Child: &query.JoinNode{
+				Left: &query.ScanNode{Table: fact.ID, Cols: []schema.ColID{1, 2},
+					Pred: storage.Pred{{Col: 2, Op: storage.CmpGe, Val: types.NewFloat64(0)}}},
+				Right:      &query.ScanNode{Table: dim.ID, Cols: []schema.ColID{0, 1}},
+				LeftKeyCol: 0, RightKeyCol: 0,
+			},
+			Aggs: []exec.AggSpec{{Func: exec.AggCount}, {Func: exec.AggSum, Col: 3}},
+		}}
+		pn, err := e.Planner.PlanQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pj := pn.(*plan.PAgg).Child.(*plan.PJoin)
+		if l, r := nodeEstRows(pj.Left), nodeEstRows(pj.Right); l >= r {
+			t.Fatalf("%s: fixture: the planner estimates fact %d >= dimension %d rows", tc.name, l, r)
+		}
+
+		before := exec.ReadJoinStats()
+		got := runSorted(t, e, q)
+		built := exec.ReadJoinStats().BuildRows - before.BuildRows
+		// Every fact row but the sentinels joins its group, weight 10 grp.
+		var n, weight int64
+		for i := int64(0); i < tc.factRows; i++ {
+			if i%int64(per) != 0 {
+				n++
+				weight += i % 10 * 10
+			}
+		}
+		sameRels(t, tc.name, got, exec.Rel{Tuples: [][]types.Value{{types.NewInt64(n), types.NewFloat64(float64(weight))}}})
+		if tc.swapped && built > 2*tc.dimRows {
+			t.Errorf("%s: join built on %d rows, want the swapped run's dimension rows, at most %d", tc.name, built, 2*tc.dimRows)
+		}
+		// Unswapped, the fact keys' bounds prune the dimension's partition at
+		// site 1 (gid 300-599): site 0 alone probes, on its own copy's rows.
+		if !tc.swapped && built != n {
+			t.Errorf("%s: join built on %d rows, want the %d fact rows of site 0's copy", tc.name, built, n)
+		}
+	}
+}
+
 // TestJoinPipeLimitPushdown checks a LIMIT over a bare join stops the
 // pipelined scan early and returns exactly that many joined rows.
 func TestJoinPipeLimitPushdown(t *testing.T) {

@@ -454,15 +454,21 @@ func atSite(site simnet.SiteID, name string) func(*TableSpec) {
 // carrying every build side's rows from site 1 straight to site 0 — the one
 // ordered (build site, probe site) pair with rows to send — and one
 // carrying site 1's share of the result back, however many rows each of
-// them holds. Where the dimension is partitioned with the fact, no build
-// row crosses at all; on three sites, only the pairs whose keys can meet
-// exchange rows.
+// them holds. Where the dimension is partitioned with the fact, or
+// replicated at both sites, no build row crosses at all; on three sites,
+// only the pairs whose keys can meet exchange rows.
 func TestJoinMessageBudget(t *testing.T) {
 	const factRows = 48000
 	e, fact := newSkewedEngine(t, factRows)
 	ctx := context.Background()
 	small := createGroups(t, e, 10, atSite(1, "groups"))
 	large := createGroups(t, e, 40000, atSite(1, "groups_large")) // still smaller than the fact: it builds
+	// Mastered at site 1 and replicated to site 0: each probing site holds
+	// a whole copy and builds from it.
+	replicated := createGroups(t, e, 10, func(s *TableSpec) {
+		atSite(1, "groups_replicated")(s)
+		s.ReplicateAll = true
+	})
 	bands, err := e.CreateTable(TableSpec{Name: "bands", Cols: []schema.Column{
 		{Name: "bid", Kind: types.KindInt64}, {Name: "label", Kind: types.KindString, AvgSize: 4},
 	}, MaxRows: 16, Partitions: 1, PlaceAt: func(int) simnet.SiteID { return 1 }})
@@ -545,6 +551,7 @@ func TestJoinMessageBudget(t *testing.T) {
 		{"bare join, gathered columnar", factDimJoin(fact, small), factRows, map[simnet.Kind]int64{dispatch: 1, join: 2}, -1},
 		{"two-stage chain, both stages routed everywhere", chain, 2, map[simnet.Kind]int64{dispatch: 1, join: 2}, chainRouted},
 		{"co-partitioned, no build row crosses", coPartitioned, 1, map[simnet.Kind]int64{dispatch: 1, join: 1}, 0},
+		{"replicated dimension, no build row crosses", factDimJoinAgg(fact, replicated), 2, map[simnet.Kind]int64{dispatch: 1, join: 1}, 0},
 	} {
 		var res exec.Rel
 		var err error

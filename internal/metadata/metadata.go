@@ -118,17 +118,23 @@ func (m *PartitionMeta) SetReplicaLayout(site simnet.SiteID, l storage.Layout) b
 
 // HasCopyAt reports whether the site stores any copy.
 func (m *PartitionMeta) HasCopyAt(site simnet.SiteID) bool {
+	_, ok := m.CopyAt(site)
+	return ok
+}
+
+// CopyAt returns the copy the site stores (master or replica), if any.
+func (m *PartitionMeta) CopyAt(site simnet.SiteID) (Replica, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.master.Site == site {
-		return true
+		return m.master, true
 	}
 	for _, r := range m.replicas {
 		if r.Site == site {
-			return true
+			return r, true
 		}
 	}
-	return false
+	return Replica{}, false
 }
 
 // RecordCoAccess strengthens the co-access edge to another partition

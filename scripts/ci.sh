@@ -77,11 +77,13 @@ go run -C bench . --workload olap-scan --seconds 2 >/dev/null
 # The join run also gates its traffic. Its operation count is fixed
 # (calibrated rate × seconds) and a join's bytes are counted, not timed,
 # so net_bytes_per_op is exact for the seed: each probing site builds its
-# own tables from the build rows routed to it, and a change that ships
-# build rows its probes cannot meet (or back through the coordinator)
-# fails here. The ceiling is the value measured when routed builds landed
-# (21 562.5 bytes) plus 10 %.
-join_bytes_ceiling=23718
+# own tables from its whole copy of a replicated build side, or from the
+# build rows routed to it, and a change that ships build rows its probes
+# cannot meet, rows of a table the probing site holds a copy of, or rows
+# back through the coordinator fails here. The ceiling is the value
+# measured when replicated build sides stopped crossing (16 501 bytes)
+# plus 10 %.
+join_bytes_ceiling=18151
 join_line=$(go run -C bench . --workload olap-join --seconds 2 | grep '^{')
 echo "$join_line"
 join_bytes=$(echo "$join_line" | grep -o '"net_bytes_per_op":{"value":[^,}]*' | awk -F: '{print $3}')
