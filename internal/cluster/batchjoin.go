@@ -700,35 +700,7 @@ func (e *Engine) evalBatchJoin(ctx context.Context, pj *plan.PJoin, snap txn.Ver
 		return e.materializeJoin(ctx, pj, snap, coord, need)
 	}
 	defer j.cancel()
-	return j.gatherCols()
-}
-
-// evalBatchJoinRows executes a bare join at the plan root into boxed rows.
-// A query LIMIT (0 = none) is pushed into the pipelined scan, streaming;
-// without one, the pipelined join is gathered columnar.
-func (e *Engine) evalBatchJoinRows(ctx context.Context, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
-	j, err := e.joinJob(ctx, pj, nil, snap, coord)
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	var c exec.ColRel
-	if j != nil {
-		defer j.cancel()
-		if limit > 0 {
-			return j.gatherRows(ctx, limit)
-		}
-		c, err = j.gatherCols()
-	} else {
-		c, err = e.materializeJoin(ctx, pj, snap, coord, nil)
-	}
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	rel := c.Rel()
-	if limit > 0 && len(rel.Tuples) > limit {
-		rel.Tuples = rel.Tuples[:limit]
-	}
-	return rel, nil
+	return j.gatherCols(simnet.KindJoin)
 }
 
 // materializeJoin joins both inputs as whole columnar relations at the
@@ -840,7 +812,7 @@ func (e *Engine) evalColInput(ctx context.Context, n plan.PNode, snap txn.Versio
 			return exec.ColRel{}, err
 		}
 	default:
-		rel, err := e.evalNode(ctx, n, snap, coord, 0)
+		rel, err := e.materialize(ctx, n, snap, coord, 0)
 		if err != nil {
 			return exec.ColRel{}, err
 		}
@@ -880,13 +852,13 @@ func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.
 			return exec.ColRel{}, err
 		}
 	}
-	return j.gatherCols()
+	return j.gatherCols(simnet.KindJoin)
 }
 
 // gatherCols materializes the job's output as one ColRel at the
-// coordinator, each site's share arriving as one message.
-func (j *morselJob) gatherCols() (exec.ColRel, error) {
-	shares, err := runSites(j, simnet.KindJoin, true, func(simnet.SiteID) *colAcc {
+// coordinator, each site's share arriving as one message of kind k.
+func (j *morselJob) gatherCols(k simnet.Kind) (exec.ColRel, error) {
+	shares, err := runSites(j, k, true, func(simnet.SiteID) *colAcc {
 		return &colAcc{j: j, cols: exec.NewColRel(j.cols)}
 	})
 	if err != nil {

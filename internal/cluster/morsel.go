@@ -4,16 +4,18 @@
 // per-site worker pool sized to the machine's parallelism and shared by
 // every concurrent query claims morsels off a per-query cursor, evaluates
 // predicate + projection + partial aggregation over them on the
-// layout-native path. Gathered results — partial aggregates, columnar join
-// inputs and outputs — leave each site as one message once its workers
-// are done (runSites); streamed results, behind cursors and LIMIT, flow to
-// the coordinator as bounded batches over a channel with backpressure
-// (runRows). LIMIT and context cancellation terminate early by ending the
-// morsel feed. Zone maps prune whole partitions before a
-// single morsel is scheduled. A vertically split segment that no single
-// piece covers is scanned as stitched units: every needed piece reads the
-// same row range and the rows present in all of them are assembled before
-// the sink sees them, so every scan — whatever the layout — runs here.
+// layout-native path. One loop, runSites, runs every scan: each worker
+// folds its batches into a sink of its own, and each site's share —
+// partial aggregates, columnar join inputs and outputs — leaves it as one
+// message once its workers are done. The streaming sink, behind cursors
+// and LIMIT, also ships full row batches as they fill, over a channel with
+// backpressure, so its site's share is only what was left over. LIMIT and
+// context cancellation terminate early by ending the morsel feed. Zone
+// maps prune whole partitions before a single morsel is scheduled. A
+// vertically split segment that no single piece covers is scanned as
+// stitched units: every needed piece reads the same row range and the rows
+// present in all of them are assembled before the sink sees them, so every
+// scan — whatever the layout — runs here.
 package cluster
 
 import (
@@ -169,13 +171,12 @@ func newStitch(scans []*partScan, outs [][]int, d, width int) *stitch {
 	return st
 }
 
-// morselJob is one built parallel scan, ready to run on one of two
-// drivers: the streaming one (runRows: boxed row batches) or the per-site
-// one (runSites), into per-site partial aggregates (runAgg) or one
-// columnar relation (gatherCols). With join pipelines installed (joinJob:
-// one per probing site, over that site's own tables) every scan batch
-// passes through its site's probe stages inside the worker first, so the
-// sinks see joined batches and cols labels the pipelines' output.
+// morselJob is one built parallel scan, ready to run through runSites into
+// per-site partial aggregates (runAgg), one columnar relation (gatherCols)
+// or a stream of boxed row batches (cursor). With join pipelines installed
+// (joinJob: one per probing site, over that site's own tables) every scan
+// batch passes through its site's probe stages inside the worker first, so
+// the sinks see joined batches and cols labels the pipelines' output.
 type morselJob struct {
 	e      *Engine
 	ctx    context.Context
@@ -471,42 +472,23 @@ func (f *morselFeed) next() (morselUnit, bool) {
 	return f.units[i], true
 }
 
-// runSite drains one site's units through its scan pool: up to ScanWorkers
-// loops run worker over one shared feed. A crashed site's rejected loops
-// run inline on their own goroutine, so its share is still scanned against
-// live copies.
-func (j *morselJob) runSite(siteID simnet.SiteID, units []morselUnit, wg *sync.WaitGroup, worker func(*morselFeed)) {
-	feed := &morselFeed{j: j, siteID: siteID, units: units}
-	s := j.e.siteOf(siteID)
-	for i := max(1, min(s.ScanWorkers(), len(units))); i > 0; i-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := s.RunScan(func() { worker(feed) }); err != nil {
-				worker(feed)
-			}
-		}()
-	}
-}
-
 // drain is one scan worker's loop: it claims units off feed, runs every
-// non-empty scan batch through the job's probe pipeline and hands each
-// surviving batch to fold, which returns false to stop. It reports whether
-// the worker ran out of units, rather than being stopped.
-func (j *morselJob) drain(siteID simnet.SiteID, feed *morselFeed, fold func(*storage.Batch) bool) bool {
+// non-empty scan batch through the job's probe pipeline and folds each
+// surviving batch into w. It reports whether the worker ran out of units,
+// rather than being stopped.
+func drain[A siteAcc[A]](feed *morselFeed, w A) bool {
+	j, siteID := feed.j, feed.siteID
 	pr := j.newProber(siteID)
 	defer j.closeProber(siteID, pr)
 	var ps *partScan // the unit being scanned
 	sink := func(b *storage.Batch) bool {
-		n := b.Len()
-		if n == 0 {
-			return j.ctx.Err() == nil
-		}
-		// rows feeds the per-partition scan observation; count pre-join so
-		// scan selectivity stays a scan property.
-		ps.rows.Add(int64(n))
-		if jb := pr.Apply(b); jb != nil && !fold(jb) {
-			return false
+		if n := b.Len(); n > 0 {
+			// rows feeds the per-partition scan observation; count pre-join
+			// so scan selectivity stays a scan property.
+			ps.rows.Add(int64(n))
+			if jb := pr.Apply(b); jb != nil {
+				w.fold(jb)
+			}
 		}
 		return j.ctx.Err() == nil
 	}
@@ -518,114 +500,149 @@ func (j *morselJob) drain(siteID simnet.SiteID, feed *morselFeed, fold func(*sto
 	return j.ctx.Err() == nil
 }
 
-// runRows is the streaming driver, behind cursors and LIMIT: it streams
-// projected tuples as bounded batches into out, closing it when every
-// worker has finished. Each worker accumulates up to batchRows tuples,
-// ships the batch from its site to the coordinator (network accounting +
-// fault injection), then hands it over with backpressure: a full out
-// channel blocks workers, bounding in-flight memory.
-func (j *morselJob) runRows(out chan<- exec.Rel) {
-	batchRows := j.e.scanBatchRows()
-	var wg sync.WaitGroup
-	for siteID, units := range j.units {
-		j.runSite(siteID, units, &wg, func(feed *morselFeed) {
-			batch := make([][]types.Value, 0, batchRows)
-			flush := func() bool {
-				rel := exec.Rel{Cols: j.cols, Tuples: batch}
-				batch = make([][]types.Value, 0, batchRows)
-				if err := j.e.shipTo(j.shipKind(), siteID, j.coord, rel); err != nil {
-					j.fail(err)
-					return false
-				}
-				select {
-				case out <- rel:
-					j.e.cntScanBatches.Inc()
-					j.e.cntMorselRows.Add(int64(rel.NumRows()))
-					return true
-				case <-j.ctx.Done():
-					return false
-				}
-			}
-			if j.drain(siteID, feed, func(b *storage.Batch) bool {
-				batch = b.AppendTuples(batch)
-				return len(batch) < batchRows || flush()
-			}) && len(batch) > 0 {
-				flush()
-			}
-		})
-	}
-	go func() {
-		wg.Wait()
-		j.observe()
-		close(out)
-	}()
-}
-
-// siteAcc is the state of a gathering sink, one per scan worker: fold
-// takes the worker's probed batches, merge folds a finished worker's state
-// into its site's, and seal readies the site's share for its one message,
-// returning the payload bytes.
+// siteAcc is the state of a sink, one per scan worker: fold takes the
+// worker's probed batches, merge folds a finished worker's state into its
+// site's, and seal readies the site's share for its one message, returning
+// the payload bytes. A sink that fails the job or finds it cancelled needs
+// no answer from fold: the worker's loop checks the job's context after
+// every batch.
 type siteAcc[A any] interface {
 	fold(b *storage.Batch)
 	merge(w A)
 	seal() int
 }
 
-// runSites is the per-site driver behind every gathering sink. Each
-// worker folds its batches into an accumulator of its own (newAcc is told
-// the worker's site), and finished workers merge under their site's lock,
-// the first one's state becoming the site's. When a site's last worker has
-// exited and ship is set, its share is sealed and ships to the coordinator
-// once, as a message of kind k plus a 64-byte header; nothing crosses from
-// the coordinator's own site. Without ship every share stays where it was
-// scanned. It returns every site's share, or the job's error.
-func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, ship bool, newAcc func(simnet.SiteID) A) ([]A, error) {
-	var mu sync.Mutex
-	var shares []A
-	var scatter sync.WaitGroup
-	for siteID, units := range j.units {
-		scatter.Add(1)
+// siteRun is one site's part of a runSites call: the feed its workers claim
+// units from, how many of them are still running, and the share the
+// finished ones have merged into.
+type siteRun[A siteAcc[A]] struct {
+	feed   morselFeed
+	live   atomic.Int32
+	mu     sync.Mutex
+	share  A
+	merged bool
+}
+
+// runSite runs the site's workers on its scan pool: up to ScanWorkers of
+// them over the one feed. Each folds its batches into an accumulator of its
+// own (newAcc is told the site) and, having run out of units, merges it
+// under the site's lock, the first one's state becoming the site's. A
+// crashed site's rejected workers run inline on their own goroutine, so its
+// share is still scanned against live copies. Off the pool, the site's last
+// worker out ships the share when ship is set: once, as a message of kind k
+// plus a 64-byte header; nothing crosses from the coordinator's own site.
+func (r *siteRun[A]) runSite(wg *sync.WaitGroup, k simnet.Kind, ship bool, newAcc func(simnet.SiteID) A) {
+	j, siteID := r.feed.j, r.feed.siteID
+	s := j.e.siteOf(siteID)
+	work := func() {
+		w := newAcc(siteID)
+		if !drain(&r.feed, w) {
+			return
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.merged {
+			r.share.merge(w)
+		} else {
+			r.share, r.merged = w, true
+		}
+	}
+	n := max(1, min(s.ScanWorkers(), len(r.feed.units)))
+	r.live.Store(int32(n))
+	for ; n > 0; n-- {
+		wg.Add(1)
 		go func() {
-			defer scatter.Done()
-			var siteMu sync.Mutex
-			var share A
-			merged := false
-			var wg sync.WaitGroup
-			j.runSite(siteID, units, &wg, func(feed *morselFeed) {
-				w := newAcc(siteID)
-				if !j.drain(siteID, feed, func(b *storage.Batch) bool { w.fold(b); return true }) {
-					return
-				}
-				siteMu.Lock()
-				defer siteMu.Unlock()
-				if merged {
-					share.merge(w)
-				} else {
-					share, merged = w, true
-				}
-			})
-			wg.Wait()
-			if j.ctx.Err() != nil || !merged {
+			defer wg.Done()
+			if err := s.RunScan(work); err != nil {
+				work()
+			}
+			if r.live.Add(-1) > 0 || !ship || !r.merged || j.ctx.Err() != nil {
 				return
 			}
-			if ship {
-				if err := j.e.shipBytesTo(k, siteID, j.coord, share.seal()+64); err != nil {
-					j.fail(err)
-					return
-				}
-				j.e.cntScanBatches.Inc()
+			if err := j.e.shipBytesTo(k, siteID, j.coord, r.share.seal()+64); err != nil {
+				j.fail(err)
+				return
 			}
-			mu.Lock()
-			shares = append(shares, share)
-			mu.Unlock()
+			j.e.cntScanBatches.Inc()
 		}()
 	}
-	scatter.Wait()
+}
+
+// runSites is where every scan's workers start, whatever the sink: it runs
+// each site's workers (runSite), every site's state carved from one slice,
+// and waits for all of them; without ship every share stays where it was
+// scanned. It returns every site's share, or the job's error.
+func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, ship bool, newAcc func(simnet.SiteID) A) ([]A, error) {
+	runs := make([]siteRun[A], len(j.units))
+	var wg sync.WaitGroup
+	i := 0
+	for siteID, units := range j.units {
+		r := &runs[i]
+		i++
+		r.feed.j, r.feed.siteID, r.feed.units = j, siteID, units
+		r.runSite(&wg, k, ship, newAcc)
+	}
+	wg.Wait()
 	j.observe()
 	if j.err != nil {
 		return nil, j.err
 	}
-	return shares, j.ctx.Err()
+	if err := j.ctx.Err(); err != nil {
+		return nil, err
+	}
+	shares := make([]A, 0, len(runs))
+	for i := range runs {
+		if runs[i].merged {
+			shares = append(shares, runs[i].share)
+		}
+	}
+	return shares, nil
+}
+
+// rowAcc is the streaming sink, behind cursors and LIMIT: a worker boxes
+// its batches into rows and, each time ScanBatchRows of them are ready,
+// ships exactly those from its site to the coordinator and hands them to
+// out, blocking while out is full, which bounds in-flight memory. What a
+// worker holds when it runs out merges into its site's share, which ships
+// once as every share does — the site's last, possibly empty, message —
+// and is handed over after every worker has exited.
+type rowAcc struct {
+	j    *morselJob
+	site simnet.SiteID
+	out  chan<- exec.Rel
+	rows [][]types.Value
+}
+
+func (a *rowAcc) fold(b *storage.Batch) {
+	a.rows = b.AppendTuples(a.rows)
+	n := a.j.e.scanBatchRows()
+	for len(a.rows) >= n {
+		rel := exec.Rel{Cols: a.j.cols, Tuples: a.rows[:n:n]}
+		a.rows = append(make([][]types.Value, 0, n), a.rows[n:]...)
+		if err := a.j.e.shipBytesTo(a.j.shipKind(), a.site, a.j.coord, rel.NumRows()*rel.RowBytes()+64); err != nil {
+			a.j.fail(err)
+			return
+		}
+		a.j.e.cntScanBatches.Inc()
+		if !a.j.hand(a.out, rel) {
+			return
+		}
+	}
+}
+
+func (a *rowAcc) merge(w *rowAcc) { a.rows = append(a.rows, w.rows...) }
+func (a *rowAcc) seal() int       { return len(a.rows) * exec.Rel{Tuples: a.rows}.RowBytes() }
+
+// hand passes a batch to a cursor's channel, waiting while it is full;
+// false once the job is cancelled.
+func (j *morselJob) hand(out chan<- exec.Rel, rel exec.Rel) bool {
+	select {
+	case out <- rel:
+		j.e.cntMorselRows.Add(int64(rel.NumRows()))
+		return true
+	case <-j.ctx.Done():
+		return false
+	}
 }
 
 // aggAcc is runAgg's sink: a partial aggregate, sealed into the site's
@@ -744,45 +761,6 @@ func (j *morselJob) observeScans() {
 	}
 }
 
-// morselGather materializes a morsel scan at the coordinator.
-func (e *Engine) morselGather(ctx context.Context, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
-	j, err := e.buildMorselJob(ctx, ps, snap, coord)
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	defer j.cancel()
-	return j.gatherRows(ctx, limit)
-}
-
-// gatherRows materializes the job's rows at the coordinator, terminating
-// early once limit rows (0 = unlimited) have arrived by cancelling the
-// feeds, then draining the workers. ctx is the caller's, which the job's
-// own context derives from.
-func (j *morselJob) gatherRows(ctx context.Context, limit int) (exec.Rel, error) {
-	out := make(chan exec.Rel, 2*len(j.e.Sites)+2)
-	j.runRows(out)
-	res := exec.Rel{Cols: j.cols}
-	for batch := range out {
-		if limit > 0 && len(res.Tuples) >= limit {
-			continue // draining after early termination
-		}
-		res.Tuples = append(res.Tuples, batch.Tuples...)
-		if limit > 0 && len(res.Tuples) >= limit {
-			j.cancel() // end the morsel feeds; workers wind down
-		}
-	}
-	if j.err != nil {
-		return exec.Rel{}, j.err
-	}
-	if err := ctx.Err(); err != nil {
-		return exec.Rel{}, err
-	}
-	if limit > 0 && len(res.Tuples) > limit {
-		res.Tuples = res.Tuples[:limit]
-	}
-	return res, nil
-}
-
 // morselAgg runs an aggregation-over-scan on the morsel executor: the
 // plan's partial aggregates inside the scan workers, one partial per site,
 // finalized at the coordinator.
@@ -810,8 +788,7 @@ func (e *Engine) morselAgg(ctx context.Context, pa *plan.PAgg, ps *plan.PScan, s
 type RowCursor struct {
 	cols  []string
 	ch    <-chan exec.Rel
-	stop  func()       // cancels producers; idempotent
-	tail  func() error // terminal producer error, valid once ch is drained
+	j     *morselJob // the streaming job; nil over a materialized result
 	onEOF func(err error)
 
 	cur    exec.Rel
@@ -820,17 +797,35 @@ type RowCursor struct {
 	seen   int
 	err    error
 	closed bool
-	eof    bool
 }
 
-// newMorselCursor wraps a running morsel job's batch channel. limit > 0
-// ends the stream — cancelling the job — after that many rows.
-func newMorselCursor(j *morselJob, ch <-chan exec.Rel, limit int, onEOF func(error)) *RowCursor {
+// cursor streams the job through a cursor: runSites with the streaming
+// sink (rowAcc) behind a bounded channel, closed once every worker has
+// exited and every site's leftover rows are handed over. limit > 0 ends the
+// stream — cancelling the job — after that many rows.
+func (j *morselJob) cursor(limit int, onEOF func(error)) *RowCursor {
+	// Two batches in flight per site, and two more, let a site's workers
+	// ship on while the consumer takes the last batch, yet bound memory.
+	out := make(chan exec.Rel, 2*len(j.e.Sites)+2)
+	go func() {
+		defer close(out)
+		batchRows := j.e.scanBatchRows()
+		shares, err := runSites(j, j.shipKind(), true, func(site simnet.SiteID) *rowAcc {
+			return &rowAcc{j: j, site: site, out: out, rows: make([][]types.Value, 0, batchRows)}
+		})
+		if err != nil {
+			return
+		}
+		for _, s := range shares {
+			if len(s.rows) > 0 && !j.hand(out, exec.Rel{Cols: j.cols, Tuples: s.rows}) {
+				return
+			}
+		}
+	}()
 	return &RowCursor{
 		cols:  j.cols,
-		ch:    ch,
-		stop:  j.cancel,
-		tail:  func() error { return j.err },
+		ch:    out,
+		j:     j,
 		onEOF: onEOF,
 		idx:   -1,
 		limit: limit,
@@ -845,8 +840,6 @@ func newStaticCursor(rel exec.Rel, onEOF func(error)) *RowCursor {
 	return &RowCursor{
 		cols:  rel.Cols,
 		ch:    ch,
-		stop:  func() {},
-		tail:  func() error { return nil },
 		onEOF: onEOF,
 		idx:   -1,
 	}
@@ -857,18 +850,18 @@ func (c *RowCursor) Cols() []string { return c.cols }
 
 // Next advances to the next row, reporting whether one is available.
 func (c *RowCursor) Next() bool {
-	if c.closed || c.eof {
+	if c.closed {
 		return false
 	}
 	if c.limit > 0 && c.seen >= c.limit {
-		c.finish(nil)
+		c.finish()
 		return false
 	}
 	c.idx++
 	for c.idx >= len(c.cur.Tuples) {
 		batch, ok := <-c.ch
 		if !ok {
-			c.finish(nil)
+			c.finish()
 			return false
 		}
 		c.cur, c.idx = batch, 0
@@ -886,27 +879,27 @@ func (c *RowCursor) Err() error { return c.err }
 
 // finish terminates the stream: cancel the feeds, drain the channel until
 // the producer closes it (guaranteeing every worker has exited), then
-// record the error and notify the completion hook.
-func (c *RowCursor) finish(err error) {
+// record the job's error and notify the completion hook.
+func (c *RowCursor) finish() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	c.eof = true
-	c.stop()
+	if c.j != nil {
+		c.j.cancel()
+	}
 	for range c.ch {
 	}
-	if err == nil {
-		err = c.tail()
+	if c.j != nil {
+		c.err = c.j.err
 	}
-	c.err = err
 	if c.onEOF != nil {
-		c.onEOF(err)
+		c.onEOF(c.err)
 	}
 }
 
 // Close releases the cursor; safe to call at any point and more than once.
 func (c *RowCursor) Close() error {
-	c.finish(nil)
+	c.finish()
 	return c.err
 }

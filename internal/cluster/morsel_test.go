@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -96,24 +97,28 @@ func sameRels(t *testing.T, name string, got, want exec.Rel) {
 // TestMorselMatchesLegacy holds the morsel executor to the reference
 // evaluator (refEval: the legacy row operators over the generated rows):
 // randomized scans, every aggregate, grouped aggregation, an aggregate over
-// an aggregate, a join and a LIMIT, materialized and streamed, over the row
-// layout, the column layout and a vertical split whose spanning scans run
-// as stitched units.
+// an aggregate, a join and a LIMIT over a scan and over a join,
+// materialized and streamed, over the row layout, the column layout, a
+// vertical split whose spanning scans run as stitched units, and a join
+// spill budget so small that joins take the materializing fallback.
 func TestMorselMatchesLegacy(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		mode  Mode
 		split bool
+		spill int64 // JoinSpillBudget; 0 keeps the default
 	}{
-		{"rowstore", ModeRowStore, false},
-		{"columnstore", ModeColumnStore, false},
-		{"vertical", ModeColumnStore, true},
+		{"rowstore", ModeRowStore, false, 0},
+		{"columnstore", ModeColumnStore, false, 0},
+		{"vertical", ModeColumnStore, true, 0},
+		{"spilling", ModeColumnStore, false, 1 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rows = 3000
 			e, tbl := newMorselEngine(t, tc.mode, 2, 4, rows, func(c *Config) {
 				c.MorselRows = 128
 				c.ScanBatchRows = 256
+				c.JoinSpillBudget = tc.spill
 			})
 			if tc.split {
 				splitVertically(t, e, tbl, 2)
@@ -195,6 +200,40 @@ func TestMorselMatchesLegacy(t *testing.T) {
 				}
 			}
 
+			// LIMIT over a bare join root, materialized and through a
+			// cursor: 37 rows, each one of the join's. Its 100-row build
+			// side is over the spilling case's budget, so there the join
+			// materializes and only then is cut; elsewhere the pipelined
+			// probe streams and the limit ends its feeds.
+			jq := &query.Query{Root: &query.JoinNode{
+				Left: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{1, 2},
+					Pred: storage.Pred{{Col: 2, Op: storage.CmpLt, Val: types.NewFloat64(500)}}},
+				Right: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 1},
+					Pred: storage.Pred{{Col: 0, Op: storage.CmpLt, Val: types.NewInt64(100)}}},
+				LeftKeyCol: 0, RightKeyCol: 1,
+			}, Limit: 37}
+			joined := map[string]bool{}
+			for _, row := range refEval(jq.Root, tables).Tuples {
+				joined[fmt.Sprint(row)] = true
+			}
+			pipelined := exec.ReadJoinStats().Pipelined
+			if got, err = e.ExecuteQuery(context.Background(), e.NewSession(), jq); err != nil {
+				t.Fatal(err)
+			}
+			for name, rel := range map[string]exec.Rel{"join limit": got, "join limit (streamed)": streamSorted(t, e, jq)} {
+				if len(rel.Tuples) != 37 {
+					t.Fatalf("%s: %d rows, want 37", name, len(rel.Tuples))
+				}
+				for _, row := range rel.Tuples {
+					if !joined[fmt.Sprint(row)] {
+						t.Fatalf("%s: row %v is not one of the join's", name, row)
+					}
+				}
+			}
+			if moved := exec.ReadJoinStats().Pipelined - pipelined; (moved > 0) == (tc.spill > 0) {
+				t.Errorf("%d joins pipelined; want some exactly when the build side fits the spill budget", moved)
+			}
+
 			if moved := e.MetricsSnapshot().Counters["exec.morsels.stitched"] - stitched; (moved > 0) != tc.split {
 				t.Errorf("%d stitched units scheduled; want some exactly when the table is split", moved)
 			}
@@ -261,49 +300,82 @@ func TestMorselLimitStopsScheduling(t *testing.T) {
 
 // TestMorselStreamMatchesMaterialized drains a streaming cursor and checks
 // it yields exactly the materialized result, and that a stream-side LIMIT
-// ends the cursor after that many rows with no error.
+// ends the cursor after that many rows with no error. The leftover case
+// runs three scan workers per site over 1000-row morsels, 500 of whose
+// rows pass, with 97-row batches: 97 is prime and no worker holds 97
+// morsels, so no worker's row count is a multiple of the batch size. The
+// cursor is read only after a pause: the first worker to claim units fills
+// the channel and blocks, so its site's other workers claim the rest, and
+// each ends with a partial batch that merges into the site's share. Which
+// workers get rows still depends on scheduling, so the case runs several
+// times; every row must arrive exactly once, gathered and streamed.
 func TestMorselStreamMatchesMaterialized(t *testing.T) {
-	e, tbl := newMorselEngine(t, ModeColumnStore, 2, 4, 2000, nil)
-	sess := e.NewSession()
-	q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 2},
-		Pred: storage.Pred{{Col: 1, Op: storage.CmpLt, Val: types.NewInt64(5)}}}}
+	for _, tc := range []struct {
+		name   string
+		rows   int64
+		runs   int
+		pause  time.Duration
+		mutate func(*Config)
+	}{
+		{"default", 2000, 1, 0, nil},
+		{"leftovers", 20000, 4, 10 * time.Millisecond, func(c *Config) {
+			c.Site.ScanWorkers = 3
+			c.MorselRows = 1000
+			c.ScanBatchRows = 97
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, tbl := newMorselEngine(t, ModeColumnStore, 2, 4, tc.rows, tc.mutate)
+			sess := e.NewSession()
+			q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 2},
+				Pred: storage.Pred{{Col: 1, Op: storage.CmpLt, Val: types.NewInt64(5)}}}}
+			ref := refEval(q.Root, refTables{tbl.ID: testRows(tc.rows)})
+			sortTuples(ref)
 
-	want, err := e.ExecuteQuery(context.Background(), sess, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := e.ExecuteQueryStream(context.Background(), sess, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := exec.Rel{Cols: cur.Cols()}
-	for cur.Next() {
-		row := append([]types.Value(nil), cur.Row()...)
-		got.Tuples = append(got.Tuples, row)
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sortTuples(got)
-	sortTuples(want)
-	sameRels(t, "stream", got, want)
+			for i := 0; i < tc.runs; i++ {
+				want, err := e.ExecuteQuery(context.Background(), sess, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur, err := e.ExecuteQueryStream(context.Background(), sess, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(tc.pause)
+				got := exec.Rel{Cols: cur.Cols()}
+				for cur.Next() {
+					row := append([]types.Value(nil), cur.Row()...)
+					got.Tuples = append(got.Tuples, row)
+				}
+				if err := cur.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+				sortTuples(got)
+				sortTuples(want)
+				// The ids are unique, so equal sorted results mean every
+				// row arrived exactly once.
+				sameRels(t, "gathered", want, ref)
+				sameRels(t, "stream", got, want)
+			}
 
-	lq := &query.Query{Root: q.Root, Limit: 10}
-	cur, err = e.ExecuteQueryStream(context.Background(), sess, lq)
-	if err != nil {
-		t.Fatal(err)
+			lq := &query.Query{Root: q.Root, Limit: 10}
+			cur, err := e.ExecuteQueryStream(context.Background(), sess, lq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for cur.Next() {
+				n++
+			}
+			if n != 10 || cur.Err() != nil {
+				t.Fatalf("limited stream: %d rows, err %v", n, cur.Err())
+			}
+			cur.Close()
+		})
 	}
-	n := 0
-	for cur.Next() {
-		n++
-	}
-	if n != 10 || cur.Err() != nil {
-		t.Fatalf("limited stream: %d rows, err %v", n, cur.Err())
-	}
-	cur.Close()
 }
 
 // TestMorselCancelNoGoroutineLeak abandons streams mid-scan — by cursor

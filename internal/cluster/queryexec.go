@@ -55,33 +55,21 @@ func (e *Engine) sleepRetry(ctx context.Context, d time.Duration) error {
 }
 
 func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Query) (exec.Rel, error) {
-	if err := ctx.Err(); err != nil {
-		return exec.Rel{}, err
-	}
-	planStart := e.clk.Now()
-	pn, err := e.Planner.PlanQuery(q)
+	pn, err := e.planQuery(ctx, q)
 	if err != nil {
 		return exec.Rel{}, err
 	}
-	e.stats.Record(ClassOLAPPlan, e.clk.Since(planStart))
-
-	pids := collectPIDs(pn)
-	snap, slot := e.snapshotFor(sess, pids)
-	defer e.snaps.release(slot)
-	coord, err := e.pickCoordinator(pn)
+	qs, err := e.startQuery(sess, pn)
 	if err != nil {
 		return exec.Rel{}, err
 	}
-	if _, err := e.Net.SendKind(simnet.KindDispatch, simnet.ASASite, coord, 256); err != nil {
-		return exec.Rel{}, err
-	}
-	e.recordQueryAccesses(pn)
+	defer e.snaps.release(qs.slot)
 
 	var result exec.Rel
 	var execErr error
 	start := e.clk.Now()
-	if err := e.siteOf(coord).RunOLAP(func() {
-		result, execErr = e.evalNode(ctx, pn, snap, coord, q.Limit)
+	if err := e.siteOf(qs.coord).RunOLAP(func() {
+		result, execErr = e.evalRoot(ctx, pn, qs.snap, qs.coord, q.Limit)
 	}); err != nil {
 		return exec.Rel{}, err
 	}
@@ -90,16 +78,52 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 		return exec.Rel{}, execErr
 	}
 	e.stats.Record(ClassOLAP, d)
-
-	readVec := make(txn.VersionVector, len(pids))
-	for _, pid := range pids {
-		readVec[pid] = snap[pid]
-	}
-	sess.s.Observe(readVec)
+	sess.s.ObserveOf(qs.snap, qs.pids)
 	if e.Advisor != nil {
 		e.Advisor.onQueryExecuted(pn, d)
 	}
 	return result, nil
+}
+
+// planQuery plans q, timing the planner.
+func (e *Engine) planQuery(ctx context.Context, q *query.Query) (plan.PNode, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := e.clk.Now()
+	pn, err := e.Planner.PlanQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	e.stats.Record(ClassOLAPPlan, e.clk.Since(start))
+	return pn, nil
+}
+
+// queryStart is what both query APIs set up before a plan runs.
+type queryStart struct {
+	pids  []partition.ID
+	snap  txn.VersionVector
+	slot  *snapSlot
+	coord simnet.SiteID
+}
+
+// startQuery is the prologue both query APIs share: it reads a registered
+// snapshot of every partition pn touches, picks the coordinator, dispatches
+// the plan there and records the plan's accesses. On success the caller
+// releases the snapshot; on failure it is already released.
+func (e *Engine) startQuery(sess *Session, pn plan.PNode) (queryStart, error) {
+	pids := collectPIDs(pn)
+	snap, slot := e.snapshotFor(sess, pids)
+	coord, err := e.pickCoordinator(pn)
+	if err == nil {
+		_, err = e.Net.SendKind(simnet.KindDispatch, simnet.ASASite, coord, 256)
+	}
+	if err != nil {
+		e.snaps.release(slot)
+		return queryStart{}, err
+	}
+	e.recordQueryAccesses(pn)
+	return queryStart{pids: pids, snap: snap, slot: slot, coord: coord}, nil
 }
 
 // collectPIDs gathers every partition a plan touches.
@@ -201,27 +225,73 @@ func (e *Engine) recordQueryAccesses(n plan.PNode) {
 	}
 }
 
-// evalNode evaluates a physical plan node into rows at the coordinator,
-// stopping after limit rows (0 = all). Scans and joins run on the morsel
-// executor, which pushes the limit into the scan feed; an aggregate
-// finalizes its partials and truncates.
-func (e *Engine) evalNode(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
-	switch v := n.(type) {
-	case *plan.PScan:
-		return e.morselGather(ctx, v, snap, coord, limit)
-	case *plan.PJoin:
-		return e.evalBatchJoinRows(ctx, v, snap, coord, limit)
-	case *plan.PAgg:
-		rel, err := e.evalAgg(ctx, v, snap, coord)
-		if err != nil {
+// evalRoot evaluates a plan root into rows at the coordinator, stopping
+// after limit rows (0 = all). A root job (rootJob) streams when there is a
+// limit, drained through a cursor whose limit ends the morsel feeds, and is
+// otherwise gathered columnar, one message per site. Any other root
+// materializes.
+func (e *Engine) evalRoot(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
+	j, err := e.rootJob(ctx, n, snap, coord)
+	switch {
+	case err != nil:
+		return exec.Rel{}, err
+	case j == nil:
+		return e.materialize(ctx, n, snap, coord, limit)
+	case limit > 0:
+		// The streamed tuples are never reused, so they are kept as they
+		// arrive.
+		cur := j.cursor(limit, nil)
+		rel := exec.Rel{Cols: cur.cols}
+		for cur.Next() {
+			rel.Tuples = append(rel.Tuples, cur.Row())
+		}
+		if err := cur.Close(); err != nil {
 			return exec.Rel{}, err
 		}
-		if limit > 0 && len(rel.Tuples) > limit {
-			rel.Tuples = rel.Tuples[:limit]
-		}
-		return rel, nil
+		return rel, ctx.Err()
 	}
-	return exec.Rel{}, fmt.Errorf("cluster: unknown plan node %T", n)
+	defer j.cancel()
+	c, err := j.gatherCols(j.shipKind())
+	if err != nil {
+		return exec.Rel{}, err
+	}
+	return c.Rel(), nil
+}
+
+// rootJob builds the one job a scan root or a join root runs on:
+// buildMorselJob, or joinJob's pipelined probe. It returns nil, with a nil
+// error, for a root that materializes instead: an aggregate, or a join
+// joinJob cannot pipeline.
+func (e *Engine) rootJob(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID) (*morselJob, error) {
+	switch v := n.(type) {
+	case *plan.PScan:
+		return e.buildMorselJob(ctx, v, snap, coord)
+	case *plan.PJoin:
+		return e.joinJob(ctx, v, nil, snap, coord)
+	}
+	return nil, nil
+}
+
+// materialize evaluates what no root job serves — an aggregate, or a join
+// joinJob cannot pipeline — at the coordinator, keeping its first limit
+// rows (0 = all).
+func (e *Engine) materialize(ctx context.Context, n plan.PNode, snap txn.VersionVector, coord simnet.SiteID, limit int) (exec.Rel, error) {
+	var rel exec.Rel
+	var err error
+	switch v := n.(type) {
+	case *plan.PAgg:
+		rel, err = e.evalAgg(ctx, v, snap, coord)
+	case *plan.PJoin:
+		var c exec.ColRel
+		c, err = e.materializeJoin(ctx, v, snap, coord, nil)
+		rel = c.Rel()
+	default:
+		err = fmt.Errorf("cluster: cannot materialize plan node %T", n)
+	}
+	if limit > 0 && len(rel.Tuples) > limit {
+		rel.Tuples = rel.Tuples[:limit]
+	}
+	return rel, err
 }
 
 // evalAgg executes an aggregation. Over a scan or a join, partial
@@ -234,7 +304,7 @@ func (e *Engine) evalAgg(ctx context.Context, pa *plan.PAgg, snap txn.VersionVec
 	case *plan.PJoin:
 		return e.evalBatchJoinAgg(ctx, pa, child, snap, coord)
 	}
-	rel, err := e.evalNode(ctx, pa.Child, snap, coord, 0)
+	rel, err := e.materialize(ctx, pa.Child, snap, coord, 0)
 	if err != nil {
 		return exec.Rel{}, err
 	}
@@ -278,15 +348,9 @@ func (e *Engine) sitePartition(pid partition.ID, siteID simnet.SiteID, snapVer u
 	return p, nil
 }
 
-// shipTo moves a relation between sites (retrying dropped messages) and
-// records the network observation. A persistent fault surfaces as the
-// typed error so the query can re-plan around it.
-func (e *Engine) shipTo(k simnet.Kind, from, to simnet.SiteID, rel exec.Rel) error {
-	return e.shipBytesTo(k, from, to, rel.NumRows()*rel.RowBytes()+64)
-}
-
-// shipBytesTo is shipTo for callers that already know the payload size
-// (columnar chunks from the batch-join scan path).
+// shipBytesTo moves a payload of bytes between sites (retrying dropped
+// messages) and records the network observation. A persistent fault
+// surfaces as the typed error so the query can re-plan around it.
 func (e *Engine) shipBytesTo(k simnet.Kind, from, to simnet.SiteID, bytes int) error {
 	return e.exchange(k, from, to, bytes, -1)
 }
@@ -390,61 +454,38 @@ func (e *Engine) finalizeAgg(pa *plan.PAgg, partials exec.Rel, coord simnet.Site
 }
 
 // ExecuteQueryStream runs an OLAP query and returns a cursor streaming
-// result rows incrementally. A scan root — and a bare join pipelined over
-// one, once its build sides are hashed — streams natively:
-// rows arrive as bounded batches while the scan is still running, and
-// closing the cursor early (or cancelling ctx, or reaching the query's
-// Limit) closes the morsel feeds so workers stop promptly. Other plan
-// shapes materialize at the coordinator first and the cursor iterates the
-// result. Retriable planning/setup failures are retried exactly as
-// ExecuteQuery retries them; once streaming has begun, failures surface
-// through the cursor's Err and are not retried.
+// result rows incrementally. A scan root, and a join root pipelined over
+// one once its build sides are hashed, streams: rows arrive as bounded
+// batches while the scan is still running, and closing the cursor early
+// (or cancelling ctx, or reaching the query's Limit) closes the morsel
+// feeds so workers stop promptly. Any other root materializes at the
+// coordinator first and the cursor iterates the result. Retriable
+// planning/setup failures are retried exactly as ExecuteQuery retries
+// them; once streaming has begun, failures surface through the cursor's
+// Err and are not retried.
 func (e *Engine) ExecuteQueryStream(ctx context.Context, sess *Session, q *query.Query) (*RowCursor, error) {
 	var cur *RowCursor
-	err := e.withRetries(ctx, admission.PriorityOLAP, func() (err error) {
-		cur, err = e.streamOnce(ctx, sess, q)
+	err := e.withRetries(ctx, admission.PriorityOLAP, func() error {
+		pn, err := e.planQuery(ctx, q)
+		if err != nil {
+			return err
+		}
+		cur, err = e.streamPlan(ctx, sess, pn, q.Limit)
 		return err
 	})
 	return cur, err
 }
 
-func (e *Engine) streamOnce(ctx context.Context, sess *Session, q *query.Query) (*RowCursor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	planStart := e.clk.Now()
-	pn, err := e.Planner.PlanQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	e.stats.Record(ClassOLAPPlan, e.clk.Since(planStart))
-	return e.streamPlan(ctx, sess, pn, q.Limit)
-}
-
 // streamPlan runs a planned query as ExecuteQueryStream does; limit > 0
-// ends the stream after that many rows.
+// ends the stream after that many rows. The session observes the snapshot
+// before the first row; a streaming cursor holds the snapshot until EOF or
+// Close.
 func (e *Engine) streamPlan(ctx context.Context, sess *Session, pn plan.PNode, limit int) (*RowCursor, error) {
-	pids := collectPIDs(pn)
-	snap, slot := e.snapshotFor(sess, pids)
-	streaming := false
-	defer func() {
-		if !streaming {
-			e.snaps.release(slot) // a streaming cursor releases it at EOF or Close
-		}
-	}()
-	coord, err := e.pickCoordinator(pn)
+	qs, err := e.startQuery(sess, pn)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := e.Net.SendKind(simnet.KindDispatch, simnet.ASASite, coord, 256); err != nil {
-		return nil, err
-	}
-	e.recordQueryAccesses(pn)
-	readVec := make(txn.VersionVector, len(pids))
-	for _, pid := range pids {
-		readVec[pid] = snap[pid]
-	}
-	sess.s.Observe(readVec)
+	sess.s.ObserveOf(qs.snap, qs.pids)
 
 	start := e.clk.Now()
 	onEOF := func(err error) {
@@ -456,44 +497,26 @@ func (e *Engine) streamPlan(ctx context.Context, sess *Session, pn plan.PNode, l
 			}
 		}
 	}
-
+	// A root job's build sides, if any, are evaluated at the coordinator
+	// before the first row streams; without one the root materializes.
 	var j *morselJob
-	switch v := pn.(type) {
-	case *plan.PScan:
-		j, err = e.buildMorselJob(ctx, v, snap, coord)
-	case *plan.PJoin:
-		// The build sides are evaluated at the coordinator before the first
-		// row streams; a nil job falls through to materializing.
-		if rerr := e.siteOf(coord).RunOLAP(func() {
-			j, err = e.joinJob(ctx, v, nil, snap, coord)
-		}); rerr != nil {
-			return nil, rerr
+	var rel exec.Rel
+	if rerr := e.siteOf(qs.coord).RunOLAP(func() {
+		if j, err = e.rootJob(ctx, pn, qs.snap, qs.coord); err == nil && j == nil {
+			rel, err = e.materialize(ctx, pn, qs.snap, qs.coord, limit)
 		}
+	}); rerr != nil {
+		err = rerr
 	}
-	if err != nil {
-		return nil, err
+	if err != nil || j == nil {
+		e.snaps.release(qs.slot)
+		if err != nil {
+			return nil, err
+		}
+		return newStaticCursor(rel, onEOF), nil
 	}
-	if j != nil {
-		streaming = true
-		out := make(chan exec.Rel, 2*len(e.Sites)+2)
-		j.runRows(out)
-		return newMorselCursor(j, out, limit, func(err error) {
-			e.snaps.release(slot)
-			onEOF(err)
-		}), nil
-	}
-
-	// An aggregate, or a join the pipeline cannot serve: materialize, then
-	// iterate.
-	var result exec.Rel
-	var execErr error
-	if err := e.siteOf(coord).RunOLAP(func() {
-		result, execErr = e.evalNode(ctx, pn, snap, coord, limit)
-	}); err != nil {
-		return nil, err
-	}
-	if execErr != nil {
-		return nil, execErr
-	}
-	return newStaticCursor(result, onEOF), nil
+	return j.cursor(limit, func(err error) {
+		e.snaps.release(qs.slot)
+		onEOF(err)
+	}), nil
 }

@@ -6,12 +6,14 @@ import (
 	"proteus/internal/cluster"
 )
 
-// Rows is a streaming result cursor in the database/sql style. For
-// scan-shaped queries the rows arrive incrementally from the morsel
-// executor while sites are still scanning; aggregations and joins
-// materialize first and the cursor iterates the result. Always Close a
-// cursor (or drain it with Next) — Close cancels the distributed scan and
-// waits for its workers, so an abandoned cursor leaks no goroutines.
+// Rows is a streaming result cursor in the database/sql style. For a scan,
+// or a join pipelined over one, the rows arrive incrementally from the
+// morsel executor while sites are still scanning. An aggregate, or a join
+// the pipeline cannot serve (a build side over the spill budget, a probe
+// side that is not a scan), materializes first and the cursor iterates the
+// result. Always Close a cursor (or drain it with Next) — Close cancels the
+// distributed scan and waits for its workers, so an abandoned cursor leaks
+// no goroutines.
 type Rows struct {
 	cur *cluster.RowCursor
 }

@@ -68,11 +68,17 @@ echo "== benchmark workloads against their oracles (gating)"
 # Two seconds' worth of each workload, numbers discarded: the benchmark
 # exits non-zero on any operation that fails or whose answer differs from
 # its oracle, so every scan shape — morsel scheduling, zone-map pruning,
-# encoded kernels, LIMIT — and every CH join shape — pipelined probes,
-# partial aggregates, the open-loop mix beside transactions — is checked
-# against plain loops over the tables' rows on each CI run, and oltp-rmw
-# reads back every cell it wrote and drains its replicas while the
-# maintenance tick folds checkpoints and truncates the log underneath.
+# encoded kernels — and every CH join shape — pipelined probes, partial
+# aggregates, the open-loop mix beside transactions — is checked against
+# plain loops over the tables' rows on each CI run. Every benchmark query
+# has an aggregate root, so none has a LIMIT or streams: LIMIT, streaming
+# and cancellation are gated by the tier-1 tests above
+# (TestMorselMatchesLegacy, TestMorselLimitStopsScheduling,
+# TestMorselStreamMatchesMaterialized, TestMorselCancelNoGoroutineLeak,
+# TestMorselContextCancelAborts, the streaming cases of
+# internal/cluster/admission_test.go). oltp-rmw reads back every cell it
+# wrote and drains its replicas while the maintenance tick folds
+# checkpoints and truncates the log underneath.
 go run -C bench . --workload olap-scan --seconds 2 >/dev/null
 # The join run also gates its traffic. Its operation count is fixed
 # (calibrated rate × seconds) and a join's bytes are counted, not timed,
