@@ -86,7 +86,8 @@ func copyVersion(t *testing.T, e *Engine, pid partition.ID, site simnet.SiteID) 
 // reads) and the batched decision for a site written. Partitions 0 and 1
 // have lagging row replicas at each other's site, so a read of a written
 // partition routed to a replica would show as a catch-up: replication
-// messages and a replica version that moves.
+// messages and a replica version that moves. Partition 2 has an idle row
+// replica at site 1, which a transaction coordinated there reads for free.
 func TestTxnMessageBudget(t *testing.T) {
 	e, tbl := newSitedEngine(t, 3, 100, nil)
 	parts := e.Dir.TablePartitions(tbl.ID)
@@ -94,6 +95,9 @@ func TestTxnMessageBudget(t *testing.T) {
 		if err := e.AddReplicaOp(m.ID, simnet.SiteID(1-i), storage.DefaultRowLayout()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := e.AddReplicaOp(parts[2].ID, 1, storage.DefaultRowLayout()); err != nil {
+		t.Fatal(err)
 	}
 	sess := e.NewSession()
 	ctx := context.Background()
@@ -127,6 +131,8 @@ func TestTxnMessageBudget(t *testing.T) {
 			map[simnet.Kind]int64{dispatch: 1, read: 2}, []float64{30, 230}},
 		{"two sites written, a third only read", []query.Op{upd(40), readOp(tbl, 45, 2), readOp(tbl, 140, 2), upd(140), readOp(tbl, 240, 2)},
 			map[simnet.Kind]int64{dispatch: 1, read: 2, prepare: 2, decision: 2}, []float64{45, 140, 240}},
+		{"write at site 1, unwritten read of its idle copy there", []query.Op{upd(150), readOp(tbl, 250, 2)},
+			map[simnet.Kind]int64{dispatch: 1}, []float64{250}},
 	} {
 		toSite2 := e.Net.Stats(0, 2).Messages + e.Net.Stats(2, 0).Messages
 		var res exec.Rel

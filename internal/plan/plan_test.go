@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -204,8 +205,8 @@ func TestPlannerDecomposesAggs(t *testing.T) {
 }
 
 // TestPlanTxnCoordinator: a transaction runs at the write site holding most
-// of its pieces, the first such site on a tie; a read-only one at its first
-// read's copy.
+// of its writes and reads of written partitions, the first site written on
+// a tie; a read-only one at its first read's master.
 func TestPlanTxnCoordinator(t *testing.T) {
 	pl, dir := testPlanner()
 	register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
@@ -223,6 +224,7 @@ func TestPlanTxnCoordinator(t *testing.T) {
 		{[]query.Op{upd(5), read(150), upd(150)}, 1},
 		{[]query.Op{upd(150), upd(5)}, 1},
 		{[]query.Op{upd(5), upd(150)}, 0},
+		{[]query.Op{read(150), upd(5), upd(150), upd(6)}, 0},
 		{[]query.Op{read(150), read(5)}, 1},
 	} {
 		tp, err := pl.PlanTxn(&query.Txn{Ops: tc.ops})
@@ -259,9 +261,10 @@ func TestPlanTxnBindings(t *testing.T) {
 	if len(tp.ReadPIDs) != 0 {
 		t.Errorf("read pids = %v", tp.ReadPIDs)
 	}
-	// A replica at the planner's own site draws a read of the partition,
-	// unless the transaction also writes the partition — even in a later op:
-	// then the read binds the master, which the write contacts anyway.
+	// A read-only transaction runs at its first read's master, so a replica
+	// elsewhere does not draw the read; a transaction that also writes the
+	// partition — even in a later op — reads its master, which the write
+	// contacts anyway.
 	m := register(dir, 1, 100, 200, 0, 3, 1, storage.DefaultRowLayout(), 100)
 	m.AddReplica(metadata.Replica{Site: 0, Layout: storage.DefaultRowLayout()})
 	read := query.Op{Kind: query.OpRead, Table: 1, Row: 150, Cols: []schema.ColID{0}}
@@ -269,7 +272,7 @@ func TestPlanTxnBindings(t *testing.T) {
 	for _, tc := range []struct {
 		ops  []query.Op
 		want simnet.SiteID
-	}{{[]query.Op{read}, 0}, {[]query.Op{read, write}, 1}} {
+	}{{[]query.Op{read}, 1}, {[]query.Op{read, write}, 1}} {
 		tp, err := pl.PlanTxn(&query.Txn{Ops: tc.ops})
 		if err != nil {
 			t.Fatal(err)
@@ -278,12 +281,121 @@ func TestPlanTxnBindings(t *testing.T) {
 			t.Errorf("%d ops: read bound to site %d, want %d", len(tc.ops), got, tc.want)
 		}
 	}
+	// A read of an unwritten partition binds the copy at the coordinator:
+	// its replica when the transaction writes at site 1, its master when it
+	// writes at site 0. The two plans share the planner's decision cache,
+	// so the second also shows that a choice cached for one coordinator
+	// does not serve another.
+	other := register(dir, 1, 200, 300, 0, 3, 0, storage.DefaultRowLayout(), 100)
+	other.AddReplica(metadata.Replica{Site: 1, Layout: storage.DefaultRowLayout()})
+	unwritten := query.Op{Kind: query.OpRead, Table: 1, Row: 250, Cols: []schema.ColID{0}}
+	atZero := query.Op{Kind: query.OpUpdate, Table: 1, Row: 5, Cols: []schema.ColID{0}, Vals: []types.Value{types.NewInt64(4)}}
+	for _, tc := range []struct {
+		write query.Op
+		want  simnet.SiteID
+	}{{write, 1}, {atZero, 0}} {
+		tp, err := pl.PlanTxn(&query.Txn{Ops: []query.Op{tc.write, unwritten}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Coordinator != tc.want {
+			t.Fatalf("coordinator %d, want %d", tp.Coordinator, tc.want)
+		}
+		if got := tp.Bindings[1].Copies[0]; got.Site != tc.want {
+			t.Errorf("coordinated at %d: unwritten read bound to site %d", tc.want, got.Site)
+		}
+		if !slices.Equal(tp.ReadPIDs, []partition.ID{other.ID}) {
+			t.Errorf("coordinated at %d: read pids %v, want [%d]", tc.want, tp.ReadPIDs, other.ID)
+		}
+	}
 	// Unknown row fails.
 	if _, err := pl.PlanTxn(&query.Txn{Ops: []query.Op{
 		{Kind: query.OpRead, Table: 9, Row: 5, Cols: []schema.ColID{0}},
 	}}); err == nil {
 		t.Error("plan for unknown table succeeded")
 	}
+}
+
+// TestPlanTxnConcurrentCoordinators plans transactions coordinated at
+// different sites from several goroutines on one planner, its decision
+// cache cold, and requires each plan to equal the plan a planner of its own
+// makes serially.
+func TestPlanTxnConcurrentCoordinators(t *testing.T) {
+	pl, dir := testPlanner()
+	for site := simnet.SiteID(0); site < 3; site++ {
+		lo := schema.RowID(site) * 100
+		m := register(dir, 1, lo, lo+100, 0, 3, site, storage.DefaultRowLayout(), 100)
+		for r := simnet.SiteID(0); r < 3; r++ {
+			if r != site {
+				m.AddReplica(metadata.Replica{Site: r, Layout: storage.DefaultColumnLayout()})
+			}
+		}
+	}
+	read := func(row schema.RowID) query.Op {
+		return query.Op{Kind: query.OpRead, Table: 1, Row: row, Cols: []schema.ColID{1}}
+	}
+	upd := func(row schema.RowID) query.Op {
+		return query.Op{Kind: query.OpUpdate, Table: 1, Row: row, Cols: []schema.ColID{1}, Vals: []types.Value{types.NewInt64(1)}}
+	}
+	txns := []*query.Txn{
+		{Ops: []query.Op{upd(5), read(150), read(250)}},
+		{Ops: []query.Op{read(50), upd(150), read(250)}},
+		{Ops: []query.Op{read(50), read(150), upd(250)}},
+		{Ops: []query.Op{read(250), read(50), read(150)}},
+		{Ops: []query.Op{upd(150), read(5), upd(160), upd(250)}},
+	}
+	fresh := func() *Planner {
+		return &Planner{Dir: pl.Dir, Model: pl.Model, Decisions: NewDecisionCache(), Plans: NewPlanCache(), Epoch: pl.Epoch, MaxRow: pl.MaxRow}
+	}
+	want := make([]string, len(txns))
+	coords := map[simnet.SiteID]bool{}
+	for i, txn := range txns {
+		tp, err := fresh().PlanTxn(txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = bound(tp)
+		coords[tp.Coordinator] = true
+	}
+	if len(coords) != 3 {
+		t.Fatalf("the transactions are coordinated at %d sites, want 3", len(coords))
+	}
+	shared := fresh()
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g + i) % len(txns)
+				tp, err := shared.PlanTxn(txns[k])
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if got := bound(tp); got != want[k] {
+					errs <- fmt.Sprintf("transaction %d planned %s, serially %s", k, got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// bound renders what a transaction plan decides: its coordinator, its
+// read and write sets, and each op's copies.
+func bound(tp *TxnPlan) string {
+	s := fmt.Sprint(tp.Coordinator, tp.ReadPIDs, tp.WritePIDs)
+	for _, b := range tp.Bindings {
+		s += fmt.Sprint(b.Copies)
+	}
+	return s
 }
 
 func TestPieceCols(t *testing.T) {
@@ -368,16 +480,16 @@ func TestCopyKeysMatchFormattedKeysWithoutAllocating(t *testing.T) {
 }
 
 // TestChoosePointCopyCachedLookupAllocs: a point read's copy choice that
-// hits the decision cache allocates only the copy list it ranges over, and
-// counts as a hit.
+// hits the decision cache, keyed by the coordinator too, allocates only the
+// copy list it ranges over, and counts as a hit.
 func TestChoosePointCopyCachedLookupAllocs(t *testing.T) {
 	pl, dir := testPlanner()
 	m := register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
 	m.AddReplica(metadata.Replica{Site: 1, Layout: storage.DefaultColumnLayout()})
-	first := pl.choosePointCopy(m, 2)
+	first := pl.choosePointCopy(m, 2, 1)
 	h0, m0 := pl.Decisions.Stats()
 	allocs := testing.AllocsPerRun(100, func() {
-		if got := pl.choosePointCopy(m, 2); got != first {
+		if got := pl.choosePointCopy(m, 2, 1); got != first {
 			t.Fatalf("cached choice %v, first %v", got, first)
 		}
 	})

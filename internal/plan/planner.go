@@ -90,9 +90,6 @@ type Planner struct {
 	Decisions *DecisionCache
 	Plans     *PlanCache
 	Epoch     *Epoch
-	// Coordinator is where final results assemble (the submitting
-	// client's entry point; the ASA picks a data site per query).
-	Coordinator simnet.SiteID
 	// MaxRow bounds table row ids (for full-table partition lookups).
 	MaxRow schema.RowID
 }
@@ -222,8 +219,14 @@ func globalToLocalPred(m *metadata.PartitionMeta, pred storage.Pred) storage.Pre
 	return out
 }
 
+// scanOrigin is the site a scan's shipping is priced toward. A query's
+// coordinator is picked after planning, from the copies the plan binds
+// (the cluster's pickCoordinator), so planning cannot price from it; every
+// scan prices from site 0.
+const scanOrigin simnet.SiteID = 0
+
 // chooseCopy picks the replica to scan: minimal predicted scan cost plus
-// shipping the result toward the coordinator. The decision is cached by
+// shipping the result toward scanOrigin. The decision is cached by
 // bucketed cardinality and the copy layouts (§5.3.3).
 func (pl *Planner) chooseCopy(m *metadata.PartitionMeta, cols []schema.ColID, pred storage.Pred) metadata.Replica {
 	copies := m.AllCopies()
@@ -263,7 +266,7 @@ func (pl *Planner) chooseCopy(m *metadata.PartitionMeta, cols []schema.ColID, pr
 		netCost := pl.Model.Predict(cost.OpNetwork, cost.VariantDefault, storage.Layout{},
 			cost.NetworkFeatures(0, 0, shipBytes, 0))
 		total := float64(scanCost)
-		if c.Site != pl.Coordinator {
+		if c.Site != scanOrigin {
 			total += float64(netCost)
 		}
 		if c != master && updateRate > 0 {

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"proteus/internal/cost"
 	"proteus/internal/forecast"
@@ -18,7 +19,8 @@ import (
 // Writes always bind masters, and so do reads of partitions the
 // transaction also writes: the coordinator must contact that master for
 // the write anyway, the read rides the same message, and a master never
-// waits for replication to catch up. Other reads bind the cheapest copy.
+// waits for replication to catch up. Other reads bind the copy cheapest
+// to reach from the transaction's coordinator.
 type OpBinding struct {
 	Op query.Op
 	// Pieces are the partitions covering the op's row and columns (more
@@ -36,18 +38,24 @@ type TxnPlan struct {
 	// those it writes: each sorted, each partition once, the two disjoint.
 	ReadPIDs  []partition.ID
 	WritePIDs []partition.ID
-	// Coordinator is the site that runs the transaction: of the sites
-	// mastering its writes, the one holding most of its pieces (the first
-	// on a tie), so that the most reads and writes need no message. A
-	// read-only transaction runs at its first read's copy.
+	// Coordinator is the site that runs the transaction, settled before
+	// any unwritten read binds: of the sites mastering its writes, the one
+	// holding most of its writes and reads of written partitions (the first
+	// written on a tie), so that as many as possible need no message. A
+	// read-only transaction runs at its first read's master. Every other
+	// read is then priced from here, so it binds a copy at this site when
+	// one is as cheap as any.
 	Coordinator simnet.SiteID
 }
 
-// PlanTxn binds every operation of a transaction to partition copies. A
-// plan allocates a fixed handful of slices whatever its op count: the
-// bindings, one arena for every op's pieces and one for their copies
-// (each sized from len(t.Ops), growing only when a row is split
-// vertically), and one for the sorted partition sets.
+// PlanTxn binds every operation of a transaction to partition copies, in
+// three steps: writes, and reads of written partitions, bind masters; the
+// coordinator settles from those masters; then every other read binds the
+// copy cheapest to reach from the coordinator. A plan allocates a fixed
+// handful of slices whatever its op count: the bindings, one arena for
+// every op's pieces and one for their copies (each sized from len(t.Ops),
+// growing only when a row is split vertically), and one for the sorted
+// partition sets.
 func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
 	tp := &TxnPlan{Bindings: make([]OpBinding, 0, len(t.Ops))}
 	pieces := make([]*metadata.PartitionMeta, 0, len(t.Ops))
@@ -68,6 +76,10 @@ func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
 	}
 	copies := make([]metadata.Replica, n)
 	pids := make([]partition.ID, 0, n)
+	// The pieces bound at each site, counted as they bind. Writes bind
+	// first, so the sites stand in the order the writes first reach them.
+	var buf [4]siteCount
+	counts := buf[:0]
 	for i := range tp.Bindings {
 		b := &tp.Bindings[i]
 		b.Copies, copies = copies[:len(b.Pieces):len(b.Pieces)], copies[len(b.Pieces):]
@@ -75,15 +87,15 @@ func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
 			for j, m := range b.Pieces {
 				b.Copies[j] = m.Master()
 				pids = append(pids, m.ID)
+				counts = tally(counts, b.Copies[j].Site)
 			}
 		}
 	}
 	slices.Sort(pids)
 	pids = slices.Compact(pids)
 	tp.WritePIDs = pids[:len(pids):len(pids)]
-	// Reads bind once the write set is known: a read of a written partition
-	// goes to its master whatever the op order.
-	reads := pids[len(pids):]
+	// A read of a written partition goes to its master whatever the op
+	// order: the coordinator contacts that master for the write anyway.
 	for _, b := range tp.Bindings {
 		if b.Op.Kind != query.OpRead {
 			continue
@@ -91,52 +103,68 @@ func (pl *Planner) PlanTxn(t *query.Txn) (*TxnPlan, error) {
 		for j, m := range b.Pieces {
 			if _, written := slices.BinarySearch(tp.WritePIDs, m.ID); written {
 				b.Copies[j] = m.Master()
-			} else {
-				b.Copies[j] = pl.choosePointCopy(m, len(b.Op.Cols))
+				counts = tally(counts, b.Copies[j].Site)
+			}
+		}
+	}
+	if len(counts) > 0 {
+		most := counts[0]
+		for _, c := range counts[1:] {
+			if c.n > most.n {
+				most = c
+			}
+		}
+		tp.Coordinator = most.site
+	} else if len(tp.Bindings) > 0 {
+		tp.Coordinator = tp.Bindings[0].Pieces[0].Master().Site
+	}
+	// Every other read binds the copy cheapest to reach from there.
+	reads := pids[len(pids):]
+	for _, b := range tp.Bindings {
+		if b.Op.Kind != query.OpRead {
+			continue
+		}
+		for j, m := range b.Pieces {
+			if _, written := slices.BinarySearch(tp.WritePIDs, m.ID); !written {
+				b.Copies[j] = pl.choosePointCopy(m, len(b.Op.Cols), tp.Coordinator)
 				reads = append(reads, m.ID)
 			}
 		}
 	}
 	slices.Sort(reads)
 	tp.ReadPIDs = slices.Compact(reads)
-	if len(tp.Bindings) > 0 {
-		tp.Coordinator = tp.Bindings[0].Copies[0].Site
-	}
-	most := -1
-	for _, b := range tp.Bindings {
-		if b.Op.Kind == query.OpRead {
-			continue
-		}
-		for _, c := range b.Copies {
-			if n := tp.piecesAt(c.Site); n > most {
-				tp.Coordinator, most = c.Site, n
-			}
-		}
-	}
 	return tp, nil
 }
 
-// piecesAt counts the op pieces bound to a copy at site.
-func (tp *TxnPlan) piecesAt(site simnet.SiteID) (n int) {
-	for _, b := range tp.Bindings {
-		for _, c := range b.Copies {
-			if c.Site == site {
-				n++
-			}
-		}
-	}
-	return n
+// siteCount is the number of a transaction's bound pieces at one site.
+type siteCount struct {
+	site simnet.SiteID
+	n    int
 }
 
-// choosePointCopy picks the cheapest copy for a point read, preferring the
-// coordinator's local copy, with the decision cached by layout set.
-func (pl *Planner) choosePointCopy(m *metadata.PartitionMeta, ncols int) metadata.Replica {
+// tally counts a piece bound at site.
+func tally(counts []siteCount, site simnet.SiteID) []siteCount {
+	for i := range counts {
+		if counts[i].site == site {
+			counts[i].n++
+			return counts
+		}
+	}
+	return append(counts, siteCount{site: site, n: 1})
+}
+
+// choosePointCopy picks the cheapest copy for a point read by a
+// transaction coordinated at coord, which pays a network round trip to
+// reach any other site. The decision is cached by layout set and
+// coordinator.
+func (pl *Planner) choosePointCopy(m *metadata.PartitionMeta, ncols int, coord simnet.SiteID) metadata.Replica {
 	copies := m.AllCopies()
 	if len(copies) == 1 {
 		return copies[0]
 	}
 	var buf [128]byte
 	key := appendBuckets(appendCopiesKey(buf[:0], "pointcopy", copies), float64(ncols))
+	key = strconv.AppendInt(append(key, "|from"...), int64(coord), 10)
 	if d, ok := pl.Decisions.lookupBytes(key); ok {
 		if r, ok := d.(metadata.Replica); ok && m.HasCopyAt(r.Site) {
 			return r
@@ -150,7 +178,7 @@ func (pl *Planner) choosePointCopy(m *metadata.PartitionMeta, ncols int) metadat
 	for _, c := range copies {
 		read := pl.Model.Predict(cost.OpPointRead, cost.VariantDefault, c.Layout, cost.PointReadFeatures(ncols, rowBytes))
 		total := float64(read)
-		if c.Site != pl.Coordinator {
+		if c.Site != coord {
 			net := pl.Model.Predict(cost.OpNetwork, cost.VariantDefault, storage.Layout{}, cost.NetworkFeatures(0, 0, rowBytes, rowBytes))
 			total += float64(net)
 		}

@@ -7,6 +7,7 @@ package chbench_test
 // the analytical queries and transaction structure.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -117,5 +118,42 @@ func TestGeneratorsSeededDeterministic(t *testing.T) {
 	}
 	if !diverged {
 		t.Error("different seeds produced identical transaction streams")
+	}
+}
+
+// TestTxnsReadAtTheirCoordinator: on two Janus sites every warehouse's
+// rows have a copy at its home site (the row master, or the other site's
+// column replica) and the item table a copy at each, so no CH transaction
+// needs a read round trip: the planner binds each read to the copy at the
+// transaction's coordinator. Clients of all four warehouses run 200
+// transactions, and no read message may cross the network.
+func TestTxnsReadAtTheirCoordinator(t *testing.T) {
+	cfg := cluster.DefaultConfig()
+	cfg.Mode = cluster.ModeJanus
+	cfg.NumSites = 2
+	cfg.Net = simnet.Config{}
+	cfg.ReplicationInterval = time.Millisecond
+	e := cluster.New(cfg)
+	t.Cleanup(e.Close)
+	c := smallConfig()
+	c.Warehouses = 4
+	w, err := chbench.Setup(e, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := make([]*chbench.Client, c.Warehouses)
+	for i := range clients {
+		clients[i] = w.NewClient(i, rand.New(rand.NewSource(int64(i)+1)))
+	}
+	reads := e.Obs.Counter("net.messages." + simnet.KindRead.String())
+	before := reads.Value()
+	sess := e.NewSession()
+	for i := 0; i < 200; i++ {
+		if _, err := e.ExecuteTxn(context.Background(), sess, clients[i%len(clients)].OLTP()); err != nil {
+			t.Fatalf("transaction %d: %v", i, err)
+		}
+	}
+	if n := reads.Value() - before; n != 0 {
+		t.Errorf("%d read messages over 200 transactions, want 0", n)
 	}
 }

@@ -3,8 +3,8 @@
 # vet, build, the full test suite, then the race detector over the
 # concurrency-heavy packages (engine, sites, interconnect, log broker,
 # locking, replication, metrics, stores and partitions under layout swaps
-# and delta merges, and the partition directory's lookups under splits and
-# merges).
+# and delta merges, the partition directory's lookups under splits and
+# merges, and transaction planning over one shared decision cache).
 # It leaves the working tree as it found it: the last step fails if
 # `git status --porcelain` changed.
 set -euo pipefail
@@ -132,7 +132,8 @@ go test -race -count=1 \
     ./internal/partition/ \
     ./internal/rowstore/ \
     ./internal/workload/... \
-    ./internal/metadata/
+    ./internal/metadata/ \
+    ./internal/plan/
 
 echo "== working tree unchanged (gating)"
 # No step may write into the checkout: a rewritten artifact or a stray
