@@ -3,7 +3,12 @@
 // typed data arrays with a position index, optional total sort order
 // and run-length-encoded compression, a delta store buffering updates as
 // rows in a hash table keyed by row_id, and a Parquet-like on-disk format
-// storing metadata (index arrays) followed by per-column value blocks.
+// storing each column as one block, metadata first, then its values: a
+// typed array for fixed-width kinds (8 B per int64, time or float64, 1 B
+// per bool, with a NULL bitmap only when the column holds NULLs), packed
+// codes for dictionary and frame-of-reference columns, an offset array
+// before the values of a plain string column, and run boundaries before
+// an RLE column's runs.
 package colstore
 
 import (
@@ -566,28 +571,53 @@ func (c *colData) fillVec(v *storage.Vec, lo, hi int) {
 	}
 }
 
-// colMagic is the version marker of the extended serialized format. The
-// legacy format's first byte is the RLE flag (0 or 1); dictionary and FoR
-// columns open with colMagic followed by the encoding byte, so old images
-// still parse and new readers dispatch on the first byte.
+// colMagic is the version marker of the typed serialized formats. The
+// first byte of the offset-indexed format is the RLE flag (0 or 1); plain
+// fixed-width, dictionary and FoR columns open with colMagic followed by the
+// encoding byte, so a reader dispatches on the first byte.
 const colMagic = 0xC2
+
+// fixedWidth reports the bytes one value of kind k takes in a plain disk
+// block — 8 for int64, time and float64, 1 for bool — or 0 for the kinds
+// stored behind an offset array (strings).
+func fixedWidth(k types.Kind) int {
+	switch k {
+	case types.KindInt64, types.KindTime, types.KindFloat64:
+		return 8
+	case types.KindBool:
+		return 1
+	}
+	return 0
+}
 
 // colIndex is the metadata the disk store caches for ranged cell reads:
 // the encoding, where the value bytes begin within the image, and the
-// per-encoding index (offs for plain columns, runStart/runOff for RLE,
-// code width plus dictionary/base for the code encodings).
+// per-encoding index. Fixed-width plain values and dictionary or FoR codes
+// sit width bytes apart from dataOff, so a cell is one ranged read with no
+// per-row index; plain strings keep a per-row offset array and RLE columns
+// their run boundaries.
 type colIndex struct {
 	enc     colEncoding
 	dataOff int // offset of value bytes within the image
-	// encPlain: position -> value offset within the data section.
+	// Fixed-width plain values (8 or 1 bytes) and packed dictionary / FoR
+	// codes (1, 2 or 4 bytes): position p lies at dataOff + p*width.
+	width int
+	// nullBits flags a plain fixed-width column's NULL positions, one bit
+	// each (NULL slots hold zero bytes); nil when the column holds no NULL.
+	nullBits []byte
+	// encPlain strings: position -> value offset within the data section.
 	offs []uint32
 	// encRLE.
 	runStart []uint32
 	runOff   []uint32
-	// encDict / encFoR: codes are packed at codeW bytes from dataOff.
-	codeW   int
+	// encDict / encFoR: the memory-resident dictionary or frame base.
 	forBase int64
 	dict    []string
+}
+
+// isNull reports whether position p of a fixed-width plain column is NULL.
+func (x *colIndex) isNull(p int) bool {
+	return x.nullBits != nil && x.nullBits[p>>3]&(1<<(p&7)) != 0
 }
 
 // serialize renders the column's disk representation: a small header, the
@@ -597,15 +627,44 @@ func (c *colData) serialize() []byte {
 	return img
 }
 
-// putCode appends one code at width w (little-endian).
-func putCode(dst []byte, code uint32, w int) []byte {
+// appendCodes appends codes packed at width w (little-endian), one loop
+// per width.
+func appendCodes(dst []byte, codes []uint32, w int) []byte {
 	switch w {
 	case 1:
-		return append(dst, byte(code))
+		for _, code := range codes {
+			dst = append(dst, byte(code))
+		}
 	case 2:
-		return append(dst, byte(code), byte(code>>8))
+		for _, code := range codes {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(code))
+		}
 	default:
-		return append(dst, byte(code), byte(code>>8), byte(code>>16), byte(code>>24))
+		for _, code := range codes {
+			dst = binary.LittleEndian.AppendUint32(dst, code)
+		}
+	}
+	return dst
+}
+
+// unpackCodes fills dst with the codes packed at width w in src, one loop
+// per width.
+func unpackCodes(dst []uint32, src []byte, w int) {
+	switch w {
+	case 1:
+		for i, b := range src[:len(dst)] {
+			dst[i] = uint32(b)
+		}
+	case 2:
+		src = src[:2*len(dst)]
+		for i := range dst {
+			dst[i] = uint32(binary.LittleEndian.Uint16(src[2*i:]))
+		}
+	default:
+		src = src[:4*len(dst)]
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+		}
 	}
 }
 
@@ -621,20 +680,59 @@ func readCodeAt(b []byte, w int) uint32 {
 	}
 }
 
+// appendFixed appends a plain fixed-width column's values, w bytes each
+// (little-endian; a bool is one byte, 0 or 1). NULL positions hold zero in
+// the typed arrays, so their slots are zero bytes.
+func (c *colData) appendFixed(dst []byte, w int) []byte {
+	switch {
+	case c.kind == types.KindFloat64:
+		for _, f := range c.f64 {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+		}
+	case w == 1:
+		for _, x := range c.i64 {
+			var b byte
+			if x != 0 {
+				b = 1
+			}
+			dst = append(dst, b)
+		}
+	default:
+		for _, x := range c.i64 {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
+		}
+	}
+	return dst
+}
+
+// decodeFixed fills the typed array from cnt values of width w in data,
+// one loop per kind.
+func (c *colData) decodeFixed(data []byte, w int) {
+	data = data[:c.cnt*w]
+	switch {
+	case c.kind == types.KindFloat64:
+		c.f64 = make([]float64, c.cnt)
+		for p := range c.f64 {
+			c.f64[p] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*p:]))
+		}
+	case w == 1:
+		c.i64 = make([]int64, c.cnt)
+		for p, b := range data {
+			c.i64[p] = int64(b)
+		}
+	default:
+		c.i64 = make([]int64, c.cnt)
+		for p := range c.i64 {
+			c.i64[p] = int64(binary.LittleEndian.Uint64(data[8*p:]))
+		}
+	}
+}
+
 // serializeWithIndex additionally returns the index the disk store caches
 // for ranged cell reads.
 func (c *colData) serializeWithIndex() ([]byte, colIndex) {
 	var out []byte
-	var b [4]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b[:], v)
-		out = append(out, b[:]...)
-	}
-	put64 := func(v uint64) {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], v)
-		out = append(out, w[:]...)
-	}
+	put32 := func(v uint32) { out = binary.LittleEndian.AppendUint32(out, v) }
 	switch c.enc {
 	case encRLE:
 		nr := len(c.runStart) - 1
@@ -644,8 +742,7 @@ func (c *colData) serializeWithIndex() ([]byte, colIndex) {
 		var runData []byte
 		runOff := make([]uint32, 0, nr)
 		for r := 0; r < nr; r++ {
-			binary.LittleEndian.PutUint32(b[:], c.runStart[r+1]-c.runStart[r])
-			runData = append(runData, b[:]...)
+			runData = binary.LittleEndian.AppendUint32(runData, c.runStart[r+1]-c.runStart[r])
 			runOff = append(runOff, uint32(len(runData)))
 			runData = types.AppendVar(runData, c.runVal(r))
 		}
@@ -664,36 +761,57 @@ func (c *colData) serializeWithIndex() ([]byte, colIndex) {
 		return out, colIndex{enc: encRLE, dataOff: dataOff, runStart: c.runStart, runOff: runOff}
 	case encDict:
 		// [magic, enc, kind] cnt codeW dictLen dataLen | codes dictBlob
+		dictBytes := 0
+		for _, s := range c.dict {
+			dictBytes += 4 + len(s)
+		}
+		out = make([]byte, 0, 19+c.cnt*c.codeW+dictBytes)
 		out = append(out, colMagic, byte(encDict), byte(c.kind))
 		put32(uint32(c.cnt))
 		put32(uint32(c.codeW))
 		put32(uint32(len(c.dict)))
-		var data []byte
-		for _, code := range c.codes {
-			data = putCode(data, code, c.codeW)
-		}
-		for _, s := range c.dict {
-			data = types.AppendVar(data, types.NewString(s))
-		}
-		put32(uint32(len(data)))
+		put32(uint32(c.cnt*c.codeW + dictBytes))
 		dataOff := len(out)
-		out = append(out, data...)
-		return out, colIndex{enc: encDict, dataOff: dataOff, codeW: c.codeW, dict: c.dict}
+		out = appendCodes(out, c.codes, c.codeW)
+		for _, s := range c.dict {
+			out = types.AppendVar(out, types.NewString(s))
+		}
+		return out, colIndex{enc: encDict, dataOff: dataOff, width: c.codeW, dict: c.dict}
 	case encFoR:
 		// [magic, enc, kind] cnt codeW base dataLen | codes
+		out = make([]byte, 0, 23+c.cnt*c.codeW)
 		out = append(out, colMagic, byte(encFoR), byte(c.kind))
 		put32(uint32(c.cnt))
 		put32(uint32(c.codeW))
-		put64(uint64(c.forBase))
-		var data []byte
-		for _, code := range c.codes {
-			data = putCode(data, code, c.codeW)
-		}
-		put32(uint32(len(data)))
+		out = binary.LittleEndian.AppendUint64(out, uint64(c.forBase))
+		put32(uint32(c.cnt * c.codeW))
 		dataOff := len(out)
-		out = append(out, data...)
-		return out, colIndex{enc: encFoR, dataOff: dataOff, codeW: c.codeW, forBase: c.forBase}
+		out = appendCodes(out, c.codes, c.codeW)
+		return out, colIndex{enc: encFoR, dataOff: dataOff, width: c.codeW, forBase: c.forBase}
 	}
+	if w := fixedWidth(c.kind); w > 0 {
+		// [magic, enc, kind] cnt width nullLen | null bitmap | values
+		var bits []byte
+		if c.nulls != nil {
+			bits = make([]byte, (c.cnt+7)/8)
+			for p, null := range c.nulls {
+				if null {
+					bits[p>>3] |= 1 << (p & 7)
+				}
+			}
+		}
+		out = make([]byte, 0, 15+len(bits)+c.cnt*w)
+		out = append(out, colMagic, byte(encPlain), byte(c.kind))
+		put32(uint32(c.cnt))
+		put32(uint32(w))
+		put32(uint32(len(bits)))
+		out = append(out, bits...)
+		dataOff := len(out)
+		out = c.appendFixed(out, w)
+		return out, colIndex{enc: encPlain, dataOff: dataOff, width: w, nullBits: bits}
+	}
+	// Strings: [0, kind] offsLen offs dataLen | values, each value
+	// [4-byte length][bytes] and a NULL no bytes at all.
 	var data []byte
 	offs := make([]uint32, 0, c.cnt+1)
 	for p := 0; p < c.cnt; p++ {
@@ -713,10 +831,11 @@ func (c *colData) serializeWithIndex() ([]byte, colIndex) {
 }
 
 // deserializeCol reconstructs a column from its disk representation,
-// decoding the value bytes back into typed arrays. A zero-length value
-// region marks a NULL (types.AppendVar encodes NULL as no bytes). Images
-// opening with colMagic carry the extended encodings; the two legacy
-// leading bytes (0 plain, 1 RLE) parse as before.
+// decoding the value bytes back into typed arrays. Images opening with
+// colMagic are typed (plain fixed-width, dictionary, FoR); the others are
+// RLE (leading 1) or plain strings behind an offset array (leading 0),
+// where a zero-length value region marks a NULL (types.AppendVar encodes
+// NULL as no bytes).
 func deserializeCol(buf []byte) *colData {
 	if buf[0] == colMagic {
 		return deserializeEncoded(buf)
@@ -777,18 +896,19 @@ func deserializeCol(buf []byte) *colData {
 	}
 	c.alloc(c.cnt)
 	for p := 0; p < c.cnt; p++ {
-		if offs[p] == offs[p+1] {
+		o, e := offs[p], offs[p+1]
+		if o == e {
 			c.setUncompressed(p, types.Null())
 			continue
 		}
-		v, _ := types.DecodeVar(data[offs[p]:], c.kind)
-		c.setUncompressed(p, v)
+		c.str[p] = string(data[o+4 : e])
 	}
 	return c
 }
 
-// deserializeEncoded parses the colMagic formats (dictionary and FoR) back
-// into typed code arrays.
+// deserializeEncoded parses the colMagic formats (plain fixed-width,
+// dictionary and FoR) back into typed arrays, one loop per kind or code
+// width.
 func deserializeEncoded(buf []byte) *colData {
 	c := &colData{enc: colEncoding(buf[1]), kind: types.Kind(buf[2])}
 	off := 3
@@ -798,16 +918,31 @@ func deserializeEncoded(buf []byte) *colData {
 		return v
 	}
 	c.cnt = int(get32())
-	c.codeW = int(get32())
+	w := int(get32())
 	switch c.enc {
+	case encPlain:
+		nb := int(get32())
+		nulls := 0
+		if nb > 0 {
+			c.nulls = make([]bool, c.cnt)
+			bits := buf[off : off+nb]
+			for p := range c.nulls {
+				if bits[p>>3]&(1<<(p&7)) != 0 {
+					c.nulls[p] = true
+					nulls++
+				}
+			}
+			off += nb
+		}
+		c.decodeFixed(buf[off:], w)
+		c.dataBytes = (c.cnt - nulls) * w
 	case encDict:
+		c.codeW = w
 		dictLen := int(get32())
 		_ = get32() // dataLen
 		c.codes = make([]uint32, c.cnt)
-		for p := 0; p < c.cnt; p++ {
-			c.codes[p] = readCodeAt(buf[off:], c.codeW)
-			off += c.codeW
-		}
+		unpackCodes(c.codes, buf[off:], w)
+		off += c.cnt * w
 		c.dict = make([]string, dictLen)
 		for i := 0; i < dictLen; i++ {
 			v, n := types.DecodeVar(buf[off:], types.KindString)
@@ -816,14 +951,12 @@ func deserializeEncoded(buf []byte) *colData {
 			off += n
 		}
 	case encFoR:
+		c.codeW = w
 		c.forBase = int64(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 		_ = get32() // dataLen
 		c.codes = make([]uint32, c.cnt)
-		for p := 0; p < c.cnt; p++ {
-			c.codes[p] = readCodeAt(buf[off:], c.codeW)
-			off += c.codeW
-		}
+		unpackCodes(c.codes, buf[off:], w)
 	}
 	return c
 }

@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -13,11 +14,13 @@ import (
 )
 
 // Disk is the on-disk column store. Following the paper's Parquet-like
-// format (§4.1.2), each column is serialized with its metadata (index
-// arrays) first, then its value bytes. The index arrays are cached in
-// memory so point reads cost one ranged block access per touched column,
-// and scans read only the blocks of projected/filtered columns — preserving
-// the columnar I/O advantage on the disk tier. Updates buffer in the
+// format (§4.1.2), each column is one block: its metadata first, then its
+// value bytes — for fixed-width kinds and code encodings a typed array
+// with no per-row index. The metadata (colIndex) is cached in memory so
+// point reads cost one ranged block access per touched column, and scans
+// read only the blocks of projected/filtered columns — preserving the
+// columnar I/O advantage on the disk tier — and decode each in one typed
+// pass over the device's read-only view of it. Updates buffer in the
 // in-memory delta store and are folded in by MergeDelta.
 type Disk struct {
 	mu    sync.RWMutex
@@ -29,9 +32,11 @@ type Disk struct {
 
 	imageBytes   int
 	encodedBytes int // image bytes held in non-plain encodings
-	reads        int
-	writes       int
-	layout       storage.Layout
+	// reads and writes count block accesses; they sit off mu, which every
+	// concurrent scan and point read takes shared.
+	reads  atomic.Int64
+	writes atomic.Int64
+	layout storage.Layout
 }
 
 // diskColMeta is the in-memory metadata for one on-disk column: the cached
@@ -138,34 +143,38 @@ func (d *Disk) LoadImage(img storage.Image, ver uint64) error {
 	d.delta.clear()
 	d.imageBytes = total
 	d.encodedBytes = encTotal
-	d.writes += len(meta)
 	d.mu.Unlock()
+	d.writes.Add(int64(len(meta)))
 
 	old.unpin(d.dev)
 	return nil
 }
 
 // readCell reads one cell of a pinned generation from disk through the
-// cached index arrays.
+// cached index.
 func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error) {
-	m := g.meta[ci]
+	m := &g.meta[ci]
 	kind := d.kinds[ci]
-	switch m.enc {
-	case encDict, encFoR:
-		// One ranged read of the packed code; the dictionary (or base) is
-		// memory-resident metadata.
-		cb, err := d.dev.ReadRange(m.block, m.dataOff+p*m.codeW, m.codeW)
+	if m.width > 0 {
+		// Fixed-width values and packed codes: one ranged read at
+		// dataOff + p·width. The NULL flags, the dictionary and the FoR
+		// base are memory-resident metadata.
+		b, err := d.dev.ReadRange(m.block, m.dataOff+p*m.width, m.width)
 		if err != nil {
 			return types.Null(), err
 		}
-		d.mu.Lock()
-		d.reads++
-		d.mu.Unlock()
-		code := readCodeAt(cb, m.codeW)
-		if m.enc == encDict {
-			return types.NewString(m.dict[code]), nil
+		d.reads.Add(1)
+		switch m.enc {
+		case encDict:
+			return types.NewString(m.dict[readCodeAt(b, m.width)]), nil
+		case encFoR:
+			return types.Value{K: kind, I: m.forBase + int64(readCodeAt(b, m.width))}, nil
 		}
-		return types.Value{K: kind, I: m.forBase + int64(code)}, nil
+		if m.isNull(p) {
+			return types.Null(), nil
+		}
+		v, _ := types.DecodeVar(b, kind)
+		return v, nil
 	}
 	var off, n int
 	if m.enc == encRLE {
@@ -194,9 +203,7 @@ func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error)
 			return types.Null(), err
 		}
 	}
-	d.mu.Lock()
-	d.reads++
-	d.mu.Unlock()
+	d.reads.Add(1)
 	if len(buf) == 0 {
 		return types.Null(), nil // a NULL is a zero-length value, as deserializeCol reads it
 	}
@@ -205,16 +212,16 @@ func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error)
 }
 
 // loadColumn reads and deserializes an entire column block of a pinned
-// generation. The pin keeps the block allocated, so a failed read is a
-// broken invariant, never a column to scan around.
+// generation. The block comes back as a read-only view of the device's
+// bytes, and decoding copies what it keeps. The pin keeps the block
+// allocated, so a failed read is a broken invariant, never a column to
+// scan around.
 func (d *Disk) loadColumn(g *diskGen, ci schema.ColID) *colData {
 	img, err := d.dev.Read(g.meta[ci].block)
 	if err != nil {
-		panic(fmt.Sprintf("colstore: column %d of a pinned disk image: %v", ci, err))
+		panic("colstore: column " + strconv.Itoa(int(ci)) + " of a pinned disk image: " + err.Error())
 	}
-	d.mu.Lock()
-	d.reads++
-	d.mu.Unlock()
+	d.reads.Add(1)
 	return deserializeCol(img)
 }
 
@@ -373,8 +380,8 @@ func (d *Disk) Stats() storage.Stats {
 		Bytes:        d.imageBytes,
 		Versions:     len(d.gen.rowIDs) + versions,
 		DeltaRows:    d.delta.size(),
-		DiskReads:    d.reads,
-		DiskWrites:   d.writes,
+		DiskReads:    int(d.reads.Load()),
+		DiskWrites:   int(d.writes.Load()),
 		EncodedBytes: d.encodedBytes,
 	}
 }

@@ -208,7 +208,8 @@ func TestEncodedScanDifferential(t *testing.T) {
 	}
 }
 
-// FuzzColRoundTrip fuzzes the serialize round-trip across encodings: any
+// FuzzColRoundTrip fuzzes the serialize round-trip across encodings and
+// kinds, fixed-width plain blocks with their NULL bitmaps included: any
 // generated column must deserialize to identical values with the same
 // encoding choice.
 func FuzzColRoundTrip(f *testing.F) {
@@ -221,7 +222,7 @@ func FuzzColRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		kinds := []types.Kind{types.KindInt64, types.KindString, types.KindFloat64}
+		kinds := []types.Kind{types.KindInt64, types.KindString, types.KindFloat64, types.KindTime, types.KindBool}
 		for _, kind := range kinds {
 			vals := make([]types.Value, n)
 			for i := range vals {
@@ -234,6 +235,10 @@ func FuzzColRoundTrip(f *testing.F) {
 					vals[i] = types.NewInt64(rng.Int63n(int64(card)) - int64(card)/2)
 				case types.KindString:
 					vals[i] = types.NewString(fmt.Sprintf("k%d", rng.Intn(card)))
+				case types.KindTime:
+					vals[i] = types.NewTimeMicros(rng.Int63n(int64(card)))
+				case types.KindBool:
+					vals[i] = types.NewBool(rng.Intn(2) == 0)
 				default:
 					vals[i] = types.NewFloat64(float64(rng.Intn(card)))
 				}

@@ -76,7 +76,8 @@ func (d *Device) charge(n int) {
 	}
 }
 
-// Write stores data as a new block and returns its ID.
+// Write stores a copy of data as a new block and returns its ID; the
+// caller may reuse data afterwards.
 func (d *Device) Write(data []byte) (BlockID, error) {
 	d.mu.Lock()
 	if d.cfg.Capacity > 0 && d.used+int64(len(data)) > d.cfg.Capacity {
@@ -96,7 +97,8 @@ func (d *Device) Write(data []byte) (BlockID, error) {
 	return id, nil
 }
 
-// Rewrite replaces the contents of an existing block.
+// Rewrite replaces the contents of an existing block with a copy of data.
+// Views handed out by earlier reads keep the old contents.
 func (d *Device) Rewrite(id BlockID, data []byte) error {
 	d.mu.Lock()
 	old, ok := d.blocks[id]
@@ -120,7 +122,11 @@ func (d *Device) Rewrite(id BlockID, data []byte) error {
 	return nil
 }
 
-// Read returns a copy of the block contents.
+// Read returns the block's contents as a read-only view: no copy is made.
+// Blocks are immutable once stored — Write and Rewrite store fresh copies
+// and Free only forgets the block — so the view keeps its bytes whatever
+// happens to the block afterwards. Callers must not write through it; its
+// capacity ends at its length, so an append reallocates.
 func (d *Device) Read(id BlockID) ([]byte, error) {
 	d.mu.Lock()
 	data, ok := d.blocks[id]
@@ -128,17 +134,16 @@ func (d *Device) Read(id BlockID) ([]byte, error) {
 		d.mu.Unlock()
 		return nil, ErrNoBlock
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	d.reads++
 	d.mu.Unlock()
 
-	d.charge(len(cp))
-	return cp, nil
+	d.charge(len(data))
+	return data[:len(data):len(data)], nil
 }
 
-// ReadRange returns a copy of data[off:off+n] from the block, charging only
-// for the bytes transferred (block-based point reads, §4.1.1).
+// ReadRange returns data[off:off+n] of the block as a read-only view, as
+// Read does, charging only for the bytes transferred (block-based point
+// reads, §4.1.1).
 func (d *Device) ReadRange(id BlockID, off, n int) ([]byte, error) {
 	d.mu.Lock()
 	data, ok := d.blocks[id]
@@ -146,17 +151,15 @@ func (d *Device) ReadRange(id BlockID, off, n int) ([]byte, error) {
 		d.mu.Unlock()
 		return nil, ErrNoBlock
 	}
-	if off < 0 || off+n > len(data) {
+	if off < 0 || n < 0 || off+n > len(data) {
 		d.mu.Unlock()
 		return nil, errors.New("disksim: read out of range")
 	}
-	cp := make([]byte, n)
-	copy(cp, data[off:off+n])
 	d.reads++
 	d.mu.Unlock()
 
 	d.charge(n)
-	return cp, nil
+	return data[off : off+n : off+n], nil
 }
 
 // Free releases a block.

@@ -2,6 +2,7 @@ package disksim
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 )
@@ -90,4 +91,110 @@ func TestCounters(t *testing.T) {
 	if r != 2 || w != 1 {
 		t.Errorf("counters = %d reads %d writes", r, w)
 	}
+}
+
+// TestReadViewsOutliveTheirBlock: Read and ReadRange hand out views of the
+// stored bytes, not copies, so a view must keep what it showed after its
+// block is rewritten or freed.
+func TestReadViewsOutliveTheirBlock(t *testing.T) {
+	d := New(Config{})
+	id, _ := d.Write([]byte("0123456789"))
+	whole, err := d.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := d.ReadRange(id, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Rewrite(id, []byte("abcdefghij")); err != nil {
+		t.Fatal(err)
+	}
+	if string(whole) != "0123456789" || string(part) != "234" {
+		t.Fatalf("after Rewrite: views read %q and %q", whole, part)
+	}
+	if got, _ := d.Read(id); string(got) != "abcdefghij" {
+		t.Fatalf("read after Rewrite = %q", got)
+	}
+	next, _ := d.Read(id)
+	if err := d.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if string(next) != "abcdefghij" || string(whole) != "0123456789" {
+		t.Fatalf("after Free: views read %q and %q", next, whole)
+	}
+	// A view's capacity ends at its length: appending to it must not write
+	// into the bytes behind it.
+	id2, _ := d.Write([]byte("xyz"))
+	head, _ := d.ReadRange(id2, 0, 1)
+	_ = append(head, '!')
+	if got, _ := d.Read(id2); string(got) != "xyz" {
+		t.Fatalf("append to a view changed the block: %q", got)
+	}
+}
+
+// TestWriteCopiesCallerBytes: the device keeps its own copy of what is
+// written, so the caller may reuse its slice.
+func TestWriteCopiesCallerBytes(t *testing.T) {
+	d := New(Config{})
+	buf := []byte("hello")
+	id, _ := d.Write(buf)
+	copy(buf, "HELLO")
+	if got, _ := d.Read(id); string(got) != "hello" {
+		t.Fatalf("Write kept the caller's slice: read %q", got)
+	}
+	copy(buf, "world")
+	if err := d.Rewrite(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "WORLD")
+	if got, _ := d.Read(id); string(got) != "world" {
+		t.Fatalf("Rewrite kept the caller's slice: read %q", got)
+	}
+}
+
+// TestConcurrentReadViews: readers sharing views of one block while it is
+// rewritten see one whole version or the other, never a mix.
+func TestConcurrentReadViews(t *testing.T) {
+	d := New(Config{})
+	a, b := bytes.Repeat([]byte{'a'}, 64), bytes.Repeat([]byte{'b'}, 64)
+	id, _ := d.Write(a)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				whole, err := d.Read(id)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				part, err := d.ReadRange(id, 8, 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(whole, a) && !bytes.Equal(whole, b) {
+					t.Errorf("Read saw a mixed block %q", whole)
+					return
+				}
+				if !bytes.Equal(part, a[8:24]) && !bytes.Equal(part, b[8:24]) {
+					t.Errorf("ReadRange saw a mixed range %q", part)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		next := a
+		if i%2 == 0 {
+			next = b
+		}
+		if err := d.Rewrite(id, next); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
 }

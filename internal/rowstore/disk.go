@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"proteus/internal/disksim"
 	"proteus/internal/schema"
@@ -33,9 +34,11 @@ type Disk struct {
 	bufIDs     []schema.RowID               // sorted ids present only in buffer
 	flushedVer uint64
 	imageBytes int
-	reads      int
-	writes     int
-	layout     storage.Layout
+	// reads and writes count block accesses; they sit off mu, which every
+	// concurrent scan and point read takes.
+	reads  atomic.Int64
+	writes atomic.Int64
+	layout storage.Layout
 }
 
 type idxEntry struct {
@@ -140,7 +143,7 @@ func (d *Disk) LoadImage(image storage.Image, ver uint64) error {
 	d.bufIDs = nil
 	d.flushedVer = ver
 	d.imageBytes = len(img)
-	d.writes++
+	d.writes.Add(1)
 	return nil
 }
 
@@ -207,9 +210,7 @@ func (d *Disk) readFromDisk(id schema.RowID) (schema.Row, error) {
 	if err != nil {
 		return schema.Row{}, err
 	}
-	d.mu.Lock()
-	d.reads++
-	d.mu.Unlock()
+	d.reads.Add(1)
 	return d.decodeRow(data)
 }
 
@@ -308,10 +309,10 @@ func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema
 	if has && len(order) > 0 {
 		img, err := d.dev.Read(blk)
 		if err == nil {
-			d.mu.Lock()
-			d.reads++
+			d.reads.Add(1)
+			d.mu.RLock()
 			index := d.index
-			d.mu.Unlock()
+			d.mu.RUnlock()
 			for _, id := range order {
 				e := index[id]
 				if r, err := d.decodeRow(img[e.off : e.off+e.n]); err == nil {
@@ -437,7 +438,7 @@ func (d *Disk) Stats() storage.Stats {
 		Bytes:      d.imageBytes,
 		Versions:   nv,
 		DeltaRows:  len(d.buffer),
-		DiskReads:  d.reads,
-		DiskWrites: d.writes,
+		DiskReads:  int(d.reads.Load()),
+		DiskWrites: int(d.writes.Load()),
 	}
 }

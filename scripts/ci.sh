@@ -3,7 +3,8 @@
 # vet, build, the full test suite, then the race detector over the
 # concurrency-heavy packages (engine, sites, interconnect, log broker,
 # locking, replication, metrics, stores and partitions under layout swaps
-# and delta merges, the partition directory's lookups under splits and
+# and delta merges, the simulated disk whose reads hand out views of its
+# blocks, the partition directory's lookups under splits and
 # merges, and transaction planning over one shared decision cache).
 # It leaves the working tree as it found it: the last step fails if
 # `git status --porcelain` changed.
@@ -26,7 +27,8 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # and merges cutting typed images), a query's (morsel drivers, join
 # pipeline and tables, runtime filters, columnar relations, batch kernels,
 # the group-by table and HashAggregate, the in-memory column store with
-# its delta, scan chunks and column builds, the storage batches and filter
+# its delta, scan chunks and column builds, the disk column store and the
+# simulated device its blocks are read from, the storage batches and filter
 # kernels, the zone map) and the per-tick log paths (the redo-log broker
 # and its checkpoint fold, replication's fetch and apply) format no strings and sort through
 # slices.*: fmt.Sprint* and fmt.Fprint* allocate on every call, and
@@ -34,7 +36,8 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # fmt.Errorf on error returns is allowed; test files are not checked.
 hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
     internal/metadata/metadata.go internal/partition/split.go
-    internal/plan/txnplan.go internal/rowstore/{mem,disk}.go internal/colstore/{batchscan,coldata,mem,delta}.go
+    internal/plan/txnplan.go internal/rowstore/{mem,disk}.go internal/colstore/{batchscan,coldata,mem,delta,disk}.go
+    internal/disksim/disksim.go
     internal/storage/{batch,kernels,image}.go internal/zonemap/zonemap.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
     internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
@@ -131,6 +134,7 @@ go test -race -count=1 \
     ./internal/colstore/ \
     ./internal/partition/ \
     ./internal/rowstore/ \
+    ./internal/disksim/ \
     ./internal/workload/... \
     ./internal/metadata/ \
     ./internal/plan/
