@@ -119,13 +119,14 @@ func stitchPieces(ps *plan.PScan, seg plan.RowSegment) ([]plan.ScanPart, [][]int
 // and projection, and atomics aggregating scan work for one cost
 // observation per partition per query.
 type partScan struct {
-	p      *partition.Partition
-	st     storage.Store
-	siteID simnet.SiteID
-	lcols  []schema.ColID
-	lp     storage.Pred
-	snap   uint64
-	clk    vclock.Clock
+	p       *partition.Partition
+	st      storage.Store
+	siteID  simnet.SiteID
+	lcols   []schema.ColID
+	lp      storage.Pred // the local predicate less what the zone map proves
+	variant cost.Variant // of the whole local predicate, as the planner prices it
+	snap    uint64
+	clk     vclock.Clock
 
 	rows  atomic.Int64
 	nanos atomic.Int64
@@ -281,12 +282,16 @@ func (e *Engine) buildMorselJob(ctx context.Context, ps *plan.PScan, snap txn.Ve
 				return nil, err
 			}
 			// Any piece's zone map ruling out its share of the predicate
-			// rules out the whole segment.
+			// rules out the whole segment. A conjunct the map proves for
+			// every row is not filtered for: the map is read before scanOf
+			// captures the store, and writes widen it before they reach a
+			// store, so it covers every value the captured store returns.
 			lp, _ := exec.LocalPred(p.Bounds, ps.Pred)
-			if p.ZoneMap().CanSkip(lp) {
+			if zm := p.ZoneMap(); zm.CanSkip(lp) {
 				pruned = true
 			} else {
-				scans = append(scans, j.scanOf(p, piece.Copy.Site, ps, outs[k], lp, snap[piece.Meta.ID]))
+				variant := exec.ScanVariant(p.Layout(), lp)
+				scans = append(scans, j.scanOf(p, piece.Copy.Site, ps, outs[k], zm.DropImplied(lp), variant, snap[piece.Meta.ID]))
 			}
 			if ms := clipMorsels(p.Morsels(target), seg); k == 0 || len(ms) < len(morsels) {
 				d, morsels = k, ms
@@ -336,8 +341,9 @@ func clipMorsels(morsels []partition.Morsel, seg plan.RowSegment) []partition.Mo
 // scanOf returns the job's scan state for partition p, creating it on
 // first use: the captured store (stable under concurrent layout swaps —
 // newer versions are invisible at the read snapshot), the local predicate
-// lp, and the local projection of the output positions outs (nil: all).
-func (j *morselJob) scanOf(p *partition.Partition, siteID simnet.SiteID, ps *plan.PScan, outs []int, lp storage.Pred, snap uint64) *partScan {
+// lp, the cost-model variant of the whole local predicate, and the local
+// projection of the output positions outs (nil: all).
+func (j *morselJob) scanOf(p *partition.Partition, siteID simnet.SiteID, ps *plan.PScan, outs []int, lp storage.Pred, variant cost.Variant, snap uint64) *partScan {
 	for _, sc := range j.parts {
 		if sc.p == p {
 			return sc
@@ -349,7 +355,7 @@ func (j *morselJob) scanOf(p *partition.Partition, siteID simnet.SiteID, ps *pla
 			lcols = append(lcols, p.Bounds.LocalCol(c))
 		}
 	}
-	sc := &partScan{p: p, st: p.StoreSnapshot(), siteID: siteID, lcols: lcols, lp: lp, snap: snap, clk: j.e.clk}
+	sc := &partScan{p: p, st: p.StoreSnapshot(), siteID: siteID, lcols: lcols, lp: lp, variant: variant, snap: snap, clk: j.e.clk}
 	j.parts = append(j.parts, sc)
 	return sc
 }
@@ -753,7 +759,7 @@ func (j *morselJob) observeScans() {
 		}
 		j.e.siteOf(sc.siteID).Observe(cost.Observation{
 			Op:       cost.OpScan,
-			Variant:  exec.ScanVariant(layout, sc.lp),
+			Variant:  sc.variant,
 			Layout:   layout,
 			Features: cost.ScanFeaturesEnc(st.Rows, inBytes, outBytes, sel, encFrac),
 			Latency:  time.Duration(nanos),

@@ -485,3 +485,132 @@ func TestMorselFeedClaimsEachUnitOnce(t *testing.T) {
 		t.Error("a cancelled feed handed out a unit")
 	}
 }
+
+// TestImpliedConjunctsKeepNullsOut loads a table whose grp column holds
+// NULLs beside values 0..9 and scans it with conjuncts that every non-NULL
+// grp satisfies — alone, beside a conjunct the id column's zone map proves,
+// under an aggregate, and as the bounds a join pushes into its probe scan.
+// A zone map that ignored NULLs would drop those conjuncts and return the
+// NULL rows; the answers must equal the reference evaluator's, with no NULL
+// grp among them. Column copies only: row copies still store a NULL as
+// zero (ROADMAP item 15), which no predicate can tell from a zero.
+func TestImpliedConjunctsKeepNullsOut(t *testing.T) {
+	const n = 1000
+	e := New(fastConfig(ModeColumnStore, 2))
+	t.Cleanup(e.Close)
+	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: n, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := testRows(n)
+	for i := range rows {
+		if i%7 == 3 {
+			rows[i].Vals[1] = types.Null()
+		}
+	}
+	if err := e.LoadRows(context.Background(), tbl.ID, rows); err != nil {
+		t.Fatal(err)
+	}
+	dim := addGroupsTable(t, e, 10)
+	tables := refTables{tbl.ID: rows, dim.ID: groupsRows(10)}
+	ge, le := storage.CmpGe, storage.CmpLe
+	grp := func(op storage.CmpOp, v int64) storage.Cond {
+		return storage.Cond{Col: 1, Op: op, Val: types.NewInt64(v)}
+	}
+	for _, pred := range []storage.Pred{
+		{grp(ge, 0)},
+		{grp(ge, 0), grp(le, 9), {Col: 0, Op: ge, Val: types.NewInt64(0)}},
+		{grp(storage.CmpNe, 100)},
+		{{Col: 2, Op: ge, Val: types.NewFloat64(-1)}, grp(storage.CmpLt, 10)},
+	} {
+		q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 1}, Pred: pred}}
+		checkRef(t, e, fmt.Sprint("scan ", pred), q, tables)
+		for _, row := range runSorted(t, e, q).Tuples {
+			if row[1].IsNull() {
+				t.Fatalf("scan %v returned row %v with a NULL grp", pred, row)
+			}
+		}
+		checkRef(t, e, fmt.Sprint("count ", pred), &query.Query{Root: &query.AggNode{
+			Child: q.Root, Aggs: []exec.AggSpec{{Func: exec.AggCount}, {Func: exec.AggSum, Col: 0}},
+		}}, tables)
+	}
+	checkRef(t, e, "join", factDimJoin(tbl, dim), tables)
+	checkRef(t, e, "join agg", factDimJoinAgg(tbl, dim), tables)
+}
+
+// TestImpliedConjunctsUnderMovingRanges races range scans against updates
+// that move grp values outside the range each partition's zone map held
+// when the scan began, and against layout flips that rebuild the first
+// partition's map over and over (run with -race). A conjunct the scan
+// dropped as implied must still hold for every row it returns, whatever
+// the writers did meanwhile.
+func TestImpliedConjunctsUnderMovingRanges(t *testing.T) {
+	const n = 400
+	e, tbl := newMorselEngine(t, ModeColumnStore, 2, 4, n, func(c *Config) { c.MorselRows = 64 })
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var writes atomic.Int64
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		sess := e.NewSession()
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := 10 + i // above every range a scan below admits...
+			if i%2 == 0 {
+				v = -i // ...or below it
+			}
+			_, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{Ops: []query.Op{
+				updateOp(tbl, (i*37)%n, 1, types.NewInt64(v)),
+			}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			writes.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		m := e.Dir.TablePartitions(tbl.ID)[0]
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l := joinDiffLayouts[i%len(joinDiffLayouts)].l
+			if err := e.ChangeCopyLayout(m.ID, m.Master().Site, l); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	preds := []storage.Pred{
+		{{Col: 1, Op: storage.CmpGe, Val: types.NewInt64(0)}, {Col: 1, Op: storage.CmpLe, Val: types.NewInt64(9)}},
+		{{Col: 1, Op: storage.CmpLt, Val: types.NewInt64(10)}},
+		{{Col: 1, Op: storage.CmpGt, Val: types.NewInt64(-1)}, {Col: 0, Op: storage.CmpGe, Val: types.NewInt64(0)}},
+	}
+	for round := 0; round < 60 || writes.Load() < 100; round++ {
+		pred := preds[round%len(preds)]
+		q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 1}, Pred: pred}}
+		got, err := e.ExecuteQuery(context.Background(), e.NewSession(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range got.Tuples {
+			if !pred.Match([]types.Value{row[0], row[1]}) {
+				t.Fatalf("round %d: row %v fails %v", round, row, pred)
+			}
+		}
+		if round > 10000 {
+			t.Fatal("the writer made no progress")
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

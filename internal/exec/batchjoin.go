@@ -73,7 +73,7 @@ type pairBuf struct {
 	buildNanos int64
 }
 
-// joinPairs hash-joins two keySets in memory — build one JoinTable, probe
+// joinPairs joins two keySets in memory — build one JoinTable, probe
 // it with everything — appending matched original index pairs in probe
 // order. buildIsLeft says which side of the output the build keys belong to.
 func joinPairs(build, probe keySet, buildIsLeft bool, pairs *pairBuf) {
@@ -81,7 +81,7 @@ func joinPairs(build, probe keySet, buildIsLeft bool, pairs *pairBuf) {
 		return
 	}
 	start := time.Now()
-	t := newJoinTable(build.kc, build.kc.hashes())
+	t, _ := newJoinTable(build.kc)
 	pairs.buildNanos += time.Since(start).Nanoseconds()
 	m := &pairs.m
 	m.reset()

@@ -189,9 +189,11 @@ func BenchmarkGroupByBatchDict(b *testing.B) {
 // scan column — 2 000 unique item ids, then 8 000 stock rows at four per
 // key — summing a scan column, so the output is a view and nothing is
 // gathered. q12: one stage over 67 200 strided order ids carrying a payload
-// column the aggregate groups by, so the output is a dense gather. Steady
-// state allocates nothing: every buffer is the prober's or the
-// aggregator's.
+// column the aggregate groups by, so the output is a dense gather. Both lay
+// their tables out dense (direct slots). sparse: one stage over 8 000 keys
+// 256 apart, half the probes absent, so the hashed layout and its Bloom
+// test stay measured. Steady state allocates nothing: every buffer is the
+// prober's or the aggregator's.
 func BenchmarkJoinTableProbe(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	table := func(n int, key func(i int) int64, payload func(i int) int64) *JoinTable {
@@ -242,6 +244,14 @@ func BenchmarkJoinTableProbe(b *testing.B) {
 			in:      batches(func() int64 { return int64(rng.Intn(40))*3520 + int64(rng.Intn(2520)) }),
 			groupBy: []int{1},
 			specs:   []AggSpec{{Func: AggCount}, {Func: AggSum, Col: 0}},
+		},
+		{
+			name: "sparse",
+			pipe: NewJoinPipe([]ProbeStage{
+				{Table: table(8000, func(i int) int64 { return int64(i) * 256 }, func(i int) int64 { return int64(i) }), Key: scanKey},
+			}, []ColRef{{Stage: -1, Col: 1}}),
+			in:    batches(func() int64 { return int64(rng.Intn(16000)) * 128 }),
+			specs: []AggSpec{{Func: AggSum, Col: 0}, {Func: AggCount}},
 		},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

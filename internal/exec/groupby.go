@@ -164,10 +164,14 @@ func (a *Aggregator) gidBuf(n int) []int32 {
 	return a.gids[:n]
 }
 
-// rowsUpTo returns the rows 0..n-1.
+// rowsUpTo returns the rows 0..n-1, sized in one allocation to the first
+// batch length that does not fit.
 func (a *Aggregator) rowsUpTo(n int) []int32 {
-	for i := len(a.iota); i < n; i++ {
-		a.iota = append(a.iota, int32(i))
+	if len(a.iota) < n {
+		a.iota = make([]int32, n)
+		for i := range a.iota {
+			a.iota[i] = int32(i)
+		}
 	}
 	return a.iota[:n]
 }

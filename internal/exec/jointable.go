@@ -10,20 +10,28 @@ import (
 )
 
 // JoinTable is the build side of a hash join: the build relation's
-// canonical keys laid out bucket by bucket (CSR: slot s owns entries
+// canonical keys laid out slot by slot (CSR: slot s owns entries
 // [offs[s], offs[s+1]), ascending in build row within a slot, so probing in
 // order emits matches in the row HashJoin's order), the build relation's
 // columns as payload, and the runtime filter derived from the same key pass.
 // It is immutable once built: any number of goroutines may probe it.
 //
-// Hash contract. Every key hashes through hashKey/hashValue: keys that
+// Two slot functions share that layout. A typed key column whose range
+// max − min + 1 is at most four times its row count is dense: slot =
+// key − min, so every entry of a slot holds the probe's key and a probe is
+// a bounds check and one offs load — no hash, no Bloom test, no key
+// compare. At that density the direct offs array is no larger than a
+// hashed table's offs, keys and Bloom bits together. Every other key
+// column is hashed.
+//
+// Hash contract. Every hashed key goes through hashKey/hashValue: keys that
 // compare types.Equal under the types.Value.Hash criterion (int-family
 // values and integral floats canonicalize to one int64) hash alike, and
 // the hash is a full-avalanche finalizer, so any bit range of it
 // is usable: the table slot is the multiply-high of the hash by the slot
 // count (top bits), the Bloom filter takes bits 0..31, grace partitioning
-// bits 0..23. The slot count is twice the build cardinality (load factor
-// 0.5), so a probe visits its matches plus on average half an entry.
+// bits 0..23. A hashed table has twice as many slots as build keys (load
+// factor 0.5), so a probe visits its matches plus on average half an entry.
 //
 // A NULL key matches nothing, as in SQL: build rows with a NULL key are
 // left out of the table and probe rows with one are skipped.
@@ -31,9 +39,11 @@ type JoinTable struct {
 	cols   ColRel
 	offs   []int32       // len slots+1
 	rows   []int32       // entry -> build row
-	ints   []int64       // entry -> typed key (typed tables)
+	ints   []int64       // entry -> typed key (hashed typed tables)
 	vals   []types.Value // entry -> boxed key (boxed tables)
 	hashes []uint64      // entry -> key hash (boxed tables only)
+	dense  bool          // slot = key - lo for keys in [lo, hi]
+	lo, hi int64
 	filter RuntimeFilter
 
 	buildNanos int64
@@ -192,74 +202,116 @@ func (k keyCol) hashes() []uint64 {
 	return hs
 }
 
-// BuildJoinTable hashes key column key of the build relation into a table
-// whose payload is the relation's columns. The table's runtime filter
-// carries Bloom bits besides the min-max bounds (up to maxBloomBuildRows
-// build rows), and probes consult them before touching a bucket.
+// BuildJoinTable lays key column key of the build relation out into a
+// table whose payload is the relation's columns. A hashed table's runtime
+// filter carries Bloom bits besides the min-max bounds (up to
+// maxBloomBuildRows build rows), and probes consult them before touching a
+// slot; a dense table's filter keeps only the bounds.
 func BuildJoinTable(build *ColRel, key int) *JoinTable {
 	start := time.Now()
 	kc := canonKeyCol(&build.Vecs[key], build.NumRows())
-	hs := kc.hashes()
-	t := newJoinTable(kc, hs)
+	t, hs := newJoinTable(kc)
 	t.cols = *build
 	t.filter.fill(kc, hs, build.Vecs[key].Kind)
 	t.buildNanos = time.Since(start).Nanoseconds()
 	return t
 }
 
-// newJoinTable lays canonical keys (hashes hs) out bucket by bucket,
-// leaving NULL keys out.
-func newJoinTable(kc keyCol, hs []uint64) *JoinTable {
-	n := len(hs)
+// newJoinTable lays canonical keys out slot by slot, leaving NULL keys out,
+// and returns the key hashes a hashed table was laid out by (nil for a
+// dense one).
+func newJoinTable(kc keyCol) (*JoinTable, []uint64) {
+	t := &JoinTable{}
+	n := kc.n()
 	if kc.vals != nil {
-		for i := range hs {
+		for i := range kc.vals {
 			if kc.null(i) {
 				n--
 			}
 		}
 	}
-	slots := uint64(2 * n)
-	if slots < 2 {
-		slots = 2
+	var hs []uint64
+	var slots uint64
+	if t.denseRange(kc.ints) {
+		slots = uint64(t.hi) - uint64(t.lo) + 1
+	} else {
+		hs = kc.hashes()
+		slots = max(uint64(2*n), 2)
+	}
+	slot := func(i int) (s uint64) {
+		if t.dense {
+			s, _ = t.denseSlot(kc.ints[i])
+		} else {
+			s, _ = bits.Mul64(hs[i], slots)
+		}
+		return s
 	}
 	// Counting sort by slot, stable in build row. Slot s counts into
 	// offs[s+2], the prefix sum leaves s's start in offs[s+1], and the
 	// scatter advances it to s's end — the start of s+1.
 	buf := make([]int32, slots+2+uint64(n)) // offs, then rows: one allocation
 	offs := buf[: slots+2 : slots+2]
-	for i, h := range hs {
-		if kc.null(i) {
-			continue
+	for i := range kc.n() {
+		if !kc.null(i) {
+			offs[slot(i)+2]++
 		}
-		s, _ := bits.Mul64(h, slots)
-		offs[s+2]++
 	}
 	for s := uint64(2); s < slots+2; s++ {
 		offs[s] += offs[s-1]
 	}
-	t := &JoinTable{offs: offs[:slots+1], rows: buf[slots+2:]}
-	if kc.ints != nil {
+	t.offs, t.rows = offs[:slots+1], buf[slots+2:]
+	switch {
+	case t.dense:
+	case kc.ints != nil:
 		t.ints = make([]int64, n)
-	} else {
+	default:
 		t.vals = make([]types.Value, n)
 		t.hashes = make([]uint64, n)
 	}
-	for i, h := range hs {
+	for i := range kc.n() {
 		if kc.null(i) {
 			continue
 		}
-		s, _ := bits.Mul64(h, slots)
+		s := slot(i)
 		e := offs[s+1]
 		offs[s+1]++
 		t.rows[e] = int32(i)
 		if t.ints != nil {
 			t.ints[e] = kc.ints[i]
-		} else {
+		} else if t.vals != nil {
 			t.vals[e] = kc.vals[i]
-			t.hashes[e] = h
+			t.hashes[e] = hs[i]
 		}
 	}
-	return t
+	return t, hs
+}
+
+// denseRange reports whether typed keys ints span at most four slots per
+// key, and if so makes t dense over their range. The span is taken in
+// uint64, which holds max − min exactly for every pair of int64s.
+func (t *JoinTable) denseRange(ints []int64) bool {
+	if len(ints) == 0 {
+		return false
+	}
+	lo, hi := ints[0], ints[0]
+	for _, x := range ints[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	if uint64(hi)-uint64(lo) >= 4*uint64(len(ints)) {
+		return false
+	}
+	t.dense, t.lo, t.hi = true, lo, hi
+	return true
+}
+
+// denseSlot returns a dense table's slot for key x; ok is false when x lies
+// outside the build keys' range. x is bounds-checked before the
+// subtraction, which would wrap at the int64 extremes.
+func (t *JoinTable) denseSlot(x int64) (s uint64, ok bool) {
+	if x < t.lo || x > t.hi {
+		return 0, false
+	}
+	return uint64(x) - uint64(t.lo), true
 }
 
 // Rows reports the build cardinality.
@@ -295,10 +347,25 @@ func (t *JoinTable) probe(kc keyCol, m *matches) {
 	if bloom {
 		m.bloomTested += int64(n)
 	}
-	offs := t.offs
-	slots := uint64(len(offs) - 1)
-	if t.ints != nil && kc.ints != nil {
-		ints, rows := t.ints, t.rows
+	offs, rows := t.offs, t.rows
+	switch {
+	case t.dense && kc.ints != nil:
+		for i, x := range kc.ints {
+			s, ok := t.denseSlot(x)
+			if !ok {
+				continue
+			}
+			m.probed++
+			lo, hi := offs[s], offs[s+1]
+			m.steps += int64(hi - lo)
+			for e := lo; e < hi; e++ {
+				m.pos = append(m.pos, int32(i))
+				m.row = append(m.row, rows[e])
+			}
+		}
+	case t.ints != nil && kc.ints != nil:
+		slots := uint64(len(offs) - 1)
+		ints := t.ints
 		for i, x := range kc.ints {
 			h := hashKey(x)
 			if bloom && !t.filter.testHash(h) {
@@ -315,7 +382,7 @@ func (t *JoinTable) probe(kc keyCol, m *matches) {
 				}
 			}
 		}
-	} else {
+	default:
 		t.probeBoxed(kc, bloom, m)
 	}
 	if bloom {
@@ -345,20 +412,27 @@ func (t *JoinTable) probeBoxed(kc keyCol, bloom bool, m *matches) {
 			}
 			x, typed = canonInt(v)
 		}
-		var h uint64
+		var h, s uint64
 		switch {
-		case typed:
-			h = hashKey(x)
-		case t.ints != nil:
+		case t.dense && typed:
+			var ok bool
+			if s, ok = t.denseSlot(x); !ok {
+				continue
+			}
+		case t.vals == nil && !typed:
 			continue
 		default:
-			h = mix64(v.Hash())
-		}
-		if bloom && !t.filter.testHash(h) {
-			continue
+			if typed {
+				h = hashKey(x)
+			} else {
+				h = mix64(v.Hash())
+			}
+			if bloom && !t.filter.testHash(h) {
+				continue
+			}
+			s, _ = bits.Mul64(h, slots)
 		}
 		m.probed++
-		s, _ := bits.Mul64(h, slots)
 		lo, hi := offs[s], offs[s+1]
 		m.steps += int64(hi - lo)
 		for e := lo; e < hi; e++ {
@@ -366,7 +440,7 @@ func (t *JoinTable) probeBoxed(kc keyCol, bloom bool, m *matches) {
 				if t.ints[e] != x {
 					continue
 				}
-			} else if t.hashes[e] != h || !types.Equal(t.vals[e], v) {
+			} else if t.vals != nil && (t.hashes[e] != h || !types.Equal(t.vals[e], v)) {
 				continue
 			}
 			m.pos = append(m.pos, int32(i))

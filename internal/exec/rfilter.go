@@ -39,11 +39,12 @@ func BuildRuntimeFilter(c *ColRel, key int) *RuntimeFilter {
 	return f
 }
 
-// fill folds canonical keys (hashes hs) into an empty filter. kind is the
-// key column's kind, which typed bounds are boxed back into.
+// fill folds canonical keys (hashes hs) into an empty filter: bounds, and
+// Bloom bits unless hs is nil. kind is the key column's kind, which typed
+// bounds are boxed back into.
 func (f *RuntimeFilter) fill(kc keyCol, hs []uint64, kind types.Kind) {
 	f.widen(kc, kind)
-	if f.n == 0 || f.n > maxBloomBuildRows {
+	if hs == nil || f.n == 0 || f.n > maxBloomBuildRows {
 		return
 	}
 	nbits := uint64(256)

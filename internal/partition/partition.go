@@ -106,7 +106,7 @@ func New(id ID, b Bounds, kinds []types.Kind, l storage.Layout, f Factory) *Part
 		Bounds: b,
 		store:  f.NewStore(kinds, l),
 		kinds:  kinds,
-		zm:     zonemap.New(len(kinds)),
+		zm:     zonemap.New(kinds),
 	}
 }
 
@@ -157,30 +157,28 @@ func (p *Partition) ReserveNext() uint64 {
 // ZoneMap exposes the partition's zone map.
 func (p *Partition) ZoneMap() *zonemap.ZoneMap { return p.zm }
 
-// Insert adds a row (local column order) at the given version.
+// Insert adds a row (local column order) at the given version. The zone
+// map is widened before the store holds the row, so it covers every value
+// a store captured at any moment can return (scans drop the conjuncts it
+// proves on that ground).
 func (p *Partition) Insert(row schema.Row, ver uint64) error {
 	if !p.Bounds.ContainsRow(row.ID) {
 		return fmt.Errorf("partition %d: row %d outside bounds %v", p.ID, row.ID, p.Bounds)
 	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if err := p.store.Insert(row, ver); err != nil {
-		return err
-	}
 	p.zm.Observe(row.Vals)
 	p.zm.ObserveID(row.ID)
-	return nil
+	return p.store.Insert(row, ver)
 }
 
-// Update rewrites the given local columns of a row at the given version.
+// Update rewrites the given local columns of a row at the given version,
+// widening the zone map first, as Insert does.
 func (p *Partition) Update(id schema.RowID, cols []schema.ColID, vals []types.Value, ver uint64) error {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if err := p.store.Update(id, cols, vals, ver); err != nil {
-		return err
-	}
 	p.zm.ObserveCols(cols, vals)
-	return nil
+	return p.store.Update(id, cols, vals, ver)
 }
 
 // Delete removes a row at the given version.

@@ -36,7 +36,11 @@ func testPlanner() (*Planner, *metadata.Directory) {
 
 func register(dir *metadata.Directory, table schema.TableID, rlo, rhi schema.RowID,
 	clo, chi schema.ColID, site simnet.SiteID, l storage.Layout, rows int) *metadata.PartitionMeta {
-	zm := zonemap.New(int(chi - clo))
+	kinds := make([]types.Kind, chi-clo)
+	for i := range kinds {
+		kinds[i] = types.KindInt64
+	}
+	zm := zonemap.New(kinds)
 	for i := 0; i < rows; i++ {
 		zm.Observe([]types.Value{types.NewInt64(int64(i))})
 	}

@@ -5,6 +5,7 @@
 package zonemap
 
 import (
+	"math"
 	"sync"
 
 	"proteus/internal/schema"
@@ -12,14 +13,18 @@ import (
 	"proteus/internal/types"
 )
 
-// ZoneMap tracks min/max per column. The zero value is empty; use New.
-// Updates widen the ranges; deletions do not narrow them (ranges are
-// conservative until Rebuild).
+// ZoneMap tracks min/max per column, and per column whether a value
+// outside that order was ever observed: a NULL, a NaN, or a kind other than
+// the column's. The zero value is empty; use New. Updates widen the
+// ranges; deletions do not narrow them (ranges are conservative until
+// Rebuild).
 type ZoneMap struct {
-	mu   sync.RWMutex
-	mins []types.Value
-	maxs []types.Value
-	n    int // observed rows
+	mu    sync.RWMutex
+	kinds []types.Kind // the columns' kinds (read-only)
+	mins  []types.Value
+	maxs  []types.Value
+	flags []uint8 // per column: sawNull | sawNaN | sawKind
+	n     int     // observed rows
 
 	// Populated row-id span, used to clip scan morsels to the id range
 	// that actually holds rows (partition bounds are often far wider).
@@ -27,13 +32,27 @@ type ZoneMap struct {
 	hasID      bool
 }
 
-// New creates a zone map over ncols columns.
-func New(ncols int) *ZoneMap {
-	return &ZoneMap{mins: make([]types.Value, ncols), maxs: make([]types.Value, ncols)}
+// Column flags. A NaN compares equal to every number under types.Compare,
+// so it lies in no range: it is kept out of min/max, and a column that
+// held one is never pruned on. A NULL passes no condition, so it cannot
+// change a pruning verdict, but it stops a condition from holding for
+// every row. So does a value of another kind than the column's: a store
+// may hold it converted to the column's kind (a float 2.5 in an int column
+// reads back as 2), outside the range the map recorded.
+const (
+	sawNull uint8 = 1 << iota
+	sawNaN
+	sawKind
+)
+
+// New creates a zone map over columns of the given kinds.
+func New(kinds []types.Kind) *ZoneMap {
+	n := len(kinds)
+	return &ZoneMap{kinds: kinds, mins: make([]types.Value, n), maxs: make([]types.Value, n), flags: make([]uint8, n)}
 }
 
 // Observe widens the per-column ranges with one row's values. vals is
-// positional over the partition's columns; NULLs are ignored.
+// positional over the partition's columns.
 func (z *ZoneMap) Observe(vals []types.Value) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
@@ -55,13 +74,26 @@ func (z *ZoneMap) ObserveCols(cols []schema.ColID, vals []types.Value) {
 }
 
 func (z *ZoneMap) widenLocked(i int, v types.Value) {
-	if i >= len(z.mins) || v.IsNull() {
+	switch {
+	case i >= len(z.mins):
+		return
+	case v.IsNull():
+		z.flags[i] |= sawNull
+		return
+	case v.K == types.KindFloat64 && math.IsNaN(v.F):
+		z.flags[i] |= sawNaN
+		return
+	case v.K != z.kinds[i]:
+		z.flags[i] |= sawKind
+	}
+	if z.mins[i].IsNull() {
+		z.mins[i], z.maxs[i] = v, v
 		return
 	}
-	if z.mins[i].IsNull() || types.Compare(v, z.mins[i]) < 0 {
+	if types.Compare(v, z.mins[i]) < 0 {
 		z.mins[i] = v
 	}
-	if z.maxs[i].IsNull() || types.Compare(v, z.maxs[i]) > 0 {
+	if types.Compare(v, z.maxs[i]) > 0 {
 		z.maxs[i] = v
 	}
 }
@@ -97,7 +129,7 @@ func (z *ZoneMap) IDSpan() (lo, hi schema.RowID, ok bool) {
 
 // Rebuild replaces the ranges from a partition's whole image.
 func (z *ZoneMap) Rebuild(img storage.Image) {
-	nz := New(len(z.mins))
+	nz := New(z.kinds)
 	nz.n = len(img.IDs)
 	if n := len(img.IDs); n > 0 {
 		nz.idLo, nz.idHi, nz.hasID = img.IDs[0], img.IDs[n-1], true
@@ -108,7 +140,7 @@ func (z *ZoneMap) Rebuild(img storage.Image) {
 		}
 	}
 	z.mu.Lock()
-	z.mins, z.maxs, z.n = nz.mins, nz.maxs, nz.n
+	z.mins, z.maxs, z.flags, z.n = nz.mins, nz.maxs, nz.flags, nz.n
 	z.idLo, z.idHi, z.hasID = nz.idLo, nz.idHi, nz.hasID
 	z.mu.Unlock()
 }
@@ -130,7 +162,7 @@ func (z *ZoneMap) CanSkip(pred storage.Pred) bool {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	for _, c := range pred {
-		if int(c.Col) >= len(z.mins) || z.mins[c.Col].IsNull() {
+		if int(c.Col) >= len(z.mins) || z.mins[c.Col].IsNull() || z.flags[c.Col]&sawNaN != 0 {
 			continue // no information: cannot skip on this conjunct
 		}
 		lo, hi := z.mins[c.Col], z.maxs[c.Col]
@@ -156,6 +188,50 @@ func (z *ZoneMap) CanSkip(pred storage.Pred) bool {
 				return true
 			}
 		}
+	}
+	return false
+}
+
+// DropImplied filters pred in place down to the conjuncts that some
+// observed row may fail, and returns it: a conjunct is dropped when its
+// column saw no NULL, NaN or value of another kind and its whole [min, max]
+// satisfies it under types.Compare, the order FilterVec applies (a NaN or
+// cross-kind constant included). Scanning with what is left returns the
+// same rows as long as the map covers every value the scanned store can
+// return — the caller reads it before capturing the store.
+func (z *ZoneMap) DropImplied(pred storage.Pred) storage.Pred {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	out := pred[:0]
+	for _, c := range pred {
+		if !z.impliedLocked(c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// impliedLocked reports whether every observed value of c's column
+// satisfies c.
+func (z *ZoneMap) impliedLocked(c storage.Cond) bool {
+	i := int(c.Col)
+	if i >= len(z.mins) || z.mins[i].IsNull() || z.flags[i] != 0 || c.Val.IsNull() {
+		return false
+	}
+	lo, hi := types.Compare(z.mins[i], c.Val), types.Compare(z.maxs[i], c.Val)
+	switch c.Op {
+	case storage.CmpEq:
+		return lo == 0 && hi == 0
+	case storage.CmpNe:
+		return hi < 0 || lo > 0
+	case storage.CmpLt:
+		return hi < 0
+	case storage.CmpLe:
+		return hi <= 0
+	case storage.CmpGt:
+		return lo > 0
+	case storage.CmpGe:
+		return lo >= 0
 	}
 	return false
 }

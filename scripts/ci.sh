@@ -5,7 +5,9 @@
 # locking, replication, metrics, stores and partitions under layout swaps
 # and delta merges, the simulated disk whose reads hand out views of its
 # blocks, the partition directory's lookups under splits and
-# merges, and transaction planning over one shared decision cache).
+# merges, transaction planning over one shared decision cache, and the
+# zone maps whose ranges and NULL/NaN flags writers widen under their lock
+# while scans read which conjuncts they prove).
 # It leaves the working tree as it found it: the last step fails if
 # `git status --porcelain` changed.
 set -euo pipefail
@@ -137,7 +139,8 @@ go test -race -count=1 \
     ./internal/disksim/ \
     ./internal/workload/... \
     ./internal/metadata/ \
-    ./internal/plan/
+    ./internal/plan/ \
+    ./internal/zonemap/
 
 echo "== working tree unchanged (gating)"
 # No step may write into the checkout: a rewritten artifact or a stray
