@@ -68,7 +68,7 @@ func (c *aggCol) foldVec(b *Batch, n int) {
 		return
 	}
 	v := &b.Vecs[c.col]
-	sum, lo, hi, ok := reduceVec(v, b.Sel, c.fn)
+	val, ok := reduceVec(v, b.Sel, c.fn)
 	if !ok {
 		b.Selected(func(r int) bool {
 			c.put(0, v.Value(r))
@@ -76,88 +76,97 @@ func (c *aggCol) foldVec(b *Batch, n int) {
 		})
 		return
 	}
-	switch c.fn {
-	case AggMin:
-		c.put(0, lo)
-	case AggMax:
-		c.put(0, hi)
-	default:
-		c.put(0, sum)
-	}
+	c.put(0, val)
 }
 
-// reduceVec reduces the rows sel of v (every row when sel is nil) to their
-// sum and extremes without boxing a row, all NULL when there are none. ok
-// is false for a vector no kernel covers; a dictionary vector is covered
-// for MIN and MAX only.
-func reduceVec(v *Vec, sel []int32, fn AggFunc) (sum, lo, hi types.Value, ok bool) {
+// reduceVec reduces the rows sel of v (every row when sel is nil) to what
+// the aggregate fn reads, without boxing a row, NULL when there are none.
+// ok is false for a vector no kernel covers; a dictionary vector is
+// covered for MIN and MAX only.
+func reduceVec(v *Vec, sel []int32, fn AggFunc) (val types.Value, ok bool) {
+	extreme := fn == AggMin || fn == AggMax
 	switch {
 	case v.Enc == storage.EncFoR && v.Kind == types.KindInt64:
-		s, l, h, n := span[uint32, int64](v.Codes, sel)
-		if n > 0 {
-			sum = types.NewInt64(s + int64(n)*v.Base)
-			lo, hi = types.NewInt64(v.Base+int64(l)), types.NewInt64(v.Base+int64(h))
+		if x, n := reduce[uint32, int64](v.Codes, sel, fn); n > 0 {
+			if !extreme { // the sum holds n bases, the extremes one
+				x += int64(n-1) * v.Base
+			}
+			val = types.NewInt64(x + v.Base)
 		}
 		storage.RecordEncodedFold()
-	case v.Enc == storage.EncDict && (fn == AggMin || fn == AggMax):
-		_, l, h, n := span[uint32, int64](v.Codes, sel)
-		if n > 0 {
-			lo, hi = types.NewString(v.Dict[l]), types.NewString(v.Dict[h])
+	case v.Enc == storage.EncDict && extreme:
+		if x, n := reduce[uint32, int64](v.Codes, sel, fn); n > 0 {
+			val = types.NewString(v.Dict[x])
 		}
 		storage.RecordEncodedFold()
 	case v.Enc == storage.EncRuns && sel == nil && v.Kind == types.KindInt64:
-		// x*runLen is wrap-identical to adding x runLen times.
 		xs := v.I64[:len(v.RunEnds)]
-		var s int64
-		start := uint32(0)
-		for r, end := range v.RunEnds {
-			s += xs[r] * int64(end-start)
-			start = end
+		var x int64
+		if extreme {
+			x, _ = reduce[int64, int64](xs, nil, fn)
+		} else {
+			// x*runLen is wrap-identical to adding x runLen times.
+			start := uint32(0)
+			for r, end := range v.RunEnds {
+				x += xs[r] * int64(end-start)
+				start = end
+			}
 		}
-		if _, l, h, n := span[int64, int64](xs, nil); n > 0 {
-			sum, lo, hi = types.NewInt64(s), types.NewInt64(l), types.NewInt64(h)
+		if len(xs) > 0 {
+			val = types.NewInt64(x)
 		}
 		storage.RecordEncodedFold()
 	case v.Enc == storage.EncRuns && sel == nil && v.Kind == types.KindFloat64:
-		// Repeated addition: multiplying by the run length would round
-		// differently from the row-by-row sum.
 		xs := v.F64[:len(v.RunEnds)]
-		var s float64
-		start := uint32(0)
-		for r, end := range v.RunEnds {
-			for k := start; k < end; k++ {
-				s += xs[r]
+		var x float64
+		if extreme {
+			x, _ = reduce[float64, float64](xs, nil, fn)
+		} else {
+			// Repeated addition: multiplying by the run length would round
+			// differently from the row-by-row sum.
+			start := uint32(0)
+			for r, end := range v.RunEnds {
+				for k := start; k < end; k++ {
+					x += xs[r]
+				}
+				start = end
 			}
-			start = end
 		}
-		if _, l, h, n := span[float64, float64](xs, nil); n > 0 {
-			sum, lo, hi = types.NewFloat64(s), types.NewFloat64(l), types.NewFloat64(h)
+		if len(xs) > 0 {
+			val = types.NewFloat64(x)
 		}
 		storage.RecordEncodedFold()
 	case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindInt64:
-		if s, l, h, n := span[int64, int64](v.I64, sel); n > 0 {
-			sum, lo, hi = types.NewInt64(s), types.NewInt64(l), types.NewInt64(h)
+		if x, n := reduce[int64, int64](v.I64, sel, fn); n > 0 {
+			val = types.NewInt64(x)
 		}
 	case v.Enc == storage.EncNone && v.Null == nil && v.Kind == types.KindFloat64:
-		if s, l, h, n := span[float64, float64](v.F64, sel); n > 0 {
-			sum, lo, hi = types.NewFloat64(s), types.NewFloat64(l), types.NewFloat64(h)
+		if x, n := reduce[float64, float64](v.F64, sel, fn); n > 0 {
+			val = types.NewFloat64(x)
 		}
 	default:
-		return sum, lo, hi, false
+		return val, false
 	}
-	return sum, lo, hi, true
+	return val, true
 }
 
-// span reduces xs, or its rows sel, to their sum and extremes; n counts
-// the rows.
-func span[T int64 | float64 | uint32, S int64 | float64](xs []T, sel []int32) (sum S, lo, hi T, n int) {
+// reduce folds xs, or its rows sel, to what fn reads and nothing more: the
+// sum in row order for SUM and AVG, the least for MIN, the greatest for
+// MAX. n counts the rows.
+func reduce[T int64 | float64 | uint32, S int64 | float64](xs []T, sel []int32, fn AggFunc) (r S, n int) {
+	sum := fn != AggMin && fn != AggMax
 	if sel == nil {
-		if len(xs) == 0 {
-			return
+		if sum {
+			for _, x := range xs {
+				r += S(x)
+			}
+			return r, len(xs)
 		}
-		lo, hi = xs[0], xs[0]
+		if len(xs) == 0 {
+			return 0, 0
+		}
+		lo, hi := xs[0], xs[0]
 		for _, x := range xs {
-			sum += S(x)
 			if x < lo {
 				lo = x
 			}
@@ -165,15 +174,23 @@ func span[T int64 | float64 | uint32, S int64 | float64](xs []T, sel []int32) (s
 				hi = x
 			}
 		}
-		return sum, lo, hi, len(xs)
+		if fn == AggMin {
+			hi = lo
+		}
+		return S(hi), len(xs)
+	}
+	if sum {
+		for _, i := range sel {
+			r += S(xs[i])
+		}
+		return r, len(sel)
 	}
 	if len(sel) == 0 {
-		return
+		return 0, 0
 	}
-	lo, hi = xs[sel[0]], xs[sel[0]]
-	for _, r := range sel {
-		x := xs[r]
-		sum += S(x)
+	lo, hi := xs[sel[0]], xs[sel[0]]
+	for _, i := range sel {
+		x := xs[i]
 		if x < lo {
 			lo = x
 		}
@@ -181,5 +198,8 @@ func span[T int64 | float64 | uint32, S int64 | float64](xs []T, sel []int32) (s
 			hi = x
 		}
 	}
-	return sum, lo, hi, len(sel)
+	if fn == AggMin {
+		hi = lo
+	}
+	return S(hi), len(sel)
 }

@@ -183,6 +183,30 @@ func BenchmarkGroupByBatchDict(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupByWindow is a scan worker's grouped fold per batch (one
+// op = one 256-row batch): a 16-value FoR-coded key and a float SUM, as
+// in the benchmark's olap-scan groupby shape, into one long-lived
+// aggregator. Each batch's key spans fewer values than it has rows, so
+// groupIDs maps its rows through the window and reaches the hash table
+// once per key. Steady state allocates nothing.
+func BenchmarkGroupByWindow(b *testing.B) {
+	const n = storage.DefaultBatchRows
+	rng := rand.New(rand.NewSource(21))
+	codes, amounts := make([]uint32, n), make([]float64, n)
+	for i := range codes {
+		codes[i], amounts[i] = uint32(rng.Intn(16)), float64(rng.Intn(10000))/100
+	}
+	batch := vecBatch(n, nil, storage.FoRVec(types.KindInt64, 1, codes),
+		storage.ViewVec(types.KindFloat64, nil, amounts, nil, nil))
+	agg := NewAggregator([]int{0}, []AggSpec{{Func: AggSum, Col: 1}})
+	agg.ObserveBatch(batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg.ObserveBatch(batch)
+	}
+}
+
 // BenchmarkJoinTableProbe measures the pipelined probe per scan batch (one
 // op = one 256-row batch through the stages and into an aggregator) on the
 // two shapes that dominate the CH join mix. q7: two stages keyed on one

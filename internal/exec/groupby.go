@@ -1,25 +1,28 @@
 package exec
 
 import (
+	"slices"
+
 	"proteus/internal/storage"
 	"proteus/internal/types"
 )
 
 // Aggregator is the group-by table. Every aggregate the engine computes
-// accumulates in one: each scan worker's partial, their per-site merge,
-// and the coordinator's combine of the sites' partials (HashAggregate).
+// accumulates in one: each scan worker's partial, their per-site merge, and
+// the coordinator's combine of the sites' partials (HashAggregate).
 //
 // Keys follow JoinTable's hash contract. Each key column is canonicalized
 // by canonKeys and hashed through hashKey/hashValue, and several key
 // columns mix their hashes, so keys that compare types.Equal (NULL with
-// NULL, 1 with 1.0, a FoR code with the plain value it encodes) land in
-// one group whichever vector or tuple they arrive in. A key maps to a
-// dense group id, in first-seen order, through an open-addressed slot
-// array kept at most half full; each group's first-seen key values are
-// its output labels. Aggregate state lives in one column per spec indexed
-// by group id, so a group costs no allocation of its own. An ungrouped
-// aggregate is group 0, which exists before any row arrives: SQL gives a
-// global aggregate over no rows one row.
+// NULL, 1 with 1.0, a FoR code with the plain value it encodes) land in one
+// group whichever vector or tuple they arrive in. A key maps to a dense
+// group id, in first-seen order, through an open-addressed slot array kept
+// at most half full (a batch of few distinct typed keys consults it once
+// per key, through groupIDs' window); each group's first-seen key values
+// are its output labels. Aggregate state lives in one column per spec
+// indexed by group id, so a group costs no allocation of its own. An
+// ungrouped aggregate is group 0, which exists before any row arrives: SQL
+// gives a global aggregate over no rows one row.
 type Aggregator struct {
 	groupBy []int
 	cols    []aggCol
@@ -30,6 +33,7 @@ type Aggregator struct {
 	keys []keyCol     // the key columns of the rows being grouped
 	scr  []keyScratch // canonKeys buffers, one per key column
 	gids []int32      // the group of each row being grouped
+	win  []int32      // groupIDs' window, key - min -> group id + 1: as long as gids
 	iota []int32      // 0, 1, 2, ...: the rows of a batch without a selection
 }
 
@@ -108,37 +112,61 @@ func mixKeys(h, k uint64) uint64 { return mix64(h*0x9e3779b97f4a7c15 ^ k) }
 // groupIDs sets gids[i] to the group of key row i of a.keys, adding a group
 // for every key not seen before. A new group's label is its boxed key, or
 // for a typed key column row rows[i] of that column's vector in vecs.
+//
+// A single typed key column spanning fewer values than the batch has rows
+// maps its rows through a batch-local window, key - min -> group id + 1:
+// only each key's first row goes to the hash table, in row order, so
+// groups keep their first-seen order.
 func (a *Aggregator) groupIDs(gids []int32, vecs []storage.Vec, rows []int32) {
-	ks := a.keys
-next:
-	for i := range gids {
-		if a.n == len(a.slots)/2 {
-			a.reserve(max(16, 4*a.n))
-		}
-		h := ks[0].hash(i)
-		for _, kc := range ks[1:] {
-			h = mixKeys(h, kc.hash(i))
-		}
-		mask := uint64(len(a.slots) - 1)
-		s := h & mask
-		for ; a.slots[s] != 0; s = (s + 1) & mask {
-			if g := a.slots[s] - 1; a.sameKey(g, i) {
-				gids[i] = g
-				continue next
+	if xs := a.keys[0].ints; len(a.keys) == 1 && len(xs) > 0 {
+		lo, hi := slices.Min(xs), slices.Max(xs)
+		// The span in uint64: hi - lo overflows int64 for wide keys.
+		if d := uint64(hi) - uint64(lo); d < uint64(len(xs)-1) {
+			win := a.win[:d+1]
+			clear(win)
+			for i, x := range xs {
+				w := &win[uint64(x)-uint64(lo)]
+				if *w == 0 {
+					*w = a.groupOf(i, vecs, rows) + 1
+				}
+				gids[i] = *w - 1
 			}
+			return
 		}
-		g := int32(a.n)
-		a.n++
-		a.slots[s] = g + 1
-		for k, kc := range ks {
-			if kc.vals != nil {
-				a.labels[k][g] = kc.vals[i]
-			} else {
-				a.labels[k][g] = vecs[a.groupBy[k]].Value(int(rows[i]))
-			}
-		}
-		gids[i] = g
 	}
+	for i := range gids {
+		gids[i] = a.groupOf(i, vecs, rows)
+	}
+}
+
+// groupOf returns the group of key row i of a.keys through the hash table,
+// adding one when the key is new.
+func (a *Aggregator) groupOf(i int, vecs []storage.Vec, rows []int32) int32 {
+	if a.n == len(a.slots)/2 {
+		a.reserve(max(16, 4*a.n))
+	}
+	h := a.keys[0].hash(i)
+	for _, kc := range a.keys[1:] {
+		h = mixKeys(h, kc.hash(i))
+	}
+	mask := uint64(len(a.slots) - 1)
+	s := h & mask
+	for ; a.slots[s] != 0; s = (s + 1) & mask {
+		if g := a.slots[s] - 1; a.sameKey(g, i) {
+			return g
+		}
+	}
+	g := int32(a.n)
+	a.n++
+	a.slots[s] = g + 1
+	for k, kc := range a.keys {
+		if kc.vals != nil {
+			a.labels[k][g] = kc.vals[i]
+		} else {
+			a.labels[k][g] = vecs[a.groupBy[k]].Value(int(rows[i]))
+		}
+	}
+	return g
 }
 
 // sameKey reports whether key row i of a.keys is group g's key.
@@ -156,10 +184,12 @@ func (a *Aggregator) sameKey(g int32, i int) bool {
 	return true
 }
 
-// gidBuf returns the group-id scratch sized for n rows.
+// gidBuf returns the group-id scratch sized for n rows. groupIDs' window
+// over those rows, shorter than n, comes from the same allocation.
 func (a *Aggregator) gidBuf(n int) []int32 {
 	if cap(a.gids) < n {
-		a.gids = make([]int32, n)
+		buf := make([]int32, 2*n)
+		a.gids, a.win = buf[:n:n], buf[n:]
 	}
 	return a.gids[:n]
 }

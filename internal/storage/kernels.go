@@ -5,10 +5,13 @@ package storage
 // fast paths mirror types.Compare exactly (int family compared on the raw
 // I payload, float promotion when either side is Float64, lexicographic
 // strings); anything subtle — NULLs, mixed kind tags — falls back to the
-// boxed comparator so batch and row paths can never disagree.
+// boxed comparator so batch and row paths can never disagree. Every
+// comparison in an ordered integer code space (FoR codes, dictionary
+// codes, int-family values) runs as one branch-free keep-set test.
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"proteus/internal/types"
@@ -34,6 +37,77 @@ func opMask(op CmpOp) (lt, eq, gt bool) {
 	return false, false, false
 }
 
+// keepSet is a comparison against a constant in an ordered unsigned code
+// space, as the set of codes it keeps: x is kept iff (x-a < w) != inv,
+// in uint64 arithmetic. Every comparison keeps an interval or the
+// complement of one, so one test covers all six operators.
+type keepSet struct {
+	a, w uint64
+	inv  bool
+}
+
+// keepOf is the keep-set of (op, c) for a constant c that is itself a
+// code (unknown ops keep nothing).
+func keepOf(op CmpOp, c uint64) keepSet {
+	switch op {
+	case CmpEq, CmpNe:
+		return keepSet{c, 1, op == CmpNe}
+	case CmpLt, CmpGe:
+		return keepSet{0, c, op == CmpGe}
+	case CmpGt, CmpLe:
+		return keepSet{c + 1, math.MaxUint64 - c, op == CmpLe}
+	}
+	return keepSet{}
+}
+
+// keepBelow is keepOf for a constant no code equals, lying between codes
+// c-1 and c (below every code when c is 0): x <= constant is x < c, and
+// x > constant is x >= c.
+func keepBelow(op CmpOp, c uint64) keepSet {
+	switch op {
+	case CmpEq, CmpNe:
+		return keepSet{inv: op == CmpNe}
+	case CmpLe:
+		op = CmpLt
+	case CmpGt:
+		op = CmpGe
+	}
+	return keepOf(op, c)
+}
+
+// filterKeep appends to dst the rows in [0, n), or in sel, whose code is
+// in k. The loop has no data-dependent branch: every row is written at
+// the end of dst, and the end moves past it only when the row is kept.
+func filterKeep[T uint32 | int64](dst, sel []int32, n int, xs []T, k keepSet) []int32 {
+	if k.w == 0 && !k.inv { // keeps nothing
+		return dst
+	}
+	m := n
+	if sel != nil {
+		m = len(sel)
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, m)
+	out := dst[start : start+m]
+	a, w, inv, j := k.a, k.w, k.inv, 0
+	if sel == nil {
+		for i, x := range xs[:n] {
+			out[j] = int32(i)
+			if (uint64(x)-a < w) != inv {
+				j++
+			}
+		}
+	} else {
+		for _, si := range sel {
+			out[j] = si
+			if (uint64(xs[si])-a < w) != inv {
+				j++
+			}
+		}
+	}
+	return dst[:start+j]
+}
+
 // intFamilyKind reports kinds whose payload lives in Value.I and which
 // types.Compare orders by raw integer comparison when paired together.
 func intFamilyKind(k types.Kind) bool {
@@ -44,7 +118,9 @@ func numericKind(k types.Kind) bool {
 	return intFamilyKind(k) || k == types.KindFloat64
 }
 
-func keepFloat(x, c float64, lt, eq, gt bool) bool {
+// keep3 decides a row three-way like types.Compare: a float NaN compares
+// "equal" there, so x == c must not be the equality test.
+func keep3[T float64 | string](x, c T, lt, eq, gt bool) bool {
 	if x < c {
 		return lt
 	}
@@ -54,93 +130,62 @@ func keepFloat(x, c float64, lt, eq, gt bool) bool {
 	return eq
 }
 
+// filterOrdered is FilterVec's loop over floats and strings.
+func filterOrdered[T float64 | string](dst, sel []int32, n int, xs []T, c T, op CmpOp) []int32 {
+	lt, eq, gt := opMask(op)
+	if sel == nil {
+		for i, x := range xs[:n] {
+			if keep3(x, c, lt, eq, gt) {
+				dst = append(dst, int32(i))
+			}
+		}
+		return dst
+	}
+	for _, si := range sel {
+		if keep3(xs[si], c, lt, eq, gt) {
+			dst = append(dst, si)
+		}
+	}
+	return dst
+}
+
 // FilterVec appends to dst the indexes in [0, n) — restricted to sel when
 // sel is non-nil — whose value in v satisfies (op, val), preserving
 // ascending order. n is the vector length; dst is returned grown.
 // Encoded vectors are filtered without decoding: dictionary comparisons
-// become a one-time binary search producing a code range tested per row,
-// frame-of-reference columns compare a translated constant against raw
-// codes, and run-length vectors evaluate each run once.
+// become a one-time binary search producing a keep-set tested per row,
+// frame-of-reference columns test raw codes against the keep-set of a
+// translated constant, and run-length vectors evaluate each run once.
 func FilterVec(dst []int32, sel []int32, n int, v *Vec, op CmpOp, val types.Value) []int32 {
 	if v.Enc != EncNone {
 		return filterEncoded(dst, sel, n, v, op, val)
 	}
-	lt, eq, gt := opMask(op)
 	if v.Null == nil && !val.IsNull() {
 		switch {
 		case intFamilyKind(v.Kind) && intFamilyKind(val.K):
-			c := val.I
-			xs := v.I64
-			if sel == nil {
-				for i := 0; i < n; i++ {
-					x := xs[i]
-					if (x < c && lt) || (x > c && gt) || (x == c && eq) {
-						dst = append(dst, int32(i))
-					}
-				}
-			} else {
-				for _, si := range sel {
-					x := xs[si]
-					if (x < c && lt) || (x > c && gt) || (x == c && eq) {
-						dst = append(dst, si)
-					}
-				}
-			}
-			return dst
+			// Flipping the sign bit orders int64s as uint64s, and
+			// (x^s)-a == x-(a^s), so the flip folds into the keep-set.
+			const s = 1 << 63
+			k := keepOf(op, uint64(val.I)^s)
+			k.a ^= s
+			return filterKeep(dst, sel, n, v.I64, k)
 		case v.Kind == types.KindFloat64 && numericKind(val.K):
-			// Three-way like types.Compare: NaN compares "equal" there, so
-			// x == c must not be the equality test.
-			c := val.Float()
-			xs := v.F64
-			if sel == nil {
-				for i := 0; i < n; i++ {
-					x := xs[i]
-					if keepFloat(x, c, lt, eq, gt) {
-						dst = append(dst, int32(i))
-					}
-				}
-			} else {
-				for _, si := range sel {
-					x := xs[si]
-					if keepFloat(x, c, lt, eq, gt) {
-						dst = append(dst, si)
-					}
-				}
-			}
-			return dst
-		case intFamilyKind(v.Kind) && val.K == types.KindFloat64:
-			c := val.F
-			xs := v.I64
-			if sel == nil {
-				for i := 0; i < n; i++ {
-					if keepFloat(float64(xs[i]), c, lt, eq, gt) {
-						dst = append(dst, int32(i))
-					}
-				}
-			} else {
-				for _, si := range sel {
-					if keepFloat(float64(xs[si]), c, lt, eq, gt) {
-						dst = append(dst, si)
-					}
-				}
-			}
-			return dst
+			return filterOrdered(dst, sel, n, v.F64, val.Float(), op)
 		case v.Kind == types.KindString && val.K == types.KindString:
-			c := val.S
-			xs := v.Str
+			return filterOrdered(dst, sel, n, v.Str, val.S, op)
+		case intFamilyKind(v.Kind) && val.K == types.KindFloat64:
+			lt, eq, gt := opMask(op)
 			if sel == nil {
-				for i := 0; i < n; i++ {
-					x := xs[i]
-					if (x < c && lt) || (x > c && gt) || (x == c && eq) {
+				for i, x := range v.I64[:n] {
+					if keep3(float64(x), val.F, lt, eq, gt) {
 						dst = append(dst, int32(i))
 					}
 				}
-			} else {
-				for _, si := range sel {
-					x := xs[si]
-					if (x < c && lt) || (x > c && gt) || (x == c && eq) {
-						dst = append(dst, si)
-					}
+				return dst
+			}
+			for _, si := range sel {
+				if keep3(float64(v.I64[si]), val.F, lt, eq, gt) {
+					dst = append(dst, si)
 				}
 			}
 			return dst
@@ -193,89 +238,32 @@ func filterEncoded(dst []int32, sel []int32, n int, v *Vec, op CmpOp, val types.
 }
 
 // filterDictCodes evaluates the comparison once against the sorted
-// dictionary: rows are kept by comparing their raw code against the code
-// range [loB, hiB) matching the constant (empty when the constant is
-// absent, one code when present — CmpNe keeps everything outside it).
+// dictionary: the constant's code, or where it would sort when absent,
+// gives the keep-set the raw codes are tested against.
 func filterDictCodes(dst []int32, sel []int32, n int, v *Vec, op CmpOp, c string) []int32 {
-	lt, eq, gt := opMask(op)
-	loB := uint32(sort.SearchStrings(v.Dict, c)) // first code >= c
-	hiB := loB
-	if int(loB) < len(v.Dict) && v.Dict[loB] == c {
-		hiB = loB + 1
+	lo := sort.SearchStrings(v.Dict, c) // first code >= c
+	k := keepBelow(op, uint64(lo))
+	if lo < len(v.Dict) && v.Dict[lo] == c {
+		k = keepOf(op, uint64(lo))
 	}
-	keep := func(code uint32) bool {
-		switch {
-		case code < loB:
-			return lt
-		case code >= hiB:
-			return gt
-		default:
-			return eq
-		}
-	}
-	xs := v.Codes
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if keep(xs[i]) {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst
-	}
-	for _, si := range sel {
-		if keep(xs[si]) {
-			dst = append(dst, si)
-		}
-	}
-	return dst
+	return filterKeep(dst, sel, n, v.Codes, k)
 }
 
 // filterFoRCodes translates the integer constant into code space once and
 // compares raw codes. Stored values are base + code with code < 2^32, so a
-// constant below the base (or beyond the code range) resolves the
-// comparison for every row without touching the codes.
+// constant below the base lies below every code and one beyond the code
+// range above every code.
 func filterFoRCodes(dst []int32, sel []int32, n int, v *Vec, op CmpOp, cv int64) []int32 {
-	lt, eq, gt := opMask(op)
-	appendAll := func() []int32 {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				dst = append(dst, int32(i))
-			}
-			return dst
-		}
-		return append(dst, sel...)
+	var k keepSet
+	switch d := uint64(cv) - uint64(v.Base); {
+	case cv < v.Base:
+		k = keepBelow(op, 0)
+	case d > math.MaxUint32:
+		k = keepBelow(op, math.MaxUint32+1)
+	default:
+		k = keepOf(op, d)
 	}
-	if cv < v.Base {
-		if gt { // every stored value > constant
-			return appendAll()
-		}
-		return dst
-	}
-	d := uint64(cv) - uint64(v.Base)
-	if d > math.MaxUint32 {
-		if lt { // every stored value < constant
-			return appendAll()
-		}
-		return dst
-	}
-	c := uint32(d)
-	xs := v.Codes
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			x := xs[i]
-			if (x < c && lt) || (x > c && gt) || (x == c && eq) {
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst
-	}
-	for _, si := range sel {
-		x := xs[si]
-		if (x < c && lt) || (x > c && gt) || (x == c && eq) {
-			dst = append(dst, si)
-		}
-	}
-	return dst
+	return filterKeep(dst, sel, n, v.Codes, k)
 }
 
 // filterRuns evaluates the predicate once per run and keeps or skips each

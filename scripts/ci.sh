@@ -105,11 +105,15 @@ fi
 go run -C bench . --workload htap-mixed --seconds 2 >/dev/null
 go run -C bench . --workload oltp-rmw --seconds 2 >/dev/null
 
-echo "== colstore encoding fuzz corpus (seeds only, -count=1)"
-# Replays the checked-in round-trip corpus (testdata/fuzz/FuzzColRoundTrip)
-# without cached results; `go test -fuzz FuzzColRoundTrip ./internal/colstore/`
-# explores further locally.
+echo "== encoding and filter-kernel fuzz corpora (seeds only, -count=1)"
+# Replays the checked-in corpora without cached results: the colstore
+# encoding round trip (internal/colstore/testdata/fuzz/FuzzColRoundTrip)
+# and every typed filter kernel against the boxed comparator
+# (internal/storage/testdata/fuzz/FuzzFilterVec). `go test -fuzz
+# FuzzColRoundTrip ./internal/colstore/` and `go test -fuzz FuzzFilterVec
+# ./internal/storage/` explore further locally.
 go test -run FuzzColRoundTrip -count=1 ./internal/colstore/
+go test -run FuzzFilterVec -count=1 ./internal/storage/
 
 echo "== scenario corpus on the virtual clock (gating)"
 # Replays every scenarios/*.json on vclock.Sim (hours of virtual traffic
