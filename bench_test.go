@@ -362,16 +362,6 @@ func BenchmarkHashJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkHashAggregate measures grouped aggregation.
-func BenchmarkHashAggregate(b *testing.B) {
-	l, _ := joinInputs(10000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _ := exec.HashAggregate(l, []int{1}, []exec.AggSpec{{Func: exec.AggSum, Col: 0}})
-		_ = out
-	}
-}
-
 func joinInputs(nl, nr int) (exec.Rel, exec.Rel) {
 	l := exec.Rel{Cols: []string{"k", "g"}}
 	for i := 0; i < nl; i++ {

@@ -28,7 +28,6 @@ import (
 	"slices"
 	"sort"
 
-	"proteus/internal/cost"
 	"proteus/internal/exec"
 	"proteus/internal/plan"
 	"proteus/internal/schema"
@@ -920,8 +919,8 @@ func (a *colAcc) all() exec.ColRel {
 // the join tree's projection, so payload columns nobody aggregates are
 // never materialized. Pipelined, the join's output never exists at all:
 // every scan worker folds its joined batches into its own accumulator,
-// workers merge per site, and one partial relation per site crosses the
-// network to be finalized exactly as a scan-aggregate's partials are.
+// workers merge per site, and one share per site crosses the network to
+// merge at the coordinator exactly as a scan-aggregate's shares do.
 // Otherwise the materialized join output folds through the typed
 // accumulator paths at the coordinator.
 func (e *Engine) evalBatchJoinAgg(ctx context.Context, pa *plan.PAgg, pj *plan.PJoin, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
@@ -942,29 +941,19 @@ func (e *Engine) evalBatchJoinAgg(ctx context.Context, pa *plan.PAgg, pj *plan.P
 	if err != nil {
 		return exec.Rel{}, err
 	}
+	specs := specsOver(pa.Aggs, need)
 	if j != nil {
 		defer j.cancel()
-		partials, err := j.runAgg(groupBy, specsOver(pa.PartialAggs, need))
-		if err != nil {
-			return exec.Rel{}, err
-		}
-		return e.finalizeAgg(pa, partials, coord), nil
+		return j.runAgg(groupBy, specs)
 	}
 	c, err := e.materializeJoin(ctx, pj, snap, coord, need)
 	if err != nil {
 		return exec.Rel{}, err
 	}
-	start := e.clk.Now()
-	agg := exec.NewAggregator(groupBy, specsOver(pa.Aggs, need))
-	agg.ObserveCols(&c)
-	rel := agg.Rel(c.Cols)
-	e.siteOf(coord).Observe(cost.Observation{
-		Op:       cost.OpAggregate,
-		Variant:  cost.AggHash,
-		Features: cost.AggFeatures(c.NumRows(), rel.NumRows(), c.RowBytes()),
-		Latency:  e.clk.Since(start),
-	})
-	return rel, nil
+	return e.aggregateAt(coord, groupBy, specs, c.Cols, func(agg *exec.Aggregator) (int, int) {
+		agg.ObserveCols(&c)
+		return c.NumRows(), c.RowBytes()
+	}), nil
 }
 
 // specsOver rewrites aggregate inputs as positions in the need projection

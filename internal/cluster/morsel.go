@@ -651,48 +651,44 @@ func (j *morselJob) hand(out chan<- exec.Rel, rel exec.Rel) bool {
 	}
 }
 
-// aggAcc is runAgg's sink: a partial aggregate, sealed into the site's
-// partial relation.
-type aggAcc struct {
-	agg  *exec.Aggregator
-	cols []string
-	rel  exec.Rel
-}
+// aggAcc is runAgg's sink: an accumulator of the plan's aggregates, each
+// worker's merged into its site's share, which ships priced as the
+// partial relation it stands for.
+type aggAcc struct{ agg *exec.Aggregator }
 
-func (a *aggAcc) fold(b *storage.Batch) { a.agg.ObserveBatch(b) }
-func (a *aggAcc) merge(w *aggAcc)       { a.agg.MergeFrom(w.agg) }
-func (a *aggAcc) seal() int {
-	a.rel = a.agg.Rel(a.cols)
-	return a.rel.NumRows() * a.rel.RowBytes()
-}
+func (a aggAcc) fold(b *storage.Batch) { a.agg.ObserveBatch(b) }
+func (a aggAcc) merge(w aggAcc)        { a.agg.MergeFrom(w.agg) }
+func (a aggAcc) seal() int             { return a.agg.PartialBytes() }
 
-// runAgg aggregates partially inside the morsel scan: each worker owns an
-// accumulator (no tuple materialization), and one partial relation per
-// site ships to the coordinator, where the caller finalizes over the
-// concatenated partials (finalizeAgg).
+// runAgg aggregates inside the morsel scan: each worker owns an
+// accumulator (no tuple materialization), one share per site ships to the
+// coordinator, and the coordinator merges the shares in order into the
+// result. With no share (every morsel pruned, or an empty join build side)
+// a global aggregate still yields its one row.
 func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error) {
-	shares, err := runSites(j, j.shipKind(), true, func(simnet.SiteID) *aggAcc {
-		return &aggAcc{agg: exec.NewAggregator(groupBy, specs), cols: j.cols}
+	shares, err := runSites(j, j.shipKind(), true, func(simnet.SiteID) aggAcc {
+		return aggAcc{exec.NewAggregator(groupBy, specs)}
 	})
 	if err != nil {
 		return exec.Rel{}, err
-	}
-	var partials exec.Rel
-	for _, s := range shares {
-		partials = exec.Concat(partials, s.rel)
-	}
-	if len(j.units) == 0 {
-		// Nothing was scanned (every morsel pruned, or an empty join build
-		// side): the partial of zero rows still carries COUNT = 0 for a
-		// global aggregate.
-		partials = exec.NewAggregator(groupBy, specs).Rel(j.cols)
 	}
 	var n int64
 	for _, sc := range j.parts {
 		n += sc.rows.Load()
 	}
 	j.e.cntMorselRows.Add(n)
-	return partials, nil
+	return j.e.aggregateAt(j.coord, groupBy, specs, j.cols, func(agg *exec.Aggregator) (in, width int) {
+		bytes := 0
+		for _, s := range shares {
+			agg.MergeFrom(s.agg)
+			in += s.agg.Groups()
+			bytes += s.agg.PartialBytes()
+		}
+		if in > 0 {
+			width = bytes / in
+		}
+		return in, width
+	}), nil
 }
 
 // observe emits the job's cost observations once every worker has exited.
@@ -768,19 +764,15 @@ func (j *morselJob) observeScans() {
 }
 
 // morselAgg runs an aggregation-over-scan on the morsel executor: the
-// plan's partial aggregates inside the scan workers, one partial per site,
-// finalized at the coordinator.
+// plan's aggregates inside the scan workers, one share per site, merged at
+// the coordinator.
 func (e *Engine) morselAgg(ctx context.Context, pa *plan.PAgg, ps *plan.PScan, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
 	j, err := e.buildMorselJob(ctx, ps, snap, coord)
 	if err != nil {
 		return exec.Rel{}, err
 	}
 	defer j.cancel()
-	partials, err := j.runAgg(pa.GroupBy, pa.PartialAggs)
-	if err != nil {
-		return exec.Rel{}, err
-	}
-	return e.finalizeAgg(pa, partials, coord), nil
+	return j.runAgg(pa.GroupBy, pa.Aggs)
 }
 
 // RowCursor streams a query's result rows incrementally: Next advances to

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"proteus/internal/cost"
 	"proteus/internal/exec"
 	"proteus/internal/query"
 	"proteus/internal/schema"
@@ -155,7 +156,8 @@ func TestMorselMatchesLegacy(t *testing.T) {
 				}}, tables)
 			}
 
-			// Grouped aggregation with an AVG (exercises decomposition).
+			// Grouped aggregation with an AVG, whose running sums and counts
+			// merge across the sites.
 			checkRef(t, e, "groupby", &query.Query{Root: &query.AggNode{
 				Child:   &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{1, 2}},
 				GroupBy: []int{0},
@@ -238,6 +240,77 @@ func TestMorselMatchesLegacy(t *testing.T) {
 				t.Errorf("%d stitched units scheduled; want some exactly when the table is split", moved)
 			}
 		})
+	}
+}
+
+// TestMorselAggMergesShares pins the coordinator's combine: the sites'
+// shares merge into the result, which the coordinator observes once as an
+// aggregate (the shares' groups in, the result's groups out, their average
+// width); and a global aggregate that gets no share at all — every morsel
+// pruned, or a join whose build side is empty — still returns its one row,
+// COUNT 0 and every other aggregate NULL.
+func TestMorselAggMergesShares(t *testing.T) {
+	const rows = 1000
+	quiet := func(c *Config) { c.MaintainInterval = time.Hour }
+	e, tbl := newMorselEngine(t, ModeColumnStore, 2, 4, rows, quiet)
+	dim := addGroupsTable(t, e, 0)
+	aggObs := func() []cost.Features {
+		var out []cost.Features
+		for _, s := range e.Sites {
+			for _, o := range s.DrainObservations() {
+				if o.Op == cost.OpAggregate {
+					if o.Variant != cost.AggHash {
+						t.Errorf("aggregate observed as variant %v", o.Variant)
+					}
+					out = append(out, o.Features)
+				}
+			}
+		}
+		return out
+	}
+	aggObs()
+
+	grouped := &query.Query{Root: &query.AggNode{
+		Child:   &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{1, 2}},
+		GroupBy: []int{0},
+		Aggs:    []exec.AggSpec{{Func: exec.AggCount}, {Func: exec.AggAvg, Col: 1}},
+	}}
+	want := refEval(grouped.Root, refTables{tbl.ID: testRows(rows)})
+	sortTuples(want)
+	sameRels(t, "grouped", runSorted(t, e, grouped), want)
+	obs := aggObs()
+	// Each site scans two of the four partitions, and every partition
+	// holds all ten groups; a row is the key, COUNT, and AVG's sum and
+	// count, 8 bytes each.
+	if len(obs) != 1 || obs[0][0] != 20 || obs[0][1] != 10 || obs[0][2] != 4*8 {
+		t.Errorf("coordinator aggregate observations %v, want one: 20 share groups in, 10 out, 32 bytes wide", obs)
+	}
+
+	every := []exec.AggSpec{
+		{Func: exec.AggCount}, {Func: exec.AggSum, Col: 1}, {Func: exec.AggAvg, Col: 1},
+		{Func: exec.AggMin, Col: 1}, {Func: exec.AggMax, Col: 0}, {Func: exec.AggCountCol, Col: 1},
+	}
+	for name, child := range map[string]query.Node{
+		"pruned": &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{1, 2},
+			Pred: storage.Pred{{Col: 0, Op: storage.CmpLt, Val: types.NewInt64(0)}}},
+		"empty-build": factDimJoin(tbl, dim).Root,
+	} {
+		res := runSorted(t, e, &query.Query{Root: &query.AggNode{Child: child, Aggs: every}})
+		if len(res.Tuples) != 1 {
+			t.Fatalf("%s: %d rows, want 1", name, len(res.Tuples))
+		}
+		for i, v := range res.Tuples[0] {
+			if f := every[i].Func; f == exec.AggCount || f == exec.AggCountCol {
+				if v.K != types.KindInt64 || v.I != 0 {
+					t.Errorf("%s: %v = %v, want 0", name, f, v)
+				}
+			} else if !v.IsNull() {
+				t.Errorf("%s: %v = %v, want NULL", name, f, v)
+			}
+		}
+		if obs := aggObs(); len(obs) != 1 || obs[0][0] != 0 || obs[0][1] != 1 {
+			t.Errorf("%s: coordinator aggregate observations %v, want one: nothing in, 1 out", name, obs)
+		}
 	}
 }
 

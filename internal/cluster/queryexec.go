@@ -18,7 +18,6 @@ import (
 	"proteus/internal/schema"
 	"proteus/internal/simnet"
 	"proteus/internal/txn"
-	"proteus/internal/types"
 	"proteus/internal/vclock"
 )
 
@@ -294,9 +293,9 @@ func (e *Engine) materialize(ctx context.Context, n plan.PNode, snap txn.Version
 	return rel, err
 }
 
-// evalAgg executes an aggregation. Over a scan or a join, partial
-// aggregation runs inside the scan workers; over another aggregate, the
-// child's result materializes and aggregates at the coordinator.
+// evalAgg executes an aggregation. Over a scan or a join, the aggregates
+// accumulate inside the scan workers; over another aggregate, the child's
+// result materializes and aggregates at the coordinator.
 func (e *Engine) evalAgg(ctx context.Context, pa *plan.PAgg, snap txn.VersionVector, coord simnet.SiteID) (exec.Rel, error) {
 	switch child := pa.Child.(type) {
 	case *plan.PScan:
@@ -308,9 +307,12 @@ func (e *Engine) evalAgg(ctx context.Context, pa *plan.PAgg, snap txn.VersionVec
 	if err != nil {
 		return exec.Rel{}, err
 	}
-	out, obs := exec.HashAggregate(rel, pa.GroupBy, pa.Aggs)
-	e.siteOf(coord).Observe(obs)
-	return out, nil
+	return e.aggregateAt(coord, pa.GroupBy, pa.Aggs, rel.Cols, func(agg *exec.Aggregator) (int, int) {
+		for _, t := range rel.Tuples {
+			agg.Observe(t)
+		}
+		return rel.NumRows(), rel.RowBytes()
+	}), nil
 }
 
 // sitePartition resolves a copy of pid at a site, catching a replica up to
@@ -410,46 +412,20 @@ func colName(c schema.ColID) string {
 	return "c" + strconv.Itoa(int(c))
 }
 
-// finalizeAgg combines partial aggregates at the coordinator and
-// reconstructs AVG columns.
-func (e *Engine) finalizeAgg(pa *plan.PAgg, partials exec.Rel, coord simnet.SiteID) exec.Rel {
-	groupPos := make([]int, len(pa.GroupBy))
-	for i := range pa.GroupBy {
-		groupPos[i] = i // partial layout: [groups..., partial aggs...]
-	}
-	combined, obs := exec.HashAggregate(partials, groupPos, pa.FinalAggs)
-	e.siteOf(coord).Observe(obs)
-
-	// combined layout: [groups..., finalAgg results...]; map back to the
-	// requested [groups..., aggs...] layout with AVG = sum/count.
-	out := exec.Rel{Cols: combined.Cols[:len(pa.GroupBy)]}
-	for _, a := range pa.Aggs {
-		out.Cols = append(out.Cols, a.Func.String())
-	}
-	ng := len(pa.GroupBy)
-	w := ng + len(pa.Aggs)
-	back := make([]types.Value, len(combined.Tuples)*w)
-	out.Tuples = make([][]types.Value, len(combined.Tuples))
-	for i, t := range combined.Tuples {
-		row := append(back[i*w:i*w:(i+1)*w], t[:ng]...)
-		fi := ng // cursor into final agg outputs
-		for _, a := range pa.Aggs {
-			if a.Func == exec.AggAvg {
-				sum := t[fi]
-				cnt := t[fi+1]
-				fi += 2
-				if cnt.Float() > 0 {
-					row = append(row, types.NewFloat64(sum.Float()/cnt.Float()))
-				} else {
-					row = append(row, types.Null())
-				}
-			} else {
-				row = append(row, t[fi])
-				fi++
-			}
-		}
-		out.Tuples[i] = row
-	}
+// aggregateAt aggregates at the coordinator: fold feeds a fresh
+// accumulator of specs and reports what it took in, rows and their average
+// width, for the one aggregate observation the combine makes there.
+func (e *Engine) aggregateAt(coord simnet.SiteID, groupBy []int, specs []exec.AggSpec, cols []string, fold func(*exec.Aggregator) (in, width int)) exec.Rel {
+	start := time.Now()
+	agg := exec.NewAggregator(groupBy, specs)
+	in, width := fold(agg)
+	out := agg.Rel(cols)
+	e.siteOf(coord).Observe(cost.Observation{
+		Op:       cost.OpAggregate,
+		Variant:  cost.AggHash,
+		Features: cost.AggFeatures(in, out.NumRows(), width),
+		Latency:  time.Since(start),
+	})
 	return out
 }
 

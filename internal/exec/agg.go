@@ -1,11 +1,6 @@
 package exec
 
-import (
-	"strconv"
-	"time"
-
-	"proteus/internal/cost"
-)
+import "strconv"
 
 // AggFunc enumerates the aggregate functions.
 type AggFunc uint8
@@ -17,8 +12,8 @@ const (
 	AggMin
 	AggMax
 	AggAvg
-	// AggCountCol counts the rows whose input column is not NULL. It is
-	// AVG's denominator partial (plan.decomposeAggs).
+	// AggCountCol counts the rows whose input column is not NULL:
+	// COUNT(col), where AggCount is COUNT(*).
 	AggCountCol
 )
 
@@ -58,23 +53,4 @@ func aggCols(inputCols []string, groupBy []int, cols []aggCol) []string {
 		out = append(out, c.fn.String())
 	}
 	return out
-}
-
-// HashAggregate groups tuples by the groupBy positions and computes the
-// aggregates. An empty groupBy produces a single global group (even over
-// zero input rows, matching SQL aggregate semantics).
-func HashAggregate(r Rel, groupBy []int, specs []AggSpec) (Rel, cost.Observation) {
-	start := time.Now()
-	a := NewAggregator(groupBy, specs)
-	for _, t := range r.Tuples {
-		a.Observe(t)
-	}
-	out := a.Rel(r.Cols)
-	obs := cost.Observation{
-		Op:       cost.OpAggregate,
-		Variant:  cost.AggHash,
-		Features: cost.AggFeatures(r.NumRows(), out.NumRows(), r.RowBytes()),
-		Latency:  time.Since(start),
-	}
-	return out, obs
 }

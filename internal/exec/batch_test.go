@@ -371,15 +371,15 @@ func TestAvgSkipsNull(t *testing.T) {
 	}
 }
 
-// TestGroupByAllocsFlat runs finalizeAgg's pipeline — two scan workers'
-// partials over 4 096 rows in 256-row batches, merged, finished to a Rel
-// and re-aggregated by HashAggregate — at 20 and at 2 000 groups. A group
-// owns no allocation, so a hundred times the groups may cost at most twice
-// the allocations (the table's and the columns' doublings).
+// TestGroupByAllocsFlat runs an aggregate's whole pipeline — two scan
+// workers' partials over 4 096 rows in 256-row batches, merged into their
+// site's share, the share merged into the coordinator's accumulator and
+// finished to a Rel — at 20 and at 2 000 groups. A group owns no
+// allocation, so a hundred times the groups may cost at most twice the
+// allocations (the table's and the columns' doublings).
 func TestGroupByAllocsFlat(t *testing.T) {
 	const rows = 4096
 	specs := []AggSpec{{Func: AggCount}, {Func: AggSum, Col: 1}, {Func: AggMin, Col: 1}}
-	final := []AggSpec{{Func: AggSum, Col: 1}, {Func: AggSum, Col: 2}, {Func: AggMin, Col: 3}}
 	allocs := func(groups int) float64 {
 		keys, vals := make([]int64, rows), make([]int64, rows)
 		for i := range keys {
@@ -402,7 +402,9 @@ func TestGroupByAllocsFlat(t *testing.T) {
 				w1.ObserveBatch(b)
 			}
 			w0.MergeFrom(w1)
-			out, _ = HashAggregate(w0.Rel([]string{"k", "v"}), []int{0}, final)
+			coord := NewAggregator([]int{0}, specs)
+			coord.MergeFrom(w0)
+			out = coord.Rel([]string{"k", "v"})
 		})
 		if out.NumRows() != groups {
 			t.Fatalf("%d groups out, want %d", out.NumRows(), groups)

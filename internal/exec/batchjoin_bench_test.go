@@ -133,13 +133,17 @@ var benchAggSpecs = []AggSpec{
 }
 
 // BenchmarkGroupByRow and BenchmarkGroupByBatch feed the same input to the
-// group-by table tuple by tuple (HashAggregate's Observe loop) and as
-// columns (ObserveCols).
+// group-by table tuple by tuple (Observe, as the coordinator folds a boxed
+// input) and as columns (ObserveCols).
 func BenchmarkGroupByRow(b *testing.B) {
 	r := benchGroupInputs(50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _ := HashAggregate(r, []int{0}, benchAggSpecs)
+		agg := NewAggregator([]int{0}, benchAggSpecs)
+		for _, t := range r.Tuples {
+			agg.Observe(t)
+		}
+		out := agg.Rel(r.Cols)
 		_ = out
 	}
 }

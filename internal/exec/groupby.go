@@ -9,7 +9,7 @@ import (
 
 // Aggregator is the group-by table. Every aggregate the engine computes
 // accumulates in one: each scan worker's partial, their per-site merge, and
-// the coordinator's combine of the sites' partials (HashAggregate).
+// the coordinator's, into which the sites' partials merge (MergeFrom).
 //
 // Keys follow JoinTable's hash contract. Each key column is canonicalized
 // by canonKeys and hashed through hashKey/hashValue, and several key
@@ -308,6 +308,36 @@ func (a *Aggregator) MergeFrom(o *Aggregator) {
 			}
 		}
 	}
+}
+
+// Groups reports the number of groups.
+func (a *Aggregator) Groups() int { return a.n }
+
+// PartialBytes prices the accumulator as a partial shipped between sites:
+// its groups times the average width, over up to 32 groups, of a row
+// holding the group's key and each aggregate's state, AVG's as its running
+// sum and an int64 count (Rel.RowBytes over those rows).
+func (a *Aggregator) PartialBytes() int {
+	sample := min(a.n, 32)
+	if sample == 0 {
+		return 0
+	}
+	n := 0
+	for g := range sample {
+		for _, l := range a.labels {
+			n += types.VarWidth(l[g])
+		}
+		for i := range a.cols {
+			c := &a.cols[i]
+			if c.vals != nil {
+				n += types.VarWidth(c.vals[g])
+			}
+			if c.cnts != nil {
+				n += 8
+			}
+		}
+	}
+	return a.n * (n / sample)
 }
 
 // Rel finishes the aggregation into the [groups..., aggs...] relation, one

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -101,5 +102,104 @@ func TestGroupWindowMatchesHashPath(t *testing.T) {
 			}
 			checkAggregate(t, c.groupBy, specs, c.batches)
 		})
+	}
+}
+
+// TestMergedSharesMatchOneAggregator holds the coordinator's combine to
+// one aggregator over every row: the rows split into K shards (K = 0, 1,
+// 3), each shard aggregated on its own and the shards merged in order into
+// a fresh aggregator (MergeFrom), must give the same Rel, value for value
+// and in first-seen group order, for every aggregate function. Each
+// share's PartialBytes must equal the bytes of the boxed relation it
+// stands for: its keys and each aggregate's state, AVG's as SUM(col) and
+// COUNT(col), priced by Rel.RowBytes.
+func TestMergedSharesMatchOneAggregator(t *testing.T) {
+	specs := []AggSpec{
+		{Func: AggSum, Col: 1}, {Func: AggCount}, {Func: AggMin, Col: 1}, {Func: AggMax, Col: 1},
+		{Func: AggAvg, Col: 1}, {Func: AggCountCol, Col: 1}, {Func: AggSum, Col: 2}, {Func: AggAvg, Col: 2},
+	}
+	// state is the aggregate state a share carries, one boxed spec per
+	// column of its partial relation.
+	var state []AggSpec
+	for _, sp := range specs {
+		if sp.Func == AggAvg {
+			state = append(state, AggSpec{Func: AggSum, Col: sp.Col}, AggSpec{Func: AggCountCol, Col: sp.Col})
+		} else {
+			state = append(state, sp)
+		}
+	}
+	ints := func(xs ...int64) Vec { return storage.ViewVec(types.KindInt64, xs, nil, nil, nil) }
+	floats := func(xs ...float64) Vec { return storage.ViewVec(types.KindFloat64, nil, xs, nil, nil) }
+	// Rows are [key, int value with NULLs, float value]; key 9's values
+	// are all NULL.
+	nullInts := func(xs ...int64) Vec {
+		v := ints(xs...)
+		v.Null = make([]bool, len(xs))
+		for i, x := range xs {
+			v.Null[i] = x < 0
+		}
+		return v
+	}
+	batches := []*Batch{
+		vecBatch(6, nil, ints(1, 9, 2, 1, 9, 3), nullInts(5, -1, 7, -1, -1, 2), floats(0.5, 1, 1.5, 2, 2.5, 3)),
+		vecBatch(5, []int32{0, 1, 3, 4}, floats(2, 4, 1, 9, 3), nullInts(4, 6, 8, -1, -1), floats(0.25, 0.75, 1, 1.25, 8)),
+		vecBatch(6, nil, storage.FoRVec(types.KindInt64, 1, []uint32{0, 3, 8, 1, 4, 0}), nullInts(-1, 3, -1, 9, 1, 6), floats(4, 5, 6, 7, 8, 9)),
+		vecBatch(4, []int32{1, 2}, storage.FoRVec(types.KindInt64, 5, []uint32{0, 1, 4, 2}), nullInts(1, 2, -1, 4), floats(1, 2, 3, 4)),
+		vecBatch(3, nil, ints(5, 2, 9), nullInts(11, -1, -1), floats(0.125, 0.5, 0.75)),
+	}
+	for _, groupBy := range [][]int{nil, {0}} {
+		for _, k := range []int{0, 1, 3} {
+			in := batches
+			if k == 0 {
+				in = nil
+			}
+			name := fmt.Sprintf("groupBy=%v/K=%d", groupBy, k)
+			whole := NewAggregator(groupBy, specs)
+			coord := NewAggregator(groupBy, specs)
+			for s := range k {
+				share, boxed := NewAggregator(groupBy, specs), NewAggregator(groupBy, state)
+				for _, b := range in[s*len(in)/k : (s+1)*len(in)/k] {
+					share.ObserveBatch(b)
+					boxed.ObserveBatch(b)
+					whole.ObserveBatch(b)
+				}
+				partial := boxed.Rel(nil)
+				if got, want := share.PartialBytes(), partial.NumRows()*partial.RowBytes(); got != want {
+					t.Errorf("%s: share %d PartialBytes = %d, want %d", name, s, got, want)
+				}
+				coord.MergeFrom(share)
+			}
+			want := whole.Rel(nil)
+			if len(groupBy) == 0 && len(want.Tuples) != 1 {
+				t.Fatalf("%s: global aggregate gave %d rows, want 1", name, len(want.Tuples))
+			}
+			if coord.Groups() != len(want.Tuples) {
+				t.Errorf("%s: Groups() = %d, want %d", name, coord.Groups(), len(want.Tuples))
+			}
+			sameTuples(t, name, coord.Rel(nil).Tuples, want.Tuples)
+			var tuples [][]types.Value
+			for _, b := range in {
+				b.Selected(func(row int) bool {
+					tuples = append(tuples, b.Row(row, nil))
+					return true
+				})
+			}
+			sameTuples(t, name+"/reference", want.Tuples, refAggregate(tuples, groupBy, specs))
+		}
+	}
+	// The empty global share ships its one row: COUNT 0, the rest NULL.
+	empty, boxed := NewAggregator(nil, specs), NewAggregator(nil, state).Rel(nil)
+	if got, want := empty.PartialBytes(), boxed.NumRows()*boxed.RowBytes(); got != want || got == 0 {
+		t.Errorf("empty global share: PartialBytes = %d, want %d", got, want)
+	}
+	row := empty.Rel(nil).Tuples[0]
+	for i, sp := range specs {
+		if sp.Func == AggCount || sp.Func == AggCountCol {
+			if row[i].Int() != 0 {
+				t.Errorf("empty global %v = %v, want 0", sp.Func, row[i])
+			}
+		} else if !row[i].IsNull() {
+			t.Errorf("empty global %v = %v, want NULL", sp.Func, row[i])
+		}
 	}
 }

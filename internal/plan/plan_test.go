@@ -167,43 +167,33 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 }
 
-// TestPlannerDecomposesAggs pins the cached aggregate plan: every
-// aggregate, on one site or many, carries its site-local partial specs and
-// the coordinator's combine, with AVG split into SUM(col) and COUNT(col).
-func TestPlannerDecomposesAggs(t *testing.T) {
+// TestPlannerKeepsAggs pins the cached aggregate plan: on one site or
+// many, PAgg carries the query's aggregate list as written, AVG and COUNT
+// included, since every site accumulates the aggregates themselves and the
+// coordinator merges the sites' accumulators.
+func TestPlannerKeepsAggs(t *testing.T) {
 	for _, sites := range []int{1, 2} {
 		pl, dir := testPlanner()
 		register(dir, 1, 0, 100, 0, 3, 0, storage.DefaultRowLayout(), 100)
 		register(dir, 1, 100, 200, 0, 3, simnet.SiteID(sites-1), storage.DefaultRowLayout(), 100)
 
+		aggs := []exec.AggSpec{
+			{Func: exec.AggAvg, Col: 1},
+			{Func: exec.AggCount},
+			{Func: exec.AggMin, Col: 1},
+			{Func: exec.AggCountCol, Col: 0},
+		}
 		node, err := pl.PlanQuery(&query.Query{Root: &query.AggNode{
 			Child:   &query.ScanNode{Table: 1, Cols: []schema.ColID{0, 1}},
 			GroupBy: []int{0},
-			Aggs: []exec.AggSpec{
-				{Func: exec.AggAvg, Col: 1},
-				{Func: exec.AggCount},
-				{Func: exec.AggMin, Col: 1},
-			},
+			Aggs:    aggs,
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pa := node.(*PAgg)
-		// AVG decomposes into SUM(col) + COUNT(col): NULL inputs count
-		// toward neither.
-		if len(pa.PartialAggs) != 4 || len(pa.FinalAggs) != 4 {
-			t.Fatalf("%d sites: partial=%d final=%d", sites, len(pa.PartialAggs), len(pa.FinalAggs))
-		}
-		if want := []exec.AggSpec{{Func: exec.AggSum, Col: 1}, {Func: exec.AggCountCol, Col: 1}}; !slices.Equal(pa.PartialAggs[:2], want) {
-			t.Errorf("%d sites: avg partials = %v, want %v", sites, pa.PartialAggs[:2], want)
-		}
-		// COUNT's final combine is a SUM.
-		if pa.FinalAggs[2].Func != exec.AggSum {
-			t.Errorf("%d sites: count combine = %v", sites, pa.FinalAggs[2].Func)
-		}
-		// MIN combines with MIN.
-		if pa.FinalAggs[3].Func != exec.AggMin {
-			t.Errorf("%d sites: min combine = %v", sites, pa.FinalAggs[3].Func)
+		if !slices.Equal(pa.Aggs, aggs) || !slices.Equal(pa.GroupBy, []int{0}) {
+			t.Errorf("%d sites: plan aggregates %v by %v, want %v by [0]", sites, pa.Aggs, pa.GroupBy, aggs)
 		}
 	}
 }

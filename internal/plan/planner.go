@@ -3,8 +3,8 @@ package plan
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"proteus/internal/cost"
 	"proteus/internal/exec"
@@ -57,15 +57,14 @@ type PJoin struct {
 
 func (*PJoin) isPNode() {}
 
-// PAgg aggregates a subplan in two phases: every scanning site computes
-// PartialAggs, and the coordinator combines the concatenated partials with
-// FinalAggs (AVG travels as a SUM and a COUNT).
+// PAgg aggregates a subplan. Over a scan or a join every scanning site
+// accumulates Aggs itself, and the coordinator merges the sites'
+// accumulators (exec.Aggregator.MergeFrom), so no aggregate is rewritten
+// for two-phase execution.
 type PAgg struct {
-	Child       PNode
-	GroupBy     []int
-	Aggs        []exec.AggSpec
-	PartialAggs []exec.AggSpec
-	FinalAggs   []exec.AggSpec
+	Child   PNode
+	GroupBy []int
+	Aggs    []exec.AggSpec
 }
 
 func (*PAgg) isPNode() {}
@@ -159,7 +158,7 @@ func (pl *Planner) planScan(s *query.ScanNode) (PNode, error) {
 	for c := range cutSet {
 		cuts = append(cuts, c)
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
 
 	ps := &PScan{Table: s.Table, Cols: s.Cols, Pred: s.Pred}
 	est := 0
@@ -300,35 +299,7 @@ func (pl *Planner) planAgg(a *query.AggNode) (PNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	pa := &PAgg{Child: child, GroupBy: a.GroupBy, Aggs: a.Aggs}
-	pa.PartialAggs, pa.FinalAggs = decomposeAggs(a.GroupBy, a.Aggs)
-	return pa, nil
-}
-
-// decomposeAggs rewrites aggregates for two-phase execution. The partial
-// layout is [groupBy..., partial aggs...]; the final phase re-aggregates
-// over that layout. AVG splits into SUM(col) and COUNT(col), so NULL
-// inputs count toward neither.
-func decomposeAggs(groupBy []int, aggs []exec.AggSpec) (partial, final []exec.AggSpec) {
-	for _, a := range aggs {
-		switch a.Func {
-		case exec.AggAvg:
-			sumPos := len(groupBy) + len(partial)
-			partial = append(partial, exec.AggSpec{Func: exec.AggSum, Col: a.Col})
-			countPos := len(groupBy) + len(partial)
-			partial = append(partial, exec.AggSpec{Func: exec.AggCountCol, Col: a.Col})
-			final = append(final, exec.AggSpec{Func: exec.AggSum, Col: sumPos}, exec.AggSpec{Func: exec.AggSum, Col: countPos})
-		case exec.AggCount, exec.AggCountCol:
-			pos := len(groupBy) + len(partial)
-			partial = append(partial, a)
-			final = append(final, exec.AggSpec{Func: exec.AggSum, Col: pos})
-		case exec.AggSum, exec.AggMin, exec.AggMax:
-			pos := len(groupBy) + len(partial)
-			partial = append(partial, a)
-			final = append(final, exec.AggSpec{Func: a.Func, Col: pos})
-		}
-	}
-	return partial, final
+	return &PAgg{Child: child, GroupBy: a.GroupBy, Aggs: a.Aggs}, nil
 }
 
 func estRows(n PNode) int {
@@ -349,36 +320,53 @@ func estRows(n PNode) int {
 // conjunct's column, operator and constant (kind included — 1 and 1.0 plan
 // alike but need not scan alike), and every aggregate's input position.
 func fingerprint(n query.Node) string {
-	var sb strings.Builder
-	writeFingerprint(&sb, n)
-	return sb.String()
+	var buf [256]byte
+	return string(appendFingerprint(buf[:0], n))
 }
 
-func writeFingerprint(sb *strings.Builder, n query.Node) {
+func appendFingerprint(b []byte, n query.Node) []byte {
 	switch v := n.(type) {
 	case *query.ScanNode:
-		fmt.Fprintf(sb, "Scan(t%d cols=%v", v.Table, v.Cols)
+		b = strconv.AppendInt(append(b, "Scan(t"...), int64(v.Table), 10)
+		b = appendInts(append(b, " cols="...), v.Cols)
 		for _, c := range v.Pred {
 			// Raw payload fields, not Value.String: that rounds timestamps
 			// to the second.
-			fmt.Fprintf(sb, " c%d%s%d:%d:%x:%q", c.Col, c.Op, c.Val.K, c.Val.I, math.Float64bits(c.Val.F), c.Val.S)
+			b = strconv.AppendInt(append(b, " c"...), int64(c.Col), 10)
+			b = strconv.AppendUint(append(b, c.Op.String()...), uint64(c.Val.K), 10)
+			b = strconv.AppendInt(append(b, ':'), c.Val.I, 10)
+			b = strconv.AppendUint(append(b, ':'), math.Float64bits(c.Val.F), 16)
+			b = strconv.AppendQuote(append(b, ':'), c.Val.S)
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 	case *query.JoinNode:
-		sb.WriteString("Join(")
-		writeFingerprint(sb, v.Left)
-		fmt.Fprintf(sb, " [%d=%d] ", v.LeftKeyCol, v.RightKeyCol)
-		writeFingerprint(sb, v.Right)
-		sb.WriteByte(')')
+		b = appendFingerprint(append(b, "Join("...), v.Left)
+		b = strconv.AppendInt(append(b, " ["...), int64(v.LeftKeyCol), 10)
+		b = strconv.AppendInt(append(b, '='), int64(v.RightKeyCol), 10)
+		b = appendFingerprint(append(b, "] "...), v.Right)
+		b = append(b, ')')
 	case *query.AggNode:
-		sb.WriteString("Agg(")
-		writeFingerprint(sb, v.Child)
-		fmt.Fprintf(sb, " by=%v", v.GroupBy)
+		b = appendFingerprint(append(b, "Agg("...), v.Child)
+		b = appendInts(append(b, " by="...), v.GroupBy)
 		for _, a := range v.Aggs {
-			fmt.Fprintf(sb, " %s(%d)", a.Func, a.Col)
+			b = append(append(append(b, ' '), a.Func.String()...), '(')
+			b = append(strconv.AppendInt(b, int64(a.Col), 10), ')')
 		}
-		sb.WriteByte(')')
+		b = append(b, ')')
 	default:
-		sb.WriteString(n.String())
+		b = append(b, n.String()...)
 	}
+	return b
+}
+
+// appendInts appends xs as fmt's %v prints them: [1 2 3].
+func appendInts[T ~int | ~int32](b []byte, xs []T) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }

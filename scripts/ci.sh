@@ -26,9 +26,10 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # A transaction's per-operation path (routing in the partition directory,
 # execution, group commit, locks, 2PC, snapshots and their registry, the
 # transaction planner, the row stores), a whole-partition move's (splits
-# and merges cutting typed images), a query's (morsel drivers, join
-# pipeline and tables, runtime filters, columnar relations, batch kernels,
-# the group-by table and HashAggregate, the in-memory column store with
+# and merges cutting typed images), a query's (the query planner and its
+# plan-cache key, morsel drivers, join pipeline and tables, runtime
+# filters, columnar relations, batch kernels, the group-by table and its
+# merge of the sites' shares at the coordinator, the in-memory column store with
 # its delta, scan chunks and column builds, the disk column store and the
 # simulated device its blocks are read from, the storage batches and filter
 # kernels, the zone map) and the per-tick log paths (the redo-log broker
@@ -38,7 +39,7 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # fmt.Errorf on error returns is allowed; test files are not checked.
 hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
     internal/metadata/metadata.go internal/partition/split.go
-    internal/plan/txnplan.go internal/rowstore/{mem,disk}.go internal/colstore/{batchscan,coldata,mem,delta,disk}.go
+    internal/plan/{planner,txnplan}.go internal/rowstore/{mem,disk}.go internal/colstore/{batchscan,coldata,mem,delta,disk}.go
     internal/disksim/disksim.go
     internal/storage/{batch,kernels,image}.go internal/zonemap/zonemap.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
