@@ -316,6 +316,51 @@ func TestMaintainAllocBudget(t *testing.T) {
 	}
 }
 
+// replicaInstallAllocBudget caps one AddReplicaOp of a 4 000-row
+// row-store partition with a ten-record redo tail, built from the broker's
+// image and the tail: measured + 10 % (8 050 while the install captured
+// the master's image under a group-commit barrier instead).
+const replicaInstallAllocBudget = 8876 // 8 069 + 10 %
+
+// TestReplicaInstallAllocBudget holds one replica install — the broker's
+// image cloned and loaded into a row store, the tail replayed, the copy
+// subscribed and charged — to its allocation budget.
+func TestReplicaInstallAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not held under -race")
+	}
+	e, tbl := newSitedEngine(t, 2, 4000, nil)
+	updateRows(t, e, tbl, 10)
+	m := e.Dir.TablePartitions(tbl.ID)[0]
+	install := func() {
+		if err := e.AddReplicaOp(m.ID, 1, storage.DefaultRowLayout()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func() {
+		if err := e.RemoveReplicaOp(m.ID, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install()
+	remove()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		install()
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+		remove()
+	}
+	got := float64(total) / 10
+	t.Logf("%.0f allocs/install (budget %d)", got, replicaInstallAllocBudget)
+	if got > replicaInstallAllocBudget {
+		t.Errorf("%.0f allocs per replica install, over its budget of %d", got, replicaInstallAllocBudget)
+	}
+}
+
 // TestColNamesWithoutFormatting pins colNames to the labels fmt produced,
 // past the precomputed table too, and to one allocation: the slice.
 func TestColNamesWithoutFormatting(t *testing.T) {

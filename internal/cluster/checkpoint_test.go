@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -505,6 +506,67 @@ func TestCheckpointImageRoundTripsNulls(t *testing.T) {
 				t.Fatalf("partition %d has no master copy after recovery", m.ID)
 			}
 			same(fmt.Sprintf("partition %d rebuilt after site %d crashed", m.ID, site), p.ExtractAll(storage.Latest), m)
+		}
+	}
+}
+
+// TestInstallRacingFoldAndTruncate installs replicas while a writer
+// commits to the partition and the maintenance tick folds and truncates
+// with no retention slack, so a tick often runs while the copy loads the
+// checkpoint it read. Every install must succeed and, caught up, read as
+// the master does: the copy holds the log, so no record above its
+// checkpoint is reclaimed before it is replayed.
+func TestInstallRacingFoldAndTruncate(t *testing.T) {
+	e, tbl := newSitedEngine(t, 2, 2000, func(c *Config) { c.RedoRetention = 0 })
+	m := e.Dir.TablePartitions(tbl.ID)[0]
+	for round := 0; round < 20; round++ {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			sess := e.NewSession()
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				op := updateOp(tbl, (i*37)%2000, 2, types.NewFloat64(float64(round*100000)+float64(i)))
+				if _, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{Ops: []query.Op{op}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e.checkpointAndTruncate()
+			}
+		}()
+		err := e.AddReplicaOp(m.ID, 1, storage.DefaultRowLayout())
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: install: %v", round, err)
+		}
+		mp, _ := e.siteOf(0).Partition(m.ID)
+		if _, err := e.siteOf(1).Repl.CatchUp(m.ID, mp.Version()); err != nil {
+			t.Fatal(err)
+		}
+		rp, _ := e.siteOf(1).Partition(m.ID)
+		want, got := mp.Image(storage.Latest).Rows(), rp.Image(storage.Latest).Rows()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("round %d: replica at version %d differs from the master at %d", round, rp.Version(), mp.Version())
+		}
+		if err := e.RemoveReplicaOp(m.ID, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -89,10 +89,11 @@ type Config struct {
 	// MaintainInterval is the background storage-maintenance period
 	// (delta merges, disk flushes).
 	MaintainInterval time.Duration
-	// RedoRetention is how many records each redo-log topic keeps beyond
-	// the minimum subscriber offset when the maintenance loop trims it —
-	// slack that covers replica installs capturing a snapshot offset
-	// concurrently with truncation. 0 disables the slack.
+	// RedoRetention is how many records each redo-log topic keeps below
+	// its checkpoint offset when the maintenance loop trims it, and how
+	// long a topic's tail grows before the loop folds it into the
+	// checkpoint. Subscribers and copies being built need no slack: they
+	// hold the log themselves (redolog.Hold). 0 disables the slack.
 	RedoRetention int64
 	// Adapt holds the ASA feature switches (ablation study, §6.3.7);
 	// ignored outside ModeProteus.
@@ -445,29 +446,15 @@ func (e *Engine) drainObservations() {
 // has grown RedoRetention records past it (redolog.FoldCheckpoint — no
 // partition is locked, read or asked anything), then trims records no
 // longer needed by either a replica subscription or crash recovery (the
-// paper's Kafka retention plus its snapshot store, §4.3). The truncation
-// floor is the minimum of every subscriber's offset and the checkpoint
-// offset, so a topic is trimmed only below what its image already holds. A
-// configured retention slack keeps the last RedoRetention records
-// regardless, so a replica install capturing a snapshot offset concurrently
-// with this loop never finds its start already reclaimed.
+// paper's Kafka retention plus its snapshot store, §4.3). It asks for the
+// log below the checkpoint offset less a RedoRetention slack, so a topic
+// is trimmed only below what its image already holds, and the broker
+// keeps whatever a subscription has yet to fetch or a copy being built
+// has yet to replay (redolog.Hold).
 func (e *Engine) checkpointAndTruncate() {
-	mins := make(map[partition.ID]int64)
-	for _, s := range e.Sites {
-		for pid, off := range s.Repl.Offsets() {
-			if cur, ok := mins[pid]; !ok || off < cur {
-				mins[pid] = off
-			}
-		}
-	}
 	for _, pid := range e.Broker.Topics() {
 		e.Broker.FoldCheckpoint(pid, e.cfg.RedoRetention)
-		floor := e.Broker.CheckpointOffset(pid)
-		if off, ok := mins[pid]; ok && off < floor {
-			floor = off
-		}
-		floor -= e.cfg.RedoRetention
-		if floor > 0 {
+		if floor := e.Broker.CheckpointOffset(pid) - e.cfg.RedoRetention; floor > 0 {
 			e.Broker.Truncate(pid, floor)
 		}
 	}
@@ -605,7 +592,7 @@ func (e *Engine) CreateTable(spec TableSpec) (*schema.Table, error) {
 			if s.ID == siteID {
 				continue
 			}
-			if err := e.installReplica(meta, s.ID, rl); err != nil {
+			if err := e.addReplica(pid, s.ID, rl); err != nil {
 				return nil, err
 			}
 		}
@@ -626,42 +613,7 @@ func (e *Engine) installModeReplicas(meta *metadata.PartitionMeta) error {
 		return nil // a second full copy needs a second store location
 	}
 	target := simnet.SiteID((int(meta.Master().Site) + 1) % len(e.Sites))
-	return e.installReplica(meta, target, storage.DefaultColumnLayout())
-}
-
-// installReplica snapshots the master and installs a replica copy at a
-// site, subscribing it to the partition's redo log (§4.4). It fails with
-// a typed error when either endpoint is down or partitioned away.
-func (e *Engine) installReplica(meta *metadata.PartitionMeta, siteID simnet.SiteID, l storage.Layout) error {
-	dst := e.siteOf(siteID)
-	if dst.Down() {
-		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, siteID)
-	}
-	masterSite := e.siteOf(meta.Master().Site)
-	if masterSite.Down() {
-		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, masterSite.ID)
-	}
-	if err := e.Net.Reachable(masterSite.ID, siteID); err != nil {
-		return err
-	}
-	mp, err := masterSite.MustPartition(meta.ID)
-	if err != nil {
-		return err
-	}
-	// Flush pending commits so the captured offset, rows and version are
-	// mutually consistent (callers hold at least the shared partition
-	// lock, keeping them that way until the subscription is installed).
-	e.gc.barrier(masterSite.ID)
-	offset := e.Broker.EndOffset(meta.ID)
-	img := mp.Image(storage.Latest)
-	rep := partition.New(meta.ID, meta.Bounds, mp.Kinds(), l, dst.Factory)
-	if err := rep.LoadImage(img, mp.Version()); err != nil {
-		return err
-	}
-	dst.AddPartition(rep, false)
-	dst.Repl.Subscribe(meta.ID, rep, offset)
-	meta.AddReplica(metadata.Replica{Site: siteID, Layout: l})
-	return nil
+	return e.addReplica(meta.ID, target, storage.DefaultColumnLayout())
 }
 
 // siteOf resolves a site ID.

@@ -314,3 +314,50 @@ func TestUnavailablePartitionTimesOutTyped(t *testing.T) {
 		t.Fatalf("write after recovery: %v", err)
 	}
 }
+
+// TestAddReplicaWhileMasterDown installs a replica of a partition whose
+// master's site is down and which had no replica to fail over to. The
+// copy is built from the log broker alone — its checkpoint plus the redo
+// tail the crashed master committed — so the install succeeds, and once
+// the master recovers and commits more, the two copies read alike.
+func TestAddReplicaWhileMasterDown(t *testing.T) {
+	e, tbl := newFaultEngine(t, 2, 1, 60, noAdapt)
+	m := e.Dir.TablePartitions(tbl.ID)[0]
+	master := m.Master().Site
+	other := 1 - master
+	sess := e.NewSession()
+	write := func(lo, hi int64) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if _, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{Ops: []query.Op{
+				updateOp(tbl, i, 2, types.NewFloat64(float64(-i))),
+			}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write(0, 20)
+	if err := e.CrashSite(master); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Master().Site; got != master || len(m.Replicas()) != 0 {
+		t.Fatalf("after the crash: master at site %d with replicas %v, want site %d alone", got, m.Replicas(), master)
+	}
+	if err := e.AddReplicaOp(m.ID, other, storage.DefaultColumnLayout()); err != nil {
+		t.Fatalf("install with the master's site down: %v", err)
+	}
+	if err := e.RecoverSite(master); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Master().Site; got != master || !m.HasCopyAt(other) {
+		t.Fatalf("after recovery: master at site %d, replica at site %d: %v", got, other, m.HasCopyAt(other))
+	}
+	write(20, 40)
+	waitReplicaVersion(t, e, m.ID, other, masterVersion(t, e, m), time.Second)
+	mp, _ := e.siteOf(master).Partition(m.ID)
+	rp, _ := e.siteOf(other).Partition(m.ID)
+	want, got := mp.Image(storage.Latest).Rows(), rp.Image(storage.Latest).Rows()
+	if len(got) != 60 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replica reads %d rows %v,\nmaster reads %d rows %v", len(got), got, len(want), want)
+	}
+}

@@ -12,10 +12,12 @@ import (
 	"proteus/internal/storage"
 )
 
-// The engine's layout-change operators (§4.4). Every operation quiesces
-// writers with the partition's exclusive lock, performs the physical
-// change, updates the metadata directory, and bumps the plan epoch so
-// cached plans re-bind.
+// The engine's layout-change operators (§4.4). Every operation that
+// changes an existing copy quiesces writers with the partition's exclusive
+// lock, performs the physical change, updates the metadata directory, and
+// bumps the plan epoch so cached plans re-bind. A replica's install
+// changes no existing copy and holds the lock shared only to serialise
+// with those operations (AddReplicaOp).
 
 // classOfLayoutChange maps a layout delta to its accounting class.
 func classOfLayoutChange(cur, next storage.Layout) OpClass {
@@ -234,26 +236,52 @@ func (e *Engine) MergeH(a, b partition.ID) error {
 	return nil
 }
 
-// AddReplicaOp snapshots pid's master and installs a replica at a site.
+// AddReplicaOp installs a replica of pid at a site from the log broker
+// (addReplica): the master is neither read nor waited for, so it may be
+// down, and only the broker must reach the new copy's site. The shared
+// partition lock serialises the install against the operators that take
+// the exclusive one to rewrite the partition's copies or replica list —
+// SplitH, SplitV, MergeH, ChangeMasterOp and failover — so a replica is
+// neither added to a partition split or merged away nor built at a site a
+// master change is building its own copy at. The copy's transfer is
+// charged once the lock is released.
 func (e *Engine) AddReplicaOp(pid partition.ID, siteID simnet.SiteID, l storage.Layout) error {
 	start := e.clk.Now()
-	m, ok := e.Dir.Get(pid)
-	if !ok {
-		return fmt.Errorf("cluster: unknown partition %d", pid)
+	if err := e.addReplica(pid, siteID, l); err != nil {
+		return err
 	}
-	if m.HasCopyAt(siteID) {
-		return fmt.Errorf("cluster: partition %d already has a copy at site %d", pid, siteID)
+	e.Epoch.Bump()
+	e.stats.Record(ClassReplicationChange, e.clk.Since(start))
+	return nil
+}
+
+// addReplica installs a replica of pid at a live site (buildCopy) and
+// charges what it carried on the broker's link to the site once the lock
+// is released, so writers do not wait on the modelled transfer: the
+// install behind AddReplicaOp, ChangeMasterOp's new target, and the
+// copies a mode or a ReplicateAll table places. The broker must reach the
+// site: its link's typed error is returned otherwise.
+func (e *Engine) addReplica(pid partition.ID, siteID simnet.SiteID, l storage.Layout) error {
+	if err := e.Net.Reachable(simnet.ASASite, siteID); err != nil {
+		return err
 	}
-	// Snapshot under a shared lock so the offset and data are consistent.
 	ls := e.Locks.AcquireAll([]partition.ID{pid}, nil)
-	err := e.installReplica(m, siteID, l)
+	m, ok := e.Dir.Get(pid)
+	var bytes int
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("cluster: unknown partition %d", pid)
+	case m.HasCopyAt(siteID):
+		err = fmt.Errorf("cluster: partition %d already has a copy at site %d", pid, siteID)
+	default:
+		bytes, err = e.buildCopy(m, siteID, l, false)
+	}
 	ls.ReleaseAll()
 	if err != nil {
 		return err
 	}
-	e.Net.ChargeKind(simnet.KindLayout, m.Master().Site, siteID, 1024)
-	e.Epoch.Bump()
-	e.stats.Record(ClassReplicationChange, e.clk.Since(start))
+	e.Net.ChargeKind(simnet.KindLayout, simnet.ASASite, siteID, bytes)
 	return nil
 }
 
@@ -279,9 +307,13 @@ func (e *Engine) RemoveReplicaOp(pid partition.ID, siteID simnet.SiteID) error {
 	return nil
 }
 
-// ChangeMasterOp moves pid's mastership to a new site (§4.4): the target
-// catches up to the old master's version, new update transactions route to
-// it, and the old master becomes a replica.
+// ChangeMasterOp moves pid's mastership to a new site (§4.4): a target
+// with no copy first gets a replica installed from the log broker, as
+// AddReplicaOp installs one, the target catches up to the old master's
+// version, new update transactions route to it, and the old master
+// becomes a replica. Unlike the install, the handover needs the old
+// master up, the exclusive partition lock and a flush of its queued
+// commits, so the version it hands over covers every committed write.
 func (e *Engine) ChangeMasterOp(pid partition.ID, newSite simnet.SiteID) error {
 	start := e.clk.Now()
 	m, ok := e.Dir.Get(pid)
@@ -298,24 +330,27 @@ func (e *Engine) ChangeMasterOp(pid partition.ID, newSite simnet.SiteID) error {
 	if e.siteOf(oldMaster.Site).Down() {
 		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, oldMaster.Site)
 	}
+	// A target with no copy gets one as a replica first, outside the
+	// exclusive window below, so writers wait only for the handover.
+	if !m.HasCopyAt(newSite) {
+		if err := e.addReplica(pid, newSite, oldMaster.Layout); err != nil {
+			return err
+		}
+	}
 	// Block new updates while mastership moves, and flush the old
 	// master's queued commits so the version the target catches up to
 	// covers every committed write.
 	ls := e.Locks.AcquireAll(nil, []partition.ID{pid})
 	defer ls.ReleaseAll()
 	// A failover while we waited for the lock may have moved mastership
-	// already; draining and catching up against the copy we resolved
-	// before the lock would hand mastership to a stale version.
-	if m.Master().Site != oldMaster.Site {
+	// already, or dropped the target's copy; draining and catching up
+	// against the copies we resolved before the lock would hand mastership
+	// to a stale version.
+	if m.Master().Site != oldMaster.Site || !m.HasCopyAt(newSite) {
 		return ErrStalePlan
 	}
 	e.gc.barrier(oldMaster.Site)
 
-	if !m.HasCopyAt(newSite) {
-		if err := e.installReplica(m, newSite, oldMaster.Layout); err != nil {
-			return err
-		}
-	}
 	dst := e.siteOf(newSite)
 	src := e.siteOf(oldMaster.Site)
 	srcPart, err := src.MustPartition(pid)
@@ -339,21 +374,9 @@ func (e *Engine) ChangeMasterOp(pid partition.ID, newSite simnet.SiteID) error {
 	// Old master becomes a replica from the current log position.
 	src.Repl.Subscribe(pid, srcPart, e.Broker.EndOffset(pid))
 
-	var newReplicas []metadata.Replica
-	for _, r := range m.Replicas() {
-		if r.Site != newSite {
-			newReplicas = append(newReplicas, r)
-		}
-	}
-	// Rebuild replica list: drop target from replicas, add old master.
-	for _, r := range m.Replicas() {
-		m.RemoveReplica(r.Site)
-	}
-	dl, _ := dst.Partition(pid)
-	m.SetMaster(metadata.Replica{Site: newSite, Layout: dl.Layout()})
-	for _, r := range newReplicas {
-		m.AddReplica(r)
-	}
+	// The target leaves the replica list, and the old master joins it.
+	m.RemoveReplica(newSite)
+	m.SetMaster(metadata.Replica{Site: newSite, Layout: dstPart.Layout()})
 	m.AddReplica(metadata.Replica{Site: oldMaster.Site, Layout: oldMaster.Layout})
 
 	e.Net.ChargeKind(simnet.KindLayout, oldMaster.Site, newSite, 512)

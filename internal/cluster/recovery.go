@@ -19,7 +19,6 @@ import (
 	"proteus/internal/metadata"
 	"proteus/internal/partition"
 	"proteus/internal/simnet"
-	"proteus/internal/site"
 	"proteus/internal/storage"
 	"proteus/internal/types"
 )
@@ -202,10 +201,10 @@ func (e *Engine) failoverPartition(m *metadata.PartitionMeta, down simnet.SiteID
 }
 
 // RecoverSite brings a crashed site back: every copy it hosted is rebuilt
-// from the partition checkpoint plus redo-log replay. Where a failover
-// promoted a replacement master while the site was down, the old master
-// rejoins as a replica of the new one; where no replacement existed, it
-// resumes mastership with all committed writes replayed.
+// from the partition checkpoint plus redo-log replay (buildCopy). Where a
+// failover promoted a replacement master while the site was down, the old
+// master rejoins as a replica of the new one; where no replacement
+// existed, it resumes mastership with all committed writes replayed.
 func (e *Engine) RecoverSite(id simnet.SiteID) error {
 	if int(id) < 0 || int(id) >= len(e.Sites) {
 		return fmt.Errorf("cluster: no site %d", id)
@@ -224,18 +223,15 @@ func (e *Engine) RecoverSite(id simnet.SiteID) error {
 		if !ok {
 			continue // partition split or merged away while the site was down
 		}
-		switch {
-		case m.Master().Site == id:
-			// No replica could take over; writes stalled while we were
-			// down. Rebuild the master copy and resume.
-			if err := e.rebuildCopy(s, m, hc.Layout, true); err != nil {
-				return fmt.Errorf("recover site %d partition %d: %w", id, m.ID, err)
-			}
-		case !m.HasCopyAt(id):
-			// A failover promoted a surviving replica; rejoin under it.
-			if err := e.rebuildCopy(s, m, hc.Layout, false); err != nil {
-				return fmt.Errorf("recover site %d partition %d: %w", id, m.ID, err)
-			}
+		// A master no replica could take over (its writes stalled while
+		// we were down) resumes; where a failover promoted a surviving
+		// replica, the copy rejoins under it.
+		master := m.Master().Site == id
+		if !master && m.HasCopyAt(id) {
+			continue
+		}
+		if _, err := e.buildCopy(m, id, hc.Layout, master); err != nil {
+			return fmt.Errorf("recover site %d partition %d: %w", id, m.ID, err)
 		}
 	}
 	s.Recover()
@@ -246,36 +242,47 @@ func (e *Engine) RecoverSite(id simnet.SiteID) error {
 	return nil
 }
 
-// rebuildCopy reconstructs one partition copy at a recovering site from
-// durable state: load the broker's checkpoint (bulk-loaded base data plus
-// the log prefix already folded in), then replay retained redo records
-// above the checkpoint. Broker.Checkpoint copies the image, so the copy
-// matches the returned version and offset while the maintenance tick
-// folds the broker's image further. As master the copy just resumes; as
-// replica it re-subscribes from the replay position.
-func (e *Engine) rebuildCopy(s *site.Site, m *metadata.PartitionMeta, l storage.Layout, master bool) error {
+// buildCopy builds a copy of a partition at a site from the log broker
+// alone, the one way every copy is built: a recovering site's, a new
+// replica, a new master's first copy, and the copies a mode or a
+// ReplicateAll table places. It loads the broker's checkpoint (bulk-loaded
+// base data plus the log prefix already folded in), replays the retained
+// records above it, and adds the copy to the site. Broker.Checkpoint
+// copies the image, so the copy matches the returned version and offset
+// while the maintenance tick folds the broker's image further, and the
+// log is held from before the checkpoint is read until the copy
+// subscribes, so the tick cannot truncate the tail above it. Nothing at
+// the master's site is read or waited for: a commit still in its group
+// queue lands at or past the replay's end, where a replica subscribes, and
+// a master resumes. A replica also joins the partition's replica set. It
+// returns the bytes the copy carried from the broker, the image's plus
+// the replayed tail's.
+func (e *Engine) buildCopy(m *metadata.PartitionMeta, siteID simnet.SiteID, l storage.Layout, master bool) (int, error) {
 	kinds, err := e.partitionKinds(m.Bounds)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	s := e.siteOf(siteID)
 	p := partition.New(m.ID, m.Bounds, kinds, l, s.Factory)
-	from := e.Broker.BaseOffset(m.ID)
+	hold := e.Broker.Hold(m.ID, 0)
+	defer hold.Release()
+	from, image := e.Broker.BaseOffset(m.ID), 0
 	if ck, ok := e.Broker.Checkpoint(m.ID); ok {
 		if err := p.LoadImage(ck.Image, ck.Version); err != nil {
-			return err
+			return 0, err
 		}
-		from = ck.Offset
+		from, image = ck.Offset, int(ck.Bytes())
 	}
-	_, next, err := e.Broker.ReplayInto(p, m.ID, from)
+	tail, next, err := e.Broker.ReplayInto(p, m.ID, from)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	s.AddPartition(p, master)
 	if !master {
 		s.Repl.Subscribe(m.ID, p, next)
-		m.AddReplica(metadata.Replica{Site: s.ID, Layout: l})
+		m.AddReplica(metadata.Replica{Site: siteID, Layout: l})
 	}
-	return nil
+	return image + tail, nil
 }
 
 // partitionKinds slices the table's column kinds down to the partition's

@@ -632,3 +632,62 @@ func rowVals(rows []schema.Row) [][]types.Value {
 	}
 	return out
 }
+
+// installCharge loads newSitedEngine with rowsPer rows per partition,
+// commits ten single-row updates to partition 0, mastered at site 0, and
+// installs its replica at site 1. It returns the bytes the install was
+// charged, in one layout message, and the bytes it carried: the broker's
+// checkpoint image plus the redo tail above it.
+func installCharge(t *testing.T, rowsPer int64) (charged, carried int64) {
+	t.Helper()
+	e, tbl := newSitedEngine(t, 2, rowsPer, nil)
+	updateRows(t, e, tbl, 10)
+	m := e.Dir.TablePartitions(tbl.ID)[0]
+	ck, ok := e.Broker.Checkpoint(m.ID)
+	if !ok {
+		t.Fatal("no checkpoint after the bulk load")
+	}
+	recs, _ := e.Broker.Poll(m.ID, ck.Offset, 0)
+	if len(recs) != 10 {
+		t.Fatalf("%d records above the checkpoint, want 10", len(recs))
+	}
+	carried = ck.Bytes()
+	for i := range recs {
+		carried += int64(recs[i].Bytes())
+	}
+	layout := e.Obs.Counter("net.bytes.layout")
+	before := layout.Value()
+	var err error
+	expectKinds(t, e, "install", map[simnet.Kind]int64{simnet.KindLayout: 1}, func() {
+		err = e.AddReplicaOp(m.ID, 1, storage.DefaultRowLayout())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return layout.Value() - before, carried
+}
+
+// updateRows commits one single-row update to each of rows 0 to n-1.
+func updateRows(t testing.TB, e *Engine, tbl *schema.Table, n int64) {
+	t.Helper()
+	sess := e.NewSession()
+	for i := int64(0); i < n; i++ {
+		if _, err := e.ExecuteTxn(context.Background(), sess, &query.Txn{Ops: []query.Op{updateOp(tbl, i, 2, types.NewFloat64(-1))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReplicaInstallCharge holds AddReplicaOp's charge to what the copy
+// is built from — the broker's image plus the redo tail — so a partition
+// with ten times the rows costs about ten times as much to replicate.
+func TestReplicaInstallCharge(t *testing.T) {
+	small, smallCarried := installCharge(t, 400)
+	large, largeCarried := installCharge(t, 4000)
+	if small != smallCarried || large != largeCarried {
+		t.Errorf("installs charged %d and %d bytes, want the %d and %d they carried", small, large, smallCarried, largeCarried)
+	}
+	if r := float64(large) / float64(small); r < 9 || r > 11 {
+		t.Errorf("ten times the rows charged %.2f times the bytes (%d vs %d), want about 10", r, large, small)
+	}
+}

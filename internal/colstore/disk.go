@@ -40,12 +40,10 @@ type Disk struct {
 }
 
 // diskColMeta is the in-memory metadata for one on-disk column: the cached
-// serialization index (encoding, data offset, per-encoding index arrays)
-// plus the block handle.
+// serialization index (encoding, data offset, per-encoding index arrays).
+// The column's block is its generation's Block(ci).
 type diskColMeta struct {
 	colIndex
-	block    disksim.BlockID
-	hasBlock bool
 	encBytes int // serialized bytes for non-plain encodings, 0 for plain
 	// The sort column stays memory-resident as its built column, typed and
 	// encoded as written, so narrowing a scan binary-searches it without a
@@ -55,39 +53,27 @@ type diskColMeta struct {
 }
 
 // diskGen is one loaded image: the offset array, the position index and
-// each column's block. Scans and point reads pin the generation they start
-// on, so a concurrent Load or MergeDelta frees its blocks only after the
-// last of them has finished reading.
+// each column's block, in column order. Scans and point reads pin the
+// generation they start on, so a concurrent Load or MergeDelta frees its
+// blocks only after the last of them has finished reading.
 type diskGen struct {
+	disksim.Generation
 	rowIDs []schema.RowID
 	pos    map[schema.RowID]int
 	meta   []diskColMeta
-	refs   atomic.Int32 // the store's own reference plus one per reader
 }
 
-func newDiskGen(rowIDs []schema.RowID, pos map[schema.RowID]int, meta []diskColMeta) *diskGen {
+func newDiskGen(dev *disksim.Device, rowIDs []schema.RowID, pos map[schema.RowID]int, meta []diskColMeta, blocks ...disksim.BlockID) *diskGen {
 	g := &diskGen{rowIDs: rowIDs, pos: pos, meta: meta}
-	g.refs.Store(1)
+	g.Init(dev, blocks...)
 	return g
 }
 
 // pinLocked takes a reader's reference on the current generation. Requires
 // d.mu held.
 func (d *Disk) pinLocked() *diskGen {
-	d.gen.refs.Add(1)
+	d.gen.Pin()
 	return d.gen
-}
-
-// unpin drops one reference; the last one frees the generation's blocks.
-func (g *diskGen) unpin(dev *disksim.Device) {
-	if g.refs.Add(-1) > 0 {
-		return
-	}
-	for _, m := range g.meta {
-		if m.hasBlock {
-			_ = dev.Free(m.block) // fails only for an unknown block; each is freed once
-		}
-	}
 }
 
 // NewDisk creates an empty on-disk column store backed by dev.
@@ -95,7 +81,7 @@ func NewDisk(kinds []types.Kind, dev *disksim.Device, sortBy schema.ColID, compr
 	return &Disk{
 		kinds: kinds,
 		dev:   dev,
-		gen:   newDiskGen(nil, make(map[schema.RowID]int), make([]diskColMeta, len(kinds))),
+		gen:   newDiskGen(dev, nil, make(map[schema.RowID]int), make([]diskColMeta, len(kinds))),
 		delta: newDelta(),
 		layout: storage.Layout{
 			Format: storage.ColumnFormat, Tier: storage.DiskTier,
@@ -116,6 +102,7 @@ func (d *Disk) LoadImage(img storage.Image, ver uint64) error {
 	b := buildBase(d.kinds, img, d.layout.SortBy, d.layout.Compressed)
 
 	meta := make([]diskColMeta, len(d.kinds))
+	blocks := make([]disksim.BlockID, len(d.kinds))
 	total := 0
 	encTotal := 0
 	for ci, c := range b.cols {
@@ -124,7 +111,7 @@ func (d *Disk) LoadImage(img storage.Image, ver uint64) error {
 		if err != nil {
 			return err
 		}
-		m := diskColMeta{colIndex: idx, block: blk, hasBlock: true}
+		m := diskColMeta{colIndex: idx}
 		if idx.enc != encPlain {
 			m.encBytes = len(img)
 			encTotal += len(img)
@@ -132,11 +119,11 @@ func (d *Disk) LoadImage(img storage.Image, ver uint64) error {
 		if schema.ColID(ci) == d.layout.SortBy {
 			m.sortCol = c
 		}
-		meta[ci] = m
+		meta[ci], blocks[ci] = m, blk
 		total += len(img)
 	}
 
-	g := newDiskGen(b.rowIDs, b.pos, meta)
+	g := newDiskGen(d.dev, b.rowIDs, b.pos, meta, blocks...)
 	d.mu.Lock()
 	old := d.gen
 	d.gen = g
@@ -146,7 +133,7 @@ func (d *Disk) LoadImage(img storage.Image, ver uint64) error {
 	d.mu.Unlock()
 	d.writes.Add(int64(len(meta)))
 
-	old.unpin(d.dev)
+	old.Unpin()
 	return nil
 }
 
@@ -159,7 +146,7 @@ func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error)
 		// Fixed-width values and packed codes: one ranged read at
 		// dataOff + p·width. The NULL flags, the dictionary and the FoR
 		// base are memory-resident metadata.
-		b, err := d.dev.ReadRange(m.block, m.dataOff+p*m.width, m.width)
+		b, err := d.dev.ReadRange(g.Block(int(ci)), m.dataOff+p*m.width, m.width)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -192,13 +179,13 @@ func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error)
 	var buf []byte
 	var err error
 	if n < 0 {
-		full, e := d.dev.Read(m.block)
+		full, e := d.dev.Read(g.Block(int(ci)))
 		if e != nil {
 			return types.Null(), e
 		}
 		buf = full[m.dataOff+off:]
 	} else {
-		buf, err = d.dev.ReadRange(m.block, m.dataOff+off, n)
+		buf, err = d.dev.ReadRange(g.Block(int(ci)), m.dataOff+off, n)
 		if err != nil {
 			return types.Null(), err
 		}
@@ -217,7 +204,7 @@ func (d *Disk) readCell(g *diskGen, ci schema.ColID, p int) (types.Value, error)
 // allocated, so a failed read is a broken invariant, never a column to
 // scan around.
 func (d *Disk) loadColumn(g *diskGen, ci schema.ColID) *colData {
-	img, err := d.dev.Read(g.meta[ci].block)
+	img, err := d.dev.Read(g.Block(int(ci)))
 	if err != nil {
 		panic("colstore: column " + strconv.Itoa(int(ci)) + " of a pinned disk image: " + err.Error())
 	}
@@ -290,7 +277,7 @@ func (d *Disk) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Ro
 	g := d.pinLocked()
 	p, inBase := g.pos[id]
 	d.mu.RUnlock()
-	defer g.unpin(d.dev)
+	defer g.Unpin()
 	if ok {
 		if del {
 			return schema.Row{}, false
@@ -328,7 +315,7 @@ func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema
 	g := d.pinLocked()
 	over, live := d.delta.view(lo, hi, snap, pred, sortBy)
 	d.mu.RUnlock()
-	defer g.unpin(d.dev)
+	defer g.Unpin()
 
 	s := batchScan{
 		rowIDs: g.rowIDs, cols: make([]*colData, len(d.kinds)), sortBy: sortBy,

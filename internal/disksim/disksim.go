@@ -10,6 +10,7 @@ package disksim
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"proteus/internal/vclock"
@@ -173,6 +174,44 @@ func (d *Device) Free(id BlockID) error {
 	d.used -= int64(len(data))
 	delete(d.blocks, id)
 	return nil
+}
+
+// Generation is the blocks of one image a store has written to a device,
+// reference counted: the store holds one reference while the image is
+// current and each reader pins another for as long as it reads, so a
+// store that swaps in a new image frees the old one's blocks only after
+// its last reader is done. Both disk stores keep their images this way.
+type Generation struct {
+	dev    *Device
+	blocks []BlockID
+	refs   atomic.Int32
+}
+
+// Init makes g the generation of blocks on dev, holding the store's
+// reference.
+func (g *Generation) Init(dev *Device, blocks ...BlockID) {
+	g.dev, g.blocks = dev, blocks
+	g.refs.Store(1)
+}
+
+// Block returns the generation's i-th block, in the order Init was given
+// them.
+func (g *Generation) Block(i int) BlockID { return g.blocks[i] }
+
+// Pin takes a reader's reference. The caller holds whatever guards the
+// store's pointer to g, so the store cannot drop its reference between the
+// reader finding g and pinning it.
+func (g *Generation) Pin() { g.refs.Add(1) }
+
+// Unpin drops one reference, a reader's or the store's; the last one frees
+// the blocks.
+func (g *Generation) Unpin() {
+	if g.refs.Add(-1) > 0 {
+		return
+	}
+	for _, b := range g.blocks {
+		_ = g.dev.Free(b) // fails only for an unknown block; each is freed once
+	}
 }
 
 // Used reports the bytes currently stored.

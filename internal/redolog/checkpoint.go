@@ -58,9 +58,11 @@ func (b *Broker) SaveCheckpoint(pid partition.ID, ck Checkpoint) {
 	}
 }
 
-// bytes is what the image's arrays hold: 8 per row id and per fixed-width
+// Bytes is what the image's arrays hold: 8 per row id and per fixed-width
 // cell, a string header per string cell plus its payload, one per NULL flag.
-func (ck *Checkpoint) bytes() int64 {
+// The redolog.checkpoint_image_bytes gauge sums it over the topics, and a
+// copy built from the image is charged it.
+func (ck *Checkpoint) Bytes() int64 {
 	n := 8*int64(len(ck.IDs)) + ck.strBytes
 	for c := range ck.Cols {
 		v := &ck.Cols[c]
@@ -79,7 +81,7 @@ func (t *topic) setCheckpoint(b *Broker, ck *Checkpoint) {
 		}
 		t.ckptBytes = 0
 		if ck != nil {
-			t.ckptBytes = ck.bytes()
+			t.ckptBytes = ck.Bytes()
 			rows += int64(len(ck.IDs))
 		}
 		b.obsImageRows.Add(rows)

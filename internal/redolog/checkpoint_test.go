@@ -2,6 +2,7 @@ package redolog
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -779,6 +780,75 @@ func TestCheckpointOfMatchesExtract(t *testing.T) {
 				}
 			}
 			same("with a delta")
+		}
+	}
+}
+
+// TestHeldTailSurvivesFoldAndTruncate: a copy built from the checkpoint
+// holds the log before reading it, and however far folds and truncation
+// run while the copy loads the image, the tail above it is still there to
+// replay: the copy equals a partition every record was applied to. Without
+// the hold the replay fails with ErrTruncated, where it once skipped the
+// reclaimed records silently.
+func TestHeldTailSurvivesFoldAndTruncate(t *testing.T) {
+	const pid = partition.ID(5)
+	f := partition.Factory{Dev: disksim.New(disksim.Config{})}
+	newPart := func() *partition.Partition {
+		b := partition.Bounds{RowStart: 0, RowEnd: 2000, ColStart: 0, ColEnd: schema.ColID(len(recKinds))}
+		return partition.New(pid, b, recKinds, storage.DefaultRowLayout(), f)
+	}
+	b := NewBroker()
+	b.CreateTopic(pid, recKinds...)
+	oracle := newPart()
+	ver := uint64(0)
+	appendN := func(n int) {
+		for ; n > 0; n-- {
+			ver++
+			r := rec(pid, ver, schema.RowID(ver))
+			b.Append(r)
+			if err := Apply(oracle, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendN(100)
+	b.FoldCheckpoint(pid, 1)
+	for _, hold := range []bool{true, false} {
+		var h *Hold
+		if hold {
+			h = b.Hold(pid, 0)
+		}
+		ck, ok := b.Checkpoint(pid)
+		if !ok {
+			t.Fatal("no checkpoint")
+		}
+		cp := newPart()
+		if err := cp.LoadImage(ck.Image, ck.Version); err != nil {
+			t.Fatal(err)
+		}
+		// A maintenance tick meanwhile folds a long tail and truncates up
+		// to the new checkpoint.
+		appendN(300)
+		b.FoldCheckpoint(pid, 1)
+		b.Truncate(pid, b.CheckpointOffset(pid))
+		_, next, err := b.ReplayInto(cp, pid, ck.Offset)
+		if !hold {
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("unheld replay from %d with the log starting at %d: err %v, want ErrTruncated", ck.Offset, b.BaseOffset(pid), err)
+			}
+			continue
+		}
+		if err != nil || next != b.EndOffset(pid) {
+			t.Fatalf("held replay: next %d (end %d), err %v", next, b.EndOffset(pid), err)
+		}
+		if b.BaseOffset(pid) > ck.Offset {
+			t.Fatalf("truncated to %d past the held checkpoint offset %d", b.BaseOffset(pid), ck.Offset)
+		}
+		sameImage(t, "held copy", rowImage{Rows: extractRows(cp), Version: cp.Version()}, oracle)
+		// Released, the log truncates as far as it is asked.
+		h.Release()
+		if b.Truncate(pid, b.CheckpointOffset(pid)); b.BaseOffset(pid) != b.CheckpointOffset(pid) {
+			t.Fatalf("after release the log starts at %d, want %d", b.BaseOffset(pid), b.CheckpointOffset(pid))
 		}
 	}
 }

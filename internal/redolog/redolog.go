@@ -7,14 +7,21 @@
 package redolog
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"proteus/internal/obs"
 	"proteus/internal/partition"
 	"proteus/internal/schema"
 	"proteus/internal/types"
 )
+
+// ErrTruncated reports a replay asked to start below the records the topic
+// still retains: the copy it builds would miss the reclaimed records.
+var ErrTruncated = errors.New("redolog: records reclaimed below the replay offset")
 
 // OpKind is the kind of one logged mutation.
 type OpKind uint8
@@ -51,6 +58,16 @@ type Record struct {
 	Deps map[partition.ID]uint64
 }
 
+// Bytes estimates the record's wire size: what a subscriber's fetch and a
+// copy's replay are charged for carrying it.
+func (rec *Record) Bytes() int {
+	n := 24
+	for _, e := range rec.Entries {
+		n += 16 + 8*len(e.Cols) + 12*len(e.Vals)
+	}
+	return n
+}
+
 // Broker is an in-process log broker: one topic per partition.
 // All methods are safe for concurrent use.
 type Broker struct {
@@ -76,7 +93,7 @@ type Broker struct {
 //
 // The log and the checkpoint image have a lock each, so that refreshing the
 // image never stalls a commit: mu guards base and records and is all that
-// Append, AppendBatch, Poll and Truncate take; ckMu guards ckpt, the
+// Append, AppendBatch, Poll, Hold and Truncate take; ckMu guards ckpt, the
 // columns it points at, ckptBytes, kinds and dead. A fold holds ckMu
 // throughout and takes mu (read) only to copy the tail's record headers
 // out — ckMu before mu, never the reverse.
@@ -84,10 +101,11 @@ type topic struct {
 	mu      sync.RWMutex
 	base    int64
 	records []Record
+	holds   []*Hold
 
 	ckMu      sync.Mutex
 	ckpt      *Checkpoint  // nil until saved or first folded
-	ckptBytes int64        // ckpt.bytes() when it was installed (gauge bookkeeping)
+	ckptBytes int64        // ckpt.Bytes() when it was installed (gauge bookkeeping)
 	kinds     []types.Kind // the partition's column kinds, when CreateTopic named them
 	dead      bool         // topic deleted: a fold still holding it must not revive the image
 }
@@ -304,10 +322,50 @@ func (b *Broker) Retained(pid partition.ID) int64 {
 	return int64(len(t.records))
 }
 
+// A Hold keeps a topic's records at and above its offset from truncation:
+// Truncate never reclaims past the lowest hold, so the broker's retention
+// honours what its readers still need, as Kafka's honours its consumers'
+// committed offsets. A copy being built holds the log from before it reads
+// the checkpoint until it has subscribed, and every subscription holds it
+// at the offset it has consumed to.
+type Hold struct {
+	t  *topic // nil when the topic does not exist: the hold keeps nothing
+	at atomic.Int64
+}
+
+// Hold registers a hold on pid's log at offset at.
+func (b *Broker) Hold(pid partition.ID, at int64) *Hold {
+	h := &Hold{t: b.lookup(pid)}
+	h.at.Store(at)
+	if h.t != nil {
+		h.t.mu.Lock()
+		h.t.holds = append(h.t.holds, h)
+		h.t.mu.Unlock()
+	}
+	return h
+}
+
+// Advance moves the hold to offset at, releasing the records below it to
+// truncation.
+func (h *Hold) Advance(at int64) { h.at.Store(at) }
+
+// Release drops the hold; releasing it again does nothing.
+func (h *Hold) Release() {
+	if h.t == nil {
+		return
+	}
+	h.t.mu.Lock()
+	if i := slices.Index(h.t.holds, h); i >= 0 {
+		h.t.holds = slices.Delete(h.t.holds, i, i+1)
+	}
+	h.t.mu.Unlock()
+}
+
 // Truncate discards records before the offset (checkpointing). Offsets
 // stay stable: the topic keeps a base offset, so later Appends and Polls
 // address the same positions as before. The offset is clamped to the
-// retained range; the number of records reclaimed is returned.
+// retained range and below every Hold; the number of records reclaimed is
+// returned.
 func (b *Broker) Truncate(pid partition.ID, before int64) int64 {
 	t := b.lookup(pid)
 	if t == nil {
@@ -315,8 +373,9 @@ func (b *Broker) Truncate(pid partition.ID, before int64) int64 {
 	}
 	t.mu.Lock()
 	end := t.base + int64(len(t.records))
-	if before > end {
-		before = end
+	before = min(before, end)
+	for _, h := range t.holds {
+		before = min(before, h.at.Load())
 	}
 	drop := before - t.base
 	if drop <= 0 {
@@ -342,23 +401,30 @@ func (b *Broker) Truncate(pid partition.ID, before int64) int64 {
 }
 
 // ReplayInto applies every retained record from offset `from` whose
-// version the partition has not yet installed — crash recovery's replay
-// after loading the checkpoint. It returns the number of records applied
-// and the offset replay reached (the subscription point for the rebuilt
-// copy).
+// version the partition has not yet installed — the tail a copy built
+// from the checkpoint replays. It returns the records' wire bytes (every
+// record read, as a subscriber's fetch of them is charged) and the offset
+// replay reached (the copy's subscription point). It fails with
+// ErrTruncated, applying nothing, when records at or above from have been
+// reclaimed.
 func (b *Broker) ReplayInto(p *partition.Partition, pid partition.ID, from int64) (int, int64, error) {
 	recs, next := b.Poll(pid, from, 0)
-	applied := 0
-	for _, rec := range recs {
+	// Poll starts at the base when from lies below it.
+	if start := next - int64(len(recs)); start > from {
+		return 0, from, fmt.Errorf("%w: partition %d: replay from %d, log starts at %d", ErrTruncated, pid, from, start)
+	}
+	bytes := 0
+	for i := range recs {
+		rec := &recs[i]
+		bytes += rec.Bytes()
 		if rec.Version <= p.Version() {
 			continue
 		}
-		if err := Apply(p, rec); err != nil {
-			return applied, next, err
+		if err := Apply(p, *rec); err != nil {
+			return bytes, next, err
 		}
-		applied++
 	}
-	return applied, next, nil
+	return bytes, next, nil
 }
 
 // Apply replays a record's entries into a partition replica. Used by the

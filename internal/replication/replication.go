@@ -70,6 +70,7 @@ type subscription struct {
 	pid    partition.ID
 	p      *partition.Partition
 	offset int64
+	hold   *redolog.Hold    // keeps the log from offset up from truncation
 	queue  []redolog.Record // polled but not yet applied
 	// dead is set under mu when the subscription is removed. A fetch or
 	// PollOnce round snapshots subscription pointers before working through
@@ -107,20 +108,24 @@ func (r *Replicator) SetObs(reg *obs.Registry, prefix string) {
 }
 
 // Subscribe registers a replica partition, consuming the log from offset.
+// The subscription holds the log at the offset it has consumed to, so
+// the broker truncates nothing it has yet to fetch.
 func (r *Replicator) Subscribe(pid partition.ID, p *partition.Partition, offset int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.subs[pid]; ok {
 		kill(old)
 	}
-	r.subs[pid] = &subscription{pid: pid, p: p, offset: offset}
+	r.subs[pid] = &subscription{pid: pid, p: p, offset: offset, hold: r.broker.Hold(pid, offset)}
 }
 
 // kill marks a removed subscription so in-flight poll/apply rounds that
-// still hold its pointer become no-ops instead of mutating the copy.
+// still hold its pointer become no-ops instead of mutating the copy, and
+// releases its hold on the log.
 func kill(s *subscription) {
 	s.mu.Lock()
 	s.dead = true
+	s.hold.Release()
 	s.mu.Unlock()
 }
 
@@ -239,8 +244,8 @@ func (r *Replicator) fetch(subs []*subscription) (int, error) {
 		if len(b.recs) == lo {
 			continue
 		}
-		for _, rec := range b.recs[lo:] {
-			bytes += approxRecordBytes(rec)
+		for i := lo; i < len(b.recs); i++ {
+			bytes += b.recs[i].Bytes()
 		}
 		b.got = append(b.got, fetched{s: s, from: from, next: next, lo: lo, hi: len(b.recs)})
 	}
@@ -259,6 +264,7 @@ func (r *Replicator) fetch(subs []*subscription) (int, error) {
 		if !s.dead && s.offset == f.from {
 			s.queue = append(s.queue, b.recs[f.lo:f.hi]...)
 			s.offset = f.next
+			s.hold.Advance(f.next)
 			queued += f.hi - f.lo
 		}
 		s.mu.Unlock()
@@ -466,7 +472,7 @@ func (r *Replicator) CatchUp(pid partition.ID, version uint64) (time.Duration, e
 
 // Offsets snapshots every subscription's consumed offset. Records below a
 // subscription's offset are already polled into its queue (the queue holds
-// copies), so the broker may safely truncate below the minimum of these.
+// copies); its hold keeps the broker from truncating any record above.
 func (r *Replicator) Offsets() map[partition.ID]int64 {
 	subs := r.snapshot()
 	out := make(map[partition.ID]int64, len(subs))
@@ -510,15 +516,3 @@ func (r *Replicator) Run(interval time.Duration, stop <-chan struct{}) {
 
 // Applied reports cumulative applied records.
 func (r *Replicator) Applied() int64 { return r.applied.Load() }
-
-// approxRecordBytes estimates a record's wire size for network charging.
-func approxRecordBytes(rec redolog.Record) int {
-	n := 24
-	for _, e := range rec.Entries {
-		n += 16 + 8*len(e.Cols)
-		for range e.Vals {
-			n += 12
-		}
-	}
-	return n
-}

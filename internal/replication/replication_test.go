@@ -179,7 +179,7 @@ func newFetchFixture(t *testing.T, parts int) (*redolog.Broker, *simnet.Network,
 		r.Subscribe(pid, ps[i], 0)
 		rec := insertRec(pid, 1, 1)
 		broker.Append(rec)
-		bytes += approxRecordBytes(rec)
+		bytes += rec.Bytes()
 	}
 	return broker, nw, r, ps, bytes
 }
@@ -357,6 +357,37 @@ func TestOffsetsTrackConsumption(t *testing.T) {
 	r.Unsubscribe(8)
 	if _, ok := r.Offsets()[8]; ok {
 		t.Error("unsubscribed partition still reported")
+	}
+}
+
+// TestSubscriptionHoldsTheLog: the broker truncates nothing a
+// subscription has yet to fetch, however far it is asked to, and lets the
+// records go as the subscription consumes them or is removed.
+func TestSubscriptionHoldsTheLog(t *testing.T) {
+	broker := redolog.NewBroker()
+	broker.CreateTopic(7)
+	for v := uint64(1); v <= 4; v++ {
+		broker.Append(insertRec(7, v, schema.RowID(v)))
+	}
+	r := New(broker, nil, 1, simnet.ASASite)
+	p := newPart(7)
+	r.Subscribe(7, p, 1)
+	if broker.Truncate(7, 4); broker.BaseOffset(7) != 1 {
+		t.Fatalf("log starts at %d under a subscription at 1, want 1", broker.BaseOffset(7))
+	}
+	if _, err := r.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Version() != 4 {
+		t.Fatalf("replica at version %d, want 4", p.Version())
+	}
+	broker.Append(insertRec(7, 5, 5))
+	if broker.Truncate(7, 5); broker.BaseOffset(7) != 4 {
+		t.Fatalf("log starts at %d after the subscription consumed to 4, want 4", broker.BaseOffset(7))
+	}
+	r.Unsubscribe(7)
+	if broker.Truncate(7, 5); broker.BaseOffset(7) != 5 {
+		t.Fatalf("log starts at %d after unsubscribing, want 5", broker.BaseOffset(7))
 	}
 }
 

@@ -25,20 +25,26 @@ type Disk struct {
 	kinds []types.Kind
 	dev   *disksim.Device
 
-	block    disksim.BlockID
-	hasBlock bool
-	index    map[schema.RowID]idxEntry
-	order    []schema.RowID // sorted ids present in the flushed image
-
-	buffer     map[schema.RowID]*bufVersion // pending newer versions
-	bufIDs     []schema.RowID               // sorted ids present only in buffer
-	flushedVer uint64
-	imageBytes int
+	gen    *diskGen                     // the flushed image
+	buffer map[schema.RowID]*bufVersion // pending newer versions
+	bufIDs []schema.RowID               // sorted ids present only in buffer
 	// reads and writes count block accesses; they sit off mu, which every
 	// concurrent scan and point read takes.
 	reads  atomic.Int64
 	writes atomic.Int64
 	layout storage.Layout
+}
+
+// diskGen is one flushed image: its block, each row's place in it, the
+// sorted ids it holds and its size. A generation never changes once made;
+// LoadImage (every Flush) swaps in a new one, and scans and point reads
+// pin the one they start on, so its block is freed only after the last of
+// them has finished reading it.
+type diskGen struct {
+	disksim.Generation
+	index map[schema.RowID]idxEntry
+	order []schema.RowID
+	bytes int
 }
 
 type idxEntry struct {
@@ -55,10 +61,12 @@ type bufVersion struct {
 
 // NewDisk creates an empty on-disk row store backed by dev.
 func NewDisk(kinds []types.Kind, dev *disksim.Device) *Disk {
+	g := &diskGen{index: make(map[schema.RowID]idxEntry)}
+	g.Init(dev)
 	return &Disk{
 		kinds:  kinds,
 		dev:    dev,
-		index:  make(map[schema.RowID]idxEntry),
+		gen:    g,
 		buffer: make(map[schema.RowID]*bufVersion),
 		layout: storage.Layout{Format: storage.RowFormat, Tier: storage.DiskTier, SortBy: storage.NoSort},
 	}
@@ -115,35 +123,28 @@ func (d *Disk) decodeRow(data []byte) (schema.Row, error) {
 }
 
 // LoadImage implements storage.Store: rows are dynamically sized and
-// written to disk sequentially (§4.4).
+// written to disk sequentially (§4.4) as a new generation, and the old one
+// is freed when its last reader unpins it.
 func (d *Disk) LoadImage(image storage.Image, ver uint64) error {
 	if err := image.Check(d.kinds); err != nil {
 		return fmt.Errorf("rowstore: %w", err)
 	}
 	img, index := d.serialize(image)
-	order := slices.Clone(image.IDs)
-
-	d.mu.Lock()
-	oldBlock, had := d.block, d.hasBlock
-	d.mu.Unlock()
-
 	blk, err := d.dev.Write(img)
 	if err != nil {
 		return err
 	}
-	if had {
-		_ = d.dev.Free(oldBlock)
-	}
+	g := &diskGen{index: index, order: slices.Clone(image.IDs), bytes: len(img)}
+	g.Init(d.dev, blk)
 
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.block, d.hasBlock = blk, true
-	d.index, d.order = index, order
+	old := d.gen
+	d.gen = g
 	d.buffer = make(map[schema.RowID]*bufVersion)
 	d.bufIDs = nil
-	d.flushedVer = ver
-	d.imageBytes = len(img)
+	d.mu.Unlock()
 	d.writes.Add(1)
+	old.Unpin()
 	return nil
 }
 
@@ -151,7 +152,7 @@ func (d *Disk) bufferWrite(id schema.RowID, vals []types.Value, ver uint64, dele
 	cur := d.buffer[id]
 	d.buffer[id] = &bufVersion{vals: vals, ver: ver, prev: cur, deleted: deleted}
 	if cur == nil {
-		if _, onDisk := d.index[id]; !onDisk {
+		if _, onDisk := d.gen.index[id]; !onDisk {
 			i := sort.Search(len(d.bufIDs), func(i int) bool { return d.bufIDs[i] >= id })
 			if i == len(d.bufIDs) || d.bufIDs[i] != id {
 				d.bufIDs = append(d.bufIDs, 0)
@@ -170,8 +171,8 @@ func (d *Disk) Insert(row schema.Row, ver uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// A row is a duplicate if it is live in the buffer, or present on disk
-	// with no buffered tombstone (liveLocked defers to disk in that case).
-	if v, done := d.liveLocked(row.ID, storage.Latest); !done || v != nil {
+	// with no buffered tombstone (live defers to disk in that case).
+	if v, done := live(d.buffer, d.gen, row.ID, storage.Latest); !done || v != nil {
 		return fmt.Errorf("rowstore: duplicate row %d", row.ID)
 	}
 	vals := make([]types.Value, len(row.Vals))
@@ -180,11 +181,12 @@ func (d *Disk) Insert(row schema.Row, ver uint64) error {
 	return nil
 }
 
-// liveLocked returns the row's current values at snap, consulting the
-// buffer first then the disk image. The bool reports whether the lookup
-// completed (a nil slice with ok=true means deleted/absent).
-func (d *Disk) liveLocked(id schema.RowID, snap uint64) ([]types.Value, bool) {
-	for v := d.buffer[id]; v != nil; v = v.prev {
+// live returns a row's values at snap from a buffer over a generation's
+// image, consulting the buffer first. The bool reports whether the lookup
+// completed (a nil slice with ok=true means deleted/absent); when it did
+// not, the row is in the image. The caller holds d.mu, shared at least.
+func live(buf map[schema.RowID]*bufVersion, g *diskGen, id schema.RowID, snap uint64) ([]types.Value, bool) {
+	for v := buf[id]; v != nil; v = v.prev {
 		if v.ver <= snap {
 			if v.deleted {
 				return nil, true
@@ -192,21 +194,30 @@ func (d *Disk) liveLocked(id schema.RowID, snap uint64) ([]types.Value, bool) {
 			return v.vals, true
 		}
 	}
-	if _, ok := d.index[id]; ok {
+	if _, ok := g.index[id]; ok {
 		return nil, false // caller must read from disk
 	}
 	return nil, true
 }
 
-func (d *Disk) readFromDisk(id schema.RowID) (schema.Row, error) {
+// lookup resolves a row at snap against the current buffer and
+// generation, pinning the generation; the caller unpins it.
+func (d *Disk) lookup(id schema.RowID, snap uint64) (vals []types.Value, done bool, g *diskGen) {
 	d.mu.RLock()
-	e, ok := d.index[id]
-	blk := d.block
+	vals, done = live(d.buffer, d.gen, id, snap)
+	g = d.gen
+	g.Pin()
 	d.mu.RUnlock()
+	return vals, done, g
+}
+
+// readRow reads one row of a pinned generation's image.
+func (d *Disk) readRow(g *diskGen, id schema.RowID) (schema.Row, error) {
+	e, ok := g.index[id]
 	if !ok {
 		return schema.Row{}, fmt.Errorf("rowstore: row %d not on disk", id)
 	}
-	data, err := d.dev.ReadRange(blk, e.off, e.n)
+	data, err := d.dev.ReadRange(g.Block(0), e.off, e.n)
 	if err != nil {
 		return schema.Row{}, err
 	}
@@ -236,16 +247,15 @@ func (d *Disk) Update(id schema.RowID, cols []schema.ColID, vals []types.Value, 
 
 // currentRow fetches the newest values of a live row, from buffer or disk.
 func (d *Disk) currentRow(id schema.RowID) ([]types.Value, error) {
-	d.mu.RLock()
-	vals, done := d.liveLocked(id, storage.Latest)
-	d.mu.RUnlock()
+	vals, done, g := d.lookup(id, storage.Latest)
+	defer g.Unpin()
 	if done {
 		if vals == nil {
 			return nil, fmt.Errorf("rowstore: row %d not found", id)
 		}
 		return vals, nil
 	}
-	r, err := d.readFromDisk(id)
+	r, err := d.readRow(g, id)
 	if err != nil {
 		return nil, err
 	}
@@ -268,16 +278,15 @@ func (d *Disk) Delete(id schema.RowID, ver uint64) error {
 // flush observe the flushed image (the maintenance layer flushes only
 // versions no active snapshot still needs).
 func (d *Disk) Get(id schema.RowID, cols []schema.ColID, snap uint64) (schema.Row, bool) {
-	d.mu.RLock()
-	vals, done := d.liveLocked(id, snap)
-	d.mu.RUnlock()
+	vals, done, g := d.lookup(id, snap)
+	defer g.Unpin()
 	if done {
 		if vals == nil {
 			return schema.Row{}, false
 		}
 		return schema.Row{ID: id, Vals: project(vals, cols)}, true
 	}
-	r, err := d.readFromDisk(id)
+	r, err := d.readRow(g, id)
 	if err != nil {
 		return schema.Row{}, false
 	}
@@ -294,27 +303,29 @@ func project(vals []types.Value, cols []schema.ColID) []types.Value {
 
 // ScanBatches implements storage.Store: one sequential image read merged
 // with the update buffer, transposed into pooled batches in RowID order.
-// Only the rows with lo <= id < hi are decoded.
+// Only the rows with lo <= id < hi are decoded. The generation and the
+// buffer over it come from one critical section, and the generation stays
+// pinned until the scan ends, so a concurrent Flush neither frees the
+// image under the scan nor pairs it with the next image's buffer.
 func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema.RowID, snap uint64, maxRows int, fn func(*storage.Batch) bool) {
 	if maxRows <= 0 {
 		maxRows = storage.DefaultBatchRows
 	}
 	d.mu.RLock()
-	blk, has := d.block, d.hasBlock
-	order := idRange(d.order, lo, hi)
+	g, buf := d.gen, d.buffer
+	g.Pin()
+	order := idRange(g.order, lo, hi)
 	bufIDs := append([]schema.RowID(nil), idRange(d.bufIDs, lo, hi)...)
 	d.mu.RUnlock()
+	defer g.Unpin()
 
 	diskRows := map[schema.RowID]schema.Row{}
-	if has && len(order) > 0 {
-		img, err := d.dev.Read(blk)
+	if len(order) > 0 {
+		img, err := d.dev.Read(g.Block(0))
 		if err == nil {
 			d.reads.Add(1)
-			d.mu.RLock()
-			index := d.index
-			d.mu.RUnlock()
 			for _, id := range order {
-				e := index[id]
+				e := g.index[id]
 				if r, err := d.decodeRow(img[e.off : e.off+e.n]); err == nil {
 					diskRows[id] = r
 				}
@@ -332,7 +343,7 @@ func (d *Disk) ScanBatches(cols []schema.ColID, pred storage.Pred, lo, hi schema
 	for _, id := range ids {
 		var vals []types.Value
 		d.mu.RLock()
-		bvals, done := d.liveLocked(id, snap)
+		bvals, done := live(buf, g, id, snap)
 		d.mu.RUnlock()
 		if done {
 			if bvals == nil {
@@ -422,7 +433,7 @@ func (d *Disk) Stats() storage.Stats {
 			live++
 		}
 	}
-	for id := range d.index {
+	for id := range d.gen.index {
 		if !seen[id] {
 			live++
 		}
@@ -435,7 +446,7 @@ func (d *Disk) Stats() storage.Stats {
 	}
 	return storage.Stats{
 		Rows:       live,
-		Bytes:      d.imageBytes,
+		Bytes:      d.gen.bytes,
 		Versions:   nv,
 		DeltaRows:  len(d.buffer),
 		DiskReads:  int(d.reads.Load()),

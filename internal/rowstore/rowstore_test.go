@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -588,4 +590,85 @@ func load(s storage.Store, kinds []types.Kind, rows []schema.Row, ver uint64) er
 // extract boxes every live row of s at ver, ordered by id.
 func extract(s storage.Store, kinds []types.Kind, ver uint64) []schema.Row {
 	return storage.Capture(s, kinds, ver).Rows()
+}
+
+// TestDiskReadsAcrossFlushes runs scans and point reads while another
+// goroutine updates, inserts and flushes over and over. Every scan sees
+// every loaded row and every point read finds its row: a read pins the
+// generation it starts on, so a flush neither frees the image under it
+// nor pairs it with the next image's index or buffer.
+func TestDiskReadsAcrossFlushes(t *testing.T) {
+	const rows, flushes = 500, 200
+	d := NewDisk(testKinds, disksim.New(disksim.Config{}))
+	base := make([]schema.Row, rows)
+	for i := range base {
+		base[i] = mkRow(int64(i))
+	}
+	if err := load(d, testKinds, base, 1); err != nil {
+		t.Fatal(err)
+	}
+	var short, torn, missed, scans, gets atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n, prev := 0, schema.RowID(-1)
+			d.ScanBatches([]schema.ColID{0, 1}, nil, 0, 2*rows, storage.Latest, 64, func(b *storage.Batch) bool {
+				for i := 0; i < b.NumRows(); i++ {
+					if id := b.RowIDs[i]; id <= prev {
+						torn.Add(1)
+					} else {
+						prev = id
+					}
+				}
+				n += b.NumRows()
+				return true
+			})
+			if n < rows {
+				short.Add(1)
+			}
+			scans.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for id := 0; ; id = (id + 13) % rows {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r, ok := d.Get(schema.RowID(id), []schema.ColID{1}, storage.Latest); !ok || r.Vals[0].S != base[id].Vals[1].S {
+				missed.Add(1)
+			}
+			gets.Add(1)
+		}
+	}()
+	for f := 0; f < flushes; f++ {
+		ver := uint64(f + 2)
+		for id := f % 7; id < rows; id += 7 {
+			if err := d.Update(schema.RowID(id), []schema.ColID{0}, []types.Value{types.NewInt64(-int64(ver))}, ver); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Insert(mkRow(int64(rows+f)), ver); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(ver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if short.Load()+torn.Load()+missed.Load() != 0 {
+		t.Errorf("across %d flushes: %d of %d scans short, %d out of id order; %d of %d point reads missed their row",
+			flushes, short.Load(), scans.Load(), torn.Load(), missed.Load(), gets.Load())
+	}
 }

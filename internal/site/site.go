@@ -303,10 +303,10 @@ func (s *Site) RunScan(f func()) error {
 func (s *Site) ScanWorkers() int { return s.cfg.ScanWorkers }
 
 // HostedCopy remembers one copy a crashed site was hosting, so recovery
-// can rebuild it from the redo log.
+// can rebuild it from the redo log. Whether it comes back as the master
+// is the directory's to say: a failover may have moved mastership.
 type HostedCopy struct {
 	ID     partition.ID
-	Master bool
 	Layout storage.Layout
 }
 
@@ -325,7 +325,7 @@ func (s *Site) Crash() []HostedCopy {
 	s.mu.Lock()
 	hosted := make([]HostedCopy, 0, len(s.parts))
 	for id, p := range s.parts {
-		hosted = append(hosted, HostedCopy{ID: id, Master: s.masters[id], Layout: p.Layout()})
+		hosted = append(hosted, HostedCopy{ID: id, Layout: p.Layout()})
 	}
 	s.parts = make(map[partition.ID]*partition.Partition)
 	s.masters = make(map[partition.ID]bool)

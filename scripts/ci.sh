@@ -32,8 +32,10 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # merge of the sites' shares at the coordinator, the in-memory column store with
 # its delta, scan chunks and column builds, the disk column store and the
 # simulated device its blocks are read from, the storage batches and filter
-# kernels, the zone map) and the per-tick log paths (the redo-log broker
-# and its checkpoint fold, replication's fetch and apply) format no strings and sort through
+# kernels, the zone map), the per-tick log paths (the redo-log broker
+# and its checkpoint fold, replication's fetch and apply), and the engine's
+# layout operators, copy builds and recovery, admission hooks and operation
+# stats format no strings and sort through
 # slices.*: fmt.Sprint* and fmt.Fprint* allocate on every call, and
 # sort.Slice / sort.SliceStable allocate a closure and a reflect swapper.
 # fmt.Errorf on error returns is allowed; test files are not checked.
@@ -43,6 +45,7 @@ hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/
     internal/disksim/disksim.go
     internal/storage/{batch,kernels,image}.go internal/zonemap/zonemap.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
+    internal/cluster/{layout,recovery,admission,stats}.go
     internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
     internal/replication/replication.go internal/redolog/{redolog,checkpoint}.go)
 for f in internal/txn/*.go; do
