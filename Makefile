@@ -1,4 +1,4 @@
-.PHONY: build test check bench chaos sim
+.PHONY: build test check bench chaos sim figures
 
 build:
 	go build ./...
@@ -23,6 +23,13 @@ chaos:
 # loss, replica convergence and the per-scenario bounds.
 sim:
 	go run ./cmd/proteus-sim run scenarios/*.json
+
+# figures runs every paper figure (scenarios/figures/) at quick scale on
+# the wall clock: each figure's table, one PASS/FAIL line per predicate and
+# mix, and one JSON line per run, appended to results/figures-history.jsonl
+# (never overwritten). `-scale full` gives the reported numbers.
+figures:
+	go run ./cmd/proteus-sim figure -scale quick -history results/figures-history.jsonl scenarios/figures/*.json
 
 # check is the CI pipeline: vet + build + tests + race detector over the
 # concurrency-heavy packages.

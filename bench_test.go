@@ -1,21 +1,22 @@
 // bench_test.go holds testing.B benchmarks, one per paper table/figure
-// (the full parameter sweeps live in cmd/proteus-bench; these benches
-// measure the steady-state per-operation costs each artifact is built
-// from), plus component micro-benchmarks for the storage layouts and
-// operators.
+// (the full parameter sweeps are the figure scenarios under
+// scenarios/figures/, run by `proteus-sim figure`; these benches measure
+// the steady-state per-operation costs each artifact is built from), plus
+// component micro-benchmarks for the storage layouts and operators, and
+// Fig 3's load-independent update shape and scan answers as tests.
 package proteus
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"proteus/internal/cluster"
 	"proteus/internal/disksim"
 	"proteus/internal/exec"
-	"proteus/internal/harness"
 	"proteus/internal/obs"
 	"proteus/internal/partition"
 	"proteus/internal/query"
@@ -30,7 +31,7 @@ import (
 
 // --- Fig 3: row vs column microbenchmark ---------------------------------
 
-func microPartition(b *testing.B, l storage.Layout, rows, cols int) *partition.Partition {
+func microPartition(b testing.TB, l storage.Layout, rows, cols int) *partition.Partition {
 	b.Helper()
 	kinds := make([]types.Kind, cols)
 	for i := range kinds {
@@ -95,6 +96,66 @@ func benchScan(b *testing.B, l storage.Layout, sel float64) {
 	}
 }
 
+// TestFig3UpdateBytes holds Fig 3a's shape on what no host load can move:
+// the heap bytes an update writes. A row update copies one 80-byte row
+// array; a column update gathers the row out of ten column arrays into
+// boxed cells and copies those into the delta store. The wall-clock
+// update and scan ratios are the BenchmarkFig3* benchmarks'.
+func TestFig3UpdateBytes(t *testing.T) {
+	const updates = 100
+	perUpdate := func(l storage.Layout) uint64 {
+		p := microPartition(t, l, 10000, 10)
+		cols := make([]schema.ColID, 10)
+		vals := make([]types.Value, 10)
+		for i := range cols {
+			cols[i] = schema.ColID(i)
+			vals[i] = types.NewInt64(int64(-i))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for u := 0; u < updates; u++ {
+			if _, err := exec.Update(p, schema.RowID(u), cols, vals, uint64(u+2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / updates
+	}
+	row, col := perUpdate(storage.DefaultRowLayout()), perUpdate(storage.DefaultColumnLayout())
+	if row >= col {
+		t.Errorf("an update writes %d heap bytes under rows and %d under columns; rows should write fewer", row, col)
+	}
+}
+
+// TestFig3ScansAgree runs Fig 3b's and 3c's scans (10,000 rows, 1 of 10
+// columns, at 10% and 100% selectivity) on row and column storage and
+// checks each returns the rows the predicate selects: the scans the
+// BenchmarkFig3b*/3c* benchmarks time must answer alike on both layouts.
+func TestFig3ScansAgree(t *testing.T) {
+	for _, sel := range []float64{0.1, 1} {
+		n := int64(10000 * sel)
+		wantSum := 10*n*(n-1)/2 + n // column 1 of row i holds 10i+1
+		var pred storage.Pred
+		if sel < 1 {
+			pred = storage.Pred{{Col: 0, Op: storage.CmpLt, Val: types.NewInt64(int64(100000 * sel))}}
+		}
+		for name, l := range map[string]storage.Layout{
+			"row":    storage.DefaultRowLayout(),
+			"column": storage.DefaultColumnLayout(),
+		} {
+			rel, _, _ := exec.Scan(microPartition(t, l, 10000, 10), []schema.ColID{1}, pred, storage.Latest)
+			var sum int64
+			for _, tup := range rel.Tuples {
+				sum += tup[0].Int()
+			}
+			if int64(rel.NumRows()) != n || sum != wantSum {
+				t.Errorf("%s scan at %.0f%%: %d rows summing to %d, want %d summing to %d",
+					name, sel*100, rel.NumRows(), sum, n, wantSum)
+			}
+		}
+	}
+}
+
 // BenchmarkFig3aUpdateRow measures Fig 3a's row-format update latency.
 func BenchmarkFig3aUpdateRow(b *testing.B) { benchUpdate(b, storage.DefaultRowLayout()) }
 
@@ -142,6 +203,10 @@ func benchYCSB(b *testing.B, mode cluster.Mode) (*cluster.Engine, *ycsb.Workload
 
 // --- Figs 8a/9: YCSB per-system round cost --------------------------------
 
+// balancedYCSB is the balanced YCSB mix's transactions per query
+// (scenarios/figures/fig8a.json's middle mix).
+const balancedYCSB = 6
+
 func benchYCSBRound(b *testing.B, mode cluster.Mode) {
 	e, w := benchYCSB(b, mode)
 	c := w.NewClient(0, rand.New(rand.NewSource(1)))
@@ -152,7 +217,7 @@ func benchYCSBRound(b *testing.B, mode cluster.Mode) {
 		if _, err := e.ExecuteQuery(context.Background(), sess, c.OLAP()); err != nil {
 			b.Fatal(err)
 		}
-		for k := 0; k < harness.Balanced.OLTPPerOLAP; k++ {
+		for k := 0; k < balancedYCSB; k++ {
 			if _, err := e.ExecuteTxn(context.Background(), sess, c.OLTP()); err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +340,6 @@ func BenchmarkFig14FreshnessQuery(b *testing.B) {
 	e := benchEngine(b, cluster.ModeProteus)
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = 4000
-	cfg.Freshness = true
 	w, err := ycsb.Setup(e, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -12,8 +12,6 @@
 package asa
 
 import (
-	"fmt"
-	"os"
 	"time"
 
 	"proteus/internal/cost"
@@ -22,9 +20,6 @@ import (
 	"proteus/internal/simnet"
 	"proteus/internal/storage"
 )
-
-// Debug enables evaluation tracing via PROTEUS_DEBUG_ADVISOR=1.
-var Debug = os.Getenv("PROTEUS_DEBUG_ADVISOR") == "1"
 
 // Flags enables or disables individual adaptive techniques — the knobs of
 // the ablation study (§6.3.7).
@@ -223,10 +218,6 @@ func (ev *Evaluator) opLatencyPair(view PartitionView, cur, next storage.Layout)
 func (ev *Evaluator) expectedEffect(view PartitionView, cur, next storage.Layout) float64 {
 	cu, cp, cs, nu, np, ns := ev.opLatencyPair(view, cur, next)
 	dUpd, dPoint, dScan := cu-nu, cp-np, cs-ns
-	if Debug {
-		fmt.Printf("[asa] pid=%d %v->%v cu=%.1f nu=%.1f cp=%.1f np=%.1f cs=%.1f ns=%.1f w=%.3f rates=%+v\n",
-			view.PID, cur, next, cu, nu, cp, np, cs, ns, view.Rates.Weight(), view.Rates)
-	}
 	e := view.Rates.Weight() * (view.Rates.Updates*dUpd + view.Rates.PointReads*dPoint + view.Rates.Scans*dScan)
 	c := view.Ongoing.Weight() * (view.Ongoing.Updates*dUpd + view.Ongoing.PointReads*dPoint + view.Ongoing.Scans*dScan)
 	return e + c

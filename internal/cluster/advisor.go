@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,9 +18,6 @@ import (
 	"proteus/internal/simnet"
 	"proteus/internal/storage"
 )
-
-// debugAdvisor enables decision tracing via PROTEUS_DEBUG_ADVISOR=1.
-var debugAdvisor = os.Getenv("PROTEUS_DEBUG_ADVISOR") == "1"
 
 // AdaptConfig parameterizes the adaptive storage advisor.
 type AdaptConfig struct {
@@ -425,11 +421,6 @@ func (a *Advisor) adaptPartition(pid partition.ID, predicted bool, trigger strin
 		best, found := a.bestCandidate(view)
 		planDur := a.e.clk.Since(planStart)
 		a.e.stats.Record(planClass, planDur)
-		if debugAdvisor {
-			fmt.Printf("[advisor] pid=%d layout=%v rates={u:%.1f p:%.1f s:%.1f} best=%v net=%.0f found=%v\n",
-				pid, view.Master.Layout, view.Rates.Updates, view.Rates.PointReads, view.Rates.Scans,
-				best.Kind, best.Net, found)
-		}
 		if !found || best.Net <= 0 {
 			return
 		}
@@ -475,9 +466,6 @@ func (a *Advisor) bestCandidate(view asa.PartitionView) (asa.Candidate, bool) {
 		key := a.decisionKey(view)
 		if d, ok := a.decisions.Lookup(key); ok {
 			if cached, ok := d.(asa.Candidate); ok && cached.Net > 0 {
-				if debugAdvisor {
-					fmt.Printf("[advisor]   cache hit pid=%d cached=%v net=%.0f\n", view.PID, cached.Kind, cached.Net)
-				}
 				// Reapply the cached decision if it is still viable for
 				// this partition (same change kind and resulting layout).
 				for _, c := range viable {
@@ -493,9 +481,6 @@ func (a *Advisor) bestCandidate(view asa.PartitionView) (asa.Candidate, bool) {
 	best := asa.Candidate{Net: -1}
 	for _, c := range viable {
 		ev := a.eval.Evaluate(view, c)
-		if debugAdvisor {
-			fmt.Printf("[advisor]   cand pid=%d %v -> %v net=%.0f\n", view.PID, c.Kind, c.NewLayout, ev.Net)
-		}
 		if ev.Net > best.Net {
 			best = ev
 		}

@@ -7,17 +7,16 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"proteus/internal/admission"
 	"proteus/internal/cluster"
-	"proteus/internal/exec"
 	"proteus/internal/faults"
 	"proteus/internal/query"
 	"proteus/internal/schema"
 	"proteus/internal/simnet"
 	"proteus/internal/storage"
-	"proteus/internal/types"
 	"proteus/internal/vclock"
 )
 
@@ -31,17 +30,25 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// clientState is one closed-loop client's private tally. Clients own
-// disjoint row stripes, so the acked map records the last acknowledged
-// value per row without cross-client races — the read-back phase then
-// checks the healed cluster still serves exactly those values.
+// clientState is one closed-loop client's private tally for one pass.
 type clientState struct {
 	oltpAttempted, oltpAcked int64
 	olapAttempted, olapAcked int64
 	shed, errs               int64
 	unhinted                 int64 // sheds without a RetryAfter hint
-	acked                    map[schema.RowID]float64
+	// queryTime and queryN sum each OLAP query's latency, by its place in
+	// the workload's query cycle.
+	queryTime []time.Duration
+	queryN    []int64
+	// timeline counts acknowledged transactions per tenth of a timed run.
+	timeline [timelineBuckets]int64
+	// gap and gapN sum the freshness gaps the client's queries saw.
+	gap  time.Duration
+	gapN int64
 }
+
+// timelineBuckets divides a timed run into tenths.
+const timelineBuckets = 10
 
 // countShed tallies one overload error and whether it broke the shed
 // contract: every shed is a faults.OverloadError, which tells the client
@@ -52,13 +59,6 @@ func (st *clientState) countShed(err error) {
 	if !errors.As(err, &oe) {
 		st.unhinted++
 	}
-}
-
-var testCols = []schema.Column{
-	{Name: "id", Kind: types.KindInt64},
-	{Name: "grp", Kind: types.KindInt64},
-	{Name: "val", Kind: types.KindFloat64},
-	{Name: "note", Kind: types.KindString, AvgSize: 16},
 }
 
 // Run executes the scenario against a freshly built engine on the given
@@ -80,23 +80,12 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	e := cluster.New(cfg)
 	defer e.Close()
 
-	tbl, err := e.CreateTable(cluster.TableSpec{
-		Name: "items", Cols: testCols, MaxRows: schema.RowID(spec.Rows), Partitions: spec.Partitions,
-	})
+	wl, err := spec.load(e, clk)
 	if err != nil {
 		return nil, err
 	}
-	data := make([]schema.Row, 0, spec.Rows)
-	for i := int64(0); i < spec.Rows; i++ {
-		data = append(data, schema.Row{ID: schema.RowID(i), Vals: []types.Value{
-			types.NewInt64(i), types.NewInt64(i % 16), types.NewFloat64(float64(i)), types.NewString(fmt.Sprintf("row-%d", i)),
-		}})
-	}
-	if err := e.LoadRows(context.Background(), tbl.ID, data); err != nil {
-		return nil, err
-	}
 	if spec.ReplicateEach && spec.Sites > 1 {
-		for _, m := range e.Dir.TablePartitions(tbl.ID) {
+		for _, m := range e.Dir.All() {
 			target := simnet.SiteID((int(m.Master().Site) + 1) % spec.Sites)
 			if err := e.AddReplicaOp(m.ID, target, storage.DefaultColumnLayout()); err != nil {
 				return nil, fmt.Errorf("replicate partition %d: %w", m.ID, err)
@@ -112,6 +101,17 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		sort.Strings(tenants)
 	}
 
+	if spec.WarmUp > 0 { // fresh clients on other draws than the measured pass's
+		warm := spec
+		warm.RoundsPerClient = int(max(1, float64(spec.RoundsPerClient)*spec.WarmUp))
+		if spec.DurationMS > 0 {
+			warm.RoundsPerClient, warm.DurationMS = 0, max(1, int64(float64(spec.DurationMS)*spec.WarmUp))
+		}
+		warm.drive(e, wl, clk, tenants, ^spec.Seed)
+	}
+	// The clocks, operation counters and latency windows cover the
+	// measured pass.
+	e.Stats().Reset()
 	wallStart := time.Now()
 	virtStart := clk.Now()
 	runCtx, stopRun := context.WithCancel(context.Background())
@@ -138,100 +138,15 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		})
 	}
 
-	// Closed-loop clients over disjoint row stripes.
-	stats := make([]*clientState, spec.Clients)
-	var wg sync.WaitGroup
-	scanQuery := &query.Query{Root: &query.AggNode{
-		Child: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{2}},
-		Aggs:  []exec.AggSpec{{Func: exec.AggSum, Col: 0}, {Func: exec.AggCount}},
-	}}
-	for c := 0; c < spec.Clients; c++ {
-		st := &clientState{acked: make(map[schema.RowID]float64)}
-		stats[c] = st
-		wg.Add(1)
-		vclock.Go(clk, func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(spec.Seed<<16 + int64(c)))
-			sess := e.NewSession()
-			// Ops run on an uncancellable context: cancelling a commit wait
-			// leaves the write's outcome ambiguous (the enqueued group still
-			// flushes), which would poison acked-write verification. The run
-			// window is enforced between rounds instead.
-			ctx := context.Background()
-			if t := spec.tenantOf(c, tenants); t != "" {
-				ctx = admission.WithTenant(ctx, t)
-			}
-			lo := spec.Rows * int64(c) / int64(spec.Clients)
-			hi := spec.Rows * int64(c+1) / int64(spec.Clients)
-			for round := 0; ; round++ {
-				if spec.RoundsPerClient > 0 && round >= spec.RoundsPerClient {
-					return
-				}
-				if runCtx.Err() != nil {
-					return
-				}
-				think := spec.thinkFor(c, clk.Since(virtStart))
-				if think > 0 && vclock.SleepCtx(runCtx, clk, think) != nil {
-					return
-				}
-				for k := 0; k < spec.OLTPPerRound; k++ {
-					row := lo + rng.Int63n(hi-lo)
-					val := float64(round*spec.OLTPPerRound + k)
-					ops := []query.Op{{
-						Kind: query.OpUpdate, Table: tbl.ID, Row: schema.RowID(row),
-						Cols: []schema.ColID{2}, Vals: []types.Value{types.NewFloat64(val)},
-					}}
-					if k == 0 {
-						// One uniform read per round keeps a share of
-						// transactions distributed, exercising remote 2PC.
-						ops = append(ops, query.Op{
-							Kind: query.OpRead, Table: tbl.ID,
-							Row: schema.RowID(rng.Int63n(spec.Rows)), Cols: []schema.ColID{0},
-						})
-					}
-					st.oltpAttempted++
-					_, err := e.ExecuteTxn(ctx, sess, &query.Txn{Ops: ops})
-					switch {
-					case err == nil:
-						st.oltpAcked++
-						st.acked[schema.RowID(row)] = val
-					case errors.Is(err, faults.ErrOverload):
-						st.countShed(err)
-					default:
-						st.errs++
-					}
-				}
-				if spec.OLAPEvery > 0 && round%spec.OLAPEvery == 0 {
-					st.olapAttempted++
-					_, err := e.ExecuteQuery(ctx, sess, scanQuery)
-					switch {
-					case err == nil:
-						st.olapAcked++
-					case errors.Is(err, faults.ErrOverload):
-						st.countShed(err)
-					default:
-						st.errs++
-					}
-				}
-			}
-		})
-	}
-
-	// Timed mode: one registered sleeper closes the run window.
-	if spec.DurationMS > 0 {
-		vclock.Go(clk, func() {
-			clk.Sleep(ms(spec.DurationMS))
-			stopRun()
-		})
-	}
-	wg.Wait()
+	stats, measured := spec.drive(e, wl, clk, tenants, spec.Seed)
 	stopRun()
 	faultWG.Wait()
 	logf("workload done at t=%v", clk.Since(virtStart).Round(time.Millisecond))
 
-	// Capture admitted-work latency before the verification phase adds
-	// cheap read-back traffic to the recorders.
+	// Capture admitted-work latency and the figures' metrics before the
+	// verification phase adds cheap read-back traffic to the recorders.
 	oltpQ, olapQ, _ := e.Stats().Quantiles()
+	metrics := spec.metrics(e, wl, stats, measured, oltpQ, olapQ)
 
 	// Heal, recover, converge.
 	e.HealNet()
@@ -248,8 +163,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	// Read back every acknowledged write.
 	var counts Counts
 	var unhinted int64
-	verifySess := e.NewSession()
-	for c, st := range stats {
+	for _, st := range stats {
 		unhinted += st.unhinted
 		counts.OLTPAttempted += st.oltpAttempted
 		counts.OLTPAcked += st.oltpAcked
@@ -257,20 +171,23 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		counts.OLAPAcked += st.olapAcked
 		counts.Shed += st.shed
 		counts.Errors += st.errs
-		rows := make([]schema.RowID, 0, len(st.acked))
-		for r := range st.acked {
+	}
+	verifySess := e.NewSession()
+	for c, acked := range wl.acked {
+		rows := make([]schema.RowID, 0, len(acked))
+		for r := range acked {
 			rows = append(rows, r)
 		}
 		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 		for _, r := range rows {
-			got, err := readBack(e, verifySess, clk, tbl.ID, r)
+			got, err := readBack(e, verifySess, clk, wl.table, r)
 			counts.RowsVerified++
 			if err != nil {
 				counts.AckedLost++
 				logf("client %d row %d: acked write unreadable: %v", c, r, err)
-			} else if got != st.acked[r] {
+			} else if got != acked[r] {
 				counts.AckedLost++
-				logf("client %d row %d: acked %v, read %v", c, r, st.acked[r], got)
+				logf("client %d row %d: acked %v, read %v", c, r, acked[r], got)
 			}
 		}
 	}
@@ -289,10 +206,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		},
 		Virtual:       clk.Since(virtStart),
 		Wall:          time.Since(wallStart),
-		OLTPP50:       oltpQ.P50,
-		OLTPP99:       oltpQ.P99,
-		OLAPP50:       olapQ.P50,
-		OLAPP99:       olapQ.P99,
+		Metrics:       metrics,
 		FaultsApplied: faultsApplied,
 		ConvergeLag:   lag,
 	}
@@ -304,6 +218,116 @@ func Run(spec Spec, opt Options) (*Report, error) {
 		rep.Violations = append(rep.Violations, fmt.Sprintf("%d of %d sheds carried no RetryAfter hint", unhinted, counts.Shed))
 	}
 	return rep, nil
+}
+
+// drive runs one pass of closed-loop clients to its rounds or window and
+// returns their tallies and the pass's length. seed seeds the clients'
+// generators: client c draws from seed<<16 + c.
+func (s Spec) drive(e *cluster.Engine, wl *loaded, clk vclock.Clock, tenants []string, seed int64) ([]*clientState, time.Duration) {
+	start := clk.Now()
+	runCtx, stopRun := context.WithCancel(context.Background())
+	defer stopRun()
+	// lastAck is the newest acknowledged commit's clock time, for the
+	// freshness gap of the queries that follow it.
+	var lastAck atomic.Int64
+	lastAck.Store(start.UnixNano())
+	stats := make([]*clientState, s.Clients)
+	var wg sync.WaitGroup
+	for c := 0; c < s.Clients; c++ {
+		st := &clientState{queryTime: make([]time.Duration, len(wl.queries)), queryN: make([]int64, len(wl.queries))}
+		stats[c] = st
+		wg.Add(1)
+		vclock.Go(clk, func() {
+			defer wg.Done()
+			cl := wl.client(c, rand.New(rand.NewSource(seed<<16+int64(c))))
+			ack, _ := cl.(acker)
+			stamps, _ := cl.(stamper)
+			sess := e.NewSession()
+			// Ops run on an uncancellable context: cancelling a commit wait
+			// leaves the write's outcome ambiguous (the enqueued group still
+			// flushes), which would poison acked-write verification. The run
+			// window is enforced between rounds instead.
+			ctx := context.Background()
+			if t := s.tenantOf(c, tenants); t != "" {
+				ctx = admission.WithTenant(ctx, t)
+			}
+			for round := 0; ; round++ {
+				if s.RoundsPerClient > 0 && round >= s.RoundsPerClient {
+					return
+				}
+				if runCtx.Err() != nil {
+					return
+				}
+				elapsed := clk.Since(start)
+				ph := s.phaseAt(elapsed)
+				if wl.skew != nil {
+					wl.skew(float64(ph.HotShift) / float64(s.Clients))
+				}
+				think := s.thinkFor(c, ph)
+				if think > 0 && vclock.SleepCtx(runCtx, clk, think) != nil {
+					return
+				}
+				n := s.OLTPPerRound
+				if ph.OLTPPerRound > 0 {
+					n = ph.OLTPPerRound
+				}
+				for k := 0; k < n; k++ {
+					st.oltpAttempted++
+					_, err := e.ExecuteTxn(ctx, sess, cl.OLTP())
+					switch {
+					case err == nil:
+						st.oltpAcked++
+						if ack != nil {
+							ack.ack()
+						}
+						if stamps != nil {
+							lastAck.Store(clk.Now().UnixNano())
+						}
+						if s.DurationMS > 0 {
+							st.timeline[min(timelineBuckets-1, int(elapsed*timelineBuckets/ms(s.DurationMS)))]++
+						}
+					case errors.Is(err, faults.ErrOverload):
+						st.countShed(err)
+					default:
+						st.errs++
+					}
+				}
+				if s.OLAPEvery > 0 && round%s.OLAPEvery == 0 {
+					qi := (c + int(st.olapAttempted)) % len(wl.queries)
+					st.olapAttempted++
+					before := time.Unix(0, lastAck.Load())
+					t0 := clk.Now()
+					res, err := e.ExecuteQuery(ctx, sess, cl.OLAP())
+					switch {
+					case err == nil:
+						st.olapAcked++
+						st.queryTime[qi] += clk.Since(t0)
+						st.queryN[qi]++
+						if stamps != nil {
+							if oldest, ok := stamps.oldest(res); ok {
+								st.gap += max(0, before.Sub(oldest))
+								st.gapN++
+							}
+						}
+					case errors.Is(err, faults.ErrOverload):
+						st.countShed(err)
+					default:
+						st.errs++
+					}
+				}
+			}
+		})
+	}
+
+	// Timed mode: one registered sleeper closes the run window.
+	if s.DurationMS > 0 {
+		vclock.Go(clk, func() {
+			clk.Sleep(ms(s.DurationMS))
+			stopRun()
+		})
+	}
+	wg.Wait()
+	return stats, clk.Since(start)
 }
 
 // schedule builds the fault event list: faults.NewSchedule from the
@@ -422,8 +446,8 @@ func (a AssertSpec) check(r *Report) []string {
 			}
 		}
 	}
-	if a.OLTPP99MaxMS > 0 && r.OLTPP99 > ms2(a.OLTPP99MaxMS) {
-		add("admitted OLTP p99 %v > max %v", r.OLTPP99.Round(10*time.Microsecond), ms2(a.OLTPP99MaxMS))
+	if p99 := r.Metrics["oltp_p99_ms"]; a.OLTPP99MaxMS > 0 && p99 > a.OLTPP99MaxMS {
+		add("admitted OLTP p99 %.2fms > max %gms", p99, a.OLTPP99MaxMS)
 	}
 	if a.MinOLTPAcked > 0 && c.OLTPAcked < a.MinOLTPAcked {
 		add("oltp acked %d < min %d", c.OLTPAcked, a.MinOLTPAcked)
@@ -439,6 +463,3 @@ func (a AssertSpec) check(r *Report) []string {
 	}
 	return v
 }
-
-// ms2 converts fractional milliseconds.
-func ms2(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }

@@ -1,13 +1,17 @@
 // Package scenario loads and runs declarative whole-cluster simulation
 // scenarios: a JSON file names the cluster shape (sites, partitions,
-// replication), the workload mix (closed-loop clients issuing OLTP
-// updates and OLAP scans with virtual think times), the QoS tenants, a
-// reproducible fault schedule and the invariants the run must uphold.
-// The runner drives the real engine — cluster.New, ExecuteTxn,
-// ExecuteQuery, ApplyFault — on any vclock.Clock, so the same scenario
-// replays in wall time or, under vclock.Sim, compresses hours of
-// simulated traffic into seconds. cmd/proteus-sim is the CLI front end;
-// the scenarios/ corpus at the repo root is the CI regression suite.
+// replication), the workload (the built-in items table, or the paper's
+// YCSB, CH-benCHmark and Twitter benchmarks) and its mix (closed-loop
+// clients issuing OLTP transactions and OLAP queries with think times),
+// the QoS tenants, a reproducible fault schedule and the invariants the
+// run must uphold. The runner drives the real engine — cluster.New,
+// ExecuteTxn, ExecuteQuery, ApplyFault — on any vclock.Clock, so the same
+// scenario replays in wall time or, under vclock.Sim, compresses hours of
+// simulated traffic into seconds. The paper's figures are scenarios too
+// (figure.go): each file under scenarios/figures/ varies systems, mixes
+// and one axis over a preset scale and states the paper's claim as
+// predicates. cmd/proteus-sim is the CLI front end; the scenarios/ corpus
+// at the repo root is the CI regression suite.
 package scenario
 
 import (
@@ -23,12 +27,16 @@ import (
 	"proteus/internal/simnet"
 )
 
-// Phase is one step of a diurnal load shift: from AtMS onward the hot
-// client window starts at client index HotShift, moving write and scan
-// pressure across partitions (and therefore sites) as phases progress.
+// Phase is one step of a load shift: from AtMS onward the hot data starts
+// HotShift/clients of the way through the key space — for items the hot
+// client window starts at client index HotShift, for ycsb the zipf skew
+// centre moves there — shifting write and scan pressure across
+// partitions (and therefore sites) as phases progress. OLTPPerRound, when
+// set, changes the mix from AtMS onward.
 type Phase struct {
-	AtMS     int64 `json:"at_ms"`
-	HotShift int   `json:"hot_shift"`
+	AtMS         int64 `json:"at_ms"`
+	HotShift     int   `json:"hot_shift"`
+	OLTPPerRound int   `json:"oltp_per_round,omitempty"`
 }
 
 // Limits mirrors admission.Limits for JSON loading.
@@ -96,9 +104,23 @@ type Spec struct {
 	// columnstore, janus or tidb.
 	Mode  string `json:"mode,omitempty"`
 	Sites int    `json:"sites"`
-	// Partitions defaults to Sites; Rows to 200 per partition.
+	// Workload is what the clients run: items (default; single-row
+	// updates on each client's own stripe of one table, read back after
+	// the run), ycsb, ch, twitter, or freshness (Appendix B.1: writers
+	// stamp 64 hot ycsb keys with the clock and every OLAP reads the
+	// oldest stamp). The paper's workloads run under the §6.2 memory cap:
+	// 1.5× each site's share of the loaded master copies.
+	Workload string `json:"workload,omitempty"`
+	// Partitions defaults to Sites (4 × Sites for ycsb and freshness; ch
+	// and twitter place their own tables). Rows sizes the workload: table
+	// rows for items (default 200 per partition), ycsb and freshness
+	// (default 20000), orders loaded per district for ch (30), users for
+	// twitter (500).
 	Partitions int   `json:"partitions,omitempty"`
 	Rows       int64 `json:"rows,omitempty"`
+	// CrossWarehousePct is the share of ch transactions that touch a
+	// remote warehouse (default 10).
+	CrossWarehousePct *int `json:"cross_warehouse_pct,omitempty"`
 	// ReplicateEach installs one column-format replica per partition at
 	// the next site, giving crash scenarios something to fail over to.
 	ReplicateEach bool `json:"replicate_each,omitempty"`
@@ -109,12 +131,17 @@ type Spec struct {
 	DurationMS      int64 `json:"duration_ms,omitempty"`
 	RoundsPerClient int   `json:"rounds_per_client,omitempty"`
 
+	// WarmUp runs WarmUp × the measured rounds (or window) first on the
+	// same engine, unreported: the paper's long runs reach steady state,
+	// second-scale ones need a ramp to be measured warm.
+	WarmUp float64 `json:"warmup,omitempty"`
+
 	Clients int `json:"clients"`
-	// OLTPPerRound (default 4) single-row updates per round; every
-	// OLAPEvery-th round (default 4, -1 disables) adds one scan-sum query.
+	// OLTPPerRound (default 4) transactions per round; every OLAPEvery-th
+	// round (default 4, -1 disables) adds one OLAP query.
 	OLTPPerRound int `json:"oltp_per_round,omitempty"`
 	OLAPEvery    int `json:"olap_every,omitempty"`
-	// ThinkTimeUS (default 1000) is the virtual think time per round.
+	// ThinkTimeUS (default 1000, -1 none) is the think time per round.
 	// Hot clients think ThinkTimeUS/HotBoost (default 4).
 	ThinkTimeUS int64   `json:"think_time_us,omitempty"`
 	HotBoost    float64 `json:"hot_boost,omitempty"`
@@ -131,8 +158,11 @@ type Spec struct {
 	ReplicationIntervalUS int64 `json:"replication_interval_us,omitempty"`
 	MaintainIntervalUS    int64 `json:"maintain_interval_us,omitempty"`
 	OpDeadlineMS          int64 `json:"op_deadline_ms,omitempty"`
-	// Advisor false forces the ASA off even in proteus mode.
-	Advisor *bool `json:"advisor,omitempty"`
+	// Advisor false forces the ASA off even in proteus mode. Ablate
+	// switches one adaptive technique off (the ablation study, §6.3.7):
+	// vertical, horizontal, replication, compression, sorting or reuse.
+	Advisor *bool  `json:"advisor,omitempty"`
+	Ablate  string `json:"ablate,omitempty"`
 	// AdvisorPredictiveUS / AdvisorCapacityUS override the advisor's
 	// planning-loop periods (defaults 500ms / 1s); AdvisorSampleEvery
 	// overrides the plan-triggered sampling rate (default 16). Long
@@ -174,11 +204,17 @@ func Parse(b []byte) (Spec, error) {
 
 // WithDefaults fills unset fields.
 func (s Spec) WithDefaults() Spec {
+	keyed := s.Workload == "ycsb" || s.Workload == "freshness"
 	if s.Partitions <= 0 {
 		s.Partitions = s.Sites
+		if keyed {
+			s.Partitions *= 4
+		}
 	}
 	if s.Rows <= 0 {
-		s.Rows = 200 * int64(s.Partitions)
+		if s.Rows = workloadRows[s.Workload]; s.Rows == 0 {
+			s.Rows = 200 * int64(s.Partitions)
+		}
 	}
 	if s.Clients <= 0 {
 		s.Clients = s.Sites
@@ -189,7 +225,7 @@ func (s Spec) WithDefaults() Spec {
 	if s.OLAPEvery == 0 {
 		s.OLAPEvery = 4
 	}
-	if s.ThinkTimeUS <= 0 {
+	if s.ThinkTimeUS == 0 {
 		s.ThinkTimeUS = 1000
 	}
 	if s.HotBoost <= 0 {
@@ -230,9 +266,17 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario %s: hot_fraction must be in [0,1]", s.Name)
 	case s.Faults != nil && s.DurationMS <= 0:
 		return fmt.Errorf("scenario %s: faults require duration_ms (schedule window)", s.Name)
+	case s.WarmUp < 0:
+		return fmt.Errorf("scenario %s: warmup must be >= 0", s.Name)
 	}
 	if _, err := parseMode(s.Mode); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
+	if _, ok := workloadRows[s.Workload]; !ok && s.Workload != "" && s.Workload != "items" {
+		return fmt.Errorf("scenario %s: unknown workload %q", s.Name, s.Workload)
+	}
+	if _, ok := ablations[s.Ablate]; !ok {
+		return fmt.Errorf("scenario %s: unknown ablation %q", s.Name, s.Ablate)
 	}
 	for i := 1; i < len(s.Phases); i++ {
 		if s.Phases[i].AtMS <= s.Phases[i-1].AtMS {
@@ -257,6 +301,20 @@ func parseMode(m string) (cluster.Mode, error) {
 	default:
 		return 0, fmt.Errorf("unknown mode %q", m)
 	}
+}
+
+// workloadRows is each paper workload's default size (Spec.Rows).
+var workloadRows = map[string]int64{"ycsb": 20000, "freshness": 20000, "ch": 30, "twitter": 500}
+
+// ablations switch one adaptive technique off.
+var ablations = map[string]func(*asa.Flags){
+	"":            func(*asa.Flags) {},
+	"vertical":    func(f *asa.Flags) { f.VerticalSplit = false },
+	"horizontal":  func(f *asa.Flags) { f.HorizontalSplit = false },
+	"replication": func(f *asa.Flags) { f.Replication = false },
+	"compression": func(f *asa.Flags) { f.Compression = false },
+	"sorting":     func(f *asa.Flags) { f.Sorting = false },
+	"reuse":       func(f *asa.Flags) { f.DecisionReuse = false },
 }
 
 func us(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
@@ -296,6 +354,7 @@ func (s Spec) engineConfig() cluster.Config {
 		if s.AdvisorSampleEvery > 0 {
 			cfg.Adapt.SampleEvery = s.AdvisorSampleEvery
 		}
+		ablations[s.Ablate](&cfg.Adapt.Flags)
 	}
 	if a := s.Admission; a != nil {
 		cfg.Admission = admission.Config{
@@ -326,20 +385,26 @@ func (s Spec) tenantOf(c int, names []string) string {
 	return names[c%len(names)]
 }
 
-// thinkFor returns client c's virtual think time at the given elapsed
-// offset: hot-window clients (per the active phase's shift) think
-// 1/HotBoost of the base.
-func (s Spec) thinkFor(c int, elapsed time.Duration) time.Duration {
-	base := us(s.ThinkTimeUS)
+// phaseAt returns the phase in force at the given elapsed offset (the
+// zero phase before the first).
+func (s Spec) phaseAt(elapsed time.Duration) Phase {
+	var cur Phase
+	for _, p := range s.Phases {
+		if elapsed >= ms(p.AtMS) {
+			cur = p
+		}
+	}
+	return cur
+}
+
+// thinkFor returns client c's think time in the given phase: hot-window
+// clients (per the phase's shift) think 1/HotBoost of the base.
+func (s Spec) thinkFor(c int, ph Phase) time.Duration {
+	base := us(max(s.ThinkTimeUS, 0))
 	if s.HotFraction <= 0 || s.Clients <= 0 {
 		return base
 	}
-	shift := 0
-	for _, p := range s.Phases {
-		if elapsed >= ms(p.AtMS) {
-			shift = p.HotShift
-		}
-	}
+	shift := ph.HotShift
 	hotN := int(math.Ceil(s.HotFraction * float64(s.Clients)))
 	idx := ((c-shift)%s.Clients + s.Clients) % s.Clients
 	if idx < hotN {

@@ -119,6 +119,34 @@ func TestSpecDefaultsAndValidate(t *testing.T) {
 	}
 }
 
+// TestDefaultsApplied pins the paper workloads' defaults: ycsb keys its
+// table over four partitions per site, every workload has its own size,
+// and a negative think time means none.
+func TestDefaultsApplied(t *testing.T) {
+	for _, c := range []struct {
+		workload   string
+		partitions int
+		rows       int64
+	}{{"", 2, 400}, {"ycsb", 8, 20000}, {"freshness", 8, 20000}, {"ch", 2, 30}, {"twitter", 2, 500}} {
+		s := Spec{Name: "d", Sites: 2, Workload: c.workload, RoundsPerClient: 1, ThinkTimeUS: -1}.WithDefaults()
+		if s.Partitions != c.partitions || s.Rows != c.rows || s.thinkFor(0, Phase{}) != 0 {
+			t.Errorf("%q: partitions %d rows %d think %v", c.workload, s.Partitions, s.Rows, s.thinkFor(0, Phase{}))
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%q: %v", c.workload, err)
+		}
+	}
+	for _, bad := range []Spec{
+		{Name: "x", Sites: 2, RoundsPerClient: 1, Workload: "tpch"},
+		{Name: "x", Sites: 2, RoundsPerClient: 1, Ablate: "everything"},
+		{Name: "x", Sites: 2, RoundsPerClient: 1, WarmUp: -1},
+	} {
+		if err := bad.WithDefaults().Validate(); err == nil {
+			t.Errorf("accepted %+v", bad)
+		}
+	}
+}
+
 // TestParseRejectsMalformedJSON covers the Parse wrapper.
 func TestParseRejectsMalformedJSON(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":`)); err == nil {

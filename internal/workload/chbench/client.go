@@ -7,7 +7,7 @@ import (
 )
 
 // Client is one CH client, bound to a home warehouse as in TPC-C. It
-// satisfies the harness.Client interface.
+// satisfies the scenario.Client interface.
 type Client struct {
 	w      *Workload
 	r      *rand.Rand
@@ -16,12 +16,14 @@ type Client struct {
 	qn     int
 }
 
-// NewClient builds client i (home warehouse i mod W).
+// NewClient builds client i (home warehouse i mod W), whose query cycle
+// starts at query i so that concurrent clients spread over the queries.
 func (w *Workload) NewClient(i int, r *rand.Rand) *Client {
 	return &Client{
 		w: w, r: r,
 		z:      rand.NewZipf(r, w.cfg.ItemZipfS, 1, uint64(w.cfg.Items-1)),
 		homeWH: i % w.cfg.Warehouses,
+		qn:     i,
 	}
 }
 

@@ -183,9 +183,11 @@ type Client struct {
 	qn int
 }
 
-// NewClient builds a client with its own skewed user source.
+// NewClient builds client i with its own skewed user source; its query
+// cycle starts at query i so that concurrent clients spread over the
+// queries.
 func (w *Workload) NewClient(i int, r *rand.Rand) *Client {
-	return &Client{w: w, r: r, z: rand.NewZipf(r, w.cfg.ZipfS, 1, uint64(w.cfg.Users-1))}
+	return &Client{w: w, r: r, z: rand.NewZipf(r, w.cfg.ZipfS, 1, uint64(w.cfg.Users-1)), qn: i}
 }
 
 // OLTP draws one of the transactional operations: insert tweet (dominant,

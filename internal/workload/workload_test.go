@@ -1,6 +1,6 @@
 // Package workload_test runs the three HTAP benchmarks end to end on small
-// engines, in every system mode, checking execution correctness and
-// harness accounting.
+// engines, in every system mode, through the scenario runner, checking
+// execution correctness and the runner's accounting.
 package workload_test
 
 import (
@@ -14,7 +14,7 @@ import (
 
 	"proteus/internal/cluster"
 	"proteus/internal/exec"
-	"proteus/internal/harness"
+	"proteus/internal/scenario"
 	"proteus/internal/simnet"
 	"proteus/internal/types"
 	"proteus/internal/workload/chbench"
@@ -41,90 +41,68 @@ func smallYCSB() ycsb.Config {
 	return c
 }
 
+// run drives a spec on the scenario runner, two sites on the wall clock
+// with one OLAP per round and no think time, and fails the test on any
+// error or broken invariant.
+func run(t *testing.T, s scenario.Spec) *scenario.Report {
+	t.Helper()
+	s.Name, s.Sites, s.OLAPEvery, s.ThinkTimeUS = t.Name(), 2, 1, -1
+	s.NetBaseLatencyUS, s.ReplicationIntervalUS = 1, 1000
+	rep, err := scenario.Run(s, scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.Canonical.Counts.Errors; n != 0 {
+		t.Fatalf("%d errors", n)
+	}
+	if !rep.Passed() {
+		t.Fatalf("violations: %v", rep.Violations)
+	}
+	return rep
+}
+
 func TestYCSBAllModes(t *testing.T) {
-	for _, mode := range []cluster.Mode{
-		cluster.ModeProteus, cluster.ModeRowStore, cluster.ModeColumnStore,
-		cluster.ModeJanus, cluster.ModeTiDB,
-	} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e := testEngine(t, mode, 2)
-			w, err := ycsb.Setup(e, smallYCSB())
-			if err != nil {
-				t.Fatal(err)
+	for _, mode := range []string{"proteus", "rowstore", "columnstore", "janus", "tidb"} {
+		t.Run(mode, func(t *testing.T) {
+			rep := run(t, scenario.Spec{Workload: "ycsb", Mode: mode, Rows: 2000, Partitions: 4,
+				Clients: 4, RoundsPerClient: 3, OLTPPerRound: 6, Seed: 1})
+			c, m := rep.Canonical.Counts, rep.Metrics
+			if c.OLTPAcked != 4*3*6 || c.OLAPAcked != 12 {
+				t.Errorf("counts: %d oltp %d olap", c.OLTPAcked, c.OLAPAcked)
 			}
-			res := harness.Run(e, func(i int, r *rand.Rand) harness.Client {
-				return w.NewClient(i, r)
-			}, harness.Config{Clients: 4, Mix: harness.Balanced, RoundsPerClient: 3, Seed: 1})
-			if res.Errors != 0 {
-				t.Fatalf("%d errors", res.Errors)
-			}
-			wantOLTP := int64(4 * 3 * harness.Balanced.OLTPPerOLAP)
-			if res.OLTPCount != wantOLTP || res.OLAPCount != 12 {
-				t.Errorf("counts: %d oltp %d olap", res.OLTPCount, res.OLAPCount)
-			}
-			if res.OLTPLatAvg <= 0 || res.OLAPLatAvg <= 0 {
+			if m["oltp_ms"] <= 0 || m["olap_ms"] <= 0 {
 				t.Error("latencies not measured")
 			}
-			if res.OLTPThroughput() <= 0 {
+			if m["oltp_tps"] <= 0 {
 				t.Error("throughput not measured")
 			}
 		})
 	}
 }
 
+// TestYCSBShiftingSkew moves the skew centre half-way through the key
+// space from the start, as a phase.
 func TestYCSBShiftingSkew(t *testing.T) {
-	e := testEngine(t, cluster.ModeProteus, 2)
-	w, err := ycsb.Setup(e, smallYCSB())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.SetSkewCenter(1000)
-	res := harness.Run(e, func(i int, r *rand.Rand) harness.Client {
-		return w.NewClient(i, r)
-	}, harness.Config{Clients: 2, Mix: harness.OLTPHeavy, RoundsPerClient: 2, Seed: 2})
-	if res.Errors != 0 {
-		t.Fatalf("%d errors with shifted skew", res.Errors)
-	}
+	run(t, scenario.Spec{Workload: "ycsb", Rows: 2000, Partitions: 4, Clients: 2, RoundsPerClient: 2,
+		OLTPPerRound: 10, Seed: 2, Phases: []scenario.Phase{{AtMS: 0, HotShift: 1}}})
 }
 
 func TestYCSBFreshnessVariant(t *testing.T) {
-	cfg := smallYCSB()
-	cfg.Freshness = true
-	e := testEngine(t, cluster.ModeProteus, 2)
-	w, err := ycsb.Setup(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := harness.Run(e, func(i int, r *rand.Rand) harness.Client {
-		return w.NewClient(i, r)
-	}, harness.Config{Clients: 2, Mix: harness.Balanced, RoundsPerClient: 2, Seed: 3})
-	if res.Errors != 0 {
-		t.Fatalf("%d errors", res.Errors)
-	}
-	// The freshness OLAP result is a MIN over stamps (or initial strings).
-	if res.LastOLAP.NumRows() != 1 {
-		t.Errorf("freshness olap result: %v", res.LastOLAP)
+	rep := run(t, scenario.Spec{Workload: "freshness", Rows: 2000, Partitions: 4, Clients: 2,
+		RoundsPerClient: 2, OLTPPerRound: 6, Seed: 3})
+	// Every query reads back a stamp, so each one measures a gap.
+	if _, ok := rep.Metrics["freshness_ms"]; !ok || rep.Canonical.Counts.OLAPAcked != 4 {
+		t.Errorf("freshness gap not measured: %v over %d queries", rep.Metrics["freshness_ms"], rep.Canonical.Counts.OLAPAcked)
 	}
 }
 
 func TestCHBenchAllModes(t *testing.T) {
-	for _, mode := range []cluster.Mode{cluster.ModeProteus, cluster.ModeRowStore, cluster.ModeColumnStore, cluster.ModeJanus} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e := testEngine(t, mode, 2)
-			cfg := chbench.DefaultConfig()
-			cfg.LoadedOrdersPerDistrict = 10
-			w, err := chbench.Setup(e, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := harness.Run(e, func(i int, r *rand.Rand) harness.Client {
-				return w.NewClient(i, r)
-			}, harness.Config{Clients: 4, Mix: harness.Mix{Name: "bal", OLTPPerOLAP: 8}, RoundsPerClient: 2, Seed: 4})
-			if res.Errors != 0 {
-				t.Fatalf("%d errors", res.Errors)
-			}
-			if res.OLTPCount != 64 || res.OLAPCount != 8 {
-				t.Errorf("counts: %d/%d", res.OLTPCount, res.OLAPCount)
+	for _, mode := range []string{"proteus", "rowstore", "columnstore", "janus"} {
+		t.Run(mode, func(t *testing.T) {
+			rep := run(t, scenario.Spec{Workload: "ch", Mode: mode, Rows: 10, Clients: 4,
+				RoundsPerClient: 2, OLTPPerRound: 8, Seed: 4})
+			if c := rep.Canonical.Counts; c.OLTPAcked != 64 || c.OLAPAcked != 8 {
+				t.Errorf("counts: %d/%d", c.OLTPAcked, c.OLAPAcked)
 			}
 		})
 	}
@@ -268,37 +246,18 @@ func TestCHQ6AndQ14Semantics(t *testing.T) {
 }
 
 func TestCHCrossWarehouseKnob(t *testing.T) {
-	e := testEngine(t, cluster.ModeProteus, 2)
-	cfg := chbench.DefaultConfig()
-	cfg.CrossWarehousePct = 100
-	w, err := chbench.Setup(e, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := harness.Run(e, func(i int, r *rand.Rand) harness.Client {
-		return w.NewClient(i, r)
-	}, harness.Config{Clients: 2, Mix: harness.OLTPHeavy, RoundsPerClient: 2, Seed: 7})
-	if res.Errors != 0 {
-		t.Fatalf("%d errors at 100%% cross-warehouse", res.Errors)
-	}
+	all := 100
+	run(t, scenario.Spec{Workload: "ch", CrossWarehousePct: &all, Clients: 2, RoundsPerClient: 2,
+		OLTPPerRound: 10, Seed: 7})
 }
 
 func TestTwitterAllModes(t *testing.T) {
-	for _, mode := range []cluster.Mode{cluster.ModeProteus, cluster.ModeRowStore, cluster.ModeColumnStore} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e := testEngine(t, mode, 2)
-			w, err := twitter.Setup(e, twitter.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := harness.Run(e, func(i int, r *rand.Rand) harness.Client {
-				return w.NewClient(i, r)
-			}, harness.Config{Clients: 4, Mix: harness.Mix{Name: "bal", OLTPPerOLAP: 10}, RoundsPerClient: 2, Seed: 8})
-			if res.Errors != 0 {
-				t.Fatalf("%d errors", res.Errors)
-			}
-			if res.OLAPCount != 8 {
-				t.Errorf("olap count = %d", res.OLAPCount)
+	for _, mode := range []string{"proteus", "rowstore", "columnstore"} {
+		t.Run(mode, func(t *testing.T) {
+			rep := run(t, scenario.Spec{Workload: "twitter", Mode: mode, Clients: 4, RoundsPerClient: 2,
+				OLTPPerRound: 10, Seed: 8})
+			if n := rep.Canonical.Counts.OLAPAcked; n != 8 {
+				t.Errorf("olap count = %d", n)
 			}
 		})
 	}
@@ -320,45 +279,20 @@ func TestTwitterQueriesExecute(t *testing.T) {
 	}
 }
 
+// TestHarnessTimelineAndTimedRun: a timed run fills ten timeline buckets
+// that together count every acknowledged transaction.
 func TestHarnessTimelineAndTimedRun(t *testing.T) {
-	e := testEngine(t, cluster.ModeProteus, 2)
-	w, err := ycsb.Setup(e, smallYCSB())
-	if err != nil {
-		t.Fatal(err)
+	rep := run(t, scenario.Spec{Workload: "ycsb", Rows: 2000, Partitions: 4, Clients: 2,
+		DurationMS: 200, OLTPPerRound: 6, Seed: 10})
+	var total float64
+	for i := 0; i < 10; i++ {
+		v, ok := rep.Metrics[fmt.Sprintf("timeline_tps.%d", i)]
+		if !ok {
+			t.Fatalf("timeline bucket %d missing", i)
+		}
+		total += v * 0.02 // a tenth of the 200 ms window
 	}
-	res := harness.Run(e, func(i int, r *rand.Rand) harness.Client {
-		return w.NewClient(i, r)
-	}, harness.Config{
-		Clients: 2, Mix: harness.Balanced,
-		Duration:       200 * time.Millisecond,
-		TimelineBucket: 50 * time.Millisecond,
-		Seed:           10,
-	})
-	if res.Errors != 0 {
-		t.Fatalf("%d errors", res.Errors)
-	}
-	if len(res.Timeline) < 2 {
-		t.Errorf("timeline buckets = %d", len(res.Timeline))
-	}
-	var total int64
-	for _, b := range res.Timeline {
-		total += b.OLTP + b.OLAP
-	}
-	if total != res.OLTPCount+res.OLAPCount {
-		t.Errorf("timeline total %d != counts %d", total, res.OLTPCount+res.OLAPCount)
-	}
-}
-
-func TestCI95(t *testing.T) {
-	mean, half := harness.CI95([]float64{10, 10, 10})
-	if mean != 10 || half != 0 {
-		t.Errorf("ci = %f ± %f", mean, half)
-	}
-	mean, half = harness.CI95([]float64{8, 12})
-	if mean != 10 || half <= 0 {
-		t.Errorf("ci = %f ± %f", mean, half)
-	}
-	if m, h := harness.CI95(nil); m != 0 || h != 0 {
-		t.Errorf("empty ci = %f ± %f", m, h)
+	if acked := rep.Canonical.Counts.OLTPAcked; acked == 0 || math.Round(total) != float64(acked) {
+		t.Errorf("timeline total %.1f != %d acknowledged", total, acked)
 	}
 }

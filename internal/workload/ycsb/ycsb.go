@@ -1,7 +1,7 @@
 // Package ycsb implements the transactional YCSB workload of §6.1: a
 // 10-key read-modify-write OLTP transaction with zipfian-skewed keys, and
 // an OLAP query that scans the table, evaluates a predicate and aggregates
-// the result. Variants support a shifting skew centre (Fig 12c/13) and the
+// the result. A shifting skew centre serves Fig 12c, and FreshnessQuery the
 // freshness-stamp methodology of Appendix B.1.
 package ycsb
 
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"proteus/internal/cluster"
 	"proteus/internal/exec"
@@ -34,9 +33,6 @@ type Config struct {
 	// Partitions is the initial partition count (baselines get one per
 	// site via Schism-style contiguous placement).
 	Partitions int
-	// Freshness switches updates to timestamp stamping and the OLAP
-	// query to MIN (Appendix B.1).
-	Freshness bool
 }
 
 // DefaultConfig returns a small-but-meaningful sizing.
@@ -149,22 +145,16 @@ func (w *Workload) OLTP(r *rand.Rand, z *rand.Zipf) *query.Txn {
 			Kind: query.OpRead, Table: w.tbl.ID, Row: schema.RowID(k),
 			Cols: []schema.ColID{field},
 		})
-		var v types.Value
-		if w.cfg.Freshness {
-			v = types.NewString(fmt.Sprintf("%020d", time.Now().UnixNano()))
-		} else {
-			v = types.NewString(randString(r, w.cfg.FieldSize))
-		}
 		ops = append(ops, query.Op{
 			Kind: query.OpUpdate, Table: w.tbl.ID, Row: schema.RowID(k),
-			Cols: []schema.ColID{field}, Vals: []types.Value{v},
+			Cols: []schema.ColID{field}, Vals: []types.Value{types.NewString(randString(r, w.cfg.FieldSize))},
 		})
 	}
 	return &query.Txn{Ops: ops}
 }
 
-// Client adapts the workload to the harness interface with client-local
-// RNG and zipf state.
+// Client adapts the workload to the scenario.Client interface with
+// client-local RNG and zipf state.
 type Client struct {
 	w *Workload
 	r *rand.Rand
@@ -176,10 +166,10 @@ func (w *Workload) NewClient(i int, r *rand.Rand) *Client {
 	return &Client{w: w, r: r, z: w.NewZipf(r)}
 }
 
-// OLTP implements harness.Client.
+// OLTP implements scenario.Client.
 func (c *Client) OLTP() *query.Txn { return c.w.OLTP(c.r, c.z) }
 
-// OLAP implements harness.Client.
+// OLAP implements scenario.Client.
 func (c *Client) OLAP() *query.Query { return c.w.OLAP(c.r) }
 
 // FreshnessQuery builds the Appendix B.1 analytical probe: MIN of the
@@ -199,13 +189,6 @@ func (w *Workload) FreshnessQuery(hiKey int64) *query.Query {
 // field predicate, aggregate the matches (paper: 500k-row scan).
 func (w *Workload) OLAP(r *rand.Rand) *query.Query {
 	field := schema.ColID(1 + r.Intn(w.cfg.Fields))
-	if w.cfg.Freshness {
-		// Appendix B.1: return the smallest (oldest) stamp observed.
-		return &query.Query{Root: &query.AggNode{
-			Child: &query.ScanNode{Table: w.tbl.ID, Cols: []schema.ColID{field}},
-			Aggs:  []exec.AggSpec{{Func: exec.AggMin, Col: 0}},
-		}}
-	}
 	// Predicate with ~50% selectivity on the lexicographic space.
 	pred := storage.Pred{{Col: field, Op: storage.CmpGe, Val: types.NewString("V")}}
 	return &query.Query{Root: &query.AggNode{

@@ -126,6 +126,12 @@ echo "== scenario corpus on the virtual clock (gating)"
 # latency bounds, shed minimums, wall-time budget.
 go run ./cmd/proteus-sim run scenarios/*.json
 
+echo "== paper figure files parse (gating)"
+# Parses and defaults every scenarios/figures/*.json at quick scale without
+# running it: `make figures` runs them. Their predicates do not gate CI yet;
+# fig8a's fails on this tree.
+go run ./cmd/proteus-sim validate scenarios/figures/*.json
+
 echo "== go test -race (concurrency-heavy packages)"
 go test -race -count=1 \
     ./internal/admission/ \
