@@ -134,9 +134,9 @@ func TestQueryAllocBudgets(t *testing.T) {
 // warmed two-site row-store engine, shaped like the benchmark's oltp-rmw.
 // Budgets are the measured count + 10 %, as for queries.
 var txnAllocBudgets = map[string]float64{
-	"rmw10":       80, // ten keys read and updated over both sites: 73 + 10 % (252 while routing, plan bindings, redo records and cost features allocated per op; 253 while site pools allocated a closure per task, 258 behind a flusher goroutine, 383 when each read was its own round trip)
+	"rmw10":       58, // ten keys read and updated over both sites: 53 + 10 % (73 while each row version was a header object plus its own byte array, 80 the budget; 252 while routing, plan bindings, redo records and cost features allocated per op; 253 while site pools allocated a closure per task, 258 behind a flusher goroutine, 383 when each read was its own round trip)
 	"point-read":  21, // one key read at the coordinator's own master: 19 + 10 % (25 while routing and cost features allocated per op, 26, 29 before that)
-	"insert-2tbl": 46, // an events insert at site 1 beside an items update at site 0: 42 + 10 % (new; 82 before routing, plan bindings, redo records and cost features stopped allocating per op)
+	"insert-2tbl": 42, // an events insert at site 1 beside an items update at site 0: 38 + 10 % (42 while each row version was a header object plus its own byte array, 46 the budget; 82 before routing, plan bindings, redo records and cost features stopped allocating per op)
 }
 
 // rmwEngine builds the engine TestTxnAllocBudgets, TestMaintainAllocBudget
@@ -320,7 +320,7 @@ func TestMaintainAllocBudget(t *testing.T) {
 // row-store partition with a ten-record redo tail, built from the broker's
 // image and the tail: measured + 10 % (8 050 while the install captured
 // the master's image under a group-commit barrier instead).
-const replicaInstallAllocBudget = 8876 // 8 069 + 10 %
+const replicaInstallAllocBudget = 41 // 37 + 10 % (8 876 = 8 069 + 10 % while rowstore.Mem.LoadImage allocated a version and its bytes per row)
 
 // TestReplicaInstallAllocBudget holds one replica install — the broker's
 // image cloned and loaded into a row store, the tail replayed, the copy

@@ -565,11 +565,16 @@ func TestMorselFeedClaimsEachUnitOnce(t *testing.T) {
 // under an aggregate, and as the bounds a join pushes into its probe scan.
 // A zone map that ignored NULLs would drop those conjuncts and return the
 // NULL rows; the answers must equal the reference evaluator's, with no NULL
-// grp among them. Column copies only: row copies still store a NULL as
-// zero (ROADMAP item 15), which no predicate can tell from a zero.
+// grp among them, on column copies and on row copies alike.
 func TestImpliedConjunctsKeepNullsOut(t *testing.T) {
+	for _, mode := range []Mode{ModeColumnStore, ModeRowStore} {
+		t.Run(mode.String(), func(t *testing.T) { impliedConjunctsKeepNullsOut(t, mode) })
+	}
+}
+
+func impliedConjunctsKeepNullsOut(t *testing.T, mode Mode) {
 	const n = 1000
-	e := New(fastConfig(ModeColumnStore, 2))
+	e := New(fastConfig(mode, 2))
 	t.Cleanup(e.Close)
 	tbl, err := e.CreateTable(TableSpec{Name: "items", Cols: testCols, MaxRows: n, Partitions: 4})
 	if err != nil {

@@ -245,9 +245,9 @@ func TestRoutedBuildsMatchReference(t *testing.T) {
 
 	// Split every probe partition between the keys and the payload, the
 	// right piece on the other site: the probe runs stitched, its k from
-	// one site's piece and its kf from the other's. Both pieces are column
-	// copies, because an in-memory row copy reads a NULL as 0.
-	splitVerticallyAs(t, e, fact, 2, storage.DefaultColumnLayout())
+	// one site's piece and its kf from the other's. Both pieces are row
+	// copies, which keep the NULL keys NULL.
+	splitVerticallyAs(t, e, fact, 2, storage.DefaultRowLayout())
 	stitched := e.Obs.Counter("exec.morsels.stitched").Value()
 	checkAll("stitched")
 	if e.Obs.Counter("exec.morsels.stitched").Value() == stitched {

@@ -130,7 +130,7 @@ func TestChangeLayoutAllCombinations(t *testing.T) {
 				t.Fatalf("fixture %v -> %v: %v", from, to, err)
 			}
 			ctx := fmt.Sprintf("fixture %v -> %v", from, to)
-			sameCells(t, ctx, cellsOf(p), asStored(to, want, 0, len(fixtureKinds)), storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
+			sameCells(t, ctx, cellsOf(p), want, storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
 			if st := p.Stats(); st.DeltaRows != 0 || st.Rows != len(want) {
 				t.Errorf("%s: %d rows, %d delta rows", ctx, st.Rows, st.DeltaRows)
 			}
@@ -222,14 +222,12 @@ func TestSplitVerticalAndMergeVertical(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := fmt.Sprintf("fixture %v split into %v | %v", l, ll, lr)
-		want = asStored(lr, asStored(ll, want, 0, 2), 2, len(fixtureKinds))
 		sameCells(t, ctx+" left", cellsOf(left), want, storage.MinRow, storage.MaxRow, 0, 2)
 		sameCells(t, ctx+" right", cellsOf(right), want, storage.MinRow, storage.MaxRow, 2, 3)
 		m, err := MergeVertical(right, left, 9, other, f, storage.Latest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = asStored(other, want, 0, len(fixtureKinds))
 		sameCells(t, ctx+" merged", cellsOf(m), want, storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
 	}
 	// Children that hold different rows do not merge.
@@ -279,7 +277,6 @@ func TestMergeHorizontal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = asStored(to, want, 0, len(fixtureKinds))
 		sameCells(t, fmt.Sprintf("fixture %v merged into %v", l, to), cellsOf(m), want, storage.MinRow, storage.MaxRow, 0, len(fixtureKinds))
 	}
 }

@@ -352,33 +352,55 @@ func TestLoadExtractRoundTripProperty(t *testing.T) {
 }
 
 // recount rebuilds Mem's counters and lists from its chains and checks them
-// against what the store keeps incrementally.
+// against what the store keeps incrementally: the O(1) counters, the
+// chained list, each chunk's live bytes, and that every header is either
+// on a chain or on the free list.
 func recount(t *testing.T, m *Mem) {
 	t.Helper()
 	live, nvers, nbytes := 0, 0, 0
-	var ids, chained []schema.RowID
-	for id, head := range m.rows {
-		ids = append(ids, id)
-		if !head.deleted {
+	var chained []schema.RowID
+	chunkLive := make([]int, len(m.chunks))
+	onChain := 0
+	if !slices.IsSorted(m.ids) || len(m.ids) != len(m.heads) {
+		t.Fatalf("ids %v (%d heads) are not an ascending index", m.ids, len(m.heads))
+	}
+	for i, id := range m.ids {
+		head := m.heads[i]
+		if !m.hdrs[head].deleted() {
 			live++
 		}
-		if head.prev != nil {
+		if m.hdrs[head].prev != noHdr {
 			chained = append(chained, id)
 		}
-		for v := head; v != nil; v = v.prev {
+		for v := head; v != noHdr; v = m.hdrs[v].prev {
+			hd := m.hdrs[v]
 			nvers++
-			nbytes += len(v.data)
+			onChain++
+			nbytes += int(hd.n)
+			if hd.chunk != noChunk {
+				if int(hd.off+hd.n) > len(m.chunks[hd.chunk].buf) {
+					t.Fatalf("row %d: version at %d+%d past chunk %d's %d bytes", id, hd.off, hd.n, hd.chunk, len(m.chunks[hd.chunk].buf))
+				}
+				chunkLive[hd.chunk] += int(hd.n)
+			}
 		}
 	}
-	slices.Sort(ids)
-	slices.Sort(chained)
+	free := 0
+	for f := m.free; f != noHdr; f = m.hdrs[f].prev {
+		free++
+	}
+	if onChain+free != len(m.hdrs) {
+		t.Fatalf("%d headers on chains and %d free of %d", onChain, free, len(m.hdrs))
+	}
+	for ci, c := range m.chunks {
+		if c.live != chunkLive[ci] {
+			t.Fatalf("chunk %d counts %d live bytes, its versions hold %d", ci, c.live, chunkLive[ci])
+		}
+	}
 	got := slices.Clone(m.chained)
 	slices.Sort(got)
 	if st := m.Stats(); st.Rows != live || st.Versions != nvers || st.Bytes != nbytes {
 		t.Fatalf("Stats = %+v, chains hold %d live rows, %d versions, %d bytes", st, live, nvers, nbytes)
-	}
-	if !slices.Equal(m.ids, ids) {
-		t.Fatalf("ids = %v, rows hold %v", m.ids, ids)
 	}
 	if !slices.Equal(got, chained) {
 		t.Fatalf("chained = %v, rows with two or more versions are %v", got, chained)
@@ -412,29 +434,101 @@ func readAll(t *testing.T, m *Mem, snap uint64, maxID int64) (gets, scan []strin
 	return gets, scan
 }
 
+// modelVersion is one write of the differential test's model: the row's
+// values from it on, or a delete.
+type modelVersion struct {
+	ver     uint64
+	vals    []types.Value
+	deleted bool
+}
+
+// history is the differential test's model of a Mem: every retained
+// version of every row, oldest first, cut by gc as Mem.GC cuts its chains.
+type history map[schema.RowID][]modelVersion
+
+// at returns what a snapshot at snap reads of row id.
+func (hs history) at(id schema.RowID, snap uint64) ([]types.Value, bool) {
+	vs := hs[id]
+	for i := len(vs) - 1; i >= 0; i-- {
+		if vs[i].ver <= snap {
+			return vs[i].vals, !vs[i].deleted
+		}
+	}
+	return nil, false
+}
+
+// gc drops every version no snapshot at or above h can observe, and
+// returns how many.
+func (hs history) gc(h uint64) int {
+	dropped := 0
+	for id, vs := range hs {
+		cut := -1
+		for i := range vs {
+			if vs[i].ver <= h {
+				cut = i
+			}
+		}
+		if cut < 0 {
+			continue
+		}
+		if vs[cut].deleted {
+			cut++
+		}
+		dropped += cut
+		if hs[id] = vs[cut:]; len(hs[id]) == 0 {
+			delete(hs, id)
+		}
+	}
+	return dropped
+}
+
+// stats is what Mem.Stats should report for the retained versions: a
+// version's bytes are its null bitmap and fixed slots plus its strings
+// longer than 8 bytes.
+func (hs history) stats(m *Mem) storage.Stats {
+	var st storage.Stats
+	for _, vs := range hs {
+		if !vs[len(vs)-1].deleted {
+			st.Rows++
+		}
+		st.Versions += len(vs)
+		for _, v := range vs {
+			if !v.deleted {
+				st.Bytes += m.size(v.vals)
+			}
+		}
+	}
+	return st
+}
+
 // TestMemGCDifferential runs random inserts, updates and deletes — strings
-// of up to 8 bytes and longer, updates that grow and shrink them or keep
-// their length (the in-place rewrite) — at
-// rising versions, with a GC at a random horizon every so often. Every
-// snapshot at or above the horizon reads the same rows through Get and
-// ScanBatches before and after the GC, the newest snapshot reads what a
-// plain map of the writes holds, and the O(1) counters, the id slice and the
-// chained list match a recount of the chains.
+// of up to 8 bytes and longer, NULLs, updates that grow and shrink strings
+// or keep their length — at rising versions, with a GC at a random horizon
+// every so often, long enough for the arena to reuse emptied chunks and
+// evacuate nearly empty ones (the test fails if either never happens).
+// Every snapshot at or above the horizon reads the same rows through Get
+// and ScanBatches before and after the GC, and what a model of every write
+// holds; Stats matches the model, and the O(1) counters, the chained list,
+// the chunks' live bytes and the free list match a recount of the chains.
 func TestMemGCDifferential(t *testing.T) {
 	kinds := []types.Kind{types.KindInt64, types.KindString, types.KindFloat64, types.KindString}
 	str := func(rng *rand.Rand) types.Value {
 		const letters = "abcdefghijklmnopqrstuvwxyz"
-		b := make([]byte, rng.Intn(20))
+		if rng.Intn(10) == 0 {
+			return types.Null()
+		}
+		b := make([]byte, rng.Intn(40))
 		for i := range b {
 			b[i] = letters[rng.Intn(len(letters))]
 		}
 		return types.NewString(string(b))
 	}
-	for seed := int64(1); seed <= 20; seed++ {
+	evacuated, reused := 0, 0
+	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := NewMem(kinds)
 		const maxID = 40
-		model := map[schema.RowID][]types.Value{} // the newest values of every live row
+		model := history{}
 		if seed%2 == 0 {
 			var rows []schema.Row
 			for id := int64(0); id < maxID; id += 2 {
@@ -445,16 +539,17 @@ func TestMemGCDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range rows {
-				model[r.ID] = r.Vals
+				model[r.ID] = []modelVersion{{ver: 1, vals: r.Vals}}
 			}
 			recount(t, m)
 		}
 		ver, h := uint64(1), uint64(0)
 		reclaimed := 0
-		for step := 0; step < 600; step++ {
+		for step := 0; step < 1200; step++ {
 			ver += uint64(rng.Intn(3)) // several writes may share a version
 			id := schema.RowID(rng.Intn(maxID))
-			_, exists := m.Get(id, nil, storage.Latest)
+			cur, exists := model.at(id, ver)
+			chunks, tail := len(m.chunks), m.tail
 			switch op := rng.Intn(10); {
 			case !exists && op < 7:
 				row := schema.Row{ID: id, Vals: []types.Value{
@@ -462,39 +557,44 @@ func TestMemGCDifferential(t *testing.T) {
 				if err := m.Insert(row, ver); err != nil {
 					t.Fatal(err)
 				}
-				model[id] = row.Vals
+				model[id] = append(model[id], modelVersion{ver: ver, vals: row.Vals})
 			case exists && op < 7:
 				cols := []schema.ColID{schema.ColID(rng.Intn(len(kinds)))}
 				if rng.Intn(2) == 0 {
 					cols = append(cols, 1, 3)
 				}
-				cur, _ := m.Get(id, allCols(len(kinds)), storage.Latest)
 				vals := make([]types.Value, len(cols))
 				for i, c := range cols {
-					if kinds[c] == types.KindString {
+					switch {
+					case rng.Intn(12) == 0:
+						vals[i] = types.Null()
+					case kinds[c] == types.KindString:
 						vals[i] = str(rng)
 						if rng.Intn(2) == 0 { // the same length as the current value
-							vals[i] = types.NewString(strings.Repeat("x", len(cur.Vals[c].Str())))
+							vals[i] = types.NewString(strings.Repeat("x", len(cur[c].Str())))
 						}
-					} else if kinds[c] == types.KindInt64 {
+					case kinds[c] == types.KindInt64:
 						vals[i] = types.NewInt64(int64(step))
-					} else {
+					default:
 						vals[i] = types.NewFloat64(float64(ver))
 					}
 				}
 				if err := m.Update(id, cols, vals, ver); err != nil {
 					t.Fatal(err)
 				}
-				next := slices.Clone(model[id])
+				next := slices.Clone(cur)
 				for i, c := range cols {
 					next[c] = vals[i]
 				}
-				model[id] = next
+				model[id] = append(model[id], modelVersion{ver: ver, vals: next})
 			case exists:
 				if err := m.Delete(id, ver); err != nil {
 					t.Fatal(err)
 				}
-				delete(model, id)
+				model[id] = append(model[id], modelVersion{ver: ver, deleted: true})
+			}
+			if m.tail != tail && len(m.chunks) == chunks && tail != noChunk {
+				reused++ // the new tail is a chunk GC emptied
 			}
 			if rng.Intn(25) != 0 {
 				continue
@@ -503,7 +603,7 @@ func TestMemGCDifferential(t *testing.T) {
 			// The horizon, the versions just above it, a spread of later
 			// ones and the newest.
 			var snaps []uint64
-			for s := h; s <= ver+1; s += 1 + (s-h)/4 {
+			for s := h; s <= ver+1; s += 1 + (s-h)/2 {
 				snaps = append(snaps, s)
 			}
 			snaps = append(snaps, ver+1)
@@ -513,26 +613,241 @@ func TestMemGCDifferential(t *testing.T) {
 				g, sc := readAll(t, m, s, maxID)
 				before[s] = view{g, sc}
 			}
-			reclaimed += m.GC(h)
+			where := make([]int32, len(m.hdrs))
+			for i, hd := range m.hdrs {
+				where[i] = hd.chunk
+			}
+			got, want := m.GC(h), model.gc(h)
+			if got != want {
+				t.Fatalf("seed %d: GC(%d) reclaimed %d versions, the model %d", seed, h, got, want)
+			}
+			reclaimed += got
+			for i, hd := range m.hdrs {
+				if i < len(where) && hd.chunk != noChunk && where[i] != noChunk && hd.chunk != where[i] {
+					evacuated++
+				}
+			}
 			for _, s := range snaps {
 				g, sc := readAll(t, m, s, maxID)
 				if !slices.Equal(g, before[s].gets) || !slices.Equal(sc, before[s].scan) {
 					t.Fatalf("seed %d: snapshot %d changed by GC(%d):\nGet  %v\n  -> %v\nScan %v\n  -> %v",
 						seed, s, h, before[s].gets, g, before[s].scan, sc)
 				}
-			}
-			recount(t, m)
-			for id := schema.RowID(0); id < maxID; id++ {
-				r, ok := m.Get(id, allCols(len(kinds)), storage.Latest)
-				if want, live := model[id]; ok != live || ok && fmt.Sprint(r.Vals) != fmt.Sprint(want) {
-					t.Fatalf("seed %d: row %d reads %v (%v), the writes left %v (%v)", seed, id, r.Vals, ok, want, live)
+				for id := schema.RowID(0); id < maxID; id++ {
+					r, ok := m.Get(id, allCols(len(kinds)), s)
+					if want, live := model.at(id, s); ok != live || ok && fmt.Sprint(r.Vals) != fmt.Sprint(want) {
+						t.Fatalf("seed %d: row %d at snapshot %d reads %v (%v), the writes left %v (%v)", seed, id, s, r.Vals, ok, want, live)
+					}
 				}
 			}
+			if st, want := m.Stats(), model.stats(m); st != want {
+				t.Fatalf("seed %d: after GC(%d) Stats = %+v, the model holds %+v", seed, h, st, want)
+			}
+			recount(t, m)
 		}
 		if reclaimed == 0 {
 			t.Errorf("seed %d: GC never reclaimed a version", seed)
 		}
 	}
+	t.Logf("%d versions evacuated, %d emptied chunks reused", evacuated, reused)
+	if evacuated == 0 || reused == 0 {
+		t.Errorf("%d versions evacuated and %d emptied chunks reused over every seed: the runs did not exercise the arena", evacuated, reused)
+	}
+}
+
+// TestNullRoundTrip: both row stores keep NULL — loaded, inserted, written
+// by an update and overwritten by one — through Get, a projected scan and a
+// predicate, which a NULL cell never satisfies.
+func TestNullRoundTrip(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			rows := []schema.Row{mkRow(1), mkRow(2), mkRow(3)}
+			rows[0].Vals[1] = types.Null()
+			if err := load(s, testKinds, rows, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Insert(schema.Row{ID: 4, Vals: []types.Value{types.Null(), types.NewString("short"), types.Null()}}, 2); err != nil {
+				t.Fatal(err)
+			}
+			// Row 2's long string and float become NULL; row 1's string
+			// becomes a value again.
+			if err := s.Update(2, []schema.ColID{1, 2}, []types.Value{types.Null(), types.Null()}, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Update(1, []schema.ColID{1}, []types.Value{types.NewString("back-from-null-long")}, 3); err != nil {
+				t.Fatal(err)
+			}
+			want := map[schema.RowID]string{
+				1: "[10 back-from-null-long 0.5]",
+				2: "[20 NULL NULL]",
+				3: "[30 name-3-with-long-suffix 1.5]",
+				4: "[NULL short NULL]",
+			}
+			all := []schema.ColID{0, 1, 2}
+			for id, w := range want {
+				if r, ok := s.Get(id, all, storage.Latest); !ok || fmt.Sprint(r.Vals) != w {
+					t.Errorf("Get(%d) = %v (%v), want %s", id, r.Vals, ok, w)
+				}
+			}
+			if r, _ := s.Get(2, all, 2); fmt.Sprint(r.Vals) != "[20 name-2-with-long-suffix 1]" {
+				t.Errorf("Get(2) before the update to NULL = %v", r.Vals)
+			}
+			if r, _ := s.Get(1, all, 2); fmt.Sprint(r.Vals) != "[10 NULL 0.5]" {
+				t.Errorf("Get(1) before the update from NULL = %v", r.Vals)
+			}
+			var scanned []string
+			pred := storage.Pred{{Col: 2, Op: storage.CmpLt, Val: types.NewFloat64(10)}}
+			s.ScanBatches([]schema.ColID{1, 0}, pred, storage.MinRow, storage.MaxRow, storage.Latest, 0, func(b *storage.Batch) bool {
+				b.Selected(func(r int) bool {
+					scanned = append(scanned, fmt.Sprint(b.RowIDs[r], b.Row(r, nil)))
+					return true
+				})
+				return true
+			})
+			if got := strings.Join(scanned, " "); got != "1 [back-from-null-long 10] 3 [name-3-with-long-suffix 30]" {
+				t.Errorf("scan of c2 < 10 = %s", got)
+			}
+		})
+	}
+}
+
+// TestMemReadsRaceGC runs point reads and scans against a writer that
+// updates most rows every round and a few every 50th, and collects garbage
+// at the newest version, so that chunks empty, get reused and get
+// evacuated under the readers. Every row's two string columns are written together from one
+// counter, so a read that saw bytes being moved or overwritten would find
+// them disagreeing. Run under -race it also checks that reads decode only
+// under the read lock.
+func TestMemReadsRaceGC(t *testing.T) {
+	const rows, rounds = 64, 300
+	kinds := []types.Kind{types.KindInt64, types.KindString, types.KindString}
+	val := func(n int) []types.Value {
+		return []types.Value{types.NewInt64(int64(n)), types.NewString(fmt.Sprintf("left-%08d", n)), types.NewString(fmt.Sprintf("right-%08d", n))}
+	}
+	m := NewMem(kinds)
+	base := make([]schema.Row, rows)
+	for i := range base {
+		base[i] = schema.Row{ID: schema.RowID(i), Vals: val(0)}
+	}
+	if err := load(m, kinds, base, 1); err != nil {
+		t.Fatal(err)
+	}
+	consistent := func(vals []types.Value) bool {
+		n := vals[0].Int()
+		return vals[1].Str() == fmt.Sprintf("left-%08d", n) && vals[2].Str() == fmt.Sprintf("right-%08d", n)
+	}
+	var bad, reads atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for id := 0; ; id = (id + 7) % rows {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r, ok := m.Get(schema.RowID(id), []schema.ColID{0, 1, 2}, storage.Latest); !ok || !consistent(r.Vals) {
+				bad.Add(1)
+			}
+			reads.Add(1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := 0
+			m.ScanBatches([]schema.ColID{0, 1, 2}, nil, storage.MinRow, storage.MaxRow, storage.Latest, 16, func(b *storage.Batch) bool {
+				b.Selected(func(r int) bool {
+					if !consistent(b.Row(r, nil)) {
+						bad.Add(1)
+					}
+					n++
+					return true
+				})
+				return true
+			})
+			if n != rows {
+				bad.Add(1)
+			}
+			reads.Add(1)
+		}
+	}()
+	ver := uint64(1)
+	for round := 1; round <= rounds; round++ {
+		for id := 0; id < rows; id++ {
+			if id >= rows-8 && round%50 != 1 {
+				continue // its version outlives the rest of its chunk, which is evacuated
+			}
+			ver++
+			if err := m.Update(schema.RowID(id), []schema.ColID{0, 1, 2}, val(round)[:3], ver); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.GC(ver)
+	}
+	close(stop)
+	wg.Wait()
+	recount(t, m)
+	if bad.Load() != 0 {
+		t.Errorf("%d of %d reads under GC saw a torn or missing row", bad.Load(), reads.Load())
+	}
+}
+
+// TestMemSteadyStateAllocs: once the arena has warmed up, updates with a GC
+// every 100 reuse headers and chunks — next to no allocation per update —
+// and the arena does not grow with the number of updates.
+func TestMemSteadyStateAllocs(t *testing.T) {
+	kinds := []types.Kind{types.KindInt64, types.KindString, types.KindString}
+	const rows = 1000
+	m := NewMem(kinds)
+	data := make([]schema.Row, rows)
+	for i := range data {
+		data[i] = schema.Row{ID: schema.RowID(i), Vals: []types.Value{
+			types.NewInt64(int64(i)), types.NewString(fmt.Sprintf("%016d", i)), types.NewString("short")}}
+	}
+	if err := load(m, kinds, data, 1); err != nil {
+		t.Fatal(err)
+	}
+	cols := []schema.ColID{0, 1}
+	vals := []types.Value{types.NewInt64(-1), types.NewString("abcdefghijklmnop")}
+	ver, next := uint64(1), 0
+	updates := func(n int) {
+		for i := 0; i < n; i++ {
+			ver++
+			if err := m.Update(schema.RowID(next*37%rows), cols, vals, ver); err != nil {
+				t.Fatal(err)
+			}
+			if next++; next%100 == 0 {
+				m.GC(ver)
+			}
+		}
+	}
+	arena := func() int {
+		n := 0
+		for _, c := range m.chunks[1:] {
+			n += cap(c.buf)
+		}
+		return n
+	}
+	updates(20000) // warm-up: every row rewritten, the arena at its working size
+	warm := arena()
+	const n = 10000
+	per := testing.AllocsPerRun(1, func() { updates(n) }) / n
+	t.Logf("%.4f allocations per update; arena %d B after warm-up, %d B after %d more updates", per, warm, arena(), n)
+	if per > 0.05 {
+		t.Errorf("%.4f allocations per update in the steady state, want at most 0.05", per)
+	}
+	if arena() > warm {
+		t.Errorf("the arena grew from %d to %d bytes over %d updates", warm, arena(), n)
+	}
+	recount(t, m)
 }
 
 // BenchmarkMemUpdateGC is the row store's share of an oltp-rmw write: a
@@ -576,6 +891,14 @@ func BenchmarkMemUpdateGC(b *testing.B) {
 			m.GC(ver)
 		}
 	}
+}
+
+func allCols(n int) []schema.ColID {
+	out := make([]schema.ColID, n)
+	for i := range out {
+		out[i] = schema.ColID(i)
+	}
+	return out
 }
 
 // load bulk-loads boxed rows through an image.

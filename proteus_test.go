@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
+	"proteus/internal/schema"
 	"proteus/internal/sqlparse"
 	"proteus/internal/storage"
 	"proteus/internal/types"
@@ -91,16 +93,11 @@ func TestScalarAggregates(t *testing.T) {
 	}
 }
 
-// TestAvgSkipsNull runs AVG through the distributed two-phase plan over 100
-// rows in 4 partitions, amount = id + 100, with row 10's amount NULL: SQL
-// divides by the 99 non-NULL amounts. The table is a column store, because
-// the in-memory row store reads a NULL fixed-width cell back as zero.
-// openNullOrders loads 100 rows in 4 partitions on column copies (row
-// copies read a NULL back as zero), amount = id + 100 except row 10's,
-// which is NULL.
-func openNullOrders(t *testing.T) (*DB, *Table) {
+// openNullOrders loads 100 rows in 4 partitions under mode, amount =
+// id + 100 except row 10's, which is NULL.
+func openNullOrders(t *testing.T, mode Mode) (*DB, *Table) {
 	t.Helper()
-	db, err := Open(Options{Sites: 2, Mode: ColumnStore})
+	db, err := Open(Options{Sites: 2, Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,29 +121,39 @@ func openNullOrders(t *testing.T) (*DB, *Table) {
 	return db, tbl
 }
 
+// nullModes are the modes whose default copies are rows and columns.
+var nullModes = map[string]Mode{"rows": RowStore, "columns": ColumnStore}
+
+// TestAvgSkipsNull runs AVG through the distributed two-phase plan over
+// openNullOrders' rows: SQL divides by the 99 non-NULL amounts, on row
+// copies as on column copies.
 func TestAvgSkipsNull(t *testing.T) {
-	db, tbl := openNullOrders(t)
-	avg, err := db.Session().QueryScalar(context.Background(), tbl.Scan("amount").Avg("amount"))
-	if want := (14950.0 - 110) / 99; err != nil || math.Abs(avg.Float()-want) > 1e-9 {
-		t.Fatalf("avg = %v, %v; want %v", avg, err, want)
+	for name, mode := range nullModes {
+		db, tbl := openNullOrders(t, mode)
+		avg, err := db.Session().QueryScalar(context.Background(), tbl.Scan("amount").Avg("amount"))
+		if want := (14950.0 - 110) / 99; err != nil || math.Abs(avg.Float()-want) > 1e-9 {
+			t.Fatalf("%s: avg = %v, %v; want %v", name, avg, err, want)
+		}
 	}
 }
 
 // TestSQLCountColumnSkipsNull: COUNT(col) counts the non-NULL inputs and
 // COUNT(*) every row, through the SQL front end.
 func TestSQLCountColumnSkipsNull(t *testing.T) {
-	db, _ := openNullOrders(t)
-	e := db.Engine()
-	req, err := sqlparse.Parse(e.Catalog, "SELECT COUNT(amount), COUNT(*) FROM orders")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := e.ExecuteQuery(context.Background(), e.NewSession(), req.Query)
-	if err != nil || len(rel.Tuples) != 1 {
-		t.Fatalf("query: %v rows, %v", len(rel.Tuples), err)
-	}
-	if got := rel.Tuples[0]; got[0].Int() != 99 || got[1].Int() != 100 {
-		t.Errorf("COUNT(amount), COUNT(*) = %v, %v; want 99, 100", got[0], got[1])
+	for name, mode := range nullModes {
+		db, _ := openNullOrders(t, mode)
+		e := db.Engine()
+		req, err := sqlparse.Parse(e.Catalog, "SELECT COUNT(amount), COUNT(*) FROM orders")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := e.ExecuteQuery(context.Background(), e.NewSession(), req.Query)
+		if err != nil || len(rel.Tuples) != 1 {
+			t.Fatalf("%s: query: %v rows, %v", name, len(rel.Tuples), err)
+		}
+		if got := rel.Tuples[0]; got[0].Int() != 99 || got[1].Int() != 100 {
+			t.Errorf("%s: COUNT(amount), COUNT(*) = %v, %v; want 99, 100", name, got[0], got[1])
+		}
 	}
 }
 
@@ -154,7 +161,7 @@ func TestSQLCountColumnSkipsNull(t *testing.T) {
 // and the answer is the same whether the zone map prunes the NULL row's
 // partition or has to scan it.
 func TestComparisonWithNullIsFalse(t *testing.T) {
-	db, tbl := openNullOrders(t)
+	db, tbl := openNullOrders(t, ColumnStore)
 	ctx := context.Background()
 	s := db.Session()
 	count := func(op storage.CmpOp, v float64) int64 {
@@ -195,6 +202,65 @@ func TestComparisonWithNullIsFalse(t *testing.T) {
 	if got := count(Lt, 5); got != 0 {
 		t.Errorf("amount < 5, NULL row's partition scanned: %d rows, want 0", got)
 	}
+}
+
+// TestNullOnEveryCopy: a NULL reads back as NULL whichever copy serves it.
+// Row 10 is loaded NULL and row 20 updated to NULL; Get returns NULL for
+// both and amount < 150 counts the 48 rows left, on row copies as on
+// column copies. A row master with a column replica then agree, cell for
+// cell, once the replica has applied the update to NULL.
+func TestNullOnEveryCopy(t *testing.T) {
+	ctx := context.Background()
+	for name, mode := range nullModes {
+		db, tbl := openNullOrders(t, mode)
+		s := db.Session()
+		if err := s.Update(ctx, tbl, 20, map[string]Value{"amount": types.Null()}); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []RowID{10, 20} {
+			if vals, ok, err := s.Get(ctx, tbl, id, "amount"); err != nil || !ok || !vals[0].IsNull() {
+				t.Errorf("%s: Get(%d) = %v (%v, %v), want NULL", name, id, vals, ok, err)
+			}
+		}
+		n, err := s.QueryScalar(ctx, tbl.Scan("amount").Where("amount", Lt, Float64Value(150)).Count())
+		if err != nil || n.Int() != 48 {
+			t.Errorf("%s: amount < 150 counts %v (%v), want 48", name, n, err)
+		}
+	}
+
+	db, tbl := openNullOrders(t, RowStore)
+	e := db.Engine()
+	m := e.Dir.TablePartitions(tbl.ID)[0] // rows 0–24
+	master := m.Master().Site
+	if err := e.AddReplicaOp(m.ID, 1-master, storage.DefaultColumnLayout()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Session().Update(ctx, tbl, 20, map[string]Value{"amount": types.Null()}); err != nil {
+		t.Fatal(err)
+	}
+	rowCopy, _ := e.Sites[master].Partition(m.ID)
+	colCopy, _ := e.Sites[1-master].Partition(m.ID)
+	for deadline := time.Now().Add(10 * time.Second); colCopy.Version() < rowCopy.Version(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the column replica stayed at version %d, the master is at %d", colCopy.Version(), rowCopy.Version())
+		}
+	}
+	cols := []schema.ColID{0, 1}
+	for id := RowID(0); id < 25; id++ {
+		r, _ := rowCopy.Get(id, cols, storage.Latest)
+		c, _ := colCopy.Get(id, cols, storage.Latest)
+		if len(r.Vals) != 2 || len(c.Vals) != 2 || !sameValue(r.Vals[1], c.Vals[1]) {
+			t.Errorf("row %d: the row master holds %v, the column replica %v", id, r.Vals, c.Vals)
+		}
+	}
+}
+
+// sameValue is value equality with NULL equal to NULL.
+func sameValue(a, b Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() && b.IsNull()
+	}
+	return types.Equal(a, b)
 }
 
 func TestWherePredicate(t *testing.T) {

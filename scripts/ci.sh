@@ -74,9 +74,9 @@ go vet -C bench .
 go test -C bench .
 
 echo "== benchmark workloads against their oracles (gating)"
-# Two seconds' worth of each workload, numbers discarded: the benchmark
-# exits non-zero on any operation that fails or whose answer differs from
-# its oracle, so every scan shape — morsel scheduling, zone-map pruning,
+# Two seconds' worth of each workload: the benchmark exits non-zero on
+# any operation that fails or whose answer differs from its oracle, so
+# every scan shape — morsel scheduling, zone-map pruning,
 # encoded kernels — and every CH join shape — pipelined probes, partial
 # aggregates, the open-loop mix beside transactions — is checked against
 # plain loops over the tables' rows on each CI run. Every benchmark query
@@ -89,6 +89,18 @@ echo "== benchmark workloads against their oracles (gating)"
 # wrote and drains its replicas while the maintenance tick folds
 # checkpoints and truncates the log underneath.
 go run -C bench . --workload olap-scan --seconds 2 >/dev/null
+# gate_metric WORKLOAD METRIC CEILING runs two seconds of WORKLOAD and
+# fails when METRIC in its JSON line is missing or above CEILING.
+gate_metric() {
+    local line value
+    line=$(go run -C bench . --workload "$1" --seconds 2 | grep '^{')
+    echo "$line"
+    value=$(echo "$line" | grep -o "\"$2\":{\"value\":[^,}]*" | awk -F: '{print $3}')
+    if awk -v v="$value" -v c="$3" 'BEGIN { exit !(v == "" || v + 0 > c + 0) }'; then
+        echo "$1 $2 ${value:-missing} over its ceiling of $3" >&2
+        exit 1
+    fi
+}
 # The join run also gates its traffic. Its operation count is fixed
 # (calibrated rate × seconds) and a join's bytes are counted, not timed,
 # so net_bytes_per_op is exact for the seed: each probing site builds its
@@ -98,16 +110,14 @@ go run -C bench . --workload olap-scan --seconds 2 >/dev/null
 # back through the coordinator fails here. The ceiling is the value
 # measured when replicated build sides stopped crossing (16 501 bytes)
 # plus 10 %.
-join_bytes_ceiling=18151
-join_line=$(go run -C bench . --workload olap-join --seconds 2 | grep '^{')
-echo "$join_line"
-join_bytes=$(echo "$join_line" | grep -o '"net_bytes_per_op":{"value":[^,}]*' | awk -F: '{print $3}')
-if awk -v b="$join_bytes" -v c="$join_bytes_ceiling" 'BEGIN { exit !(b == "" || b + 0 > c + 0) }'; then
-    echo "olap-join net_bytes_per_op ${join_bytes:-missing} over its ceiling of $join_bytes_ceiling" >&2
-    exit 1
-fi
-go run -C bench . --workload htap-mixed --seconds 2 >/dev/null
-go run -C bench . --workload oltp-rmw --seconds 2 >/dev/null
+gate_metric olap-join net_bytes_per_op 18151
+# The row-copy runs gate their allocations: a count, so it repeats to
+# within about 1 % for the seed. The ceilings are the values measured when
+# row copies stopped allocating per row and per version (62.9 on oltp-rmw,
+# 172 on htap-mixed, at two seconds) plus 10 %; per-row version objects or
+# per-cell string decodes in row scans come back over them.
+gate_metric htap-mixed allocs_per_op 189
+gate_metric oltp-rmw allocs_per_op 69
 
 echo "== encoding and filter-kernel fuzz corpora (seeds only, -count=1)"
 # Replays the checked-in corpora without cached results: the colstore
