@@ -6,9 +6,9 @@
 //
 //	N(S) = λ·(E(S) + C(S)) − U(S).
 //
-// The package is pure decision math over a PartitionView snapshot; the
-// cluster engine supplies views, executes chosen changes, and drives the
-// three triggers (plan-time, predictive, and capacity).
+// The package is pure decision math over a PartitionView snapshot, and
+// Choose makes one planning pass's plan from the evaluated candidates; the
+// cluster engine enqueues partitions, supplies views and executes the plan.
 package asa
 
 import (
@@ -88,8 +88,9 @@ type Candidate struct {
 	SplitCol schema.ColID
 	// Other identifies the merge partner.
 	Other partition.ID
-	// Net is the computed net benefit in microseconds (filled by Evaluate).
-	Net float64
+	// Net is the net benefit and Upfront the upfront cost U(S) in
+	// microseconds (filled by Evaluate).
+	Net, Upfront float64
 }
 
 // AccessRates describes a partition's (recent or predicted) load for the
@@ -119,7 +120,8 @@ type PartitionView struct {
 	Bounds partition.Bounds
 
 	Rows     int
-	RowBytes int // average full-row bytes
+	RowBytes int   // average full-row bytes
+	Bytes    int64 // the master copy's footprint
 
 	Master   ReplicaView
 	Replicas []ReplicaView
@@ -171,7 +173,7 @@ func (ev *Evaluator) us(op cost.Op, v cost.Variant, l storage.Layout, f cost.Fea
 // opLatency estimates the per-operation latencies under a layout.
 func (ev *Evaluator) opLatency(view PartitionView, l storage.Layout) (upd, point, scan float64) {
 	nCols := view.Bounds.NumCols()
-	projBytes := view.RowBytes / maxInt(nCols, 1) * maxInt(nCols/3, 1)
+	projBytes := view.RowBytes / max(nCols, 1) * max(nCols/3, 1)
 	upd = ev.us(cost.OpWrite, cost.VariantDefault, l, cost.WriteFeatures(view.AvgUpdateCols, view.RowBytes))
 	point = ev.us(cost.OpPointRead, cost.VariantDefault, l, cost.PointReadFeatures(nCols, view.RowBytes))
 	variant := cost.ScanSeq
@@ -192,7 +194,7 @@ func (ev *Evaluator) pairUs(op cost.Op, v cost.Variant, a, b storage.Layout, f c
 // opLatencyPair estimates per-op latencies under two layouts consistently.
 func (ev *Evaluator) opLatencyPair(view PartitionView, cur, next storage.Layout) (cu, cp, cs, nu, np, ns float64) {
 	nCols := view.Bounds.NumCols()
-	projBytes := view.RowBytes / maxInt(nCols, 1) * maxInt(nCols/3, 1)
+	projBytes := view.RowBytes / max(nCols, 1) * max(nCols/3, 1)
 	cu, nu = ev.pairUs(cost.OpWrite, cost.VariantDefault, cur, next, cost.WriteFeatures(view.AvgUpdateCols, view.RowBytes))
 	cp, np = ev.pairUs(cost.OpPointRead, cost.VariantDefault, cur, next, cost.PointReadFeatures(nCols, view.RowBytes))
 	cv, nv := cost.ScanSeq, cost.ScanSeq
@@ -237,7 +239,8 @@ func (ev *Evaluator) upfrontChange(view PartitionView, cur, next storage.Layout,
 	return u
 }
 
-// Evaluate fills in the candidate's net benefit N(S) = λ(E+C) − U.
+// Evaluate fills in the candidate's upfront cost U and net benefit
+// N(S) = λ(E+C) − U.
 func (ev *Evaluator) Evaluate(view PartitionView, c Candidate) Candidate {
 	lambda := ev.Lambda
 	if lambda <= 0 {
@@ -299,7 +302,7 @@ func (ev *Evaluator) Evaluate(view PartitionView, c Candidate) Candidate {
 			// the transfer of partial results toward the coordinator; scale
 			// by half as only a share of accesses were remote.
 			netSave := ev.us(cost.OpNetwork, cost.VariantDefault, storage.Layout{},
-				cost.NetworkFeatures(0, 0, view.Rows*view.RowBytes/maxInt(view.Bounds.NumCols(), 1), 0))
+				cost.NetworkFeatures(0, 0, view.Rows*view.RowBytes/max(view.Bounds.NumCols(), 1), 0))
 			e += 0.5 * view.Rates.Weight() * view.Rates.Scans * netSave
 		}
 		// Upfront per Table 2: snapshot scan + bulk load + network + locks
@@ -318,7 +321,7 @@ func (ev *Evaluator) Evaluate(view PartitionView, c Candidate) Candidate {
 			}
 		}
 		_, _, scanCur, updRep, _, scanRep := ev.opLatencyPair(view, cur, rep.Layout)
-		e = view.Rates.Weight() * (view.Rates.Updates*updRep - view.Rates.Scans*maxF(0, scanCur-scanRep))
+		e = view.Rates.Weight() * (view.Rates.Updates*updRep - view.Rates.Scans*max(0, scanCur-scanRep))
 		u = ev.us(cost.OpNetwork, cost.VariantDefault, storage.Layout{}, cost.NetworkFeatures(0, 0, 128, 32))
 
 	case ChangeMaster:
@@ -333,20 +336,6 @@ func (ev *Evaluator) Evaluate(view PartitionView, c Candidate) Candidate {
 			ev.us(cost.OpWaitUpdates, cost.VariantDefault, storage.Layout{}, cost.WaitFeatures(4)) +
 			ev.us(cost.OpCommit, cost.VariantDefault, storage.Layout{}, cost.CommitFeatures(0, 1, 2))
 	}
-	c.Net = lambda*e - u
+	c.Net, c.Upfront = lambda*e-u, u
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

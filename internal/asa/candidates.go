@@ -8,8 +8,8 @@ import (
 
 // GenerateCandidates proposes every flag-enabled change applicable to the
 // partition view (§5.3.2's search over changes affecting a high-cost
-// leaf). The caller evaluates each with Evaluator.Evaluate and executes
-// the best while its net benefit stays positive.
+// leaf). The caller evaluates each with Evaluator.Evaluate and chooses
+// among them with Choose.
 func GenerateCandidates(view PartitionView, flags Flags, numSites int) []Candidate {
 	var out []Candidate
 	cur := view.Master.Layout
@@ -150,9 +150,9 @@ func verticalCut(view PartitionView) (schema.ColID, bool) {
 	return view.Bounds.GlobalCol(local), true
 }
 
-// CapacityOption scores a change made under storage pressure (§5.3.2): the
-// bytes it frees per microsecond of net cost. The executor sorts options
-// by descending score until the site is back under its limit.
+// CapacityOption is a change made under storage pressure (§5.3.2) with the
+// bytes it frees; Choose takes a pressured site's options by net benefit
+// per byte freed until the site is back under RelievedAt.
 type CapacityOption struct {
 	Candidate  Candidate
 	BytesFreed int64

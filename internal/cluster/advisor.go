@@ -1,8 +1,11 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"errors"
+	"math"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +16,6 @@ import (
 	"proteus/internal/obs"
 	"proteus/internal/partition"
 	"proteus/internal/plan"
-	"proteus/internal/query"
 	"proteus/internal/schema"
 	"proteus/internal/simnet"
 	"proteus/internal/storage"
@@ -25,67 +27,53 @@ type AdaptConfig struct {
 	// Lambda weighs expected benefit against upfront cost (§5.3.2).
 	Lambda float64
 	// Horizon is the window over which expected benefits accrue — the
-	// paper's configurable 10-minute interval, scaled to seconds here.
+	// paper's configurable 10-minute interval, scaled to seconds here —
+	// and within which undoing a change is priced.
 	Horizon time.Duration
-	// PredictiveInterval is the period of the predictive planning loop.
-	PredictiveInterval time.Duration
-	// CapacityInterval is the period of the storage-pressure check.
-	CapacityInterval time.Duration
+	// Interval is the period of the planning pass (≤ 0: none runs).
+	Interval time.Duration
 	// MinSplitRows is the smallest partition the advisor will split.
 	MinSplitRows int
-	// MaxChangesPerTrigger bounds the §5.3.2 repeat-until-no-benefit loop.
-	MaxChangesPerTrigger int
-	// SampleEvery gates plan-triggered adaptation: every Nth request is
-	// considered in addition to those with above-average leaf cost.
-	SampleEvery int
 }
 
 // DefaultAdaptConfig returns the standard advisor settings.
 func DefaultAdaptConfig() AdaptConfig {
 	return AdaptConfig{
-		Flags:                asa.AllFlags(),
-		Lambda:               3,
-		Horizon:              5 * time.Second,
-		PredictiveInterval:   500 * time.Millisecond,
-		CapacityInterval:     time.Second,
-		MinSplitRows:         64,
-		MaxChangesPerTrigger: 2,
-		SampleEvery:          16,
+		Flags:        asa.AllFlags(),
+		Lambda:       3,
+		Horizon:      5 * time.Second,
+		Interval:     50 * time.Millisecond,
+		MinSplitRows: 64,
 	}
 }
 
-// Advisor drives Proteus' adaptation: plan-triggered, predictive and
-// capacity-triggered layout changes (§5.3.2).
+// changeBudget bounds the changes one planning pass executes.
+const changeBudget = 3
+
+// Advisor drives Proteus' adaptation (§5.3.2). The plan triggers only
+// enqueue the partitions a request touched; one planning pass, on the
+// engine clock, adds the partitions the predictive, merge and capacity
+// checks find, evaluates every pending partition's candidates, chooses
+// one plan (asa.Choose) and executes it.
 type Advisor struct {
 	e    *Engine
 	cfg  AdaptConfig
 	eval *asa.Evaluator
 
-	mu sync.Mutex // serializes layout changes
+	pendMu  sync.Mutex
+	pending map[partition.ID]string // partition → why it was enqueued
 
-	counter atomic.Int64
-	// ewma of request latencies (µs) per class, for the above-average
-	// trigger.
-	ewmaMu   sync.Mutex
-	ewmaOLTP float64
-	ewmaOLAP float64
+	mu sync.Mutex // one pass at a time
+	// last is each partition's last executed change (asa.History).
+	last map[partition.ID]asa.Executed
 
 	// Decision reuse for layout changes (§5.3.3).
 	decisions *plan.DecisionCache
 
-	// Per-partition hybrid predictors for the predictive trigger.
-	predMu sync.Mutex
-	preds  map[partition.ID]*forecast.Hybrid
+	// Per-partition hybrid predictors for the predictive check (under mu).
+	preds map[partition.ID]*predictor
 
-	// lastChange rate-limits re-adaptation of the same partition,
-	// hysteresis against format flip-flopping under mixed access.
-	lcMu       sync.Mutex
-	lastChange map[partition.ID]time.Time
-
-	changes atomic.Int64
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	changes, reverted atomic.Int64
 }
 
 func newAdvisor(e *Engine, cfg AdaptConfig) *Advisor {
@@ -95,190 +83,99 @@ func newAdvisor(e *Engine, cfg AdaptConfig) *Advisor {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 5 * time.Second
 	}
-	if cfg.MaxChangesPerTrigger <= 0 {
-		cfg.MaxChangesPerTrigger = 2
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 16
-	}
 	if cfg.MinSplitRows <= 0 {
 		cfg.MinSplitRows = 64
 	}
 	return &Advisor{
-		e:          e,
-		cfg:        cfg,
-		eval:       &asa.Evaluator{Model: e.Model, Lambda: cfg.Lambda},
-		decisions:  plan.NewDecisionCache(),
-		preds:      make(map[partition.ID]*forecast.Hybrid),
-		lastChange: make(map[partition.ID]time.Time),
-		stop:       make(chan struct{}),
+		e:         e,
+		cfg:       cfg,
+		eval:      &asa.Evaluator{Model: e.Model, Lambda: cfg.Lambda},
+		pending:   make(map[partition.ID]string),
+		last:      make(map[partition.ID]asa.Executed),
+		decisions: plan.NewDecisionCache(),
+		preds:     make(map[partition.ID]*predictor),
 	}
 }
 
+// start runs the planning pass every Interval until the engine stops. Like
+// the maintenance loop, the goroutine is not a clock-driven task: a
+// registered task planning on the CPU holds a simulated clock on its slow
+// idle fallback for the whole pass.
 func (a *Advisor) start() {
-	if a.cfg.PredictiveInterval > 0 {
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			t := a.e.clk.NewTicker(a.cfg.PredictiveInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-a.e.stop:
-					return
-				case <-t.C:
-					a.predictiveTick()
-				}
-			}
-		}()
+	if a.cfg.Interval <= 0 {
+		return
 	}
-	if a.cfg.CapacityInterval > 0 {
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			t := a.e.clk.NewTicker(a.cfg.CapacityInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-a.e.stop:
-					return
-				case <-t.C:
-					a.capacityTick()
-				}
+	a.e.wg.Add(1)
+	go func() {
+		defer a.e.wg.Done()
+		t := a.e.clk.NewTicker(a.cfg.Interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-a.e.stop:
+				return
+			case <-t.C:
+				a.pass()
 			}
-		}()
-	}
+		}
+	}()
 }
 
 // Changes reports how many layout changes the advisor has executed.
 func (a *Advisor) Changes() int64 { return a.changes.Load() }
 
-// trace appends one decision to the engine's ASA decision trace.
-func (a *Advisor) trace(pid partition.ID, trigger string, c asa.Candidate, planD, execD time.Duration, err error) {
-	if a.e.Trace == nil {
-		return
+// Reverted reports how many of them undid a recent one (asa.Reverses).
+func (a *Advisor) Reverted() int64 { return a.reverted.Load() }
+
+// enqueue marks a partition for the next pass; its first reason stands.
+// The pass's checks run after the interval's requests, so a partition a
+// request touched is planned on its recent rates.
+func (a *Advisor) enqueue(pid partition.ID, reason string) {
+	a.pendMu.Lock()
+	if _, ok := a.pending[pid]; !ok {
+		a.pending[pid] = reason
 	}
-	d := obs.Decision{
-		At:        a.e.clk.Now(),
-		Partition: uint64(pid),
-		Trigger:   trigger,
-		Kind:      c.Kind.String(),
-		Layout:    c.NewLayout.String(),
-		Net:       c.Net,
-		PlanTime:  planD,
-		ExecTime:  execD,
-		Executed:  err == nil,
-	}
-	if err != nil {
-		d.Err = err.Error()
-	}
-	a.e.Trace.Add(d)
+	a.pendMu.Unlock()
 }
 
-// shouldConsider implements §5.3.2's gating: adapt when the request's cost
-// is above the decayed average, or on a deterministic sample.
-func (a *Advisor) shouldConsider(olap bool, d time.Duration) bool {
-	us := float64(d.Microseconds())
-	a.ewmaMu.Lock()
-	var above bool
-	if olap {
-		if a.ewmaOLAP == 0 {
-			a.ewmaOLAP = us
-		}
-		above = us > a.ewmaOLAP
-		a.ewmaOLAP = a.ewmaOLAP*0.95 + us*0.05
-	} else {
-		if a.ewmaOLTP == 0 {
-			a.ewmaOLTP = us
-		}
-		above = us > a.ewmaOLTP
-		a.ewmaOLTP = a.ewmaOLTP*0.95 + us*0.05
-	}
-	a.ewmaMu.Unlock()
-	if above {
-		return true
-	}
-	return a.counter.Add(1)%int64(a.cfg.SampleEvery) == 0
-}
-
-// onTxnExecuted is the OLTP plan trigger.
-func (a *Advisor) onTxnExecuted(tp *plan.TxnPlan, d time.Duration) {
-	if !a.shouldConsider(false, d) {
-		return
-	}
-	// Costliest leaf: the written partition with the highest contention,
-	// else the first piece touched.
-	var target *metadata.PartitionMeta
-	bestWait := time.Duration(-1)
+// onTxnExecuted is the OLTP plan trigger: it enqueues every piece the
+// transaction touched.
+func (a *Advisor) onTxnExecuted(tp *plan.TxnPlan) {
 	for _, b := range tp.Bindings {
 		for _, m := range b.Pieces {
-			if b.Op.Kind == query.OpRead && target != nil {
-				continue
-			}
-			_, wait := a.e.Locks.Contention(m.ID)
-			if wait > bestWait {
-				bestWait, target = wait, m
-			}
+			a.enqueue(m.ID, "oltp-plan")
 		}
-	}
-	if target != nil {
-		a.adaptPartition(target.ID, false, "oltp-plan", ClassOLTPLayoutPlan, ClassOLTPLayoutExec)
 	}
 }
 
-// onQueryExecuted is the OLAP plan trigger: adapt the scanned partition
-// contributing the most estimated cost (largest rows on the least
-// scan-friendly layout).
-func (a *Advisor) onQueryExecuted(pn plan.PNode, d time.Duration) {
-	if !a.shouldConsider(true, d) {
-		return
-	}
-	var target partition.ID
-	var bestScore float64 = -1
-	var walk func(plan.PNode)
-	walk = func(n plan.PNode) {
-		switch v := n.(type) {
-		case *plan.PScan:
-			for _, seg := range v.Segments {
-				for _, p := range seg.Pieces {
-					rows := 1.0
-					if p.Meta.ZoneMap != nil {
-						rows = float64(p.Meta.ZoneMap.Rows())
-					}
-					score := rows
-					if p.Copy.Layout.Format == storage.RowFormat {
-						score *= 4 // rows are the scan-hostile layout
-					}
-					if p.Copy.Layout.Tier == storage.DiskTier {
-						score *= 2
-					}
-					if score > bestScore {
-						bestScore, target = score, p.Meta.ID
-					}
-				}
+// onQueryExecuted is the OLAP plan trigger: it enqueues every piece the
+// query scanned.
+func (a *Advisor) onQueryExecuted(pn plan.PNode) {
+	switch v := pn.(type) {
+	case *plan.PScan:
+		for _, seg := range v.Segments {
+			for _, p := range seg.Pieces {
+				a.enqueue(p.Meta.ID, "olap-plan")
 			}
-		case *plan.PJoin:
-			walk(v.Left)
-			walk(v.Right)
-		case *plan.PAgg:
-			walk(v.Child)
 		}
-	}
-	walk(pn)
-	if bestScore >= 0 {
-		a.adaptPartition(target, false, "olap-plan", ClassOLAPLayoutPlan, ClassOLAPLayoutExec)
+	case *plan.PJoin:
+		a.onQueryExecuted(v.Left)
+		a.onQueryExecuted(v.Right)
+	case *plan.PAgg:
+		a.onQueryExecuted(v.Child)
 	}
 }
 
 // buildView assembles the decision snapshot for one partition.
-func (a *Advisor) buildView(m *metadata.PartitionMeta, predicted bool) (asa.PartitionView, bool) {
-	master := m.Master()
-	if a.e.siteOf(master.Site).Down() {
-		return asa.PartitionView{}, false // awaiting failover or recovery
-	}
-	p, ok := a.e.siteOf(master.Site).Partition(m.ID)
+func (a *Advisor) buildView(pid partition.ID, predicted bool) (asa.PartitionView, bool) {
+	m, ok := a.e.Dir.Get(pid)
 	if !ok {
 		return asa.PartitionView{}, false
+	}
+	master := m.Master()
+	p, ok := a.e.siteOf(master.Site).Partition(m.ID)
+	if !ok || a.e.siteOf(master.Site).Down() {
+		return asa.PartitionView{}, false // moved, or awaiting failover or recovery
 	}
 	st := p.Stats()
 	rowBytes := a.e.Dir.AvgRowBytes(m.Bounds.Table, nil)
@@ -286,27 +183,20 @@ func (a *Advisor) buildView(m *metadata.PartitionMeta, predicted bool) (asa.Part
 		rowBytes = 64
 	}
 
-	horizonSec := a.cfg.Horizon.Seconds()
-	window := 8 // recent fine buckets
-	rates := asa.AccessRates{
-		Updates:    m.Tracker.RecentRate(forecast.Update, window) * horizonSec,
-		PointReads: m.Tracker.RecentRate(forecast.PointRead, window) * horizonSec,
-		Scans:      m.Tracker.RecentRate(forecast.Scan, window) * horizonSec,
+	// Rates over the horizon from the last 8 fine buckets (or predicted);
+	// ongoing requests from the last 2, certain to arrive now.
+	recent := func(window int, scale float64) asa.AccessRates {
+		return asa.AccessRates{Updates: m.Tracker.RecentRate(forecast.Update, window) * scale,
+			PointReads: m.Tracker.RecentRate(forecast.PointRead, window) * scale,
+			Scans:      m.Tracker.RecentRate(forecast.Scan, window) * scale, Prob: 1}
 	}
+	horizonSec := a.cfg.Horizon.Seconds()
+	rates := recent(8, horizonSec)
 	if predicted {
 		rates = a.predictedRates(m, horizonSec)
 	}
-	total := rates.Updates + rates.PointReads + rates.Scans
-	prob, delay := forecast.ArrivalEstimate(total)
-	rates.Prob, rates.Delay = prob, delay
-
-	ongoing := asa.AccessRates{
-		Updates:    m.Tracker.RecentRate(forecast.Update, 2),
-		PointReads: m.Tracker.RecentRate(forecast.PointRead, 2),
-		Scans:      m.Tracker.RecentRate(forecast.Scan, 2),
-		Prob:       1,
-		Delay:      0,
-	}
+	rates.Prob, rates.Delay = forecast.ArrivalEstimate(rates.Updates + rates.PointReads + rates.Scans)
+	ongoing := recent(2, 1)
 
 	waiters, wait := a.e.Locks.Contention(m.ID)
 
@@ -323,13 +213,6 @@ func (a *Advisor) buildView(m *metadata.PartitionMeta, predicted bool) (asa.Part
 		}
 	}
 
-	coSite := simnet.SiteID(-1)
-	if tops := m.CoAccessed(1); len(tops) == 1 {
-		if cm, ok := a.e.Dir.Get(tops[0]); ok {
-			coSite = cm.Master().Site
-		}
-	}
-
 	var reps []asa.ReplicaView
 	for _, r := range m.Replicas() {
 		reps = append(reps, asa.ReplicaView{Site: r.Site, Layout: r.Layout})
@@ -339,6 +222,7 @@ func (a *Advisor) buildView(m *metadata.PartitionMeta, predicted bool) (asa.Part
 		Bounds:   m.Bounds,
 		Rows:     st.Rows,
 		RowBytes: rowBytes,
+		Bytes:    int64(st.Bytes),
 		Master:   asa.ReplicaView{Site: master.Site, Layout: master.Layout},
 		Replicas: reps,
 		Rates:    rates,
@@ -347,165 +231,221 @@ func (a *Advisor) buildView(m *metadata.PartitionMeta, predicted bool) (asa.Part
 		// zone maps skip them entirely; evaluating at full selectivity
 		// keeps the feature inside the cost models' training range.
 		ScanSelectivity:   1.0,
-		AvgUpdateCols:     maxIntA(1, nCols/3),
+		AvgUpdateCols:     max(1, nCols/3),
 		ContentionWaiters: waiters,
 		ContentionWait:    wait,
 		WriteHotCols:      writeHot,
 		ReadHotCols:       readHot,
-		CoAccessSite:      coSite,
+		CoAccessSite:      a.coAccessSite(m),
 	}, true
 }
 
-// predictedRates forecasts the next-horizon access counts with the
-// per-partition hybrid predictors (§5.2.2).
-func (a *Advisor) predictedRates(m *metadata.PartitionMeta, horizonSec float64) asa.AccessRates {
-	a.predMu.Lock()
-	h, ok := a.preds[m.ID]
-	if !ok {
-		h = forecast.NewHybrid(8, int64(m.ID))
-		a.preds[m.ID] = h
+// coAccessSite is where the partition most co-accessed with m is
+// mastered, or -1.
+func (a *Advisor) coAccessSite(m *metadata.PartitionMeta) simnet.SiteID {
+	if tops := m.CoAccessed(1); len(tops) == 1 {
+		if cm, ok := a.e.Dir.Get(tops[0]); ok {
+			return cm.Master().Site
+		}
 	}
-	a.predMu.Unlock()
+	return -1
+}
 
+// predictor is one partition's hybrid forecaster and its last forecast,
+// made in the fine bucket starting at.
+type predictor struct {
+	h     *forecast.Hybrid
+	at    time.Time
+	rates asa.AccessRates
+}
+
+// predictedRates forecasts the next-horizon access counts with the
+// per-partition hybrid predictors (§5.2.2), once per fine bucket: the
+// series it fits on gains a bucket no faster, and passes run more often.
+func (a *Advisor) predictedRates(m *metadata.PartitionMeta, horizonSec float64) asa.AccessRates {
+	p, ok := a.preds[m.ID]
+	if !ok {
+		p = &predictor{h: forecast.NewHybrid(8, int64(m.ID))}
+		a.preds[m.ID] = p
+	}
+	bucket := a.e.clk.Now().Truncate(m.Tracker.FineInterval())
+	if p.at.Equal(bucket) {
+		return p.rates
+	}
 	bucketsPerHorizon := horizonSec / m.Tracker.FineInterval().Seconds()
 	predict := func(kind forecast.AccessKind) float64 {
-		series := m.Tracker.Fine(kind)
 		// Train incrementally on a bounded recent window: refitting the
 		// full history on every call made prediction the dominant cost.
-		if len(series) > 64 {
-			series = series[len(series)-64:]
-		}
-		h.Fit(series)
-		perBucket := h.Predict(series, 1)
-		return perBucket * bucketsPerHorizon
+		series := m.Tracker.Fine(kind)
+		series = series[max(0, len(series)-64):]
+		p.h.Fit(series)
+		return p.h.Predict(series, 1) * bucketsPerHorizon
 	}
-	return asa.AccessRates{
+	p.at, p.rates = bucket, asa.AccessRates{
 		Updates:    predict(forecast.Update),
 		PointReads: predict(forecast.PointRead),
 		Scans:      predict(forecast.Scan),
 	}
+	return p.rates
 }
 
-// adaptPartition runs the §5.3.2 loop: generate candidates, evaluate N(S),
-// execute the best while positive. A per-partition cooldown provides
-// hysteresis: a freshly changed partition is left alone long enough for
-// its access statistics and cost observations to reflect the new layout.
-func (a *Advisor) adaptPartition(pid partition.ID, predicted bool, trigger string, planClass, execClass OpClass) {
-	const cooldown = 400 * time.Millisecond
-	a.lcMu.Lock()
-	if last, ok := a.lastChange[pid]; ok && a.e.clk.Since(last) < cooldown {
-		a.lcMu.Unlock()
-		return
-	}
-	a.lcMu.Unlock()
-	// Layout planning must not serialize the request path: the ASA plans
-	// asynchronously from execution (§3). If another adaptation is in
-	// flight, skip this trigger — the next request re-triggers.
-	if !a.mu.TryLock() {
-		return
-	}
+// pass is the advisor's one planning pass (§5.3.2's benefit-ranked plan):
+// the predictive, merge and capacity checks enqueue beside the plan
+// triggers, every pending partition's candidates are generated and
+// evaluated, one plan is chosen under the change budget, the sites' memory
+// capacity and the priced reversal of recent changes (asa.Choose), and it
+// is executed in its order.
+func (a *Advisor) pass() {
+	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i := 0; i < a.cfg.MaxChangesPerTrigger; i++ {
-		m, ok := a.e.Dir.Get(pid)
-		if !ok {
-			return
+	a.checkPredictive()
+	merges := a.checkMerges()
+	mem := a.checkCapacity()
+	a.pendMu.Lock()
+	pending := a.pending
+	a.pending = make(map[partition.ID]string, len(pending))
+	a.pendMu.Unlock()
+
+	pids := make([]partition.ID, 0, len(pending))
+	for pid := range pending {
+		pids = append(pids, pid)
+	}
+	slices.Sort(pids)
+	views, took := make(map[partition.ID]asa.PartitionView), make(map[partition.ID]time.Duration)
+	var opts []asa.Option
+	for _, pid := range pids {
+		start := a.e.clk.Now()
+		view, ok := a.buildView(pid, pending[pid] == "predictive")
+		if !ok || view.Rows == 0 {
+			continue // nothing stored; no change can pay off
 		}
-		planStart := a.e.clk.Now()
-		view, ok := a.buildView(m, predicted)
-		if !ok {
-			return
+		opts = append(opts, a.options(view, pending[pid], merges, mem)...)
+		d := a.e.clk.Since(start)
+		planClass, _ := layoutClasses(pending[pid])
+		a.e.stats.Record(planClass, d)
+		views[pid], took[pid] = view, d
+	}
+
+	hist := asa.History{Last: a.last, Horizon: a.cfg.Horizon, Now: a.e.clk.Now()}
+	for _, o := range asa.Choose(opts, mem, hist, changeBudget) {
+		// A master move earlier in the plan may have moved the partition
+		// this one follows; two co-accessed partitions would swap sites.
+		if m, ok := a.e.Dir.Get(o.PID); o.Kind == asa.ChangeMaster && (!ok || a.coAccessSite(m) != o.Site) {
+			continue
 		}
-		if view.Rows == 0 {
-			return // nothing stored; no change can pay off
-		}
-		best, found := a.bestCandidate(view)
-		planDur := a.e.clk.Since(planStart)
-		a.e.stats.Record(planClass, planDur)
-		if !found || best.Net <= 0 {
-			return
-		}
-		execStart := a.e.clk.Now()
-		err := a.execute(view, best)
-		a.trace(pid, trigger, best, planDur, a.e.clk.Since(execStart), err)
+		start := a.e.clk.Now()
+		err := a.execute(views[o.PID], o.Candidate)
+		d := obs.Decision{At: a.e.clk.Now(), Partition: uint64(o.PID), Trigger: o.Reason, Kind: o.Kind.String(),
+			Layout: o.NewLayout.String(), Net: o.Net, PlanTime: took[o.PID], ExecTime: a.e.clk.Since(start), Executed: err == nil}
 		if err != nil {
-			return
+			d.Err = err.Error()
+			a.e.Trace.Add(d)
+			continue
 		}
+		a.e.Trace.Add(d)
 		a.changes.Add(1)
-		a.e.stats.Record(execClass, a.e.clk.Since(execStart))
-		a.lcMu.Lock()
-		a.lastChange[pid] = a.e.clk.Now()
-		a.lcMu.Unlock()
-		// After structural changes the partition ID is gone; stop.
-		switch best.Kind {
+		_, execClass := layoutClasses(o.Reason)
+		a.e.stats.Record(execClass, a.e.clk.Since(start))
+		if _, ok := hist.Undoes(o.Candidate); ok {
+			a.reverted.Add(1)
+		}
+		switch o.Kind {
 		case asa.SplitHorizontal, asa.SplitVertical, asa.MergeWith:
-			return
+			delete(a.last, o.PID) // retired; a merge's partner too
+			delete(a.last, o.Other)
+		default:
+			a.last[o.PID] = asa.Executed{Candidate: o.Candidate, At: a.e.clk.Now()}
 		}
 	}
 }
 
-// bestCandidate generates, filters and evaluates candidates, reusing
-// bucketed decisions when enabled (§5.3.3).
-func (a *Advisor) bestCandidate(view asa.PartitionView) (asa.Candidate, bool) {
-	cands := asa.GenerateCandidates(view, a.cfg.Flags, len(a.e.Sites))
-	var viable []asa.Candidate
-	for _, c := range cands {
-		if (c.Kind == asa.SplitHorizontal || c.Kind == asa.SplitVertical) && view.Rows < a.cfg.MinSplitRows {
-			continue
-		}
-		// Never place work on a crashed site.
-		if int(c.Site) >= 0 && int(c.Site) < len(a.e.Sites) && a.e.siteOf(c.Site).Down() {
-			continue
-		}
-		viable = append(viable, c)
+// layoutClasses are the stats classes a reason's planning and executed
+// changes count under: OLTP for the OLTP plan trigger, OLAP otherwise.
+func layoutClasses(reason string) (planC, execC OpClass) {
+	if reason == "oltp-plan" {
+		return ClassOLTPLayoutPlan, ClassOLTPLayoutExec
 	}
-	if len(viable) == 0 {
-		return asa.Candidate{}, false
-	}
+	return ClassOLAPLayoutPlan, ClassOLAPLayoutExec
+}
 
+// options generates and evaluates one partition's options: its
+// flag-enabled candidates, a merge with its cold right neighbour, and the
+// storage-pressure responses at each pressured site holding a memory-tier
+// copy.
+func (a *Advisor) options(view asa.PartitionView, reason string, merges map[partition.ID]partition.ID, mem []asa.Memory) []asa.Option {
+	var opts []asa.Option
+	for _, c := range a.evaluate(view) {
+		opts = append(opts, asa.Option{Candidate: c, Reason: reason, Adds: asa.Grows(view, c)})
+	}
+	if right, ok := merges[view.PID]; ok {
+		c := asa.Candidate{Kind: asa.MergeWith, PID: view.PID, Other: right, Site: view.Master.Site}
+		opts = append(opts, asa.Option{Candidate: a.eval.Evaluate(view, c), Reason: "merge"})
+	}
+	for s, m := range mem {
+		site := simnet.SiteID(s)
+		p, ok := a.e.siteOf(site).Partition(view.PID)
+		if !m.Pressured() || !ok || p.Layout().Tier != storage.MemoryTier {
+			continue
+		}
+		for _, co := range asa.CapacityCandidates(view, site, a.cfg.Flags, len(a.e.Sites), int64(p.Stats().Bytes)) {
+			// A master move keeps the old copy at the site, as a replica:
+			// it frees nothing there.
+			c := co.Candidate
+			if co.BytesFreed <= 0 || c.Kind == asa.ChangeMaster || !a.viable(view, c) {
+				continue
+			}
+			opts = append(opts, asa.Option{Candidate: a.eval.Evaluate(view, c), Reason: "capacity",
+				FreeSite: site, Frees: co.BytesFreed, Adds: asa.Grows(view, c)})
+		}
+	}
+	return opts
+}
+
+// viable drops what the engine should not run: a split of a partition
+// under MinSplitRows, and any change placing work on a down site.
+func (a *Advisor) viable(view asa.PartitionView, c asa.Candidate) bool {
+	if (c.Kind == asa.SplitHorizontal || c.Kind == asa.SplitVertical) && view.Rows < a.cfg.MinSplitRows {
+		return false
+	}
+	return int(c.Site) < 0 || int(c.Site) >= len(a.e.Sites) || !a.e.siteOf(c.Site).Down()
+}
+
+// evaluate generates and evaluates the partition's viable flag-enabled
+// candidates. With decision reuse (§5.3.3), a bucketed view whose best
+// change was positive before reapplies it, if still viable, with its
+// cached costs. Only positive decisions are stored: rejections
+// re-evaluate as rates and models evolve.
+func (a *Advisor) evaluate(view asa.PartitionView) []asa.Candidate {
+	var cands []asa.Candidate
+	for _, c := range asa.GenerateCandidates(view, a.cfg.Flags, len(a.e.Sites)) {
+		if a.viable(view, c) {
+			cands = append(cands, c)
+		}
+	}
+	var key string
 	if a.cfg.Flags.DecisionReuse {
-		key := a.decisionKey(view)
+		// The view's inputs, bucketed.
+		key = plan.Key("layout-change", []string{view.Master.Layout.String(), "reps=" + strconv.Itoa(len(view.Replicas))},
+			[]float64{float64(view.Rows), view.Rates.Updates, view.Rates.PointReads, view.Rates.Scans, float64(view.ContentionWaiters)})
 		if d, ok := a.decisions.Lookup(key); ok {
-			if cached, ok := d.(asa.Candidate); ok && cached.Net > 0 {
-				// Reapply the cached decision if it is still viable for
-				// this partition (same change kind and resulting layout).
-				for _, c := range viable {
-					if c.Kind == cached.Kind && c.NewLayout == cached.NewLayout {
-						c.Net = cached.Net
-						return c, true
-					}
+			cached := d.(asa.Candidate)
+			for _, c := range cands {
+				if c.Kind == cached.Kind && c.NewLayout == cached.NewLayout {
+					c.Net, c.Upfront = cached.Net, cached.Upfront
+					return []asa.Candidate{c}
 				}
 			}
 		}
 	}
-
-	best := asa.Candidate{Net: -1}
-	for _, c := range viable {
-		ev := a.eval.Evaluate(view, c)
-		if ev.Net > best.Net {
-			best = ev
+	for i := range cands {
+		cands[i] = a.eval.Evaluate(view, cands[i])
+	}
+	if key != "" && len(cands) > 0 {
+		if best := slices.MaxFunc(cands, func(x, y asa.Candidate) int { return cmp.Compare(x.Net, y.Net) }); best.Net > 0 {
+			a.decisions.Store(key, best)
 		}
 	}
-	if a.cfg.Flags.DecisionReuse && best.Net > 0 {
-		// Only positive decisions are reused; rejections re-evaluate as
-		// rates and models evolve.
-		a.decisions.Store(a.decisionKey(view), best)
-	}
-	return best, best.Net > 0
-}
-
-// decisionKey buckets the view's inputs for decision reuse.
-func (a *Advisor) decisionKey(view asa.PartitionView) string {
-	tags := []string{
-		view.Master.Layout.String(),
-		fmt.Sprintf("reps=%d", len(view.Replicas)),
-	}
-	return plan.Key("layout-change", tags, []float64{
-		float64(view.Rows),
-		view.Rates.Updates,
-		view.Rates.PointReads,
-		view.Rates.Scans,
-		float64(view.ContentionWaiters),
-	})
+	return cands
 }
 
 // execute dispatches a candidate to the engine's layout operators.
@@ -535,198 +475,91 @@ func (a *Advisor) execute(view asa.PartitionView, c asa.Candidate) error {
 	case asa.ChangeMaster:
 		return a.e.ChangeMasterOp(c.PID, c.Site)
 	}
-	return fmt.Errorf("cluster: unknown candidate kind %v", c.Kind)
+	return errors.New("cluster: unknown candidate kind " + c.Kind.String())
 }
 
-// predictiveTick considers layout changes for partitions whose predicted
-// access pattern diverges from the recent one (§5.3.2).
-func (a *Advisor) predictiveTick() {
-	type scored struct {
-		pid partition.ID
-		gap float64
-	}
-	var worst []scored
-	for _, m := range a.e.Dir.All() {
-		recent := m.Tracker.RecentRate(forecast.Update, 8) + m.Tracker.RecentRate(forecast.Scan, 8)
-		if recent == 0 && m.Tracker.Total(forecast.Update)+m.Tracker.Total(forecast.Scan) == 0 {
-			continue
-		}
-		pr := a.predictedRates(m, a.cfg.Horizon.Seconds())
-		horizon := a.cfg.Horizon.Seconds()
-		predictedRate := (pr.Updates + pr.Scans) / horizon
-		gap := absF(predictedRate - recent)
-		if gap > 0.25*maxFA(recent, 1) {
-			worst = append(worst, scored{m.ID, gap})
-		}
-	}
-	sort.Slice(worst, func(i, j int) bool { return worst[i].gap > worst[j].gap })
-	if len(worst) > 4 {
-		worst = worst[:4]
-	}
-	for _, w := range worst {
-		a.adaptPartition(w.pid, true, "predictive", ClassOLAPLayoutPlan, ClassOLAPLayoutExec)
-	}
-	a.considerMerges()
-}
-
-// considerMerges proposes merging adjacent cooled-down partitions of the
-// same table at the same master site (§6.3.4: "Over time, Proteus merges
-// these partitions into larger partitions" once inserted data becomes
-// read-only). At most one merge executes per tick.
-func (a *Advisor) considerMerges() {
-	if !a.cfg.Flags.Merging {
-		return
-	}
-	type groupKey struct {
-		table    schema.TableID
-		colStart schema.ColID
-		colEnd   schema.ColID
-		site     simnet.SiteID
-	}
-	groups := map[groupKey][]*metadata.PartitionMeta{}
-	for _, m := range a.e.Dir.All() {
-		if a.e.siteOf(m.Master().Site).Down() {
-			continue
-		}
-		k := groupKey{m.Bounds.Table, m.Bounds.ColStart, m.Bounds.ColEnd, m.Master().Site}
-		groups[k] = append(groups[k], m)
-	}
-	const coldRate = 0.5 // accesses/sec below which a partition is "cold"
-	for _, ms := range groups {
-		sort.Slice(ms, func(i, j int) bool { return ms[i].Bounds.RowStart < ms[j].Bounds.RowStart })
-		for i := 0; i+1 < len(ms); i++ {
-			l, r := ms[i], ms[i+1]
-			if l.Bounds.RowEnd != r.Bounds.RowStart {
-				continue
-			}
-			if partRate(l) > coldRate || partRate(r) > coldRate {
-				continue
-			}
-			a.mu.Lock()
-			planStart := a.e.clk.Now()
-			view, ok := a.buildView(l, false)
-			if !ok || view.Rows == 0 {
-				a.mu.Unlock()
-				continue
-			}
-			cand := a.eval.Evaluate(view, asa.Candidate{
-				Kind: asa.MergeWith, PID: l.ID, Other: r.ID, Site: l.Master().Site,
-			})
-			planDur := a.e.clk.Since(planStart)
-			if cand.Net > 0 {
-				start := a.e.clk.Now()
-				err := a.e.MergeH(l.ID, r.ID)
-				a.trace(l.ID, "merge", cand, planDur, a.e.clk.Since(start), err)
-				if err == nil {
-					a.changes.Add(1)
-					a.e.stats.Record(ClassOLAPLayoutExec, a.e.clk.Since(start))
-					a.mu.Unlock()
-					return // one merge per tick
-				}
-			}
-			a.mu.Unlock()
-		}
-	}
-}
-
-// partRate sums a partition's recent access rates.
-func partRate(m *metadata.PartitionMeta) float64 {
-	return m.Tracker.RecentRate(forecast.Update, 8) +
-		m.Tracker.RecentRate(forecast.PointRead, 8) +
-		m.Tracker.RecentRate(forecast.Scan, 8)
-}
-
-// capacityTick responds to sites nearing their memory capacity (§5.3.2).
-func (a *Advisor) capacityTick() {
-	for _, s := range a.e.Sites {
+// checkCapacity reads every site's memory tier and enqueues each
+// partition with a memory-tier copy at a site under pressure (§5.3.2's
+// capacity trigger). A down site reads as unlimited: nothing runs there.
+func (a *Advisor) checkCapacity() []asa.Memory {
+	mem := make([]asa.Memory, len(a.e.Sites))
+	for i, s := range a.e.Sites {
 		if s.Down() {
 			continue
 		}
-		cap := s.MemCapacity()
-		if cap <= 0 {
+		if mem[i] = (asa.Memory{Used: s.MemUsage(), Cap: s.MemCapacity()}); !mem[i].Pressured() {
 			continue
 		}
-		used := s.MemUsage()
-		if float64(used) < 0.9*float64(cap) {
-			continue
-		}
-		a.relieveSite(s.ID, used-int64(0.8*float64(cap)))
-	}
-}
-
-// relieveSite frees at least `need` bytes from a site's memory tier by the
-// option with the best net benefit per byte.
-func (a *Advisor) relieveSite(siteID simnet.SiteID, need int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	type opt struct {
-		o     asa.CapacityOption
-		score float64
-	}
-	var opts []opt
-	for _, p := range a.e.siteOf(siteID).Partitions() {
-		if p.Layout().Tier != storage.MemoryTier {
-			continue
-		}
-		m, ok := a.e.Dir.Get(p.ID)
-		if !ok {
-			continue
-		}
-		view, ok := a.buildView(m, false)
-		if !ok {
-			continue
-		}
-		bytes := int64(p.Stats().Bytes)
-		for _, co := range asa.CapacityCandidates(view, siteID, a.cfg.Flags, len(a.e.Sites), bytes) {
-			ev := a.eval.Evaluate(view, co.Candidate)
-			if co.BytesFreed <= 0 {
-				continue
+		for _, p := range s.Partitions() {
+			if p.Layout().Tier == storage.MemoryTier {
+				a.enqueue(p.ID, "capacity")
 			}
-			opts = append(opts, opt{o: asa.CapacityOption{Candidate: ev, BytesFreed: co.BytesFreed},
-				score: ev.Net / float64(co.BytesFreed)})
 		}
 	}
-	sort.Slice(opts, func(i, j int) bool { return opts[i].score > opts[j].score })
-	freed := int64(0)
-	for _, o := range opts {
-		if freed >= need {
-			return
+	return mem
+}
+
+// checkMerges enqueues the left of each pair of adjacent cold partitions
+// of one table and column range mastered at one site (§6.3.4: "Over time,
+// Proteus merges these partitions into larger partitions" once inserted
+// data becomes read-only), and returns each one's right neighbour.
+func (a *Advisor) checkMerges() map[partition.ID]partition.ID {
+	if !a.cfg.Flags.Merging {
+		return nil
+	}
+	type group struct {
+		table schema.TableID
+		cols  [2]schema.ColID
+		site  simnet.SiteID
+	}
+	groups := map[group][]*metadata.PartitionMeta{}
+	for _, m := range a.e.Dir.All() {
+		if site := m.Master().Site; !a.e.siteOf(site).Down() {
+			k := group{m.Bounds.Table, [2]schema.ColID{m.Bounds.ColStart, m.Bounds.ColEnd}, site}
+			groups[k] = append(groups[k], m)
 		}
-		m, ok := a.e.Dir.Get(o.o.Candidate.PID)
-		if !ok {
+	}
+	const coldRate = 0.5 // accesses/sec below which a partition is "cold"
+	cold := func(m *metadata.PartitionMeta) bool {
+		return m.Tracker.RecentRate(forecast.Update, 8)+m.Tracker.RecentRate(forecast.PointRead, 8)+
+			m.Tracker.RecentRate(forecast.Scan, 8) <= coldRate
+	}
+	merges := map[partition.ID]partition.ID{}
+	for _, ms := range groups {
+		slices.SortFunc(ms, func(x, y *metadata.PartitionMeta) int { return cmp.Compare(x.Bounds.RowStart, y.Bounds.RowStart) })
+		for i := 0; i+1 < len(ms); i++ {
+			l, r := ms[i], ms[i+1]
+			if l.Bounds.RowEnd == r.Bounds.RowStart && cold(l) && cold(r) {
+				merges[l.ID] = r.ID
+				a.enqueue(l.ID, "merge")
+			}
+		}
+	}
+	return merges
+}
+
+// checkPredictive adds the four partitions no request touched whose
+// predicted access rate diverges most from the recent one (§5.3.2's
+// predictive trigger); the pass plans them on the predicted rates.
+func (a *Advisor) checkPredictive() {
+	gaps := map[partition.ID]float64{}
+	var worst []partition.ID
+	horizon := a.cfg.Horizon.Seconds()
+	for _, m := range a.e.Dir.All() {
+		recent := m.Tracker.RecentRate(forecast.Update, 8) + m.Tracker.RecentRate(forecast.Scan, 8)
+		a.pendMu.Lock()
+		_, touched := a.pending[m.ID]
+		a.pendMu.Unlock()
+		if touched || recent == 0 && m.Tracker.Total(forecast.Update)+m.Tracker.Total(forecast.Scan) == 0 {
 			continue
 		}
-		view, ok := a.buildView(m, false)
-		if !ok {
-			continue
-		}
-		execStart := a.e.clk.Now()
-		err := a.execute(view, o.o.Candidate)
-		a.trace(o.o.Candidate.PID, "capacity", o.o.Candidate, 0, a.e.clk.Since(execStart), err)
-		if err == nil {
-			a.changes.Add(1)
-			freed += o.o.BytesFreed
+		pr := a.predictedRates(m, horizon)
+		if gap := math.Abs((pr.Updates+pr.Scans)/horizon - recent); gap > 0.25*max(recent, 1) {
+			gaps[m.ID], worst = gap, append(worst, m.ID)
 		}
 	}
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
+	slices.SortFunc(worst, func(x, y partition.ID) int { return cmp.Or(cmp.Compare(gaps[y], gaps[x]), cmp.Compare(x, y)) })
+	for _, pid := range worst[:min(len(worst), 4)] {
+		a.enqueue(pid, "predictive")
 	}
-	return v
-}
-
-func maxFA(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxIntA(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -612,8 +612,7 @@ func TestReplicaAddRemoveAndMasterChange(t *testing.T) {
 
 func TestAdaptiveSmokeUnderMixedLoad(t *testing.T) {
 	cfg := fastConfig(ModeProteus, 2)
-	cfg.Adapt.SampleEvery = 2
-	cfg.Adapt.PredictiveInterval = 20 * time.Millisecond
+	cfg.Adapt.Interval = time.Millisecond
 	cfg.Adapt.MinSplitRows = 16
 	e := New(cfg)
 	defer e.Close()
@@ -647,9 +646,13 @@ func TestAdaptiveSmokeUnderMixedLoad(t *testing.T) {
 		if res.Tuples[0][1].Int() != 400 {
 			t.Fatalf("round %d: count = %v (data corrupted by adaptation)", round, res.Tuples[0])
 		}
+		e.Advisor.pass() // beside the background passes
 	}
 	if err := e.Dir.Validate(tbl.ID, e.TableMaxRow(tbl.ID), len(testCols)); err != nil {
 		t.Errorf("tiling invariant broken: %v", err)
+	}
+	if e.Advisor.Changes() == 0 {
+		t.Error("no layout change ran under the load")
 	}
 }
 
@@ -709,6 +712,38 @@ func TestLRUTieringUnderMemoryPressure(t *testing.T) {
 	res, err := e.ExecuteQuery(context.Background(), sess, scanSumQuery(tbl))
 	if err != nil || res.Tuples[0][1].Int() != 800 {
 		t.Fatalf("post-demotion scan: %v %v", res.Tuples, err)
+	}
+}
+
+// TestAdvisorPassRelievesMemoryPressure: under ModeProteus a capacity
+// below the sites' usage is the advisor's to relieve — one planning pass
+// brings every site under its capacity with the freeing options, traced
+// with the capacity reason, and the data reads back unchanged.
+func TestAdvisorPassRelievesMemoryPressure(t *testing.T) {
+	e, tbl := newFaultEngine(t, 2, 4, 800, func(cfg *Config) { cfg.Adapt.Interval = -1 })
+	var most int64
+	for _, s := range e.Sites {
+		most = max(most, s.MemUsage())
+	}
+	capacity := most * 10 / 11
+	e.SetMemCapacityPerSite(capacity)
+	e.Advisor.pass()
+	if e.Advisor.Changes() == 0 {
+		t.Fatal("the pass freed nothing")
+	}
+	for _, s := range e.Sites {
+		if used := s.MemUsage(); used >= capacity {
+			t.Errorf("site %d: %d bytes in memory after the pass, capacity %d", s.ID, used, capacity)
+		}
+	}
+	for _, d := range e.Trace.Recent(16) {
+		if d.Trigger != "capacity" || !d.Executed {
+			t.Errorf("decision %+v: want an executed capacity change", d)
+		}
+	}
+	res, err := e.ExecuteQuery(context.Background(), e.NewSession(), scanSumQuery(tbl))
+	if err != nil || res.Tuples[0][1].Int() != 800 {
+		t.Fatalf("after the pass: %v %v", res.Tuples, err)
 	}
 }
 

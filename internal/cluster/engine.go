@@ -769,6 +769,7 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	snap.Counters["asa.decisions"] = e.Trace.Total()
 	if e.Advisor != nil {
 		snap.Counters["asa.changes"] = e.Advisor.Changes()
+		snap.Counters["asa.changes_reverted"] = e.Advisor.Reverted()
 	}
 	return snap
 }

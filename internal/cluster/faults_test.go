@@ -52,8 +52,7 @@ func newFaultEngine(t *testing.T, sites, parts int, rows int64, tune func(*Confi
 // noAdapt freezes the advisor so tests control the replica topology.
 func noAdapt(cfg *Config) {
 	cfg.Adapt.Flags = asa.Flags{}
-	cfg.Adapt.PredictiveInterval = -1
-	cfg.Adapt.CapacityInterval = -1
+	cfg.Adapt.Interval = -1
 }
 
 // masterVersion reads a partition's version at its master site.

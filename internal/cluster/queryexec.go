@@ -79,7 +79,7 @@ func (e *Engine) executeQueryOnce(ctx context.Context, sess *Session, q *query.Q
 	e.stats.Record(ClassOLAP, d)
 	sess.s.ObserveOf(qs.snap, qs.pids)
 	if e.Advisor != nil {
-		e.Advisor.onQueryExecuted(pn, d)
+		e.Advisor.onQueryExecuted(pn)
 	}
 	return result, nil
 }
@@ -469,7 +469,7 @@ func (e *Engine) streamPlan(ctx context.Context, sess *Session, pn plan.PNode, l
 			d := e.clk.Since(start)
 			e.stats.Record(ClassOLAP, d)
 			if e.Advisor != nil {
-				e.Advisor.onQueryExecuted(pn, d)
+				e.Advisor.onQueryExecuted(pn)
 			}
 		}
 	}

@@ -300,7 +300,7 @@ func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn
 	}
 	e.stats.Record(ClassOLTP, d)
 	if e.Advisor != nil {
-		e.Advisor.onTxnExecuted(tp, d)
+		e.Advisor.onTxnExecuted(tp)
 	}
 	return result, nil
 }

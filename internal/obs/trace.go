@@ -6,15 +6,15 @@ import (
 )
 
 // Decision is one entry in the adaptive storage advisor's decision trace
-// (§5.3.2): which partition was considered, what triggered consideration,
-// the chosen change and its evaluated net benefit, and how long planning
-// and execution took. Executed=false entries record chosen-but-failed
+// (§5.3.2): which partition was considered, why a planning pass considered
+// it, the chosen change and its evaluated net benefit, and how long
+// planning and execution took. Executed=false entries record chosen-but-failed
 // changes (the layout operator returned an error).
 type Decision struct {
 	Seq       int64
 	At        time.Time
 	Partition uint64
-	Trigger   string // "oltp-plan", "olap-plan", "predictive", "capacity", "merge"
+	Trigger   string // the pass's reason: "oltp-plan", "olap-plan", "predictive", "capacity" or "merge"
 	Kind      string // candidate kind: "format", "tier", "split-h", ...
 	Layout    string // resulting layout for layout changes
 	Net       float64

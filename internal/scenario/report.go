@@ -113,9 +113,11 @@ func (r *Report) Summary() string {
 //     run;
 //   - class_ms.<class> and class_count.<class>, time and count per
 //     operation class; plan_hits and plan_misses of the plan cache;
-//   - changes, layout changes the advisor executed; rmse_pct.<op>, the
-//     cost model's relative error per operation; layouts.<layout>, the
-//     copies in each layout at the end. These and the plan cache's counts
+//   - changes, layout changes the advisor executed, and
+//     changes_reverted, those that undid a change made within the
+//     advisor's horizon; rmse_pct.<op>, the cost model's relative error
+//     per operation; layouts.<layout>, the copies in each layout at the
+//     end. These and the plan cache's counts
 //     run from the engine's start, warm-up included.
 func (s Spec) metrics(e *cluster.Engine, wl *loaded, stats []*clientState, measured time.Duration, oltp, olap obs.LatencySnapshot) map[string]float64 {
 	m := map[string]float64{
@@ -170,6 +172,7 @@ func (s Spec) metrics(e *cluster.Engine, wl *loaded, stats []*clientState, measu
 	m["plan_hits"], m["plan_misses"] = float64(hits), float64(misses)
 	if e.Advisor != nil {
 		m["changes"] = float64(e.Advisor.Changes())
+		m["changes_reverted"] = float64(e.Advisor.Reverted())
 	}
 	for op, rmse := range e.Model.Accuracy() {
 		m["rmse_pct."+op.String()] = 100 * rmse

@@ -15,6 +15,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -163,14 +164,10 @@ type Spec struct {
 	// vertical, horizontal, replication, compression, sorting or reuse.
 	Advisor *bool  `json:"advisor,omitempty"`
 	Ablate  string `json:"ablate,omitempty"`
-	// AdvisorPredictiveUS / AdvisorCapacityUS override the advisor's
-	// planning-loop periods (defaults 500ms / 1s); AdvisorSampleEvery
-	// overrides the plan-triggered sampling rate (default 16). Long
-	// low-churn scenarios coarsen these so advisor planning CPU does not
-	// dominate the event loop.
-	AdvisorPredictiveUS int64 `json:"advisor_predictive_us,omitempty"`
-	AdvisorCapacityUS   int64 `json:"advisor_capacity_us,omitempty"`
-	AdvisorSampleEvery  int   `json:"advisor_sample_every,omitempty"`
+	// AdvisorIntervalUS overrides the period of the advisor's planning
+	// pass (default 50ms). Long low-churn scenarios coarsen it so
+	// advisor planning CPU does not dominate the event loop.
+	AdvisorIntervalUS int64 `json:"advisor_interval_us,omitempty"`
 	// ConvergeTimeoutMS bounds the post-run convergence wait (virtual
 	// time, default 30000).
 	ConvergeTimeoutMS int64 `json:"converge_timeout_ms,omitempty"`
@@ -189,10 +186,13 @@ func Load(path string) (Spec, error) {
 	return Parse(b)
 }
 
-// Parse decodes and validates a scenario document.
+// Parse decodes and validates a scenario document. An unknown field is
+// an error, so a misspelt or retired knob fails instead of being ignored.
 func Parse(b []byte) (Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(b, &s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
 	s = s.WithDefaults()
@@ -341,18 +341,11 @@ func (s Spec) engineConfig() cluster.Config {
 		cfg.OpDeadline = ms(s.OpDeadlineMS)
 	}
 	if s.Advisor != nil && !*s.Advisor {
-		cfg.Adapt.PredictiveInterval = -1
-		cfg.Adapt.CapacityInterval = -1
+		cfg.Adapt.Interval = -1
 		cfg.Adapt.Flags = asa.Flags{}
 	} else {
-		if s.AdvisorPredictiveUS > 0 {
-			cfg.Adapt.PredictiveInterval = us(s.AdvisorPredictiveUS)
-		}
-		if s.AdvisorCapacityUS > 0 {
-			cfg.Adapt.CapacityInterval = us(s.AdvisorCapacityUS)
-		}
-		if s.AdvisorSampleEvery > 0 {
-			cfg.Adapt.SampleEvery = s.AdvisorSampleEvery
+		if s.AdvisorIntervalUS > 0 {
+			cfg.Adapt.Interval = us(s.AdvisorIntervalUS)
 		}
 		ablations[s.Ablate](&cfg.Adapt.Flags)
 	}

@@ -147,10 +147,14 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 }
 
-// TestParseRejectsMalformedJSON covers the Parse wrapper.
+// TestParseRejectsMalformedJSON covers the Parse wrapper: malformed JSON
+// and an unknown field (here a retired advisor knob) are errors.
 func TestParseRejectsMalformedJSON(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":`)); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+	if _, err := Parse([]byte(`{"name":"p","sites":2,"rounds_per_client":3,"advisor_sample_every":64}`)); err == nil {
+		t.Error("unknown field accepted")
 	}
 	if _, err := Parse([]byte(`{"name":"p","sites":2,"rounds_per_client":3,"seed":4}`)); err != nil {
 		t.Errorf("minimal valid doc rejected: %v", err)

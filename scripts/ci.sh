@@ -35,7 +35,8 @@ echo "== no fmt formatting or reflective sorts on the transaction, query and log
 # kernels, the zone map), the per-tick log paths (the redo-log broker
 # and its checkpoint fold, replication's fetch and apply), and the engine's
 # layout operators, copy builds and recovery, admission hooks and operation
-# stats format no strings and sort through
+# stats, and the advisor's triggers, planning pass and decision math,
+# format no strings and sort through
 # slices.*: fmt.Sprint* and fmt.Fprint* allocate on every call, and
 # sort.Slice / sort.SliceStable allocate a closure and a reflect swapper.
 # fmt.Errorf on error returns is allowed; test files are not checked.
@@ -45,10 +46,10 @@ hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/
     internal/disksim/disksim.go
     internal/storage/{batch,kernels,image}.go internal/zonemap/zonemap.go
     internal/cluster/{batchjoin,morsel,queryexec}.go
-    internal/cluster/{layout,recovery,admission,stats}.go
+    internal/cluster/{layout,recovery,admission,stats,advisor}.go
     internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
     internal/replication/replication.go internal/redolog/{redolog,checkpoint}.go)
-for f in internal/txn/*.go; do
+for f in internal/txn/*.go internal/asa/*.go; do
     [[ "$f" == *_test.go ]] || hot_paths+=("$f")
 done
 if grep -nE 'fmt\.(Sprint|Fprint)' "${hot_paths[@]}"; then
