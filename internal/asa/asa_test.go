@@ -152,7 +152,7 @@ func TestVerticalCutSeparatesHotColumns(t *testing.T) {
 func TestCapacityCandidates(t *testing.T) {
 	v := baseView(1000)
 	v.Master.Layout = storage.DefaultColumnLayout()
-	opts := CapacityCandidates(v, 0, AllFlags(), 2, 10000)
+	opts := CapacityCandidates(v, 0, AllFlags(), 10000)
 	kinds := map[ChangeKind]bool{}
 	for _, o := range opts {
 		kinds[o.Candidate.Kind] = true
@@ -160,13 +160,18 @@ func TestCapacityCandidates(t *testing.T) {
 			t.Error("option frees nothing")
 		}
 	}
-	if !kinds[ChangeCompress] || !kinds[ChangeTier] || !kinds[ChangeMaster] {
+	if !kinds[ChangeCompress] || !kinds[ChangeTier] {
 		t.Errorf("capacity kinds = %v", kinds)
+	}
+	// A master move keeps the old copy at the site as a replica: it frees
+	// nothing, so it is never offered.
+	if kinds[ChangeMaster] {
+		t.Error("capacity options include a master move")
 	}
 	// A replica at the pressured site yields a removal option.
 	v.Replicas = []ReplicaView{{Site: 0, Layout: storage.DefaultRowLayout()}}
 	v.Master.Site = 1
-	opts = CapacityCandidates(v, 0, AllFlags(), 2, 10000)
+	opts = CapacityCandidates(v, 0, AllFlags(), 10000)
 	found := false
 	for _, o := range opts {
 		if o.Candidate.Kind == RemoveReplica {

@@ -159,9 +159,10 @@ type CapacityOption struct {
 }
 
 // CapacityCandidates proposes the §5.3.2 storage-pressure responses for a
-// partition resident at the pressured site: remove replicas, move
-// mastership away, compress, demote to disk.
-func CapacityCandidates(view PartitionView, atSite simnet.SiteID, flags Flags, numSites int, bytes int64) []CapacityOption {
+// partition resident at the pressured site: remove replicas, compress,
+// demote to disk. Moving mastership away is not one: the old master stays
+// at the site as a replica, so the move frees nothing there.
+func CapacityCandidates(view PartitionView, atSite simnet.SiteID, flags Flags, bytes int64) []CapacityOption {
 	var out []CapacityOption
 	cur := view.Master.Layout
 	if view.Master.Site == atSite {
@@ -178,13 +179,6 @@ func CapacityCandidates(view PartitionView, atSite simnet.SiteID, flags Flags, n
 			next.Tier = storage.DiskTier
 			out = append(out, CapacityOption{
 				Candidate:  Candidate{Kind: ChangeTier, PID: view.PID, Site: atSite, NewLayout: next},
-				BytesFreed: bytes,
-			})
-		}
-		if flags.MasterChanges && numSites > 1 {
-			target := simnet.SiteID((int(atSite) + 1) % numSites)
-			out = append(out, CapacityOption{
-				Candidate:  Candidate{Kind: ChangeMaster, PID: view.PID, Site: target, NewLayout: cur},
 				BytesFreed: bytes,
 			})
 		}

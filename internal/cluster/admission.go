@@ -1,12 +1,11 @@
 // Admission wiring: every client-visible operation passes through the
 // engine's admission.Controller before it reaches the planner, and the
 // controller's decisions read a periodically refreshed ClusterState
-// snapshot instead of locking live engine state. OLTP work additionally
-// registers per-site in-flight counters that the morsel feeders consult
-// to cede scan-pool scheduling to commits (two priority classes at the
-// execution layer, not just at the gate). A group-commit flush never
-// passes through admission: a group enqueued past the 2PC commit point
-// must always flush.
+// snapshot instead of locking live engine state. The morsel feeders
+// also read each site's count of transactions in flight (OLTPInFlight) to
+// cede scan scheduling to commits (two priority classes at the execution
+// layer, not just at the gate). A group-commit flush never passes through
+// admission: a group enqueued past the 2PC commit point must always flush.
 package cluster
 
 import (
@@ -62,28 +61,23 @@ func (e *Engine) startAdmissionRefresher() {
 	}()
 }
 
-// oltpEnter/oltpExit bracket one transaction's execution at its
-// coordinating site; the site's morsel feeder checks the counter between
-// units and briefly yields while commits are in flight.
-func (e *Engine) oltpEnter(site simnet.SiteID) { e.oltpInFlight[int(site)].Add(1) }
-func (e *Engine) oltpExit(site simnet.SiteID)  { e.oltpInFlight[int(site)].Add(-1) }
-
 // scanYieldGrace bounds how long one morsel feeder step defers to
 // in-flight OLTP work; small enough that a steady OLTP stream cannot
 // starve analytical scans, large enough to cover a typical commit.
 const scanYieldGrace = 200 * time.Microsecond
 
-// yieldToOLTP parks the calling morsel feeder briefly while OLTP work is
-// in flight at the site, ceding scheduling slots in the shared scan pool
-// to transactional commits. The grace is bounded: after scanYieldGrace
-// the feeder proceeds regardless.
-func (e *Engine) yieldToOLTP(site simnet.SiteID) {
-	if int(site) >= len(e.oltpInFlight) || e.oltpInFlight[int(site)].Load() == 0 {
+// yieldToOLTP parks the calling morsel feeder briefly while transactions
+// are in flight at the site (site.OLTPInFlight: running or queued for an
+// OLTP slot), ceding the CPU to transactional commits. The grace is
+// bounded: after scanYieldGrace the feeder proceeds regardless.
+func (e *Engine) yieldToOLTP(siteID simnet.SiteID) {
+	s := e.siteOf(siteID)
+	if s.OLTPInFlight() == 0 {
 		return
 	}
 	e.cntScanYields.Inc()
 	deadline := e.clk.Now().Add(scanYieldGrace)
-	for e.oltpInFlight[int(site)].Load() > 0 && e.clk.Now().Before(deadline) {
+	for s.OLTPInFlight() > 0 && e.clk.Now().Before(deadline) {
 		e.clk.Sleep(scanYieldGrace / 4)
 	}
 }

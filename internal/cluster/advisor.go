@@ -387,11 +387,9 @@ func (a *Advisor) options(view asa.PartitionView, reason string, merges map[part
 		if !m.Pressured() || !ok || p.Layout().Tier != storage.MemoryTier {
 			continue
 		}
-		for _, co := range asa.CapacityCandidates(view, site, a.cfg.Flags, len(a.e.Sites), int64(p.Stats().Bytes)) {
-			// A master move keeps the old copy at the site, as a replica:
-			// it frees nothing there.
+		for _, co := range asa.CapacityCandidates(view, site, a.cfg.Flags, int64(p.Stats().Bytes)) {
 			c := co.Candidate
-			if co.BytesFreed <= 0 || c.Kind == asa.ChangeMaster || !a.viable(view, c) {
+			if co.BytesFreed <= 0 || !a.viable(view, c) {
 				continue
 			}
 			opts = append(opts, asa.Option{Candidate: a.eval.Evaluate(view, c), Reason: "capacity",

@@ -21,12 +21,12 @@ import (
 // benchmark run. Lower a budget when a change cuts its count; raise one
 // only with a line in CHANGES.md saying why.
 var queryAllocBudgets = map[string]float64{
-	"scan-agg":        117,  // grouped SUM and AVG over a filtered scan: 106 + 10 % (126 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 146 while each site's merge state was heap objects of its own and the session observed a copied read vector; 151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
-	"row-stream":      2303, // a filtered two-column scan drained through a cursor: 2093 + 10 % (2098 while the plan-cache key was formatted with fmt; 2107 while streaming had a worker loop of its own; 2114 before cost features went by value and partition lookups stopped sorting; 2115; 2114 since streaming shares its worker loop with the per-site path)
-	"join-agg":        285,  // pipelined fact ⋈ groups, grouped by a build column, each probing site building its own table, groups held at one site and routed to the other: 259 + 10 % (283 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 335 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 366 with per-site merge state of its own; a replicated groups until it got a budget of its own; 368 while the coordinator built the one table; 378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
-	"join-replicated": 306,  // join-agg over a replicated groups: each probing site scans its own copy, nothing routed: 278 + 10 % (302 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 354 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 394 with per-site merge state of its own; the second site's scan job costs more allocations than the routed rows did)
-	"scan-agg-delta":  175,  // scan-agg with 50 updates pending per partition: 159 + 10 % (179 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 189 while the aggregator grew its identity selection one row at a time; 209 with per-site merge state of its own; 214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
-	"join-gather":     267,  // pipelined fact ⋈ groups, bare, its build side routed from the remote site: 242 + 10 % (253 while the plan-cache key was formatted with fmt; 293 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 326 with per-site merge state of its own; 328 while it was gathered to the coordinator and its table broadcast; 338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
+	"scan-agg":        109,  // grouped SUM and AVG over a filtered scan: 99 + 10 % (117 = 106 + 10 % while each site task was a pool task with a done channel and a boxed closure; 126 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 146 while each site's merge state was heap objects of its own and the session observed a copied read vector; 151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
+	"row-stream":      2293, // a filtered two-column scan drained through a cursor: 2084 + 10 % (2303 = 2093 + 10 % while each site task was a pool task; 2098 while the plan-cache key was formatted with fmt; 2107 while streaming had a worker loop of its own; 2114 before cost features went by value and partition lookups stopped sorting; 2115; 2114 since streaming shares its worker loop with the per-site path)
+	"join-agg":        275,  // pipelined fact ⋈ groups, grouped by a build column, each probing site building its own table, groups held at one site and routed to the other: 250 + 10 % (285 = 259 + 10 % while each site task was a pool task; 283 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 335 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 366 with per-site merge state of its own; a replicated groups until it got a budget of its own; 368 while the coordinator built the one table; 378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
+	"join-replicated": 295,  // join-agg over a replicated groups: each probing site scans its own copy, nothing routed: 268 + 10 % (306 = 278 + 10 % while each site task was a pool task; 302 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 354 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 394 with per-site merge state of its own; the second site's scan job costs more allocations than the routed rows did)
+	"scan-agg-delta":  168,  // scan-agg with 50 updates pending per partition: 152 + 10 % (175 = 159 + 10 % while each site task was a pool task; 179 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 189 while the aggregator grew its identity selection one row at a time; 209 with per-site merge state of its own; 214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
+	"join-gather":     258,  // pipelined fact ⋈ groups, bare, its build side routed from the remote site: 234 + 10 % (267 = 242 + 10 % while each site task was a pool task; 253 while the plan-cache key was formatted with fmt; 293 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 326 with per-site merge state of its own; 328 while it was gathered to the coordinator and its table broadcast; 338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
 }
 
 // TestQueryAllocBudgets holds the query paths the executor serves — partial
@@ -134,9 +134,9 @@ func TestQueryAllocBudgets(t *testing.T) {
 // warmed two-site row-store engine, shaped like the benchmark's oltp-rmw.
 // Budgets are the measured count + 10 %, as for queries.
 var txnAllocBudgets = map[string]float64{
-	"rmw10":       58, // ten keys read and updated over both sites: 53 + 10 % (73 while each row version was a header object plus its own byte array, 80 the budget; 252 while routing, plan bindings, redo records and cost features allocated per op; 253 while site pools allocated a closure per task, 258 behind a flusher goroutine, 383 when each read was its own round trip)
-	"point-read":  21, // one key read at the coordinator's own master: 19 + 10 % (25 while routing and cost features allocated per op, 26, 29 before that)
-	"insert-2tbl": 42, // an events insert at site 1 beside an items update at site 0: 38 + 10 % (42 while each row version was a header object plus its own byte array, 46 the budget; 82 before routing, plan bindings, redo records and cost features stopped allocating per op)
+	"rmw10":       54, // ten keys read and updated over both sites: 49 + 10 % (58 = 53 + 10 % while each site task was a pool task with a done channel and a boxed closure; 73 while each row version was a header object plus its own byte array, 80 the budget; 252 while routing, plan bindings, redo records and cost features allocated per op; 253 while site pools allocated a closure per task, 258 behind a flusher goroutine, 383 when each read was its own round trip)
+	"point-read":  17, // one key read at the coordinator's own master: 15 + 10 % (21 = 19 + 10 % while each site task was a pool task; 25 while routing and cost features allocated per op, 26, 29 before that)
+	"insert-2tbl": 38, // an events insert at site 1 beside an items update at site 0: 34 + 10 % (42 = 38 + 10 % while each site task was a pool task; 42 while each row version was a header object plus its own byte array, 46 the budget; 82 before routing, plan bindings, redo records and cost features stopped allocating per op)
 }
 
 // rmwEngine builds the engine TestTxnAllocBudgets, TestMaintainAllocBudget

@@ -12,8 +12,8 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"proteus/internal/admission"
@@ -179,10 +179,8 @@ type Engine struct {
 	Faults *faults.Registry
 
 	// Adm is the admission controller fronting every client-visible
-	// operation; oltpInFlight holds the per-site transaction counters the
-	// morsel feeders consult for OLTP-over-OLAP preemption.
-	Adm          *admission.Controller
-	oltpInFlight []atomic.Int64
+	// operation.
+	Adm *admission.Controller
 
 	// Obs is the cluster-wide metrics registry (simnet traffic, redo-log
 	// broker, per-site maintenance); Trace is the ASA decision trace
@@ -291,7 +289,6 @@ func New(cfg Config) *Engine {
 	e.recMorselsPerQuery = e.Obs.Recorder("exec.morsels.per_query", 1<<10)
 	e.Adm = admission.New(cfg.Admission, e.Obs, admission.WithTimeSource(e.clk))
 	e.Obs.Gauge("admission.policy").Set(int64(cfg.Admission.Policy))
-	e.oltpInFlight = make([]atomic.Int64, cfg.NumSites)
 	for i := 0; i < cfg.NumSites; i++ {
 		s := site.New(simnet.SiteID(i), cfg.Site, e.Broker, e.Net, simnet.ASASite)
 		s.SetClock(e.clk)
@@ -480,7 +477,7 @@ func (e *Engine) foldDeps(low txn.VersionVector) {
 // closes first so queued waiters shed instead of blocking shutdown. The
 // group-commit queues need no draining: every enqueued group is flushed
 // by its site's leader, a committing transaction that finishes before
-// its site pool worker is released.
+// it gives its site's OLTP slot back.
 func (e *Engine) Close() {
 	e.Adm.Close()
 	close(e.stop)
@@ -701,13 +698,14 @@ func (e *Engine) MetricsSnapshot() obs.Snapshot {
 	snap.Latencies["engine.adaptation"] = adapt
 	var applied int64
 	for _, s := range e.Sites {
-		snap.Gauges[fmt.Sprintf("site%d.mem_bytes", s.ID)] = s.MemUsage()
-		snap.Gauges[fmt.Sprintf("site%d.disk_bytes", s.ID)] = s.DiskUsage()
+		prefix := "site" + strconv.Itoa(int(s.ID)) + "."
+		snap.Gauges[prefix+"mem_bytes"] = s.MemUsage()
+		snap.Gauges[prefix+"disk_bytes"] = s.DiskUsage()
 		up := int64(1)
 		if s.Down() {
 			up = 0
 		}
-		snap.Gauges[fmt.Sprintf("site%d.up", s.ID)] = up
+		snap.Gauges[prefix+"up"] = up
 		applied += s.Repl.Applied()
 	}
 	snap.Counters["repl.applied"] = applied

@@ -1,8 +1,9 @@
 // Morsel-driven parallel scan execution (the NUMA-aware morsel scheduling
 // idea of Leis et al., adapted to Proteus' per-partition layouts): each
-// site splits its hosted partitions into fixed-size row-range morsels, a
-// per-site worker pool sized to the machine's parallelism and shared by
-// every concurrent query claims morsels off a per-query cursor, evaluates
+// site splits its hosted partitions into fixed-size row-range morsels, the
+// site's scan workers — as many at once as it has scan slots, sized to the
+// machine's parallelism and shared by every concurrent query — claim
+// morsels off a per-query cursor, evaluates
 // predicate + projection + partial aggregation over them on the
 // layout-native path. One loop, runSites, runs every scan: each worker
 // folds its batches into a sink of its own, and each site's share —
@@ -463,9 +464,8 @@ func (f *morselFeed) next() (morselUnit, bool) {
 		return morselUnit{}, false
 	}
 	// OLTP preemption: while a transaction is in flight at this site,
-	// briefly stop claiming from the shared scan pool so commits get the
-	// CPU first; the grace is bounded so a steady OLTP stream cannot
-	// starve the scan.
+	// briefly stop claiming morsels so commits get the CPU first; the
+	// grace is bounded so a steady OLTP stream cannot starve the scan.
 	f.j.e.yieldToOLTP(f.siteID)
 	if f.j.ctx.Err() != nil {
 		return morselUnit{}, false
@@ -529,14 +529,15 @@ type siteRun[A siteAcc[A]] struct {
 	merged bool
 }
 
-// runSite runs the site's workers on its scan pool: up to ScanWorkers of
-// them over the one feed. Each folds its batches into an accumulator of its
-// own (newAcc is told the site) and, having run out of units, merges it
-// under the site's lock, the first one's state becoming the site's. A
-// crashed site's rejected workers run inline on their own goroutine, so its
-// share is still scanned against live copies. Off the pool, the site's last
-// worker out ships the share when ship is set: once, as a message of kind k
-// plus a 64-byte header; nothing crosses from the coordinator's own site.
+// runSite starts the site's workers: up to ScanWorkers goroutines over the
+// one feed, each scanning in one of the site's scan slots (RunScan). Each
+// folds its batches into an accumulator of its own (newAcc is told the
+// site) and, having run out of units, merges it under the site's lock, the
+// first one's state becoming the site's. A crashed site's rejected workers
+// scan without a slot, so its share is still scanned against live copies.
+// Out of its slot, the site's last worker out ships the share when ship is
+// set: once, as a message of kind k plus a 64-byte header; nothing crosses
+// from the coordinator's own site.
 func (r *siteRun[A]) runSite(wg *sync.WaitGroup, k simnet.Kind, ship bool, newAcc func(simnet.SiteID) A) {
 	j, siteID := r.feed.j, r.feed.siteID
 	s := j.e.siteOf(siteID)

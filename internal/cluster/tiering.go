@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"proteus/internal/forecast"
@@ -61,7 +62,7 @@ func (e *Engine) lruCandidates(siteID int, tier storage.Tier) []lruEntry {
 // bytes are freed.
 func (e *Engine) lruDemote(siteID simnet.SiteID, need int64) {
 	cands := e.lruCandidates(int(siteID), storage.MemoryTier)
-	sort.Slice(cands, func(i, j int) bool { return cands[i].heat < cands[j].heat })
+	slices.SortFunc(cands, func(a, b lruEntry) int { return cmp.Compare(a.heat, b.heat) })
 	freed := int64(0)
 	for _, c := range cands {
 		if freed >= need {
@@ -81,7 +82,7 @@ func (e *Engine) lruDemote(siteID simnet.SiteID, need int64) {
 // starve smaller hot ones behind it in the heat order.
 func (e *Engine) lruPromote(siteID simnet.SiteID, room int64) {
 	cands := e.lruCandidates(int(siteID), storage.DiskTier)
-	sort.Slice(cands, func(i, j int) bool { return cands[i].heat > cands[j].heat })
+	slices.SortFunc(cands, func(a, b lruEntry) int { return cmp.Compare(b.heat, a.heat) })
 	for _, c := range cands {
 		if c.heat == 0 {
 			return // candidates are heat-sorted; the rest are cold

@@ -282,14 +282,12 @@ func (e *Engine) executeTxnOnce(ctx context.Context, sess *Session, t *query.Txn
 	var result exec.Rel
 	var execErr error
 	start := e.clk.Now()
-	// The in-flight marker covers queueing for an OLTP pool slot too:
-	// morsel feeders at the site start yielding as soon as a transaction
-	// is headed its way, not only once a worker picks it up.
-	e.oltpEnter(coord)
+	// The transaction runs here, in an OLTP slot of its coordinating site,
+	// which counts it in flight while it waits for the slot too: morsel
+	// feeders there yield as soon as it is headed their way (yieldToOLTP).
 	err = e.siteOf(coord).RunOLTP(func() {
 		result, execErr = e.runTxnAt(ctx, coord, sess, tp)
 	})
-	e.oltpExit(coord)
 	if err != nil {
 		return exec.Rel{}, err
 	}

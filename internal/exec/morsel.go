@@ -7,7 +7,7 @@ import (
 
 // DefaultMorselRows is the scheduling quantum of the parallel scan
 // executor: each morsel covers roughly this many rows, small enough that
-// work spreads evenly across a site's scan pool and a LIMIT or cancelled
+// work spreads evenly across a site's scan workers and a LIMIT or cancelled
 // query stops quickly, large enough that per-morsel overhead stays noise.
 const DefaultMorselRows = 1024
 

@@ -41,7 +41,8 @@ type Replicator struct {
 	// transaction-execution resources, so update propagation competes for
 	// the same compute as transactions (the paper's replication threads
 	// co-operate with transaction execution threads). Synchronous
-	// CatchUp calls bypass it to avoid self-deadlock from pooled callers.
+	// CatchUp calls bypass it to avoid self-deadlock from callers already
+	// holding a transaction slot.
 	Exec func(func())
 	// Workers bounds the subscriptions PollOnce applies concurrently (the
 	// per-partition apply pool). <= 1 applies serially.

@@ -1,6 +1,7 @@
 // Package site implements Proteus' data sites (§3): each site stores the
-// partition copies placed on it, executes requests on separate OLTP and
-// OLAP thread pools (isolating compute between the workloads), runs a
+// partition copies placed on it, bounds the requests it executes by
+// separate OLTP, OLAP and morsel-scan slot counts (isolating compute between
+// the workloads; each task runs on the goroutine that submits it), runs a
 // replication subscriber, tracks per-tier storage usage, and buffers
 // operator latency observations for the ASA's polling threads to collect.
 package site
@@ -8,6 +9,7 @@ package site
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -24,95 +26,49 @@ import (
 	"proteus/internal/vclock"
 )
 
-// pool is a fixed-size worker pool.
-type pool struct {
-	mu     sync.RWMutex
-	closed bool
-	tasks  chan task
-	wg     sync.WaitGroup
-	busy   atomic.Int64
-	size   int
+// slots bounds how many tasks of one class run at once at a site: a task
+// takes a slot, runs on the goroutine that submitted it and gives the slot
+// back. Submitters wait for a slot in arrival order (a channel's blocked
+// senders are served first in, first out).
+type slots struct {
+	sem chan struct{}
+	// ownCPU makes every task run on a CPU no other such task holds
+	// (runOnOwnCPU), so the class's parallelism does not hang on where the
+	// kernel last left a thread.
 	ownCPU atomic.Bool
 }
 
-// task is one submitted function and the channel its submitter waits on.
-type task struct {
-	f    func()
-	done chan struct{}
-}
+func newSlots(n int) *slots { return &slots{sem: make(chan struct{}, n)} }
 
-// newPool starts n workers. While ownCPU is set, every task runs on a CPU no
-// other such task holds (runOnOwnCPU), so the pool's parallelism does not
-// hang on where the kernel last left a thread.
-func newPool(n int, ownCPU bool) *pool {
-	p := &pool{tasks: make(chan task, 4*n), size: n}
-	p.ownCPU.Store(ownCPU)
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer p.wg.Done()
-			for t := range p.tasks {
-				p.busy.Add(1)
-				if p.ownCPU.Load() {
-					runOnOwnCPU(t.f)
-				} else {
-					t.f()
-				}
-				p.busy.Add(-1)
-				// Only now is the task over: its CPU token is back and its
-				// thread unbound.
-				close(t.done)
-			}
-		}()
+// do runs f on the calling goroutine once a slot is free. When it returns,
+// f's CPU token is back and its thread unbound.
+func (c *slots) do(f func()) {
+	c.sem <- struct{}{}
+	defer func() { <-c.sem }()
+	if c.ownCPU.Load() {
+		runOnOwnCPU(f)
+	} else {
+		f()
 	}
-	return p
 }
 
-// Do runs f on the pool and waits until the worker is done with it. It
-// reports false without running f if the pool has been stopped (submitting
-// used to panic with a send on the closed channel). The read lock is held
-// across the send so stop cannot close the channel underneath a racing
-// submitter; workers never take the lock, so queued tasks keep draining.
-func (p *pool) Do(f func()) bool {
-	done := make(chan struct{})
-	p.mu.RLock()
-	if p.closed {
-		p.mu.RUnlock()
-		return false
-	}
-	p.tasks <- task{f: f, done: done}
-	p.mu.RUnlock()
-	<-done
-	return true
-}
+// utilization reports the fraction of slots taken.
+func (c *slots) utilization() float64 { return float64(len(c.sem)) / float64(cap(c.sem)) }
 
-func (p *pool) stop() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	close(p.tasks)
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-// utilization reports the fraction of workers currently busy.
-func (p *pool) utilization() float64 {
-	return float64(p.busy.Load()) / float64(p.size)
-}
-
-// oltpWorkers and olapWorkers size a site's two isolated pools.
+// oltpSlots and olapSlots size a site's two isolated classes.
 const (
-	oltpWorkers = 4
-	olapWorkers = 2
+	oltpSlots = 4
+	olapSlots = 2
 )
+
+// closedBit marks Site.admitted once Close has run; the bits below it count
+// the tasks admitted and not yet returned.
+const closedBit = 1 << 62
 
 // Config sizes one data site.
 type Config struct {
-	// ScanWorkers sizes the morsel-scan pool shared by every concurrent
-	// analytical query at this site (0 = runtime.GOMAXPROCS).
+	// ScanWorkers is how many morsel-scan tasks, from every concurrent
+	// analytical query at this site, run at once (0 = runtime.GOMAXPROCS).
 	ScanWorkers int
 	// MemCapacity caps the memory tier in bytes (0 = unlimited); nearing
 	// it triggers the ASA's storage-pressure planning (§5.3.2).
@@ -130,10 +86,19 @@ type Site struct {
 	Dev     *disksim.Device
 
 	cfg  Config
-	oltp *pool
-	olap *pool
-	scan *pool
+	oltp *slots
+	olap *slots
+	scan *slots
 	down atomic.Bool
+
+	// admitted counts the tasks running or waiting for a slot, with
+	// closedBit set by Close; drained is closed once it is set and the
+	// count is back to zero.
+	admitted           atomic.Int64
+	drained            chan struct{}
+	closing, drainOnce sync.Once
+	// txnsInFlight counts the transactions at RunOLTP, queueing included.
+	txnsInFlight atomic.Int64
 
 	mu      sync.RWMutex
 	parts   map[partition.ID]*partition.Partition
@@ -159,14 +124,18 @@ func New(id simnet.SiteID, cfg Config, broker *redolog.Broker, net *simnet.Netwo
 		Locks:   txn.NewLockManager(),
 		Dev:     dev,
 		cfg:     cfg,
-		oltp:    newPool(oltpWorkers, false),
-		olap:    newPool(olapWorkers, false),
-		scan:    newPool(cfg.ScanWorkers, true),
+		oltp:    newSlots(oltpSlots),
+		olap:    newSlots(olapSlots),
+		scan:    newSlots(cfg.ScanWorkers),
+		drained: make(chan struct{}),
 		parts:   make(map[partition.ID]*partition.Partition),
 		masters: make(map[partition.ID]bool),
 	}
+	s.scan.ownCPU.Store(true)
 	s.Repl = replication.New(broker, net, id, brokerSite)
-	s.Repl.Exec = func(f func()) { _ = s.oltp.Do(f) }
+	// Replication applies share the OLTP slots (§3) but are not
+	// transactions: they do not count in OLTPInFlight.
+	s.Repl.Exec = func(f func()) { _ = s.run(s.oltp, f) }
 	return s
 }
 
@@ -187,17 +156,48 @@ func (s *Site) SetClock(c vclock.Clock) {
 // counts delta rows folded by background maintenance; siteN.maintain.latency
 // records each partition's fold time.
 func (s *Site) SetObs(reg *obs.Registry) {
-	prefix := fmt.Sprintf("site%d.", s.ID)
+	prefix := "site" + strconv.Itoa(int(s.ID)) + "."
 	s.maintRows = reg.Counter(prefix + "maintain.rows")
 	s.maintLat = reg.Recorder(prefix+"maintain.latency", 1<<10)
 	s.Repl.SetObs(reg, prefix)
 }
 
-// Close stops the worker pools.
+// Close stops the site taking tasks: it returns once every task admitted
+// before it has returned, and every Run* after it reports
+// faults.ErrSiteDown.
 func (s *Site) Close() {
-	s.oltp.stop()
-	s.olap.stop()
-	s.scan.stop()
+	s.closing.Do(func() {
+		s.admitted.Add(closedBit + 1) // counted as a task, so leave can close drained
+		s.leave()
+	})
+	<-s.drained
+}
+
+// run runs f in one of c's slots, on the calling goroutine; a closed site
+// runs nothing.
+func (s *Site) run(c *slots, f func()) error {
+	defer s.leave()
+	if s.admitted.Add(1)&closedBit != 0 {
+		return fmt.Errorf("%w: site %d (closed)", faults.ErrSiteDown, s.ID)
+	}
+	c.do(f)
+	return nil
+}
+
+// leave uncounts a task. Once closedBit is set, the count's return to zero
+// closes drained.
+func (s *Site) leave() {
+	if s.admitted.Add(-1) == closedBit {
+		s.drainOnce.Do(func() { close(s.drained) })
+	}
+}
+
+// up reports faults.ErrSiteDown for a crashed site.
+func (s *Site) up() error {
+	if s.down.Load() {
+		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, s.ID)
+	}
+	return nil
 }
 
 // AddPartition installs a partition copy at this site.
@@ -259,47 +259,46 @@ func (s *Site) Partitions() []*partition.Partition {
 	return out
 }
 
-// RunOLTP executes f on the OLTP pool (blocking). A crashed or stopped
+// RunOLTP runs f in an OLTP slot, on the calling goroutine, and returns
+// once f has. From the call until it returns, queueing for the slot
+// included, the transaction counts in OLTPInFlight. A crashed or closed
 // site rejects work with a typed faults.ErrSiteDown.
 func (s *Site) RunOLTP(f func()) error {
-	if s.down.Load() {
-		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, s.ID)
+	if err := s.up(); err != nil {
+		return err
 	}
-	if !s.oltp.Do(f) {
-		return fmt.Errorf("%w: site %d (pool stopped)", faults.ErrSiteDown, s.ID)
-	}
-	return nil
+	s.txnsInFlight.Add(1)
+	defer s.txnsInFlight.Add(-1)
+	return s.run(s.oltp, f)
 }
 
-// RunOLAP executes f on the OLAP pool (blocking). A crashed or stopped
-// site rejects work with a typed faults.ErrSiteDown.
+// OLTPInFlight reports how many transactions are at RunOLTP, running or
+// queued for a slot; replication applies are not counted.
+func (s *Site) OLTPInFlight() int64 { return s.txnsInFlight.Load() }
+
+// RunOLAP runs f in an OLAP slot, on the calling goroutine, and returns once
+// f has. A crashed or closed site rejects work with faults.ErrSiteDown.
 func (s *Site) RunOLAP(f func()) error {
-	if s.down.Load() {
-		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, s.ID)
+	if err := s.up(); err != nil {
+		return err
 	}
-	if !s.olap.Do(f) {
-		return fmt.Errorf("%w: site %d (pool stopped)", faults.ErrSiteDown, s.ID)
-	}
-	return nil
+	return s.run(s.olap, f)
 }
 
-// RunScan executes f on the morsel-scan pool (blocking). The pool is sized
-// to the machine's parallelism and shared by every concurrent query at this
-// site, so total scan compute stays bounded no matter how many queries are
-// in flight. It returns once the worker has given f's CPU token back and
-// unbound its thread. A crashed or stopped site rejects work with
-// faults.ErrSiteDown.
+// RunScan runs f in a morsel-scan slot, on the calling goroutine. There are
+// ScanWorkers slots, shared by every concurrent query at this site, so total
+// scan compute stays bounded no matter how many queries are in flight. On
+// the wall clock f runs with the goroutine's thread bound to a CPU of its
+// own; RunScan returns once the CPU token is back and the thread unbound. A
+// crashed or closed site rejects work with faults.ErrSiteDown.
 func (s *Site) RunScan(f func()) error {
-	if s.down.Load() {
-		return fmt.Errorf("%w: site %d", faults.ErrSiteDown, s.ID)
+	if err := s.up(); err != nil {
+		return err
 	}
-	if !s.scan.Do(f) {
-		return fmt.Errorf("%w: site %d (pool stopped)", faults.ErrSiteDown, s.ID)
-	}
-	return nil
+	return s.run(s.scan, f)
 }
 
-// ScanWorkers reports the size of the morsel-scan pool.
+// ScanWorkers reports how many morsel-scan tasks run at once.
 func (s *Site) ScanWorkers() int { return s.cfg.ScanWorkers }
 
 // HostedCopy remembers one copy a crashed site was hosting, so recovery
@@ -342,8 +341,9 @@ func (s *Site) Crash() []HostedCopy {
 // state.
 func (s *Site) Recover() { s.down.Store(false) }
 
-// CPU reports a utilization signal combining both pools, used as the
-// network cost function's CPU argument (Table 1).
+// CPU reports the mean of the OLTP and OLAP classes' busy fractions (slots
+// taken over slots), used as the network cost function's CPU argument
+// (Table 1).
 func (s *Site) CPU() float64 {
 	return (s.oltp.utilization() + s.olap.utilization()) / 2
 }

@@ -6,7 +6,7 @@
 // learned workload and cost models.
 //
 // A DB embeds a full simulated cluster: data sites with isolated OLTP,
-// OLAP and parallel-scan worker pools, a redo-log broker, an interconnect
+// OLAP and parallel-scan slot counts, a redo-log broker, an interconnect
 // model, and the adaptive storage advisor. Clients open sessions (strong
 // session snapshot isolation) and submit keyed transactions or chainable
 // analytical queries; every call takes a context controlling cancellation

@@ -23,33 +23,28 @@ echo "== go vet"
 go vet ./...
 
 echo "== no fmt formatting or reflective sorts on the transaction, query and log paths"
-# A transaction's per-operation path (routing in the partition directory,
-# execution, group commit, locks, 2PC, snapshots and their registry, the
-# transaction planner, the row stores), a whole-partition move's (splits
-# and merges cutting typed images), a query's (the query planner and its
-# plan-cache key, morsel drivers, join pipeline and tables, runtime
-# filters, columnar relations, batch kernels, the group-by table and its
-# merge of the sites' shares at the coordinator, the in-memory column store with
-# its delta, scan chunks and column builds, the disk column store and the
-# simulated device its blocks are read from, the storage batches and filter
-# kernels, the zone map), the per-tick log paths (the redo-log broker
-# and its checkpoint fold, replication's fetch and apply), and the engine's
-# layout operators, copy builds and recovery, admission hooks and operation
-# stats, and the advisor's triggers, planning pass and decision math,
-# format no strings and sort through
+# The engine and the data sites (every non-test file of internal/cluster
+# and internal/site), a transaction's per-operation path (routing in the
+# partition directory, locks, 2PC, the transaction planner, the row
+# stores), a whole-partition move's (splits and merges cutting typed
+# images), a query's (the query planner and its plan-cache key, join
+# pipeline and tables, runtime filters, columnar relations, batch kernels,
+# the group-by table, the in-memory column store with its delta, scan
+# chunks and column builds, the disk column store and the simulated device
+# its blocks are read from, the storage batches and filter kernels, the
+# zone map), the per-tick log paths (the redo-log broker and its checkpoint
+# fold, replication's fetch and apply), and the advisor's decision math
+# (internal/asa) format no strings and sort through
 # slices.*: fmt.Sprint* and fmt.Fprint* allocate on every call, and
 # sort.Slice / sort.SliceStable allocate a closure and a reflect swapper.
 # fmt.Errorf on error returns is allowed; test files are not checked.
-hot_paths=(internal/cluster/txnexec.go internal/cluster/groupcommit.go internal/cluster/snapshots.go
-    internal/metadata/metadata.go internal/partition/split.go
+hot_paths=(internal/metadata/metadata.go internal/partition/split.go
     internal/plan/{planner,txnplan}.go internal/rowstore/{mem,disk}.go internal/colstore/{batchscan,coldata,mem,delta,disk}.go
     internal/disksim/disksim.go
     internal/storage/{batch,kernels,image}.go internal/zonemap/zonemap.go
-    internal/cluster/{batchjoin,morsel,queryexec}.go
-    internal/cluster/{layout,recovery,admission,stats,advisor}.go
     internal/exec/{joinpipe,jointable,rfilter,colrel,batch,batchagg,batchjoin,morsel,agg,groupby}.go
     internal/replication/replication.go internal/redolog/{redolog,checkpoint}.go)
-for f in internal/txn/*.go internal/asa/*.go; do
+for f in internal/cluster/*.go internal/site/*.go internal/txn/*.go internal/asa/*.go; do
     [[ "$f" == *_test.go ]] || hot_paths+=("$f")
 done
 if grep -nE 'fmt\.(Sprint|Fprint)' "${hot_paths[@]}"; then
@@ -114,11 +109,13 @@ gate_metric() {
 gate_metric olap-join net_bytes_per_op 18151
 # The row-copy runs gate their allocations: a count, so it repeats to
 # within about 1 % for the seed. The ceilings are the values measured when
-# row copies stopped allocating per row and per version (62.9 on oltp-rmw,
-# 172 on htap-mixed, at two seconds) plus 10 %; per-row version objects or
-# per-cell string decodes in row scans come back over them.
-gate_metric htap-mixed allocs_per_op 189
-gate_metric oltp-rmw allocs_per_op 69
+# site tasks stopped being goroutine-pool tasks (58.9 on oltp-rmw, 163 on
+# htap-mixed, at two seconds) plus 10 %; per-row version objects or
+# per-cell string decodes in row scans come back over them. (They were 69
+# and 189, from 62.9 and 172 when row copies stopped allocating per row
+# and per version.)
+gate_metric htap-mixed allocs_per_op 180
+gate_metric oltp-rmw allocs_per_op 65
 
 echo "== encoding and filter-kernel fuzz corpora (seeds only, -count=1)"
 # Replays the checked-in corpora without cached results: the colstore
