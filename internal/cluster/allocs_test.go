@@ -21,12 +21,33 @@ import (
 // benchmark run. Lower a budget when a change cuts its count; raise one
 // only with a line in CHANGES.md saying why.
 var queryAllocBudgets = map[string]float64{
-	"scan-agg":        109,  // grouped SUM and AVG over a filtered scan: 99 + 10 % (117 = 106 + 10 % while each site task was a pool task with a done channel and a boxed closure; 126 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 146 while each site's merge state was heap objects of its own and the session observed a copied read vector; 151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
+	"scan-agg":        105,  // grouped SUM and AVG over a filtered scan: 95 + 10 % (109 = 99 + 10 % while a scan read each 1 024-row morsel as four 256-row batches and the aggregate state was boxed; 117 = 106 + 10 % while each site task was a pool task with a done channel and a boxed closure; 126 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 146 while each site's merge state was heap objects of its own and the session observed a copied read vector; 151 before cost features went by value and partition lookups stopped sorting; 451 while every group was an entry, a key copy and a state of its own in each worker and a row of its own at the coordinator; 581 while each site merged its workers into an aggregator of its own, 585 while site pools allocated a closure per task)
+	"scan-groupby":    108,  // a 16-group GROUP BY on a FoR-coded key with a float SUM: 98 + 10 %
 	"row-stream":      2293, // a filtered two-column scan drained through a cursor: 2084 + 10 % (2303 = 2093 + 10 % while each site task was a pool task; 2098 while the plan-cache key was formatted with fmt; 2107 while streaming had a worker loop of its own; 2114 before cost features went by value and partition lookups stopped sorting; 2115; 2114 since streaming shares its worker loop with the per-site path)
-	"join-agg":        275,  // pipelined fact ⋈ groups, grouped by a build column, each probing site building its own table, groups held at one site and routed to the other: 250 + 10 % (285 = 259 + 10 % while each site task was a pool task; 283 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 335 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 366 with per-site merge state of its own; a replicated groups until it got a budget of its own; 368 while the coordinator built the one table; 378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
-	"join-replicated": 295,  // join-agg over a replicated groups: each probing site scans its own copy, nothing routed: 268 + 10 % (306 = 278 + 10 % while each site task was a pool task; 302 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 354 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 394 with per-site merge state of its own; the second site's scan job costs more allocations than the routed rows did)
-	"scan-agg-delta":  168,  // scan-agg with 50 updates pending per partition: 152 + 10 % (175 = 159 + 10 % while each site task was a pool task; 179 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 189 while the aggregator grew its identity selection one row at a time; 209 with per-site merge state of its own; 214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
-	"join-gather":     258,  // pipelined fact ⋈ groups, bare, its build side routed from the remote site: 234 + 10 % (267 = 242 + 10 % while each site task was a pool task; 253 while the plan-cache key was formatted with fmt; 293 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 326 with per-site merge state of its own; 328 while it was gathered to the coordinator and its table broadcast; 338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
+	"join-agg":        200,  // pipelined fact ⋈ groups, grouped by a build column, each probing site building its own table, groups held at one site and routed to the other: 181 + 10 % (275 = 250 + 10 % while probe lists grew by doubling in every worker and each site's column share was regrown batch by batch; 285 = 259 + 10 % while each site task was a pool task; 283 while each site's share was boxed into a partial relation, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 335 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 366 with per-site merge state of its own; a replicated groups until it got a budget of its own; 368 while the coordinator built the one table; 378 before cost features went by value and partition lookups stopped sorting; 421 with allocations per group per worker, 440 with a site aggregator of its own, 446 before)
+	"join-replicated": 220,  // join-agg over a replicated groups: each probing site scans its own copy, nothing routed: 200 + 10 % (295 = 268 + 10 % while probe lists grew by doubling in every worker and each site's column share was regrown batch by batch; 306 = 278 + 10 % while each site task was a pool task; 302 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 354 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 394 with per-site merge state of its own; the second site's scan job costs more allocations than the routed rows did)
+	"scan-agg-delta":  161,  // scan-agg with 50 updates pending per partition: 146 + 10 % (168 = 152 + 10 % while a morsel was four batches and the aggregate state was boxed; 175 = 159 + 10 % while each site task was a pool task; 179 while each site's share was boxed, concatenated and re-aggregated at the coordinator and the plan-cache key was formatted with fmt; 189 while the aggregator grew its identity selection one row at a time; 209 with per-site merge state of its own; 214 before cost features went by value and partition lookups stopped sorting; 502 with allocations per group per worker, 632 with a site aggregator of its own, 636 before)
+	"join-gather":     173,  // pipelined fact ⋈ groups, bare, its build side routed from the remote site: 157 + 10 % (258 = 234 + 10 % while probe lists grew by doubling in every worker and each site's column share was regrown batch by batch; 267 = 242 + 10 % while each site task was a pool task; 253 while the plan-cache key was formatted with fmt; 293 before dense keys got direct-addressed tables and scans stopped filtering for the conjuncts their zone maps prove; 326 with per-site merge state of its own; 328 while it was gathered to the coordinator and its table broadcast; 338 before cost features went by value and partition lookups stopped sorting; 4309 in 256-row chunks, a tuple allocated per row)
+}
+
+// forGroupsTable loads a table of rows like testRows' whose grp column
+// (col 1) holds i % groups, and moves every copy to the compressed memory
+// column layout, which stores that column FoR-coded.
+func forGroupsTable(t *testing.T, e *Engine, rows, groups int64) *schema.Table {
+	t.Helper()
+	tbl, err := e.CreateTable(TableSpec{Name: "events", Cols: testCols, MaxRows: schema.RowID(rows), Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testRows(rows)
+	for i := range data {
+		data[i].Vals[1] = types.NewInt64(int64(i) % groups)
+	}
+	if err := e.LoadRows(context.Background(), tbl.ID, data); err != nil {
+		t.Fatal(err)
+	}
+	setFactLayouts(t, e, tbl, storage.Layout{Format: storage.ColumnFormat, Tier: storage.MemoryTier, SortBy: storage.NoSort, Compressed: true})
+	return tbl
 }
 
 // TestQueryAllocBudgets holds the query paths the executor serves — partial
@@ -77,12 +98,24 @@ func TestQueryAllocBudgets(t *testing.T) {
 		}}
 	}
 	factAgg, deltaAgg := scanAgg(fact), scanAgg(dfact)
+	// A 16-group GROUP BY on a FoR-coded key: the group-id window over raw
+	// codes, the typed float SUM state.
+	groupBy := &query.Query{Root: &query.AggNode{
+		Child:   &query.ScanNode{Table: forGroupsTable(t, e, 4000, 16).ID, Cols: []schema.ColID{1, 2}},
+		GroupBy: []int{0},
+		Aggs:    []exec.AggSpec{{Func: exec.AggSum, Col: 1}},
+	}}
 	stream := &query.Query{Root: &query.ScanNode{Table: fact.ID, Cols: []schema.ColID{0, 2},
 		Pred: storage.Pred{{Col: 1, Op: storage.CmpLt, Val: types.NewInt64(5)}}}}
 	joinAgg, joinReplicated := factDimJoinAgg(fact, dim), factDimJoinAgg(fact, replicated)
 	shapes := map[string]func(){
 		"scan-agg": func() {
 			if _, err := e.ExecuteQuery(ctx, sess, factAgg); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"scan-groupby": func() {
+			if _, err := e.ExecuteQuery(ctx, sess, groupBy); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -119,8 +152,12 @@ func TestQueryAllocBudgets(t *testing.T) {
 		},
 	}
 	for name, run := range shapes {
+		codeRows := exec.ReadGroupByStats().CodeRows
 		for i := 0; i < 3; i++ {
 			run() // warm plans, decisions and pools
+		}
+		if name == "scan-groupby" && exec.ReadGroupByStats().CodeRows == codeRows {
+			t.Fatalf("%s grouped no rows on FoR codes", name)
 		}
 		got := testing.AllocsPerRun(50, run)
 		t.Logf("%s: %.0f allocs/query (budget %.0f)", name, got, queryAllocBudgets[name])

@@ -421,8 +421,8 @@ func (e *Engine) buildShares(ctx context.Context, n plan.PNode, snap txn.Version
 	if whole {
 		maxRows *= len(probing) // every copy read adds to the sinks' one count
 	}
-	accs, err := runSites(j, simnet.KindJoin, false, func(site simnet.SiteID) *colAcc {
-		return &colAcc{j: j, site: site, cols: exec.NewColRel(j.cols), maxRows: int64(maxRows)}
+	accs, err := runSites(j, simnet.KindJoin, false, e.morselRows(), func(site simnet.SiteID) *colAcc {
+		return &colAcc{j: j, site: site, maxRows: int64(maxRows)}
 	})
 	if err != nil {
 		return nil, false, err
@@ -857,8 +857,8 @@ func (e *Engine) morselGatherCols(ctx context.Context, ps *plan.PScan, snap txn.
 // gatherCols materializes the job's output as one ColRel at the
 // coordinator, each site's share arriving as one message of kind k.
 func (j *morselJob) gatherCols(k simnet.Kind) (exec.ColRel, error) {
-	shares, err := runSites(j, k, true, func(simnet.SiteID) *colAcc {
-		return &colAcc{j: j, cols: exec.NewColRel(j.cols)}
+	shares, err := runSites(j, k, true, j.e.morselRows(), func(simnet.SiteID) *colAcc {
+		return &colAcc{j: j}
 	})
 	if err != nil {
 		return exec.ColRel{}, err
@@ -875,31 +875,33 @@ func (j *morselJob) gatherCols(k simnet.Kind) (exec.ColRel, error) {
 	return res, nil
 }
 
-// colAcc is the columnar sink: a worker appends its batches column-wise and
-// sums each batch's byte estimate; a site keeps its other workers' rows as
-// more, to be concatenated where the share is used. The job fails with
-// errRowCap once its sinks have taken more than maxRows rows (0: no cap);
-// site is where the rows lie.
+// colAcc is the columnar sink: a worker copies each batch it folds — a
+// morsel's surviving rows — into a relation of exactly that many rows and
+// sums each batch's byte estimate; a site keeps its workers' parts, and
+// where the share is used they are concatenated once, every column
+// allocated at the share's length (exec.ConcatCols), so no column is
+// regrown by doubling. The job fails with errRowCap once its sinks have
+// taken more than maxRows rows (0: no cap); site is where the rows lie.
 type colAcc struct {
 	j       *morselJob
 	site    simnet.SiteID
-	cols    exec.ColRel
-	more    []exec.ColRel
+	parts   []exec.ColRel
 	bytes   int
 	maxRows int64
 }
 
 func (a *colAcc) fold(b *storage.Batch) {
-	from := a.cols.NumRows()
-	a.cols.AppendBatch(b)
-	a.bytes += a.cols.BytesFrom(from)
+	part := exec.NewColRel(a.j.cols)
+	part.AppendBatch(b)
+	a.parts = append(a.parts, part)
+	a.bytes += part.BytesFrom(0)
 	if a.maxRows > 0 && a.j.gathered.Add(int64(b.Len())) > a.maxRows {
 		a.j.fail(errRowCap)
 	}
 }
 
 func (a *colAcc) merge(w *colAcc) {
-	a.more = append(append(a.more, w.cols), w.more...)
+	a.parts = append(a.parts, w.parts...)
 	a.bytes += w.bytes
 }
 
@@ -907,11 +909,10 @@ func (a *colAcc) seal() int { return a.bytes }
 
 // all concatenates the accumulated rows into one relation.
 func (a *colAcc) all() exec.ColRel {
-	res := a.cols
-	for k := range a.more {
-		res.AppendCols(&a.more[k])
+	if len(a.parts) == 0 {
+		return exec.NewColRel(a.j.cols)
 	}
-	return res
+	return exec.ConcatCols(a.j.cols, a.parts)
 }
 
 // evalBatchJoinAgg fuses an aggregation over a batch join. The

@@ -110,10 +110,12 @@ type Config struct {
 	// doubling per attempt). 0 means the 200 µs default.
 	RetryBase time.Duration
 	// MorselRows sizes the parallel scan executor's scheduling quantum
-	// (rows per morsel). 0 means exec.DefaultMorselRows.
+	// (rows per morsel), which is also the batch length of every scan
+	// whose sink folds batches in place (aggregates, column chunks, join
+	// probes). 0 means exec.DefaultMorselRows.
 	MorselRows int
-	// ScanBatchRows bounds one result batch flowing from scan workers to
-	// the coordinator. 0 means exec.DefaultBatchRows.
+	// ScanBatchRows bounds one batch of a streaming scan, which its
+	// workers box and hand to a cursor. 0 means exec.DefaultBatchRows.
 	ScanBatchRows int
 	// Admission configures the multi-tenant QoS front end. The zero value
 	// is policy AlwaysAdmit: every request passes straight through (no

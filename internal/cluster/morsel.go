@@ -199,13 +199,14 @@ type morselJob struct {
 	err     error
 }
 
-// newProber returns a worker's prober for its site's pipeline; nil — which
-// passes batches through — when the job is a plain scan.
-func (j *morselJob) newProber(siteID simnet.SiteID) *exec.Prober {
+// newProber returns a worker's prober for its site's pipeline, sized for
+// scan batches of up to batchRows rows; nil — which passes batches
+// through — when the job is a plain scan.
+func (j *morselJob) newProber(siteID simnet.SiteID, batchRows int) *exec.Prober {
 	if j.pipes == nil {
 		return nil
 	}
-	return j.pipes[siteID].NewProber()
+	return j.pipes[siteID].NewProber(batchRows)
 }
 
 // shipKind is the message kind of the job's result batches: joined rows
@@ -478,13 +479,13 @@ func (f *morselFeed) next() (morselUnit, bool) {
 	return f.units[i], true
 }
 
-// drain is one scan worker's loop: it claims units off feed, runs every
-// non-empty scan batch through the job's probe pipeline and folds each
-// surviving batch into w. It reports whether the worker ran out of units,
-// rather than being stopped.
-func drain[A siteAcc[A]](feed *morselFeed, w A) bool {
+// drain is one scan worker's loop: it claims units off feed, scans each in
+// batches of up to batchRows rows, runs every non-empty batch through the
+// job's probe pipeline and folds each surviving batch into w. It reports
+// whether the worker ran out of units, rather than being stopped.
+func drain[A siteAcc[A]](feed *morselFeed, w A, batchRows int) bool {
 	j, siteID := feed.j, feed.siteID
-	pr := j.newProber(siteID)
+	pr := j.newProber(siteID, batchRows)
 	defer j.closeProber(siteID, pr)
 	var ps *partScan // the unit being scanned
 	sink := func(b *storage.Batch) bool {
@@ -498,7 +499,6 @@ func drain[A siteAcc[A]](feed *morselFeed, w A) bool {
 		}
 		return j.ctx.Err() == nil
 	}
-	batchRows := j.e.scanBatchRows()
 	for u, ok := feed.next(); ok; u, ok = feed.next() {
 		ps = u.ps
 		j.scanUnit(u, batchRows, sink)
@@ -531,19 +531,20 @@ type siteRun[A siteAcc[A]] struct {
 
 // runSite starts the site's workers: up to ScanWorkers goroutines over the
 // one feed, each scanning in one of the site's scan slots (RunScan). Each
-// folds its batches into an accumulator of its own (newAcc is told the
-// site) and, having run out of units, merges it under the site's lock, the
-// first one's state becoming the site's. A crashed site's rejected workers
-// scan without a slot, so its share is still scanned against live copies.
+// folds its batches of up to batchRows rows into an accumulator of its own
+// (newAcc is told the site) and, having run out of units, merges it under
+// the site's lock, the first one's state becoming the site's. A crashed
+// site's rejected workers scan without a slot, so its share is still
+// scanned against live copies.
 // Out of its slot, the site's last worker out ships the share when ship is
 // set: once, as a message of kind k plus a 64-byte header; nothing crosses
 // from the coordinator's own site.
-func (r *siteRun[A]) runSite(wg *sync.WaitGroup, k simnet.Kind, ship bool, newAcc func(simnet.SiteID) A) {
+func (r *siteRun[A]) runSite(wg *sync.WaitGroup, k simnet.Kind, ship bool, batchRows int, newAcc func(simnet.SiteID) A) {
 	j, siteID := r.feed.j, r.feed.siteID
 	s := j.e.siteOf(siteID)
 	work := func() {
 		w := newAcc(siteID)
-		if !drain(&r.feed, w) {
+		if !drain(&r.feed, w, batchRows) {
 			return
 		}
 		r.mu.Lock()
@@ -578,8 +579,11 @@ func (r *siteRun[A]) runSite(wg *sync.WaitGroup, k simnet.Kind, ship bool, newAc
 // runSites is where every scan's workers start, whatever the sink: it runs
 // each site's workers (runSite), every site's state carved from one slice,
 // and waits for all of them; without ship every share stays where it was
-// scanned. It returns every site's share, or the job's error.
-func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, ship bool, newAcc func(simnet.SiteID) A) ([]A, error) {
+// scanned. The sink chooses the scan's vector length, batchRows: a morsel
+// for the sinks that fold each batch in place (aggregates, column chunks,
+// join probes), ScanBatchRows for the streaming one, so a LIMIT never
+// boxes a morsel's rows. It returns every site's share, or the job's error.
+func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, ship bool, batchRows int, newAcc func(simnet.SiteID) A) ([]A, error) {
 	runs := make([]siteRun[A], len(j.units))
 	var wg sync.WaitGroup
 	i := 0
@@ -587,7 +591,7 @@ func runSites[A siteAcc[A]](j *morselJob, k simnet.Kind, ship bool, newAcc func(
 		r := &runs[i]
 		i++
 		r.feed.j, r.feed.siteID, r.feed.units = j, siteID, units
-		r.runSite(&wg, k, ship, newAcc)
+		r.runSite(&wg, k, ship, batchRows, newAcc)
 	}
 	wg.Wait()
 	j.observe()
@@ -667,7 +671,7 @@ func (a aggAcc) seal() int             { return a.agg.PartialBytes() }
 // result. With no share (every morsel pruned, or an empty join build side)
 // a global aggregate still yields its one row.
 func (j *morselJob) runAgg(groupBy []int, specs []exec.AggSpec) (exec.Rel, error) {
-	shares, err := runSites(j, j.shipKind(), true, func(simnet.SiteID) aggAcc {
+	shares, err := runSites(j, j.shipKind(), true, j.e.morselRows(), func(simnet.SiteID) aggAcc {
 		return aggAcc{exec.NewAggregator(groupBy, specs)}
 	})
 	if err != nil {
@@ -809,7 +813,7 @@ func (j *morselJob) cursor(limit int, onEOF func(error)) *RowCursor {
 	go func() {
 		defer close(out)
 		batchRows := j.e.scanBatchRows()
-		shares, err := runSites(j, j.shipKind(), true, func(site simnet.SiteID) *rowAcc {
+		shares, err := runSites(j, j.shipKind(), true, batchRows, func(site simnet.SiteID) *rowAcc {
 			return &rowAcc{j: j, site: site, out: out, rows: make([][]types.Value, 0, batchRows)}
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,31 +344,58 @@ func TestMorselZoneMapPruning(t *testing.T) {
 	}
 }
 
-// TestMorselLimitStopsScheduling verifies early termination reaches the
-// feeders: a LIMIT query over a table worth thousands of morsels must
-// schedule only a small fraction of them before the coordinator cancels
-// the feeds (backpressure bounds how far scheduling can run ahead).
-func TestMorselLimitStopsScheduling(t *testing.T) {
-	e, tbl := newMorselEngine(t, ModeRowStore, 2, 4, 40000, func(c *Config) {
-		c.MorselRows = 16
+// morselSizes are the scan settings the early-termination tests run
+// under: small morsels and batches, so a table of thousands of rows is
+// thousands of units, and the defaults, whose morsels a LIMIT's first rows
+// come from long before a worker finishes one.
+var morselSizes = []struct {
+	name   string
+	mutate func(*Config)
+}{
+	{"small", func(c *Config) {
+		c.MorselRows = 32
 		c.ScanBatchRows = 64
-	})
-	before := e.MetricsSnapshot().Counters["exec.morsels.scheduled"]
-	q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0}}, Limit: 32}
-	res, err := e.ExecuteQuery(context.Background(), e.NewSession(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 32 {
-		t.Fatalf("rows = %d, want 32", len(res.Tuples))
-	}
-	total := int64(40000 / 16)
-	delta := e.MetricsSnapshot().Counters["exec.morsels.scheduled"] - before
-	if delta == 0 {
-		t.Fatal("no morsels scheduled")
-	}
-	if delta >= total/2 {
-		t.Errorf("scheduled %d of %d morsels; early termination did not stop the feed", delta, total)
+	}},
+	{"default", nil},
+}
+
+// TestMorselLimitStopsScheduling verifies early termination reaches the
+// feeders: a LIMIT query over a table worth many morsels must schedule
+// only a small fraction of them before the coordinator cancels the feeds
+// (backpressure bounds how far scheduling can run ahead), with 16-row
+// morsels and with the default ones.
+func TestMorselLimitStopsScheduling(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		rows, morsel int64
+		mutate       func(*Config)
+	}{
+		{"small", 40000, 16, func(c *Config) {
+			c.MorselRows = 16
+			c.ScanBatchRows = 64
+		}},
+		{"default", 200000, exec.DefaultMorselRows, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, tbl := newMorselEngine(t, ModeRowStore, 2, 4, tc.rows, tc.mutate)
+			before := e.MetricsSnapshot().Counters["exec.morsels.scheduled"]
+			q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0}}, Limit: 32}
+			res, err := e.ExecuteQuery(context.Background(), e.NewSession(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Tuples) != 32 {
+				t.Fatalf("rows = %d, want 32", len(res.Tuples))
+			}
+			total := tc.rows / tc.morsel
+			delta := e.MetricsSnapshot().Counters["exec.morsels.scheduled"] - before
+			if delta == 0 {
+				t.Fatal("no morsels scheduled")
+			}
+			if delta >= total/2 {
+				t.Errorf("scheduled %d of %d morsels; early termination did not stop the feed", delta, total)
+			}
+		})
 	}
 }
 
@@ -454,58 +482,128 @@ func TestMorselStreamMatchesMaterialized(t *testing.T) {
 // TestMorselCancelNoGoroutineLeak abandons streams mid-scan — by cursor
 // Close and by context cancellation — and requires the goroutine count to
 // settle back to its baseline: Close drains until the producer closes the
-// batch channel, so every feeder and worker must have exited.
+// batch channel, so every feeder and worker must have exited. It runs with
+// small morsels and with the default ones.
 func TestMorselCancelNoGoroutineLeak(t *testing.T) {
-	e, tbl := newMorselEngine(t, ModeRowStore, 2, 4, 20000, func(c *Config) {
-		c.MorselRows = 32
-		c.ScanBatchRows = 64
-	})
-	sess := e.NewSession()
-	q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 1, 2}}}
+	for _, size := range morselSizes {
+		t.Run(size.name, func(t *testing.T) {
+			e, tbl := newMorselEngine(t, ModeRowStore, 2, 4, 20000, size.mutate)
+			sess := e.NewSession()
+			q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0, 1, 2}}}
 
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		cur, err := e.ExecuteQueryStream(ctx, sess, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 3 && cur.Next(); k++ {
-		}
-		if i%2 == 0 {
-			cancel() // abandon via context; Close still drains the workers
-		}
-		if err := cur.Close(); err != nil && i%2 != 0 {
-			t.Fatalf("close: %v", err)
-		}
-		cancel()
-	}
+			baseline := runtime.NumGoroutine()
+			for i := 0; i < 10; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				cur, err := e.ExecuteQueryStream(ctx, sess, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < 3 && cur.Next(); k++ {
+				}
+				if i%2 == 0 {
+					cancel() // abandon via context; Close still drains the workers
+				}
+				if err := cur.Close(); err != nil && i%2 != 0 {
+					t.Fatalf("close: %v", err)
+				}
+				cancel()
+			}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d > baseline %d\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if n := runtime.NumGoroutine(); n <= baseline+3 {
+					return
+				}
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("goroutines leaked: %d > baseline %d\n%s",
+						runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 
 // TestMorselContextCancelAborts cancels a materializing query's context
-// and expects a prompt context.Canceled, not a hang or a partial result.
+// and expects a prompt context.Canceled, not a hang or a partial result,
+// with small morsels and with the default ones.
 func TestMorselContextCancelAborts(t *testing.T) {
-	e, tbl := newMorselEngine(t, ModeRowStore, 2, 4, 20000, func(c *Config) {
-		c.MorselRows = 32
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0}}}
-	if _, err := e.ExecuteQuery(ctx, e.NewSession(), q); err == nil {
-		t.Fatal("cancelled query returned nil error")
+	for _, size := range morselSizes {
+		t.Run(size.name, func(t *testing.T) {
+			e, tbl := newMorselEngine(t, ModeRowStore, 2, 4, 20000, size.mutate)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			q := &query.Query{Root: &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{0}}}
+			if _, err := e.ExecuteQuery(ctx, e.NewSession(), q); err == nil {
+				t.Fatal("cancelled query returned nil error")
+			}
+		})
+	}
+}
+
+// TestMorselSinkChoosesBatchLength holds the sinks to the vector length
+// they ask for. An aggregate over column copies reads each unit as one
+// batch — storage emits as many batches as the feeds scheduled units — at
+// the default morsel size and at a small one; a cursor over the same table
+// reads batches of at most ScanBatchRows rows, several per unit (what it
+// hands over may be longer: a site's leftover rows go as one relation).
+func TestMorselSinkChoosesBatchLength(t *testing.T) {
+	quiet := func(c *Config) {
+		c.ReplicationInterval = time.Hour
+		c.MaintainInterval = time.Hour
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"default", quiet},
+		{"small", func(c *Config) {
+			quiet(c)
+			c.MorselRows = 1000
+			c.ScanBatchRows = 97
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, tbl := newMorselEngine(t, ModeColumnStore, 2, 4, 40000, tc.mutate)
+			sess := e.NewSession()
+			ctx := context.Background()
+			scan := &query.ScanNode{Table: tbl.ID, Cols: []schema.ColID{1, 2}}
+			measure := func(run func()) (units, batches, rows int64) {
+				units0, stats0 := e.MetricsSnapshot().Counters["exec.morsels.scheduled"], storage.ReadBatchStats()
+				run()
+				stats := storage.ReadBatchStats()
+				return e.MetricsSnapshot().Counters["exec.morsels.scheduled"] - units0,
+					stats.Batches - stats0.Batches, stats.RowsScanned - stats0.RowsScanned
+			}
+
+			agg := &query.Query{Root: &query.AggNode{Child: scan, GroupBy: []int{0},
+				Aggs: []exec.AggSpec{{Func: exec.AggSum, Col: 1}}}}
+			units, batches, rows := measure(func() {
+				if _, err := e.ExecuteQuery(ctx, sess, agg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if units == 0 || batches != units || rows != 40000 {
+				t.Errorf("aggregate: %d batches over %d units, %d rows; want one batch a unit over 40000 rows", batches, units, rows)
+			}
+
+			batchRows := int64(e.scanBatchRows())
+			units, batches, rows = measure(func() {
+				cur, err := e.ExecuteQueryStream(ctx, sess, &query.Query{Root: scan})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for cur.Next() {
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if rows != 40000 || batches <= units || batches*batchRows < rows {
+				t.Errorf("cursor: %d batches over %d units, %d rows; want batches of at most %d rows, several a unit", batches, units, rows, batchRows)
+			}
+		})
 	}
 }
 
@@ -513,13 +611,21 @@ func TestMorselContextCancelAborts(t *testing.T) {
 // at once: every unit is handed out exactly once, and after a cancel no
 // worker is handed another.
 func TestMorselFeedClaimsEachUnitOnce(t *testing.T) {
+	for _, size := range []int{1, exec.DefaultMorselRows} {
+		t.Run(strconv.Itoa(size), func(t *testing.T) { feedClaimsEachUnitOnce(t, size) })
+	}
+}
+
+// feedClaimsEachUnitOnce is TestMorselFeedClaimsEachUnitOnce over 10 000
+// units of size rows each.
+func feedClaimsEachUnitOnce(t *testing.T, size int) {
 	e, _ := newMorselEngine(t, ModeRowStore, 1, 1, 16, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j := &morselJob{e: e, ctx: ctx, cancel: cancel}
 	units := make([]morselUnit, 10000)
 	for i := range units {
-		units[i].lo = schema.RowID(i)
+		units[i].lo, units[i].hi = schema.RowID(i*size), schema.RowID((i+1)*size)
 	}
 	feed := &morselFeed{j: j, units: units}
 	claimed := make([]atomic.Int32, len(units))
@@ -530,8 +636,9 @@ func TestMorselFeedClaimsEachUnitOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for u, ok := feed.next(); ok; u, ok = feed.next() {
-				claimed[u.lo].Add(1)
-				if u.lo == 7000 {
+				i := int(u.lo) / size
+				claimed[i].Add(1)
+				if i == 7000 {
 					cancel()
 					handedOut.Store(feed.cursor.Load())
 				}

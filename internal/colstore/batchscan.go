@@ -106,15 +106,30 @@ func (s *batchScan) run(fn func(*storage.Batch) bool) {
 	s.emitLive(b, s.live[di:], fn)
 }
 
-// chunk filters base positions [p0, p1) into b's selection vector and
-// emits the survivors as one batch of column views.
+// chunk filters base positions [p0, p1) into b's selection vector — a
+// range's lower and upper bound on one column in one pass — and emits the
+// survivors as one batch of column views.
 func (s *batchScan) chunk(b *storage.Batch, p0, p1 int, oi *int, fn func(*storage.Batch) bool) bool {
 	var sel []int32 // nil = all rows of the chunk selected
 	k, pruned := 0, false
 	keep := func(dst []int32) { // dst was built in b.Scratch[k]
 		b.Scratch[k], k, sel, pruned = dst, k^1, dst, len(dst) == 0
 	}
-	for _, cond := range s.pred {
+	var paired uint64 // conditions filtered together with an earlier one
+	for i, cond := range s.pred {
+		if i < 64 && paired>>i&1 != 0 {
+			continue
+		}
+		if j := rangePartner(s.pred, i, paired); j >= 0 {
+			if dst, ok := filterColPair(b.Scratch[k][:0], sel, s.cols[cond.Col], p0, p1, cond, s.pred[j]); ok {
+				paired |= 1 << j
+				keep(dst)
+				if pruned {
+					break
+				}
+				continue
+			}
+		}
 		keep(filterColRange(b.Scratch[k][:0], sel, s.cols[cond.Col], p0, p1, cond.Op, cond.Val))
 		if pruned {
 			break
@@ -272,6 +287,36 @@ func sortedRange(n int, at func(int) types.Value, sortBy schema.ColID, pred stor
 		}
 	}
 	return min(lo, hi), hi
+}
+
+// rangePartner returns the index after i (below 64, not in paired) of a
+// condition that bounds condition i's column from the other side — a Gt or
+// Ge with an Lt or Le — or -1.
+func rangePartner(pred storage.Pred, i int, paired uint64) int {
+	lower := func(op storage.CmpOp) bool { return op == storage.CmpGt || op == storage.CmpGe }
+	upper := func(op storage.CmpOp) bool { return op == storage.CmpLt || op == storage.CmpLe }
+	c := pred[i]
+	if !lower(c.Op) && !upper(c.Op) {
+		return -1
+	}
+	for j := i + 1; j < min(len(pred), 64); j++ {
+		if d := pred[j]; d.Col == c.Col && paired>>j&1 == 0 && (lower(c.Op) && upper(d.Op) || upper(c.Op) && lower(d.Op)) {
+			return j
+		}
+	}
+	return -1
+}
+
+// filterColPair is filterColRange for a range's two bounds on one column,
+// in one pass over positions [p0, p1) (storage.FilterVecRange); false,
+// with nothing appended, on an RLE column or where the bounds do not both
+// translate into the column's code space.
+func filterColPair(dst []int32, sel []int32, c *colData, p0, p1 int, lo, hi storage.Cond) ([]int32, bool) {
+	if c.enc == encRLE {
+		return dst, false
+	}
+	v := c.viewVec(p0, p1)
+	return storage.FilterVecRange(dst, sel, p1-p0, &v, lo.Op, lo.Val, hi.Op, hi.Val)
 }
 
 // filterColRange appends to dst the batch-relative indexes in [p0, p1)

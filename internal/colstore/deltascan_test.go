@@ -155,10 +155,10 @@ func TestDiskScanDuringMerge(t *testing.T) {
 }
 
 // BenchmarkScanWithDelta measures one pass over a 100k-row column store cut
-// into 1 024-row units the way the morsel executor scans it, with 0, 64 and
+// into 8 192-row units the way the morsel executor scans it, with 0, 64 and
 // 1 024 updates pending in the delta.
 func BenchmarkScanWithDelta(b *testing.B) {
-	const n, unit = 100_000, 1024
+	const n, unit = 100_000, 8192
 	rows := make([]schema.Row, n)
 	for i := range rows {
 		rows[i] = mkRow(int64(i))

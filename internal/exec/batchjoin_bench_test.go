@@ -283,7 +283,7 @@ func BenchmarkJoinTableProbe(b *testing.B) {
 		},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			pr := tc.pipe.NewProber()
+			pr := tc.pipe.NewProber(storage.DefaultBatchRows)
 			agg := NewAggregator(tc.groupBy, tc.specs)
 			for _, bt := range tc.in { // warm the scratch buffers and the groups
 				if jb := pr.Apply(bt); jb != nil {

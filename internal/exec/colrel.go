@@ -55,6 +55,33 @@ func (c *ColRel) AppendCols(o *ColRel) {
 	c.rows += o.rows
 }
 
+// ConcatCols concatenates relations of one shape, labelled cols, into one
+// whose columns are each allocated once, at the total length; a lone
+// relation is returned as it is.
+func ConcatCols(cols []string, parts []ColRel) ColRel {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	res := NewColRel(cols)
+	total := 0
+	for i := range parts {
+		total += parts[i].rows
+	}
+	for c := range res.Vecs {
+		kind := types.KindNull
+		for i := range parts {
+			if kind = parts[i].Vecs[c].Kind; kind != types.KindNull {
+				break
+			}
+		}
+		res.Vecs[c].Reserve(kind, total)
+	}
+	for i := range parts {
+		res.AppendCols(&parts[i])
+	}
+	return res
+}
+
 // Gather appends the rows of o at positions idx (with repetition, in idx
 // order) — the late-materialization primitive of the batch hash join.
 func (c *ColRel) Gather(o *ColRel, idx []int32) {

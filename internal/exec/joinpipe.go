@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"time"
 
 	"proteus/internal/schema"
@@ -84,27 +85,65 @@ func (s *StageStats) Add(o StageStats) {
 // batches flow through. Not safe for concurrent use; a nil Prober passes
 // batches through untouched.
 type Prober struct {
-	p     *JoinPipe
-	keys  keyScratch
-	m     matches
-	sel   []int32   // row in flight -> scan-batch row
-	rows  [][]int32 // per stage: row in flight -> build row
-	spare []int32   // gather target, swapped with what it replaces
+	p *JoinPipe
+	*probeScratch
 	view  storage.Batch
-	dense storage.Batch
-	ids   []schema.RowID // zero row ids backing dense batches
 	stats []StageStats
 
 	steps, bloomTested, bloomPassed int64
 }
 
-// NewProber returns a worker-local prober for the pipeline.
-func (p *JoinPipe) NewProber() *Prober {
+// probeScratch is a Prober's row lists and buffers. Close returns it to
+// probeScratchPool, so the next query's workers reuse what this one's
+// grew: a join whose matches outnumber its probe rows regrows its lists
+// only while the pool is empty.
+type probeScratch struct {
+	keys  keyScratch
+	m     matches
+	sel   []int32   // row in flight -> scan-batch row
+	rows  [][]int32 // per stage: row in flight -> build row
+	spare []int32   // gather target, swapped with what it replaces
+	dense storage.Batch
+	ids   []schema.RowID // zero row ids backing dense batches
+}
+
+var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// NewProber returns a worker-local prober for the pipeline. Its row lists
+// — the matches, the rows in flight, each kept stage's build rows and the
+// gather target they swap with — hold batchRows rows each before they
+// grow; those a pooled scratch brings too short are carved from one
+// allocation.
+func (p *JoinPipe) NewProber(batchRows int) *Prober {
+	sc := probeScratchPool.Get().(*probeScratch)
+	if cap(sc.rows) < len(p.Stages) {
+		sc.rows = make([][]int32, len(p.Stages))
+	}
+	sc.rows = sc.rows[:len(p.Stages)]
+	var held [8]*[]int32
+	lists := append(held[:0], &sc.m.pos, &sc.m.row, &sc.sel, &sc.spare)
+	for k, st := range p.Stages {
+		if st.keep && st.Table != nil {
+			lists = append(lists, &sc.rows[k])
+		}
+	}
+	short := 0
+	for _, l := range lists {
+		if cap(*l) < batchRows {
+			short++
+		}
+	}
+	buf := make([]int32, short*batchRows)
+	for _, l := range lists {
+		if cap(*l) < batchRows {
+			*l, buf = buf[:0:batchRows], buf[batchRows:]
+		}
+	}
 	return &Prober{
-		p:     p,
-		rows:  make([][]int32, len(p.Stages)),
-		stats: make([]StageStats, len(p.Stages)),
-		view:  storage.Batch{Vecs: make([]storage.Vec, len(p.Out))},
+		p:            p,
+		probeScratch: sc,
+		stats:        make([]StageStats, len(p.Stages)),
+		view:         storage.Batch{Vecs: make([]storage.Vec, len(p.Out))},
 	}
 }
 
@@ -235,5 +274,7 @@ func (pr *Prober) Close() []StageStats {
 	statJoinChainSteps.Add(pr.steps)
 	statBloomTested.Add(pr.bloomTested)
 	statBloomPassed.Add(pr.bloomPassed)
+	probeScratchPool.Put(pr.probeScratch)
+	pr.probeScratch = nil
 	return pr.stats
 }

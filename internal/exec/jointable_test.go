@@ -87,7 +87,7 @@ func probeBatches(rng *rand.Rand, r Rel, keep []bool, key int) []*storage.Batch 
 
 // pipeRows drives batches through a fresh prober, boxing what comes out.
 func pipeRows(p *JoinPipe, batches []*storage.Batch) [][]types.Value {
-	pr := p.NewProber()
+	pr := p.NewProber(7) // fewer rows than most batches: the lists must grow past their carve
 	var out [][]types.Value
 	for _, b := range batches {
 		if jb := pr.Apply(b); jb != nil {

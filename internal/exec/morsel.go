@@ -8,11 +8,15 @@ import (
 // DefaultMorselRows is the scheduling quantum of the parallel scan
 // executor: each morsel covers roughly this many rows, small enough that
 // work spreads evenly across a site's scan workers and a LIMIT or cancelled
-// query stops quickly, large enough that per-morsel overhead stays noise.
-const DefaultMorselRows = 1024
+// query stops quickly, large enough that per-morsel overhead — claiming the
+// unit, emitting its batch, setting up the group-id window — stays noise.
+// A worker scans a morsel as one batch of up to this many rows, unless its
+// sink streams rows (DefaultBatchRows).
+const DefaultMorselRows = 8192
 
-// DefaultBatchRows bounds one result batch flowing from a scan worker to
-// the coordinator, which bounds the executor's in-flight memory.
+// DefaultBatchRows bounds one batch of boxed rows flowing from a scan
+// worker to a cursor, which bounds the streaming executor's in-flight
+// memory and what a LIMIT boxes beyond its rows.
 const DefaultBatchRows = 256
 
 // LocalPred translates a predicate over table-global columns into a

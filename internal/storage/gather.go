@@ -95,6 +95,25 @@ func (v *Vec) AppendVec(src *Vec, sel []int32) {
 	}
 }
 
+// Reserve makes room for n more rows of kind k in one allocation: a vector
+// that holds no rows and has no kind takes k, and the payload array its
+// kind selects grows to hold n more. A vector of another kind appended
+// afterwards still coerces as AppendVec does.
+func (v *Vec) Reserve(k types.Kind, n int) {
+	if v.Kind == types.KindNull && v.Len() == 0 {
+		v.Kind = k
+	}
+	switch v.Kind {
+	case types.KindNull:
+	case types.KindFloat64:
+		v.F64 = growSlice(v.F64, n)
+	case types.KindString:
+		v.Str = growSlice(v.Str, n)
+	default:
+		v.I64 = growSlice(v.I64, n)
+	}
+}
+
 // growSlice reserves room for n more elements in one reallocation,
 // doubling at minimum so repeated small appends stay amortized O(1). A
 // large gather (a join materializing 100k matches) pays one allocation

@@ -157,18 +157,14 @@ func filterOrdered[T float64 | string](dst, sel []int32, n int, xs []T, c T, op 
 // frame-of-reference columns test raw codes against the keep-set of a
 // translated constant, and run-length vectors evaluate each run once.
 func FilterVec(dst []int32, sel []int32, n int, v *Vec, op CmpOp, val types.Value) []int32 {
+	if k, ok := codeKeep(v, op, val); ok {
+		return filterCodes(dst, sel, n, v, k)
+	}
 	if v.Enc != EncNone {
 		return filterEncoded(dst, sel, n, v, op, val)
 	}
 	if v.Null == nil && !val.IsNull() {
 		switch {
-		case intFamilyKind(v.Kind) && intFamilyKind(val.K):
-			// Flipping the sign bit orders int64s as uint64s, and
-			// (x^s)-a == x-(a^s), so the flip folds into the keep-set.
-			const s = 1 << 63
-			k := keepOf(op, uint64(val.I)^s)
-			k.a ^= s
-			return filterKeep(dst, sel, n, v.I64, k)
 		case v.Kind == types.KindFloat64 && numericKind(val.K):
 			return filterOrdered(dst, sel, n, v.F64, val.Float(), op)
 		case v.Kind == types.KindString && val.K == types.KindString:
@@ -215,55 +211,113 @@ func filterBoxed(dst []int32, sel []int32, n int, v *Vec, op CmpOp, val types.Va
 	return dst
 }
 
-// filterEncoded dispatches on the vector's encoding. Constants whose kind
-// does not fit the fast path (e.g. a float constant against a FoR column,
-// where translation would change float-promotion semantics) fall back to
-// the boxed comparator through Value, which decodes per row.
+// filterEncoded dispatches on the vector's encoding once codeKeep has
+// declined it: run-length vectors evaluate each run once; constants whose
+// kind does not fit a code space (e.g. a float constant against a FoR
+// column, where translation would change float-promotion semantics) fall
+// back to the boxed comparator through Value, which decodes per row.
 func filterEncoded(dst []int32, sel []int32, n int, v *Vec, op CmpOp, val types.Value) []int32 {
-	switch v.Enc {
-	case EncDict:
-		if val.K == types.KindString {
-			statCodeFilters.Add(1)
-			return filterDictCodes(dst, sel, n, v, op, val.S)
-		}
-	case EncFoR:
-		if intFamilyKind(val.K) {
-			statCodeFilters.Add(1)
-			return filterFoRCodes(dst, sel, n, v, op, val.I)
-		}
-	case EncRuns:
+	if v.Enc == EncRuns {
 		return filterRuns(dst, sel, v, op, val)
 	}
 	return filterBoxed(dst, sel, n, v, op, val)
 }
 
-// filterDictCodes evaluates the comparison once against the sorted
-// dictionary: the constant's code, or where it would sort when absent,
-// gives the keep-set the raw codes are tested against.
-func filterDictCodes(dst []int32, sel []int32, n int, v *Vec, op CmpOp, c string) []int32 {
-	lo := sort.SearchStrings(v.Dict, c) // first code >= c
-	k := keepBelow(op, uint64(lo))
-	if lo < len(v.Dict) && v.Dict[lo] == c {
-		k = keepOf(op, uint64(lo))
+// signBit is the flip that orders int64s as uint64s.
+const signBit = 1 << 63
+
+// codeKeep returns the keep-set of (op, val) in v's ordered code space,
+// and false when v has none val can be translated into. Int-family values
+// compare with the sign bit flipped, which orders int64s as uint64s; FoR
+// columns compare raw codes against the constant translated once (stored
+// values are base + code with code < 2^32, so a constant below the base
+// lies below every code and one beyond the code range above every code);
+// dictionary columns compare codes against where the constant sorts in
+// the dictionary (the constant's code, or between two codes when absent).
+func codeKeep(v *Vec, op CmpOp, val types.Value) (keepSet, bool) {
+	switch {
+	case v.Enc == EncNone && v.Null == nil && intFamilyKind(v.Kind) && intFamilyKind(val.K):
+		return keepOf(op, uint64(val.I)^signBit), true
+	case v.Enc == EncFoR && intFamilyKind(val.K):
+		switch d := uint64(val.I) - uint64(v.Base); {
+		case val.I < v.Base:
+			return keepBelow(op, 0), true
+		case d > math.MaxUint32:
+			return keepBelow(op, math.MaxUint32+1), true
+		default:
+			return keepOf(op, d), true
+		}
+	case v.Enc == EncDict && val.K == types.KindString:
+		lo := sort.SearchStrings(v.Dict, val.S) // first code >= the constant
+		if lo < len(v.Dict) && v.Dict[lo] == val.S {
+			return keepOf(op, uint64(lo)), true
+		}
+		return keepBelow(op, uint64(lo)), true
 	}
+	return keepSet{}, false
+}
+
+// filterCodes appends the rows whose code codeKeep's keep-set k keeps. On
+// plain int-family values (x^s)-a == x-(a^s), so the sign flip folds into
+// the keep-set and the raw values are tested.
+func filterCodes(dst, sel []int32, n int, v *Vec, k keepSet) []int32 {
+	if v.Enc == EncNone {
+		k.a ^= signBit
+		return filterKeep(dst, sel, n, v.I64, k)
+	}
+	statCodeFilters.Add(1)
 	return filterKeep(dst, sel, n, v.Codes, k)
 }
 
-// filterFoRCodes translates the integer constant into code space once and
-// compares raw codes. Stored values are base + code with code < 2^32, so a
-// constant below the base lies below every code and one beyond the code
-// range above every code.
-func filterFoRCodes(dst []int32, sel []int32, n int, v *Vec, op CmpOp, cv int64) []int32 {
-	var k keepSet
-	switch d := uint64(cv) - uint64(v.Base); {
-	case cv < v.Base:
-		k = keepBelow(op, 0)
-	case d > math.MaxUint32:
-		k = keepBelow(op, math.MaxUint32+1)
-	default:
-		k = keepOf(op, d)
+// interval returns the codes k keeps as [lo, hi] — lo > hi when it keeps
+// none — and false when they are no interval (a not-equal).
+func (k keepSet) interval() (lo, hi uint64, ok bool) {
+	end := k.a + k.w - 1 // the last code of [a, a+w)
+	switch {
+	case k.w == 0:
+		if k.inv {
+			return 0, math.MaxUint64, true
+		}
+		return 1, 0, true
+	case !k.inv:
+		return k.a, end, end >= k.a
+	case k.a == 0:
+		return k.w, math.MaxUint64, true
+	case end == math.MaxUint64:
+		return 0, k.a - 1, true
 	}
-	return filterKeep(dst, sel, n, v.Codes, k)
+	return 0, 0, false
+}
+
+// keepRange is the keep-set of the codes in [lo, hi], none when lo > hi.
+func keepRange(lo, hi uint64) keepSet {
+	switch {
+	case lo > hi:
+		return keepSet{}
+	case hi-lo == math.MaxUint64:
+		return keepSet{inv: true} // every code
+	}
+	return keepSet{a: lo, w: hi - lo + 1}
+}
+
+// FilterVecRange is FilterVec for two comparisons on one vector — a
+// range's lower and upper bound — answered in one pass: where both
+// keep-sets lie in the vector's code space and are intervals it keeps
+// their intersection with one filterKeep, and otherwise returns false
+// having appended nothing, so the caller filters each comparison on its
+// own.
+func FilterVecRange(dst []int32, sel []int32, n int, v *Vec, op1 CmpOp, val1 types.Value, op2 CmpOp, val2 types.Value) ([]int32, bool) {
+	k1, ok1 := codeKeep(v, op1, val1)
+	k2, ok2 := codeKeep(v, op2, val2)
+	if !ok1 || !ok2 {
+		return dst, false
+	}
+	lo1, hi1, ok1 := k1.interval()
+	lo2, hi2, ok2 := k2.interval()
+	if !ok1 || !ok2 {
+		return dst, false
+	}
+	return filterCodes(dst, sel, n, v, keepRange(max(lo1, lo2), min(hi1, hi2))), true
 }
 
 // filterRuns evaluates the predicate once per run and keeps or skips each

@@ -19,7 +19,9 @@ import (
 // cover the edges of each code space: the int64 extremes, a FoR constant
 // below the base, at code MaxUint32 and beyond the code range, and a
 // dictionary constant that is absent (below, between and above the
-// entries), first or last. seed drives the values; n is the row count;
+// entries), first or last. Every pair of constants is also tried as a
+// range's two bounds through FilterVecRange, held to the two passes it
+// replaces. seed drives the values; n is the row count;
 // spread bounds the plain integers; base is the FoR frame.
 func FuzzFilterVec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, spread uint64, base int64) {
@@ -134,6 +136,31 @@ func FuzzFilterVec(f *testing.F) {
 						want := filterBoxed(slices.Clip(prefix), s, rows, &c.v, op, val)
 						if !slices.Equal(got, want) {
 							t.Fatalf("%s %v %v (sel %v): got %v, want %v", c.name, op, val, s != nil, got, want)
+						}
+					}
+				}
+			}
+			// The paired form: a lower and an upper bound on one vector in
+			// one pass must keep what the two passes keep, the second over
+			// the first one's selection, or decline having appended nothing.
+			for _, lo := range c.consts {
+				for _, hi := range c.consts {
+					for _, ops := range [][2]CmpOp{{CmpGe, CmpLt}, {CmpGt, CmpLe}, {CmpGe, CmpLe}, {CmpLt, CmpGt}} {
+						for _, s := range sels {
+							got, ok := FilterVecRange(slices.Clip(prefix), s, rows, &c.v, ops[0], lo, ops[1], hi)
+							_, ok1 := codeKeep(&c.v, ops[0], lo)
+							_, ok2 := codeKeep(&c.v, ops[1], hi)
+							if ok != (ok1 && ok2) {
+								t.Fatalf("%s %v %v and %v %v: paired %v, want %v", c.name, ops[0], lo, ops[1], hi, ok, ok1 && ok2)
+							}
+							want := prefix
+							if ok {
+								first := FilterVec([]int32{}, s, rows, &c.v, ops[0], lo)
+								want = FilterVec(slices.Clip(prefix), first, rows, &c.v, ops[1], hi)
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("%s %v %v and %v %v (sel %v, paired %v): got %v, want %v", c.name, ops[0], lo, ops[1], hi, s != nil, ok, got, want)
+							}
 						}
 					}
 				}

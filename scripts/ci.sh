@@ -85,17 +85,22 @@ echo "== benchmark workloads against their oracles (gating)"
 # wrote and drains its replicas while the maintenance tick folds
 # checkpoints and truncates the log underneath.
 go run -C bench . --workload olap-scan --seconds 2 >/dev/null
-# gate_metric WORKLOAD METRIC CEILING runs two seconds of WORKLOAD and
-# fails when METRIC in its JSON line is missing or above CEILING.
+# gate_metric WORKLOAD METRIC CEILING [METRIC CEILING ...] runs two
+# seconds of WORKLOAD and fails when any METRIC in its JSON line is
+# missing or above its CEILING.
 gate_metric() {
-    local line value
-    line=$(go run -C bench . --workload "$1" --seconds 2 | grep '^{')
+    local w=$1 line value
+    shift
+    line=$(go run -C bench . --workload "$w" --seconds 2 | grep '^{')
     echo "$line"
-    value=$(echo "$line" | grep -o "\"$2\":{\"value\":[^,}]*" | awk -F: '{print $3}')
-    if awk -v v="$value" -v c="$3" 'BEGIN { exit !(v == "" || v + 0 > c + 0) }'; then
-        echo "$1 $2 ${value:-missing} over its ceiling of $3" >&2
-        exit 1
-    fi
+    while (($# >= 2)); do
+        value=$(echo "$line" | grep -o "\"$1\":{\"value\":[^,}]*" | awk -F: '{print $3}')
+        if awk -v v="$value" -v c="$2" 'BEGIN { exit !(v == "" || v + 0 > c + 0) }'; then
+            echo "$w $1 ${value:-missing} over its ceiling of $2" >&2
+            exit 1
+        fi
+        shift 2
+    done
 }
 # The join run also gates its traffic. Its operation count is fixed
 # (calibrated rate × seconds) and a join's bytes are counted, not timed,
@@ -105,16 +110,21 @@ gate_metric() {
 # cannot meet, rows of a table the probing site holds a copy of, or rows
 # back through the coordinator fails here. The ceiling is the value
 # measured when replicated build sides stopped crossing (16 501 bytes)
-# plus 10 %.
-gate_metric olap-join net_bytes_per_op 18151
+# plus 10 %. The same run gates its allocations: 295 when each worker's
+# probe lists came sized to its morsel-long batches from a pool, plus
+# 10 %; lists regrown by doubling in every worker of every query (about
+# 410) fail here.
+gate_metric olap-join net_bytes_per_op 18151 allocs_per_op 325
 # The row-copy runs gate their allocations: a count, so it repeats to
-# within about 1 % for the seed. The ceilings are the values measured when
-# site tasks stopped being goroutine-pool tasks (58.9 on oltp-rmw, 163 on
-# htap-mixed, at two seconds) plus 10 %; per-row version objects or
-# per-cell string decodes in row scans come back over them. (They were 69
-# and 189, from 62.9 and 172 when row copies stopped allocating per row
-# and per version.)
-gate_metric htap-mixed allocs_per_op 180
+# within about 1 % for the seed. The ceilings are the values measured at
+# two seconds plus 10 %: 58.9 on oltp-rmw when site tasks stopped being
+# goroutine-pool tasks, 149 on htap-mixed when scans went a morsel at a
+# time and column shares stopped regrowing by doubling; per-row version
+# objects or per-cell string decodes in row scans come back over them.
+# (They were 180 on htap-mixed, from 163, while a morsel was four batches;
+# 69 and 189, from 62.9 and 172, when row copies stopped allocating per
+# row and per version.)
+gate_metric htap-mixed allocs_per_op 164
 gate_metric oltp-rmw allocs_per_op 65
 
 echo "== encoding and filter-kernel fuzz corpora (seeds only, -count=1)"
